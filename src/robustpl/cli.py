@@ -37,7 +37,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser("sweep", help="run a seeded experiment sweep")
     sweep.add_argument("--config", required=True, help="JSON experiment config")
     sweep.add_argument("--out", required=True, help="output records path")
-    sweep.add_argument("--format", default="csv", choices=["csv"])
     sweep.add_argument("--threads", type=int, default=None,
                        help=f"worker processes (default ${THREADS_ENV} or 1)")
     sweep.add_argument("--mc-certify", type=int, default=None, metavar="S",

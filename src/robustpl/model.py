@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -113,6 +114,14 @@ class ScenarioInstance:
     @property
     def n_tx(self) -> int:
         return self.true_channels.shape[1]
+
+    @cached_property
+    def cov_roots(self) -> tuple:
+        """Read-only stacks (C_k^{1/2}, C_k^{-1/2}) over the users, computed
+        once per instance: ``error_cov`` must not change in place after."""
+        roots = np.array([(psd_sqrt(c), psd_inv_sqrt(c)) for c in self.error_cov])
+        roots.flags.writeable = False
+        return roots[:, 0], roots[:, 1]
 
 
 class BeamformerKind(enum.Enum):
@@ -327,9 +336,8 @@ def build_outage_form(instance: ScenarioInstance, beamformer: BeamformerMatrix,
                       allocation: PowerAllocation, qos: QoSSpec,
                       k: int) -> QuadraticOutageForm:
     """Quadratic-form data for user k's outage constraint at the given powers."""
-    c = instance.error_cov[k]
-    chalf = psd_sqrt(c)
-    cinvhalf = psd_inv_sqrt(c)
+    sqrt_c, inv_sqrt_c = instance.cov_roots
+    chalf, cinvhalf = sqrt_c[k], inv_sqrt_c[k]
     hk = instance.est_channels[k].conj()
     a_mat = _signal_interference_matrix(beamformer, allocation, qos.gamma[k], k)
     q = chalf @ a_mat @ chalf

@@ -10,6 +10,13 @@ taken over a vertical line with I + beta M positive definite.  The value is
 independent of the admissible offset beta; numerically the offset is placed at
 the minimizer of the integrand magnitude on the real axis (the magnitude along
 the contour peaks at omega = 0, so this choice minimizes cancellation).
+
+Placement is a safeguarded Newton iteration in log(beta) (pole-adjusted for
+indefinite M) from the two-moment saddle point, usually two or three
+derivative evaluations.  The integrand needs no complex logarithms: it is
+exp(tau s - c(s) - g0) / (s prod_m (1 + s lam_m)), g0 the log magnitude at
+omega = 0, with c(s) in the s lam / (1 + s lam) form that does not cancel
+for large sum |z_m|^2; logs are summed only where that could overflow.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from .model import (
     QuadraticOutageForm,
     ScenarioInstance,
     complex_normal,
-    psd_sqrt,
+    psd_sqrt,  # noqa: F401 (perfbench/tracing.py wraps this name)
 )
 
 __all__ = [
@@ -57,7 +64,6 @@ class ToleranceNotMet(Exception):
 
 class EvalMethod(enum.Enum):
     QUADRATURE = "quadrature"
-    RESIDUE = "residue"
     MONTE_CARLO = "monte_carlo"
 
 
@@ -119,78 +125,97 @@ def decompose(form: GaussianQuadratic) -> EigenSpectrum:
 # contour placement
 
 
-def _log_mag(beta, lam, zt2, tau):
-    """log of the integrand magnitude on the real axis (omega = 0)."""
-    total = tau * beta - math.log(beta)
+def _log_mag(beta, lam, zt2, tau, log_weight=1.0):
+    """log of the integrand magnitude on the real axis (omega = 0); with
+    ``log_weight`` 0 the 1/s factor is left out (the Chernoff exponent)."""
+    total = tau * beta - log_weight * math.log(beta)
     for l, z in zip(lam, zt2):
         bl = beta * l
         total -= z * bl / (1.0 + bl) + math.log1p(bl)
     return total
 
 
-def _dlog_mag(beta, lam, zt2, tau):
-    total = tau - 1.0 / beta
+def _log_mag_parts(beta, lam, zt2, tau, log_weight):
+    """(u, du, v, dv, curv): d _log_mag / d log(beta) = u - v with u, v > 0
+    (u takes tau*beta if tau > 0 and the negative-eigenvalue terms, v the
+    rest), the derivatives of u and v, and beta^2 d^2 _log_mag / d beta^2."""
+    tb = tau * beta
+    u, du = (tb, tb) if tau > 0 else (0.0, 0.0)
+    v, dv = (log_weight - tb, -tb) if tau < 0 else (log_weight, 0.0)
+    curv = log_weight
     for l, z in zip(lam, zt2):
-        bl1 = 1.0 + beta * l
-        total -= z * l / (bl1 * bl1) + l / bl1
-    return total
+        t = beta * l
+        q = 1.0 / (1.0 + t)
+        a = t * q
+        aq = a * q
+        w = z * aq + a
+        dw = (z * (1.0 - t) * q + 1.0) * aq
+        curv += a * a * (1.0 + 2.0 * z * q)
+        if l > 0:
+            v += w
+            dv += dw
+        else:
+            u -= w
+            du -= dw
+    return u, du, v, dv, curv
 
 
-def _d2log_mag(beta, lam, zt2, tau):
-    total = 1.0 / (beta * beta)
-    for l, z in zip(lam, zt2):
-        bl1 = 1.0 + beta * l
-        l2 = l * l
-        total += 2.0 * z * l2 / (bl1 ** 3) + l2 / (bl1 * bl1)
-    return total
+def _pick_beta(lam, zt2, tau, log_weight=1.0):
+    """Minimizer of the (strictly convex) _log_mag over admissible offsets.
 
-
-def _pick_beta(lam, zt2, tau):
-    """Minimizer of the (strictly convex) log magnitude over admissible
-    offsets, via safeguarded Newton on its derivative.
-
-    The derivative tends to -inf as beta -> 0+.  For indefinite M it tends to
-    +inf at the pole 1/|lam_min|; for PSD M (reached only with tau > 0) it
-    tends to tau > 0, so an upper bracket always exists.  A loose relative
-    tolerance suffices: the integral is beta-independent and conditioning
-    degrades only slowly away from the exact minimum.
+    Newton on H = log(u / v) (see _log_mag_parts; its slope stays bounded
+    where u - v flattens out) in xi = log(beta / (1 - beta/cap)), cap =
+    1/|lam_min| the pole, from the positive root of the two-moment expansion
+    s2 b^2 + (tau - mu) b - log_weight = 0.  The sign of u - v keeps a
+    bracket; a step leaving it bisects it, or moves by 2 while it is open.
+    A loose tolerance suffices: the integral is beta-independent, and any
+    admissible beta gives a valid Chernoff bound.
     """
-    lam_min = float(lam.min())
-    lam_l = [float(v) for v in lam]
-    zt2_l = [float(v) for v in zt2]
-    if lam_min < 0:
-        hi = (1.0 - 1e-9) / abs(lam_min)
-        if _dlog_mag(hi, lam_l, zt2_l, tau) <= 0:
-            return hi
-    else:
-        hi = 1.0 / max(float(np.abs(lam).max()), 1e-300)
-        for _ in range(600):
-            if _dlog_mag(hi, lam_l, zt2_l, tau) > 0:
-                break
-            hi *= 2.0
+    lam_min = min(lam)
+    cap = -1.0 / lam_min if lam_min < 0 else math.inf
+    beta_cap = (1.0 - 1e-9) * cap
+
+    def xi_of(beta):
+        return math.log(beta) - math.log1p(-beta / cap)
+
+    def beta_of(xi):
+        e = math.exp(min(xi, 700.0))
+        return e / (1.0 + e / cap)
+
+    mu = sum((1.0 + z) * l for l, z in zip(lam, zt2))
+    s2 = sum((1.0 + 2.0 * z) * l * l for l, z in zip(lam, zt2))
+    b = tau - mu
+    root = math.sqrt(b * b + 4.0 * log_weight * s2)
+    start = 2.0 * log_weight / (b + root) if b > 0 else (root - b) / (2.0 * s2)
+    xi_cap = xi_of(beta_cap) if lam_min < 0 else math.inf
+    lo, hi = -math.inf, xi_cap
+    xi = xi_of(min(start, 0.5 * cap))
+    for _ in range(100):
+        beta = beta_of(xi)
+        u, du, v, dv, _ = _log_mag_parts(beta, lam, zt2, tau, log_weight)
+        if u > v:
+            hi = xi
+        elif xi >= xi_cap:
+            return beta_cap
         else:
-            return hi
-    lo = hi * 1e-16
-    for _ in range(600):
-        if _dlog_mag(lo, lam_l, zt2_l, tau) < 0:
-            break
-        lo *= 0.25
-    else:
-        return lo
-    x = math.sqrt(lo * hi)
-    for _ in range(200):
-        d = _dlog_mag(x, lam_l, zt2_l, tau)
-        if d > 0:
-            hi = x
-        else:
-            lo = x
-        x_new = x - d / _d2log_mag(x, lam_l, zt2_l, tau)
-        if not (lo < x_new < hi):
-            x_new = math.sqrt(lo * hi)
-        if abs(x_new - x) <= 1e-3 * max(x, x_new):
-            return float(x_new)
-        x = x_new
-    return float(x)
+            lo = xi
+        slope = (du / u - dv / v) * (1.0 - beta / cap) if u > 0 else 0.0
+        step = (max(-50.0, min(-math.log(u / v) / slope, 50.0)) if slope > 0
+                else math.copysign(math.inf, v - u))
+        new = xi + step
+        if abs(step) <= 1e-3 and new <= hi:
+            return beta_of(new)
+        if not lo < new < hi:
+            if math.isinf(hi):
+                new = xi + 2.0
+            elif hi == xi_cap and new >= hi:
+                new = xi_cap  # the minimizer may sit at the clamp: test it
+            elif math.isinf(lo):
+                new = xi - 2.0
+            else:
+                new = 0.5 * (lo + hi)
+        xi = new
+    return beta_of(xi)
 
 
 # ---------------------------------------------------------------------------
@@ -276,58 +301,13 @@ def _chernoff_log(lam, zt2, tau):
     admissible beta yields a valid bound, so a loose minimization suffices.
     The right tail follows from the same helper with (lam, tau) negated.
     """
-    lam_l = [float(v) for v in lam]
-    zt2_l = [float(v) for v in zt2]
-
-    def h(b):
-        total = tau * b
-        for l, z in zip(lam_l, zt2_l):
-            bl = b * l
-            total -= z * bl / (1.0 + bl) + math.log1p(bl)
-        return total
-
-    def dh(b):
-        total = tau
-        for l, z in zip(lam_l, zt2_l):
-            bl1 = 1.0 + b * l
-            total -= z * l / (bl1 * bl1) + l / bl1
-        return total
-
-    if dh(0.0) >= 0:
-        return 0.0
-    lam_min = min(lam_l)
-    if lam_min < 0:
-        hi = (1.0 - 1e-9) / abs(lam_min)
-        if dh(hi) <= 0:
-            return h(hi)
-    else:
-        hi = 1.0 / max(max(abs(v) for v in lam_l), 1e-300)
-        for _ in range(600):
-            if dh(hi) > 0:
-                break
-            hi *= 2.0
-        else:
-            return h(hi)
-    lo = 0.0
-    x = hi / 2.0
-    for _ in range(200):
-        d = dh(x)
-        if d > 0:
-            hi = x
-        else:
-            lo = x
-        x_new = 0.5 * (lo + hi)
-        if hi - lo <= 1e-2 * hi:
-            return h(x_new)
-        x = x_new
-    return h(x)
+    if tau >= sum((1.0 + z) * l for l, z in zip(lam, zt2)):
+        return 0.0  # h'(0) = tau - mu >= 0: the minimum is h(0)
+    b = _pick_beta(lam, zt2, tau, log_weight=0.0)
+    return _log_mag(b, lam, zt2, tau, log_weight=0.0)
 
 
-def _re_c(omega, beta, lam, zt2):
-    """Real part of c(beta + i omega); monotone nondecreasing in |omega|."""
-    bl1 = 1.0 + beta * lam
-    denom = bl1 ** 2 + (omega * lam) ** 2
-    return np.sum(zt2 * (1.0 - bl1 / denom))
+_HEAD = np.array([0.0, 1 / 32, 1 / 16, 1 / 8, 1 / 4, 1 / 2, 1.0])
 
 
 def _vertical_cut(beta, lam, zt2, tau, g0, target, sigma):
@@ -335,17 +315,38 @@ def _vertical_cut(beta, lam, zt2, tau, g0, target, sigma):
 
         |f(omega)| <= exp(tau*beta - Re c(Omega) - g0) / (omega^(r+1) prod|lam|)
 
-    integrates below ``target``.  Uses monotonicity of Re c in omega."""
-    r = lam.size
-    log_prod = np.sum(np.log(np.abs(lam)))
+    integrates below ``target``.  Uses monotonicity of Re c in omega; scalar
+    arithmetic, since r <= a few and the cut is usually within 8 doublings."""
+    terms = [(l, z, 1.0 + beta * l) for l, z in zip(lam, zt2)]
+    r = len(terms)
+    log_amp = tau * beta - g0 - sum(math.log(abs(l)) for l, _, _ in terms)
+    log_target = np.log(target) + math.log(r)
     omega = 8.0 * sigma
     for _ in range(400):
-        log_amp = tau * beta - _re_c(omega, beta, lam, zt2) - g0 - log_prod
-        log_tail = log_amp - np.log(r) - r * np.log(omega)
-        if log_tail <= np.log(target):
+        re_c = 0.0
+        for l, z, bl1 in terms:
+            ol = omega * l
+            re_c += z * (1.0 - bl1 / (bl1 * bl1 + ol * ol))
+        if log_amp - re_c - r * math.log(omega) <= log_target:
             return omega
         omega *= 2.0
     return omega
+
+
+def _integrand(s, lam, zt2, tau, g0):
+    """exp(tau s - c(s) - g0) / (s prod_m (1 + s lam_m)) at the nodes ``s``.
+
+    |exp(tau s - c(s) - g0)| <= beta prod(1 + beta lam) on the vertical line
+    (e^5 more on the ray), and both that and |s prod(1 + s lam)| are at most
+    |s| prod(1 + |s||lam|); where that could overflow, logs are summed."""
+    sl = s[:, None] * lam
+    one_sl = 1.0 + sl
+    expo = tau * s - np.sum(zt2 * (sl / one_sl), axis=1) - g0
+    s_max = float(np.max(np.abs(s)))
+    log_bound = math.log(s_max) + sum(math.log1p(s_max * abs(l)) for l in lam)
+    if log_bound < 600.0:  # exp() and the product stay finite
+        return np.exp(expo) / (s * np.prod(one_sl, axis=1))
+    return np.exp(expo - np.sum(np.log(one_sl), axis=1) - np.log(s))
 
 
 def cdf_quadrature(spectrum: EigenSpectrum, tau: float, tol: float = 1e-8,
@@ -380,34 +381,30 @@ def cdf_quadrature(spectrum: EigenSpectrum, tau: float, tol: float = 1e-8,
     # Chernoff bounds on both tails: they certify deep-tail values directly
     # and guarantee the remaining quadrature cases sit within a few standard
     # deviations of the bulk, where the contour integrand is mildly behaved.
-    log_left = _chernoff_log(lam, zt2, tau)
+    lam_l, zt2_l = lam.tolist(), zt2.tolist()
+    log_left = _chernoff_log(lam_l, zt2_l, tau)
     if log_left <= np.log(tol / 4.0):
         return ProbabilityEstimate(value=0.0, abs_error_bound=float(np.exp(log_left)),
                                    method=EvalMethod.QUADRATURE, raw_value=0.0)
-    log_right = _chernoff_log(-lam, zt2, -tau)
+    log_right = _chernoff_log([-l for l in lam_l], zt2_l, -tau)
     if log_right <= np.log(tol / 4.0):
         return ProbabilityEstimate(value=1.0, abs_error_bound=float(np.exp(log_right)),
                                    method=EvalMethod.QUADRATURE, raw_value=1.0)
 
     if beta is None:
-        beta = _pick_beta(lam, zt2, tau)
+        beta = _pick_beta(lam_l, zt2_l, tau)
     else:
         if beta <= 0 or np.any(1.0 + beta * lam <= 0):
             raise ValueError("contour offset must keep I + beta*M positive definite")
-    g0 = _log_mag(beta, lam, zt2, tau)
-
-    def log_f(s):
-        sl = s[:, None] * lam[None, :]
-        return (tau * s - np.sum(zt2 * sl / (1.0 + sl), axis=1)
-                - np.sum(np.log(1.0 + sl), axis=1) - np.log(s))
+    g0 = _log_mag(beta, lam_l, zt2_l, tau)
 
     def vertical_integrand(omega):
-        return np.exp(log_f(beta + 1j * omega) - g0).real
+        return _integrand(beta + 1j * omega, lam, zt2, tau, g0).real
 
     scale = np.exp(g0) / np.pi
     tail_target = (tol / 10.0) / scale
     quad_target = (tol / 2.0) / scale
-    sigma = 1.0 / np.sqrt(_d2log_mag(beta, lam, zt2, tau))
+    sigma = beta / math.sqrt(_log_mag_parts(beta, lam_l, zt2_l, tau, 1.0)[4])
 
     # A 45-degree ray into the upper half-plane (poles are all real, so the
     # integrand is analytic there) turns the oscillatory tail into one that
@@ -419,10 +416,13 @@ def cdf_quadrature(spectrum: EigenSpectrum, tau: float, tol: float = 1e-8,
     ray_skip_tail = None
     if tau != 0.0:
         omega_sw = 16.0 * sigma
-        corner = beta + 1j * omega_sw
-        corner_logmag = float(np.real(log_f(np.array([corner]))[0])) - g0
-        ray_growth = float(np.sum(zt2 / (np.abs(lam) * omega_sw)))
-        amp_log = corner_logmag + ray_growth
+        corner = complex(beta, omega_sw)
+        # log magnitude at the corner plus the growth bound along the ray
+        amp_log = tau * beta - g0 - math.log(abs(corner))
+        for l, z in zip(lam_l, zt2_l):
+            cl = corner * l
+            amp_log -= z * (cl / (1.0 + cl)).real + math.log(abs(1.0 + cl))
+            amp_log += z / (abs(l) * omega_sw)
         # tail of the ray bound integrated from t: sqrt(2) e^{amp_log-|tau|t}/|tau|
         full_ray_tail_log = amp_log + 0.5 * np.log(2.0) - np.log(abs(tau))
         if full_ray_tail_log <= np.log(tail_target):
@@ -433,20 +433,15 @@ def cdf_quadrature(spectrum: EigenSpectrum, tau: float, tol: float = 1e-8,
     if tau != 0.0 and ray_skip_tail is not None:
         # everything beyond the switch point is below the tail budget already
         raw_sum, err_sum, _resabs, converged = _integrate_adaptive(
-            vertical_integrand,
-            omega_sw * np.array([0.0, 1 / 32, 1 / 16, 1 / 8, 1 / 4, 1 / 2, 1.0]),
-            quad_target)
+            vertical_integrand, omega_sw * _HEAD, quad_target)
         tail_bound = scale * ray_skip_tail
     elif use_ray:
         raw_v, err_v, _res_v, conv_v = _integrate_adaptive(
-            vertical_integrand,
-            omega_sw * np.array([0.0, 1 / 32, 1 / 16, 1 / 8, 1 / 4, 1 / 2, 1.0]),
-            quad_target / 2.0)
+            vertical_integrand, omega_sw * _HEAD, quad_target / 2.0)
         d = -np.sign(tau) + 1j
 
         def ray_integrand(t):
-            s = corner + t * d
-            return (-1j * d * np.exp(log_f(s) - g0)).real
+            return (-1j * d * _integrand(corner + t * d, lam, zt2, tau, g0)).real
 
         t_max = max((amp_log + 0.5 * np.log(2.0) - np.log(abs(tau))
                      - np.log(tail_target / 2.0)) / abs(tau), 4.0 / abs(tau))
@@ -462,7 +457,7 @@ def cdf_quadrature(spectrum: EigenSpectrum, tau: float, tol: float = 1e-8,
     else:
         # vertical contour with geometric panels out to the analytic
         # polynomial tail bound (Re c monotone in omega)
-        omega_max = _vertical_cut(beta, lam, zt2, tau, g0, tail_target, sigma)
+        omega_max = _vertical_cut(beta, lam_l, zt2_l, tau, g0, tail_target, sigma)
         edges = [0.0, 0.5 * sigma]
         while edges[-1] < omega_max:
             edges.append(min(2.0 * edges[-1], omega_max))
@@ -500,7 +495,7 @@ def mc_probability(instance: ScenarioInstance, beamformer: BeamformerMatrix,
         raise ValueError("n_samples must be at least 1")
     rng = np.random.default_rng(rng_seed) if not isinstance(
         rng_seed, np.random.Generator) else rng_seed
-    chalf = psd_sqrt(instance.error_cov[k])
+    chalf = instance.cov_roots[0][k]
     est_row = instance.est_channels[k]
     b = beamformer.columns
     p = allocation.powers

@@ -28,7 +28,7 @@ from .model import (
     _signal_interference_matrix,
     build_outage_form,
     init_powers_pcsi,
-    psd_sqrt,
+    psd_sqrt,  # noqa: F401 (perfbench/tracing.py wraps this name)
 )
 from .quadform import GaussianQuadratic, cdf_quadrature, decompose, outage_probability
 
@@ -96,7 +96,7 @@ def zf_params(instance: ScenarioInstance, beamformer: BeamformerMatrix,
         raise ValueError("beamformer is not zero-forcing for the estimates")
     r_norm2 = np.empty(qos.n_users)
     for k in range(qos.n_users):
-        r_tilde = psd_sqrt(instance.error_cov[k]) @ beamformer.column(k)
+        r_tilde = instance.cov_roots[0][k] @ beamformer.column(k)
         r_norm2[k] = float(np.real(r_tilde.conj() @ r_tilde))
     eta = eta_multiple * 2.0 * np.sqrt(r_norm2)
     if np.any(1.0 + eta <= 0):
@@ -158,7 +158,7 @@ def residue_probability(spectrum: ResidueSpectrum, p_k: float,
 
 def _minus_q(instance: ScenarioInstance, beamformer: BeamformerMatrix,
              powers: np.ndarray, gamma_k: float, k: int) -> np.ndarray:
-    chalf = psd_sqrt(instance.error_cov[k])
+    chalf = instance.cov_roots[0][k]
     a_mat = _signal_interference_matrix(
         beamformer, PowerAllocation(powers=powers), gamma_k, k)
     q = chalf @ a_mat @ chalf
@@ -326,15 +326,13 @@ def coord_update_step(instance: ScenarioInstance, beamformer: BeamformerMatrix,
             float(instance.noise_var[k]), float(qos.epsilon[k]),
             float(params.r_tilde_norm2[k]), literal_gamma)
     except DegenerateSpectrum:
-        return _bisect_min_feasible(instance, beamformer, qos, params,
-                                    p_prev_cycle.powers, k)
+        prob = _approx_prob_fn(instance, beamformer, qos, params, 1e-8)
+        return _bisect_min_feasible(prob, instance, qos, p_prev_cycle.powers, k)
 
 
-def _bisect_min_feasible(instance, beamformer, qos, params, powers, k,
-                         band=1e-3, quad_tol=1e-8):
-    """Minimal surrogate-feasible power for coordinate k by doubling then
-    bisection (fallback path for degenerate frozen spectra)."""
-    prob = _approx_prob_fn(instance, beamformer, qos, params, quad_tol)
+def _bisect_min_feasible(prob, instance, qos, powers, k, band=1e-3):
+    """Minimal feasible power for coordinate k under the oracle ``prob`` by
+    doubling then bisection (fallback path for degenerate frozen spectra)."""
     floor = 1.0 - float(qos.epsilon[k])
     trial = powers.copy()
     hi = max(float(qos.gamma[k] * instance.noise_var[k]), trial[k], 1e-12)
@@ -405,9 +403,9 @@ def solve_zf_coord_update(instance: ScenarioInstance,
                     float(sigma2[k]), float(qos.epsilon[k]),
                     float(params.r_tilde_norm2[k]), literal_gamma)
             except DegenerateSpectrum:
-                p[k] = _bisect_min_feasible(instance, beamformer, qos, params,
-                                            p_prev, k, quad_tol=quad_tol)
-                bisect_steps += 1
+                before = evals[0]
+                p[k] = _bisect_min_feasible(prob, instance, qos, p_prev, k)
+                bisect_steps += evals[0] - before
         probs = np.array([prob(p, k) for k in range(n)])
         if np.max(np.abs(p - p_prev)) <= 1e-12 * max(1.0, float(np.max(p))):
             break  # fixed point reached at float resolution

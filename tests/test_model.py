@@ -1,5 +1,11 @@
+import pickle
+
 import numpy as np
 import pytest
+
+import robustpl.model
+import robustpl.quadform
+import robustpl.zf
 
 from robustpl import (
     BeamformerKind,
@@ -311,6 +317,79 @@ class TestPsdRoots:
         c = np.diag([4.0, 0.0]).astype(complex)
         inv_root = psd_inv_sqrt(c)
         np.testing.assert_allclose(inv_root, np.diag([0.5, 0.0]), atol=1e-12)
+
+
+def correlated_instance(seed, n=3):
+    """Instance with a different, non-isotropic error covariance per user."""
+    rng = np.random.default_rng(seed)
+    h = generate_rayleigh_channels(n, n, rng)
+    a = complex_normal(rng, n, n, n)
+    cov = 0.002 * a @ a.conj().transpose(0, 2, 1)
+    return ScenarioInstance(true_channels=h, est_channels=h + 0.05 * complex_normal(rng, n, n),
+                            error_cov=cov, noise_var=np.full(n, 0.01))
+
+
+class TestCachedCovarianceRoots:
+    def test_outage_form_bitwise_equals_fresh_roots(self):
+        inst = correlated_instance(51)
+        b = build_rci(inst.est_channels, 0.03)
+        qos = QoSSpec.from_db(5.0, 0.05, 3)
+        p = PowerAllocation(powers=np.array([0.05, 0.12, 0.08]))
+        for k in range(3):
+            form = build_outage_form(inst, b, p, qos, k)
+            chalf = psd_sqrt(inst.error_cov[k])
+            cinvhalf = psd_inv_sqrt(inst.error_cov[k])
+            hk = inst.est_channels[k].conj()
+            a_mat = robustpl.model._signal_interference_matrix(b, p, qos.gamma[k], k)
+            q = chalf @ a_mat @ chalf
+            q = 0.5 * (q + q.conj().T)
+            v = float(np.real(hk.conj() @ a_mat @ hk)) - float(inst.noise_var[k])
+            a = -cinvhalf @ hk
+            np.testing.assert_array_equal(form.Q, q)
+            np.testing.assert_array_equal(form.r, chalf @ (a_mat @ hk))
+            np.testing.assert_array_equal(form.a, a)
+            assert form.v == v
+            assert form.tau == v - float(np.real(a.conj() @ q @ a))
+
+    def test_roots_computed_once_per_user(self, monkeypatch):
+        calls = {"sqrt": 0, "inv_sqrt": 0}
+
+        def counting(name, fn):
+            def wrapper(c):
+                calls[name] += 1
+                return fn(c)
+            return wrapper
+
+        monkeypatch.setattr(robustpl.model, "psd_sqrt",
+                            counting("sqrt", robustpl.model.psd_sqrt))
+        monkeypatch.setattr(robustpl.model, "psd_inv_sqrt",
+                            counting("inv_sqrt", robustpl.model.psd_inv_sqrt))
+        inst = correlated_instance(53)
+        b = build_zf(inst.est_channels)
+        qos = QoSSpec.from_db(3.0, 0.05, 3)
+        rng = np.random.default_rng(0)
+        for _ in range(10):
+            p = PowerAllocation(powers=rng.uniform(0.02, 0.2, 3))
+            for k in range(3):
+                build_outage_form(inst, b, p, qos, k)
+                robustpl.zf._minus_q(inst, b, p.powers, float(qos.gamma[k]), k)
+                robustpl.quadform.mc_probability(inst, b, p, qos, k, 10, 0)
+        robustpl.zf.zf_params(inst, b, qos, eta_multiple=-0.1)
+        assert calls == {"sqrt": 3, "inv_sqrt": 3}
+
+    def test_roots_are_read_only(self):
+        inst = correlated_instance(55)
+        for roots in inst.cov_roots:
+            with pytest.raises(ValueError):
+                roots[0, 0, 0] = 1.0
+
+    def test_instance_pickles_with_cached_roots(self):
+        inst = correlated_instance(57)
+        roots = inst.cov_roots
+        clone = pickle.loads(pickle.dumps(inst))
+        np.testing.assert_array_equal(clone.error_cov, inst.error_cov)
+        for mine, theirs in zip(roots, clone.cov_roots):
+            np.testing.assert_array_equal(mine, theirs)
 
 
 class TestValidation:

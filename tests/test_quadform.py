@@ -1,6 +1,12 @@
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.stats import ncx2
+
+import robustpl.quadform as quadform
 
 from robustpl import (
     EvalMethod,
@@ -16,7 +22,7 @@ from robustpl import (
     mc_probability,
     outage_probability,
 )
-from robustpl.quadform import _pick_beta
+from robustpl.quadform import _integrand, _log_mag, _log_mag_parts, _pick_beta
 
 from conftest import make_instance, make_zf_setup
 
@@ -137,6 +143,105 @@ class TestCdfQuadrature:
                                z=np.zeros(2), tau=0.1)
         with pytest.raises(ValueError):
             cdf_quadrature(decompose(gq), 0.1, beta=3.0)
+
+
+@st.composite
+def spectra(draw):
+    """Up to six eigenvalues with magnitudes 1e-6..1e3, PSD, indefinite or
+    negative definite, and noncentralities summing to at most 1e8."""
+    r = draw(st.integers(1, 6))
+    mags = np.array([10.0 ** draw(st.floats(-6.0, 3.0)) for _ in range(r)])
+    kind = draw(st.sampled_from(["psd", "indefinite", "nsd"]))
+    signs = np.ones(r) if kind == "psd" else -np.ones(r)
+    if kind == "indefinite":
+        signs[1:] = [draw(st.sampled_from([-1.0, 1.0])) for _ in range(r - 1)]
+    lam = np.sort(mags * signs)[::-1]
+    zt2 = np.zeros(r)
+    if draw(st.booleans()):
+        w = np.array([draw(st.floats(0.01, 1.0)) for _ in range(r)])
+        zt2 = 10.0 ** draw(st.floats(-3.0, 8.0)) * w / w.sum()
+    return lam, zt2
+
+
+def tau_at_minimizer(beta, lam, zt2):
+    """The threshold at which beta minimizes the log magnitude."""
+    bl1 = 1.0 + beta * lam
+    return float(1.0 / beta + np.sum(zt2 * lam / bl1 ** 2 + lam / bl1))
+
+
+@st.composite
+def placement_cases(draw):
+    """A spectrum with a threshold in the bulk (mean +- 6 standard
+    deviations), or, for negative eigenvalues, one whose minimizer sits
+    within a factor 1 - 10^-0.3 .. 1 - 1e-6 of the pole 1/|lam_min|."""
+    lam, zt2 = draw(spectra())
+    if lam.min() < 0 and draw(st.booleans()):
+        frac = 1.0 - 10.0 ** -draw(st.floats(0.3, 6.0))
+        return lam, zt2, tau_at_minimizer(frac / -lam.min(), lam, zt2)
+    mu = float(np.sum((1.0 + zt2) * lam))
+    sd = math.sqrt(float(np.sum((1.0 + 2.0 * zt2) * lam ** 2)))
+    tau = mu + draw(st.floats(-6.0, 6.0)) * sd
+    if lam.min() >= 0:
+        tau = max(tau, 1e-3 * mu)  # PSD forms need tau > 0 for a minimizer
+    return lam, zt2, tau
+
+
+class TestContourPlacement:
+    @settings(max_examples=300, deadline=None)
+    @given(placement_cases())
+    def test_minimizer_within_eight_evaluations(self, case):
+        lam, zt2, tau = case
+        with mock.patch.object(quadform, "_log_mag_parts",
+                               wraps=_log_mag_parts) as parts:
+            beta = _pick_beta(lam, zt2, tau)
+        assert parts.call_count <= 8
+        lam_l, zt2_l = lam.tolist(), zt2.tolist()
+        beta_cap = (1.0 - 1e-9) / -lam.min() if lam.min() < 0 else math.inf
+        assert 0.0 < beta <= beta_cap
+        # the derivative of the log magnitude changes sign within 1e-3
+        u, _, v, _, _ = _log_mag_parts(beta * (1.0 - 1e-3), lam_l, zt2_l, tau, 1.0)
+        assert u <= v
+        upper = min(beta * (1.0 + 1e-3), beta_cap)
+        u, _, v, _, _ = _log_mag_parts(upper, lam_l, zt2_l, tau, 1.0)
+        assert u >= v or beta == beta_cap
+
+    @settings(max_examples=200, deadline=None)
+    @given(spectra(), st.floats(-6.0, 6.0))
+    def test_product_integrand_matches_log_sum(self, spectrum, k):
+        lam, zt2 = spectrum
+        mu = float(np.sum((1.0 + zt2) * lam))
+        tau = mu + k * math.sqrt(float(np.sum((1.0 + 2.0 * zt2) * lam ** 2)))
+        beta = 0.5 / -lam.min() if lam.min() < 0 else 1.0 / np.abs(lam).max()
+        g0 = _log_mag(beta, lam, zt2, tau)
+        sigma = beta / math.sqrt(_log_mag_parts(beta, lam, zt2, tau, 1.0)[4])
+        s = beta + 1j * sigma * np.array([0.0, 0.01, 0.3, 1.0, 4.0, 30.0, 1e3])
+        got = _integrand(s, lam, zt2, tau, g0)
+        sl = s[:, None] * lam
+        expo = tau * s - np.sum(zt2 * (sl / (1.0 + sl)), axis=1) - g0
+        ref = np.exp(expo - np.sum(np.log(1.0 + sl), axis=1) - np.log(s))
+        # both forms share the exponent, whose rounding moves the phase;
+        # values near the subnormal range carry no relative precision
+        tol = 1e-12 + 8.0 * np.finfo(float).eps * np.abs(expo)
+        assert np.all(np.abs(got - ref) <= tol * np.abs(ref) + 1e-290)
+
+    def test_log_sum_where_the_product_would_overflow(self):
+        # |s prod(1 + s lam)| ~ 1e333 at omega = 0, while the integrand
+        # divided by e^g0 is 1 there
+        lam = np.full(6, 1e3)
+        zt2 = np.ones(6)
+        tau, beta = 1e-44, 1e45
+        g0 = _log_mag(beta, lam, zt2, tau)
+        s = beta + 1j * np.array([0.0, 1e44, 1e46])
+        sl = s[:, None] * lam
+        expo = tau * s - np.sum(zt2 * (sl / (1.0 + sl)), axis=1) - g0
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not np.isfinite(np.exp(expo[0]) / (s[0] * np.prod(1.0 + sl[0])))
+        with np.errstate(over="raise", invalid="raise"):
+            got = _integrand(s, lam, zt2, tau, g0)
+        ref = np.exp(expo - np.sum(np.log(1.0 + sl), axis=1) - np.log(s))
+        assert abs(got[0] - 1.0) <= 1e-9
+        tol = 1e-12 + 8.0 * np.finfo(float).eps * np.abs(expo)
+        assert np.all(np.abs(got - ref) <= tol * np.abs(ref))
 
 
 class TestOutageProbability:

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import robustpl.zf
+
 from robustpl import (
     ApproximationInapplicable,
     DegenerateSpectrum,
@@ -325,3 +327,26 @@ class TestCoordUpdate:
         inst, b, qos = make_zf_setup(263)
         report = solve_zf_coord_update(inst, b, qos, i_max=0)
         assert report.status is SolveStatus.CYCLE_LIMIT
+
+    def test_fallback_bisection_counts_every_oracle_call(self, monkeypatch):
+        # identity channels give a doubly degenerate spectrum, so every
+        # coordinate step falls back to bisecting on the surrogate oracle
+        eye = np.eye(3, dtype=complex)
+        inst = ScenarioInstance(
+            true_channels=eye, est_channels=eye,
+            error_cov=np.broadcast_to(0.002 * eye, (3, 3, 3)).copy(),
+            noise_var=np.full(3, 0.01))
+        qos = QoSSpec.from_db(5.0, 0.05, 3)
+        calls = []
+        original = robustpl.zf.residue_probability
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(robustpl.zf, "residue_probability", counting)
+        rep = solve_zf_coord_update(inst, build_zf(eye), qos)
+        assert rep.solved
+        assert rep.integral_evals == len(calls)
+        # each fallback reports the oracle calls it made, not one step
+        assert rep.bisection_steps > 3 * rep.cycles
