@@ -37,6 +37,7 @@ from .quadform import (
 from .descent import (
     DescentConfig,
     InfeasibleStartNotFound,
+    OutageOracle,
     SolveReport,
     SolveStatus,
     bisect_user_power,

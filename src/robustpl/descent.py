@@ -19,8 +19,9 @@ from .model import (
     BeamformerMatrix,
     PowerAllocation,
     QoSSpec,
+    QuadraticOutageForm,
     ScenarioInstance,
-    build_outage_form,
+    build_outage_form,  # noqa: F401 (perfbench/tracing.py wraps this name)
     init_powers_pcsi,
 )
 from .quadform import outage_probability
@@ -28,6 +29,7 @@ from .quadform import outage_probability
 __all__ = [
     "DescentConfig",
     "InfeasibleStartNotFound",
+    "OutageOracle",
     "SolveStatus",
     "SolveReport",
     "find_feasible_start",
@@ -114,25 +116,57 @@ class SolveReport:
         return self.status is SolveStatus.SOLVED
 
 
-class _CountingProb:
-    """Wraps a probability oracle prob(powers, k) and counts evaluations."""
+class OutageOracle:
+    """Outage probabilities Pr(SINR_k >= gamma_k) for one (instance,
+    beamformer, qos), with the per-user setup done once.
 
-    def __init__(self, fn):
-        self.fn = fn
+    With G_k = C_k^{1/2} B, a_k = -C_k^{-1/2} h_k and the signed powers c
+    (p_k / gamma_k at k, -p_j elsewhere), user k's outage form at any powers
+    is Q = G_k diag(c) G_k^H, r = G_k (c * conj(h_k^H B)), v = c . g_k -
+    sigma_k^2 and tau = c . (g_k - w_k) - sigma_k^2, where g_k = |h_k^H B|^2
+    and w_k = |a_k^H G_k|^2: the values ``build_outage_form`` computes from
+    scratch.  Calls ``oracle(powers, k)`` are the solver's constraint
+    evaluations and are counted in ``evals``; ``constraint`` is the exact
+    probability here (subclasses substitute a surrogate), and ``exact`` and
+    ``exact_all`` evaluate it without counting.
+    """
+
+    def __init__(self, instance: ScenarioInstance, beamformer: BeamformerMatrix,
+                 qos: QoSSpec, quad_tol: float = 1e-8):
+        sqrt_c, inv_sqrt_c = instance.cov_roots
+        self.g_mats = sqrt_c @ beamformer.columns
+        self.centres = -np.einsum("kij,kj->ki", inv_sqrt_c, instance.est_channels.conj())
+        self.hb = instance.est_channels @ beamformer.columns
+        self.gains = np.abs(self.hb) ** 2
+        a_g = np.einsum("ki,kij->kj", self.centres.conj(), self.g_mats)
+        self.gains_minus_w = self.gains - np.abs(a_g) ** 2
+        self.gamma = qos.gamma
+        self.noise_var = instance.noise_var
+        self.quad_tol = quad_tol
         self.evals = 0
+
+    def form(self, powers: np.ndarray, k: int) -> QuadraticOutageForm:
+        c = -np.asarray(powers, dtype=float)
+        c[k] = -c[k] / self.gamma[k]
+        g = self.g_mats[k]
+        noise = float(self.noise_var[k])
+        return QuadraticOutageForm(
+            Q=(g * c) @ g.conj().T, r=g @ (c * self.hb[k].conj()),
+            v=float(c @ self.gains[k]) - noise, a=self.centres[k],
+            tau=float(c @ self.gains_minus_w[k]) - noise)
+
+    def exact(self, powers: np.ndarray, k: int) -> float:
+        return outage_probability(self.form(powers, k), tol=self.quad_tol).value
+
+    def exact_all(self, powers: np.ndarray) -> np.ndarray:
+        return np.array([self.exact(powers, k) for k in range(self.gamma.size)])
+
+    def constraint(self, powers: np.ndarray, k: int) -> float:
+        return self.exact(powers, k)
 
     def __call__(self, powers: np.ndarray, k: int) -> float:
         self.evals += 1
-        return self.fn(powers, k)
-
-
-def _exact_prob_fn(instance: ScenarioInstance, beamformer: BeamformerMatrix,
-                   qos: QoSSpec, quad_tol: float):
-    def fn(powers: np.ndarray, k: int) -> float:
-        form = build_outage_form(instance, beamformer,
-                                 PowerAllocation(powers=powers), qos, k)
-        return outage_probability(form, tol=quad_tol).value
-    return fn
+        return self.constraint(powers, k)
 
 
 def _find_feasible_start(prob, beamformer, qos, config, p_init: np.ndarray):
@@ -196,18 +230,18 @@ def _bisect_user_power(prob, p: np.ndarray, k: int, delta_k: float,
     return hi, prob_hi, steps
 
 
-def _run_descent(prob, beamformer: BeamformerMatrix, qos: QoSSpec,
-                 config: DescentConfig, p_init: np.ndarray,
+def _run_descent(oracle: OutageOracle, beamformer: BeamformerMatrix,
+                 qos: QoSSpec, config: DescentConfig, p_init: np.ndarray,
                  init_fallback: bool):
-    """The shared engine: feasible start by doubling, then cyclic bisection."""
+    """The shared engine: feasible start by doubling, then cyclic bisection,
+    on a fresh oracle (its ``evals`` are the report's)."""
     t0 = time.perf_counter()
-    counting = _CountingProb(prob)
     n_users = qos.n_users
     order = config.sweep_order or tuple(range(n_users))
     floor = 1.0 - qos.epsilon
 
     p, probs, doublings, feasible = _find_feasible_start(
-        counting, beamformer, qos, config, p_init)
+        oracle, beamformer, qos, config, p_init)
     bisect_steps = 0
     cycles = 0
     if not feasible:
@@ -216,7 +250,7 @@ def _run_descent(prob, beamformer: BeamformerMatrix, qos: QoSSpec,
             status=SolveStatus.INFEASIBLE_START_NOT_FOUND,
             powers=alloc, per_user_prob=probs, per_user_prob_exact=probs.copy(),
             total_power=alloc.total_power(beamformer),
-            cycles=0, bisection_steps=0, integral_evals=counting.evals,
+            cycles=0, bisection_steps=0, integral_evals=oracle.evals,
             wall_time=time.perf_counter() - t0, init_fallback=init_fallback,
             doublings=doublings)
 
@@ -237,21 +271,21 @@ def _run_descent(prob, beamformer: BeamformerMatrix, qos: QoSSpec,
         for k in order:
             cached = None if dirty else probs[k]
             new_pk, prob_k, steps = _bisect_user_power(
-                counting, p, k, float(delta[k]), float(qos.epsilon[k]), cached)
+                oracle, p, k, float(delta[k]), float(qos.epsilon[k]), cached)
             bisect_steps += steps
             if new_pk != p[k]:
                 dirty = True
             p[k] = new_pk
             probs[k] = prob_k
             if config.strict_checks:
-                check = np.array([counting.fn(p, j) for j in range(n_users)])
+                check = np.array([oracle.constraint(p, j) for j in range(n_users)])
                 if not np.all(check >= floor - 1e-9):
                     raise AssertionError("feasibility lost during coordinate step")
                 total_now = PowerAllocation(powers=p).total_power(beamformer)
                 if total_now > total_before + 1e-9 * max(1.0, total_before):
                     raise AssertionError("objective increased during coordinate step")
                 total_before = total_now
-        probs = np.array([counting(p, k) for k in range(n_users)])
+        probs = np.array([oracle(p, k) for k in range(n_users)])
         stalled = np.max(np.abs(p - p_before)) <= 1e-12 * max(1.0, float(np.max(p)))
         if stalled and np.all(delta <= delta_min):
             # the terminal band is narrower than the achievable power
@@ -265,7 +299,7 @@ def _run_descent(prob, beamformer: BeamformerMatrix, qos: QoSSpec,
         status=status, powers=alloc, per_user_prob=probs,
         per_user_prob_exact=probs.copy(), total_power=alloc.total_power(beamformer),
         cycles=cycles, bisection_steps=bisect_steps,
-        integral_evals=counting.evals, wall_time=time.perf_counter() - t0,
+        integral_evals=oracle.evals, wall_time=time.perf_counter() - t0,
         init_fallback=init_fallback, doublings=doublings)
 
 
@@ -275,11 +309,11 @@ def find_feasible_start(instance: ScenarioInstance, beamformer: BeamformerMatrix
     until every outage constraint holds.  Raises InfeasibleStartNotFound when
     the doubling budget or the power cap is exhausted first."""
     config = config or DescentConfig()
-    prob = _exact_prob_fn(instance, beamformer, qos, config.quad_tol)
+    oracle = OutageOracle(instance, beamformer, qos, config.quad_tol)
     p_init, _ = init_powers_pcsi(instance.est_channels, beamformer, qos,
                                  instance.noise_var)
     p, _, _, feasible = _find_feasible_start(
-        _CountingProb(prob), beamformer, qos, config, p_init.powers)
+        oracle, beamformer, qos, config, p_init.powers)
     if not feasible:
         raise InfeasibleStartNotFound("power cap reached before feasibility")
     return PowerAllocation(powers=p)
@@ -290,8 +324,8 @@ def bisect_user_power(instance: ScenarioInstance, beamformer: BeamformerMatrix,
                       delta_k: float, config: DescentConfig = None) -> float:
     """Single-coordinate power reduction into the probability band."""
     config = config or DescentConfig()
-    prob = _exact_prob_fn(instance, beamformer, qos, config.quad_tol)
-    new_pk, _, _ = _bisect_user_power(prob, p_current.powers.copy(), k,
+    oracle = OutageOracle(instance, beamformer, qos, config.quad_tol)
+    new_pk, _, _ = _bisect_user_power(oracle, p_current.powers.copy(), k,
                                       delta_k, float(qos.epsilon[k]))
     return new_pk
 
@@ -302,11 +336,11 @@ def solve_general(instance: ScenarioInstance, beamformer: BeamformerMatrix,
     """Coordinate descent against the exact outage probabilities for any
     fixed directions."""
     config = config or DescentConfig()
-    prob = _exact_prob_fn(instance, beamformer, qos, config.quad_tol)
+    oracle = OutageOracle(instance, beamformer, qos, config.quad_tol)
     if p_start is not None:
         p_init, fallback = p_start.powers.copy(), False
     else:
         alloc, fallback = init_powers_pcsi(instance.est_channels, beamformer,
                                            qos, instance.noise_var)
         p_init = alloc.powers
-    return _run_descent(prob, beamformer, qos, config, p_init, fallback)
+    return _run_descent(oracle, beamformer, qos, config, p_init, fallback)

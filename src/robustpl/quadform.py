@@ -6,17 +6,13 @@ integral of the moment generating function,
     (1/2pi) int  e^{tau s} / s * e^{-c(s)} / det(I + s M)  d omega,
     s = beta + i omega,   c(s) = sum_m |z_m|^2 s lam_m / (1 + s lam_m),
 
-taken over a vertical line with I + beta M positive definite.  The value is
-independent of the admissible offset beta; numerically the offset is placed at
-the minimizer of the integrand magnitude on the real axis (the magnitude along
-the contour peaks at omega = 0, so this choice minimizes cancellation).
-
-Placement is a safeguarded Newton iteration in log(beta) (pole-adjusted for
-indefinite M) from the two-moment saddle point, usually two or three
-derivative evaluations.  The integrand needs no complex logarithms: it is
-exp(tau s - c(s) - g0) / (s prod_m (1 + s lam_m)), g0 the log magnitude at
-omega = 0, with c(s) in the s lam / (1 + s lam) form that does not cancel
-for large sum |z_m|^2; logs are summed only where that could overflow.
+over a vertical line with I + beta M positive definite, by one certified
+trapezoid rule with a fixed step.  The value does not depend on beta; the
+offset is placed at the minimizer of the integrand magnitude on the real axis
+(a safeguarded Newton iteration in log beta from the two-moment saddle point),
+where the magnitude along the line peaks at omega = 0.  The integrand is
+exp(tau s - c(s) - g0) / (s prod_m (1 + s lam_m)), g0 its log magnitude at
+omega = 0, without complex logarithms unless the product could overflow.
 """
 
 from __future__ import annotations
@@ -111,12 +107,14 @@ def decompose(form: GaussianQuadratic) -> EigenSpectrum:
     """Eigendecomposition with eigenvalues sorted descending; the stored beta
     is an admissible default (1 for PSD M, else half the distance to the
     pole at 1/|lam_min|)."""
-    lam, vecs = np.linalg.eigh(form.M)
-    order = np.argsort(lam)[::-1]
-    lam = lam[order]
-    vecs = vecs[:, order]
-    z_tilde = vecs.conj().T @ form.z
-    lam_min = float(lam.min()) if lam.size else 0.0
+    return _spectrum(form.M, form.z)
+
+
+def _spectrum(m, z) -> EigenSpectrum:
+    lam, vecs = np.linalg.eigh(m)
+    lam = lam[::-1]
+    z_tilde = vecs[:, ::-1].conj().T @ z
+    lam_min = float(lam[-1]) if lam.size else 0.0
     beta = 1.0 if lam_min >= 0 else 0.5 / abs(lam_min)
     return EigenSpectrum(eigenvalues=lam, z_tilde=z_tilde, beta=beta)
 
@@ -218,80 +216,6 @@ def _pick_beta(lam, zt2, tau, log_weight=1.0):
     return beta_of(xi)
 
 
-# ---------------------------------------------------------------------------
-# batched Gauss-Kronrod panels
-
-_GK_X = np.array([
-    -0.991455371120813, -0.949107912342759, -0.864864423359769,
-    -0.741531185599394, -0.586087235467691, -0.405845151377397,
-    -0.207784955007898, 0.0, 0.207784955007898, 0.405845151377397,
-    0.586087235467691, 0.741531185599394, 0.864864423359769,
-    0.949107912342759, 0.991455371120813,
-])
-_GK_WK = np.array([
-    0.022935322010529, 0.063092092629979, 0.104790010322250,
-    0.140653259715525, 0.169004726639267, 0.190350578064785,
-    0.204432940075298, 0.209482141084728, 0.204432940075298,
-    0.190350578064785, 0.169004726639267, 0.140653259715525,
-    0.104790010322250, 0.063092092629979, 0.022935322010529,
-])
-_GK_WG = np.zeros(15)
-_GK_WG[1::2] = [0.129484966168870, 0.279705391489277, 0.381830050505119,
-                0.417959183673469, 0.381830050505119, 0.279705391489277,
-                0.129484966168870]
-
-
-def _panel_rule(f, a, b):
-    """Vectorized 15-point Kronrod / 7-point Gauss rule on panels.
-
-    ``a``, ``b`` are arrays of panel endpoints; returns (K15, |K15-G7|,
-    integral of |f|) per panel.
-    """
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    nodes = mid[:, None] + half[:, None] * _GK_X[None, :]
-    vals = f(nodes.ravel()).reshape(nodes.shape)
-    k15 = half * (vals @ _GK_WK)
-    g7 = half * (vals @ _GK_WG)
-    resabs = half * (np.abs(vals) @ _GK_WK)
-    return k15, np.abs(k15 - g7), resabs
-
-
-def _integrate_adaptive(f, edges, target, max_segments=16384, max_rounds=48):
-    """Globally adaptive panel integration of f over consecutive ``edges``.
-
-    Returns (value, error_bound, resabs, converged).
-    """
-    a = edges[:-1].copy()
-    b = edges[1:].copy()
-    k15, err, resabs = _panel_rule(f, a, b)
-    for _ in range(max_rounds):
-        total_err = float(err.sum())
-        floor = 50 * np.finfo(float).eps * float(resabs.sum())
-        if total_err <= max(target, floor):
-            break
-        if a.size >= max_segments:
-            break
-        share = max(target, floor) / (2.0 * a.size)
-        split = err > share
-        if not split.any():
-            break
-        keep = ~split
-        mids = 0.5 * (a[split] + b[split])
-        new_a = np.concatenate([a[keep], a[split], mids])
-        new_b = np.concatenate([b[keep], mids, b[split]])
-        kk, ee, rr = _panel_rule(f, np.concatenate([a[split], mids]),
-                                 np.concatenate([mids, b[split]]))
-        k15 = np.concatenate([k15[keep], kk])
-        err = np.concatenate([err[keep], ee])
-        resabs = np.concatenate([resabs[keep], rr])
-        a, b = new_a, new_b
-    total_err = float(err.sum())
-    floor = 50 * np.finfo(float).eps * float(resabs.sum())
-    bound = max(total_err, floor)
-    return float(k15.sum()), bound, float(resabs.sum()), total_err <= max(target, floor)
-
-
 def _chernoff_log(lam, zt2, tau):
     """log of the Chernoff bound on Pr(Y <= tau), Y the quadratic form with
     eigenvalues lam and noncentrality |z_m|^2.
@@ -307,38 +231,109 @@ def _chernoff_log(lam, zt2, tau):
     return _log_mag(b, lam, zt2, tau, log_weight=0.0)
 
 
-_HEAD = np.array([0.0, 1 / 32, 1 / 16, 1 / 8, 1 / 4, 1 / 2, 1.0])
+LOG2 = math.log(2.0)
+CHUNK = 2048            # nodes per vectorized integrand call
+MAX_NODES = 1 << 18     # node cap: past it the tolerance is reported as unmet
+_MAX_ORDER = 8          # highest order of summation by parts on the tail
+_LOG_FACT = [math.lgamma(m + 1.0) for m in range(_MAX_ORDER + 1)]
 
 
-def _vertical_cut(beta, lam, zt2, tau, g0, target, sigma):
-    """Truncation point for a purely vertical contour: beyond it
+def _trapezoid_step(beta, cap, lam, zt2, tau, g0, target):
+    """Step h with discretization error ``target`` on the half line: f is
+    analytic for |Re s - beta| < a = min(beta, cap - beta)/2, so the rule errs
+    by at most 2 M / (e^{2 pi a/h} - 1) (Trefethen & Weideman, SIAM Rev.
+    56(3), 2014), M bounding int_0^inf |f| on the strip's lines; that is
+    convex across the strip (|f| is subharmonic), so the edges suffice.  On
+    the edge Re s = e, |f| peaks at omega = 0 and is at most |f(e)|
+    (W/omega)^(r+1) beyond, W^(r+1) = e prod(1 + e lam) / prod|lam|, so
+    M <= W |f(e)| (1 + 1/r)."""
+    a = 0.5 * min(beta, cap - beta)
+    r = len(lam)
+    log_lam = sum(math.log(abs(l)) for l in lam)
+    log_m = math.log1p(1.0 / r) + max(
+        (math.log(e) + sum(math.log1p(e * l) for l in lam) - log_lam) / (r + 1)
+        + _log_mag(e, lam, zt2, tau) - g0 for e in (beta - a, beta + a))
+    return 2.0 * math.pi * a / float(np.logaddexp(0.0, LOG2 + log_m - math.log(target)))
 
-        |f(omega)| <= exp(tau*beta - Re c(Omega) - g0) / (omega^(r+1) prod|lam|)
 
-    integrates below ``target``.  Uses monotonicity of Re c in omega; scalar
-    arithmetic, since r <= a few and the cut is usually within 8 doublings."""
+def _vertical_cut(beta, lam, zt2, tau, g0, target, sigma, h, omega_max):
+    """Cut Omega <= omega_max of the trapezoid sum, past which the nodes add
+    at most ``target``: (Omega, m, bound).  m = 0: for omega >= Omega, |f| <=
+    exp(tau beta - Re c(Omega) - g0) / (omega prod min(1 + beta lam, |lam|
+    omega)) with the minima taken at Omega, and |f| decreases, so the sum
+    past node Omega/h + 1 is below the integral of that from Omega.  m > 0:
+    with f = E^n g_n, E = e^{i tau h}, D = 1/(1 - E), summing by parts m times
+    leaves sum_{j<m} D^(j+1) E^(N+j) Delta^j g_N, added explicitly, and a
+    remainder below |D|^m sum |Delta^m g|, bounded by Cauchy's estimate on
+    discs of radius omega/2 (there |s|, |1 + s lam|/|lam| >= omega/2 and
+    Re c >= sum z (1 - 2/(|lam| omega))); rounding, ~(2|D|)^m, limits m."""
     terms = [(l, z, 1.0 + beta * l) for l, z in zip(lam, zt2)]
     r = len(terms)
-    log_amp = tau * beta - g0 - sum(math.log(abs(l)) for l, _, _ in terms)
-    log_target = np.log(target) + math.log(r)
-    omega = 8.0 * sigma
-    for _ in range(400):
-        re_c = 0.0
+    sin_half = abs(math.sin(0.5 * tau * h))
+    log_dh = math.log(0.5 * h / sin_half) if sin_half > 0.0 else math.inf  # |Dh|
+    log_2d = max(0.0, LOG2 + log_dh - math.log(h))  # log max(1, 2|D|)
+    base = (tau * beta - g0 - sum(zt2) + (r + 1) * LOG2
+            - sum(math.log(abs(l)) for l in lam))
+    z_over = 2.0 * sum(z / abs(l) for l, z in zip(lam, zt2))
+    log_eps_h = math.log(50.0 * np.finfo(float).eps * h)
+
+    def log_bound(omega):
+        """(log bound, m, rate): the bound falls at least at that rate in
+        log omega."""
+        re_c = log_den = rate = 0.0
+        d = 0  # factors bounded by |lam| omega
         for l, z, bl1 in terms:
-            ol = omega * l
-            re_c += z * (1.0 - bl1 / (bl1 * bl1 + ol * ol))
-        if log_amp - re_c - r * math.log(omega) <= log_target:
-            return omega
-        omega *= 2.0
-    return omega
+            ol2 = (omega * l) ** 2
+            den = bl1 * bl1 + ol2
+            re_c += z * (1.0 - bl1 / den)
+            rate += 2.0 * z * bl1 * ol2 / (den * den)
+            d += ol2 >= bl1 * bl1
+            log_den += 0.5 * math.log(max(ol2, bl1 * bl1))
+        if d == 0:  # 1/omega alone does not integrate: let one factor decay
+            d = 1
+            log_den += max(math.log(abs(omega * l) / bl1) for l, _, bl1 in terms)
+        log_om = math.log(omega)
+        log_f = tau * beta - g0 - re_c - log_om - log_den  # bounds log|f(omega)|
+        best = (log_f + log_om - math.log(d), 0, rate + d)
+        for m in range(1, min(_MAX_ORDER, int(0.5 * omega * math.exp(-log_dh))) + 1):
+            rem = (base + z_over / omega - (m + r) * log_om + m * (LOG2 + log_dh)
+                   + _LOG_FACT[m] + math.log(1.0 / (m + r) + h / omega))
+            total = LOG2 + max(rem, log_eps_h + log_f + math.log(m) + m * log_2d)
+            if total >= best[0]:
+                break
+            best = (total, m, d)
+        return best
+
+    # Newton on log omega from 16 sigma (about half the usual cut), aimed
+    # 0.05 past the target, steps at most 1, bisecting the bracket of tested
+    # points when a step leaves it
+    log_target, x_max = math.log(target), math.log(omega_max)
+    lo, hi, found = -math.inf, x_max, None
+    x = min(math.log(16.0 * sigma), x_max)
+    for _ in range(12):
+        log_b, m, rate = log_bound(math.exp(x))
+        if log_b <= log_target:
+            hi, found = x, (math.exp(x), m, math.exp(log_b))
+        elif x >= x_max:
+            break  # the node cap: the tail bound stays above target
+        else:
+            lo = x
+        step = max(-1.0, min((log_b - log_target) / rate + 0.05, 1.0))
+        if found and (hi - lo <= 0.15 or abs(step) <= 0.1):
+            break
+        if not found:
+            x = min(x + step, x_max)
+        else:
+            x = x + step if lo < x + step < hi else 0.5 * (lo + hi)
+    return found or (math.exp(x), m, math.exp(log_b))
 
 
 def _integrand(s, lam, zt2, tau, g0):
     """exp(tau s - c(s) - g0) / (s prod_m (1 + s lam_m)) at the nodes ``s``.
 
-    |exp(tau s - c(s) - g0)| <= beta prod(1 + beta lam) on the vertical line
-    (e^5 more on the ray), and both that and |s prod(1 + s lam)| are at most
-    |s| prod(1 + |s||lam|); where that could overflow, logs are summed."""
+    |exp(tau s - c(s) - g0)| <= beta prod(1 + beta lam) on the vertical line,
+    and both that and |s prod(1 + s lam)| are at most |s| prod(1 + |s||lam|);
+    where that could overflow, logs are summed."""
     sl = s[:, None] * lam
     one_sl = 1.0 + sl
     expo = tau * s - np.sum(zt2 * (sl / one_sl), axis=1) - g0
@@ -351,13 +346,15 @@ def _integrand(s, lam, zt2, tau, g0):
 
 def cdf_quadrature(spectrum: EigenSpectrum, tau: float, tol: float = 1e-8,
                    beta: float = None, strict: bool = True) -> ProbabilityEstimate:
-    """Adaptive quadrature of the contour integral to absolute tolerance tol.
+    """The contour integral to absolute tolerance tol by the trapezoid rule
+    (h/pi) (1/2 + sum_{n>=1} Re f(nh)), using conjugate symmetry.
 
-    Exploits conjugate symmetry to integrate (1/pi) int_0^inf Re F(beta+iw) dw.
-    When ``beta`` is None the offset is placed at the magnitude-minimizing
-    admissible point.  Raises ToleranceNotMet (carrying the estimate) when the
-    budget cannot certify tol and ``strict`` is set.
-    """
+    ``beta`` None places the offset at the magnitude minimizer.  The step
+    comes from the analytic strip (``_trapezoid_step``, error tol/2), the cut
+    from the tail bound (``_vertical_cut``, tol/10), and the bound adds a
+    rounding floor of 50 eps h sum|f|.  Chernoff bounds answer deep tails.
+    With ``strict``, a bound above tol (as past the node cap MAX_NODES)
+    raises ToleranceNotMet carrying the estimate."""
     lam_all = np.asarray(spectrum.eigenvalues, dtype=float)
     zt2_all = np.abs(np.asarray(spectrum.z_tilde)) ** 2
     tau = float(tau)
@@ -378,9 +375,7 @@ def cdf_quadrature(spectrum: EigenSpectrum, tau: float, tol: float = 1e-8,
     if lam.max() <= 0 and tau >= 0:
         return _exact(1.0)
 
-    # Chernoff bounds on both tails: they certify deep-tail values directly
-    # and guarantee the remaining quadrature cases sit within a few standard
-    # deviations of the bulk, where the contour integrand is mildly behaved.
+    # Chernoff bounds certify deep tails and leave the quadrature the bulk
     lam_l, zt2_l = lam.tolist(), zt2.tolist()
     log_left = _chernoff_log(lam_l, zt2_l, tau)
     if log_left <= np.log(tol / 4.0):
@@ -391,85 +386,50 @@ def cdf_quadrature(spectrum: EigenSpectrum, tau: float, tol: float = 1e-8,
         return ProbabilityEstimate(value=1.0, abs_error_bound=float(np.exp(log_right)),
                                    method=EvalMethod.QUADRATURE, raw_value=1.0)
 
+    # a negative definite form is integrated as its positive definite mirror,
+    # 1 - Pr(-Y <= -tau), whose strip has no pole to the right of beta
+    mirror = beta is None and lam.max() < 0
+    if mirror:
+        lam, lam_l, tau = -lam, [-l for l in lam_l], -tau
+    lam_min = min(lam_l)
+    cap = -1.0 / lam_min if lam_min < 0 else math.inf
     if beta is None:
         beta = _pick_beta(lam_l, zt2_l, tau)
-    else:
-        if beta <= 0 or np.any(1.0 + beta * lam <= 0):
-            raise ValueError("contour offset must keep I + beta*M positive definite")
+    elif not 0 < beta < cap:
+        raise ValueError("contour offset must keep I + beta*M positive definite")
     g0 = _log_mag(beta, lam_l, zt2_l, tau)
-
-    def vertical_integrand(omega):
-        return _integrand(beta + 1j * omega, lam, zt2, tau, g0).real
-
-    scale = np.exp(g0) / np.pi
-    tail_target = (tol / 10.0) / scale
-    quad_target = (tol / 2.0) / scale
+    if g0 > 700.0:
+        raise ValueError("contour offset too close to the pole: e^g0 overflows")
+    scale = math.exp(g0) / math.pi
     sigma = beta / math.sqrt(_log_mag_parts(beta, lam_l, zt2_l, tau, 1.0)[4])
 
-    # A 45-degree ray into the upper half-plane (poles are all real, so the
-    # integrand is analytic there) turns the oscillatory tail into one that
-    # decays like exp(-|tau| t).  Along the ray from beta + i*Omega the c-term
-    # can add at most sum_m |z_m|^2 / (|lam_m| Omega) to the log magnitude, so
-    # the ray is well conditioned only when that growth is small; otherwise
-    # the saturation of Re c makes the plain vertical cut cheap instead.
-    use_ray = False
-    ray_skip_tail = None
-    if tau != 0.0:
-        omega_sw = 16.0 * sigma
-        corner = complex(beta, omega_sw)
-        # log magnitude at the corner plus the growth bound along the ray
-        amp_log = tau * beta - g0 - math.log(abs(corner))
-        for l, z in zip(lam_l, zt2_l):
-            cl = corner * l
-            amp_log -= z * (cl / (1.0 + cl)).real + math.log(abs(1.0 + cl))
-            amp_log += z / (abs(l) * omega_sw)
-        # tail of the ray bound integrated from t: sqrt(2) e^{amp_log-|tau|t}/|tau|
-        full_ray_tail_log = amp_log + 0.5 * np.log(2.0) - np.log(abs(tau))
-        if full_ray_tail_log <= np.log(tail_target):
-            ray_skip_tail = np.exp(full_ray_tail_log)
-        elif amp_log <= 5.0:
-            use_ray = True
+    h = _trapezoid_step(beta, cap, lam_l, zt2_l, tau, g0, (tol / 2.0) / scale)
+    omega, order, tail = _vertical_cut(beta, lam_l, zt2_l, tau, g0, (tol / 10.0) / scale,
+                                       sigma, h, (MAX_NODES - 1 - _MAX_ORDER) * h)
+    n_nodes = math.ceil(omega / h) + 1
+    total, abs_total = -0.5, 0.0  # f(beta) = 1, and its node has weight 1/2
+    for start in range(0, n_nodes, CHUNK):
+        vals = _integrand(beta + 1j * h * np.arange(start, min(start + CHUNK, n_nodes)),
+                          lam, zt2, tau, g0)
+        total += float(vals.real.sum())
+        abs_total += float(np.abs(vals).sum())
+    if order:  # the boundary terms of the tail summed by parts
+        n = np.arange(n_nodes, n_nodes + order)
+        edge = _integrand(beta + 1j * h * n, lam, zt2, tau, g0)
+        phase, d_edge = np.exp(1j * tau * h * n), 1.0 / (1.0 - np.exp(1j * tau * h))
+        diffs = edge / phase
+        for j in range(order):
+            total += (d_edge ** (j + 1) * phase[j] * diffs[0]).real
+            abs_total += abs(d_edge) ** (j + 1) * 2.0 ** j * float(np.abs(edge).max())
+            diffs = np.diff(diffs)
 
-    if tau != 0.0 and ray_skip_tail is not None:
-        # everything beyond the switch point is below the tail budget already
-        raw_sum, err_sum, _resabs, converged = _integrate_adaptive(
-            vertical_integrand, omega_sw * _HEAD, quad_target)
-        tail_bound = scale * ray_skip_tail
-    elif use_ray:
-        raw_v, err_v, _res_v, conv_v = _integrate_adaptive(
-            vertical_integrand, omega_sw * _HEAD, quad_target / 2.0)
-        d = -np.sign(tau) + 1j
-
-        def ray_integrand(t):
-            return (-1j * d * _integrand(corner + t * d, lam, zt2, tau, g0)).real
-
-        t_max = max((amp_log + 0.5 * np.log(2.0) - np.log(abs(tau))
-                     - np.log(tail_target / 2.0)) / abs(tau), 4.0 / abs(tau))
-        edges = [0.0, min(t_max, 0.25 / abs(tau))]
-        while edges[-1] < t_max:
-            edges.append(min(2.0 * edges[-1], t_max))
-        raw_r, err_r, _res_r, conv_r = _integrate_adaptive(
-            ray_integrand, np.asarray(edges), quad_target / 2.0)
-        raw_sum = raw_v + raw_r
-        err_sum = err_v + err_r
-        converged = conv_v and conv_r
-        tail_bound = tol / 10.0
-    else:
-        # vertical contour with geometric panels out to the analytic
-        # polynomial tail bound (Re c monotone in omega)
-        omega_max = _vertical_cut(beta, lam_l, zt2_l, tau, g0, tail_target, sigma)
-        edges = [0.0, 0.5 * sigma]
-        while edges[-1] < omega_max:
-            edges.append(min(2.0 * edges[-1], omega_max))
-        raw_sum, err_sum, _resabs, converged = _integrate_adaptive(
-            vertical_integrand, np.asarray(edges), quad_target)
-        tail_bound = tol / 10.0
-
-    raw = scale * raw_sum
-    bound = scale * err_sum + tail_bound
+    raw = scale * h * total
+    if mirror:
+        raw = 1.0 - raw
+    bound = tol / 2.0 + scale * (tail + 50.0 * np.finfo(float).eps * h * abs_total)
     estimate = ProbabilityEstimate(value=raw, abs_error_bound=bound,
                                    method=EvalMethod.QUADRATURE, raw_value=raw)
-    if strict and (not converged or bound > tol):
+    if strict and not bound <= tol:
         raise ToleranceNotMet(
             f"quadrature certified only {bound:.3e} > tol {tol:.3e}", estimate)
     return estimate
@@ -478,9 +438,9 @@ def cdf_quadrature(spectrum: EigenSpectrum, tau: float, tol: float = 1e-8,
 def outage_probability(form: QuadraticOutageForm, tol: float = 1e-8,
                        strict: bool = True) -> ProbabilityEstimate:
     """Probability that the SINR target is met, Pr(SINR_k >= gamma_k),
-    evaluated as the CDF of the recentred quadratic form at tau."""
-    gq = GaussianQuadratic(M=-form.Q, z=form.a, tau=form.tau)
-    return cdf_quadrature(decompose(gq), form.tau, tol=tol, strict=strict)
+    evaluated as the CDF of the recentred quadratic form at tau (one
+    eigendecomposition of -Q)."""
+    return cdf_quadrature(_spectrum(-form.Q, form.a), form.tau, tol=tol, strict=strict)
 
 
 def mc_probability(instance: ScenarioInstance, beamformer: BeamformerMatrix,

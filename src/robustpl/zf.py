@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .descent import DescentConfig, SolveReport, SolveStatus, _run_descent
+from .descent import DescentConfig, OutageOracle, SolveReport, SolveStatus, _run_descent
 from .model import (
     BeamformerMatrix,
     PowerAllocation,
@@ -26,11 +26,12 @@ from .model import (
     ScenarioInstance,
     ZF_TOL,
     _signal_interference_matrix,
-    build_outage_form,
+    build_outage_form,  # noqa: F401 (perfbench/tracing.py wraps this name)
     init_powers_pcsi,
     psd_sqrt,  # noqa: F401 (perfbench/tracing.py wraps this name)
 )
-from .quadform import GaussianQuadratic, cdf_quadrature, decompose, outage_probability
+from .quadform import GaussianQuadratic, cdf_quadrature, decompose
+from .quadform import outage_probability  # noqa: F401 (perfbench/tracing.py wraps it)
 
 __all__ = [
     "ApproximationInapplicable",
@@ -165,33 +166,25 @@ def _minus_q(instance: ScenarioInstance, beamformer: BeamformerMatrix,
     return -0.5 * (q + q.conj().T)
 
 
-def _approx_prob_fn(instance: ScenarioInstance, beamformer: BeamformerMatrix,
-                    qos: QoSSpec, params: ZfApproxParams, quad_tol: float):
-    """Surrogate-constraint probability oracle; residues with a quadrature
-    fallback on degenerate spectra."""
-    sigma2 = instance.noise_var
+class _SurrogateOracle(OutageOracle):
+    """Surrogate-constraint probabilities, by residues with a quadrature
+    fallback on degenerate spectra; ``exact`` keeps the exact ones."""
 
-    def fn(powers: np.ndarray, k: int) -> float:
-        mq = _minus_q(instance, beamformer, powers, float(qos.gamma[k]), k)
+    def __init__(self, instance: ScenarioInstance, beamformer: BeamformerMatrix,
+                 qos: QoSSpec, params: ZfApproxParams, quad_tol: float):
+        super().__init__(instance, beamformer, qos, quad_tol)
+        self.instance, self.beamformer, self.params = instance, beamformer, params
+
+    def constraint(self, powers: np.ndarray, k: int) -> float:
+        mq = _minus_q(self.instance, self.beamformer, powers, float(self.gamma[k]), k)
         spec = residue_spectrum(mq)
-        u = powers[k] / params.gamma_prime[k] - sigma2[k]
+        gamma_prime, sigma2 = float(self.params.gamma_prime[k]), float(self.noise_var[k])
         try:
-            return residue_probability(spec, float(powers[k]),
-                                       float(params.gamma_prime[k]),
-                                       float(sigma2[k]))
+            return residue_probability(spec, float(powers[k]), gamma_prime, sigma2)
         except DegenerateSpectrum:
-            gq = GaussianQuadratic(M=mq, z=np.zeros(instance.n_tx), tau=u)
-            return cdf_quadrature(decompose(gq), float(u), tol=quad_tol).value
-    return fn
-
-
-def _certify_exact(instance, beamformer, qos, powers, quad_tol):
-    probs = np.empty(qos.n_users)
-    for k in range(qos.n_users):
-        form = build_outage_form(instance, beamformer,
-                                 PowerAllocation(powers=powers), qos, k)
-        probs[k] = outage_probability(form, tol=quad_tol).value
-    return probs
+            u = powers[k] / gamma_prime - sigma2
+            gq = GaussianQuadratic(M=mq, z=np.zeros(mq.shape[0]), tau=u)
+            return cdf_quadrature(decompose(gq), float(u), tol=self.quad_tol).value
 
 
 def solve_zf_coord_descent(instance: ScenarioInstance,
@@ -211,16 +204,15 @@ def solve_zf_coord_descent(instance: ScenarioInstance,
     multiple = eta_multiple
     for attempt in range(1 + max(0, eta_refine_attempts)):
         params = zf_params(instance, beamformer, qos, multiple)
-        prob = _approx_prob_fn(instance, beamformer, qos, params, config.quad_tol)
+        oracle = _SurrogateOracle(instance, beamformer, qos, params, config.quad_tol)
         if p_start is not None:
             p_init, fallback = p_start.powers.copy(), False
         else:
             alloc, fallback = init_powers_pcsi(instance.est_channels, beamformer,
                                                qos, instance.noise_var)
             p_init = alloc.powers
-        report = _run_descent(prob, beamformer, qos, config, p_init, fallback)
-        exact = _certify_exact(instance, beamformer, qos,
-                               report.powers.powers, config.quad_tol)
+        report = _run_descent(oracle, beamformer, qos, config, p_init, fallback)
+        exact = oracle.exact_all(report.powers.powers)
         report.per_user_prob_approx = report.per_user_prob
         report.per_user_prob_exact = exact
         if report.solved and np.all(exact >= 1.0 - qos.epsilon):
@@ -326,8 +318,8 @@ def coord_update_step(instance: ScenarioInstance, beamformer: BeamformerMatrix,
             float(instance.noise_var[k]), float(qos.epsilon[k]),
             float(params.r_tilde_norm2[k]), literal_gamma)
     except DegenerateSpectrum:
-        prob = _approx_prob_fn(instance, beamformer, qos, params, 1e-8)
-        return _bisect_min_feasible(prob, instance, qos, p_prev_cycle.powers, k)
+        oracle = _SurrogateOracle(instance, beamformer, qos, params, 1e-8)
+        return _bisect_min_feasible(oracle, instance, qos, p_prev_cycle.powers, k)
 
 
 def _bisect_min_feasible(prob, instance, qos, powers, k, band=1e-3):
@@ -373,13 +365,7 @@ def solve_zf_coord_update(instance: ScenarioInstance,
     """
     t0 = time.perf_counter()
     params = zf_params(instance, beamformer, qos, eta_multiple)
-    prob_inner = _approx_prob_fn(instance, beamformer, qos, params, quad_tol)
-    evals = [0]
-
-    def prob(powers, k):
-        evals[0] += 1
-        return prob_inner(powers, k)
-
+    prob = _SurrogateOracle(instance, beamformer, qos, params, quad_tol)
     n = qos.n_users
     sigma2 = instance.noise_var
     floor = 1.0 - qos.epsilon
@@ -403,9 +389,9 @@ def solve_zf_coord_update(instance: ScenarioInstance,
                     float(sigma2[k]), float(qos.epsilon[k]),
                     float(params.r_tilde_norm2[k]), literal_gamma)
             except DegenerateSpectrum:
-                before = evals[0]
+                before = prob.evals
                 p[k] = _bisect_min_feasible(prob, instance, qos, p_prev, k)
-                bisect_steps += evals[0] - before
+                bisect_steps += prob.evals - before
         probs = np.array([prob(p, k) for k in range(n)])
         if np.max(np.abs(p - p_prev)) <= 1e-12 * max(1.0, float(np.max(p))):
             break  # fixed point reached at float resolution
@@ -422,11 +408,11 @@ def solve_zf_coord_update(instance: ScenarioInstance,
             probs = np.array([prob(p, k) for k in range(n)])
         feasible = bool(np.all(probs >= floor))
     alloc = PowerAllocation(powers=p)
-    exact = _certify_exact(instance, beamformer, qos, p, quad_tol)
+    exact = prob.exact_all(p)
     return SolveReport(
         status=SolveStatus.SOLVED if feasible else SolveStatus.CYCLE_LIMIT,
         powers=alloc, per_user_prob=probs, per_user_prob_exact=exact,
         total_power=alloc.total_power(beamformer), cycles=cycles,
-        bisection_steps=bisect_steps, integral_evals=evals[0],
+        bisection_steps=bisect_steps, integral_evals=prob.evals,
         wall_time=time.perf_counter() - t0, init_fallback=False,
         per_user_prob_approx=probs.copy())

@@ -1,5 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# property tests draw the same examples on every run
+settings.register_profile("derandomized", derandomize=True)
+settings.load_profile("derandomized")
 
 from robustpl import (
     QoSSpec,

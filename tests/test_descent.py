@@ -4,6 +4,7 @@ import pytest
 from robustpl import (
     DescentConfig,
     InfeasibleStartNotFound,
+    OutageOracle,
     PowerAllocation,
     QoSSpec,
     ScenarioInstance,
@@ -197,3 +198,71 @@ class TestInterferenceFunctionProperties:
             alpha = 1.8
             scaled = minimal_feasible_power(inst, b, qos, alpha * p, k)
             assert scaled < alpha * base + 1e-6
+
+
+class TestOutageOracle:
+    @staticmethod
+    def setups():
+        from robustpl import build_pcsi_directions, build_rci
+        from test_model import correlated_instance
+
+        for inst in (make_instance(401), correlated_instance(403),
+                     make_instance(405, n_tx=6, n_users=6)):
+            n = inst.n_users
+            qos = QoSSpec.from_db(5.0, 0.05, n)
+            for b in (build_zf(inst.est_channels),
+                      build_rci(inst.est_channels, 0.01 * n),
+                      build_pcsi_directions(inst.est_channels, qos, inst.noise_var)):
+                yield inst, b, qos
+
+    def test_form_matches_build_outage_form(self):
+        rng = np.random.default_rng(7)
+        for inst, b, qos in self.setups():
+            oracle = OutageOracle(inst, b, qos)
+            for _ in range(4):
+                p = rng.uniform(0.2, 3.0, inst.n_users) * 0.01 * qos.gamma
+                for k in range(inst.n_users):
+                    ref = build_outage_form(inst, b, PowerAllocation(powers=p), qos, k)
+                    got = oracle.form(p, k)
+                    for name in ("Q", "r", "a"):
+                        want = getattr(ref, name)
+                        err = np.max(np.abs(getattr(got, name) - want))
+                        assert err <= 1e-13 * np.max(np.abs(want)), name
+                    # v = c . g_k - sigma_k^2 cancels against the noise
+                    noise = float(inst.noise_var[k])
+                    assert abs(got.v - ref.v) <= 1e-13 * (abs(ref.v) + noise)
+                    quad = abs(float(np.real(ref.a.conj() @ ref.Q @ ref.a)))
+                    assert abs(got.tau - ref.tau) <= 1e-13 * (abs(ref.v) + quad)
+
+    def test_one_eigh_per_exact_evaluation(self, monkeypatch):
+        inst, b, qos = make_zf_setup(409)
+        oracle = OutageOracle(inst, b, qos)
+        calls = []
+        original = np.linalg.eigh
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        p = 1.3 * 0.01 * qos.gamma
+        values = [oracle(p, k) for k in range(3)] + list(oracle.exact_all(p))
+        assert len(calls) == 6
+        assert oracle.evals == 3
+        assert values[:3] == values[3:]
+
+    def test_solver_counts_match_oracle_calls(self, monkeypatch):
+        import robustpl.descent
+
+        inst, b, qos = make_zf_setup(9)
+        calls = []
+        original = robustpl.descent.outage_probability
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(robustpl.descent, "outage_probability", counting)
+        report = solve_general(inst, b, qos)
+        assert report.solved
+        assert report.integral_evals == len(calls)

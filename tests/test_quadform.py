@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -9,6 +10,7 @@ from scipy.stats import ncx2
 import robustpl.quadform as quadform
 
 from robustpl import (
+    EigenSpectrum,
     EvalMethod,
     GaussianQuadratic,
     PowerAllocation,
@@ -21,6 +23,7 @@ from robustpl import (
     decompose,
     mc_probability,
     outage_probability,
+    ToleranceNotMet,
 )
 from robustpl.quadform import _integrand, _log_mag, _log_mag_parts, _pick_beta
 
@@ -242,6 +245,73 @@ class TestContourPlacement:
         assert abs(got[0] - 1.0) <= 1e-9
         tol = 1e-12 + 8.0 * np.finfo(float).eps * np.abs(expo)
         assert np.all(np.abs(got - ref) <= tol * np.abs(ref))
+
+
+def quadrature_or_unmet(spectrum, tau, tol, **kwargs):
+    """The certified estimate, or the one ToleranceNotMet carries, with a
+    flag telling which."""
+    try:
+        return cdf_quadrature(spectrum, tau, tol=tol, **kwargs), True
+    except ToleranceNotMet as err:
+        return err.estimate, False
+
+
+class TestCertificate:
+    @settings(max_examples=150, deadline=None)
+    @given(placement_cases())
+    def test_bound_covers_the_error(self, case):
+        lam, zt2, tau = case
+        spec = EigenSpectrum(eigenvalues=lam, z_tilde=np.sqrt(zt2), beta=1.0)
+        est, certified = quadrature_or_unmet(spec, tau, 1e-8)
+        assert certified == (est.abs_error_bound <= 1e-8)
+        ref = cdf_quadrature(spec, tau, tol=1e-12, strict=False)
+        gap = abs(est.raw_value - ref.raw_value)
+        assert gap <= est.abs_error_bound + ref.abs_error_bound
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.floats(-3.0, 3.0), st.sampled_from([-1.0, 1.0]),
+           st.one_of(st.just(0.0), st.floats(-3.0, 2.0)), st.floats(1e-3, 0.999))
+    def test_single_eigenvalue_against_ncx2(self, log_mag, sign, log_z, q):
+        lam = sign * 10.0 ** log_mag
+        zt2 = 0.0 if log_z == 0.0 else 10.0 ** log_z
+        # lam |x - z|^2 is lam/2 times a noncentral chi-square, 2 dof
+        x = ncx2.ppf(q, 2, 2.0 * zt2)
+        tau = 0.5 * lam * x
+        ref = ncx2.cdf(x, 2, 2.0 * zt2) if lam > 0 else ncx2.sf(x, 2, 2.0 * zt2)
+        spec = EigenSpectrum(eigenvalues=np.array([lam]),
+                             z_tilde=np.array([math.sqrt(zt2)]), beta=1.0)
+        est = cdf_quadrature(spec, tau)
+        assert abs(est.raw_value - ref) <= est.abs_error_bound + 1e-11
+
+    def test_contour_next_to_the_pole(self, monkeypatch):
+        # beta within 1e-6 (relative) of the pole at 1/|lam_min|: the strip
+        # is so thin that the node cap stops the rule short of tol
+        spec = decompose(GaussianQuadratic(M=np.diag([0.7, -0.3]).astype(complex),
+                                           z=np.zeros(2), tau=0.2))
+        ref = cdf_quadrature(spec, 0.2)
+        nodes = []
+        original = quadform._integrand
+
+        def counting(s, *args):
+            nodes.append(s.size)
+            return original(s, *args)
+
+        monkeypatch.setattr(quadform, "_integrand", counting)
+        tracemalloc.start()
+        try:
+            est, certified = quadrature_or_unmet(spec, 0.2, 1e-8,
+                                                 beta=(1.0 - 1e-6) / 0.3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert certified == (est.abs_error_bound <= 1e-8)
+        assert abs(est.raw_value - ref.raw_value) <= (est.abs_error_bound
+                                                      + ref.abs_error_bound)
+        assert max(nodes) <= quadform.CHUNK
+        assert sum(nodes) <= quadform.MAX_NODES
+        # one chunk's arrays, far below one array over all the nodes
+        assert peak <= 64 * quadform.CHUNK * 16
+        assert peak <= quadform.MAX_NODES * 16 / 4
 
 
 class TestOutageProbability:
