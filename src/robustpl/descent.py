@@ -145,13 +145,22 @@ class OutageOracle:
         self.quad_tol = quad_tol
         self.evals = 0
 
-    def form(self, powers: np.ndarray, k: int) -> QuadraticOutageForm:
+    def signed_powers(self, powers: np.ndarray, k: int) -> np.ndarray:
+        """c: p_k / gamma_k at k and -p_j elsewhere."""
         c = -np.asarray(powers, dtype=float)
         c[k] = -c[k] / self.gamma[k]
+        return c
+
+    def q_matrix(self, c: np.ndarray, k: int) -> np.ndarray:
+        """G_k diag(c) G_k^H: user k's Q at the signed powers c (-Q at -c)."""
         g = self.g_mats[k]
+        return (g * c) @ g.conj().T
+
+    def form(self, powers: np.ndarray, k: int) -> QuadraticOutageForm:
+        c = self.signed_powers(powers, k)
         noise = float(self.noise_var[k])
         return QuadraticOutageForm(
-            Q=(g * c) @ g.conj().T, r=g @ (c * self.hb[k].conj()),
+            Q=self.q_matrix(c, k), r=self.g_mats[k] @ (c * self.hb[k].conj()),
             v=float(c @ self.gains[k]) - noise, a=self.centres[k],
             tau=float(c @ self.gains_minus_w[k]) - noise)
 

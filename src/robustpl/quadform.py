@@ -83,11 +83,10 @@ class GaussianQuadratic:
 
 @dataclass(frozen=True)
 class EigenSpectrum:
-    """Eigen-data of M plus a default admissible contour offset."""
+    """Eigen-data of M: eigenvalues and the rotated centre."""
 
     eigenvalues: np.ndarray
     z_tilde: np.ndarray
-    beta: float
 
 
 @dataclass(frozen=True)
@@ -104,19 +103,13 @@ class ProbabilityEstimate:
 
 
 def decompose(form: GaussianQuadratic) -> EigenSpectrum:
-    """Eigendecomposition with eigenvalues sorted descending; the stored beta
-    is an admissible default (1 for PSD M, else half the distance to the
-    pole at 1/|lam_min|)."""
+    """Eigendecomposition with eigenvalues sorted descending."""
     return _spectrum(form.M, form.z)
 
 
 def _spectrum(m, z) -> EigenSpectrum:
     lam, vecs = np.linalg.eigh(m)
-    lam = lam[::-1]
-    z_tilde = vecs[:, ::-1].conj().T @ z
-    lam_min = float(lam[-1]) if lam.size else 0.0
-    beta = 1.0 if lam_min >= 0 else 0.5 / abs(lam_min)
-    return EigenSpectrum(eigenvalues=lam, z_tilde=z_tilde, beta=beta)
+    return EigenSpectrum(eigenvalues=lam[::-1], z_tilde=vecs[:, ::-1].conj().T @ z)
 
 
 # ---------------------------------------------------------------------------
@@ -185,6 +178,10 @@ def _pick_beta(lam, zt2, tau, log_weight=1.0):
     b = tau - mu
     root = math.sqrt(b * b + 4.0 * log_weight * s2)
     start = 2.0 * log_weight / (b + root) if b > 0 else (root - b) / (2.0 * s2)
+    if start == 0.0:
+        # log_weight 0 and (mu - tau) / s2 underflows: h is flat to double
+        # precision near 0, so the smallest positive offset is as good as any
+        return math.ulp(0.0)
     xi_cap = xi_of(beta_cap) if lam_min < 0 else math.inf
     lo, hi = -math.inf, xi_cap
     xi = xi_of(min(start, 0.5 * cap))

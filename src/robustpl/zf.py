@@ -18,19 +18,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .descent import DescentConfig, OutageOracle, SolveReport, SolveStatus, _run_descent
+from .descent import (DescentConfig, OutageOracle, SolveReport, SolveStatus,
+                      _bisect_user_power, _run_descent)
 from .model import (
     BeamformerMatrix,
     PowerAllocation,
     QoSSpec,
     ScenarioInstance,
     ZF_TOL,
-    _signal_interference_matrix,
     build_outage_form,  # noqa: F401 (perfbench/tracing.py wraps this name)
     init_powers_pcsi,
     psd_sqrt,  # noqa: F401 (perfbench/tracing.py wraps this name)
 )
-from .quadform import GaussianQuadratic, cdf_quadrature, decompose
+from .quadform import EigenSpectrum, cdf_quadrature
 from .quadform import outage_probability  # noqa: F401 (perfbench/tracing.py wraps it)
 
 __all__ = [
@@ -52,6 +52,7 @@ RELATIVE_GAP_TOL = 1e-9
 # The coordinate-update fixed point meets the surrogate constraints with
 # equality; a hair of slack keeps float noise from costing whole cycles.
 FEASIBILITY_SLACK = 1e-6
+FALLBACK_DELTA = DescentConfig().delta_min  # band of the degenerate-spectrum step
 
 
 class ApproximationInapplicable(Exception):
@@ -118,8 +119,6 @@ def residue_spectrum(minus_q: np.ndarray) -> ResidueSpectrum:
 
 
 def _check_distinct(lam_nz: np.ndarray):
-    if lam_nz.size < 2:
-        return
     for i in range(lam_nz.size - 1):
         a, b = lam_nz[i], lam_nz[i + 1]
         if abs(a - b) <= RELATIVE_GAP_TOL * max(abs(a), abs(b)):
@@ -157,34 +156,57 @@ def residue_probability(spectrum: ResidueSpectrum, p_k: float,
     return float(min(1.0, max(0.0, raw)))
 
 
-def _minus_q(instance: ScenarioInstance, beamformer: BeamformerMatrix,
-             powers: np.ndarray, gamma_k: float, k: int) -> np.ndarray:
-    chalf = instance.cov_roots[0][k]
-    a_mat = _signal_interference_matrix(
-        beamformer, PowerAllocation(powers=powers), gamma_k, k)
-    q = chalf @ a_mat @ chalf
-    return -0.5 * (q + q.conj().T)
-
-
 class _SurrogateOracle(OutageOracle):
-    """Surrogate-constraint probabilities, by residues with a quadrature
-    fallback on degenerate spectra; ``exact`` keeps the exact ones."""
+    """The residue surrogate on the oracle's cached per-user data.
+
+    ``constraint`` is the probability that user k's surrogate margin is
+    nonnegative, by residues on the spectrum of -Q = -G_k diag(c) G_k^H.
+    When nonzero eigenvalues collide it integrates the same eigenvalues by
+    quadrature instead: the surrogate has no linear term, so the rotated
+    centre is zero.  ``exact`` and ``exact_all`` keep the exact
+    probabilities, and ``step`` is the coordinate update of
+    ``coord_update_step``, shared with ``solve_zf_coord_update``.
+    """
 
     def __init__(self, instance: ScenarioInstance, beamformer: BeamformerMatrix,
-                 qos: QoSSpec, params: ZfApproxParams, quad_tol: float):
+                 qos: QoSSpec, params: ZfApproxParams, quad_tol: float = 1e-8):
         super().__init__(instance, beamformer, qos, quad_tol)
-        self.instance, self.beamformer, self.params = instance, beamformer, params
+        self.params, self.epsilon = params, qos.epsilon
+
+    def spectrum(self, powers: np.ndarray, k: int) -> ResidueSpectrum:
+        return residue_spectrum(self.q_matrix(-self.signed_powers(powers, k), k))
 
     def constraint(self, powers: np.ndarray, k: int) -> float:
-        mq = _minus_q(self.instance, self.beamformer, powers, float(self.gamma[k]), k)
-        spec = residue_spectrum(mq)
+        spec = self.spectrum(powers, k)
         gamma_prime, sigma2 = float(self.params.gamma_prime[k]), float(self.noise_var[k])
         try:
             return residue_probability(spec, float(powers[k]), gamma_prime, sigma2)
         except DegenerateSpectrum:
-            u = powers[k] / gamma_prime - sigma2
-            gq = GaussianQuadratic(M=mq, z=np.zeros(mq.shape[0]), tau=u)
-            return cdf_quadrature(decompose(gq), float(u), tol=self.quad_tol).value
+            lam = spec.eigenvalues
+            centred = EigenSpectrum(eigenvalues=lam, z_tilde=np.zeros(lam.size))
+            u = float(powers[k] / gamma_prime - sigma2)
+            return cdf_quadrature(centred, u, tol=self.quad_tol).value
+
+    def step(self, p_frozen: np.ndarray, k: int, literal_gamma: bool) -> float:
+        spec = self.spectrum(p_frozen, k)
+        epsilon_k = float(self.epsilon[k])
+        try:
+            return _step_from_spectrum(
+                spec.eigenvalues[spec.nonzero], float(self.gamma[k]),
+                float(self.params.gamma_prime[k]), float(self.noise_var[k]),
+                epsilon_k, float(self.params.r_tilde_norm2[k]), literal_gamma)
+        except DegenerateSpectrum:
+            pass
+        # double p[k] on the counting oracle to a feasible bracket, then bisect
+        trial = p_frozen.copy()
+        trial[k] = max(float(self.gamma[k] * self.noise_var[k]), trial[k], 1e-12)
+        for _ in range(80):
+            prob = self(trial, k)
+            if prob >= 1.0 - epsilon_k:
+                return _bisect_user_power(self, trial, k, FALLBACK_DELTA,
+                                          epsilon_k, prob)[0]
+            trial[k] *= 2.0
+        return float(trial[k])
 
 
 def solve_zf_coord_descent(instance: ScenarioInstance,
@@ -215,12 +237,10 @@ def solve_zf_coord_descent(instance: ScenarioInstance,
         exact = oracle.exact_all(report.powers.powers)
         report.per_user_prob_approx = report.per_user_prob
         report.per_user_prob_exact = exact
-        if report.solved and np.all(exact >= 1.0 - qos.epsilon):
-            return report
-        if attempt == eta_refine_attempts:
+        if attempt == eta_refine_attempts or (
+                report.solved and np.all(exact >= 1.0 - qos.epsilon)):
             return report
         multiple *= 1.15
-    return report
 
 
 def _single_user_power(gamma_k, gamma_prime_k, sigma_k2, r_norm2, epsilon_k):
@@ -241,23 +261,15 @@ def coord_update_init(instance: ScenarioInstance, beamformer: BeamformerMatrix,
     denominator or a degenerate spectrum.
     """
     params = params or zf_params(instance, beamformer, qos)
-    n = qos.n_users
-    sigma2 = instance.noise_var
-    p0 = np.empty(n)
+    oracle = _SurrogateOracle(instance, beamformer, qos, params)
+    n, sigma2 = qos.n_users, instance.noise_var
+    p0 = qos.gamma * sigma2  # the fallback
     for k in range(n):
-        if n == 1:
-            p0[k] = _single_user_power(qos.gamma[k], params.gamma_prime[k],
-                                       sigma2[k], params.r_tilde_norm2[k],
-                                       qos.epsilon[k])
-            continue
-        mq = _minus_q(instance, beamformer, np.ones(n), float(qos.gamma[k]), k)
-        spec = residue_spectrum(mq)
+        spec = oracle.spectrum(np.ones(n), k)
         lam_nz = spec.eigenvalues[spec.nonzero]
-        fallback = float(qos.gamma[k] * sigma2[k])
         try:
             _check_distinct(lam_nz)
         except DegenerateSpectrum:
-            p0[k] = fallback
             continue
         if lam_nz.size == 0 or lam_nz[0] <= 0:
             p0[k] = _single_user_power(qos.gamma[k], params.gamma_prime[k],
@@ -267,7 +279,8 @@ def coord_update_init(instance: ScenarioInstance, beamformer: BeamformerMatrix,
         lam1 = lam_nz[0]
         prod = np.prod(1.0 - lam_nz[1:] / lam1)
         denom = 1.0 / params.gamma_prime[k] + lam1 * np.log(qos.epsilon[k] * prod)
-        p0[k] = sigma2[k] / denom if denom > 0 else fallback
+        if denom > 0:
+            p0[k] = sigma2[k] / denom
     return PowerAllocation(powers=p0)
 
 
@@ -306,47 +319,16 @@ def coord_update_step(instance: ScenarioInstance, beamformer: BeamformerMatrix,
                       params: ZfApproxParams = None,
                       literal_gamma: bool = False) -> float:
     """Coordinate update for user k with the spectrum frozen at the previous
-    cycle's powers."""
+    cycle's powers.
+
+    When the frozen spectrum is degenerate, the closed-form roots do not
+    apply: p[k] is instead doubled from max(gamma_k sigma_k^2, p[k]) until
+    the surrogate constraint holds, then bisected down into the band
+    [1 - eps_k, 1 - eps_k + 1e-3] of surrogate probabilities.
+    """
     params = params or zf_params(instance, beamformer, qos)
-    mq = _minus_q(instance, beamformer, p_prev_cycle.powers,
-                  float(qos.gamma[k]), k)
-    spec = residue_spectrum(mq)
-    lam_nz = spec.eigenvalues[spec.nonzero]
-    try:
-        return _step_from_spectrum(
-            lam_nz, float(qos.gamma[k]), float(params.gamma_prime[k]),
-            float(instance.noise_var[k]), float(qos.epsilon[k]),
-            float(params.r_tilde_norm2[k]), literal_gamma)
-    except DegenerateSpectrum:
-        oracle = _SurrogateOracle(instance, beamformer, qos, params, 1e-8)
-        return _bisect_min_feasible(oracle, instance, qos, p_prev_cycle.powers, k)
-
-
-def _bisect_min_feasible(prob, instance, qos, powers, k, band=1e-3):
-    """Minimal feasible power for coordinate k under the oracle ``prob`` by
-    doubling then bisection (fallback path for degenerate frozen spectra)."""
-    floor = 1.0 - float(qos.epsilon[k])
-    trial = powers.copy()
-    hi = max(float(qos.gamma[k] * instance.noise_var[k]), trial[k], 1e-12)
-    for _ in range(80):
-        trial[k] = hi
-        if prob(trial, k) >= floor:
-            break
-        hi *= 2.0
-    else:
-        return hi
-    lo = 0.0
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        trial[k] = mid
-        pm = prob(trial, k)
-        if pm >= floor:
-            hi = mid
-            if pm <= floor + band:
-                break
-        else:
-            lo = mid
-    return hi
+    oracle = _SurrogateOracle(instance, beamformer, qos, params)
+    return oracle.step(p_prev_cycle.powers, k, literal_gamma)
 
 
 def solve_zf_coord_update(instance: ScenarioInstance,
@@ -367,7 +349,6 @@ def solve_zf_coord_update(instance: ScenarioInstance,
     params = zf_params(instance, beamformer, qos, eta_multiple)
     prob = _SurrogateOracle(instance, beamformer, qos, params, quad_tol)
     n = qos.n_users
-    sigma2 = instance.noise_var
     floor = 1.0 - qos.epsilon
 
     p = coord_update_init(instance, beamformer, qos, params).powers.copy()
@@ -377,21 +358,10 @@ def solve_zf_coord_update(instance: ScenarioInstance,
     while not np.all(probs >= floor - FEASIBILITY_SLACK) and cycles < i_max:
         cycles += 1
         p_prev = p.copy()
-        spectra = []
+        before = prob.evals  # only degenerate-spectrum fallbacks evaluate
         for k in range(n):
-            mq = _minus_q(instance, beamformer, p_prev, float(qos.gamma[k]), k)
-            spec = residue_spectrum(mq)
-            spectra.append(spec.eigenvalues[spec.nonzero])
-        for k in range(n):
-            try:
-                p[k] = _step_from_spectrum(
-                    spectra[k], float(qos.gamma[k]), float(params.gamma_prime[k]),
-                    float(sigma2[k]), float(qos.epsilon[k]),
-                    float(params.r_tilde_norm2[k]), literal_gamma)
-            except DegenerateSpectrum:
-                before = prob.evals
-                p[k] = _bisect_min_feasible(prob, instance, qos, p_prev, k)
-                bisect_steps += prob.evals - before
+            p[k] = prob.step(p_prev, k, literal_gamma)
+        bisect_steps += prob.evals - before
         probs = np.array([prob(p, k) for k in range(n)])
         if np.max(np.abs(p - p_prev)) <= 1e-12 * max(1.0, float(np.max(p))):
             break  # fixed point reached at float resolution

@@ -33,7 +33,7 @@ from robustpl import (
     zf_params,
 )
 from robustpl.bench import export_records
-from robustpl.zf import ApproximationInapplicable, _minus_q
+from robustpl.zf import ApproximationInapplicable
 
 from conftest import make_instance, make_zf_setup
 from test_descent import minimal_feasible_power
@@ -74,7 +74,7 @@ def test_criterion_1_residue_quadrature_equivalence():
         inst, b, qos = make_zf_setup(5000 + seed)
         p = rng.uniform(0.2, 4.0, 3) * qos.gamma * 0.01
         k = int(rng.integers(0, 3))
-        mq = _minus_q(inst, b, p, float(qos.gamma[k]), k)
+        mq = -build_outage_form(inst, b, PowerAllocation(powers=p), qos, k).Q
         try:
             params = zf_params(inst, b, qos)
             val = residue_probability(residue_spectrum(mq), float(p[k]),

@@ -16,8 +16,11 @@ from robustpl import (
     init_powers_pcsi,
     mc_probability,
     outage_probability,
+    residue_spectrum,
     solve_general,
+    zf_params,
 )
+from robustpl.zf import _SurrogateOracle
 
 from conftest import make_instance, make_zf_setup
 
@@ -219,10 +222,18 @@ class TestOutageOracle:
         rng = np.random.default_rng(7)
         for inst, b, qos in self.setups():
             oracle = OutageOracle(inst, b, qos)
+            zf = np.allclose(inst.est_channels @ b.columns, np.eye(inst.n_users))
+            if zf:
+                surrogate = _SurrogateOracle(inst, b, qos, zf_params(inst, b, qos))
             for _ in range(4):
                 p = rng.uniform(0.2, 3.0, inst.n_users) * 0.01 * qos.gamma
                 for k in range(inst.n_users):
                     ref = build_outage_form(inst, b, PowerAllocation(powers=p), qos, k)
+                    if zf:
+                        # the residue surrogate's spectrum of -Q
+                        want = residue_spectrum(-ref.Q).eigenvalues
+                        got = surrogate.spectrum(p, k).eigenvalues
+                        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
                     got = oracle.form(p, k)
                     for name in ("Q", "r", "a"):
                         want = getattr(ref, name)

@@ -372,7 +372,7 @@ class TestCachedCovarianceRoots:
             p = PowerAllocation(powers=rng.uniform(0.02, 0.2, 3))
             for k in range(3):
                 build_outage_form(inst, b, p, qos, k)
-                robustpl.zf._minus_q(inst, b, p.powers, float(qos.gamma[k]), k)
+                robustpl.zf.coord_update_step(inst, b, qos, p, k)
                 robustpl.quadform.mc_probability(inst, b, p, qos, k, 10, 0)
         robustpl.zf.zf_params(inst, b, qos, eta_multiple=-0.1)
         assert calls == {"sqrt": 3, "inv_sqrt": 3}

@@ -41,13 +41,6 @@ class TestDecompose:
                                            z=np.zeros(2), tau=1.0))
         np.testing.assert_allclose(spec.eigenvalues, [1.0, 1.0])
         np.testing.assert_allclose(spec.z_tilde, 0.0)
-        assert spec.beta == 1.0
-
-    def test_offset_rule_for_indefinite(self):
-        spec = decompose(GaussianQuadratic(M=np.diag([1.0, -0.5]).astype(complex),
-                                           z=np.zeros(2), tau=0.0))
-        assert spec.beta == pytest.approx(1.0)
-        assert np.all(1.0 + spec.beta * spec.eigenvalues > 0)
 
     def test_reconstruction_and_norms(self, rng):
         m = random_hermitian(rng, 3)
@@ -246,6 +239,13 @@ class TestContourPlacement:
         tol = 1e-12 + 8.0 * np.finfo(float).eps * np.abs(expo)
         assert np.all(np.abs(got - ref) <= tol * np.abs(ref))
 
+    def test_chernoff_minimizer_below_the_smallest_float(self):
+        # the right-tail Chernoff bound at tau = 5e-324 has its minimizer
+        # near 1e-324, where the start point underflows to 0
+        spec = EigenSpectrum(eigenvalues=np.array([1.0, -1.0]), z_tilde=np.zeros(2))
+        est = cdf_quadrature(spec, 5e-324)
+        assert abs(est.raw_value - 0.5) <= est.abs_error_bound + 1e-12
+
 
 def quadrature_or_unmet(spectrum, tau, tol, **kwargs):
     """The certified estimate, or the one ToleranceNotMet carries, with a
@@ -261,7 +261,7 @@ class TestCertificate:
     @given(placement_cases())
     def test_bound_covers_the_error(self, case):
         lam, zt2, tau = case
-        spec = EigenSpectrum(eigenvalues=lam, z_tilde=np.sqrt(zt2), beta=1.0)
+        spec = EigenSpectrum(eigenvalues=lam, z_tilde=np.sqrt(zt2))
         est, certified = quadrature_or_unmet(spec, tau, 1e-8)
         assert certified == (est.abs_error_bound <= 1e-8)
         ref = cdf_quadrature(spec, tau, tol=1e-12, strict=False)
@@ -279,7 +279,7 @@ class TestCertificate:
         tau = 0.5 * lam * x
         ref = ncx2.cdf(x, 2, 2.0 * zt2) if lam > 0 else ncx2.sf(x, 2, 2.0 * zt2)
         spec = EigenSpectrum(eigenvalues=np.array([lam]),
-                             z_tilde=np.array([math.sqrt(zt2)]), beta=1.0)
+                             z_tilde=np.array([math.sqrt(zt2)]))
         est = cdf_quadrature(spec, tau)
         assert abs(est.raw_value - ref) <= est.abs_error_bound + 1e-11
 

@@ -26,7 +26,7 @@ from robustpl import (
     solve_zf_coord_update,
     zf_params,
 )
-from robustpl.zf import _minus_q, _step_from_spectrum
+from robustpl.zf import _step_from_spectrum
 
 from conftest import make_instance, make_zf_setup
 
@@ -146,7 +146,8 @@ class TestResidueProbability:
             inst, b, qos = make_zf_setup(seed)
             p = rng.uniform(0.5, 2.5, 3) * qos.gamma * 0.01
             for k in range(3):
-                spec = residue_spectrum(_minus_q(inst, b, p, float(qos.gamma[k]), k))
+                spec = residue_spectrum(
+                    -build_outage_form(inst, b, PowerAllocation(powers=p), qos, k).Q)
                 lam_nz = spec.eigenvalues[spec.nonzero]
                 pos = lam_nz[lam_nz > 0]
                 u = float(rng.uniform(0.0, 1e-3))
@@ -162,7 +163,8 @@ class TestResidueProbability:
         for _ in range(10):
             p = rng.uniform(0.2, 3.0, 3) * qos.gamma * 0.01
             for k in range(3):
-                spec = residue_spectrum(_minus_q(inst, b, p, float(qos.gamma[k]), k))
+                spec = residue_spectrum(
+                    -build_outage_form(inst, b, PowerAllocation(powers=p), qos, k).Q)
                 lam_nz = spec.eigenvalues[spec.nonzero]
                 assert np.sum(lam_nz < 0) == 1
                 assert np.sum(lam_nz > 0) <= 2
@@ -235,7 +237,7 @@ class TestCoordUpdate:
         qos = QoSSpec.from_db(5.0, 0.05, 1)
         params = zf_params(inst, b, qos)
         p0 = coord_update_init(inst, b, qos, params)
-        spec = residue_spectrum(_minus_q(inst, b, p0.powers, float(qos.gamma[0]), 0))
+        spec = residue_spectrum(-build_outage_form(inst, b, p0, qos, 0).Q)
         val = residue_probability(spec, float(p0.powers[0]),
                                   float(params.gamma_prime[0]), 0.01)
         assert val == pytest.approx(0.95, abs=1e-9)
@@ -263,8 +265,7 @@ class TestCoordUpdate:
         for k in range(3):
             pk = coord_update_step(inst, b, qos, p_prev, k, params)
             assert pk >= params.gamma_prime[k] * 0.01
-            spec = residue_spectrum(_minus_q(inst, b, p_prev.powers,
-                                             float(qos.gamma[k]), k))
+            spec = residue_spectrum(-build_outage_form(inst, b, p_prev, qos, k).Q)
             lam_nz = spec.eigenvalues[spec.nonzero]
             trial = p_prev.powers.copy()
             trial[k] = pk
@@ -327,6 +328,27 @@ class TestCoordUpdate:
         inst, b, qos = make_zf_setup(263)
         report = solve_zf_coord_update(inst, b, qos, i_max=0)
         assert report.status is SolveStatus.CYCLE_LIMIT
+
+    def test_fallback_step_lands_in_band(self):
+        # identity channels give a doubly degenerate spectrum: the step
+        # doubles and bisects on the surrogate oracle
+        eye = np.eye(3, dtype=complex)
+        inst = ScenarioInstance(
+            true_channels=eye, est_channels=eye,
+            error_cov=np.broadcast_to(0.002 * eye, (3, 3, 3)).copy(),
+            noise_var=np.full(3, 0.01))
+        b, qos = build_zf(eye), QoSSpec.from_db(5.0, 0.05, 3)
+        params = zf_params(inst, b, qos)
+        surrogate = robustpl.zf._SurrogateOracle(inst, b, qos, params)
+        p_prev = PowerAllocation(powers=qos.gamma * 0.01)
+        with pytest.raises(DegenerateSpectrum):
+            residue_probability(surrogate.spectrum(p_prev.powers, 0),
+                                float(p_prev.powers[0]), float(params.gamma_prime[0]), 0.01)
+        for k in range(3):
+            trial = p_prev.powers.copy()
+            trial[k] = coord_update_step(inst, b, qos, p_prev, k, params)
+            prob = surrogate.constraint(trial, k)
+            assert 0.95 <= prob <= 0.95 + 1e-3
 
     def test_fallback_bisection_counts_every_oracle_call(self, monkeypatch):
         # identity channels give a doubly degenerate spectrum, so every
