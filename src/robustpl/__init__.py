@@ -10,7 +10,6 @@ from .model import (
     QuadraticOutageForm,
     ScenarioInstance,
     SingularChannel,
-    SingularSystem,
     build_outage_form,
     build_pcsi_directions,
     build_rci,
@@ -26,7 +25,6 @@ from .model import (
 from .quadform import (
     EigenSpectrum,
     EvalMethod,
-    GaussianQuadratic,
     ProbabilityEstimate,
     ToleranceNotMet,
     cdf_quadrature,
@@ -36,12 +34,9 @@ from .quadform import (
 )
 from .descent import (
     DescentConfig,
-    InfeasibleStartNotFound,
     OutageOracle,
     SolveReport,
     SolveStatus,
-    bisect_user_power,
-    find_feasible_start,
     solve_general,
 )
 from .zf import (

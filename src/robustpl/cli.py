@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import os
 import sys
 
 from .bench import (
@@ -17,17 +16,6 @@ from .bench import (
     run_sweep,
 )
 
-THREADS_ENV = "ROBUSTPL_THREADS"
-
-
-def _default_threads() -> int:
-    raw = os.environ.get(THREADS_ENV, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="robustpl",
@@ -37,8 +25,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser("sweep", help="run a seeded experiment sweep")
     sweep.add_argument("--config", required=True, help="JSON experiment config")
     sweep.add_argument("--out", required=True, help="output records path")
-    sweep.add_argument("--threads", type=int, default=None,
-                       help=f"worker processes (default ${THREADS_ENV} or 1)")
+    sweep.add_argument("--threads", type=int, default=1,
+                       help="worker processes (default 1)")
     sweep.add_argument("--mc-certify", type=int, default=None, metavar="S",
                        help="re-verify successes with S Monte Carlo samples")
 
@@ -59,8 +47,7 @@ def main(argv=None) -> int:
             if args.mc_certify is not None:
                 config = dataclasses.replace(
                     config, mc_certify_samples=args.mc_certify)
-            threads = args.threads if args.threads is not None else _default_threads()
-            records = run_sweep(config, n_threads=threads)
+            records = run_sweep(config, n_threads=args.threads)
             export_records(records, args.out)
         else:
             records = read_records(args.infile)

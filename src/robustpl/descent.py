@@ -28,20 +28,13 @@ from .quadform import outage_probability
 
 __all__ = [
     "DescentConfig",
-    "InfeasibleStartNotFound",
     "OutageOracle",
     "SolveStatus",
     "SolveReport",
-    "find_feasible_start",
-    "bisect_user_power",
     "solve_general",
 ]
 
 MAX_BISECT_STEPS = 60
-
-
-class InfeasibleStartNotFound(Exception):
-    """Doubling reached the power cap without satisfying all constraints."""
 
 
 class SolveStatus(enum.Enum):
@@ -54,37 +47,24 @@ class SolveStatus(enum.Enum):
 class DescentConfig:
     """Knobs for the coordinate-descent solvers.
 
-    ``delta_min`` is the terminal probability-band width, a scalar or one
-    value per user; the per-cycle band ``delta_schedule`` is either
-    "constant" (band delta_min from the first cycle, the recommended
-    single-cycle setting) or "geometric" (max(delta_min, delta0 * 2^-cycle)).
+    ``delta_min`` is the probability-band width, a scalar or one value per
+    user; every cycle bisects into the band delta_min from the first cycle.
     """
 
     delta_min: float = 1e-3
-    delta_schedule: str = "constant"
-    delta0: float = 0.1
     max_cycles: int = 50
     max_doublings: int = 30
     power_cap: float = 1e6
     quad_tol: float = 1e-8
-    sweep_order: tuple = None
     strict_checks: bool = False
 
     def __post_init__(self):
         if np.any(np.asarray(self.delta_min) <= 0):
             raise ValueError("delta_min must be positive")
-        if self.delta_schedule not in ("constant", "geometric"):
-            raise ValueError("unknown delta schedule")
 
     def delta_min_for(self, n_users: int) -> np.ndarray:
         return np.broadcast_to(np.asarray(self.delta_min, dtype=float),
                                (n_users,))
-
-    def delta_at(self, cycle: int, n_users: int) -> np.ndarray:
-        floor = self.delta_min_for(n_users)
-        if self.delta_schedule == "constant":
-            return floor
-        return np.maximum(floor, self.delta0 * 0.5 ** (cycle - 1))
 
 
 @dataclass
@@ -246,7 +226,6 @@ def _run_descent(oracle: OutageOracle, beamformer: BeamformerMatrix,
     on a fresh oracle (its ``evals`` are the report's)."""
     t0 = time.perf_counter()
     n_users = qos.n_users
-    order = config.sweep_order or tuple(range(n_users))
     floor = 1.0 - qos.epsilon
 
     p, probs, doublings, feasible = _find_feasible_start(
@@ -273,14 +252,13 @@ def _run_descent(oracle: OutageOracle, beamformer: BeamformerMatrix,
         if cycles >= config.max_cycles:
             break
         cycles += 1
-        delta = config.delta_at(cycles, n_users)
         p_before = p.copy()
         total_before = PowerAllocation(powers=p).total_power(beamformer)
         dirty = False
-        for k in order:
+        for k in range(n_users):
             cached = None if dirty else probs[k]
             new_pk, prob_k, steps = _bisect_user_power(
-                oracle, p, k, float(delta[k]), float(qos.epsilon[k]), cached)
+                oracle, p, k, float(delta_min[k]), float(qos.epsilon[k]), cached)
             bisect_steps += steps
             if new_pk != p[k]:
                 dirty = True
@@ -296,8 +274,8 @@ def _run_descent(oracle: OutageOracle, beamformer: BeamformerMatrix,
                 total_before = total_now
         probs = np.array([oracle(p, k) for k in range(n_users)])
         stalled = np.max(np.abs(p - p_before)) <= 1e-12 * max(1.0, float(np.max(p)))
-        if stalled and np.all(delta <= delta_min):
-            # the terminal band is narrower than the achievable power
+        if stalled:
+            # the band is narrower than the achievable power
             # resolution (near-deterministic constraints)
             in_band = np.all((probs >= floor) & (probs <= floor + delta_min))
             status = SolveStatus.SOLVED if in_band else SolveStatus.CYCLE_LIMIT
@@ -310,33 +288,6 @@ def _run_descent(oracle: OutageOracle, beamformer: BeamformerMatrix,
         cycles=cycles, bisection_steps=bisect_steps,
         integral_evals=oracle.evals, wall_time=time.perf_counter() - t0,
         init_fallback=init_fallback, doublings=doublings)
-
-
-def find_feasible_start(instance: ScenarioInstance, beamformer: BeamformerMatrix,
-                        qos: QoSSpec, config: DescentConfig = None) -> PowerAllocation:
-    """Feasible allocation from the nominal powers, doubling all of them
-    until every outage constraint holds.  Raises InfeasibleStartNotFound when
-    the doubling budget or the power cap is exhausted first."""
-    config = config or DescentConfig()
-    oracle = OutageOracle(instance, beamformer, qos, config.quad_tol)
-    p_init, _ = init_powers_pcsi(instance.est_channels, beamformer, qos,
-                                 instance.noise_var)
-    p, _, _, feasible = _find_feasible_start(
-        oracle, beamformer, qos, config, p_init.powers)
-    if not feasible:
-        raise InfeasibleStartNotFound("power cap reached before feasibility")
-    return PowerAllocation(powers=p)
-
-
-def bisect_user_power(instance: ScenarioInstance, beamformer: BeamformerMatrix,
-                      qos: QoSSpec, p_current: PowerAllocation, k: int,
-                      delta_k: float, config: DescentConfig = None) -> float:
-    """Single-coordinate power reduction into the probability band."""
-    config = config or DescentConfig()
-    oracle = OutageOracle(instance, beamformer, qos, config.quad_tol)
-    new_pk, _, _ = _bisect_user_power(oracle, p_current.powers.copy(), k,
-                                      delta_k, float(qos.epsilon[k]))
-    return new_pk
 
 
 def solve_general(instance: ScenarioInstance, beamformer: BeamformerMatrix,

@@ -17,10 +17,6 @@ class SingularChannel(Exception):
     """Estimated channel Gram matrix is numerically singular."""
 
 
-class SingularSystem(Exception):
-    """The nominal power-balance linear system is numerically singular."""
-
-
 class Diverged(Exception):
     """A fixed-point iteration failed to converge within its sweep budget."""
 
@@ -356,7 +352,8 @@ def init_powers_pcsi(est_channels: np.ndarray, beamformer: BeamformerMatrix,
 
     Solves the K x K balance system with diagonal |h_k^H b_k|^2 / gamma_k and
     off-diagonal -|h_k^H b_i|^2 against the noise vector.  Falls back to the
-    decoupled values gamma_k sigma_k^2 when the solve fails or yields a
+    decoupled values gamma_k sigma_k^2 when the system is ill conditioned
+    (condition number above 1e12), the solve fails or it yields a
     nonpositive power.  Returns (allocation, used_fallback).
     """
     hh = np.asarray(est_channels, dtype=complex)
@@ -368,9 +365,9 @@ def init_powers_pcsi(est_channels: np.ndarray, beamformer: BeamformerMatrix,
     fallback = qos.gamma * nv
     try:
         if np.linalg.cond(mat) > 1e12:
-            raise SingularSystem("power balance system is ill conditioned")
+            return PowerAllocation(powers=fallback), True
         p = np.linalg.solve(mat, nv)
-    except (np.linalg.LinAlgError, SingularSystem):
+    except np.linalg.LinAlgError:
         return PowerAllocation(powers=fallback), True
     if np.any(p <= 0) or not np.all(np.isfinite(p)):
         return PowerAllocation(powers=fallback), True

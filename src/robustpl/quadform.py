@@ -34,7 +34,6 @@ from .model import (
 )
 
 __all__ = [
-    "GaussianQuadratic",
     "EigenSpectrum",
     "ProbabilityEstimate",
     "EvalMethod",
@@ -64,24 +63,6 @@ class EvalMethod(enum.Enum):
 
 
 @dataclass(frozen=True)
-class GaussianQuadratic:
-    """The triple (M, z, tau) defining Pr(||x - z||^2_M <= tau)."""
-
-    M: np.ndarray
-    z: np.ndarray
-    tau: float
-
-    def __post_init__(self):
-        m = np.asarray(self.M, dtype=complex)
-        z = np.asarray(self.z, dtype=complex)
-        object.__setattr__(self, "M", m)
-        object.__setattr__(self, "z", z)
-        scale = max(1.0, float(np.max(np.abs(m)))) if m.size else 1.0
-        if np.max(np.abs(m - m.conj().T)) > 1e-12 * scale:
-            raise ValueError("M must be Hermitian")
-
-
-@dataclass(frozen=True)
 class EigenSpectrum:
     """Eigen-data of M: eigenvalues and the rotated centre."""
 
@@ -102,9 +83,14 @@ class ProbabilityEstimate:
         object.__setattr__(self, "value", float(min(1.0, max(0.0, self.value))))
 
 
-def decompose(form: GaussianQuadratic) -> EigenSpectrum:
-    """Eigendecomposition with eigenvalues sorted descending."""
-    return _spectrum(form.M, form.z)
+def decompose(m, z) -> EigenSpectrum:
+    """Eigen-data of the Hermitian M and centre z of Pr(||x - z||^2_M <= tau),
+    eigenvalues sorted descending."""
+    m, z = np.asarray(m, dtype=complex), np.asarray(z, dtype=complex)
+    scale = max(1.0, float(np.max(np.abs(m)))) if m.size else 1.0
+    if np.max(np.abs(m - m.conj().T)) > 1e-12 * scale:
+        raise ValueError("M must be Hermitian")
+    return _spectrum(m, z)
 
 
 def _spectrum(m, z) -> EigenSpectrum:

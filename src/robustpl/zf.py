@@ -213,34 +213,24 @@ def solve_zf_coord_descent(instance: ScenarioInstance,
                            beamformer: BeamformerMatrix, qos: QoSSpec,
                            config: DescentConfig = None,
                            eta_multiple: float = DEFAULT_ETA_MULTIPLE,
-                           p_start: PowerAllocation = None,
-                           eta_refine_attempts: int = 0) -> SolveReport:
+                           p_start: PowerAllocation = None) -> SolveReport:
     """Coordinate descent with the residue surrogate in place of the exact
     integral; the exact probabilities of the returned powers are certified by
     quadrature and reported alongside the surrogate ones.
-
-    ``eta_refine_attempts`` > 0 re-solves with eta tightened by 1.15 whenever
-    the exact certification fails, at most that many times.
     """
     config = config or DescentConfig()
-    multiple = eta_multiple
-    for attempt in range(1 + max(0, eta_refine_attempts)):
-        params = zf_params(instance, beamformer, qos, multiple)
-        oracle = _SurrogateOracle(instance, beamformer, qos, params, config.quad_tol)
-        if p_start is not None:
-            p_init, fallback = p_start.powers.copy(), False
-        else:
-            alloc, fallback = init_powers_pcsi(instance.est_channels, beamformer,
-                                               qos, instance.noise_var)
-            p_init = alloc.powers
-        report = _run_descent(oracle, beamformer, qos, config, p_init, fallback)
-        exact = oracle.exact_all(report.powers.powers)
-        report.per_user_prob_approx = report.per_user_prob
-        report.per_user_prob_exact = exact
-        if attempt == eta_refine_attempts or (
-                report.solved and np.all(exact >= 1.0 - qos.epsilon)):
-            return report
-        multiple *= 1.15
+    params = zf_params(instance, beamformer, qos, eta_multiple)
+    oracle = _SurrogateOracle(instance, beamformer, qos, params, config.quad_tol)
+    if p_start is not None:
+        p_init, fallback = p_start.powers.copy(), False
+    else:
+        alloc, fallback = init_powers_pcsi(instance.est_channels, beamformer,
+                                           qos, instance.noise_var)
+        p_init = alloc.powers
+    report = _run_descent(oracle, beamformer, qos, config, p_init, fallback)
+    report.per_user_prob_approx = report.per_user_prob
+    report.per_user_prob_exact = oracle.exact_all(report.powers.powers)
+    return report
 
 
 def _single_user_power(gamma_k, gamma_prime_k, sigma_k2, r_norm2, epsilon_k):

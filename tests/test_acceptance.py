@@ -13,7 +13,6 @@ from scipy.stats import ncx2
 from robustpl import (
     DescentConfig,
     ExperimentConfig,
-    GaussianQuadratic,
     PowerAllocation,
     QoSSpec,
     build_outage_form,
@@ -82,8 +81,7 @@ def test_criterion_1_residue_quadrature_equivalence():
         except ApproximationInapplicable:
             continue
         u = p[k] / params.gamma_prime[k] - 0.01
-        gq = GaussianQuadratic(M=mq, z=np.zeros(3), tau=u)
-        quad = cdf_quadrature(decompose(gq), float(u)).value
+        quad = cdf_quadrature(decompose(mq, np.zeros(3)), float(u)).value
         worst = max(worst, abs(val - quad))
     elapsed = time.perf_counter() - t0
     assert worst <= 1e-6
@@ -94,11 +92,11 @@ def test_criterion_1_residue_quadrature_equivalence():
 
 def test_criterion_2_lemma_oracle_agreement():
     # analytic anchors
-    gq = GaussianQuadratic(M=np.array([[1.0]]), z=np.array([0.0]), tau=np.log(2.0))
-    exp_err = abs(cdf_quadrature(decompose(gq), np.log(2.0)).value - 0.5)
+    spec = decompose(np.array([[1.0]]), np.array([0.0]))
+    exp_err = abs(cdf_quadrature(spec, np.log(2.0)).value - 0.5)
     assert exp_err <= 1e-7
-    gq = GaussianQuadratic(M=np.array([[1.0]]), z=np.array([1.0]), tau=2.0)
-    marcum_err = abs(cdf_quadrature(decompose(gq), 2.0).value
+    spec = decompose(np.array([[1.0]]), np.array([1.0]))
+    marcum_err = abs(cdf_quadrature(spec, 2.0).value
                      - ncx2.cdf(4.0, 2, 2.0))
     assert marcum_err <= 1e-7
 
@@ -116,7 +114,7 @@ def test_criterion_2_lemma_oracle_agreement():
         vals = np.einsum("ij,jk,ik->i", (samples - z).conj(), m,
                          samples - z).real
         tau = float(np.quantile(vals, rng.uniform(0.02, 0.98)))
-        est = cdf_quadrature(decompose(GaussianQuadratic(M=m, z=z, tau=tau)), tau)
+        est = cdf_quadrature(decompose(m, z), tau)
         freq = float(np.mean(vals <= tau))
         se = np.sqrt(freq * (1.0 - freq) / 100_000)
         if abs(est.value - freq) <= 4.0 * se:

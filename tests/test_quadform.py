@@ -12,7 +12,6 @@ import robustpl.quadform as quadform
 from robustpl import (
     EigenSpectrum,
     EvalMethod,
-    GaussianQuadratic,
     PowerAllocation,
     QoSSpec,
     ScenarioInstance,
@@ -37,41 +36,42 @@ def random_hermitian(rng, n, scale=1.0):
 
 class TestDecompose:
     def test_identity_zero_center(self):
-        spec = decompose(GaussianQuadratic(M=np.eye(2, dtype=complex),
-                                           z=np.zeros(2), tau=1.0))
+        spec = decompose(np.eye(2, dtype=complex), np.zeros(2))
         np.testing.assert_allclose(spec.eigenvalues, [1.0, 1.0])
         np.testing.assert_allclose(spec.z_tilde, 0.0)
 
     def test_reconstruction_and_norms(self, rng):
         m = random_hermitian(rng, 3)
         z = complex_normal(rng, 3)
-        spec = decompose(GaussianQuadratic(M=m, z=z, tau=0.2))
+        spec = decompose(m, z)
         assert np.all(np.diff(spec.eigenvalues) <= 1e-12)
         assert np.linalg.norm(spec.z_tilde) == pytest.approx(
             np.linalg.norm(z), abs=1e-10)
         w = np.linalg.eigvalsh(m)
         np.testing.assert_allclose(np.sort(spec.eigenvalues), w, atol=1e-10)
 
+    def test_rejects_non_hermitian_matrix(self):
+        with pytest.raises(ValueError, match="Hermitian"):
+            decompose(np.array([[1.0, 0.5], [0.0, 1.0]]), np.zeros(2))
+
 
 class TestCdfQuadrature:
     def test_exponential_case(self):
         # |x|^2 for scalar CN(0,1) is Exp(1)
-        gq = GaussianQuadratic(M=np.array([[1.0]]), z=np.array([0.0]),
-                               tau=np.log(2.0))
-        est = cdf_quadrature(decompose(gq), np.log(2.0))
+        spec = decompose(np.array([[1.0]]), np.array([0.0]))
+        est = cdf_quadrature(spec, np.log(2.0))
         assert est.value == pytest.approx(0.5, abs=1e-8)
         assert est.method is EvalMethod.QUADRATURE
 
     def test_zero_matrix_is_indicator(self):
-        gq = GaussianQuadratic(M=np.zeros((3, 3)), z=np.ones(3), tau=1.0)
-        assert cdf_quadrature(decompose(gq), 1.0).value == 1.0
-        gq = GaussianQuadratic(M=np.zeros((3, 3)), z=np.ones(3), tau=-1.0)
-        assert cdf_quadrature(decompose(gq), -1.0).value == 0.0
+        spec = decompose(np.zeros((3, 3)), np.ones(3))
+        assert cdf_quadrature(spec, 1.0).value == 1.0
+        assert cdf_quadrature(spec, -1.0).value == 0.0
 
     def test_noncentral_chi_square_oracle(self):
         # 2|x - z|^2 ~ noncentral chi-square, 2 dof, noncentrality 2|z|^2
-        gq = GaussianQuadratic(M=np.array([[1.0]]), z=np.array([1.0]), tau=2.0)
-        est = cdf_quadrature(decompose(gq), 2.0)
+        spec = decompose(np.array([[1.0]]), np.array([1.0]))
+        est = cdf_quadrature(spec, 2.0)
         assert est.value == pytest.approx(ncx2.cdf(4.0, 2, 2.0), abs=1e-7)
 
     def test_scaled_noncentral_cases(self, rng):
@@ -79,8 +79,8 @@ class TestCdfQuadrature:
             lam = float(rng.uniform(0.1, 3.0))
             z = complex_normal(rng, 1)
             tau = float(rng.uniform(0.0, 4.0))
-            gq = GaussianQuadratic(M=np.array([[lam]]), z=z, tau=tau)
-            est = cdf_quadrature(decompose(gq), tau)
+            spec = decompose(np.array([[lam]]), z)
+            est = cdf_quadrature(spec, tau)
             oracle = ncx2.cdf(2.0 * tau / lam, 2, 2.0 * abs(z[0]) ** 2)
             assert est.value == pytest.approx(oracle, abs=1e-7)
 
@@ -89,8 +89,8 @@ class TestCdfQuadrature:
             lam = -float(rng.uniform(0.1, 2.0))
             z = complex_normal(rng, 1)
             tau = -float(rng.uniform(0.1, 3.0))
-            gq = GaussianQuadratic(M=np.array([[lam]]), z=z, tau=tau)
-            est = cdf_quadrature(decompose(gq), tau)
+            spec = decompose(np.array([[lam]]), z)
+            est = cdf_quadrature(spec, tau)
             oracle = ncx2.sf(2.0 * tau / lam, 2, 2.0 * abs(z[0]) ** 2)
             assert est.value == pytest.approx(oracle, abs=1e-7)
 
@@ -103,7 +103,7 @@ class TestCdfQuadrature:
             vals = np.einsum("ij,jk,ik->i", (x - z).conj(), m, x - z).real
             # mid-range quantile keeps the binomial comparison informative
             tau = float(np.quantile(vals, rng.uniform(0.1, 0.9)))
-            est = cdf_quadrature(decompose(GaussianQuadratic(M=m, z=z, tau=tau)), tau)
+            est = cdf_quadrature(decompose(m, z), tau)
             freq = float(np.mean(vals <= tau))
             se = np.sqrt(freq * (1 - freq) / 400_000)
             assert abs(est.value - freq) <= 4 * se
@@ -114,7 +114,7 @@ class TestCdfQuadrature:
             m = random_hermitian(rng, 3, scale=0.5)
             z = complex_normal(rng, 3)
             tau = float(rng.normal())
-            spec = decompose(GaussianQuadratic(M=m, z=z, tau=tau))
+            spec = decompose(m, z)
             lam = spec.eigenvalues
             zt2 = np.abs(spec.z_tilde) ** 2
             bstar = _pick_beta(lam, zt2, tau)
@@ -131,14 +131,13 @@ class TestCdfQuadrature:
             m = random_hermitian(rng, 3, scale=0.3)
             z = complex_normal(rng, 3)
             tau = float(rng.normal())
-            est = cdf_quadrature(decompose(GaussianQuadratic(M=m, z=z, tau=tau)), tau)
+            est = cdf_quadrature(decompose(m, z), tau)
             assert -10 * tol <= est.raw_value <= 1.0 + 10 * tol
 
     def test_rejects_inadmissible_offset(self):
-        gq = GaussianQuadratic(M=np.diag([1.0, -0.5]).astype(complex),
-                               z=np.zeros(2), tau=0.1)
+        spec = decompose(np.diag([1.0, -0.5]).astype(complex), np.zeros(2))
         with pytest.raises(ValueError):
-            cdf_quadrature(decompose(gq), 0.1, beta=3.0)
+            cdf_quadrature(spec, 0.1, beta=3.0)
 
 
 @st.composite
@@ -286,8 +285,7 @@ class TestCertificate:
     def test_contour_next_to_the_pole(self, monkeypatch):
         # beta within 1e-6 (relative) of the pole at 1/|lam_min|: the strip
         # is so thin that the node cap stops the rule short of tol
-        spec = decompose(GaussianQuadratic(M=np.diag([0.7, -0.3]).astype(complex),
-                                           z=np.zeros(2), tau=0.2))
+        spec = decompose(np.diag([0.7, -0.3]).astype(complex), np.zeros(2))
         ref = cdf_quadrature(spec, 0.2)
         nodes = []
         original = quadform._integrand

@@ -7,7 +7,6 @@ from robustpl import (
     ApproximationInapplicable,
     DegenerateSpectrum,
     DescentConfig,
-    GaussianQuadratic,
     PowerAllocation,
     QoSSpec,
     ScenarioInstance,
@@ -79,9 +78,7 @@ class TestResidueProbability:
         spec = residue_spectrum(np.diag([1.0, -0.5]))
         val = residue_probability(spec, p_k=2.0, gamma_prime_k=1.0, sigma_k2=1.0)
         assert val == pytest.approx(1.0 - np.exp(-1.0) / 1.5, abs=1e-12)
-        gq = GaussianQuadratic(M=np.diag([1.0, -0.5]).astype(complex),
-                               z=np.zeros(2), tau=1.0)
-        quad = cdf_quadrature(decompose(gq), 1.0).value
+        quad = cdf_quadrature(decompose(np.diag([1.0, -0.5]), np.zeros(2)), 1.0).value
         assert val == pytest.approx(quad, abs=1e-9)
 
     def test_branch_boundary_continuity(self):
@@ -118,9 +115,7 @@ class TestResidueProbability:
             u = float(rng.uniform(-5e-4, 1.5e-3))
             spec = residue_spectrum(np.diag(lam))
             val = residue_probability(spec, 1.0 + u, 1.0, 1.0)
-            gq = GaussianQuadratic(M=np.diag(lam).astype(complex),
-                                   z=np.zeros(3), tau=u)
-            quad = cdf_quadrature(decompose(gq), u).value
+            quad = cdf_quadrature(decompose(np.diag(lam), np.zeros(3)), u).value
             worst = max(worst, abs(val - quad))
         assert worst <= 1e-9
 
@@ -207,14 +202,6 @@ class TestCoordDescentZf:
                 feasible += 1
         assert total >= 20
         assert feasible / total >= 0.9
-
-    def test_eta_refinement_tightens_on_failure(self):
-        # refinement only re-solves when certification fails; on a normal
-        # instance it must return the first solution unchanged
-        inst, b, qos = make_zf_setup(245)
-        base = solve_zf_coord_descent(inst, b, qos)
-        refined = solve_zf_coord_descent(inst, b, qos, eta_refine_attempts=2)
-        assert refined.total_power == pytest.approx(base.total_power)
 
 
 class TestCoordUpdate:
