@@ -2,7 +2,6 @@
 channel-estimate uncertainty."""
 
 from .model import (
-    BeamformerKind,
     BeamformerMatrix,
     Diverged,
     PowerAllocation,

@@ -111,6 +111,9 @@ class ExperimentConfig:
             raise ValueError("counts must be positive")
         if not (0 < self.epsilon < 1):
             raise ValueError("epsilon must lie in (0, 1)")
+        self.descent_config()  # rejects a nonpositive delta_min or quad_tol
+        if self.i_max < 0 or self.mc_certify_samples < 0:
+            raise ValueError("i_max and mc_certify_samples must be nonnegative")
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":

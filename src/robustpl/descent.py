@@ -35,6 +35,9 @@ __all__ = [
 ]
 
 MAX_BISECT_STEPS = 60
+MAX_CYCLES = 50
+MAX_DOUBLINGS = 30
+POWER_CAP = 1e6  # on the total transmit power while doubling to a feasible start
 
 
 class SolveStatus(enum.Enum):
@@ -52,15 +55,14 @@ class DescentConfig:
     """
 
     delta_min: float = 1e-3
-    max_cycles: int = 50
-    max_doublings: int = 30
-    power_cap: float = 1e6
     quad_tol: float = 1e-8
     strict_checks: bool = False
 
     def __post_init__(self):
         if np.any(np.asarray(self.delta_min) <= 0):
             raise ValueError("delta_min must be positive")
+        if not self.quad_tol > 0:
+            raise ValueError("quad_tol must be positive")
 
     def delta_min_for(self, n_users: int) -> np.ndarray:
         return np.broadcast_to(np.asarray(self.delta_min, dtype=float),
@@ -157,8 +159,20 @@ class OutageOracle:
         self.evals += 1
         return self.constraint(powers, k)
 
+    def report(self, status: SolveStatus, beamformer: BeamformerMatrix,
+               p: np.ndarray, probs: np.ndarray, t0: float,
+               **counts) -> SolveReport:
+        """The solve report at powers p with constraint probabilities probs,
+        the oracle's ``evals`` and the time since t0 (``perf_counter``)."""
+        alloc = PowerAllocation(powers=p)
+        return SolveReport(
+            status=status, powers=alloc, per_user_prob=probs,
+            per_user_prob_exact=probs.copy(),
+            total_power=alloc.total_power(beamformer), integral_evals=self.evals,
+            wall_time=time.perf_counter() - t0, **counts)
 
-def _find_feasible_start(prob, beamformer, qos, config, p_init: np.ndarray):
+
+def _find_feasible_start(prob, beamformer, qos, p_init: np.ndarray):
     """Double all powers until every user meets its probability floor.
 
     Returns (powers, probs, doublings, feasible); the power cap counts
@@ -172,7 +186,7 @@ def _find_feasible_start(prob, beamformer, qos, config, p_init: np.ndarray):
         probs = np.array([prob(p, k) for k in range(p.size)])
         if np.all(probs >= floor):
             return p, probs, doublings, True
-        if doublings >= config.max_doublings or np.dot(p, norms2) > config.power_cap:
+        if doublings >= MAX_DOUBLINGS or np.dot(p, norms2) > POWER_CAP:
             return p, probs, doublings, False
         p = 2.0 * p
         doublings += 1
@@ -219,37 +233,33 @@ def _bisect_user_power(prob, p: np.ndarray, k: int, delta_k: float,
     return hi, prob_hi, steps
 
 
-def _run_descent(oracle: OutageOracle, beamformer: BeamformerMatrix,
-                 qos: QoSSpec, config: DescentConfig, p_init: np.ndarray,
-                 init_fallback: bool):
-    """The shared engine: feasible start by doubling, then cyclic bisection,
-    on a fresh oracle (its ``evals`` are the report's)."""
+def _run_descent(oracle: OutageOracle, instance: ScenarioInstance,
+                 beamformer: BeamformerMatrix, qos: QoSSpec,
+                 config: DescentConfig, p_start: PowerAllocation):
+    """The shared engine on a fresh oracle (its ``evals`` are the report's):
+    start from p_start, or from ``init_powers_pcsi`` with its fallback flag;
+    double to a feasible start; then bisect cyclically."""
     t0 = time.perf_counter()
+    init_fallback = False
+    if p_start is None:
+        p_start, init_fallback = init_powers_pcsi(
+            instance.est_channels, beamformer, qos, instance.noise_var)
     n_users = qos.n_users
     floor = 1.0 - qos.epsilon
 
     p, probs, doublings, feasible = _find_feasible_start(
-        oracle, beamformer, qos, config, p_init)
+        oracle, beamformer, qos, p_start.powers)
     bisect_steps = 0
     cycles = 0
-    if not feasible:
-        alloc = PowerAllocation(powers=p)
-        return SolveReport(
-            status=SolveStatus.INFEASIBLE_START_NOT_FOUND,
-            powers=alloc, per_user_prob=probs, per_user_prob_exact=probs.copy(),
-            total_power=alloc.total_power(beamformer),
-            cycles=0, bisection_steps=0, integral_evals=oracle.evals,
-            wall_time=time.perf_counter() - t0, init_fallback=init_fallback,
-            doublings=doublings)
-
     delta_min = config.delta_min_for(n_users)
-    status = SolveStatus.CYCLE_LIMIT
-    while True:
+    status = (SolveStatus.CYCLE_LIMIT if feasible
+              else SolveStatus.INFEASIBLE_START_NOT_FOUND)
+    while feasible:
         in_band = np.all((probs >= floor) & (probs <= floor + delta_min))
         if in_band:
             status = SolveStatus.SOLVED
             break
-        if cycles >= config.max_cycles:
+        if cycles >= MAX_CYCLES:
             break
         cycles += 1
         p_before = p.copy()
@@ -281,13 +291,9 @@ def _run_descent(oracle: OutageOracle, beamformer: BeamformerMatrix,
             status = SolveStatus.SOLVED if in_band else SolveStatus.CYCLE_LIMIT
             break
 
-    alloc = PowerAllocation(powers=p)
-    return SolveReport(
-        status=status, powers=alloc, per_user_prob=probs,
-        per_user_prob_exact=probs.copy(), total_power=alloc.total_power(beamformer),
-        cycles=cycles, bisection_steps=bisect_steps,
-        integral_evals=oracle.evals, wall_time=time.perf_counter() - t0,
-        init_fallback=init_fallback, doublings=doublings)
+    return oracle.report(status, beamformer, p, probs, t0, cycles=cycles,
+                         bisection_steps=bisect_steps,
+                         init_fallback=init_fallback, doublings=doublings)
 
 
 def solve_general(instance: ScenarioInstance, beamformer: BeamformerMatrix,
@@ -297,10 +303,4 @@ def solve_general(instance: ScenarioInstance, beamformer: BeamformerMatrix,
     fixed directions."""
     config = config or DescentConfig()
     oracle = OutageOracle(instance, beamformer, qos, config.quad_tol)
-    if p_start is not None:
-        p_init, fallback = p_start.powers.copy(), False
-    else:
-        alloc, fallback = init_powers_pcsi(instance.est_channels, beamformer,
-                                           qos, instance.noise_var)
-        p_init = alloc.powers
-    return _run_descent(oracle, beamformer, qos, config, p_init, fallback)
+    return _run_descent(oracle, instance, beamformer, qos, config, p_start)

@@ -3,7 +3,6 @@ quadratic-form view of the per-user outage constraint."""
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -120,19 +119,11 @@ class ScenarioInstance:
         return roots[:, 0], roots[:, 1]
 
 
-class BeamformerKind(enum.Enum):
-    ZF = "zf"
-    RCI = "rci"
-    PCSI = "pcsi"
-    CUSTOM = "custom"
-
-
 @dataclass(frozen=True)
 class BeamformerMatrix:
     """Fixed (unnormalized) transmit directions, one column per user."""
 
     columns: np.ndarray
-    kind: BeamformerKind = BeamformerKind.CUSTOM
 
     def __post_init__(self):
         b = np.asarray(self.columns, dtype=complex)
@@ -221,12 +212,7 @@ def simulate_uplink_estimate(true_channels: np.ndarray, sigma2_bs: float,
 
 def build_zf(est_channels: np.ndarray) -> BeamformerMatrix:
     """Zero-forcing directions for the estimated channels: B = H^H (H H^H)^-1."""
-    hh = np.asarray(est_channels, dtype=complex)
-    gram = hh @ hh.conj().T
-    if np.linalg.cond(gram) > 1e12:
-        raise SingularChannel("estimated channel Gram matrix is ill conditioned")
-    cols = hh.conj().T @ np.linalg.inv(gram)
-    return BeamformerMatrix(columns=cols, kind=BeamformerKind.ZF)
+    return build_rci(est_channels, 0.0)
 
 
 def build_rci(est_channels: np.ndarray, alpha: float) -> BeamformerMatrix:
@@ -238,9 +224,7 @@ def build_rci(est_channels: np.ndarray, alpha: float) -> BeamformerMatrix:
     gram = hh @ hh.conj().T + alpha * np.eye(k)
     if alpha == 0 and np.linalg.cond(gram) > 1e12:
         raise SingularChannel("estimated channel Gram matrix is ill conditioned")
-    cols = hh.conj().T @ np.linalg.inv(gram)
-    kind = BeamformerKind.ZF if alpha == 0 else BeamformerKind.RCI
-    return BeamformerMatrix(columns=cols, kind=kind)
+    return BeamformerMatrix(columns=hh.conj().T @ np.linalg.inv(gram))
 
 
 def build_pcsi_directions(est_channels: np.ndarray, qos: QoSSpec,
@@ -284,7 +268,7 @@ def build_pcsi_directions(est_channels: np.ndarray, qos: QoSSpec,
         raise Diverged("virtual uplink iteration did not converge")
     _, cols = mmse_gains(q)
     cols = cols / np.linalg.norm(cols, axis=0, keepdims=True)
-    return BeamformerMatrix(columns=cols, kind=BeamformerKind.PCSI)
+    return BeamformerMatrix(columns=cols)
 
 
 def sinr(channel_row: np.ndarray, beamformer: BeamformerMatrix,

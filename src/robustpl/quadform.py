@@ -29,6 +29,7 @@ from .model import (
     QoSSpec,
     QuadraticOutageForm,
     ScenarioInstance,
+    _as_rng,
     complex_normal,
     psd_sqrt,  # noqa: F401 (perfbench/tracing.py wraps this name)
 )
@@ -436,8 +437,7 @@ def mc_probability(instance: ScenarioInstance, beamformer: BeamformerMatrix,
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
-    rng = np.random.default_rng(rng_seed) if not isinstance(
-        rng_seed, np.random.Generator) else rng_seed
+    rng = _as_rng(rng_seed)
     chalf = instance.cov_roots[0][k]
     est_row = instance.est_channels[k]
     b = beamformer.columns

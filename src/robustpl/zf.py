@@ -27,7 +27,6 @@ from .model import (
     ScenarioInstance,
     ZF_TOL,
     build_outage_form,  # noqa: F401 (perfbench/tracing.py wraps this name)
-    init_powers_pcsi,
     psd_sqrt,  # noqa: F401 (perfbench/tracing.py wraps this name)
 )
 from .quadform import EigenSpectrum, cdf_quadrature
@@ -69,18 +68,16 @@ class ZfApproxParams:
 
     eta: np.ndarray
     gamma_prime: np.ndarray
-    eta_multiple: float
     r_tilde_norm2: np.ndarray
 
 
 @dataclass(frozen=True)
 class ResidueSpectrum:
     """Descending eigenvalues of the negated quadratic-form matrix, with the
-    zero modes masked out and the negative eigenvalue located."""
+    zero modes masked out."""
 
     eigenvalues: np.ndarray
     nonzero: np.ndarray
-    r_index: int
 
 
 def zf_params(instance: ScenarioInstance, beamformer: BeamformerMatrix,
@@ -105,33 +102,27 @@ def zf_params(instance: ScenarioInstance, beamformer: BeamformerMatrix,
         raise ApproximationInapplicable(
             f"1 + eta <= 0 for some user (min eta {eta.min():.4f})")
     return ZfApproxParams(eta=eta, gamma_prime=qos.gamma / (1.0 + eta),
-                          eta_multiple=eta_multiple, r_tilde_norm2=r_norm2)
+                          r_tilde_norm2=r_norm2)
 
 
 def residue_spectrum(minus_q: np.ndarray) -> ResidueSpectrum:
     """Eigen-data of -Q sorted descending, zero modes thresholded away."""
     lam = np.linalg.eigvalsh(minus_q)[::-1]
     thresh = 1e-12 * max(1.0, float(np.max(np.abs(lam), initial=0.0)))
-    nonzero = np.abs(lam) > thresh
-    negatives = np.flatnonzero(nonzero & (lam < 0))
-    r_index = int(negatives[0]) if negatives.size else -1
-    return ResidueSpectrum(eigenvalues=lam, nonzero=nonzero, r_index=r_index)
+    return ResidueSpectrum(eigenvalues=lam, nonzero=np.abs(lam) > thresh)
 
 
-def _check_distinct(lam_nz: np.ndarray):
-    for i in range(lam_nz.size - 1):
-        a, b = lam_nz[i], lam_nz[i + 1]
-        if abs(a - b) <= RELATIVE_GAP_TOL * max(abs(a), abs(b)):
-            raise DegenerateSpectrum(f"eigenvalues collide: {a} ~ {b}")
-
-
-def _residue_terms(lam_nz: np.ndarray, u: float, which: np.ndarray) -> float:
-    total = 0.0
-    for idx in np.flatnonzero(which):
-        lam_l = lam_nz[idx]
-        others = np.delete(lam_nz, idx)
-        total += -np.exp(-u / lam_l) / np.prod(1.0 - others / lam_l)
-    return total
+def _residue_weights(lam_nz: np.ndarray) -> np.ndarray:
+    """prod_{j != l} (1 - lam_j / lam_l) for every l of the descending
+    nonzero eigenvalues; raises DegenerateSpectrum when two of them collide."""
+    scale = np.maximum(np.abs(lam_nz[:-1]), np.abs(lam_nz[1:]))
+    close = np.abs(np.diff(lam_nz)) <= RELATIVE_GAP_TOL * scale
+    if np.any(close):
+        i = int(np.argmax(close))
+        raise DegenerateSpectrum(f"eigenvalues collide: {lam_nz[i]} ~ {lam_nz[i + 1]}")
+    ratios = 1.0 - lam_nz[None, :] / lam_nz[:, None]
+    np.fill_diagonal(ratios, 1.0)
+    return np.prod(ratios, axis=1)
 
 
 def residue_probability(spectrum: ResidueSpectrum, p_k: float,
@@ -145,12 +136,13 @@ def residue_probability(spectrum: ResidueSpectrum, p_k: float,
     and products over nonzero eigenvalues only.
     """
     lam_nz = spectrum.eigenvalues[spectrum.nonzero]
-    _check_distinct(lam_nz)
+    weights = _residue_weights(lam_nz)
     u = p_k / gamma_prime_k - sigma_k2
-    if u >= 0.0:
-        raw = 1.0 + _residue_terms(lam_nz, u, lam_nz > 0)
-    else:
-        raw = -_residue_terms(lam_nz, u, lam_nz < 0)
+    # only the selected sign is exponentiated: exp(-u / lam) of the other
+    # sign can overflow
+    which = lam_nz > 0 if u >= 0.0 else lam_nz < 0
+    total = sum(np.exp(-u / lam_nz[which]) / weights[which])
+    raw = 1.0 - total if u >= 0.0 else total
     if raw < -1e-5 or raw > 1.0 + 1e-5:
         raise DegenerateSpectrum(f"residue sum out of range: {raw}")
     return float(min(1.0, max(0.0, raw)))
@@ -164,8 +156,9 @@ class _SurrogateOracle(OutageOracle):
     When nonzero eigenvalues collide it integrates the same eigenvalues by
     quadrature instead: the surrogate has no linear term, so the rotated
     centre is zero.  ``exact`` and ``exact_all`` keep the exact
-    probabilities, and ``step`` is the coordinate update of
-    ``coord_update_step``, shared with ``solve_zf_coord_update``.
+    probabilities, which ``report`` certifies the returned powers with, and
+    ``step`` is the coordinate update of ``coord_update_step``, shared with
+    ``solve_zf_coord_update``.
     """
 
     def __init__(self, instance: ScenarioInstance, beamformer: BeamformerMatrix,
@@ -208,6 +201,12 @@ class _SurrogateOracle(OutageOracle):
             trial[k] *= 2.0
         return float(trial[k])
 
+    def report(self, status, beamformer, p, probs, t0, **counts) -> SolveReport:
+        exact = self.exact_all(p)  # before the base report reads the clock
+        result = super().report(status, beamformer, p, probs, t0, **counts)
+        result.per_user_prob_exact, result.per_user_prob_approx = exact, probs
+        return result
+
 
 def solve_zf_coord_descent(instance: ScenarioInstance,
                            beamformer: BeamformerMatrix, qos: QoSSpec,
@@ -221,16 +220,7 @@ def solve_zf_coord_descent(instance: ScenarioInstance,
     config = config or DescentConfig()
     params = zf_params(instance, beamformer, qos, eta_multiple)
     oracle = _SurrogateOracle(instance, beamformer, qos, params, config.quad_tol)
-    if p_start is not None:
-        p_init, fallback = p_start.powers.copy(), False
-    else:
-        alloc, fallback = init_powers_pcsi(instance.est_channels, beamformer,
-                                           qos, instance.noise_var)
-        p_init = alloc.powers
-    report = _run_descent(oracle, beamformer, qos, config, p_init, fallback)
-    report.per_user_prob_approx = report.per_user_prob
-    report.per_user_prob_exact = oracle.exact_all(report.powers.powers)
-    return report
+    return _run_descent(oracle, instance, beamformer, qos, config, p_start)
 
 
 def _single_user_power(gamma_k, gamma_prime_k, sigma_k2, r_norm2, epsilon_k):
@@ -258,7 +248,7 @@ def coord_update_init(instance: ScenarioInstance, beamformer: BeamformerMatrix,
         spec = oracle.spectrum(np.ones(n), k)
         lam_nz = spec.eigenvalues[spec.nonzero]
         try:
-            _check_distinct(lam_nz)
+            weights = _residue_weights(lam_nz)
         except DegenerateSpectrum:
             continue
         if lam_nz.size == 0 or lam_nz[0] <= 0:
@@ -266,9 +256,8 @@ def coord_update_init(instance: ScenarioInstance, beamformer: BeamformerMatrix,
                                        sigma2[k], params.r_tilde_norm2[k],
                                        qos.epsilon[k])
             continue
-        lam1 = lam_nz[0]
-        prod = np.prod(1.0 - lam_nz[1:] / lam1)
-        denom = 1.0 / params.gamma_prime[k] + lam1 * np.log(qos.epsilon[k] * prod)
+        denom = (1.0 / params.gamma_prime[k]
+                 + lam_nz[0] * np.log(qos.epsilon[k] * weights[0]))
         if denom > 0:
             p0[k] = sigma2[k] / denom
     return PowerAllocation(powers=p0)
@@ -282,7 +271,7 @@ def _step_from_spectrum(lam_nz: np.ndarray, gamma_k, gamma_prime_k, sigma_k2,
     if that root is outside (0, gamma' s2), takes the conservative
     dominant-positive-eigenvalue root and floors it at gamma' s2.
     """
-    _check_distinct(lam_nz)
+    weights = _residue_weights(lam_nz)
     negatives = np.flatnonzero(lam_nz < 0)
     positives = np.flatnonzero(lam_nz > 0)
     if positives.size == 0:
@@ -290,17 +279,13 @@ def _step_from_spectrum(lam_nz: np.ndarray, gamma_k, gamma_prime_k, sigma_k2,
                                   epsilon_k)
     gp_s2 = gamma_prime_k * sigma_k2
     if negatives.size:
-        lam_r = lam_nz[negatives[0]]
-        others = np.delete(lam_nz, negatives[0])
-        prod_r = np.prod(1.0 - others / lam_r)
-        p_tilde = gp_s2 - gamma_prime_k * lam_r * np.log((1.0 - epsilon_k) * prod_r)
+        lam_r, w_r = lam_nz[negatives[0]], weights[negatives[0]]
+        p_tilde = gp_s2 - gamma_prime_k * lam_r * np.log((1.0 - epsilon_k) * w_r)
         if 0.0 < p_tilde < gp_s2:
             return float(p_tilde)
-    lam1 = lam_nz[positives[0]]
-    others = np.delete(lam_nz, positives[0])
-    prod_1 = np.prod(1.0 - others / lam1)
+    lam1, w1 = lam_nz[positives[0]], weights[positives[0]]
     g = gamma_k if literal_gamma else gamma_prime_k
-    p_breve = g * sigma_k2 - g * lam1 * np.log(epsilon_k * prod_1)
+    p_breve = g * sigma_k2 - g * lam1 * np.log(epsilon_k * w1)
     return float(max(p_breve, gp_s2))
 
 
@@ -367,12 +352,6 @@ def solve_zf_coord_update(instance: ScenarioInstance,
             p *= 1.0 + 4e-6
             probs = np.array([prob(p, k) for k in range(n)])
         feasible = bool(np.all(probs >= floor))
-    alloc = PowerAllocation(powers=p)
-    exact = prob.exact_all(p)
-    return SolveReport(
-        status=SolveStatus.SOLVED if feasible else SolveStatus.CYCLE_LIMIT,
-        powers=alloc, per_user_prob=probs, per_user_prob_exact=exact,
-        total_power=alloc.total_power(beamformer), cycles=cycles,
-        bisection_steps=bisect_steps, integral_evals=prob.evals,
-        wall_time=time.perf_counter() - t0, init_fallback=False,
-        per_user_prob_approx=probs.copy())
+    status = SolveStatus.SOLVED if feasible else SolveStatus.CYCLE_LIMIT
+    return prob.report(status, beamformer, p, probs, t0, cycles=cycles,
+                       bisection_steps=bisect_steps)

@@ -42,6 +42,13 @@ class TestConfig:
         with pytest.raises(ValueError):
             small_config(methods=("ZF-General", "Nonsense"))
 
+    @pytest.mark.parametrize("field, value", [("delta_min", 0), ("quad_tol", -1),
+                                              ("i_max", -1),
+                                              ("mc_certify_samples", -5)])
+    def test_rejects_out_of_range_solver_settings(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            small_config(**{field: value})
+
     def test_json_round_trip_rejects_unknown_keys(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({
@@ -222,6 +229,12 @@ class TestCli:
         path.write_text(json.dumps({"n_tx": 3, "weird": 1}))
         out = tmp_path / "r.csv"
         assert cli_main(["sweep", "--config", str(path), "--out", str(out)]) == 1
+
+    def test_out_of_range_solver_setting_fails(self, tmp_path):
+        cfg = self.write_config(tmp_path, delta_min=0)
+        out = tmp_path / "records.csv"
+        assert cli_main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+        assert not out.exists()
 
     def test_missing_input_fails(self, tmp_path):
         assert cli_main(["aggregate", "--in", str(tmp_path / "nope.csv"),

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from robustpl import (
     DescentConfig,
@@ -14,6 +15,8 @@ from robustpl import (
     outage_probability,
     residue_spectrum,
     solve_general,
+    solve_zf_coord_descent,
+    solve_zf_coord_update,
     zf_params,
 )
 from robustpl.descent import _bisect_user_power, _find_feasible_start
@@ -34,7 +37,7 @@ def feasible_start(instance, beamformer, qos, config=None):
     oracle = OutageOracle(instance, beamformer, qos, config.quad_tol)
     p_init, _ = init_powers_pcsi(instance.est_channels, beamformer, qos,
                                  instance.noise_var)
-    p, _, _, feasible = _find_feasible_start(oracle, beamformer, qos, config,
+    p, _, _, feasible = _find_feasible_start(oracle, beamformer, qos,
                                              p_init.powers)
     return PowerAllocation(powers=p), feasible
 
@@ -289,3 +292,16 @@ class TestOutageOracle:
         report = solve_general(inst, b, qos)
         assert report.solved
         assert report.integral_evals == len(calls)
+
+    @pytest.mark.parametrize("solver", [solve_general, solve_zf_coord_descent,
+                                        solve_zf_coord_update])
+    def test_report_matches_returned_powers(self, solver):
+        inst, b, qos = make_zf_setup(9)
+        report = solver(inst, b, qos)
+        p = report.powers.powers
+        norms2 = np.sum(np.abs(b.columns) ** 2, axis=0)
+        assert report.total_power == pytest.approx(float(p @ norms2), rel=1e-12)
+        for k in range(qos.n_users):
+            want = exact_prob(inst, b, qos, p, k)
+            assert abs(report.per_user_prob_exact[k] - want) <= 1e-8
+        assert (report.per_user_prob_approx is None) == (solver is solve_general)
