@@ -41,7 +41,6 @@ from .descent import (
 from .zf import (
     ApproximationInapplicable,
     DegenerateSpectrum,
-    ResidueSpectrum,
     ZfApproxParams,
     coord_update_init,
     coord_update_step,

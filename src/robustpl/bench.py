@@ -46,29 +46,9 @@ __all__ = [
 METHODS = ("PCSI-General", "RCI-General", "ZF-General",
            "ZF-CoordDescent", "ZF-CoordUpdate")
 
-RECORD_HEADER = ("method,gamma_db,sigma_e2,trial,feasible_start,success,"
-                 "total_power,cycles,bisection_steps,integral_evals,runtime_ms")
-SUMMARY_HEADER = ("method,gamma_db,sigma_e2,success_pct,avg_power_common,"
-                  "median_cycles,median_bisections")
-
 
 class EmptyIntersection(Exception):
     """No trial succeeded for every method at every operating point."""
-
-
-# The records file must be byte-identical across reruns of the same seeded
-# config, so the runtime column carries a deterministic nominal cost (one
-# weight per evaluation kind, calibrated to observed magnitudes) rather than
-# wall-clock time.  Wall time stays on the in-memory SolveReport.
-QUADRATURE_EVAL_MS = 1.5
-RESIDUE_EVAL_MS = 0.03
-
-
-def _nominal_cost_ms(report, n_users: int) -> float:
-    if report.per_user_prob_approx is None:
-        return QUADRATURE_EVAL_MS * report.integral_evals
-    return (RESIDUE_EVAL_MS * report.integral_evals
-            + QUADRATURE_EVAL_MS * n_users)
 
 
 @dataclass(frozen=True)
@@ -138,17 +118,24 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class TrialRecord:
+    """One row of the records file.
+
+    ``status`` is the solver's ``SolveStatus`` value, ``fallback_general``
+    when a ZF surrogate method's target was undefined and ``solve_general``
+    solved the point instead, or the exception's class name when the solve
+    raised (success 0, power 0, no evaluations).
+    """
+
     method: str
     gamma_db: float
     sigma_e2: float
     trial: int
-    feasible_start: bool
+    status: str
     success: bool
     total_power: float
     cycles: int
     bisection_steps: int
     integral_evals: int
-    runtime_ms: float
 
 
 @dataclass(frozen=True)
@@ -174,18 +161,12 @@ def _run_method(method: str, instance: ScenarioInstance, est, qos: QoSSpec,
     bf = build_zf(est)
     if method == "ZF-General":
         return bf, solve_general(instance, bf, qos, dconf)
-    try:
-        if method == "ZF-CoordDescent":
-            return bf, zfmod.solve_zf_coord_descent(
-                instance, bf, qos, dconf, eta_multiple=config.eta_multiple)
-        if method == "ZF-CoordUpdate":
-            return bf, zfmod.solve_zf_coord_update(
-                instance, bf, qos, i_max=config.i_max,
-                eta_multiple=config.eta_multiple, quad_tol=config.quad_tol)
-    except zfmod.ApproximationInapplicable:
-        # surrogate target undefined at this uncertainty; exact solver instead
-        return bf, solve_general(instance, bf, qos, dconf)
-    raise ValueError(f"unknown method {method!r}")
+    if method == "ZF-CoordDescent":
+        return bf, zfmod.solve_zf_coord_descent(
+            instance, bf, qos, dconf, eta_multiple=config.eta_multiple)
+    return bf, zfmod.solve_zf_coord_update(
+        instance, bf, qos, i_max=config.i_max,
+        eta_multiple=config.eta_multiple, quad_tol=config.quad_tol)
 
 
 def run_trial(config: ExperimentConfig, trial: int) -> list:
@@ -205,20 +186,26 @@ def run_trial(config: ExperimentConfig, trial: int) -> list:
             for g_idx, gdb in enumerate(config.gamma_db):
                 qos = QoSSpec.from_db(gdb, config.epsilon, k)
                 try:
-                    bf, report = _run_method(method, instance, est, qos, config)
-                except Exception:
+                    try:
+                        bf, report = _run_method(method, instance, est, qos, config)
+                        status = report.status.value
+                    except zfmod.ApproximationInapplicable:
+                        # surrogate target undefined at this uncertainty
+                        bf, report = _run_method("ZF-General", instance, est,
+                                                 qos, config)
+                        status = "fallback_general"
+                except Exception as exc:
                     # e.g. Diverged direction solves; a failed solve is a
                     # failed trial, never a failed sweep
                     records.append(TrialRecord(
                         method=method, gamma_db=gdb, sigma_e2=se2, trial=trial,
-                        feasible_start=False, success=False, total_power=0.0,
-                        cycles=0, bisection_steps=0, integral_evals=0,
-                        runtime_ms=0.0))
+                        status=type(exc).__name__, success=False,
+                        total_power=0.0, cycles=0, bisection_steps=0,
+                        integral_evals=0))
                     continue
-                runtime_ms = _nominal_cost_ms(report, k)
-                feasible_start = report.status is not SolveStatus.INFEASIBLE_START_NOT_FOUND
-                success = bool(feasible_start and np.all(
-                    report.per_user_prob_exact >= 1.0 - qos.epsilon))
+                success = bool(
+                    report.status is not SolveStatus.INFEASIBLE_START_NOT_FOUND
+                    and np.all(report.per_user_prob_exact >= 1.0 - qos.epsilon))
                 if success and config.mc_certify_samples > 0:
                     for u in range(k):
                         mc = mc_probability(
@@ -230,11 +217,10 @@ def run_trial(config: ExperimentConfig, trial: int) -> list:
                             break
                 records.append(TrialRecord(
                     method=method, gamma_db=gdb, sigma_e2=se2, trial=trial,
-                    feasible_start=feasible_start, success=success,
+                    status=status, success=success,
                     total_power=report.total_power, cycles=report.cycles,
                     bisection_steps=report.bisection_steps,
-                    integral_evals=report.integral_evals,
-                    runtime_ms=runtime_ms))
+                    integral_evals=report.integral_evals))
     return records
 
 
@@ -307,36 +293,33 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def export_records(records: list, path) -> None:
+def _write_rows(path, row_type, rows: list) -> None:
+    """One header line of row_type's field names, then one line per row."""
+    names = [f.name for f in dc_fields(row_type)]
     with open(path, "w", newline="") as fh:
-        fh.write(RECORD_HEADER + "\n")
-        for rec in records:
-            fh.write(",".join(_fmt(getattr(rec, f.name))
-                              for f in dc_fields(TrialRecord)) + "\n")
+        fh.write(",".join(names) + "\n")
+        for row in rows:
+            fh.write(",".join(_fmt(getattr(row, n)) for n in names) + "\n")
+
+
+def export_records(records: list, path) -> None:
+    _write_rows(path, TrialRecord, records)
+
+
+# column parsers by field type; the annotations are strings in this module
+_PARSE = {"str": str, "int": int, "float": float, "bool": lambda s: s == "1"}
 
 
 def read_records(path) -> list:
-    records = []
+    columns = dc_fields(TrialRecord)
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames != RECORD_HEADER.split(","):
+        if reader.fieldnames != [f.name for f in columns]:
             raise ValueError(f"unexpected record header in {path}")
-        for row in reader:
-            records.append(TrialRecord(
-                method=row["method"], gamma_db=float(row["gamma_db"]),
-                sigma_e2=float(row["sigma_e2"]), trial=int(row["trial"]),
-                feasible_start=row["feasible_start"] == "1",
-                success=row["success"] == "1",
-                total_power=float(row["total_power"]), cycles=int(row["cycles"]),
-                bisection_steps=int(row["bisection_steps"]),
-                integral_evals=int(row["integral_evals"]),
-                runtime_ms=float(row["runtime_ms"])))
-    return records
+        return [TrialRecord(**{f.name: _PARSE[f.type](row[f.name])
+                               for f in columns})
+                for row in reader]
 
 
 def export_summary(rows: list, path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(SUMMARY_HEADER + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(getattr(row, f.name))
-                              for f in dc_fields(SummaryRow)) + "\n")
+    _write_rows(path, SummaryRow, rows)

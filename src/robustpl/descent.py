@@ -50,8 +50,8 @@ class SolveStatus(enum.Enum):
 class DescentConfig:
     """Knobs for the coordinate-descent solvers.
 
-    ``delta_min`` is the probability-band width, a scalar or one value per
-    user; every cycle bisects into the band delta_min from the first cycle.
+    ``delta_min`` is the probability-band width of every user; every cycle
+    bisects into the band delta_min from the first cycle.
     """
 
     delta_min: float = 1e-3
@@ -59,14 +59,10 @@ class DescentConfig:
     strict_checks: bool = False
 
     def __post_init__(self):
-        if np.any(np.asarray(self.delta_min) <= 0):
-            raise ValueError("delta_min must be positive")
+        if np.ndim(self.delta_min) != 0 or not self.delta_min > 0:
+            raise ValueError("delta_min must be a positive scalar")
         if not self.quad_tol > 0:
             raise ValueError("quad_tol must be positive")
-
-    def delta_min_for(self, n_users: int) -> np.ndarray:
-        return np.broadcast_to(np.asarray(self.delta_min, dtype=float),
-                               (n_users,))
 
 
 @dataclass
@@ -89,9 +85,7 @@ class SolveReport:
     bisection_steps: int
     integral_evals: int
     wall_time: float
-    init_fallback: bool = False
     doublings: int = 0
-    per_user_prob_approx: np.ndarray = None
 
     @property
     def solved(self) -> bool:
@@ -237,13 +231,12 @@ def _run_descent(oracle: OutageOracle, instance: ScenarioInstance,
                  beamformer: BeamformerMatrix, qos: QoSSpec,
                  config: DescentConfig, p_start: PowerAllocation):
     """The shared engine on a fresh oracle (its ``evals`` are the report's):
-    start from p_start, or from ``init_powers_pcsi`` with its fallback flag;
-    double to a feasible start; then bisect cyclically."""
+    start from p_start or from ``init_powers_pcsi``; double to a feasible
+    start; then bisect cyclically."""
     t0 = time.perf_counter()
-    init_fallback = False
     if p_start is None:
-        p_start, init_fallback = init_powers_pcsi(
-            instance.est_channels, beamformer, qos, instance.noise_var)
+        p_start = init_powers_pcsi(
+            instance.est_channels, beamformer, qos, instance.noise_var)[0]
     n_users = qos.n_users
     floor = 1.0 - qos.epsilon
 
@@ -251,7 +244,7 @@ def _run_descent(oracle: OutageOracle, instance: ScenarioInstance,
         oracle, beamformer, qos, p_start.powers)
     bisect_steps = 0
     cycles = 0
-    delta_min = config.delta_min_for(n_users)
+    delta_min = float(config.delta_min)
     status = (SolveStatus.CYCLE_LIMIT if feasible
               else SolveStatus.INFEASIBLE_START_NOT_FOUND)
     while feasible:
@@ -268,7 +261,7 @@ def _run_descent(oracle: OutageOracle, instance: ScenarioInstance,
         for k in range(n_users):
             cached = None if dirty else probs[k]
             new_pk, prob_k, steps = _bisect_user_power(
-                oracle, p, k, float(delta_min[k]), float(qos.epsilon[k]), cached)
+                oracle, p, k, delta_min, float(qos.epsilon[k]), cached)
             bisect_steps += steps
             if new_pk != p[k]:
                 dirty = True
@@ -292,8 +285,7 @@ def _run_descent(oracle: OutageOracle, instance: ScenarioInstance,
             break
 
     return oracle.report(status, beamformer, p, probs, t0, cycles=cycles,
-                         bisection_steps=bisect_steps,
-                         init_fallback=init_fallback, doublings=doublings)
+                         bisection_steps=bisect_steps, doublings=doublings)
 
 
 def solve_general(instance: ScenarioInstance, beamformer: BeamformerMatrix,

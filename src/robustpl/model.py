@@ -228,16 +228,16 @@ def build_rci(est_channels: np.ndarray, alpha: float) -> BeamformerMatrix:
 
 
 def build_pcsi_directions(est_channels: np.ndarray, qos: QoSSpec,
-                          noise_var, max_sweeps: int = 10_000,
-                          rel_tol: float = 1e-10) -> BeamformerMatrix:
+                          noise_var, max_sweeps: int = 10_000) -> BeamformerMatrix:
     """Optimal fixed directions when the estimates are treated as exact.
 
     Solves the classical power-minimization beamforming problem through its
     virtual-uplink fixed point: iterate
         q_k <- gamma_k / ((1 + gamma_k) h_k^H R(q)^-1 h_k),
         R(q) = sigma_k^2 I + sum_j q_j h_j h_j^H,
-    then take direction k as the normalized vector R(q)^-1 h_k.  Requires the
-    uplink problem to be feasible; raises Diverged otherwise.
+    to a relative change below 1e-10, then take direction k as the
+    normalized vector R(q)^-1 h_k.  Requires the uplink problem to be
+    feasible; raises Diverged otherwise.
     """
     hh = np.asarray(est_channels, dtype=complex)
     k, nt = hh.shape
@@ -260,7 +260,7 @@ def build_pcsi_directions(est_channels: np.ndarray, qos: QoSSpec,
         q_new = ratio / gains
         if not np.all(np.isfinite(q_new)) or np.any(q_new <= 0):
             raise Diverged("virtual uplink iteration produced invalid powers")
-        if np.max(np.abs(q_new - q) / np.maximum(q_new, 1e-300)) < rel_tol:
+        if np.max(np.abs(q_new - q) / np.maximum(q_new, 1e-300)) < 1e-10:
             q = q_new
             break
         q = q_new

@@ -419,12 +419,12 @@ def cdf_quadrature(spectrum: EigenSpectrum, tau: float, tol: float = 1e-8,
     return estimate
 
 
-def outage_probability(form: QuadraticOutageForm, tol: float = 1e-8,
-                       strict: bool = True) -> ProbabilityEstimate:
+def outage_probability(form: QuadraticOutageForm,
+                       tol: float = 1e-8) -> ProbabilityEstimate:
     """Probability that the SINR target is met, Pr(SINR_k >= gamma_k),
     evaluated as the CDF of the recentred quadratic form at tau (one
     eigendecomposition of -Q)."""
-    return cdf_quadrature(_spectrum(-form.Q, form.a), form.tau, tol=tol, strict=strict)
+    return cdf_quadrature(_spectrum(-form.Q, form.a), form.tau, tol=tol)
 
 
 def mc_probability(instance: ScenarioInstance, beamformer: BeamformerMatrix,

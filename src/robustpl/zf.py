@@ -36,7 +36,6 @@ __all__ = [
     "ApproximationInapplicable",
     "DegenerateSpectrum",
     "ZfApproxParams",
-    "ResidueSpectrum",
     "zf_params",
     "residue_spectrum",
     "residue_probability",
@@ -71,15 +70,6 @@ class ZfApproxParams:
     r_tilde_norm2: np.ndarray
 
 
-@dataclass(frozen=True)
-class ResidueSpectrum:
-    """Descending eigenvalues of the negated quadratic-form matrix, with the
-    zero modes masked out."""
-
-    eigenvalues: np.ndarray
-    nonzero: np.ndarray
-
-
 def zf_params(instance: ScenarioInstance, beamformer: BeamformerMatrix,
               qos: QoSSpec,
               eta_multiple: float = DEFAULT_ETA_MULTIPLE) -> ZfApproxParams:
@@ -105,11 +95,12 @@ def zf_params(instance: ScenarioInstance, beamformer: BeamformerMatrix,
                           r_tilde_norm2=r_norm2)
 
 
-def residue_spectrum(minus_q: np.ndarray) -> ResidueSpectrum:
-    """Eigen-data of -Q sorted descending, zero modes thresholded away."""
+def residue_spectrum(minus_q: np.ndarray) -> np.ndarray:
+    """The nonzero eigenvalues of -Q, descending; zero modes are those below
+    1e-12 of the largest magnitude (``cdf_quadrature``'s threshold)."""
     lam = np.linalg.eigvalsh(minus_q)[::-1]
     thresh = 1e-12 * max(1.0, float(np.max(np.abs(lam), initial=0.0)))
-    return ResidueSpectrum(eigenvalues=lam, nonzero=np.abs(lam) > thresh)
+    return lam[np.abs(lam) > thresh]
 
 
 def _residue_weights(lam_nz: np.ndarray) -> np.ndarray:
@@ -125,7 +116,7 @@ def _residue_weights(lam_nz: np.ndarray) -> np.ndarray:
     return np.prod(ratios, axis=1)
 
 
-def residue_probability(spectrum: ResidueSpectrum, p_k: float,
+def residue_probability(lam_nz: np.ndarray, p_k: float,
                         gamma_prime_k: float, sigma_k2: float) -> float:
     """Exact CDF of the surrogate outage margin by residues.
 
@@ -133,9 +124,8 @@ def residue_probability(spectrum: ResidueSpectrum, p_k: float,
         1 + sum over positive eigenvalues of f_l   if p_k >= gamma'_k s2
         -f at the negative eigenvalue              otherwise,
     with f_l = -exp(-(p_k/gamma'_k - s2)/lam_l) / prod_{j != l}(1 - lam_j/lam_l)
-    and products over nonzero eigenvalues only.
+    and products over the nonzero eigenvalues lam_nz (``residue_spectrum``).
     """
-    lam_nz = spectrum.eigenvalues[spectrum.nonzero]
     weights = _residue_weights(lam_nz)
     u = p_k / gamma_prime_k - sigma_k2
     # only the selected sign is exponentiated: exp(-u / lam) of the other
@@ -166,26 +156,25 @@ class _SurrogateOracle(OutageOracle):
         super().__init__(instance, beamformer, qos, quad_tol)
         self.params, self.epsilon = params, qos.epsilon
 
-    def spectrum(self, powers: np.ndarray, k: int) -> ResidueSpectrum:
+    def spectrum(self, powers: np.ndarray, k: int) -> np.ndarray:
         return residue_spectrum(self.q_matrix(-self.signed_powers(powers, k), k))
 
     def constraint(self, powers: np.ndarray, k: int) -> float:
-        spec = self.spectrum(powers, k)
+        lam_nz = self.spectrum(powers, k)
         gamma_prime, sigma2 = float(self.params.gamma_prime[k]), float(self.noise_var[k])
         try:
-            return residue_probability(spec, float(powers[k]), gamma_prime, sigma2)
+            return residue_probability(lam_nz, float(powers[k]), gamma_prime, sigma2)
         except DegenerateSpectrum:
-            lam = spec.eigenvalues
-            centred = EigenSpectrum(eigenvalues=lam, z_tilde=np.zeros(lam.size))
+            centred = EigenSpectrum(eigenvalues=lam_nz, z_tilde=np.zeros(lam_nz.size))
             u = float(powers[k] / gamma_prime - sigma2)
             return cdf_quadrature(centred, u, tol=self.quad_tol).value
 
     def step(self, p_frozen: np.ndarray, k: int, literal_gamma: bool) -> float:
-        spec = self.spectrum(p_frozen, k)
+        lam_nz = self.spectrum(p_frozen, k)
         epsilon_k = float(self.epsilon[k])
         try:
             return _step_from_spectrum(
-                spec.eigenvalues[spec.nonzero], float(self.gamma[k]),
+                lam_nz, float(self.gamma[k]),
                 float(self.params.gamma_prime[k]), float(self.noise_var[k]),
                 epsilon_k, float(self.params.r_tilde_norm2[k]), literal_gamma)
         except DegenerateSpectrum:
@@ -204,7 +193,7 @@ class _SurrogateOracle(OutageOracle):
     def report(self, status, beamformer, p, probs, t0, **counts) -> SolveReport:
         exact = self.exact_all(p)  # before the base report reads the clock
         result = super().report(status, beamformer, p, probs, t0, **counts)
-        result.per_user_prob_exact, result.per_user_prob_approx = exact, probs
+        result.per_user_prob_exact = exact
         return result
 
 
@@ -245,8 +234,7 @@ def coord_update_init(instance: ScenarioInstance, beamformer: BeamformerMatrix,
     n, sigma2 = qos.n_users, instance.noise_var
     p0 = qos.gamma * sigma2  # the fallback
     for k in range(n):
-        spec = oracle.spectrum(np.ones(n), k)
-        lam_nz = spec.eigenvalues[spec.nonzero]
+        lam_nz = oracle.spectrum(np.ones(n), k)
         try:
             weights = _residue_weights(lam_nz)
         except DegenerateSpectrum:

@@ -1,9 +1,12 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+import robustpl.bench
 from robustpl import (
+    Diverged,
     EmptyIntersection,
     ExperimentConfig,
     TrialRecord,
@@ -44,7 +47,8 @@ class TestConfig:
 
     @pytest.mark.parametrize("field, value", [("delta_min", 0), ("quad_tol", -1),
                                               ("i_max", -1),
-                                              ("mc_certify_samples", -5)])
+                                              ("mc_certify_samples", -5),
+                                              ("delta_min", [1e-3, 2e-3, 1e-3])])
     def test_rejects_out_of_range_solver_settings(self, field, value):
         with pytest.raises(ValueError, match=field):
             small_config(**{field: value})
@@ -120,11 +124,32 @@ class TestSweep:
         recs = run_sweep(cfg)
         assert len(recs) == 2
 
+    def test_undefined_surrogate_target_falls_back_to_general(self):
+        # at this uncertainty 1 + eta_k <= 0, so the surrogate solvers'
+        # points are solved by solve_general with the same directions
+        cfg = small_config(methods=("ZF-General", "ZF-CoordUpdate"), seed=7,
+                           training=None, sigma_e2=(0.5,))
+        recs = run_sweep(cfg)
+        general = [r for r in recs if r.method == "ZF-General"]
+        fallback = [r for r in recs if r.method == "ZF-CoordUpdate"]
+        assert [r.status for r in fallback] == ["fallback_general"] * len(general)
+        for g, f in zip(general, fallback):
+            assert dataclasses.replace(g, method=f.method, status=f.status) == f
+
+    def test_failed_direction_solve_records_exception_name(self, monkeypatch):
+        def diverge(*args, **kwargs):
+            raise Diverged("injected")
+        monkeypatch.setattr(robustpl.bench, "build_pcsi_directions", diverge)
+        cfg = small_config(methods=("PCSI-General",), gamma_db=(3.0,), n_trials=1)
+        (rec,) = run_sweep(cfg)
+        assert rec.status == "Diverged"
+        assert (rec.success, rec.total_power, rec.integral_evals) == (False, 0.0, 0)
+
 
 class TestAggregate:
     def test_single_method_all_success(self):
-        recs = [TrialRecord("ZF-General", 3.0, 0.002, t, True, True,
-                            1.0 + t, 1, 10, 12, 5.0) for t in range(4)]
+        recs = [TrialRecord("ZF-General", 3.0, 0.002, t, "solved", True,
+                            1.0 + t, 1, 10, 12) for t in range(4)]
         rows = aggregate(recs)
         assert len(rows) == 1
         assert rows[0].success_pct == 100.0
@@ -133,19 +158,19 @@ class TestAggregate:
     def test_common_subset_restricts_trials(self):
         recs = []
         for t in range(4):
-            recs.append(TrialRecord("ZF-General", 3.0, 0.002, t, True, True,
-                                    1.0, 1, 10, 12, 5.0))
-            recs.append(TrialRecord("ZF-CoordDescent", 3.0, 0.002, t, True,
-                                    t < 2, 2.0, 1, 10, 12, 5.0))
+            recs.append(TrialRecord("ZF-General", 3.0, 0.002, t, "solved", True,
+                                    1.0, 1, 10, 12))
+            recs.append(TrialRecord("ZF-CoordDescent", 3.0, 0.002, t, "solved",
+                                    t < 2, 2.0, 1, 10, 12))
         rows = aggregate(recs, common_subset=True)
         assert all(r.avg_power_common in (1.0, 2.0) for r in rows)
 
     def test_disjoint_success_sets_raise(self):
         recs = [
-            TrialRecord("ZF-General", 3.0, 0.002, 0, True, True, 1.0, 1, 1, 1, 1.0),
-            TrialRecord("ZF-General", 3.0, 0.002, 1, True, False, 1.0, 1, 1, 1, 1.0),
-            TrialRecord("ZF-CoordDescent", 3.0, 0.002, 0, True, False, 1.0, 1, 1, 1, 1.0),
-            TrialRecord("ZF-CoordDescent", 3.0, 0.002, 1, True, True, 1.0, 1, 1, 1, 1.0),
+            TrialRecord("ZF-General", 3.0, 0.002, 0, "solved", True, 1.0, 1, 1, 1),
+            TrialRecord("ZF-General", 3.0, 0.002, 1, "solved", False, 1.0, 1, 1, 1),
+            TrialRecord("ZF-CoordDescent", 3.0, 0.002, 0, "solved", False, 1.0, 1, 1, 1),
+            TrialRecord("ZF-CoordDescent", 3.0, 0.002, 1, "solved", True, 1.0, 1, 1, 1),
         ]
         with pytest.raises(EmptyIntersection):
             aggregate(recs, common_subset=True)
@@ -160,8 +185,8 @@ class TestExport:
         path = tmp_path / "empty.csv"
         export_records([], path)
         assert path.read_text() == (
-            "method,gamma_db,sigma_e2,trial,feasible_start,success,"
-            "total_power,cycles,bisection_steps,integral_evals,runtime_ms\n")
+            "method,gamma_db,sigma_e2,trial,status,success,"
+            "total_power,cycles,bisection_steps,integral_evals\n")
 
     def test_round_trip_is_stable(self, tmp_path):
         cfg = small_config(methods=("ZF-CoordUpdate",), gamma_db=(3.0,))
@@ -223,6 +248,7 @@ class TestCli:
         assert cli_main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
         recs = read_records(out)
         assert len(recs) == 1 and not recs[0].success
+        assert recs[0].status == "infeasible_start_not_found"
 
     def test_unknown_config_key_fails(self, tmp_path):
         path = tmp_path / "cfg.json"
