@@ -120,10 +120,11 @@ class ExperimentConfig:
 class TrialRecord:
     """One row of the records file.
 
-    ``status`` is the solver's ``SolveStatus`` value, ``fallback_general``
-    when a ZF surrogate method's target was undefined and ``solve_general``
-    solved the point instead, or the exception's class name when the solve
-    raised (success 0, power 0, no evaluations).
+    ``status`` is the solver's ``SolveStatus`` value; ``fallback_`` and the
+    ``SolveStatus`` value of ``solve_general`` when a ZF surrogate method's
+    target was undefined and ``solve_general`` solved the point instead; or
+    the exception's class name when the solve raised (success 0, power 0, no
+    evaluations).
     """
 
     method: str
@@ -193,7 +194,7 @@ def run_trial(config: ExperimentConfig, trial: int) -> list:
                         # surrogate target undefined at this uncertainty
                         bf, report = _run_method("ZF-General", instance, est,
                                                  qos, config)
-                        status = "fallback_general"
+                        status = "fallback_" + report.status.value
                 except Exception as exc:
                     # e.g. Diverged direction solves; a failed solve is a
                     # failed trial, never a failed sweep

@@ -12,7 +12,9 @@ offset is placed at the minimizer of the integrand magnitude on the real axis
 (a safeguarded Newton iteration in log beta from the two-moment saddle point),
 where the magnitude along the line peaks at omega = 0.  The integrand is
 exp(tau s - c(s) - g0) / (s prod_m (1 + s lam_m)), g0 its log magnitude at
-omega = 0, without complex logarithms unless the product could overflow.
+omega = 0, without complex logarithms unless the product could overflow, on
+(eigenvalue, node) arrays.  Chernoff bounds answer deep tails; tangents of
+their convex exponent rule out, unminimized, those that cannot reach tol/4.
 """
 
 from __future__ import annotations
@@ -138,16 +140,16 @@ def _log_mag_parts(beta, lam, zt2, tau, log_weight):
     return u, du, v, dv, curv
 
 
-def _pick_beta(lam, zt2, tau, log_weight=1.0):
+def _pick_beta(lam, zt2, tau, log_weight=1.0, moments=None):
     """Minimizer of the (strictly convex) _log_mag over admissible offsets.
 
     Newton on H = log(u / v) (see _log_mag_parts; its slope stays bounded
     where u - v flattens out) in xi = log(beta / (1 - beta/cap)), cap =
     1/|lam_min| the pole, from the positive root of the two-moment expansion
-    s2 b^2 + (tau - mu) b - log_weight = 0.  The sign of u - v keeps a
-    bracket; a step leaving it bisects it, or moves by 2 while it is open.
-    A loose tolerance suffices: the integral is beta-independent, and any
-    admissible beta gives a valid Chernoff bound.
+    s2 b^2 + (tau - mu) b - log_weight = 0 (``moments``: (mu, s2), if known).
+    The sign of u - v keeps a bracket; a step leaving it bisects it, or moves
+    by 2 while it is open.  A loose tolerance suffices: the integral is
+    beta-independent, and any admissible beta gives a valid Chernoff bound.
     """
     lam_min = min(lam)
     cap = -1.0 / lam_min if lam_min < 0 else math.inf
@@ -160,8 +162,7 @@ def _pick_beta(lam, zt2, tau, log_weight=1.0):
         e = math.exp(min(xi, 700.0))
         return e / (1.0 + e / cap)
 
-    mu = sum((1.0 + z) * l for l, z in zip(lam, zt2))
-    s2 = sum((1.0 + 2.0 * z) * l * l for l, z in zip(lam, zt2))
+    mu, s2 = moments or _moments(lam, zt2)
     b = tau - mu
     root = math.sqrt(b * b + 4.0 * log_weight * s2)
     start = 2.0 * log_weight / (b + root) if b > 0 else (root - b) / (2.0 * s2)
@@ -200,19 +201,28 @@ def _pick_beta(lam, zt2, tau, log_weight=1.0):
     return beta_of(xi)
 
 
-def _chernoff_log(lam, zt2, tau):
-    """log of the Chernoff bound on Pr(Y <= tau), Y the quadratic form with
-    eigenvalues lam and noncentrality |z_m|^2.
+def _moments(lam, zt2):
+    """Mean and variance of the quadratic form."""
+    return (sum((1.0 + z) * l for l, z in zip(lam, zt2)),
+            sum((1.0 + 2.0 * z) * l * l for l, z in zip(lam, zt2)))
 
-    Minimizes h(beta) = tau*beta - c(beta) - sum log(1+beta*lam) over the
-    admissible beta > 0; h(0) = 0, so the bound never exceeds 1, and any
-    admissible beta yields a valid bound, so a loose minimization suffices.
-    The right tail follows from the same helper with (lam, tau) negated.
-    """
-    if tau >= sum((1.0 + z) * l for l, z in zip(lam, zt2)):
-        return 0.0  # h'(0) = tau - mu >= 0: the minimum is h(0)
-    b = _pick_beta(lam, zt2, tau, log_weight=0.0)
-    return _log_mag(b, lam, zt2, tau, log_weight=0.0)
+
+def _chernoff_screen(lam, zt2, tau, mu, s2):
+    """A lower bound, less a rounding margin, on min h (-inf: none), h =
+    _log_mag with log_weight 0: min e^h over admissible beta > 0 is the
+    Chernoff bound on Pr(Y <= tau), Y with mean mu and variance s2.  h is
+    convex, h(0) = 0 and h'(0) = tau - mu, so h lies above its tangents at 0
+    and at b1 = min((mu - tau)/s2, cap/2) (or any b1 in (0, cap)), and the
+    sign of b1 h'(b1) = u - v puts the minimizer between b1 and 0 or cap."""
+    if tau >= mu:
+        return 0.0  # the minimum is h(0)
+    cap = -1.0 / min(lam) if min(lam) < 0 else math.inf
+    b1 = max(min((mu - tau) / s2, 0.5 * cap), math.ulp(0.0))
+    u, _, v, _, _ = _log_mag_parts(b1, lam, zt2, tau, 0.0)
+    h1 = _log_mag(b1, lam, zt2, tau, 0.0)
+    far = 0.0 if u >= v else cap
+    low = max((tau - mu) * max(b1, far), h1 + (u - v) * (far / b1 - 1.0))
+    return low - 1e-9 * (1.0 + abs(h1) + (u + v) * max(1.0, far / b1))
 
 
 LOG2 = math.log(2.0)
@@ -222,7 +232,7 @@ _MAX_ORDER = 8          # highest order of summation by parts on the tail
 _LOG_FACT = [math.lgamma(m + 1.0) for m in range(_MAX_ORDER + 1)]
 
 
-def _trapezoid_step(beta, cap, lam, zt2, tau, g0, target):
+def _trapezoid_step(beta, cap, lam, zt2, tau, g0, target, log_lam):
     """Step h with discretization error ``target`` on the half line: f is
     analytic for |Re s - beta| < a = min(beta, cap - beta)/2, so the rule errs
     by at most 2 M / (e^{2 pi a/h} - 1) (Trefethen & Weideman, SIAM Rev.
@@ -230,17 +240,17 @@ def _trapezoid_step(beta, cap, lam, zt2, tau, g0, target):
     convex across the strip (|f| is subharmonic), so the edges suffice.  On
     the edge Re s = e, |f| peaks at omega = 0 and is at most |f(e)|
     (W/omega)^(r+1) beyond, W^(r+1) = e prod(1 + e lam) / prod|lam|, so
-    M <= W |f(e)| (1 + 1/r)."""
+    M <= W |f(e)| (1 + 1/r); log_lam is sum log|lam|."""
     a = 0.5 * min(beta, cap - beta)
     r = len(lam)
-    log_lam = sum(math.log(abs(l)) for l in lam)
     log_m = math.log1p(1.0 / r) + max(
         (math.log(e) + sum(math.log1p(e * l) for l in lam) - log_lam) / (r + 1)
         + _log_mag(e, lam, zt2, tau) - g0 for e in (beta - a, beta + a))
-    return 2.0 * math.pi * a / float(np.logaddexp(0.0, LOG2 + log_m - math.log(target)))
+    x = LOG2 + log_m - math.log(target)
+    return 2.0 * math.pi * a / (max(x, 0.0) + math.log1p(math.exp(-abs(x))))
 
 
-def _vertical_cut(beta, lam, zt2, tau, g0, target, sigma, h, omega_max):
+def _vertical_cut(beta, lam, zt2, tau, g0, target, sigma, h, omega_max, log_lam):
     """Cut Omega <= omega_max of the trapezoid sum, past which the nodes add
     at most ``target``: (Omega, m, bound).  m = 0: for omega >= Omega, |f| <=
     exp(tau beta - Re c(Omega) - g0) / (omega prod min(1 + beta lam, |lam|
@@ -256,10 +266,9 @@ def _vertical_cut(beta, lam, zt2, tau, g0, target, sigma, h, omega_max):
     sin_half = abs(math.sin(0.5 * tau * h))
     log_dh = math.log(0.5 * h / sin_half) if sin_half > 0.0 else math.inf  # |Dh|
     log_2d = max(0.0, LOG2 + log_dh - math.log(h))  # log max(1, 2|D|)
-    base = (tau * beta - g0 - sum(zt2) + (r + 1) * LOG2
-            - sum(math.log(abs(l)) for l in lam))
+    base = tau * beta - g0 - sum(zt2) + (r + 1) * LOG2 - log_lam
     z_over = 2.0 * sum(z / abs(l) for l, z in zip(lam, zt2))
-    log_eps_h = math.log(50.0 * np.finfo(float).eps * h)
+    log_eps_h = math.log(50.0 * math.ulp(1.0) * h)
 
     def log_bound(omega):
         """(log bound, m, rate): the bound falls at least at that rate in
@@ -315,17 +324,20 @@ def _vertical_cut(beta, lam, zt2, tau, g0, target, sigma, h, omega_max):
 def _integrand(s, lam, zt2, tau, g0):
     """exp(tau s - c(s) - g0) / (s prod_m (1 + s lam_m)) at the nodes ``s``.
 
+    Eigenvalue-major (m, n) arrays make a product m - 1 vector operations;
+    the exponent, which can cancel to many digits, keeps np.sum's row order.
     |exp(tau s - c(s) - g0)| <= beta prod(1 + beta lam) on the vertical line,
     and both that and |s prod(1 + s lam)| are at most |s| prod(1 + |s||lam|);
     where that could overflow, logs are summed."""
-    sl = s[:, None] * lam
+    sl = lam[:, None] * s
     one_sl = 1.0 + sl
-    expo = tau * s - np.sum(zt2 * (sl / one_sl), axis=1) - g0
-    s_max = float(np.max(np.abs(s)))
-    log_bound = math.log(s_max) + sum(math.log1p(s_max * abs(l)) for l in lam)
+    terms = (zt2[:, None] * (sl / one_sl)).T.copy()  # node-major rows
+    expo = tau * s - terms.sum(axis=1) - g0
+    s_max = float(np.abs(s).max())
+    log_bound = math.log(s_max) + sum(math.log1p(s_max * abs(l)) for l in lam.tolist())
     if log_bound < 600.0:  # exp() and the product stay finite
-        return np.exp(expo) / (s * np.prod(one_sl, axis=1))
-    return np.exp(expo - np.sum(np.log(one_sl), axis=1) - np.log(s))
+        return np.exp(expo) / (s * one_sl.prod(axis=0))
+    return np.exp(expo - np.log(one_sl).sum(axis=0) - np.log(s))
 
 
 def cdf_quadrature(spectrum: EigenSpectrum, tau: float, tol: float = 1e-8,
@@ -339,58 +351,66 @@ def cdf_quadrature(spectrum: EigenSpectrum, tau: float, tol: float = 1e-8,
     rounding floor of 50 eps h sum|f|.  Chernoff bounds answer deep tails.
     With ``strict``, a bound above tol (as past the node cap MAX_NODES)
     raises ToleranceNotMet carrying the estimate."""
-    lam_all = np.asarray(spectrum.eigenvalues, dtype=float)
-    zt2_all = np.abs(np.asarray(spectrum.z_tilde)) ** 2
     tau = float(tau)
-
-    thresh = 1e-12 * max(1.0, float(np.max(np.abs(lam_all), initial=0.0)))
-    keep = (np.abs(lam_all) > thresh) | (zt2_all * np.abs(lam_all) > thresh)
-    lam = lam_all[keep]
-    zt2 = zt2_all[keep]
+    lam_all = np.asarray(spectrum.eigenvalues, dtype=float).tolist()
+    zt2_all = (np.abs(np.asarray(spectrum.z_tilde)) ** 2).tolist()
+    thresh = 1e-12 * max(1.0, max(map(abs, lam_all), default=0.0))
+    kept = [(l, z) for l, z in zip(lam_all, zt2_all)
+            if abs(l) > thresh or z * abs(l) > thresh]
 
     def _exact(value):
         return ProbabilityEstimate(value=value, abs_error_bound=0.0,
                                    method=EvalMethod.QUADRATURE)
 
-    if lam.size == 0:
+    if not kept:
         return _exact(1.0 if tau >= 0 else 0.0)
-    if lam.min() >= 0 and tau <= 0:
+    lam_l, zt2_l = map(list, zip(*kept))
+    if min(lam_l) >= 0 and tau <= 0:
         return _exact(0.0)
-    if lam.max() <= 0 and tau >= 0:
+    if max(lam_l) <= 0 and tau >= 0:
         return _exact(1.0)
 
-    # Chernoff bounds certify deep tails and leave the quadrature the bulk
-    lam_l, zt2_l = lam.tolist(), zt2.tolist()
-    log_left = _chernoff_log(lam_l, zt2_l, tau)
-    if log_left <= np.log(tol / 4.0):
-        return ProbabilityEstimate(value=0.0, abs_error_bound=float(np.exp(log_left)),
-                                   method=EvalMethod.QUADRATURE, raw_value=0.0)
-    log_right = _chernoff_log([-l for l in lam_l], zt2_l, -tau)
-    if log_right <= np.log(tol / 4.0):
-        return ProbabilityEstimate(value=1.0, abs_error_bound=float(np.exp(log_right)),
-                                   method=EvalMethod.QUADRATURE, raw_value=1.0)
+    # Chernoff bounds certify deep tails, minimized only where the screen lets
+    # them reach floor; the right tail is the left one of (-lam, -tau)
+    mu, s2 = _moments(lam_l, zt2_l)
+    floor = math.log(tol / 4.0)
+    for value, sign in ((0.0, 1.0), (1.0, -1.0)):
+        lam_t, tau_t, mu_t = [sign * l for l in lam_l], sign * tau, sign * mu
+        if _chernoff_screen(lam_t, zt2_l, tau_t, mu_t, s2) <= floor:
+            b = _pick_beta(lam_t, zt2_l, tau_t, log_weight=0.0, moments=(mu_t, s2))
+            log_tail = _log_mag(b, lam_t, zt2_l, tau_t, log_weight=0.0)
+            if log_tail <= floor:
+                return ProbabilityEstimate(value=value, abs_error_bound=math.exp(log_tail),
+                                           method=EvalMethod.QUADRATURE, raw_value=value)
 
     # a negative definite form is integrated as its positive definite mirror,
     # 1 - Pr(-Y <= -tau), whose strip has no pole to the right of beta
-    mirror = beta is None and lam.max() < 0
+    mirror = beta is None and max(lam_l) < 0
     if mirror:
-        lam, lam_l, tau = -lam, [-l for l in lam_l], -tau
+        lam_l, tau, mu = [-l for l in lam_l], -tau, -mu
     lam_min = min(lam_l)
     cap = -1.0 / lam_min if lam_min < 0 else math.inf
     if beta is None:
-        beta = _pick_beta(lam_l, zt2_l, tau)
+        beta = _pick_beta(lam_l, zt2_l, tau, moments=(mu, s2))
     elif not 0 < beta < cap:
         raise ValueError("contour offset must keep I + beta*M positive definite")
-    g0 = _log_mag(beta, lam_l, zt2_l, tau)
+    g0, curv = tau * beta - math.log(beta), 1.0  # _log_mag, beta^2 g0''
+    for l, z in zip(lam_l, zt2_l):
+        t = beta * l
+        q = 1.0 / (1.0 + t)
+        g0 -= z * t / (1.0 + t) + math.log1p(t)
+        curv += t * q * (t * q) * (1.0 + 2.0 * z * q)
     if g0 > 700.0:
         raise ValueError("contour offset too close to the pole: e^g0 overflows")
     scale = math.exp(g0) / math.pi
-    sigma = beta / math.sqrt(_log_mag_parts(beta, lam_l, zt2_l, tau, 1.0)[4])
+    sigma = beta / math.sqrt(curv)
 
-    h = _trapezoid_step(beta, cap, lam_l, zt2_l, tau, g0, (tol / 2.0) / scale)
+    log_lam = sum(math.log(abs(l)) for l in lam_l)
+    h = _trapezoid_step(beta, cap, lam_l, zt2_l, tau, g0, (tol / 2.0) / scale, log_lam)
     omega, order, tail = _vertical_cut(beta, lam_l, zt2_l, tau, g0, (tol / 10.0) / scale,
-                                       sigma, h, (MAX_NODES - 1 - _MAX_ORDER) * h)
+                                       sigma, h, (MAX_NODES - 1 - _MAX_ORDER) * h, log_lam)
     n_nodes = math.ceil(omega / h) + 1
+    lam, zt2 = np.array(lam_l), np.array(zt2_l)
     total, abs_total = -0.5, 0.0  # f(beta) = 1, and its node has weight 1/2
     for start in range(0, n_nodes, CHUNK):
         vals = _integrand(beta + 1j * h * np.arange(start, min(start + CHUNK, n_nodes)),
@@ -410,7 +430,7 @@ def cdf_quadrature(spectrum: EigenSpectrum, tau: float, tol: float = 1e-8,
     raw = scale * h * total
     if mirror:
         raw = 1.0 - raw
-    bound = tol / 2.0 + scale * (tail + 50.0 * np.finfo(float).eps * h * abs_total)
+    bound = tol / 2.0 + scale * (tail + 50.0 * math.ulp(1.0) * h * abs_total)
     estimate = ProbabilityEstimate(value=raw, abs_error_bound=bound,
                                    method=EvalMethod.QUADRATURE, raw_value=raw)
     if strict and not bound <= tol:

@@ -132,7 +132,7 @@ class TestSweep:
         recs = run_sweep(cfg)
         general = [r for r in recs if r.method == "ZF-General"]
         fallback = [r for r in recs if r.method == "ZF-CoordUpdate"]
-        assert [r.status for r in fallback] == ["fallback_general"] * len(general)
+        assert [r.status for r in fallback] == ["fallback_" + g.status for g in general]
         for g, f in zip(general, fallback):
             assert dataclasses.replace(g, method=f.method, status=f.status) == f
 

@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 from scipy.stats import ncx2
 
 import robustpl.quadform as quadform
@@ -253,6 +253,58 @@ def quadrature_or_unmet(spectrum, tau, tol, **kwargs):
         return cdf_quadrature(spectrum, tau, tol=tol, **kwargs), True
     except ToleranceNotMet as err:
         return err.estimate, False
+
+
+@st.composite
+def tail_cases(draw):
+    """placement_cases(), with tau also pushed 6 to 40 standard deviations
+    into either tail (short of the exact answers at tau = 0)."""
+    lam, zt2, tau = draw(placement_cases())
+    if draw(st.booleans()):
+        mu = float(np.sum((1.0 + zt2) * lam))
+        sd = math.sqrt(float(np.sum((1.0 + 2.0 * zt2) * lam ** 2)))
+        tau = mu + draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(6.0, 40.0)) * sd
+        if lam.min() >= 0:
+            tau = max(tau, 1e-3 * mu)
+        if lam.max() <= 0:
+            tau = min(tau, 1e-3 * mu)
+    return lam, zt2, tau
+
+
+class TestChernoffScreen:
+    @settings(max_examples=400, deadline=None)
+    @given(tail_cases(), st.sampled_from([1e-8, 1e-4]))
+    def test_screen_never_hides_a_shortcut(self, case, tol):
+        lam, zt2, tau = case
+        spec = EigenSpectrum(eigenvalues=lam, z_tilde=np.sqrt(zt2))
+        zt2_l = (np.abs(spec.z_tilde) ** 2).tolist()  # as cdf_quadrature reads it
+        est, _ = quadrature_or_unmet(spec, tau, tol)
+        exact = (lam.min() >= 0 and tau <= 0) or (lam.max() <= 0 and tau >= 0)
+        for value, sign in ((0.0, 1.0), (1.0, -1.0)):
+            lam_t, tau_t = (sign * lam).tolist(), sign * tau
+            mu, s2 = quadform._moments(lam_t, zt2_l)
+            low = quadform._chernoff_screen(lam_t, zt2_l, tau_t, mu, s2)
+            beta = _pick_beta(lam_t, zt2_l, tau_t, log_weight=0.0)
+            exponent = _log_mag(beta, lam_t, zt2_l, tau_t, log_weight=0.0)
+            # at tau >= mu the minimum is h(0) = 0, and the screen says so
+            assert low <= exponent if tau_t < mu else low == 0.0
+            if min(lam_t) >= 0 and low == -math.inf:
+                event("no screen: infinite cap")
+            if exponent <= math.log(tol / 4.0) and not exact:
+                event(f"shortcut to {value}")
+                assert est.raw_value == est.value == value
+                assert est.abs_error_bound == math.exp(exponent)
+                break
+
+    def test_no_screen_on_the_left_tail_of_a_positive_form(self):
+        # for lam >= 0, h'' falls with beta, so the Newton point b1 from 0
+        # stops short of the minimizer, and without a pole nothing bounds h
+        # beyond it
+        lam, zt2, tau = [2.0, 1.0, 0.5], [0.3, 0.0, 1.2], 0.2
+        mu, s2 = quadform._moments(lam, zt2)
+        assert quadform._chernoff_screen(lam, zt2, tau, mu, s2) == -math.inf
+        beta = _pick_beta(lam, zt2, tau, log_weight=0.0)
+        assert math.isfinite(_log_mag(beta, lam, zt2, tau, log_weight=0.0))
 
 
 class TestCertificate:
