@@ -13,7 +13,9 @@ Python and numpy versions, the core count and the git revision.
 With ``--baseline`` the same runs are made on a second checkout, alternating
 which of the two goes first from seed to seed, and written to
 ``--baseline-out``; then each metric's pairwise wins are printed, counted in
-the direction BENCHMARK.json gives it.
+the direction BENCHMARK.json gives it, with whether this checkout's median is
+worse than the baseline's by more than the metric's ``bound`` (a share of the
+baseline median), and per workload whether every seed's digest matches.
 """
 
 from __future__ import annotations
@@ -89,17 +91,28 @@ def summarize(runs: list) -> dict:
     return summary
 
 
-def report_pairs(workload: str, runs: list, base_runs: list, better: dict):
-    """Print, per metric, the pairs this checkout wins and the medians."""
+def report_pairs(workload: str, runs: list, base_runs: list, better: dict,
+                 bounds: dict):
+    """Print, per metric, the pairs this checkout wins, the medians and
+    whether this checkout's median is worse than the baseline's by more than
+    the metric's bound (a share of the baseline median); then whether every
+    seed's digest matches."""
     for name in runs[0]["metrics"]:
         sign = 1.0 if better[name] == "higher" else -1.0
         new = [r["metrics"][name]["value"] for r in runs]
         old = [r["metrics"][name]["value"] for r in base_runs]
         wins = sum(sign * (a - b) > 0 for a, b in zip(new, old))
         q1, med_old, q3 = np.percentile(old, [25, 50, 75])
+        med_new = np.median(new)
+        worse = sign * (med_old - med_new) > bounds[name] * abs(med_old)
         print(f"{workload} {name}: wins {wins}/{len(new)}, median "
-              f"{np.median(new):.6g} vs {med_old:.6g} (baseline quartile "
-              f"spread {q3 - q1:.3g})", flush=True)
+              f"{med_new:.6g} vs {med_old:.6g} (baseline quartile "
+              f"spread {q3 - q1:.3g}), "
+              f"{'WORSE than' if worse else 'within'} bound {bounds[name]:g}",
+              flush=True)
+    differ = [r["seed"] for r, b in zip(runs, base_runs) if r["digest"] != b["digest"]]
+    print(f"{workload} digests: " + (f"DIFFER at seeds {differ}" if differ
+                                     else f"all {len(runs)} match"), flush=True)
 
 
 def main(argv=None) -> int:
@@ -107,6 +120,7 @@ def main(argv=None) -> int:
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = benchmark["run_seconds"]
     better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in benchmark["end_to_end"]}
     roots = {"change": ROOT}
     if args.baseline:
         roots["baseline"] = args.baseline
@@ -135,7 +149,7 @@ def main(argv=None) -> int:
                 "metrics": summarize(runs[name]), "runs": runs[name],
                 "trace": trace}
         if args.baseline:
-            report_pairs(workload, runs["change"], runs["baseline"], better)
+            report_pairs(workload, runs["change"], runs["baseline"], better, bounds)
     args.out.write_text(json.dumps(files["change"], indent=1) + "\n")
     if args.baseline:
         args.baseline_out.write_text(json.dumps(files["baseline"], indent=1) + "\n")

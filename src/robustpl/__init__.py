@@ -41,14 +41,11 @@ from .descent import (
 from .zf import (
     ApproximationInapplicable,
     DegenerateSpectrum,
-    ZfApproxParams,
-    coord_update_init,
-    coord_update_step,
+    SurrogateOracle,
     residue_probability,
     residue_spectrum,
     solve_zf_coord_descent,
     solve_zf_coord_update,
-    zf_params,
 )
 from .bench import (
     EmptyIntersection,

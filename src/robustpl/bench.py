@@ -83,15 +83,15 @@ class ExperimentConfig:
                 raise ValueError(f"unknown method {name!r}")
         if (self.training is None) == (self.sigma_e2 is None):
             raise ValueError("specify exactly one of 'training' and 'sigma_e2'")
-        if self.training is not None:
-            extra = set(self.training) - {"L_ut", "P_ut"}
-            if extra:
-                raise ValueError(f"unknown training keys {sorted(extra)}")
+        if self.training is not None and set(self.training) != {"L_ut", "P_ut"}:
+            raise ValueError("training needs exactly the keys L_ut and P_ut, "
+                             f"not {sorted(self.training)}")
         if self.n_trials < 1 or self.n_tx < 1 or self.n_users < 1:
             raise ValueError("counts must be positive")
         if not (0 < self.epsilon < 1):
             raise ValueError("epsilon must lie in (0, 1)")
         self.descent_config()  # rejects a nonpositive delta_min or quad_tol
+        self.error_variances()  # rejects a negative sigma_e2 or bad training
         if self.i_max < 0 or self.mc_certify_samples < 0:
             raise ValueError("i_max and mc_certify_samples must be nonnegative")
 
@@ -107,6 +107,8 @@ class ExperimentConfig:
 
     def error_variances(self) -> tuple:
         if self.sigma_e2 is not None:
+            if not all(s >= 0 for s in self.sigma_e2):
+                raise ValueError("sigma_e2 entries must be nonnegative")
             return self.sigma_e2
         return (uplink_error_variance(self.sigma2_bs,
                                       int(self.training["L_ut"]),

@@ -190,7 +190,7 @@ def generate_rayleigh_channels(n_tx: int, n_users: int, rng_seed) -> np.ndarray:
 def uplink_error_variance(sigma2_bs: float, l_ut: int, p_ut: float) -> float:
     """Estimation error variance from orthogonal uplink training."""
     if sigma2_bs <= 0 or l_ut < 1 or p_ut <= 0:
-        raise ValueError("invalid uplink training parameters")
+        raise ValueError("uplink training needs sigma2_bs > 0, L_ut >= 1 and P_ut > 0")
     return sigma2_bs / (sigma2_bs + l_ut * p_ut)
 
 

@@ -348,7 +348,8 @@ def cdf_quadrature(spectrum: EigenSpectrum, tau: float, tol: float = 1e-8,
     ``beta`` None places the offset at the magnitude minimizer.  The step
     comes from the analytic strip (``_trapezoid_step``, error tol/2), the cut
     from the tail bound (``_vertical_cut``, tol/10), and the bound adds a
-    rounding floor of 50 eps h sum|f|.  Chernoff bounds answer deep tails.
+    rounding floor of eps h sum |f| times f's relative rounding error in
+    eps.  Chernoff bounds answer deep tails.
     With ``strict``, a bound above tol (as past the node cap MAX_NODES)
     raises ToleranceNotMet carrying the estimate."""
     tau = float(tau)
@@ -411,26 +412,36 @@ def cdf_quadrature(spectrum: EigenSpectrum, tau: float, tol: float = 1e-8,
                                        sigma, h, (MAX_NODES - 1 - _MAX_ORDER) * h, log_lam)
     n_nodes = math.ceil(omega / h) + 1
     lam, zt2 = np.array(lam_l), np.array(zt2_l)
-    total, abs_total = -0.5, 0.0  # f(beta) = 1, and its node has weight 1/2
+    # f's relative rounding error in eps is err0 + err1 |s|: 50 for the exp,
+    # product and quotient, and (m + 9)/2 E for the exponent, whose m terms
+    # err by 8 eps/2 of their sizes and whose sums by (m + 1) eps/2 of E =
+    # |g0| + |tau s| + sum |z s lam / (1 + s lam)|; |1 + s lam| >= 1 + beta lam
+    weight = 0.5 * (len(lam_l) + 9)
+    err0 = 50.0 + weight * abs(g0)
+    err1 = weight * (abs(tau) + sum(z * abs(l) / (1.0 + beta * l) for l, z in zip(lam_l, zt2_l)))
+    total, err_total = -0.5, 0.0  # f(beta) = 1, and its node has weight 1/2
     for start in range(0, n_nodes, CHUNK):
-        vals = _integrand(beta + 1j * h * np.arange(start, min(start + CHUNK, n_nodes)),
-                          lam, zt2, tau, g0)
+        s = beta + 1j * h * np.arange(start, min(start + CHUNK, n_nodes))
+        vals = _integrand(s, lam, zt2, tau, g0)
         total += float(vals.real.sum())
-        abs_total += float(np.abs(vals).sum())
+        abs_f = np.abs(vals)
+        err_total += err0 * float(abs_f.sum()) + err1 * float(abs_f @ np.abs(s))
     if order:  # the boundary terms of the tail summed by parts
         n = np.arange(n_nodes, n_nodes + order)
-        edge = _integrand(beta + 1j * h * n, lam, zt2, tau, g0)
+        s = beta + 1j * h * n
+        edge = _integrand(s, lam, zt2, tau, g0)
         phase, d_edge = np.exp(1j * tau * h * n), 1.0 / (1.0 - np.exp(1j * tau * h))
         diffs = edge / phase
+        edge_err = float(np.max(np.abs(edge) * (err0 + err1 * np.abs(s))))
         for j in range(order):
             total += (d_edge ** (j + 1) * phase[j] * diffs[0]).real
-            abs_total += abs(d_edge) ** (j + 1) * 2.0 ** j * float(np.abs(edge).max())
+            err_total += abs(d_edge) ** (j + 1) * 2.0 ** j * edge_err
             diffs = np.diff(diffs)
 
     raw = scale * h * total
     if mirror:
         raw = 1.0 - raw
-    bound = tol / 2.0 + scale * (tail + 50.0 * math.ulp(1.0) * h * abs_total)
+    bound = tol / 2.0 + scale * (tail + math.ulp(1.0) * h * err_total)
     estimate = ProbabilityEstimate(value=raw, abs_error_bound=bound,
                                    method=EvalMethod.QUADRATURE, raw_value=raw)
     if strict and not bound <= tol:

@@ -14,7 +14,6 @@ feasible set from a closed-form start.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,13 +34,10 @@ from .quadform import outage_probability  # noqa: F401 (perfbench/tracing.py wra
 __all__ = [
     "ApproximationInapplicable",
     "DegenerateSpectrum",
-    "ZfApproxParams",
-    "zf_params",
     "residue_spectrum",
     "residue_probability",
+    "SurrogateOracle",
     "solve_zf_coord_descent",
-    "coord_update_init",
-    "coord_update_step",
     "solve_zf_coord_update",
 ]
 
@@ -59,40 +55,6 @@ class ApproximationInapplicable(Exception):
 
 class DegenerateSpectrum(Exception):
     """Nonzero eigenvalues coincide; the simple-pole residue form is invalid."""
-
-
-@dataclass(frozen=True)
-class ZfApproxParams:
-    """Surrogate parameters: eta_k and the inflated targets gamma'_k."""
-
-    eta: np.ndarray
-    gamma_prime: np.ndarray
-    r_tilde_norm2: np.ndarray
-
-
-def zf_params(instance: ScenarioInstance, beamformer: BeamformerMatrix,
-              qos: QoSSpec,
-              eta_multiple: float = DEFAULT_ETA_MULTIPLE) -> ZfApproxParams:
-    """Constant surrogate for the Gaussian linear term of each ZF user.
-
-    The linear term has standard deviation 2 ||C^{1/2} b_k||; eta_k is
-    eta_multiple times that.  Raises ApproximationInapplicable when
-    1 + eta_k <= 0 (callers then revert to the general solver).
-    """
-    hh = instance.est_channels
-    gains = hh @ beamformer.columns
-    if np.max(np.abs(gains - np.eye(qos.n_users))) > ZF_TOL:
-        raise ValueError("beamformer is not zero-forcing for the estimates")
-    r_norm2 = np.empty(qos.n_users)
-    for k in range(qos.n_users):
-        r_tilde = instance.cov_roots[0][k] @ beamformer.column(k)
-        r_norm2[k] = float(np.real(r_tilde.conj() @ r_tilde))
-    eta = eta_multiple * 2.0 * np.sqrt(r_norm2)
-    if np.any(1.0 + eta <= 0):
-        raise ApproximationInapplicable(
-            f"1 + eta <= 0 for some user (min eta {eta.min():.4f})")
-    return ZfApproxParams(eta=eta, gamma_prime=qos.gamma / (1.0 + eta),
-                          r_tilde_norm2=r_norm2)
 
 
 def residue_spectrum(minus_q: np.ndarray) -> np.ndarray:
@@ -138,117 +100,11 @@ def residue_probability(lam_nz: np.ndarray, p_k: float,
     return float(min(1.0, max(0.0, raw)))
 
 
-class _SurrogateOracle(OutageOracle):
-    """The residue surrogate on the oracle's cached per-user data.
-
-    ``constraint`` is the probability that user k's surrogate margin is
-    nonnegative, by residues on the spectrum of -Q = -G_k diag(c) G_k^H.
-    When nonzero eigenvalues collide it integrates the same eigenvalues by
-    quadrature instead: the surrogate has no linear term, so the rotated
-    centre is zero.  ``exact`` and ``exact_all`` keep the exact
-    probabilities, which ``report`` certifies the returned powers with, and
-    ``step`` is the coordinate update of ``coord_update_step``, shared with
-    ``solve_zf_coord_update``.
-    """
-
-    def __init__(self, instance: ScenarioInstance, beamformer: BeamformerMatrix,
-                 qos: QoSSpec, params: ZfApproxParams, quad_tol: float = 1e-8):
-        super().__init__(instance, beamformer, qos, quad_tol)
-        self.params, self.epsilon = params, qos.epsilon
-
-    def spectrum(self, powers: np.ndarray, k: int) -> np.ndarray:
-        return residue_spectrum(self.q_matrix(-self.signed_powers(powers, k), k))
-
-    def constraint(self, powers: np.ndarray, k: int) -> float:
-        lam_nz = self.spectrum(powers, k)
-        gamma_prime, sigma2 = float(self.params.gamma_prime[k]), float(self.noise_var[k])
-        try:
-            return residue_probability(lam_nz, float(powers[k]), gamma_prime, sigma2)
-        except DegenerateSpectrum:
-            centred = EigenSpectrum(eigenvalues=lam_nz, z_tilde=np.zeros(lam_nz.size))
-            u = float(powers[k] / gamma_prime - sigma2)
-            return cdf_quadrature(centred, u, tol=self.quad_tol).value
-
-    def step(self, p_frozen: np.ndarray, k: int, literal_gamma: bool) -> float:
-        lam_nz = self.spectrum(p_frozen, k)
-        epsilon_k = float(self.epsilon[k])
-        try:
-            return _step_from_spectrum(
-                lam_nz, float(self.gamma[k]),
-                float(self.params.gamma_prime[k]), float(self.noise_var[k]),
-                epsilon_k, float(self.params.r_tilde_norm2[k]), literal_gamma)
-        except DegenerateSpectrum:
-            pass
-        # double p[k] on the counting oracle to a feasible bracket, then bisect
-        trial = p_frozen.copy()
-        trial[k] = max(float(self.gamma[k] * self.noise_var[k]), trial[k], 1e-12)
-        for _ in range(80):
-            prob = self(trial, k)
-            if prob >= 1.0 - epsilon_k:
-                return _bisect_user_power(self, trial, k, FALLBACK_DELTA,
-                                          epsilon_k, prob)[0]
-            trial[k] *= 2.0
-        return float(trial[k])
-
-    def report(self, status, beamformer, p, probs, t0, **counts) -> SolveReport:
-        exact = self.exact_all(p)  # before the base report reads the clock
-        result = super().report(status, beamformer, p, probs, t0, **counts)
-        result.per_user_prob_exact = exact
-        return result
-
-
-def solve_zf_coord_descent(instance: ScenarioInstance,
-                           beamformer: BeamformerMatrix, qos: QoSSpec,
-                           config: DescentConfig = None,
-                           eta_multiple: float = DEFAULT_ETA_MULTIPLE,
-                           p_start: PowerAllocation = None) -> SolveReport:
-    """Coordinate descent with the residue surrogate in place of the exact
-    integral; the exact probabilities of the returned powers are certified by
-    quadrature and reported alongside the surrogate ones.
-    """
-    config = config or DescentConfig()
-    params = zf_params(instance, beamformer, qos, eta_multiple)
-    oracle = _SurrogateOracle(instance, beamformer, qos, params, config.quad_tol)
-    return _run_descent(oracle, instance, beamformer, qos, config, p_start)
-
-
 def _single_user_power(gamma_k, gamma_prime_k, sigma_k2, r_norm2, epsilon_k):
     """Exact minimal surrogate-feasible power when there is no interference:
     the margin CDF is a single negative-eigenvalue exponential."""
     denom = gamma_k / gamma_prime_k - r_norm2 * np.log(1.0 - epsilon_k)
     return float(gamma_k * sigma_k2 / denom)
-
-
-def coord_update_init(instance: ScenarioInstance, beamformer: BeamformerMatrix,
-                      qos: QoSSpec,
-                      params: ZfApproxParams = None) -> PowerAllocation:
-    """Closed-form starting powers: for each user, the equal-power level that
-    meets that user's surrogate constraint with equality (not necessarily a
-    feasible joint allocation).
-
-    Falls back to gamma_k sigma_k^2 when the closed form has a nonpositive
-    denominator or a degenerate spectrum.
-    """
-    params = params or zf_params(instance, beamformer, qos)
-    oracle = _SurrogateOracle(instance, beamformer, qos, params)
-    n, sigma2 = qos.n_users, instance.noise_var
-    p0 = qos.gamma * sigma2  # the fallback
-    for k in range(n):
-        lam_nz = oracle.spectrum(np.ones(n), k)
-        try:
-            weights = _residue_weights(lam_nz)
-        except DegenerateSpectrum:
-            continue
-        if lam_nz.size == 0 or lam_nz[0] <= 0:
-            p0[k] = _single_user_power(qos.gamma[k], params.gamma_prime[k],
-                                       sigma2[k], params.r_tilde_norm2[k],
-                                       qos.epsilon[k])
-            continue
-        denom = (1.0 / params.gamma_prime[k]
-                 + lam_nz[0] * np.log(qos.epsilon[k] * weights[0]))
-        if denom > 0:
-            p0[k] = sigma2[k] / denom
-    return PowerAllocation(powers=p0)
 
 
 def _step_from_spectrum(lam_nz: np.ndarray, gamma_k, gamma_prime_k, sigma_k2,
@@ -277,21 +133,116 @@ def _step_from_spectrum(lam_nz: np.ndarray, gamma_k, gamma_prime_k, sigma_k2,
     return float(max(p_breve, gp_s2))
 
 
-def coord_update_step(instance: ScenarioInstance, beamformer: BeamformerMatrix,
-                      qos: QoSSpec, p_prev_cycle: PowerAllocation, k: int,
-                      params: ZfApproxParams = None,
-                      literal_gamma: bool = False) -> float:
-    """Coordinate update for user k with the spectrum frozen at the previous
-    cycle's powers.
+class SurrogateOracle(OutageOracle):
+    """The residue surrogate of one ZF (instance, beamformer, qos) on the
+    oracle's cached per-user data.
 
-    When the frozen spectrum is degenerate, the closed-form roots do not
-    apply: p[k] is instead doubled from max(gamma_k sigma_k^2, p[k]) until
-    the surrogate constraint holds, then bisected down into the band
-    [1 - eps_k, 1 - eps_k + 1e-3] of surrogate probabilities.
+    ``eta`` is eta_multiple times 2 ||C_k^{1/2} b_k|| (``r_norm2`` is the
+    squared norm), the standard deviation of the margin's linear term, and
+    ``gamma_prime`` = gamma / (1 + eta).  Raises ValueError for directions
+    that are not ZF for the estimates, and ApproximationInapplicable when
+    1 + eta_k <= 0.  ``constraint`` is the surrogate probability by residues
+    on the spectrum of -Q = -G_k diag(c) G_k^H, or by quadrature on the same
+    eigenvalues (the rotated centre is zero) when they collide; ``report``
+    certifies the returned powers with ``exact_all``.
     """
-    params = params or zf_params(instance, beamformer, qos)
-    oracle = _SurrogateOracle(instance, beamformer, qos, params)
-    return oracle.step(p_prev_cycle.powers, k, literal_gamma)
+
+    def __init__(self, instance: ScenarioInstance, beamformer: BeamformerMatrix,
+                 qos: QoSSpec, eta_multiple: float = DEFAULT_ETA_MULTIPLE,
+                 quad_tol: float = 1e-8):
+        super().__init__(instance, beamformer, qos, quad_tol)
+        if np.max(np.abs(self.hb - np.eye(qos.n_users))) > ZF_TOL:
+            raise ValueError("beamformer is not zero-forcing for the estimates")
+        self.r_norm2 = np.empty(qos.n_users)
+        for k in range(qos.n_users):
+            r_tilde = instance.cov_roots[0][k] @ beamformer.column(k)
+            self.r_norm2[k] = float(np.real(r_tilde.conj() @ r_tilde))
+        self.eta = eta_multiple * 2.0 * np.sqrt(self.r_norm2)
+        if np.any(1.0 + self.eta <= 0):
+            raise ApproximationInapplicable(
+                f"1 + eta <= 0 for some user (min eta {self.eta.min():.4f})")
+        self.gamma_prime = qos.gamma / (1.0 + self.eta)
+        self.epsilon = qos.epsilon
+
+    def spectrum(self, powers: np.ndarray, k: int) -> np.ndarray:
+        return residue_spectrum(self.q_matrix(-self.signed_powers(powers, k), k))
+
+    def constraint(self, powers: np.ndarray, k: int) -> float:
+        lam_nz = self.spectrum(powers, k)
+        gamma_prime, sigma2 = float(self.gamma_prime[k]), float(self.noise_var[k])
+        try:
+            return residue_probability(lam_nz, float(powers[k]), gamma_prime, sigma2)
+        except DegenerateSpectrum:
+            centred = EigenSpectrum(eigenvalues=lam_nz, z_tilde=np.zeros(lam_nz.size))
+            u = float(powers[k] / gamma_prime - sigma2)
+            return cdf_quadrature(centred, u, tol=self.quad_tol).value
+
+    def start(self) -> PowerAllocation:
+        """Closed-form start: per user, the equal-power level meeting its
+        surrogate constraint with equality, or gamma_k sigma_k^2 when the
+        closed form has a nonpositive denominator or a degenerate spectrum."""
+        n, sigma2 = self.gamma.size, self.noise_var
+        p0 = self.gamma * sigma2  # the fallback
+        for k in range(n):
+            lam_nz = self.spectrum(np.ones(n), k)
+            try:
+                weights = _residue_weights(lam_nz)
+            except DegenerateSpectrum:
+                continue
+            if lam_nz.size == 0 or lam_nz[0] <= 0:
+                p0[k] = _single_user_power(self.gamma[k], self.gamma_prime[k],
+                                           sigma2[k], self.r_norm2[k],
+                                           self.epsilon[k])
+                continue
+            denom = (1.0 / self.gamma_prime[k]
+                     + lam_nz[0] * np.log(self.epsilon[k] * weights[0]))
+            if denom > 0:
+                p0[k] = sigma2[k] / denom
+        return PowerAllocation(powers=p0)
+
+    def step(self, p_frozen: np.ndarray, k: int, literal_gamma: bool) -> float:
+        """User k's update with the spectrum frozen at p_frozen; on a
+        degenerate spectrum, p[k] doubles from max(gamma_k sigma_k^2, p[k])
+        until the counted constraint holds, then bisects into the band
+        [1 - eps_k, 1 - eps_k + FALLBACK_DELTA]."""
+        lam_nz = self.spectrum(p_frozen, k)
+        epsilon_k = float(self.epsilon[k])
+        try:
+            return _step_from_spectrum(
+                lam_nz, float(self.gamma[k]), float(self.gamma_prime[k]),
+                float(self.noise_var[k]), epsilon_k, float(self.r_norm2[k]),
+                literal_gamma)
+        except DegenerateSpectrum:
+            pass
+        trial = p_frozen.copy()
+        trial[k] = max(float(self.gamma[k] * self.noise_var[k]), trial[k], 1e-12)
+        for _ in range(80):
+            prob = self(trial, k)
+            if prob >= 1.0 - epsilon_k:
+                return _bisect_user_power(self, trial, k, FALLBACK_DELTA,
+                                          epsilon_k, prob)[0]
+            trial[k] *= 2.0
+        return float(trial[k])
+
+    def report(self, status, beamformer, p, probs, t0, **counts) -> SolveReport:
+        exact = self.exact_all(p)  # before the base report reads the clock
+        result = super().report(status, beamformer, p, probs, t0, **counts)
+        result.per_user_prob_exact = exact
+        return result
+
+
+def solve_zf_coord_descent(instance: ScenarioInstance,
+                           beamformer: BeamformerMatrix, qos: QoSSpec,
+                           config: DescentConfig = None,
+                           eta_multiple: float = DEFAULT_ETA_MULTIPLE,
+                           p_start: PowerAllocation = None) -> SolveReport:
+    """Coordinate descent with the residue surrogate in place of the exact
+    integral; the exact probabilities of the returned powers are certified by
+    quadrature and reported alongside the surrogate ones.
+    """
+    config = config or DescentConfig()
+    oracle = SurrogateOracle(instance, beamformer, qos, eta_multiple, config.quad_tol)
+    return _run_descent(oracle, instance, beamformer, qos, config, p_start)
 
 
 def solve_zf_coord_update(instance: ScenarioInstance,
@@ -309,12 +260,11 @@ def solve_zf_coord_update(instance: ScenarioInstance,
     quadrature and reported alongside the surrogate ones.
     """
     t0 = time.perf_counter()
-    params = zf_params(instance, beamformer, qos, eta_multiple)
-    prob = _SurrogateOracle(instance, beamformer, qos, params, quad_tol)
+    prob = SurrogateOracle(instance, beamformer, qos, eta_multiple, quad_tol)
     n = qos.n_users
     floor = 1.0 - qos.epsilon
 
-    p = coord_update_init(instance, beamformer, qos, params).powers.copy()
+    p = prob.start().powers
     probs = np.array([prob(p, k) for k in range(n)])
     cycles = 0
     bisect_steps = 0

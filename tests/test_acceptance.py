@@ -15,6 +15,7 @@ from robustpl import (
     ExperimentConfig,
     PowerAllocation,
     QoSSpec,
+    SurrogateOracle,
     build_outage_form,
     build_rci,
     build_zf,
@@ -29,7 +30,6 @@ from robustpl import (
     solve_general,
     solve_zf_coord_descent,
     solve_zf_coord_update,
-    zf_params,
 )
 from robustpl.bench import export_records
 from robustpl.zf import ApproximationInapplicable
@@ -75,12 +75,12 @@ def test_criterion_1_residue_quadrature_equivalence():
         k = int(rng.integers(0, 3))
         mq = -build_outage_form(inst, b, PowerAllocation(powers=p), qos, k).Q
         try:
-            params = zf_params(inst, b, qos)
+            oracle = SurrogateOracle(inst, b, qos)
             val = residue_probability(residue_spectrum(mq), float(p[k]),
-                                      float(params.gamma_prime[k]), 0.01)
+                                      float(oracle.gamma_prime[k]), 0.01)
         except ApproximationInapplicable:
             continue
-        u = p[k] / params.gamma_prime[k] - 0.01
+        u = p[k] / oracle.gamma_prime[k] - 0.01
         quad = cdf_quadrature(decompose(mq, np.zeros(3)), float(u)).value
         worst = max(worst, abs(val - quad))
     elapsed = time.perf_counter() - t0

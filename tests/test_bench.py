@@ -48,10 +48,16 @@ class TestConfig:
     @pytest.mark.parametrize("field, value", [("delta_min", 0), ("quad_tol", -1),
                                               ("i_max", -1),
                                               ("mc_certify_samples", -5),
-                                              ("delta_min", [1e-3, 2e-3, 1e-3])])
+                                              ("delta_min", [1e-3, 2e-3, 1e-3]),
+                                              ("training", {"L_ut": 1}),
+                                              ("training", {"L_ut": 0, "P_ut": 4.99}),
+                                              ("sigma_e2", [-0.01])])
     def test_rejects_out_of_range_solver_settings(self, field, value):
+        overrides = {field: value}
+        if field == "sigma_e2":
+            overrides["training"] = None  # the two specs are exclusive
         with pytest.raises(ValueError, match=field):
-            small_config(**{field: value})
+            small_config(**overrides)
 
     def test_json_round_trip_rejects_unknown_keys(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -257,10 +263,13 @@ class TestCli:
         assert cli_main(["sweep", "--config", str(path), "--out", str(out)]) == 1
 
     def test_out_of_range_solver_setting_fails(self, tmp_path):
-        cfg = self.write_config(tmp_path, delta_min=0)
-        out = tmp_path / "records.csv"
-        assert cli_main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
-        assert not out.exists()
+        for overrides in ({"delta_min": 0}, {"training": {"L_ut": 1}},
+                          {"training": {"L_ut": 0, "P_ut": 4.99}},
+                          {"training": None, "sigma_e2": [-0.01]}):
+            cfg = self.write_config(tmp_path, **overrides)
+            out = tmp_path / "records.csv"
+            assert cli_main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+            assert not out.exists()
 
     def test_missing_input_fails(self, tmp_path):
         assert cli_main(["aggregate", "--in", str(tmp_path / "nope.csv"),

@@ -8,6 +8,7 @@ from robustpl import (
     QoSSpec,
     ScenarioInstance,
     SolveStatus,
+    SurrogateOracle,
     build_outage_form,
     build_zf,
     init_powers_pcsi,
@@ -17,10 +18,8 @@ from robustpl import (
     solve_general,
     solve_zf_coord_descent,
     solve_zf_coord_update,
-    zf_params,
 )
 from robustpl.descent import _bisect_user_power, _find_feasible_start
-from robustpl.zf import _SurrogateOracle
 
 from conftest import make_instance, make_zf_setup
 
@@ -239,7 +238,7 @@ class TestOutageOracle:
             oracle = OutageOracle(inst, b, qos)
             zf = np.allclose(inst.est_channels @ b.columns, np.eye(inst.n_users))
             if zf:
-                surrogate = _SurrogateOracle(inst, b, qos, zf_params(inst, b, qos))
+                surrogate = SurrogateOracle(inst, b, qos)
             for _ in range(4):
                 p = rng.uniform(0.2, 3.0, inst.n_users) * 0.01 * qos.gamma
                 for k in range(inst.n_users):
@@ -292,6 +291,21 @@ class TestOutageOracle:
         report = solve_general(inst, b, qos)
         assert report.solved
         assert report.integral_evals == len(calls)
+
+    @pytest.mark.parametrize("solver", [solve_general, solve_zf_coord_descent,
+                                        solve_zf_coord_update])
+    def test_one_oracle_per_solve(self, solver, monkeypatch):
+        inst, b, qos = make_zf_setup(9)
+        built = []
+        original = OutageOracle.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(type(self))
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(OutageOracle, "__init__", counting)
+        solver(inst, b, qos)
+        assert len(built) == 1
 
     @pytest.mark.parametrize("solver", [solve_general, solve_zf_coord_descent,
                                         solve_zf_coord_update])

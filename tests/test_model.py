@@ -370,9 +370,9 @@ class TestCachedCovarianceRoots:
             p = PowerAllocation(powers=rng.uniform(0.02, 0.2, 3))
             for k in range(3):
                 build_outage_form(inst, b, p, qos, k)
-                robustpl.zf.coord_update_step(inst, b, qos, p, k)
+                robustpl.zf.SurrogateOracle(inst, b, qos).step(p.powers, k, False)
                 robustpl.quadform.mc_probability(inst, b, p, qos, k, 10, 0)
-        robustpl.zf.zf_params(inst, b, qos, eta_multiple=-0.1)
+        robustpl.zf.SurrogateOracle(inst, b, qos, eta_multiple=-0.1)
         assert calls == {"sqrt": 3, "inv_sqrt": 3}
 
     def test_roots_are_read_only(self):

@@ -319,6 +319,19 @@ class TestCertificate:
         gap = abs(est.raw_value - ref.raw_value)
         assert gap <= est.abs_error_bound + ref.abs_error_bound
 
+    def test_rounding_floor_covers_a_cancelling_exponent(self):
+        # tau at the mean of five unit eigenvalues with |z|^2 = 2.05e4: the
+        # exponent is a difference of terms near 1e5, so f carries far more
+        # than 50 eps of relative rounding error; 2Y is a noncentral
+        # chi-square, 10 dof, noncentrality 2 sum |z|^2
+        spec = EigenSpectrum(eigenvalues=np.ones(5),
+                             z_tilde=np.full(5, math.sqrt(2.05e4)))
+        tau = 102505.0
+        ref = ncx2.cdf(2.0 * tau, 10, 2.0 * 5 * 2.05e4)
+        est, certified = quadrature_or_unmet(spec, tau, 1.5e-14)
+        assert certified == (est.abs_error_bound <= 1.5e-14)
+        assert abs(est.raw_value - ref) <= est.abs_error_bound
+
     @settings(max_examples=150, deadline=None)
     @given(st.floats(-3.0, 3.0), st.sampled_from([-1.0, 1.0]),
            st.one_of(st.just(0.0), st.floats(-3.0, 2.0)), st.floats(1e-3, 0.999))

@@ -11,11 +11,10 @@ from robustpl import (
     QoSSpec,
     ScenarioInstance,
     SolveStatus,
+    SurrogateOracle,
     build_outage_form,
     build_zf,
     cdf_quadrature,
-    coord_update_init,
-    coord_update_step,
     decompose,
     outage_probability,
     residue_probability,
@@ -23,7 +22,6 @@ from robustpl import (
     solve_general,
     solve_zf_coord_descent,
     solve_zf_coord_update,
-    zf_params,
 )
 from robustpl.zf import _step_from_spectrum
 
@@ -45,31 +43,31 @@ class TestZfParams:
     def test_zero_uncertainty_keeps_targets(self):
         inst = unitary_channel_instance(0.0)
         qos = QoSSpec.from_db(5.0, 0.05, 3)
-        params = zf_params(inst, build_zf(inst.est_channels), qos)
-        np.testing.assert_allclose(params.eta, 0.0, atol=1e-12)
-        np.testing.assert_allclose(params.gamma_prime, qos.gamma, rtol=1e-12)
+        oracle = SurrogateOracle(inst, build_zf(inst.est_channels), qos)
+        np.testing.assert_allclose(oracle.eta, 0.0, atol=1e-12)
+        np.testing.assert_allclose(oracle.gamma_prime, qos.gamma, rtol=1e-12)
 
     def test_unit_norm_arithmetic(self):
         inst = unitary_channel_instance(0.002)
         qos = QoSSpec.from_db(5.0, 0.05, 3)
-        params = zf_params(inst, build_zf(inst.est_channels), qos)
+        oracle = SurrogateOracle(inst, build_zf(inst.est_channels), qos)
         eta_expected = -1.3 * 2.0 * np.sqrt(0.002)
-        np.testing.assert_allclose(params.eta, eta_expected, rtol=1e-9)
-        np.testing.assert_allclose(params.gamma_prime,
+        np.testing.assert_allclose(oracle.eta, eta_expected, rtol=1e-9)
+        np.testing.assert_allclose(oracle.gamma_prime,
                                    qos.gamma / (1.0 + eta_expected), rtol=1e-9)
 
     def test_inapplicable_at_large_uncertainty(self):
         inst = unitary_channel_instance(0.25)
         qos = QoSSpec.from_db(5.0, 0.05, 3)
         with pytest.raises(ApproximationInapplicable):
-            zf_params(inst, build_zf(inst.est_channels), qos)
+            SurrogateOracle(inst, build_zf(inst.est_channels), qos)
 
     def test_rejects_non_zf_directions(self):
         from robustpl import build_rci
         inst = make_instance(3)
         qos = QoSSpec.from_db(5.0, 0.05, 3)
         with pytest.raises(ValueError):
-            zf_params(inst, build_rci(inst.est_channels, 0.03), qos)
+            SurrogateOracle(inst, build_rci(inst.est_channels, 0.03), qos)
 
 
 class TestResidueProbability:
@@ -205,26 +203,26 @@ class TestCoordDescentZf:
 class TestCoordUpdate:
     def test_init_positive_and_finite(self):
         inst, b, qos = make_zf_setup(247)
-        p0 = coord_update_init(inst, b, qos)
+        p0 = SurrogateOracle(inst, b, qos).start()
         assert np.all(p0.powers > 0)
         assert np.all(np.isfinite(p0.powers))
 
     def test_init_decreases_with_looser_outage(self):
         inst = make_instance(249)
         b = build_zf(inst.est_channels)
-        tight = coord_update_init(inst, b, QoSSpec.from_db(5.0, 0.05, 3))
-        loose = coord_update_init(inst, b, QoSSpec.from_db(5.0, 0.999, 3))
+        tight = SurrogateOracle(inst, b, QoSSpec.from_db(5.0, 0.05, 3)).start()
+        loose = SurrogateOracle(inst, b, QoSSpec.from_db(5.0, 0.999, 3)).start()
         assert np.all(loose.powers < tight.powers)
 
     def test_single_user_closed_form_solves_exactly(self):
         inst = make_instance(251, n_tx=2, n_users=1)
         b = build_zf(inst.est_channels)
         qos = QoSSpec.from_db(5.0, 0.05, 1)
-        params = zf_params(inst, b, qos)
-        p0 = coord_update_init(inst, b, qos, params)
+        oracle = SurrogateOracle(inst, b, qos)
+        p0 = oracle.start()
         spec = residue_spectrum(-build_outage_form(inst, b, p0, qos, 0).Q)
         val = residue_probability(spec, float(p0.powers[0]),
-                                  float(params.gamma_prime[0]), 0.01)
+                                  float(oracle.gamma_prime[0]), 0.01)
         assert val == pytest.approx(0.95, abs=1e-9)
 
     def test_small_power_branch_hits_floor_exactly(self):
@@ -245,17 +243,17 @@ class TestCoordUpdate:
 
     def test_typical_case_takes_conservative_branch(self):
         inst, b, qos = make_zf_setup(253)
-        params = zf_params(inst, b, qos)
+        oracle = SurrogateOracle(inst, b, qos)
         p_prev = PowerAllocation(powers=qos.gamma * 0.01)
         for k in range(3):
-            pk = coord_update_step(inst, b, qos, p_prev, k, params)
-            assert pk >= params.gamma_prime[k] * 0.01
+            pk = oracle.step(p_prev.powers, k, literal_gamma=False)
+            assert pk >= oracle.gamma_prime[k] * 0.01
             lam_nz = residue_spectrum(-build_outage_form(inst, b, p_prev, qos, k).Q)
             trial = p_prev.powers.copy()
             trial[k] = pk
             # certified on the frozen spectrum: dropping the alternating tail
             # of the residue series is conservative
-            val = residue_probability(lam_nz, pk, float(params.gamma_prime[k]), 0.01)
+            val = residue_probability(lam_nz, pk, float(oracle.gamma_prime[k]), 0.01)
             assert val >= 1.0 - float(qos.epsilon[k]) - 1e-12
 
     def test_dominant_eigenvalue_limit(self):
@@ -283,10 +281,10 @@ class TestCoordUpdate:
 
     def test_literal_gamma_variant_differs(self):
         inst, b, qos = make_zf_setup(255)
-        params = zf_params(inst, b, qos)
+        oracle = SurrogateOracle(inst, b, qos)
         p_prev = PowerAllocation(powers=qos.gamma * 0.01)
-        a = coord_update_step(inst, b, qos, p_prev, 0, params, literal_gamma=False)
-        c = coord_update_step(inst, b, qos, p_prev, 0, params, literal_gamma=True)
+        a = oracle.step(p_prev.powers, 0, literal_gamma=False)
+        c = oracle.step(p_prev.powers, 0, literal_gamma=True)
         assert a != c
 
     def test_solver_zero_uncertainty(self):
@@ -322,15 +320,14 @@ class TestCoordUpdate:
             error_cov=np.broadcast_to(0.002 * eye, (3, 3, 3)).copy(),
             noise_var=np.full(3, 0.01))
         b, qos = build_zf(eye), QoSSpec.from_db(5.0, 0.05, 3)
-        params = zf_params(inst, b, qos)
-        surrogate = robustpl.zf._SurrogateOracle(inst, b, qos, params)
+        surrogate = SurrogateOracle(inst, b, qos)
         p_prev = PowerAllocation(powers=qos.gamma * 0.01)
         with pytest.raises(DegenerateSpectrum):
             residue_probability(surrogate.spectrum(p_prev.powers, 0),
-                                float(p_prev.powers[0]), float(params.gamma_prime[0]), 0.01)
+                                float(p_prev.powers[0]), float(surrogate.gamma_prime[0]), 0.01)
         for k in range(3):
             trial = p_prev.powers.copy()
-            trial[k] = coord_update_step(inst, b, qos, p_prev, k, params)
+            trial[k] = surrogate.step(p_prev.powers, k, literal_gamma=False)
             prob = surrogate.constraint(trial, k)
             assert 0.95 <= prob <= 0.95 + 1e-3
 
