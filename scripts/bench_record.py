@@ -12,16 +12,19 @@ Python and numpy versions, the core count and the git revision.
 
 With ``--baseline`` the same runs are made on a second checkout, alternating
 which of the two goes first from seed to seed, and written to
-``--baseline-out``; then each metric's pairwise wins are printed, counted in
-the direction BENCHMARK.json gives it, with whether this checkout's median is
-worse than the baseline's by more than the metric's ``bound`` (a share of the
-baseline median), and per workload whether every seed's digest matches.
+``--baseline-out``; then each metric's pairwise wins, losses and ties are
+printed, counted in the direction BENCHMARK.json gives it, with the two-sided
+sign-test p-value of the wins against the losses, whether this checkout's
+median is worse than the baseline's by more than the metric's ``bound`` (a
+share of the baseline median), and per workload whether every seed's digest
+matches.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
 import subprocess
@@ -91,21 +94,33 @@ def summarize(runs: list) -> dict:
     return summary
 
 
+def sign_test(wins: int, losses: int) -> float:
+    """Two-sided sign-test p-value of wins against losses (ties count for
+    neither): twice the chance of a split at least this uneven when each
+    pair is a fair coin, capped at 1."""
+    n = wins + losses
+    tail = sum(math.comb(n, i) for i in range(min(wins, losses) + 1)) / 2 ** n
+    return min(1.0, 2.0 * tail)
+
+
 def report_pairs(workload: str, runs: list, base_runs: list, better: dict,
                  bounds: dict):
-    """Print, per metric, the pairs this checkout wins, the medians and
-    whether this checkout's median is worse than the baseline's by more than
-    the metric's bound (a share of the baseline median); then whether every
-    seed's digest matches."""
+    """Print, per metric, the pairs this checkout wins, loses and ties, the
+    sign-test p-value, the medians and whether this checkout's median is
+    worse than the baseline's by more than the metric's bound (a share of the
+    baseline median); then whether every seed's digest matches."""
     for name in runs[0]["metrics"]:
         sign = 1.0 if better[name] == "higher" else -1.0
         new = [r["metrics"][name]["value"] for r in runs]
         old = [r["metrics"][name]["value"] for r in base_runs]
         wins = sum(sign * (a - b) > 0 for a, b in zip(new, old))
+        losses = sum(sign * (a - b) < 0 for a, b in zip(new, old))
         q1, med_old, q3 = np.percentile(old, [25, 50, 75])
         med_new = np.median(new)
         worse = sign * (med_old - med_new) > bounds[name] * abs(med_old)
-        print(f"{workload} {name}: wins {wins}/{len(new)}, median "
+        print(f"{workload} {name}: wins {wins}/{len(new)}, losses {losses}, "
+              f"ties {len(new) - wins - losses}, sign-test p "
+              f"{sign_test(wins, losses):.3g}, median "
               f"{med_new:.6g} vs {med_old:.6g} (baseline quartile "
               f"spread {q3 - q1:.3g}), "
               f"{'WORSE than' if worse else 'within'} bound {bounds[name]:g}",

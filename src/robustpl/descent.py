@@ -111,6 +111,7 @@ class OutageOracle:
                  qos: QoSSpec, quad_tol: float = 1e-8):
         sqrt_c, inv_sqrt_c = instance.cov_roots
         self.g_mats = sqrt_c @ beamformer.columns
+        self.g_herms = [g.conj().T for g in self.g_mats]
         self.centres = -np.einsum("kij,kj->ki", inv_sqrt_c, instance.est_channels.conj())
         self.hb = instance.est_channels @ beamformer.columns
         self.gains = np.abs(self.hb) ** 2
@@ -129,8 +130,7 @@ class OutageOracle:
 
     def q_matrix(self, c: np.ndarray, k: int) -> np.ndarray:
         """G_k diag(c) G_k^H: user k's Q at the signed powers c (-Q at -c)."""
-        g = self.g_mats[k]
-        return (g * c) @ g.conj().T
+        return (self.g_mats[k] * c) @ self.g_herms[k]
 
     def form(self, powers: np.ndarray, k: int) -> QuadraticOutageForm:
         c = self.signed_powers(powers, k)

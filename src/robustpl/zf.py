@@ -19,30 +19,20 @@ import numpy as np
 
 from .descent import (DescentConfig, OutageOracle, SolveReport, SolveStatus,
                       _bisect_user_power, _run_descent)
-from .model import (
-    BeamformerMatrix,
-    PowerAllocation,
-    QoSSpec,
-    ScenarioInstance,
-    ZF_TOL,
-    build_outage_form,  # noqa: F401 (perfbench/tracing.py wraps this name)
-    psd_sqrt,  # noqa: F401 (perfbench/tracing.py wraps this name)
-)
+from .model import (BeamformerMatrix, PowerAllocation, QoSSpec, ScenarioInstance,
+                    ZF_TOL)
+from .model import build_outage_form, psd_sqrt  # noqa: F401 (perfbench/tracing.py wraps them)
 from .quadform import EigenSpectrum, cdf_quadrature
 from .quadform import outage_probability  # noqa: F401 (perfbench/tracing.py wraps it)
 
-__all__ = [
-    "ApproximationInapplicable",
-    "DegenerateSpectrum",
-    "residue_spectrum",
-    "residue_probability",
-    "SurrogateOracle",
-    "solve_zf_coord_descent",
-    "solve_zf_coord_update",
-]
+__all__ = ["ApproximationInapplicable", "DegenerateSpectrum", "residue_spectrum",
+           "residue_probability", "SurrogateOracle", "solve_zf_coord_descent",
+           "solve_zf_coord_update"]
 
 DEFAULT_ETA_MULTIPLE = -1.3
 RELATIVE_GAP_TOL = 1e-9
+ROUNDING_TOL = 1e-9  # a tenth of the default quad_tol: see residue_probability
+EPS = 2.0 ** -52
 # The coordinate-update fixed point meets the surrogate constraints with
 # equality; a hair of slack keeps float noise from costing whole cycles.
 FEASIBILITY_SLACK = 1e-6
@@ -60,22 +50,29 @@ class DegenerateSpectrum(Exception):
 def residue_spectrum(minus_q: np.ndarray) -> np.ndarray:
     """The nonzero eigenvalues of -Q, descending; zero modes are those below
     1e-12 of the largest magnitude (``cdf_quadrature``'s threshold)."""
-    lam = np.linalg.eigvalsh(minus_q)[::-1]
-    thresh = 1e-12 * max(1.0, float(np.max(np.abs(lam), initial=0.0)))
-    return lam[np.abs(lam) > thresh]
+    lam = np.linalg.eigvalsh(minus_q).tolist()[::-1]
+    thresh = 1e-12 * max(1.0, *map(abs, lam))
+    return np.array([x for x in lam if abs(x) > thresh])
 
 
-def _residue_weights(lam_nz: np.ndarray) -> np.ndarray:
-    """prod_{j != l} (1 - lam_j / lam_l) for every l of the descending
-    nonzero eigenvalues; raises DegenerateSpectrum when two of them collide."""
-    scale = np.maximum(np.abs(lam_nz[:-1]), np.abs(lam_nz[1:]))
-    close = np.abs(np.diff(lam_nz)) <= RELATIVE_GAP_TOL * scale
-    if np.any(close):
-        i = int(np.argmax(close))
-        raise DegenerateSpectrum(f"eigenvalues collide: {lam_nz[i]} ~ {lam_nz[i + 1]}")
-    ratios = 1.0 - lam_nz[None, :] / lam_nz[:, None]
-    np.fill_diagonal(ratios, 1.0)
-    return np.prod(ratios, axis=1)
+def _check_separated(lam: list):
+    """Raise DegenerateSpectrum when two neighbours of the descending
+    nonzero eigenvalues lam (floats) collide."""
+    for a, b in zip(lam, lam[1:]):
+        if abs(b - a) <= RELATIVE_GAP_TOL * max(abs(a), abs(b)):
+            raise DegenerateSpectrum(f"eigenvalues collide: {a} ~ {b}")
+
+
+def _residue_weight(lam: list, lam_l: float) -> tuple:
+    """w_l = prod_{j != l} (1 - r_jl) and kappa_l = sum_{j != l} |r_jl / (1 -
+    r_jl)|, r_jl = lam_j / lam_l, over the others of the separated lam."""
+    w, kappa = 1.0, 0.0
+    for lam_j in lam:
+        if lam_j != lam_l:
+            r = lam_j / lam_l
+            w *= 1.0 - r
+            kappa += abs(r / (1.0 - r))
+    return w, kappa
 
 
 def residue_probability(lam_nz: np.ndarray, p_k: float,
@@ -86,14 +83,31 @@ def residue_probability(lam_nz: np.ndarray, p_k: float,
         1 + sum over positive eigenvalues of f_l   if p_k >= gamma'_k s2
         -f at the negative eigenvalue              otherwise,
     with f_l = -exp(-(p_k/gamma'_k - s2)/lam_l) / prod_{j != l}(1 - lam_j/lam_l)
-    and products over the nonzero eigenvalues lam_nz (``residue_spectrum``).
+    and products over the m nonzero eigenvalues lam_nz (``residue_spectrum``).
+
+    Near a collision the terms t_l = exp(-u/lam_l) / w_l grow and cancel.
+    With eps = 2^-52, t_l errs relatively by at most eps/2 |u/lam_l| (from
+    u/lam_l), eps (``np.exp``), eps/2 (1 + |r_jl/(1 - r_jl)|) per factor of
+    w_l and eps/2 per product and quotient (m - 1 in all), in sum eps (m +
+    |u/lam_l| + kappa_l) (``_residue_weight``).  Summing adds (m - 1) eps/2
+    sum |t_l|: the sum errs by less than eps sum_l |t_l| (2m + |u/lam_l| +
+    kappa_l) to first order, 1 - sum by eps/2 more.  Above ROUNDING_TOL
+    this raises DegenerateSpectrum, as do collisions and a sum out of [0, 1].
     """
-    weights = _residue_weights(lam_nz)
+    lam = lam_nz.tolist()
+    _check_separated(lam)
     u = p_k / gamma_prime_k - sigma_k2
     # only the selected sign is exponentiated: exp(-u / lam) of the other
     # sign can overflow
-    which = lam_nz > 0 if u >= 0.0 else lam_nz < 0
-    total = sum(np.exp(-u / lam_nz[which]) / weights[which])
+    which = [x for x in lam if (x > 0 if u >= 0.0 else x < 0)]
+    total = bound = 0.0
+    for lam_l, e in zip(which, np.exp([-u / x for x in which]).tolist()):
+        w, kappa = _residue_weight(lam, lam_l)
+        t = e / w
+        total += t
+        bound += abs(t) * (2 * len(lam) + abs(u / lam_l) + kappa)
+    if EPS * bound > ROUNDING_TOL:
+        raise DegenerateSpectrum(f"residue sum rounding error up to {EPS * bound:.3g}")
     raw = 1.0 - total if u >= 0.0 else total
     if raw < -1e-5 or raw > 1.0 + 1e-5:
         raise DegenerateSpectrum(f"residue sum out of range: {raw}")
@@ -115,21 +129,21 @@ def _step_from_spectrum(lam_nz: np.ndarray, gamma_k, gamma_prime_k, sigma_k2,
     if that root is outside (0, gamma' s2), takes the conservative
     dominant-positive-eigenvalue root and floors it at gamma' s2.
     """
-    weights = _residue_weights(lam_nz)
-    negatives = np.flatnonzero(lam_nz < 0)
-    positives = np.flatnonzero(lam_nz > 0)
-    if positives.size == 0:
+    lam = lam_nz.tolist()
+    _check_separated(lam)
+    if not lam or lam[0] <= 0:  # no positive eigenvalue
         return _single_user_power(gamma_k, gamma_prime_k, sigma_k2, r_norm2,
                                   epsilon_k)
     gp_s2 = gamma_prime_k * sigma_k2
-    if negatives.size:
-        lam_r, w_r = lam_nz[negatives[0]], weights[negatives[0]]
+    if lam[-1] < 0:
+        lam_r = next(x for x in lam if x < 0)
+        w_r, _ = _residue_weight(lam, lam_r)
         p_tilde = gp_s2 - gamma_prime_k * lam_r * np.log((1.0 - epsilon_k) * w_r)
         if 0.0 < p_tilde < gp_s2:
             return float(p_tilde)
-    lam1, w1 = lam_nz[positives[0]], weights[positives[0]]
     g = gamma_k if literal_gamma else gamma_prime_k
-    p_breve = g * sigma_k2 - g * lam1 * np.log(epsilon_k * w1)
+    w_1, _ = _residue_weight(lam, lam[0])
+    p_breve = g * sigma_k2 - g * lam[0] * np.log(epsilon_k * w_1)
     return float(max(p_breve, gp_s2))
 
 
@@ -184,18 +198,17 @@ class SurrogateOracle(OutageOracle):
         n, sigma2 = self.gamma.size, self.noise_var
         p0 = self.gamma * sigma2  # the fallback
         for k in range(n):
-            lam_nz = self.spectrum(np.ones(n), k)
+            lam = self.spectrum(np.ones(n), k).tolist()
             try:
-                weights = _residue_weights(lam_nz)
+                _check_separated(lam)
             except DegenerateSpectrum:
                 continue
-            if lam_nz.size == 0 or lam_nz[0] <= 0:
+            if not lam or lam[0] <= 0:
                 p0[k] = _single_user_power(self.gamma[k], self.gamma_prime[k],
-                                           sigma2[k], self.r_norm2[k],
-                                           self.epsilon[k])
+                                           sigma2[k], self.r_norm2[k], self.epsilon[k])
                 continue
-            denom = (1.0 / self.gamma_prime[k]
-                     + lam_nz[0] * np.log(self.epsilon[k] * weights[0]))
+            w_1, _ = _residue_weight(lam, lam[0])
+            denom = 1.0 / self.gamma_prime[k] + lam[0] * np.log(self.epsilon[k] * w_1)
             if denom > 0:
                 p0[k] = sigma2[k] / denom
         return PowerAllocation(powers=p0)

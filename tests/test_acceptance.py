@@ -1,10 +1,12 @@
 """Acceptance suite: each test enforces one release criterion at its stated
 tolerance and prints a PASS line with the measured margin.
 
-The sweep-based criteria run a 200-trial desk-scale study (about five to ten
-minutes on one core); run with ``pytest tests/test_acceptance.py -s`` to see
+The sweep-based criteria run a 200-trial desk-scale study on up to two worker
+processes (about two minutes on two cores); run with ``pytest tests/test_acceptance.py -s`` to see
 the per-criterion lines as they complete.
 """
+
+import os
 
 import numpy as np
 import pytest
@@ -42,6 +44,11 @@ def report(criterion, detail):
     print(f"ACCEPTANCE {criterion}: PASS - {detail}")
 
 
+# the sweeps fan out over at most two worker processes; criterion 9 pins
+# that records do not depend on the worker count
+SWEEP_WORKERS = min(2, os.cpu_count() or 1)
+
+
 @pytest.fixture(scope="module")
 def desk_scale_records():
     config = ExperimentConfig(
@@ -50,7 +57,7 @@ def desk_scale_records():
                  "ZF-CoordDescent", "ZF-CoordUpdate"),
         training={"L_ut": 1, "P_ut": 4.99},
         gamma_db=tuple(float(g) for g in range(11)), epsilon=0.05)
-    return config, run_sweep(config)
+    return config, run_sweep(config, n_threads=SWEEP_WORKERS)
 
 
 @pytest.fixture(scope="module")
@@ -60,7 +67,7 @@ def workload_records():
         methods=("RCI-General", "ZF-General", "ZF-CoordDescent",
                  "ZF-CoordUpdate"),
         training={"L_ut": 1, "P_ut": 4.99}, gamma_db=(5.0,), epsilon=0.05)
-    return config, run_sweep(config)
+    return config, run_sweep(config, n_threads=SWEEP_WORKERS)
 
 
 def test_criterion_1_residue_quadrature_equivalence():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import robustpl.zf
 
@@ -7,6 +8,7 @@ from robustpl import (
     ApproximationInapplicable,
     DegenerateSpectrum,
     DescentConfig,
+    EigenSpectrum,
     PowerAllocation,
     QoSSpec,
     ScenarioInstance,
@@ -23,7 +25,7 @@ from robustpl import (
     solve_zf_coord_descent,
     solve_zf_coord_update,
 )
-from robustpl.zf import _step_from_spectrum
+from robustpl.zf import ROUNDING_TOL, _step_from_spectrum
 
 from conftest import make_instance, make_zf_setup
 
@@ -103,6 +105,75 @@ class TestResidueProbability:
         spec = residue_spectrum(np.diag([1.0, 1.0 + 1e-12, -0.5]))
         with pytest.raises(DegenerateSpectrum):
             residue_probability(spec, 1.5, 1.0, 1.0)
+
+    @staticmethod
+    def quadrature_reference(lam_nz, u):
+        # not strict: on some of these forms the quadrature's rounding floor
+        # keeps its certified bound above 1e-12, and the bound it returns
+        # is the one to compare within
+        return cdf_quadrature(EigenSpectrum(eigenvalues=lam_nz,
+                                            z_tilde=np.zeros(lam_nz.size)),
+                              u, tol=1e-12, strict=False)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.floats(-1.0, 1.0),
+           st.lists(st.floats(0.25, 1.0), min_size=0, max_size=4),
+           st.floats(-2.0, 1.0), st.sampled_from([-1.0, 1.0]),
+           st.floats(-3.0, 0.5))
+    def test_matches_quadrature_on_separated_spectra(self, top, steps, neg,
+                                                     sign, log_u):
+        # one negative and 1-5 positive eigenvalues, neighbours at least a
+        # quarter decade apart, spanning up to four decades; u on both
+        # sides of the branch switch at u = 0
+        pos = 10.0 ** (top - np.cumsum([0.0] + steps))
+        lam = np.concatenate([pos, [-(10.0 ** neg)]])
+        spec = residue_spectrum(np.diag(lam))
+        p_k = 1.0 + sign * 10.0 ** log_u
+        ref = self.quadrature_reference(spec, p_k - 1.0)
+        val = residue_probability(spec, p_k, 1.0, 1.0)
+        assert abs(val - ref.value) <= ref.abs_error_bound + 1e-12
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.floats(-12.0, -1.0))
+    @example(-5.0)
+    @example(-8.0)
+    def test_near_collision_raises_or_meets_rounding_bound(self, log_g):
+        # -Q = diag(1 + g, 1, -0.5) 1e-3 at u = 2e-3: the positive terms
+        # grow like 1/g and cancel; without the rounding guard the sum
+        # errs by 9.2e-8 at g = 1e-5 and by 9.9e-3 at g = 1e-8
+        g = 10.0 ** log_g
+        spec = residue_spectrum(np.diag([(1.0 + g) * 1e-3, 1e-3, -0.5e-3]))
+        p_k = 1.0 + 2e-3
+        ref = self.quadrature_reference(spec, p_k - 1.0)
+        try:
+            val = residue_probability(spec, p_k, 1.0, 1.0)
+        except DegenerateSpectrum:
+            return
+        assert abs(val - ref.value) <= ROUNDING_TOL + ref.abs_error_bound
+
+    def test_every_constraint_goes_through_residue_probability(self, monkeypatch):
+        # perfbench/tracing.py counts surrogate evaluations by wrapping the
+        # module-level name; a constraint that bypassed it would go uncounted
+        residue_calls, constraint_calls = [], []
+        original = robustpl.zf.residue_probability
+        constraint = SurrogateOracle.constraint
+
+        def counting_residue(*args):
+            residue_calls.append(args)
+            return original(*args)
+
+        def counting_constraint(self, powers, k):
+            constraint_calls.append(k)
+            return constraint(self, powers, k)
+
+        monkeypatch.setattr(robustpl.zf, "residue_probability", counting_residue)
+        monkeypatch.setattr(SurrogateOracle, "constraint", counting_constraint)
+        for seed in (301, 302):
+            inst, b, qos = make_zf_setup(seed)
+            solve_zf_coord_descent(inst, b, qos)
+            solve_zf_coord_update(inst, b, qos)
+        assert len(constraint_calls) > 0
+        assert len(residue_calls) == len(constraint_calls)
 
     def test_matches_quadrature_on_random_zf_spectra(self, rng):
         worst = 0.0
