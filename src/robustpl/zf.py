@@ -157,8 +157,9 @@ class SurrogateOracle(OutageOracle):
     that are not ZF for the estimates, and ApproximationInapplicable when
     1 + eta_k <= 0.  ``constraint`` is the surrogate probability by residues
     on the spectrum of -Q = -G_k diag(c) G_k^H, or by quadrature on the same
-    eigenvalues (the rotated centre is zero) when they collide; ``report``
-    certifies the returned powers with ``exact_all``.
+    eigenvalues (the rotated centre is zero) when they collide or the
+    residue sum's rounding bound exceeds ROUNDING_TOL; ``report`` certifies
+    the returned powers with ``exact_all``.
     """
 
     def __init__(self, instance: ScenarioInstance, beamformer: BeamformerMatrix,

@@ -2,8 +2,9 @@
 tolerance and prints a PASS line with the measured margin.
 
 The sweep-based criteria run a 200-trial desk-scale study on up to two worker
-processes (about two minutes on two cores); run with ``pytest tests/test_acceptance.py -s`` to see
-the per-criterion lines as they complete.
+processes (about two minutes on two cores); run with
+``pytest tests/test_acceptance.py -s`` to see the per-criterion lines as they
+complete.
 """
 
 import os
