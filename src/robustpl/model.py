@@ -17,7 +17,7 @@ class SingularChannel(Exception):
 
 
 class Diverged(Exception):
-    """A fixed-point iteration failed to converge within its sweep budget."""
+    """An iterative solve found no root: infeasible, or out of iterations."""
 
 
 def db_to_linear(x_db):
@@ -231,44 +231,44 @@ def build_pcsi_directions(est_channels: np.ndarray, qos: QoSSpec,
                           noise_var, max_sweeps: int = 10_000) -> BeamformerMatrix:
     """Optimal fixed directions when the estimates are treated as exact.
 
-    Solves the classical power-minimization beamforming problem through its
-    virtual-uplink fixed point: iterate
-        q_k <- gamma_k / ((1 + gamma_k) h_k^H R(q)^-1 h_k),
-        R(q) = sigma_k^2 I + sum_j q_j h_j h_j^H,
-    to a relative change below 1e-10, then take direction k as the
-    normalized vector R(q)^-1 h_k.  Requires the uplink problem to be
-    feasible; raises Diverged otherwise.
+    Solves the power-minimization problem through its virtual uplink
+    (Rashid-Farrokhi, Tassiulas & Liu 1998; Schubert & Boche 2004): find q > 0
+    with F(q) = q o d - gamma / (1 + gamma) = 0, d_i = h_i^H R_i^-1 h_i and
+    R_i = sigma_i^2 I + sum_j q_j h_j h_j^H; direction k is R_k^-1 h_k, normalized.
+    Damped Newton from q = 1: one stacked solve of the R_i against H^H gives
+    M_ij = h_i^H R_i^-1 h_j and the Jacobian J = diag(d) - diag(q) |M|^2.  The
+    step -J^-1 F is halved while any q_k <= 0; it stops when the step is below
+    1e-12 relative to q, or below 1e-8 and no longer shrinking.  J q = q o e,
+    e_i = sigma_i^2 ||R_i^-1 h_i||^2, so the noise share e_i / d_i is J's margin;
+    an infeasible uplink drives it to 0.  Raises Diverged when a share falls
+    below 1.5e-8 (~sqrt(eps); one user's share at the root is 1 / (1 + gamma)),
+    when no step above eps keeps q > 0, or after max_sweeps iterations.
     """
     hh = np.asarray(est_channels, dtype=complex)
     k, nt = hh.shape
     nv = np.broadcast_to(np.asarray(noise_var, dtype=float), (k,))
-    gamma = qos.gamma
-    ratio = gamma / (1.0 + gamma)
-
-    def mmse_gains(q):
-        accum = (hh.conj().T * q) @ hh
-        gains = np.empty(k)
-        vecs = np.empty((nt, k), dtype=complex)
-        for i in range(k):
-            vecs[:, i] = np.linalg.solve(nv[i] * np.eye(nt) + accum, hh[i].conj())
-            gains[i] = np.real(hh[i] @ vecs[:, i])
-        return gains, vecs
-
-    q = np.ones(k)
+    ratio = qos.gamma / (1.0 + qos.gamma)
+    noise, rhs = nv[:, None, None] * np.eye(nt), np.broadcast_to(hh.conj().T, (k, nt, k))
+    q, last = np.ones(k), np.inf
     for _ in range(max_sweeps):
-        gains, _ = mmse_gains(q)
-        q_new = ratio / gains
-        if not np.all(np.isfinite(q_new)) or np.any(q_new <= 0):
-            raise Diverged("virtual uplink iteration produced invalid powers")
-        if np.max(np.abs(q_new - q) / np.maximum(q_new, 1e-300)) < 1e-10:
-            q = q_new
+        x = np.linalg.solve(noise + (hh.conj().T * q) @ hh, rhs)
+        mmse, m = x[np.arange(k), :, np.arange(k)], np.einsum("in,inj->ij", hh, x)
+        d, norms = m.diagonal().real, np.linalg.norm(mmse, axis=1)
+        if not np.all(nv * norms ** 2 >= 1.5e-8 * d):
+            raise Diverged("virtual uplink infeasible: noise share below 1.5e-8")
+        step = np.linalg.solve(np.diag(d) - q[:, None] * np.abs(m) ** 2, ratio - q * d)
+        rel = np.max(np.abs(step) / q)
+        if rel < 1e-12 or last <= rel < 1e-8:
             break
-        q = q_new
+        t, last = 1.0, rel
+        while np.any(q + t * step <= 0):
+            t *= 0.5
+            if t < np.finfo(float).eps:
+                raise Diverged("virtual uplink Newton step has no positive damping")
+        q = q + t * step
     else:
         raise Diverged("virtual uplink iteration did not converge")
-    _, cols = mmse_gains(q)
-    cols = cols / np.linalg.norm(cols, axis=0, keepdims=True)
-    return BeamformerMatrix(columns=cols)
+    return BeamformerMatrix(columns=(mmse / norms[:, None]).T)
 
 
 def sinr(channel_row: np.ndarray, beamformer: BeamformerMatrix,

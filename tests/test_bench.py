@@ -123,12 +123,14 @@ class TestSweep:
         assert np.all(np.diff(curve) <= 1e-12), curve
 
     def test_trial_isolation_under_failure(self):
-        # PCSI direction solve can diverge on pathological targets; the sweep
-        # still returns one record per cell
+        # 3 users on 2 antennas at 30 dB need sum gamma / (1 + gamma) = 3.0 > 2
+        # from the virtual uplink, so the PCSI direction solve raises Diverged;
+        # the sweep still returns one record per cell
         cfg = small_config(methods=("PCSI-General",), gamma_db=(0.0, 30.0),
-                           n_trials=1)
+                           n_trials=1, n_tx=2)
         recs = run_sweep(cfg)
         assert len(recs) == 2
+        assert (recs[1].gamma_db, recs[1].status) == (30.0, "Diverged")
 
     def test_undefined_surrogate_target_falls_back_to_general(self):
         # at this uncertainty 1 + eta_k <= 0, so the surrogate solvers'

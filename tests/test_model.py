@@ -1,7 +1,9 @@
 import pickle
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import robustpl.model
 import robustpl.quadform
@@ -19,6 +21,7 @@ from robustpl import (
     build_rci,
     build_zf,
     complex_normal,
+    db_to_linear,
     generate_rayleigh_channels,
     init_powers_pcsi,
     simulate_uplink_estimate,
@@ -144,6 +147,83 @@ class TestPcsiDirections:
         qos = QoSSpec.from_db(5.0, 0.05, 3)
         with pytest.raises(Diverged):
             build_pcsi_directions(est, qos, 0.01, max_sweeps=1)
+
+
+def uplink_draw(data, n_tx, n_users, gamma_min, spread_db):
+    """Channels, per-user targets gamma_min * 10^(x/10) with x in [0, spread_db],
+    and equal or per-user noise."""
+    est = generate_rayleigh_channels(n_tx, n_users, data.draw(st.integers(0, 2**32 - 1)))
+    users = dict(min_size=n_users, max_size=n_users)
+    gamma = gamma_min * db_to_linear(data.draw(st.lists(st.floats(0.0, spread_db), **users)))
+    noise = data.draw(st.one_of(st.just([0.01] * n_users),
+                                st.lists(st.floats(1e-3, 1.0), **users)))
+    return est, QoSSpec(gamma=gamma, epsilon=np.full(n_users, 0.05)), np.array(noise)
+
+
+def fixed_point_directions(est, qos, noise_var):
+    """Reference: the linear virtual-uplink fixed point
+    q_k <- gamma_k / ((1 + gamma_k) h_k^H R_k(q)^-1 h_k), one solve per user,
+    to a relative change below 1e-13."""
+    k, nt = est.shape
+    ratio = qos.gamma / (1.0 + qos.gamma)
+
+    def mmse(q):
+        accum = (est.conj().T * q) @ est
+        return np.array([np.linalg.solve(noise_var[i] * np.eye(nt) + accum, est[i].conj())
+                         for i in range(k)]).T
+
+    q = np.ones(k)
+    for _ in range(100_000):
+        vecs = mmse(q)
+        q_new = ratio / np.real(np.einsum("in,ni->i", est, vecs))
+        done = np.max(np.abs(q_new - q) / q_new) < 1e-13
+        q = q_new
+        if done:
+            break
+    else:
+        raise AssertionError("reference fixed point did not converge")
+    vecs = mmse(q)
+    return vecs / np.linalg.norm(vecs, axis=0)
+
+
+class TestPcsiNewton:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 6).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))),
+           st.data())
+    def test_balance_powers_meet_every_target(self, dims, data):
+        n_tx, n_users = dims
+        est, qos, noise = uplink_draw(data, n_tx, n_users, 1.0, 40.0)
+        b = build_pcsi_directions(est, qos, noise)
+        alloc, fallback = init_powers_pcsi(est, b, qos, noise)
+        assert not fallback
+        for k in range(n_users):
+            val = sinr(est[k], b, alloc, noise[k], k)
+            assert val == pytest.approx(qos.gamma[k], rel=1e-9)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 5).flatmap(lambda n: st.tuples(st.just(n), st.integers(n + 1, 7))),
+           st.data())
+    def test_infeasible_uplink_diverges_quickly(self, dims, data):
+        # at gamma_min = N / (K - N) every user's gamma / (1 + gamma) is at
+        # least N / K, so the sum reaches N, which no q attains
+        n_tx, n_users = dims
+        est, qos, noise = uplink_draw(data, n_tx, n_users, n_tx / (n_users - n_tx), 30.0)
+        start = time.process_time()
+        with pytest.raises(Diverged):
+            build_pcsi_directions(est, qos, noise)
+        assert time.process_time() - start < 0.05
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_per_user_noise_matches_fixed_point(self, seed):
+        rng = np.random.default_rng(seed)
+        n_tx = 3 + seed % 3
+        est = generate_rayleigh_channels(n_tx, 3, rng)
+        qos = QoSSpec.from_db(rng.uniform(0.0, 10.0), 0.05, 3)
+        noise = 10.0 ** rng.uniform(-3.0, 0.0, 3)
+        b = build_pcsi_directions(est, qos, noise)
+        ref = fixed_point_directions(est, qos, noise)
+        # directions are unique up to a phase; both solvers take the MMSE phase
+        np.testing.assert_allclose(b.columns, ref, rtol=0, atol=1e-9)
 
 
 class TestSinr:
