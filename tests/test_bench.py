@@ -123,7 +123,7 @@ class TestSweep:
         assert np.all(np.diff(curve) <= 1e-12), curve
 
     def test_trial_isolation_under_failure(self):
-        # 3 users on 2 antennas at 30 dB need sum gamma / (1 + gamma) = 3.0 > 2
+        # 3 users on 2 antennas at 30 dB need sum gamma / (1 + gamma) = 2.997 > 2
         # from the virtual uplink, so the PCSI direction solve raises Diverged;
         # the sweep still returns one record per cell
         cfg = small_config(methods=("PCSI-General",), gamma_db=(0.0, 30.0),
