@@ -156,7 +156,7 @@ def _run_method(method: str, instance: ScenarioInstance, est, qos: QoSSpec,
                 config: ExperimentConfig):
     dconf = config.descent_config()
     if method == "PCSI-General":
-        bf = build_pcsi_directions(est, qos, config.sigma2)
+        bf = build_pcsi_directions(est, qos)
         return bf, solve_general(instance, bf, qos, dconf)
     if method == "RCI-General":
         bf = build_rci(est, config.n_users * config.sigma2)

@@ -1,10 +1,11 @@
 """Feasible-start cyclic coordinate descent for outage-constrained power
 loading with fixed beamforming directions.
 
-Each coordinate step shrinks one user's power by bisection until that user's
-success probability falls inside [1 - eps, 1 - eps + Delta]; lowering a power
-can only raise the other users' probabilities, so every iterate stays
-feasible and the total power never increases.
+Each coordinate step shrinks one user's power, by a bracketed secant search
+on the logit of its success probability, until that probability falls inside
+[1 - eps, 1 - eps + Delta]; lowering a power can only raise the other users'
+probabilities, so every iterate stays feasible and the total power never
+increases.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ class DescentConfig:
     """Knobs for the coordinate-descent solvers.
 
     ``delta_min`` is the probability-band width of every user; every cycle
-    bisects into the band delta_min from the first cycle.
+    searches into the band delta_min from the first cycle.
     """
 
     delta_min: float = 1e-3
@@ -186,44 +187,58 @@ def _find_feasible_start(prob, beamformer, qos, p_init: np.ndarray):
         doublings += 1
 
 
+def _logit(q: float):
+    """log(q / (1 - q)), or None at q = 0 or 1 (tail shortcuts)."""
+    return float(np.log(q / (1.0 - q))) if 0.0 < q < 1.0 else None
+
+
 def _bisect_user_power(prob, p: np.ndarray, k: int, delta_k: float,
                        epsilon_k: float, prob_k_current: float = None):
     """Shrink p[k] into the probability band [1-eps, 1-eps+delta].
 
     Assumes prob(., k) is increasing in p[k] and that the current p[k] is
-    feasible.  The lower endpoint 0 is never feasible here (zero signal power
-    cannot meet a positive SINR target), so it serves as the infeasible
-    bracket without being evaluated.  Returns (new_pk, probability, steps).
+    feasible.  The bracket starts at [0, p[k]]; 0 is never feasible (zero
+    signal power cannot meet a positive SINR target) and never evaluated.
+    Probes aim at 1-eps+delta/8: the first along the chord from (0, 0) to
+    (p[k], prob), later ones along the secant of logit(prob) through the last
+    two probes, or at the midpoint when the secant leaves the bracket, a
+    probability is exactly 0 or 1, or three secant probes in a row moved the
+    same end; every probe keeps 1e-3 of the bracket's width from both ends.
+    Returns (new_pk, probability, steps).
     """
     floor = 1.0 - epsilon_k
-    steps = 0
     hi = p[k]
-    if prob_k_current is None:
-        prob_hi = prob(p, k)
-        steps += 1
-    else:
-        prob_hi = prob_k_current
+    steps = int(prob_k_current is None)
+    prob_hi = prob(p, k) if steps else prob_k_current
     if prob_hi <= floor + delta_k:
         return hi, prob_hi, steps
-    lo = 0.0
-    trial = p.copy()
-    # land in the lower quarter of the band: later coordinate reductions can
+    lo, trial = 0.0, p.copy()
+    # aim at the lower quarter of the band: later coordinate reductions can
     # only raise this probability, so headroom saves whole extra cycles
+    aim = floor + 0.125 * delta_k
+    x, last, secant, streak = hi * aim / prob_hi, (hi, _logit(prob_hi)), False, 0
     while steps < MAX_BISECT_STEPS:
-        mid = 0.5 * (lo + hi)
-        trial[k] = mid
+        x = min(max(x, lo + 1e-3 * (hi - lo)), hi - 1e-3 * (hi - lo))
+        trial[k] = x
         pm = prob(trial, k)
         steps += 1
+        # secant probes in a row that moved the same end (+ hi, - lo)
+        streak = (max(streak, 0) + 1 if pm >= floor else min(streak, 0) - 1) if secant else 0
         if pm >= floor:
-            hi = mid
-            prob_hi = pm
+            hi, prob_hi = x, pm
             if pm <= floor + 0.25 * delta_k:
                 break
         else:
-            lo = mid
+            lo = x
         if hi - lo <= 1e-15 * max(1.0, hi):
             # probability jumps across the band; keep the feasible endpoint
             break
+        (x0, l0), (x1, l1) = last, (x, _logit(pm))
+        last, x, secant = (x1, l1), 0.5 * (lo + hi), False
+        if None not in (l0, l1) and l0 != l1 and abs(streak) < 3:
+            guess = x1 + (_logit(aim) - l1) * (x1 - x0) / (l1 - l0)
+            if lo < guess < hi:
+                x, secant = guess, True
     return hi, prob_hi, steps
 
 

@@ -228,33 +228,32 @@ def build_rci(est_channels: np.ndarray, alpha: float) -> BeamformerMatrix:
 
 
 def build_pcsi_directions(est_channels: np.ndarray, qos: QoSSpec,
-                          noise_var, max_sweeps: int = 10_000) -> BeamformerMatrix:
+                          max_sweeps: int = 10_000) -> BeamformerMatrix:
     """Optimal fixed directions when the estimates are treated as exact.
 
-    Solves the power-minimization problem through its virtual uplink
-    (Rashid-Farrokhi, Tassiulas & Liu 1998; Schubert & Boche 2004): find q > 0
-    with F(q) = q o d - gamma / (1 + gamma) = 0, d_i = h_i^H R_i^-1 h_i and
-    R_i = sigma_i^2 I + sum_j q_j h_j h_j^H; direction k is R_k^-1 h_k, normalized.
-    Damped Newton from q = 1: one stacked solve of the R_i against H^H gives
-    M_ij = h_i^H R_i^-1 h_j and the Jacobian J = diag(d) - diag(q) |M|^2.  The
-    step -J^-1 F is halved while any q_k <= 0; it stops when the step is below
-    1e-12 relative to q, or below 1e-8 and no longer shrinking.  J q = q o e,
-    e_i = sigma_i^2 ||R_i^-1 h_i||^2, so the noise share e_i / d_i is J's margin;
-    an infeasible uplink drives it to 0.  Raises Diverged when a share falls
-    below 1.5e-8 (~sqrt(eps); one user's share at the root is 1 / (1 + gamma)),
-    when no step above eps keeps q > 0, or after max_sweeps iterations.
+    Solves the power-minimization problem through its Lagrange dual, the
+    virtual uplink (Rashid-Farrokhi, Tassiulas & Liu 1998; Wiesel, Eldar &
+    Shamai 2006): find q > 0 with F(q) = q o d - gamma / (1 + gamma) = 0,
+    d_i = h_i^H R^-1 h_i and R = I + sum_j q_j h_j h_j^H, which the noise
+    does not enter; direction k is R^-1 h_k, normalized.  Damped Newton from
+    q = 1: one solve of R against H^H gives M_ij = h_i^H R^-1 h_j and the
+    Jacobian J = diag(d) - diag(q) |M|^2.  The step -J^-1 F is halved while
+    any q_k <= 0; it stops when the step is below 1e-12 relative to q, or
+    below 1e-8 and no longer shrinking.  J q = q o e, e_i = ||R^-1 h_i||^2,
+    so the unit noise's share e_i / d_i is J's margin; an infeasible uplink
+    drives it to 0.  Raises Diverged when a share falls below 1.5e-8
+    (~sqrt(eps); one user's share at the root is 1 / (1 + gamma)), when no
+    step above eps keeps q > 0, or after max_sweeps iterations.
     """
     hh = np.asarray(est_channels, dtype=complex)
     k, nt = hh.shape
-    nv = np.broadcast_to(np.asarray(noise_var, dtype=float), (k,))
     ratio = qos.gamma / (1.0 + qos.gamma)
-    noise, rhs = nv[:, None, None] * np.eye(nt), np.broadcast_to(hh.conj().T, (k, nt, k))
     q, last = np.ones(k), np.inf
     for _ in range(max_sweeps):
-        x = np.linalg.solve(noise + (hh.conj().T * q) @ hh, rhs)
-        mmse, m = x[np.arange(k), :, np.arange(k)], np.einsum("in,inj->ij", hh, x)
-        d, norms = m.diagonal().real, np.linalg.norm(mmse, axis=1)
-        if not np.all(nv * norms ** 2 >= 1.5e-8 * d):
+        x = np.linalg.solve(np.eye(nt) + (hh.conj().T * q) @ hh, hh.conj().T)
+        m = hh @ x
+        d, norms = m.diagonal().real, np.linalg.norm(x, axis=0)
+        if not np.all(norms ** 2 >= 1.5e-8 * d):
             raise Diverged("virtual uplink infeasible: noise share below 1.5e-8")
         step = np.linalg.solve(np.diag(d) - q[:, None] * np.abs(m) ** 2, ratio - q * d)
         rel = np.max(np.abs(step) / q)
@@ -268,7 +267,7 @@ def build_pcsi_directions(est_channels: np.ndarray, qos: QoSSpec,
         q = q + t * step
     else:
         raise Diverged("virtual uplink iteration did not converge")
-    return BeamformerMatrix(columns=(mmse / norms[:, None]).T)
+    return BeamformerMatrix(columns=x / norms)
 
 
 def sinr(channel_row: np.ndarray, beamformer: BeamformerMatrix,

@@ -75,6 +75,15 @@ def _residue_weight(lam: list, lam_l: float) -> tuple:
     return w, kappa
 
 
+def _certified_weight(lam: list, lam_l: float) -> float:
+    """w_l of ``_residue_weight``, or DegenerateSpectrum when its relative
+    rounding error, up to eps (m + kappa_l), exceeds ROUNDING_TOL."""
+    w, kappa = _residue_weight(lam, lam_l)
+    if EPS * (len(lam) + kappa) > ROUNDING_TOL:
+        raise DegenerateSpectrum(f"weight rounding error up to {EPS * (len(lam) + kappa):.3g}")
+    return w
+
+
 def residue_probability(lam_nz: np.ndarray, p_k: float,
                         gamma_prime_k: float, sigma_k2: float) -> float:
     """Exact CDF of the surrogate outage margin by residues.
@@ -127,7 +136,8 @@ def _step_from_spectrum(lam_nz: np.ndarray, gamma_k, gamma_prime_k, sigma_k2,
 
     First tries the small-power branch (negative-eigenvalue tail equation);
     if that root is outside (0, gamma' s2), takes the conservative
-    dominant-positive-eigenvalue root and floors it at gamma' s2.
+    dominant-positive-eigenvalue root and floors it at gamma' s2.  Raises
+    DegenerateSpectrum on colliding eigenvalues or an uncertified weight.
     """
     lam = lam_nz.tolist()
     _check_separated(lam)
@@ -137,12 +147,12 @@ def _step_from_spectrum(lam_nz: np.ndarray, gamma_k, gamma_prime_k, sigma_k2,
     gp_s2 = gamma_prime_k * sigma_k2
     if lam[-1] < 0:
         lam_r = next(x for x in lam if x < 0)
-        w_r, _ = _residue_weight(lam, lam_r)
+        w_r = _certified_weight(lam, lam_r)
         p_tilde = gp_s2 - gamma_prime_k * lam_r * np.log((1.0 - epsilon_k) * w_r)
         if 0.0 < p_tilde < gp_s2:
             return float(p_tilde)
     g = gamma_k if literal_gamma else gamma_prime_k
-    w_1, _ = _residue_weight(lam, lam[0])
+    w_1 = _certified_weight(lam, lam[0])
     p_breve = g * sigma_k2 - g * lam[0] * np.log(epsilon_k * w_1)
     return float(max(p_breve, gp_s2))
 
@@ -202,13 +212,13 @@ class SurrogateOracle(OutageOracle):
             lam = self.spectrum(np.ones(n), k).tolist()
             try:
                 _check_separated(lam)
+                w_1 = _certified_weight(lam, lam[0]) if lam and lam[0] > 0 else None
             except DegenerateSpectrum:
                 continue
-            if not lam or lam[0] <= 0:
+            if w_1 is None:
                 p0[k] = _single_user_power(self.gamma[k], self.gamma_prime[k],
                                            sigma2[k], self.r_norm2[k], self.epsilon[k])
                 continue
-            w_1, _ = _residue_weight(lam, lam[0])
             denom = 1.0 / self.gamma_prime[k] + lam[0] * np.log(self.epsilon[k] * w_1)
             if denom > 0:
                 p0[k] = sigma2[k] / denom

@@ -1,6 +1,7 @@
-"""The pair statistics of scripts/bench_record.py."""
+"""The pair statistics and the clone helper of scripts/bench_record.py."""
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -21,3 +22,43 @@ spec.loader.exec_module(bench_record)
 ])
 def test_sign_test_known_counts(wins, losses, p):
     assert bench_record.sign_test(wins, losses) == pytest.approx(p, rel=1e-12)
+
+
+def git(repo, *args):
+    return subprocess.run(["git", "-C", str(repo), "-c", "user.name=t",
+                           "-c", "user.email=t@example.org", *args],
+                          check=True, capture_output=True, text=True).stdout.strip()
+
+
+@pytest.fixture
+def repo(tmp_path):
+    """A throwaway repository with two commits of one tracked file."""
+    root = tmp_path / "repo"
+    root.mkdir()
+    git(root, "init", "--quiet")
+    for text in ("first\n", "second\n"):
+        (root / "tracked.txt").write_text(text)
+        git(root, "add", "tracked.txt")
+        git(root, "commit", "--quiet", "-m", text.strip())
+    return root
+
+
+def test_clone_head_copies_the_committed_tree(repo, tmp_path):
+    (repo / "untracked.txt").write_text("scratch\n")
+    copy = bench_record.clone_head(repo, tmp_path / "copy")
+    assert (copy / "tracked.txt").read_text() == "second\n"
+    assert not (copy / "untracked.txt").exists()
+    assert git(copy, "rev-parse", "HEAD") == git(repo, "rev-parse", "HEAD")
+
+
+def test_clone_head_follows_a_detached_head(repo, tmp_path):
+    git(repo, "checkout", "--quiet", "--detach", "HEAD~1")
+    copy = bench_record.clone_head(repo, tmp_path / "copy")
+    assert (copy / "tracked.txt").read_text() == "first\n"
+
+
+def test_clone_head_refuses_modified_tracked_files(repo, tmp_path):
+    (repo / "tracked.txt").write_text("edited\n")
+    with pytest.raises(ValueError, match="modified tracked files"):
+        bench_record.clone_head(repo, tmp_path / "copy")
+    assert not (tmp_path / "copy").exists()

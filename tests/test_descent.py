@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from robustpl import (
     DescentConfig,
@@ -19,7 +22,7 @@ from robustpl import (
     solve_zf_coord_descent,
     solve_zf_coord_update,
 )
-from robustpl.descent import _bisect_user_power, _find_feasible_start
+from robustpl.descent import MAX_BISECT_STEPS, _bisect_user_power, _find_feasible_start
 
 from conftest import make_instance, make_zf_setup
 
@@ -133,6 +136,80 @@ class TestBisection:
         assert report.bisection_steps <= report.cycles * 3 * 60
 
 
+FLOOR, DELTA = 0.95, 1e-3
+
+
+@st.composite
+def increasing_curves(draw):
+    """(P, p_k): an increasing probability P of p_k and a feasible p_k.
+
+    P is a logistic in log p_k, a step that jumps across the band, or a
+    linear ramp with plateaus at exactly 0 and 1, at scales 1e-6..1e6, with
+    or without +-1e-9 of deterministic noise."""
+    kind = draw(st.sampled_from(["logistic", "step", "ramp"]))
+    scale = 10.0 ** draw(st.floats(-6.0, 6.0))
+    if kind == "logistic":
+        slope = 10.0 ** draw(st.floats(-0.5, 4.0))
+        root = scale * math.exp(math.log(FLOOR / (1.0 - FLOOR)) / slope)
+
+        def curve(x):
+            z = min(700.0, slope * (math.log(scale) - math.log(x)))
+            return 1.0 / (1.0 + math.exp(z))
+    elif kind == "step":
+        low = draw(st.sampled_from([0.0, 0.3, FLOOR - 1e-6]))
+        high = draw(st.sampled_from([1.0, 0.99, FLOOR + 2 * DELTA]))
+        root = scale
+
+        def curve(x):
+            return high if x >= scale else low
+    else:
+        top = scale * (1.0 + 10.0 ** draw(st.floats(-6.0, 3.0)))
+        root = scale + FLOOR * (top - scale)
+
+        def curve(x):
+            return min(1.0, max(0.0, (x - scale) / (top - scale)))
+    if draw(st.booleans()):
+        smooth = curve
+
+        def curve(x):
+            return min(1.0, max(0.0, smooth(x) + 1e-9 * math.sin(1e3 * x / scale)))
+    return curve, root * 10.0 ** draw(st.floats(0.0, 4.0))
+
+
+class TestSearchProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(increasing_curves(), st.integers(0, 2), st.booleans())
+    def test_lands_feasible_and_in_band(self, drawn, k, cached):
+        curve, p_k = drawn
+        assume(curve(p_k) >= FLOOR)
+        p = np.array([0.3, 2.0, 5.0])
+        p[k] = p_k
+        probes = []
+
+        def prob(powers, j):
+            assert j == k
+            np.testing.assert_array_equal(np.delete(powers, k), np.delete(p, k))
+            probes.append(float(powers[k]))
+            return curve(powers[k])
+
+        new_pk, prob_k, steps = _bisect_user_power(
+            prob, p.copy(), k, DELTA, 1.0 - FLOOR, curve(p_k) if cached else None)
+        assert steps == len(probes) <= MAX_BISECT_STEPS
+        assert all(0.0 < x <= p_k for x in probes)
+        lo, hi = 0.0, p_k
+        for x in probes[0 if cached else 1:]:
+            # 1e-3 of the bracket's width from both ends, up to rounding
+            assert min(x - lo, hi - x) >= 1e-3 * (hi - lo) - 4e-16 * hi
+            lo, hi = (lo, x) if curve(x) >= FLOOR else (x, hi)
+        assert prob_k == curve(new_pk) >= FLOOR
+        if curve(p_k) <= FLOOR + DELTA:
+            assert new_pk == p_k
+            return
+        lo = max((x for x in probes if curve(x) < FLOOR), default=0.0)
+        jumped = new_pk - lo <= 1e-15 * max(1.0, new_pk)
+        assert prob_k <= FLOOR + DELTA / 4 or jumped or steps == MAX_BISECT_STEPS
+
+
 class TestSolveGeneral:
     def test_zero_uncertainty_limit(self):
         inst, b, qos = make_zf_setup(115, sigma_e2=1e-12)
@@ -229,7 +306,7 @@ class TestOutageOracle:
             qos = QoSSpec.from_db(5.0, 0.05, n)
             for b in (build_zf(inst.est_channels),
                       build_rci(inst.est_channels, 0.01 * n),
-                      build_pcsi_directions(inst.est_channels, qos, inst.noise_var)):
+                      build_pcsi_directions(inst.est_channels, qos)):
                 yield inst, b, qos
 
     def test_form_matches_build_outage_form(self):

@@ -117,7 +117,7 @@ class TestPcsiDirections:
     def test_single_user_matched_filter(self):
         est = generate_rayleigh_channels(4, 1, 21)
         qos = QoSSpec.from_db(7.0, 0.05, 1)
-        b = build_pcsi_directions(est, qos, 0.01)
+        b = build_pcsi_directions(est, qos)
         hhat = est[0].conj()
         expected = hhat / np.linalg.norm(hhat)
         # direction defined up to a phase
@@ -127,7 +127,7 @@ class TestPcsiDirections:
     def test_orthogonal_users_decouple(self):
         est = np.diag([1.5, 0.7, 2.2]).astype(complex)
         qos = QoSSpec.from_db(3.0, 0.05, 3)
-        b = build_pcsi_directions(est, qos, 0.01)
+        b = build_pcsi_directions(est, qos)
         for k in range(3):
             direction = est[k].conj() / np.linalg.norm(est[k])
             assert abs(b.columns[:, k].conj() @ direction) == pytest.approx(1.0, abs=1e-9)
@@ -135,7 +135,7 @@ class TestPcsiDirections:
     def test_targets_met_exactly_with_balance_powers(self):
         est = generate_rayleigh_channels(3, 3, 23)
         qos = QoSSpec(gamma=np.full(3, 2.0), epsilon=np.full(3, 0.05))
-        b = build_pcsi_directions(est, qos, 0.01)
+        b = build_pcsi_directions(est, qos)
         alloc, fallback = init_powers_pcsi(est, b, qos, 0.01)
         assert not fallback
         for k in range(3):
@@ -146,7 +146,7 @@ class TestPcsiDirections:
         est = generate_rayleigh_channels(3, 3, 29)
         qos = QoSSpec.from_db(5.0, 0.05, 3)
         with pytest.raises(Diverged):
-            build_pcsi_directions(est, qos, 0.01, max_sweeps=1)
+            build_pcsi_directions(est, qos, max_sweeps=1)
 
 
 def uplink_draw(data, n_tx, n_users, gamma_min, spread_db):
@@ -193,7 +193,7 @@ class TestPcsiNewton:
     def test_balance_powers_meet_every_target(self, dims, data):
         n_tx, n_users = dims
         est, qos, noise = uplink_draw(data, n_tx, n_users, 1.0, 40.0)
-        b = build_pcsi_directions(est, qos, noise)
+        b = build_pcsi_directions(est, qos)
         alloc, fallback = init_powers_pcsi(est, b, qos, noise)
         assert not fallback
         for k in range(n_users):
@@ -210,7 +210,7 @@ class TestPcsiNewton:
         est, qos, noise = uplink_draw(data, n_tx, n_users, n_tx / (n_users - n_tx), 30.0)
         start = time.process_time()
         with pytest.raises(Diverged):
-            build_pcsi_directions(est, qos, noise)
+            build_pcsi_directions(est, qos)
         assert time.process_time() - start < 0.05
 
     @pytest.mark.parametrize("seed", range(6))
@@ -220,10 +220,17 @@ class TestPcsiNewton:
         est = generate_rayleigh_channels(n_tx, 3, rng)
         qos = QoSSpec.from_db(rng.uniform(0.0, 10.0), 0.05, 3)
         noise = 10.0 ** rng.uniform(-3.0, 0.0, 3)
-        b = build_pcsi_directions(est, qos, noise)
-        ref = fixed_point_directions(est, qos, noise)
+        b = build_pcsi_directions(est, qos)
+        # the dual's R = I + sum_j q_j h_j h_j^H does not depend on the noise
+        ref = fixed_point_directions(est, qos, np.ones(3))
         # directions are unique up to a phase; both solvers take the MMSE phase
         np.testing.assert_allclose(b.columns, ref, rtol=0, atol=1e-9)
+        # so they load with no more downlink power than directions from the
+        # per-user R_i = sigma_i^2 I + sum_j q_j h_j h_j^H
+        per_user = BeamformerMatrix(columns=fixed_point_directions(est, qos, noise))
+        power = [init_powers_pcsi(est, d, qos, noise)[0].total_power(d)
+                 for d in (b, per_user)]
+        assert power[0] <= power[1] * (1.0 + 1e-9)
 
 
 class TestSinr:

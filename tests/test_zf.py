@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -326,6 +328,23 @@ class TestCoordUpdate:
             # of the residue series is conservative
             val = residue_probability(lam_nz, pk, float(oracle.gamma_prime[k]), 0.01)
             assert val >= 1.0 - float(qos.epsilon[k]) - 1e-12
+
+    @pytest.mark.parametrize("g, falls_back", [(1e-8, True), (1e-5, False)])
+    def test_step_refuses_uncertified_weight(self, g, falls_back):
+        # -Q = diag(1 + g, 1, -0.5) 1e-3 takes the dominant-eigenvalue root,
+        # whose weight w_1 = (1 - 1/(1 + g)) 1.5 errs relatively by up to
+        # eps (m + kappa_1), kappa_1 ~ 1/g: 2.2e-8 at g = 1e-8
+        lam = residue_spectrum(np.diag([(1.0 + g) * 1e-3, 1e-3, -0.5e-3]))
+        args = (lam, 2.0, 2.0, 0.01, 0.05, 1.0, False)
+        if falls_back:
+            with pytest.raises(DegenerateSpectrum, match="rounding"):
+                _step_from_spectrum(*args)
+            return
+        w_1 = 1.0
+        for x in lam[1:]:  # exact rational arithmetic on the same floats
+            w_1 *= 1 - Fraction(x) / Fraction(lam[0])
+        expected = 2.0 * 0.01 - 2.0 * lam[0] * np.log(0.05 * float(w_1))
+        assert _step_from_spectrum(*args) == pytest.approx(expected, rel=1e-12)
 
     def test_dominant_eigenvalue_limit(self):
         # side eigenvalues negligible: the conservative root approaches
