@@ -6,16 +6,16 @@
 For each workload of BENCHMARK.json this runs ``perfbench/run.py`` of the
 checkout holding this script once per seed, one process at a time, for the
 benchmark's ``run_seconds``, plus one ``--trace 1`` run at seed 31.  The runs
-use a fresh clone of the checkout's HEAD commit in a temporary directory,
-not the checkout itself, which ran about 2% slower than a clone of the same
-commit; a checkout with modified tracked files is refused.  The file
-holds every run's end-to-end metrics and digest, the median and quartiles of
-each end-to-end metric over the seeds, the traced per-module metrics, and the
+use a fresh copy of the checkout's HEAD commit in a temporary directory, not
+the checkout itself, which ran about 2% slower than a fresh clone of the same
+commit; a checkout with modified tracked files is refused.  The file holds
+every run's end-to-end metrics and digest, the median and quartiles of each
+end-to-end metric over the seeds, the traced per-module metrics, and the
 Python and numpy versions, the core count and the git revision.
 
-With ``--baseline`` the same runs are made on a clone of a second checkout's
-HEAD, alternating
-which of the two goes first from seed to seed, and written to
+With ``--baseline`` the same runs are made on a fresh copy of a second
+checkout's HEAD commit, alternating which of the two goes first from seed to
+seed, and written to
 ``--baseline-out``; then each metric's pairwise wins, losses and ties are
 printed, counted in the direction BENCHMARK.json gives it, with the two-sided
 sign-test p-value of the wins against the losses, whether this checkout's
@@ -185,7 +185,6 @@ def record(args, benchmark: dict, roots: dict):
         args.baseline_out.write_text(json.dumps(files["baseline"], indent=1) + "\n")
 
 
-
 def main(argv=None) -> int:
     args = parse_args(argv)
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -201,6 +200,7 @@ def main(argv=None) -> int:
             return 2
         record(args, benchmark, roots)
     return 0
+
 
 if __name__ == "__main__":
     sys.exit(main())
