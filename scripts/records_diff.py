@@ -1,0 +1,98 @@
+"""Count the rows of a records file that moved against another.
+
+    python3 scripts/records_diff.py OLD.csv NEW.csv
+
+Rows are paired by their (method, gamma_db, sigma_e2, trial) key.  For each
+method and each other column this prints how many rows moved (their text
+differs) and, for a numeric column, how many rose and fell and the largest
+relative move |new - old| / |old| (inf where old is 0).  Exits 1 when the
+headers differ or the two files do not hold the same keys, else 0.
+"""
+
+from __future__ import annotations
+
+import argparse
+import csv
+import sys
+
+KEY = ("method", "gamma_db", "sigma_e2", "trial")
+
+
+def read(path) -> tuple:
+    """(header, {key: row}) of a records file; ValueError on a repeated key
+    or a header without the key columns."""
+    with open(path, newline="") as f:
+        reader = csv.DictReader(f)
+        header = reader.fieldnames or []
+        if not set(KEY) <= set(header):
+            raise ValueError(f"{path}: header lacks {KEY}")
+        rows = {}
+        for row in reader:
+            key = tuple(row[name] for name in KEY)
+            if key in rows:
+                raise ValueError(f"{path}: repeated key {key}")
+            rows[key] = row
+    return header, rows
+
+
+def number(text: str):
+    try:
+        return float(text)
+    except ValueError:
+        return None
+
+
+def column_moves(pairs: list) -> dict:
+    """Moved, rose and fell counts and the largest relative move over the
+    (old, new) text pairs of one column; rose, fell and largest are None
+    when some value is not a number."""
+    moved = [(a, b) for a, b in pairs if a != b]
+    values = [(number(a), number(b)) for a, b in moved]
+    if any(None in pair for pair in values):
+        return {"moved": len(moved), "rose": None, "fell": None, "largest": None}
+    return {"moved": len(moved),
+            "rose": sum(b > a for a, b in values),
+            "fell": sum(b < a for a, b in values),
+            "largest": max((abs(b - a) / abs(a) if a else float("inf")
+                            for a, b in values if a != b), default=0.0)}
+
+
+def diff(old_path, new_path, out=sys.stdout) -> int:
+    """Print the per-method moves of new against old; the exit status."""
+    old_header, old = read(old_path)
+    new_header, new = read(new_path)
+    if old_header != new_header:
+        print(f"headers differ: {old_header} vs {new_header}", file=out)
+        return 1
+    if old.keys() != new.keys():
+        print(f"keys differ: {len(old.keys() - new.keys())} only in {old_path}, "
+              f"{len(new.keys() - old.keys())} only in {new_path}", file=out)
+        return 1
+    print(f"{len(old)} rows, same keys", file=out)
+    columns = [name for name in old_header if name not in KEY]
+    for method in sorted({key[0] for key in old}):
+        keys = [key for key in old if key[0] == method]
+        for name in columns:
+            m = column_moves([(old[key][name], new[key][name]) for key in keys])
+            line = f"{method} {name}: {m['moved']} of {len(keys)} rows moved"
+            if m["moved"] and m["rose"] is not None:
+                line += (f" (rose {m['rose']}, fell {m['fell']}), "
+                         f"largest relative move {m['largest']:.3g}")
+            print(line, file=out)
+    return 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("old")
+    parser.add_argument("new")
+    args = parser.parse_args(argv)
+    try:
+        return diff(args.old, args.new)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -167,24 +167,55 @@ class OutageOracle:
             wall_time=time.perf_counter() - t0, **counts)
 
 
+class _LazyProbs:
+    """The oracle's probabilities at the powers ``p``.  A value is stale once
+    another user's power changed after its evaluation, and reading a stale
+    value evaluates (and counts) it at p."""
+
+    def __init__(self, oracle, p: np.ndarray, values: np.ndarray = None):
+        self.oracle, self.p = oracle, p
+        self.stale = np.full(p.size, values is None)
+        self.values = np.full(p.size, np.nan) if values is None else values
+
+    def __getitem__(self, k: int) -> float:
+        if self.stale[k]:
+            self.values[k], self.stale[k] = self.oracle(self.p, k), False
+        return self.values[k]
+
+    def first_failing(self, ok, order) -> int:
+        """The first user k of order with not ok(k, probability), or None:
+        fresh values are tested first, then stale ones are evaluated in order
+        until one fails."""
+        for k in sorted(order, key=self.stale.__getitem__):
+            if not ok(k, self[k]):
+                return k
+        return None
+
+    def complete(self) -> np.ndarray:
+        """Every user's probability at p."""
+        return np.array([self[k] for k in range(self.p.size)])
+
+
 def _find_feasible_start(prob, beamformer, qos, p_init: np.ndarray):
     """Double all powers until every user meets its probability floor.
 
-    Returns (powers, probs, doublings, feasible); the power cap counts
-    against the total transmit power.
+    A round stops at its first user below the floor, which the next round
+    tests first, so only the passing round and the give-up exit evaluate
+    every user.  Returns (powers, probs, doublings, feasible); the power cap
+    counts against the total transmit power.
     """
     norms2 = np.sum(np.abs(beamformer.columns) ** 2, axis=0)
     floor = 1.0 - qos.epsilon
-    p = p_init.copy()
-    doublings = 0
-    while True:
-        probs = np.array([prob(p, k) for k in range(p.size)])
-        if np.all(probs >= floor):
-            return p, probs, doublings, True
-        if doublings >= MAX_DOUBLINGS or np.dot(p, norms2) > POWER_CAP:
-            return p, probs, doublings, False
-        p = 2.0 * p
+    probs = _LazyProbs(prob, p_init.copy())
+    order, doublings = list(range(p_init.size)), 0
+    while (k := probs.first_failing(lambda k, q: q >= floor[k], order)) is not None:
+        if doublings >= MAX_DOUBLINGS or np.dot(probs.p, norms2) > POWER_CAP:
+            return probs.p, probs.complete(), doublings, False
+        order = [k] + [j for j in order if j != k]
+        probs.p *= 2.0
+        probs.stale[:] = True
         doublings += 1
+    return probs.p, probs.complete(), doublings, True
 
 
 def _logit(q: float):
@@ -247,7 +278,14 @@ def _run_descent(oracle: OutageOracle, instance: ScenarioInstance,
                  config: DescentConfig, p_start: PowerAllocation):
     """The shared engine on a fresh oracle (its ``evals`` are the report's):
     start from p_start or from ``init_powers_pcsi``; double to a feasible
-    start; then bisect cyclically."""
+    start; then search each user's power cyclically.
+
+    Only probabilities a decision reads are evaluated.  The band test reads
+    the fresh values first, then evaluates stale users in index order until
+    one leaves the band.  A cycle evaluates a stale user just before its
+    search (uncounted in ``bisection_steps``) unless an earlier user of the
+    cycle moved, and every exit evaluates the users still stale.
+    """
     t0 = time.perf_counter()
     if p_start is None:
         p_start = init_powers_pcsi(
@@ -255,33 +293,35 @@ def _run_descent(oracle: OutageOracle, instance: ScenarioInstance,
     n_users = qos.n_users
     floor = 1.0 - qos.epsilon
 
-    p, probs, doublings, feasible = _find_feasible_start(
+    p, start_probs, doublings, feasible = _find_feasible_start(
         oracle, beamformer, qos, p_start.powers)
-    bisect_steps = 0
-    cycles = 0
+    probs = _LazyProbs(oracle, p, start_probs)
+    bisect_steps = cycles = 0
     delta_min = float(config.delta_min)
     status = (SolveStatus.CYCLE_LIMIT if feasible
               else SolveStatus.INFEASIBLE_START_NOT_FOUND)
+    stalled = False
     while feasible:
-        in_band = np.all((probs >= floor) & (probs <= floor + delta_min))
-        if in_band:
+        if probs.first_failing(lambda k, q: floor[k] <= q <= floor[k] + delta_min,
+                               range(n_users)) is None:
             status = SolveStatus.SOLVED
             break
-        if cycles >= MAX_CYCLES:
+        if stalled or cycles >= MAX_CYCLES:
             break
         cycles += 1
         p_before = p.copy()
         total_before = PowerAllocation(powers=p).total_power(beamformer)
         dirty = False
         for k in range(n_users):
-            cached = None if dirty else probs[k]
             new_pk, prob_k, steps = _bisect_user_power(
-                oracle, p, k, delta_min, float(qos.epsilon[k]), cached)
+                oracle, p, k, delta_min, float(qos.epsilon[k]),
+                None if dirty else probs[k])
             bisect_steps += steps
             if new_pk != p[k]:
                 dirty = True
+                probs.stale[:] = True
             p[k] = new_pk
-            probs[k] = prob_k
+            probs.values[k], probs.stale[k] = prob_k, False
             if config.strict_checks:
                 check = np.array([oracle.constraint(p, j) for j in range(n_users)])
                 if not np.all(check >= floor - 1e-9):
@@ -290,16 +330,11 @@ def _run_descent(oracle: OutageOracle, instance: ScenarioInstance,
                 if total_now > total_before + 1e-9 * max(1.0, total_before):
                     raise AssertionError("objective increased during coordinate step")
                 total_before = total_now
-        probs = np.array([oracle(p, k) for k in range(n_users)])
+        # a stall: the band is narrower than the achievable power
+        # resolution (near-deterministic constraints)
         stalled = np.max(np.abs(p - p_before)) <= 1e-12 * max(1.0, float(np.max(p)))
-        if stalled:
-            # the band is narrower than the achievable power
-            # resolution (near-deterministic constraints)
-            in_band = np.all((probs >= floor) & (probs <= floor + delta_min))
-            status = SolveStatus.SOLVED if in_band else SolveStatus.CYCLE_LIMIT
-            break
 
-    return oracle.report(status, beamformer, p, probs, t0, cycles=cycles,
+    return oracle.report(status, beamformer, p, probs.complete(), t0, cycles=cycles,
                          bisection_steps=bisect_steps, doublings=doublings)
 
 

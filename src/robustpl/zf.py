@@ -18,7 +18,7 @@ import time
 import numpy as np
 
 from .descent import (DescentConfig, OutageOracle, SolveReport, SolveStatus,
-                      _bisect_user_power, _run_descent)
+                      _LazyProbs, _bisect_user_power, _run_descent)
 from .model import (BeamformerMatrix, PowerAllocation, QoSSpec, ScenarioInstance,
                     ZF_TOL)
 from .model import build_outage_form, psd_sqrt  # noqa: F401 (perfbench/tracing.py wraps them)
@@ -289,31 +289,35 @@ def solve_zf_coord_update(instance: ScenarioInstance,
     floor = 1.0 - qos.epsilon
 
     p = prob.start().powers
-    probs = np.array([prob(p, k) for k in range(n)])
+    probs = _LazyProbs(prob, p)
+
+    def meets(level) -> bool:  # evaluates users only up to the first below level
+        return probs.first_failing(lambda k, q: q >= level[k], range(n)) is None
+
     cycles = 0
     bisect_steps = 0
-    while not np.all(probs >= floor - FEASIBILITY_SLACK) and cycles < i_max:
+    while not meets(floor - FEASIBILITY_SLACK) and cycles < i_max:
         cycles += 1
         p_prev = p.copy()
         before = prob.evals  # only degenerate-spectrum fallbacks evaluate
         for k in range(n):
             p[k] = prob.step(p_prev, k, literal_gamma)
         bisect_steps += prob.evals - before
-        probs = np.array([prob(p, k) for k in range(n)])
+        probs.stale[:] = True
         if np.max(np.abs(p - p_prev)) <= 1e-12 * max(1.0, float(np.max(p))):
             break  # fixed point reached at float resolution
 
-    feasible = bool(np.all(probs >= floor - FEASIBILITY_SLACK))
+    feasible = meets(floor - FEASIBILITY_SLACK)
     if feasible:
         # the fixed point meets the constraints with equality; scaling all
         # powers up strictly raises every probability (relatively less
         # noise), so a few tiny nudges make feasibility strict
         for _ in range(50):
-            if np.all(probs >= floor):
+            if meets(floor):
                 break
             p *= 1.0 + 4e-6
-            probs = np.array([prob(p, k) for k in range(n)])
-        feasible = bool(np.all(probs >= floor))
+            probs.stale[:] = True
+        feasible = meets(floor)
     status = SolveStatus.SOLVED if feasible else SolveStatus.CYCLE_LIMIT
-    return prob.report(status, beamformer, p, probs, t0, cycles=cycles,
+    return prob.report(status, beamformer, p, probs.complete(), t0, cycles=cycles,
                        bisection_steps=bisect_steps)

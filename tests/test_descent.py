@@ -22,7 +22,8 @@ from robustpl import (
     solve_zf_coord_descent,
     solve_zf_coord_update,
 )
-from robustpl.descent import MAX_BISECT_STEPS, _bisect_user_power, _find_feasible_start
+from robustpl.descent import (MAX_BISECT_STEPS, MAX_CYCLES, MAX_DOUBLINGS, POWER_CAP,
+                              _bisect_user_power, _find_feasible_start)
 
 from conftest import make_instance, make_zf_setup
 
@@ -397,3 +398,110 @@ class TestOutageOracle:
             assert abs(report.per_user_prob_exact[k] - want) <= 1e-8
         if solver is solve_general:
             assert np.array_equal(report.per_user_prob, report.per_user_prob_exact)
+
+
+def eager_descent(oracle, beamformer, qos, config, p_start):
+    """Reference: the doubling start and the cycle loop that evaluate every
+    user in every doubling round and again after every cycle."""
+    norms2 = np.sum(np.abs(beamformer.columns) ** 2, axis=0)
+    floor = 1.0 - qos.epsilon
+    delta = float(config.delta_min)
+    p, doublings = p_start.copy(), 0
+    while True:
+        probs = np.array([oracle(p, k) for k in range(p.size)])
+        feasible = bool(np.all(probs >= floor))
+        if feasible or doublings >= MAX_DOUBLINGS or np.dot(p, norms2) > POWER_CAP:
+            break
+        p = 2.0 * p
+        doublings += 1
+    steps = cycles = 0
+    status = (SolveStatus.CYCLE_LIMIT if feasible
+              else SolveStatus.INFEASIBLE_START_NOT_FOUND)
+    while feasible:
+        if np.all((probs >= floor) & (probs <= floor + delta)):
+            status = SolveStatus.SOLVED
+            break
+        if cycles >= MAX_CYCLES:
+            break
+        cycles += 1
+        p_before, dirty = p.copy(), False
+        for k in range(p.size):
+            new_pk, prob_k, s = _bisect_user_power(
+                oracle, p, k, delta, float(qos.epsilon[k]), None if dirty else probs[k])
+            steps += s
+            dirty = dirty or new_pk != p[k]
+            p[k], probs[k] = new_pk, prob_k
+        probs = np.array([oracle(p, k) for k in range(p.size)])
+        if np.max(np.abs(p - p_before)) <= 1e-12 * max(1.0, float(np.max(p))):
+            in_band = np.all((probs >= floor) & (probs <= floor + delta))
+            status = SolveStatus.SOLVED if in_band else SolveStatus.CYCLE_LIMIT
+            break
+    return dict(status=status, powers=p, cycles=cycles, bisection_steps=steps,
+                doublings=doublings, per_user_prob=probs, evals=oracle.evals)
+
+
+def reference_case(name):
+    """(instance, beamformer, qos, config, solver) of a named case."""
+    from robustpl import build_pcsi_directions, build_rci
+
+    if name.startswith("3x3"):
+        _, seed, gamma_db, directions = name.split("-")
+        inst = make_instance(int(seed))
+        qos = QoSSpec.from_db(float(gamma_db), 0.05, 3)
+        b = {"zf": lambda: build_zf(inst.est_channels),
+             "rci": lambda: build_rci(inst.est_channels, 0.03),
+             "pcsi": lambda: build_pcsi_directions(inst.est_channels, qos)}[directions]()
+        return inst, b, qos, DescentConfig(), solve_general
+    inst, b, qos = {
+        "6x6": lambda: make_zf_setup(611, n_tx=6, n_users=6),
+        "hopeless": lambda: make_zf_setup(105, sigma_e2=0.5, gamma_db=10.0),
+        "stall": lambda: make_zf_setup(9),
+    }.get(name, lambda: make_zf_setup(613))()
+    config = DescentConfig(strict_checks=name == "strict",
+                           delta_min=1e-17 if name == "stall" else 1e-3)
+    solver = solve_zf_coord_descent if name == "surrogate" else solve_general
+    return inst, b, qos, config, solver
+
+
+REFERENCE_CASES = ([f"3x3-{seed}-{g}-{d}" for seed in (601, 602) for g in (0, 5, 10)
+                    for d in ("zf", "rci", "pcsi")]
+                   + ["6x6", "hopeless", "stall", "strict", "surrogate"])
+
+
+class TestLazyEvaluation:
+    @pytest.mark.parametrize("name", REFERENCE_CASES)
+    def test_matches_eager_reference(self, name):
+        inst, b, qos, config, solver = reference_case(name)
+        oracle = (SurrogateOracle(inst, b, qos, quad_tol=config.quad_tol)
+                  if solver is solve_zf_coord_descent
+                  else OutageOracle(inst, b, qos, config.quad_tol))
+        p_start = init_powers_pcsi(inst.est_channels, b, qos, inst.noise_var)[0]
+        want = eager_descent(oracle, b, qos, config, p_start.powers)
+        report = solver(inst, b, qos, config)
+        assert report.status is want["status"]
+        assert np.array_equal(report.powers.powers, want["powers"])
+        for field in ("cycles", "bisection_steps", "doublings"):
+            assert getattr(report, field) == want[field], field
+        assert np.array_equal(report.per_user_prob, want["per_user_prob"])
+        assert report.integral_evals <= want["evals"]
+
+    @pytest.mark.parametrize("name, status", [
+        ("hopeless", SolveStatus.INFEASIBLE_START_NOT_FOUND),
+        ("stall", SolveStatus.CYCLE_LIMIT),
+        ("cycle-limit", SolveStatus.CYCLE_LIMIT)])
+    def test_every_exit_reports_fresh_probabilities(self, name, status, monkeypatch):
+        import robustpl.descent
+
+        inst, b, qos, config, _ = reference_case(name)
+        if name == "cycle-limit":
+            monkeypatch.setattr(robustpl.descent, "MAX_CYCLES", 1)
+        report = solve_general(inst, b, qos, config)
+        assert report.status is status
+        if name == "cycle-limit":
+            assert report.cycles == 1
+        elif name == "stall":
+            assert 0 < report.cycles < robustpl.descent.MAX_CYCLES
+        p = report.powers.powers
+        assert np.all(np.isfinite(report.per_user_prob))
+        want = OutageOracle(inst, b, qos, config.quad_tol).exact_all(p)
+        assert np.array_equal(report.per_user_prob, want)

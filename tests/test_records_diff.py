@@ -1,0 +1,89 @@
+"""scripts/records_diff.py on small records files."""
+
+import importlib.util
+import io
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "records_diff.py"
+spec = importlib.util.spec_from_file_location("records_diff", SCRIPT)
+records_diff = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(records_diff)
+
+HEADER = ("method,gamma_db,sigma_e2,trial,status,success,total_power,cycles,"
+          "bisection_steps,integral_evals")
+OLD = [
+    "ZF-General,0,0.002,0,solved,1,0.02,3,44,59",
+    "ZF-General,0,0.002,1,solved,1,0.04,2,30,40",
+    "ZF-General,5,0.002,0,cycle_limit,0,0,50,900,1000",
+    "ZF-CoordUpdate,0,0.002,0,solved,1,0.05,3,0,12",
+]
+
+
+def write(path, lines, header=HEADER):
+    path.write_text("\n".join([header, *lines]) + "\n")
+    return path
+
+
+def run(tmp_path, new_lines, header=HEADER):
+    old = write(tmp_path / "old.csv", OLD)
+    new = write(tmp_path / "new.csv", new_lines, header)
+    out = io.StringIO()
+    status = records_diff.diff(old, new, out)
+    return status, out.getvalue().splitlines()
+
+
+def test_counts_moved_rows_per_method_and_column(tmp_path):
+    new = list(OLD)
+    new[0] = "ZF-General,0,0.002,0,solved,1,0.02,3,44,50"            # evals fell
+    new[1] = "ZF-General,0,0.002,1,solved,1,0.05,2,30,41"            # power, evals rose
+    new[2] = "ZF-General,5,0.002,0,fallback_solved,0,0,50,900,1000"  # status only
+    status, lines = run(tmp_path, new)
+    assert status == 0
+    assert lines[0] == "4 rows, same keys"
+    assert "ZF-General integral_evals: 2 of 3 rows moved (rose 1, fell 1), " \
+           "largest relative move 0.153" in lines
+    assert "ZF-General total_power: 1 of 3 rows moved (rose 1, fell 0), " \
+           "largest relative move 0.25" in lines
+    assert "ZF-General status: 1 of 3 rows moved" in lines
+    assert "ZF-General cycles: 0 of 3 rows moved" in lines
+    assert "ZF-CoordUpdate integral_evals: 0 of 1 rows moved" in lines
+    # one line per method and non-key column
+    assert len(lines) == 1 + 2 * 6
+
+
+def test_identical_files_move_nothing(tmp_path):
+    status, lines = run(tmp_path, list(OLD))
+    assert status == 0
+    assert all(" 0 of " in line for line in lines[1:])
+
+
+def test_move_from_zero_is_infinite(tmp_path):
+    new = list(OLD)
+    new[2] = "ZF-General,5,0.002,0,cycle_limit,0,0.5,50,900,1000"
+    _, lines = run(tmp_path, new)
+    assert "ZF-General total_power: 1 of 3 rows moved (rose 1, fell 0), " \
+           "largest relative move inf" in lines
+
+
+def test_header_mismatch_exits_1(tmp_path):
+    status, lines = run(tmp_path, list(OLD), header=HEADER.replace("cycles", "rounds"))
+    assert status == 1
+    assert lines[0].startswith("headers differ")
+
+
+def test_key_mismatch_exits_1(tmp_path):
+    new = list(OLD)
+    new[3] = "ZF-CoordUpdate,0,0.002,1,solved,1,0.05,3,0,12"  # another trial
+    status, lines = run(tmp_path, new)
+    assert status == 1
+    assert lines == ["keys differ: 1 only in " + str(tmp_path / "old.csv")
+                     + ", 1 only in " + str(tmp_path / "new.csv")]
+    status, _ = run(tmp_path, new[:3])  # a missing row
+    assert status == 1
+
+
+def test_main_reports_a_repeated_key(tmp_path, capsys):
+    old = write(tmp_path / "old.csv", OLD)
+    new = write(tmp_path / "new.csv", OLD + OLD[:1])
+    assert records_diff.main([str(old), str(new)]) == 1
+    assert "repeated key" in capsys.readouterr().err

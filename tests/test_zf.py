@@ -43,6 +43,16 @@ def unitary_channel_instance(sigma_e2, n=3, sigma2=0.01):
                             error_cov=cov, noise_var=np.full(n, sigma2))
 
 
+def identity_channel_setup():
+    """Doubly degenerate spectra: every step falls back to the search."""
+    eye = np.eye(3, dtype=complex)
+    inst = ScenarioInstance(
+        true_channels=eye, est_channels=eye,
+        error_cov=np.broadcast_to(0.002 * eye, (3, 3, 3)).copy(),
+        noise_var=np.full(3, 0.01))
+    return inst, build_zf(eye), QoSSpec.from_db(5.0, 0.05, 3)
+
+
 class TestZfParams:
     def test_zero_uncertainty_keeps_targets(self):
         inst = unitary_channel_instance(0.0)
@@ -404,12 +414,7 @@ class TestCoordUpdate:
     def test_fallback_step_lands_in_band(self):
         # identity channels give a doubly degenerate spectrum: the step
         # doubles and bisects on the surrogate oracle
-        eye = np.eye(3, dtype=complex)
-        inst = ScenarioInstance(
-            true_channels=eye, est_channels=eye,
-            error_cov=np.broadcast_to(0.002 * eye, (3, 3, 3)).copy(),
-            noise_var=np.full(3, 0.01))
-        b, qos = build_zf(eye), QoSSpec.from_db(5.0, 0.05, 3)
+        inst, b, qos = identity_channel_setup()
         surrogate = SurrogateOracle(inst, b, qos)
         p_prev = PowerAllocation(powers=qos.gamma * 0.01)
         with pytest.raises(DegenerateSpectrum):
@@ -424,12 +429,7 @@ class TestCoordUpdate:
     def test_fallback_bisection_counts_every_oracle_call(self, monkeypatch):
         # identity channels give a doubly degenerate spectrum, so every
         # coordinate step falls back to bisecting on the surrogate oracle
-        eye = np.eye(3, dtype=complex)
-        inst = ScenarioInstance(
-            true_channels=eye, est_channels=eye,
-            error_cov=np.broadcast_to(0.002 * eye, (3, 3, 3)).copy(),
-            noise_var=np.full(3, 0.01))
-        qos = QoSSpec.from_db(5.0, 0.05, 3)
+        inst, b, qos = identity_channel_setup()
         calls = []
         original = robustpl.zf.residue_probability
 
@@ -438,8 +438,61 @@ class TestCoordUpdate:
             return original(*args)
 
         monkeypatch.setattr(robustpl.zf, "residue_probability", counting)
-        rep = solve_zf_coord_update(inst, build_zf(eye), qos)
+        rep = solve_zf_coord_update(inst, b, qos)
         assert rep.solved
         assert rep.integral_evals == len(calls)
         # each fallback reports the oracle calls it made, not one step
         assert rep.bisection_steps > 3 * rep.cycles
+
+
+def eager_coord_update(inst, b, qos, i_max=50, literal_gamma=False):
+    """Reference: the CoordUpdate loop that evaluates every user for each
+    feasibility test and after every nudge."""
+    prob = SurrogateOracle(inst, b, qos)
+    n, floor, slack = qos.n_users, 1.0 - qos.epsilon, robustpl.zf.FEASIBILITY_SLACK
+    p = prob.start().powers
+    probs = np.array([prob(p, k) for k in range(n)])
+    cycles = steps = 0
+    while not np.all(probs >= floor - slack) and cycles < i_max:
+        cycles += 1
+        p_prev, before = p.copy(), prob.evals
+        for k in range(n):
+            p[k] = prob.step(p_prev, k, literal_gamma)
+        steps += prob.evals - before
+        probs = np.array([prob(p, k) for k in range(n)])
+        if np.max(np.abs(p - p_prev)) <= 1e-12 * max(1.0, float(np.max(p))):
+            break
+    feasible = bool(np.all(probs >= floor - slack))
+    if feasible:
+        for _ in range(50):
+            if np.all(probs >= floor):
+                break
+            p *= 1.0 + 4e-6
+            probs = np.array([prob(p, k) for k in range(n)])
+        feasible = bool(np.all(probs >= floor))
+    status = SolveStatus.SOLVED if feasible else SolveStatus.CYCLE_LIMIT
+    return dict(status=status, powers=p, cycles=cycles, bisection_steps=steps,
+                per_user_prob=probs, per_user_prob_exact=prob.exact_all(p),
+                evals=prob.evals)
+
+
+@pytest.mark.parametrize("seed, gamma_db, sigma_e2, kwargs", [
+    *[(seed, g, 0.002, {}) for seed in (621, 622, 623) for g in (0.0, 5.0, 10.0)],
+    (624, 10.0, 0.002, {"i_max": 1}),
+    (625, 0.0, 0.002, {"i_max": 0}),
+    (626, 10.0, 0.002, {"literal_gamma": True}),
+    (627, 5.0, 1e-12, {}),
+    (None, 5.0, 0.002, {}),
+])
+def test_coord_update_matches_eager_reference(seed, gamma_db, sigma_e2, kwargs):
+    inst, b, qos = (identity_channel_setup() if seed is None
+                    else make_zf_setup(seed, gamma_db=gamma_db, sigma_e2=sigma_e2))
+    want = eager_coord_update(inst, b, qos, **kwargs)
+    report = solve_zf_coord_update(inst, b, qos, **kwargs)
+    assert report.status is want["status"]
+    assert np.array_equal(report.powers.powers, want["powers"])
+    assert report.cycles == want["cycles"]
+    assert report.bisection_steps == want["bisection_steps"]
+    assert np.array_equal(report.per_user_prob, want["per_user_prob"])
+    assert np.array_equal(report.per_user_prob_exact, want["per_user_prob_exact"])
+    assert report.integral_evals <= want["evals"]
