@@ -65,7 +65,6 @@ class ExperimentConfig:
     gamma_db: tuple = tuple(float(g) for g in range(11))
     epsilon: float = 0.05
     delta_min: float = 1e-3
-    quad_tol: float = 1e-8
     i_max: int = 50
     eta_multiple: float = -1.3
     mc_certify_samples: int = 0
@@ -90,7 +89,7 @@ class ExperimentConfig:
             raise ValueError("counts must be positive")
         if not (0 < self.epsilon < 1):
             raise ValueError("epsilon must lie in (0, 1)")
-        self.descent_config()  # rejects a nonpositive delta_min or quad_tol
+        self.descent_config()  # rejects a nonpositive or non-scalar delta_min
         self.error_variances()  # rejects a negative sigma_e2 or bad training
         if self.i_max < 0 or self.mc_certify_samples < 0:
             raise ValueError("i_max and mc_certify_samples must be nonnegative")
@@ -115,7 +114,7 @@ class ExperimentConfig:
                                       float(self.training["P_ut"])),)
 
     def descent_config(self) -> DescentConfig:
-        return DescentConfig(delta_min=self.delta_min, quad_tol=self.quad_tol)
+        return DescentConfig(delta_min=self.delta_min)
 
 
 @dataclass(frozen=True)
@@ -168,8 +167,7 @@ def _run_method(method: str, instance: ScenarioInstance, est, qos: QoSSpec,
         return bf, zfmod.solve_zf_coord_descent(
             instance, bf, qos, dconf, eta_multiple=config.eta_multiple)
     return bf, zfmod.solve_zf_coord_update(
-        instance, bf, qos, i_max=config.i_max,
-        eta_multiple=config.eta_multiple, quad_tol=config.quad_tol)
+        instance, bf, qos, i_max=config.i_max, eta_multiple=config.eta_multiple)
 
 
 def run_trial(config: ExperimentConfig, trial: int) -> list:

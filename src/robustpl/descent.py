@@ -56,14 +56,11 @@ class DescentConfig:
     """
 
     delta_min: float = 1e-3
-    quad_tol: float = 1e-8
     strict_checks: bool = False
 
     def __post_init__(self):
         if np.ndim(self.delta_min) != 0 or not self.delta_min > 0:
             raise ValueError("delta_min must be a positive scalar")
-        if not self.quad_tol > 0:
-            raise ValueError("quad_tol must be positive")
 
 
 @dataclass
@@ -95,7 +92,8 @@ class SolveReport:
 
 class OutageOracle:
     """Outage probabilities Pr(SINR_k >= gamma_k) for one (instance,
-    beamformer, qos), with the per-user setup done once.
+    beamformer, qos), with the per-user setup done once; it keeps that
+    problem, the squared column norms ``norms2`` and the floors ``floor``.
 
     With G_k = C_k^{1/2} B, a_k = -C_k^{-1/2} h_k and the signed powers c
     (p_k / gamma_k at k, -p_j elsewhere), user k's outage form at any powers
@@ -109,7 +107,10 @@ class OutageOracle:
     """
 
     def __init__(self, instance: ScenarioInstance, beamformer: BeamformerMatrix,
-                 qos: QoSSpec, quad_tol: float = 1e-8):
+                 qos: QoSSpec):
+        self.instance, self.beamformer, self.qos = instance, beamformer, qos
+        self.norms2 = np.sum(np.abs(beamformer.columns) ** 2, axis=0)
+        self.floor = 1.0 - qos.epsilon
         sqrt_c, inv_sqrt_c = instance.cov_roots
         self.g_mats = sqrt_c @ beamformer.columns
         self.g_herms = [g.conj().T for g in self.g_mats]
@@ -120,7 +121,6 @@ class OutageOracle:
         self.gains_minus_w = self.gains - np.abs(a_g) ** 2
         self.gamma = qos.gamma
         self.noise_var = instance.noise_var
-        self.quad_tol = quad_tol
         self.evals = 0
 
     def signed_powers(self, powers: np.ndarray, k: int) -> np.ndarray:
@@ -142,7 +142,7 @@ class OutageOracle:
             tau=float(c @ self.gains_minus_w[k]) - noise)
 
     def exact(self, powers: np.ndarray, k: int) -> float:
-        return outage_probability(self.form(powers, k), tol=self.quad_tol).value
+        return outage_probability(self.form(powers, k)).value
 
     def exact_all(self, powers: np.ndarray) -> np.ndarray:
         return np.array([self.exact(powers, k) for k in range(self.gamma.size)])
@@ -154,16 +154,15 @@ class OutageOracle:
         self.evals += 1
         return self.constraint(powers, k)
 
-    def report(self, status: SolveStatus, beamformer: BeamformerMatrix,
-               p: np.ndarray, probs: np.ndarray, t0: float,
-               **counts) -> SolveReport:
+    def report(self, status: SolveStatus, p: np.ndarray, probs: np.ndarray,
+               t0: float, **counts) -> SolveReport:
         """The solve report at powers p with constraint probabilities probs,
         the oracle's ``evals`` and the time since t0 (``perf_counter``)."""
         alloc = PowerAllocation(powers=p)
         return SolveReport(
             status=status, powers=alloc, per_user_prob=probs,
             per_user_prob_exact=probs.copy(),
-            total_power=alloc.total_power(beamformer), integral_evals=self.evals,
+            total_power=alloc.total_power(self.beamformer), integral_evals=self.evals,
             wall_time=time.perf_counter() - t0, **counts)
 
 
@@ -196,7 +195,7 @@ class _LazyProbs:
         return np.array([self[k] for k in range(self.p.size)])
 
 
-def _find_feasible_start(prob, beamformer, qos, p_init: np.ndarray):
+def _find_feasible_start(oracle: OutageOracle, p_init: np.ndarray):
     """Double all powers until every user meets its probability floor.
 
     A round stops at its first user below the floor, which the next round
@@ -204,12 +203,10 @@ def _find_feasible_start(prob, beamformer, qos, p_init: np.ndarray):
     every user.  Returns (powers, probs, doublings, feasible); the power cap
     counts against the total transmit power.
     """
-    norms2 = np.sum(np.abs(beamformer.columns) ** 2, axis=0)
-    floor = 1.0 - qos.epsilon
-    probs = _LazyProbs(prob, p_init.copy())
+    probs = _LazyProbs(oracle, p_init.copy())
     order, doublings = list(range(p_init.size)), 0
-    while (k := probs.first_failing(lambda k, q: q >= floor[k], order)) is not None:
-        if doublings >= MAX_DOUBLINGS or np.dot(probs.p, norms2) > POWER_CAP:
+    while (k := probs.first_failing(lambda k, q: q >= oracle.floor[k], order)) is not None:
+        if doublings >= MAX_DOUBLINGS or np.dot(probs.p, oracle.norms2) > POWER_CAP:
             return probs.p, probs.complete(), doublings, False
         order = [k] + [j for j in order if j != k]
         probs.p *= 2.0
@@ -273,9 +270,8 @@ def _bisect_user_power(prob, p: np.ndarray, k: int, delta_k: float,
     return hi, prob_hi, steps
 
 
-def _run_descent(oracle: OutageOracle, instance: ScenarioInstance,
-                 beamformer: BeamformerMatrix, qos: QoSSpec,
-                 config: DescentConfig, p_start: PowerAllocation):
+def _run_descent(oracle: OutageOracle, config: DescentConfig,
+                 p_start: PowerAllocation):
     """The shared engine on a fresh oracle (its ``evals`` are the report's):
     start from p_start or from ``init_powers_pcsi``; double to a feasible
     start; then search each user's power cyclically.
@@ -287,14 +283,14 @@ def _run_descent(oracle: OutageOracle, instance: ScenarioInstance,
     cycle moved, and every exit evaluates the users still stale.
     """
     t0 = time.perf_counter()
+    instance, beamformer, qos = oracle.instance, oracle.beamformer, oracle.qos
+    floor = oracle.floor
     if p_start is None:
         p_start = init_powers_pcsi(
             instance.est_channels, beamformer, qos, instance.noise_var)[0]
     n_users = qos.n_users
-    floor = 1.0 - qos.epsilon
 
-    p, start_probs, doublings, feasible = _find_feasible_start(
-        oracle, beamformer, qos, p_start.powers)
+    p, start_probs, doublings, feasible = _find_feasible_start(oracle, p_start.powers)
     probs = _LazyProbs(oracle, p, start_probs)
     bisect_steps = cycles = 0
     delta_min = float(config.delta_min)
@@ -334,7 +330,7 @@ def _run_descent(oracle: OutageOracle, instance: ScenarioInstance,
         # resolution (near-deterministic constraints)
         stalled = np.max(np.abs(p - p_before)) <= 1e-12 * max(1.0, float(np.max(p)))
 
-    return oracle.report(status, beamformer, p, probs.complete(), t0, cycles=cycles,
+    return oracle.report(status, p, probs.complete(), t0, cycles=cycles,
                          bisection_steps=bisect_steps, doublings=doublings)
 
 
@@ -344,5 +340,4 @@ def solve_general(instance: ScenarioInstance, beamformer: BeamformerMatrix,
     """Coordinate descent against the exact outage probabilities for any
     fixed directions."""
     config = config or DescentConfig()
-    oracle = OutageOracle(instance, beamformer, qos, config.quad_tol)
-    return _run_descent(oracle, instance, beamformer, qos, config, p_start)
+    return _run_descent(OutageOracle(instance, beamformer, qos), config, p_start)

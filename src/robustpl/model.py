@@ -10,6 +10,7 @@ import numpy as np
 
 HERMITIAN_TOL = 1e-12
 ZF_TOL = 1e-9
+MAX_NEWTON_STEPS = 10_000  # iteration budget of build_pcsi_directions
 
 
 class SingularChannel(Exception):
@@ -227,8 +228,7 @@ def build_rci(est_channels: np.ndarray, alpha: float) -> BeamformerMatrix:
     return BeamformerMatrix(columns=hh.conj().T @ np.linalg.inv(gram))
 
 
-def build_pcsi_directions(est_channels: np.ndarray, qos: QoSSpec,
-                          max_sweeps: int = 10_000) -> BeamformerMatrix:
+def build_pcsi_directions(est_channels: np.ndarray, qos: QoSSpec) -> BeamformerMatrix:
     """Optimal fixed directions when the estimates are treated as exact.
 
     Solves the power-minimization problem through its Lagrange dual, the
@@ -243,13 +243,13 @@ def build_pcsi_directions(est_channels: np.ndarray, qos: QoSSpec,
     so the unit noise's share e_i / d_i is J's margin; an infeasible uplink
     drives it to 0.  Raises Diverged when a share falls below 1.5e-8
     (~sqrt(eps); one user's share at the root is 1 / (1 + gamma)), when no
-    step above eps keeps q > 0, or after max_sweeps iterations.
+    step above eps keeps q > 0, or after MAX_NEWTON_STEPS iterations.
     """
     hh = np.asarray(est_channels, dtype=complex)
     k, nt = hh.shape
     ratio = qos.gamma / (1.0 + qos.gamma)
     q, last = np.ones(k), np.inf
-    for _ in range(max_sweeps):
+    for _ in range(MAX_NEWTON_STEPS):
         x = np.linalg.solve(np.eye(nt) + (hh.conj().T * q) @ hh, hh.conj().T)
         m = hh @ x
         d, norms = m.diagonal().real, np.linalg.norm(x, axis=0)

@@ -225,6 +225,7 @@ def _chernoff_screen(lam, zt2, tau, mu, s2):
     return low - 1e-9 * (1.0 + abs(h1) + (u + v) * max(1.0, far / b1))
 
 
+QUAD_TOL = 1e-8         # certification tolerance of every probability a solver acts on
 LOG2 = math.log(2.0)
 CHUNK = 2048            # nodes per vectorized integrand call
 MAX_NODES = 1 << 18     # node cap: past it the tolerance is reported as unmet
@@ -340,7 +341,12 @@ def _integrand(s, lam, zt2, tau, g0):
     return np.exp(expo - np.log(one_sl).sum(axis=0) - np.log(s))
 
 
-def cdf_quadrature(spectrum: EigenSpectrum, tau: float, tol: float = 1e-8,
+def zero_mode_threshold(lam) -> float:
+    """Eigenvalues of magnitude at most this are the form's zero modes."""
+    return 1e-12 * max(1.0, max(map(abs, lam), default=0.0))
+
+
+def cdf_quadrature(spectrum: EigenSpectrum, tau: float, tol: float = QUAD_TOL,
                    beta: float = None, strict: bool = True) -> ProbabilityEstimate:
     """The contour integral to absolute tolerance tol by the trapezoid rule
     (h/pi) (1/2 + sum_{n>=1} Re f(nh)), using conjugate symmetry.
@@ -355,7 +361,7 @@ def cdf_quadrature(spectrum: EigenSpectrum, tau: float, tol: float = 1e-8,
     tau = float(tau)
     lam_all = np.asarray(spectrum.eigenvalues, dtype=float).tolist()
     zt2_all = (np.abs(np.asarray(spectrum.z_tilde)) ** 2).tolist()
-    thresh = 1e-12 * max(1.0, max(map(abs, lam_all), default=0.0))
+    thresh = zero_mode_threshold(lam_all)
     kept = [(l, z) for l, z in zip(lam_all, zt2_all)
             if abs(l) > thresh or z * abs(l) > thresh]
 
@@ -389,18 +395,13 @@ def cdf_quadrature(spectrum: EigenSpectrum, tau: float, tol: float = 1e-8,
     mirror = beta is None and max(lam_l) < 0
     if mirror:
         lam_l, tau, mu = [-l for l in lam_l], -tau, -mu
-    lam_min = min(lam_l)
-    cap = -1.0 / lam_min if lam_min < 0 else math.inf
+    cap = -1.0 / min(lam_l) if min(lam_l) < 0 else math.inf
     if beta is None:
         beta = _pick_beta(lam_l, zt2_l, tau, moments=(mu, s2))
     elif not 0 < beta < cap:
         raise ValueError("contour offset must keep I + beta*M positive definite")
-    g0, curv = tau * beta - math.log(beta), 1.0  # _log_mag, beta^2 g0''
-    for l, z in zip(lam_l, zt2_l):
-        t = beta * l
-        q = 1.0 / (1.0 + t)
-        g0 -= z * t / (1.0 + t) + math.log1p(t)
-        curv += t * q * (t * q) * (1.0 + 2.0 * z * q)
+    g0 = _log_mag(beta, lam_l, zt2_l, tau)
+    curv = _log_mag_parts(beta, lam_l, zt2_l, tau, 1.0)[4]  # beta^2 g0''
     if g0 > 700.0:
         raise ValueError("contour offset too close to the pole: e^g0 overflows")
     scale = math.exp(g0) / math.pi
@@ -450,8 +451,7 @@ def cdf_quadrature(spectrum: EigenSpectrum, tau: float, tol: float = 1e-8,
     return estimate
 
 
-def outage_probability(form: QuadraticOutageForm,
-                       tol: float = 1e-8) -> ProbabilityEstimate:
+def outage_probability(form: QuadraticOutageForm, tol: float = QUAD_TOL) -> ProbabilityEstimate:
     """Probability that the SINR target is met, Pr(SINR_k >= gamma_k),
     evaluated as the CDF of the recentred quadratic form at tau (one
     eigendecomposition of -Q)."""

@@ -22,7 +22,7 @@ from .descent import (DescentConfig, OutageOracle, SolveReport, SolveStatus,
 from .model import (BeamformerMatrix, PowerAllocation, QoSSpec, ScenarioInstance,
                     ZF_TOL)
 from .model import build_outage_form, psd_sqrt  # noqa: F401 (perfbench/tracing.py wraps them)
-from .quadform import EigenSpectrum, cdf_quadrature
+from .quadform import QUAD_TOL, EigenSpectrum, cdf_quadrature, zero_mode_threshold
 from .quadform import outage_probability  # noqa: F401 (perfbench/tracing.py wraps it)
 
 __all__ = ["ApproximationInapplicable", "DegenerateSpectrum", "residue_spectrum",
@@ -31,7 +31,7 @@ __all__ = ["ApproximationInapplicable", "DegenerateSpectrum", "residue_spectrum"
 
 DEFAULT_ETA_MULTIPLE = -1.3
 RELATIVE_GAP_TOL = 1e-9
-ROUNDING_TOL = 1e-9  # a tenth of the default quad_tol: see residue_probability
+ROUNDING_TOL = QUAD_TOL / 10  # residue rounding allowance: see residue_probability
 EPS = 2.0 ** -52
 # The coordinate-update fixed point meets the surrogate constraints with
 # equality; a hair of slack keeps float noise from costing whole cycles.
@@ -48,10 +48,10 @@ class DegenerateSpectrum(Exception):
 
 
 def residue_spectrum(minus_q: np.ndarray) -> np.ndarray:
-    """The nonzero eigenvalues of -Q, descending; zero modes are those below
-    1e-12 of the largest magnitude (``cdf_quadrature``'s threshold)."""
+    """The nonzero eigenvalues of -Q, descending: those above
+    ``zero_mode_threshold``, as in ``cdf_quadrature``."""
     lam = np.linalg.eigvalsh(minus_q).tolist()[::-1]
-    thresh = 1e-12 * max(1.0, *map(abs, lam))
+    thresh = zero_mode_threshold(lam)
     return np.array([x for x in lam if abs(x) > thresh])
 
 
@@ -173,9 +173,8 @@ class SurrogateOracle(OutageOracle):
     """
 
     def __init__(self, instance: ScenarioInstance, beamformer: BeamformerMatrix,
-                 qos: QoSSpec, eta_multiple: float = DEFAULT_ETA_MULTIPLE,
-                 quad_tol: float = 1e-8):
-        super().__init__(instance, beamformer, qos, quad_tol)
+                 qos: QoSSpec, eta_multiple: float = DEFAULT_ETA_MULTIPLE):
+        super().__init__(instance, beamformer, qos)
         if np.max(np.abs(self.hb - np.eye(qos.n_users))) > ZF_TOL:
             raise ValueError("beamformer is not zero-forcing for the estimates")
         self.r_norm2 = np.empty(qos.n_users)
@@ -187,7 +186,6 @@ class SurrogateOracle(OutageOracle):
             raise ApproximationInapplicable(
                 f"1 + eta <= 0 for some user (min eta {self.eta.min():.4f})")
         self.gamma_prime = qos.gamma / (1.0 + self.eta)
-        self.epsilon = qos.epsilon
 
     def spectrum(self, powers: np.ndarray, k: int) -> np.ndarray:
         return residue_spectrum(self.q_matrix(-self.signed_powers(powers, k), k))
@@ -200,13 +198,13 @@ class SurrogateOracle(OutageOracle):
         except DegenerateSpectrum:
             centred = EigenSpectrum(eigenvalues=lam_nz, z_tilde=np.zeros(lam_nz.size))
             u = float(powers[k] / gamma_prime - sigma2)
-            return cdf_quadrature(centred, u, tol=self.quad_tol).value
+            return cdf_quadrature(centred, u).value
 
     def start(self) -> PowerAllocation:
         """Closed-form start: per user, the equal-power level meeting its
         surrogate constraint with equality, or gamma_k sigma_k^2 when the
         closed form has a nonpositive denominator or a degenerate spectrum."""
-        n, sigma2 = self.gamma.size, self.noise_var
+        n, sigma2, epsilon = self.gamma.size, self.noise_var, self.qos.epsilon
         p0 = self.gamma * sigma2  # the fallback
         for k in range(n):
             lam = self.spectrum(np.ones(n), k).tolist()
@@ -217,9 +215,9 @@ class SurrogateOracle(OutageOracle):
                 continue
             if w_1 is None:
                 p0[k] = _single_user_power(self.gamma[k], self.gamma_prime[k],
-                                           sigma2[k], self.r_norm2[k], self.epsilon[k])
+                                           sigma2[k], self.r_norm2[k], epsilon[k])
                 continue
-            denom = 1.0 / self.gamma_prime[k] + lam[0] * np.log(self.epsilon[k] * w_1)
+            denom = 1.0 / self.gamma_prime[k] + lam[0] * np.log(epsilon[k] * w_1)
             if denom > 0:
                 p0[k] = sigma2[k] / denom
         return PowerAllocation(powers=p0)
@@ -230,7 +228,7 @@ class SurrogateOracle(OutageOracle):
         until the counted constraint holds, then bisects into the band
         [1 - eps_k, 1 - eps_k + FALLBACK_DELTA]."""
         lam_nz = self.spectrum(p_frozen, k)
-        epsilon_k = float(self.epsilon[k])
+        epsilon_k = float(self.qos.epsilon[k])
         try:
             return _step_from_spectrum(
                 lam_nz, float(self.gamma[k]), float(self.gamma_prime[k]),
@@ -248,9 +246,9 @@ class SurrogateOracle(OutageOracle):
             trial[k] *= 2.0
         return float(trial[k])
 
-    def report(self, status, beamformer, p, probs, t0, **counts) -> SolveReport:
+    def report(self, status, p, probs, t0, **counts) -> SolveReport:
         exact = self.exact_all(p)  # before the base report reads the clock
-        result = super().report(status, beamformer, p, probs, t0, **counts)
+        result = super().report(status, p, probs, t0, **counts)
         result.per_user_prob_exact = exact
         return result
 
@@ -265,15 +263,14 @@ def solve_zf_coord_descent(instance: ScenarioInstance,
     quadrature and reported alongside the surrogate ones.
     """
     config = config or DescentConfig()
-    oracle = SurrogateOracle(instance, beamformer, qos, eta_multiple, config.quad_tol)
-    return _run_descent(oracle, instance, beamformer, qos, config, p_start)
+    oracle = SurrogateOracle(instance, beamformer, qos, eta_multiple)
+    return _run_descent(oracle, config, p_start)
 
 
 def solve_zf_coord_update(instance: ScenarioInstance,
                           beamformer: BeamformerMatrix, qos: QoSSpec,
                           i_max: int = 50,
                           eta_multiple: float = DEFAULT_ETA_MULTIPLE,
-                          quad_tol: float = 1e-8,
                           literal_gamma: bool = False) -> SolveReport:
     """Cyclic coordinate updates from the closed-form start until the
     surrogate constraints all hold (or i_max cycles elapse).
@@ -284,9 +281,8 @@ def solve_zf_coord_update(instance: ScenarioInstance,
     quadrature and reported alongside the surrogate ones.
     """
     t0 = time.perf_counter()
-    prob = SurrogateOracle(instance, beamformer, qos, eta_multiple, quad_tol)
-    n = qos.n_users
-    floor = 1.0 - qos.epsilon
+    prob = SurrogateOracle(instance, beamformer, qos, eta_multiple)
+    n, floor = qos.n_users, prob.floor
 
     p = prob.start().powers
     probs = _LazyProbs(prob, p)
@@ -319,5 +315,5 @@ def solve_zf_coord_update(instance: ScenarioInstance,
             probs.stale[:] = True
         feasible = meets(floor)
     status = SolveStatus.SOLVED if feasible else SolveStatus.CYCLE_LIMIT
-    return prob.report(status, beamformer, p, probs.complete(), t0, cycles=cycles,
+    return prob.report(status, p, probs.complete(), t0, cycles=cycles,
                        bisection_steps=bisect_steps)

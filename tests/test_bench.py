@@ -45,8 +45,7 @@ class TestConfig:
         with pytest.raises(ValueError):
             small_config(methods=("ZF-General", "Nonsense"))
 
-    @pytest.mark.parametrize("field, value", [("delta_min", 0), ("quad_tol", -1),
-                                              ("i_max", -1),
+    @pytest.mark.parametrize("field, value", [("delta_min", 0), ("i_max", -1),
                                               ("mc_certify_samples", -5),
                                               ("delta_min", [1e-3, 2e-3, 1e-3]),
                                               ("training", {"L_ut": 1}),
@@ -267,7 +266,8 @@ class TestCli:
     def test_out_of_range_solver_setting_fails(self, tmp_path):
         for overrides in ({"delta_min": 0}, {"training": {"L_ut": 1}},
                           {"training": {"L_ut": 0, "P_ut": 4.99}},
-                          {"training": None, "sigma_e2": [-0.01]}):
+                          {"training": None, "sigma_e2": [-0.01]},
+                          {"quad_tol": 0.3}):  # the tolerance is not a setting
             cfg = self.write_config(tmp_path, **overrides)
             out = tmp_path / "records.csv"
             assert cli_main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1

@@ -34,14 +34,12 @@ def exact_prob(instance, beamformer, qos, powers, k):
     return outage_probability(form).value
 
 
-def feasible_start(instance, beamformer, qos, config=None):
+def feasible_start(instance, beamformer, qos):
     """Doubling from the nominal powers: (allocation, feasible)."""
-    config = config or DescentConfig()
-    oracle = OutageOracle(instance, beamformer, qos, config.quad_tol)
+    oracle = OutageOracle(instance, beamformer, qos)
     p_init, _ = init_powers_pcsi(instance.est_channels, beamformer, qos,
                                  instance.noise_var)
-    p, _, _, feasible = _find_feasible_start(oracle, beamformer, qos,
-                                             p_init.powers)
+    p, _, _, feasible = _find_feasible_start(oracle, p_init.powers)
     return PowerAllocation(powers=p), feasible
 
 
@@ -100,7 +98,7 @@ class TestFeasibleStart:
         worst = min(mc_probability(inst, b, report.powers, qos, k, 100_000,
                                    [7, k]).value for k in range(3))
         assert worst < 1.0 - float(qos.epsilon[0])
-        assert not feasible_start(inst, b, qos, config)[1]
+        assert not feasible_start(inst, b, qos)[1]
 
     def test_found_point_is_feasible(self):
         inst, b, qos = make_zf_setup(107)
@@ -472,9 +470,8 @@ class TestLazyEvaluation:
     @pytest.mark.parametrize("name", REFERENCE_CASES)
     def test_matches_eager_reference(self, name):
         inst, b, qos, config, solver = reference_case(name)
-        oracle = (SurrogateOracle(inst, b, qos, quad_tol=config.quad_tol)
-                  if solver is solve_zf_coord_descent
-                  else OutageOracle(inst, b, qos, config.quad_tol))
+        oracle = (SurrogateOracle(inst, b, qos) if solver is solve_zf_coord_descent
+                  else OutageOracle(inst, b, qos))
         p_start = init_powers_pcsi(inst.est_channels, b, qos, inst.noise_var)[0]
         want = eager_descent(oracle, b, qos, config, p_start.powers)
         report = solver(inst, b, qos, config)
@@ -503,5 +500,5 @@ class TestLazyEvaluation:
             assert 0 < report.cycles < robustpl.descent.MAX_CYCLES
         p = report.powers.powers
         assert np.all(np.isfinite(report.per_user_prob))
-        want = OutageOracle(inst, b, qos, config.quad_tol).exact_all(p)
+        want = OutageOracle(inst, b, qos).exact_all(p)
         assert np.array_equal(report.per_user_prob, want)

@@ -142,11 +142,14 @@ class TestPcsiDirections:
             val = sinr(est[k], b, alloc, 0.01, k)
             assert val == pytest.approx(2.0, abs=1e-6)
 
-    def test_diverges_on_zero_sweep_budget(self):
+    def test_diverges_on_zero_sweep_budget(self, monkeypatch):
+        import robustpl.model
+
+        monkeypatch.setattr(robustpl.model, "MAX_NEWTON_STEPS", 1)
         est = generate_rayleigh_channels(3, 3, 29)
         qos = QoSSpec.from_db(5.0, 0.05, 3)
         with pytest.raises(Diverged):
-            build_pcsi_directions(est, qos, max_sweeps=1)
+            build_pcsi_directions(est, qos)
 
 
 def uplink_draw(data, n_tx, n_users, gamma_min, spread_db):
