@@ -45,7 +45,8 @@ class TestConfig:
         with pytest.raises(ValueError):
             small_config(methods=("ZF-General", "Nonsense"))
 
-    @pytest.mark.parametrize("field, value", [("delta_min", 0), ("i_max", -1),
+    @pytest.mark.parametrize("field, value", [("delta_min", 0), ("epsilon", 1.0),
+                                              ("i_max", -1),
                                               ("mc_certify_samples", -5),
                                               ("delta_min", [1e-3, 2e-3, 1e-3]),
                                               ("training", {"L_ut": 1}),
