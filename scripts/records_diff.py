@@ -5,7 +5,8 @@
 Rows are paired by their (method, gamma_db, sigma_e2, trial) key.  For each
 method and each other column this prints how many rows moved (their text
 differs) and, for a numeric column, how many rose and fell and the largest
-relative move |new - old| / |old| (inf where old is 0).  Exits 1 when the
+relative move |new - old| / |old| (inf where old is 0); for any other
+column, one line per ``old -> new`` transition with its count.  Exits 1 when the
 headers differ or the two files do not hold the same keys, else 0.
 """
 
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from collections import Counter
 
 KEY = ("method", "gamma_db", "sigma_e2", "trial")
 
@@ -45,11 +47,13 @@ def number(text: str):
 def column_moves(pairs: list) -> dict:
     """Moved, rose and fell counts and the largest relative move over the
     (old, new) text pairs of one column; rose, fell and largest are None
-    when some value is not a number."""
+    when some value is not a number, and then ``transitions`` counts each
+    moved (old, new) pair, most frequent first."""
     moved = [(a, b) for a, b in pairs if a != b]
     values = [(number(a), number(b)) for a, b in moved]
     if any(None in pair for pair in values):
-        return {"moved": len(moved), "rose": None, "fell": None, "largest": None}
+        return {"moved": len(moved), "rose": None, "fell": None, "largest": None,
+                "transitions": Counter(moved).most_common()}
     return {"moved": len(moved),
             "rose": sum(b > a for a, b in values),
             "fell": sum(b < a for a, b in values),
@@ -79,6 +83,8 @@ def diff(old_path, new_path, out=sys.stdout) -> int:
                 line += (f" (rose {m['rose']}, fell {m['fell']}), "
                          f"largest relative move {m['largest']:.3g}")
             print(line, file=out)
+            for (a, b), count in m.get("transitions", ()):
+                print(f"{method} {name}: {a} -> {b} {count}", file=out)
     return 0
 
 

@@ -121,11 +121,13 @@ class ExperimentConfig:
 class TrialRecord:
     """One row of the records file.
 
-    ``status`` is the solver's ``SolveStatus`` value; ``fallback_`` and the
-    ``SolveStatus`` value of ``solve_general`` when a ZF surrogate method's
-    target was undefined and ``solve_general`` solved the point instead; or
-    the exception's class name when the solve raised (success 0, power 0, no
-    evaluations).
+    ``status`` is the solver's ``SolveStatus`` value (``diverged`` only from
+    ZF-CoordUpdate, whose powers passed ``POWER_CAP`` before its surrogate
+    constraints held; ``success`` is still the exact certification);
+    ``fallback_`` and the ``SolveStatus`` value of ``solve_general`` when a ZF
+    surrogate method's target was undefined and ``solve_general`` solved the
+    point instead; or the exception's class name when the solve raised
+    (success 0, power 0, no evaluations).
     """
 
     method: str

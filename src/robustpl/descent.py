@@ -38,13 +38,14 @@ __all__ = [
 MAX_BISECT_STEPS = 60
 MAX_CYCLES = 50
 MAX_DOUBLINGS = 30
-POWER_CAP = 1e6  # on the total transmit power while doubling to a feasible start
+POWER_CAP = 1e6  # on the total transmit power of a feasible start or an update
 
 
 class SolveStatus(enum.Enum):
     SOLVED = "solved"
     INFEASIBLE_START_NOT_FOUND = "infeasible_start_not_found"
     CYCLE_LIMIT = "cycle_limit"
+    DIVERGED = "diverged"
 
 
 @dataclass(frozen=True)
@@ -306,7 +307,8 @@ def _run_descent(oracle: OutageOracle, config: DescentConfig,
             break
         cycles += 1
         p_before = p.copy()
-        total_before = PowerAllocation(powers=p).total_power(beamformer)
+        if config.strict_checks:
+            total_before = float(np.dot(p, oracle.norms2))
         dirty = False
         for k in range(n_users):
             new_pk, prob_k, steps = _bisect_user_power(
@@ -322,7 +324,7 @@ def _run_descent(oracle: OutageOracle, config: DescentConfig,
                 check = np.array([oracle.constraint(p, j) for j in range(n_users)])
                 if not np.all(check >= floor - 1e-9):
                     raise AssertionError("feasibility lost during coordinate step")
-                total_now = PowerAllocation(powers=p).total_power(beamformer)
+                total_now = float(np.dot(p, oracle.norms2))
                 if total_now > total_before + 1e-9 * max(1.0, total_before):
                     raise AssertionError("objective increased during coordinate step")
                 total_before = total_now

@@ -17,8 +17,8 @@ import time
 
 import numpy as np
 
-from .descent import (DescentConfig, OutageOracle, SolveReport, SolveStatus,
-                      _LazyProbs, _bisect_user_power, _run_descent)
+from .descent import (POWER_CAP, DescentConfig, OutageOracle, SolveReport,
+                      SolveStatus, _LazyProbs, _bisect_user_power, _run_descent)
 from .model import (BeamformerMatrix, PowerAllocation, QoSSpec, ScenarioInstance,
                     ZF_TOL)
 from .model import build_outage_form, psd_sqrt  # noqa: F401 (perfbench/tracing.py wraps them)
@@ -226,7 +226,8 @@ class SurrogateOracle(OutageOracle):
         """User k's update with the spectrum frozen at p_frozen; on a
         degenerate spectrum, p[k] doubles from max(gamma_k sigma_k^2, p[k])
         until the counted constraint holds, then bisects into the band
-        [1 - eps_k, 1 - eps_k + FALLBACK_DELTA]."""
+        [1 - eps_k, 1 - eps_k + FALLBACK_DELTA].  The doubling gives up once
+        the total power passes POWER_CAP and returns that p[k] unevaluated."""
         lam_nz = self.spectrum(p_frozen, k)
         epsilon_k = float(self.qos.epsilon[k])
         try:
@@ -239,6 +240,8 @@ class SurrogateOracle(OutageOracle):
         trial = p_frozen.copy()
         trial[k] = max(float(self.gamma[k] * self.noise_var[k]), trial[k], 1e-12)
         for _ in range(80):
+            if np.dot(trial, self.norms2) > POWER_CAP:
+                break
             prob = self(trial, k)
             if prob >= 1.0 - epsilon_k:
                 return _bisect_user_power(self, trial, k, FALLBACK_DELTA,
@@ -273,7 +276,9 @@ def solve_zf_coord_update(instance: ScenarioInstance,
                           eta_multiple: float = DEFAULT_ETA_MULTIPLE,
                           literal_gamma: bool = False) -> SolveReport:
     """Cyclic coordinate updates from the closed-form start until the
-    surrogate constraints all hold (or i_max cycles elapse).
+    surrogate constraints all hold, i_max cycles elapse, or the total power
+    passes POWER_CAP; ending above the cap infeasible reports DIVERGED (an
+    update with no fixed point drives the powers without bound).
 
     Iterates are not kept feasible; each cycle freezes every user's spectrum
     at the previous cycle's powers, so a cycle costs one eigendecomposition
@@ -292,7 +297,8 @@ def solve_zf_coord_update(instance: ScenarioInstance,
 
     cycles = 0
     bisect_steps = 0
-    while not meets(floor - FEASIBILITY_SLACK) and cycles < i_max:
+    while (not meets(floor - FEASIBILITY_SLACK) and cycles < i_max
+           and np.dot(p, prob.norms2) <= POWER_CAP):
         cycles += 1
         p_prev = p.copy()
         before = prob.evals  # only degenerate-spectrum fallbacks evaluate
@@ -314,6 +320,8 @@ def solve_zf_coord_update(instance: ScenarioInstance,
             p *= 1.0 + 4e-6
             probs.stale[:] = True
         feasible = meets(floor)
-    status = SolveStatus.SOLVED if feasible else SolveStatus.CYCLE_LIMIT
+    status = (SolveStatus.SOLVED if feasible
+              else SolveStatus.DIVERGED if np.dot(p, prob.norms2) > POWER_CAP
+              else SolveStatus.CYCLE_LIMIT)
     return prob.report(status, p, probs.complete(), t0, cycles=cycles,
                        bisection_steps=bisect_steps)

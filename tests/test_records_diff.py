@@ -45,16 +45,39 @@ def test_counts_moved_rows_per_method_and_column(tmp_path):
     assert "ZF-General total_power: 1 of 3 rows moved (rose 1, fell 0), " \
            "largest relative move 0.25" in lines
     assert "ZF-General status: 1 of 3 rows moved" in lines
+    assert "ZF-General status: cycle_limit -> fallback_solved 1" in lines
     assert "ZF-General cycles: 0 of 3 rows moved" in lines
     assert "ZF-CoordUpdate integral_evals: 0 of 1 rows moved" in lines
-    # one line per method and non-key column
-    assert len(lines) == 1 + 2 * 6
+    # one line per method and non-key column, and one per status transition
+    assert len(lines) == 1 + 2 * 6 + 1
 
 
 def test_identical_files_move_nothing(tmp_path):
     status, lines = run(tmp_path, list(OLD))
     assert status == 0
     assert all(" 0 of " in line for line in lines[1:])
+
+
+def test_text_column_counts_each_transition(tmp_path):
+    old = OLD + ["ZF-CoordUpdate,5,0.002,0,cycle_limit,0,1e7,50,0,53",
+                 "ZF-CoordUpdate,10,0.002,0,cycle_limit,0,1e9,50,0,53",
+                 "ZF-CoordUpdate,10,0.002,1,cycle_limit,0,1e8,50,0,53"]
+    new = list(old)
+    new[3] = "ZF-CoordUpdate,0,0.002,0,cycle_limit,0,0.05,50,0,53"
+    new[4] = "ZF-CoordUpdate,5,0.002,0,diverged,0,2e6,9,0,12"
+    new[5] = "ZF-CoordUpdate,10,0.002,0,diverged,0,3e6,9,0,12"
+    write(tmp_path / "old.csv", old)
+    write(tmp_path / "new.csv", new)
+    out = io.StringIO()
+    assert records_diff.diff(tmp_path / "old.csv", tmp_path / "new.csv", out) == 0
+    lines = out.getvalue().splitlines()
+    status = [line for line in lines if line.startswith("ZF-CoordUpdate status")]
+    # the most frequent transition first; unmoved rows are not transitions
+    assert status == ["ZF-CoordUpdate status: 3 of 4 rows moved",
+                      "ZF-CoordUpdate status: cycle_limit -> diverged 2",
+                      "ZF-CoordUpdate status: solved -> cycle_limit 1"]
+    # numeric columns print no transitions
+    assert not any(" -> " in line for line in lines if " status: " not in line)
 
 
 def test_move_from_zero_is_infinite(tmp_path):

@@ -27,6 +27,7 @@ from robustpl import (
     solve_zf_coord_descent,
     solve_zf_coord_update,
 )
+from robustpl.descent import POWER_CAP
 from robustpl.zf import ROUNDING_TOL, _step_from_spectrum
 
 from conftest import make_instance, make_zf_setup
@@ -43,14 +44,14 @@ def unitary_channel_instance(sigma_e2, n=3, sigma2=0.01):
                             error_cov=cov, noise_var=np.full(n, sigma2))
 
 
-def identity_channel_setup():
+def identity_channel_setup(sigma_e2=0.002, gamma_db=5.0):
     """Doubly degenerate spectra: every step falls back to the search."""
     eye = np.eye(3, dtype=complex)
     inst = ScenarioInstance(
         true_channels=eye, est_channels=eye,
-        error_cov=np.broadcast_to(0.002 * eye, (3, 3, 3)).copy(),
+        error_cov=np.broadcast_to(sigma_e2 * eye, (3, 3, 3)).copy(),
         noise_var=np.full(3, 0.01))
-    return inst, build_zf(eye), QoSSpec.from_db(5.0, 0.05, 3)
+    return inst, build_zf(eye), QoSSpec.from_db(gamma_db, 0.05, 3)
 
 
 class TestZfParams:
@@ -411,6 +412,25 @@ class TestCoordUpdate:
         report = solve_zf_coord_update(inst, b, qos, i_max=0)
         assert report.status is SolveStatus.CYCLE_LIMIT
 
+    def test_growing_powers_end_diverged(self):
+        # no fixed point at 10 dB: the powers grow geometrically (to 1.2e31
+        # over 50 cycles without the cap), so the loop stops past POWER_CAP
+        inst, b, qos = make_zf_setup(10, gamma_db=10.0)
+        report = solve_zf_coord_update(inst, b, qos)
+        assert report.status is SolveStatus.DIVERGED
+        assert POWER_CAP < report.total_power
+        assert report.cycles < 50
+        assert not np.all(report.per_user_prob >= 0.95 - 1e-6)
+
+    def test_fallback_doubling_stops_at_power_cap(self):
+        # at sigma_e2 = 0.05 and 25 dB the degenerate-spectrum fallback never
+        # meets the floor; without its cap it doubled up to 80 times a step
+        inst, b, qos = identity_channel_setup(sigma_e2=0.05, gamma_db=25.0)
+        report = solve_zf_coord_update(inst, b, qos)
+        assert report.status is SolveStatus.DIVERGED
+        assert POWER_CAP < report.total_power
+        assert report.integral_evals < 114
+
     def test_fallback_step_lands_in_band(self):
         # identity channels give a doubly degenerate spectrum: the step
         # doubles and bisects on the surrogate oracle
@@ -453,7 +473,8 @@ def eager_coord_update(inst, b, qos, i_max=50, literal_gamma=False):
     p = prob.start().powers
     probs = np.array([prob(p, k) for k in range(n)])
     cycles = steps = 0
-    while not np.all(probs >= floor - slack) and cycles < i_max:
+    while (not np.all(probs >= floor - slack) and cycles < i_max
+           and np.dot(p, prob.norms2) <= POWER_CAP):
         cycles += 1
         p_prev, before = p.copy(), prob.evals
         for k in range(n):
@@ -470,7 +491,12 @@ def eager_coord_update(inst, b, qos, i_max=50, literal_gamma=False):
             p *= 1.0 + 4e-6
             probs = np.array([prob(p, k) for k in range(n)])
         feasible = bool(np.all(probs >= floor))
-    status = SolveStatus.SOLVED if feasible else SolveStatus.CYCLE_LIMIT
+    if feasible:
+        status = SolveStatus.SOLVED
+    elif np.dot(p, prob.norms2) > POWER_CAP:
+        status = SolveStatus.DIVERGED
+    else:
+        status = SolveStatus.CYCLE_LIMIT
     return dict(status=status, powers=p, cycles=cycles, bisection_steps=steps,
                 per_user_prob=probs, per_user_prob_exact=prob.exact_all(p),
                 evals=prob.evals)
@@ -482,6 +508,7 @@ def eager_coord_update(inst, b, qos, i_max=50, literal_gamma=False):
     (625, 0.0, 0.002, {"i_max": 0}),
     (626, 10.0, 0.002, {"literal_gamma": True}),
     (627, 5.0, 1e-12, {}),
+    (10, 10.0, 0.002, {}),
     (None, 5.0, 0.002, {}),
 ])
 def test_coord_update_matches_eager_reference(seed, gamma_db, sigma_e2, kwargs):
