@@ -508,8 +508,8 @@ def eager_coord_update(inst, b, qos, i_max=50, literal_gamma=False):
     (625, 0.0, 0.002, {"i_max": 0}),
     (626, 10.0, 0.002, {"literal_gamma": True}),
     (627, 5.0, 1e-12, {}),
-    (10, 10.0, 0.002, {}),
     (None, 5.0, 0.002, {}),
+    (10, 10.0, 0.002, {}),
 ])
 def test_coord_update_matches_eager_reference(seed, gamma_db, sigma_e2, kwargs):
     inst, b, qos = (identity_channel_setup() if seed is None
