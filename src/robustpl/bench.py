@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields as dc_fields
 import numpy as np
 
 from . import zf as zfmod
-from .descent import DescentConfig, SolveStatus, solve_general
+from .descent import SolveStatus, solve_general
 from .model import (
     QoSSpec,
     ScenarioInstance,
@@ -64,9 +64,6 @@ class ExperimentConfig:
     sigma_e2: tuple = None
     gamma_db: tuple = tuple(float(g) for g in range(11))
     epsilon: float = 0.05
-    delta_min: float = 1e-3
-    i_max: int = 50
-    eta_multiple: float = -1.3
     mc_certify_samples: int = 0
 
     def __post_init__(self):
@@ -89,10 +86,9 @@ class ExperimentConfig:
             raise ValueError("counts must be positive")
         if not (0 < self.epsilon < 1):
             raise ValueError("epsilon must lie in (0, 1)")
-        self.descent_config()  # rejects a nonpositive or non-scalar delta_min
         self.error_variances()  # rejects a negative sigma_e2 or bad training
-        if self.i_max < 0 or self.mc_certify_samples < 0:
-            raise ValueError("i_max and mc_certify_samples must be nonnegative")
+        if self.mc_certify_samples < 0:
+            raise ValueError("mc_certify_samples must be nonnegative")
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
@@ -112,9 +108,6 @@ class ExperimentConfig:
         return (uplink_error_variance(self.sigma2_bs,
                                       int(self.training["L_ut"]),
                                       float(self.training["P_ut"])),)
-
-    def descent_config(self) -> DescentConfig:
-        return DescentConfig(delta_min=self.delta_min)
 
 
 @dataclass(frozen=True)
@@ -155,21 +148,18 @@ class SummaryRow:
 
 def _run_method(method: str, instance: ScenarioInstance, est, qos: QoSSpec,
                 config: ExperimentConfig):
-    dconf = config.descent_config()
     if method == "PCSI-General":
         bf = build_pcsi_directions(est, qos)
-        return bf, solve_general(instance, bf, qos, dconf)
+        return bf, solve_general(instance, bf, qos)
     if method == "RCI-General":
         bf = build_rci(est, config.n_users * config.sigma2)
-        return bf, solve_general(instance, bf, qos, dconf)
+        return bf, solve_general(instance, bf, qos)
     bf = build_zf(est)
     if method == "ZF-General":
-        return bf, solve_general(instance, bf, qos, dconf)
+        return bf, solve_general(instance, bf, qos)
     if method == "ZF-CoordDescent":
-        return bf, zfmod.solve_zf_coord_descent(
-            instance, bf, qos, dconf, eta_multiple=config.eta_multiple)
-    return bf, zfmod.solve_zf_coord_update(
-        instance, bf, qos, i_max=config.i_max, eta_multiple=config.eta_multiple)
+        return bf, zfmod.solve_zf_coord_descent(instance, bf, qos)
+    return bf, zfmod.solve_zf_coord_update(instance, bf, qos)
 
 
 def run_trial(config: ExperimentConfig, trial: int) -> list:

@@ -17,7 +17,7 @@ import time
 
 import numpy as np
 
-from .descent import (POWER_CAP, DescentConfig, OutageOracle, SolveReport,
+from .descent import (MAX_CYCLES, POWER_CAP, DescentConfig, OutageOracle, SolveReport,
                       SolveStatus, _LazyProbs, _bisect_user_power, _run_descent)
 from .model import (BeamformerMatrix, PowerAllocation, QoSSpec, ScenarioInstance,
                     ZF_TOL)
@@ -272,13 +272,13 @@ def solve_zf_coord_descent(instance: ScenarioInstance,
 
 def solve_zf_coord_update(instance: ScenarioInstance,
                           beamformer: BeamformerMatrix, qos: QoSSpec,
-                          i_max: int = 50,
                           eta_multiple: float = DEFAULT_ETA_MULTIPLE,
                           literal_gamma: bool = False) -> SolveReport:
     """Cyclic coordinate updates from the closed-form start until the
-    surrogate constraints all hold, i_max cycles elapse, or the total power
-    passes POWER_CAP; ending above the cap infeasible reports DIVERGED (an
-    update with no fixed point drives the powers without bound).
+    surrogate constraints all hold, MAX_CYCLES cycles (the descent's cap)
+    elapse, or the total power passes POWER_CAP; ending above the cap
+    infeasible reports DIVERGED (an update with no fixed point drives the
+    powers without bound).
 
     Iterates are not kept feasible; each cycle freezes every user's spectrum
     at the previous cycle's powers, so a cycle costs one eigendecomposition
@@ -297,7 +297,7 @@ def solve_zf_coord_update(instance: ScenarioInstance,
 
     cycles = 0
     bisect_steps = 0
-    while (not meets(floor - FEASIBILITY_SLACK) and cycles < i_max
+    while (not meets(floor - FEASIBILITY_SLACK) and cycles < MAX_CYCLES
            and np.dot(p, prob.norms2) <= POWER_CAP):
         cycles += 1
         p_prev = p.copy()

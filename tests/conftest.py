@@ -1,3 +1,5 @@
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -6,6 +8,7 @@ from hypothesis import settings
 settings.register_profile("derandomized", derandomize=True)
 settings.load_profile("derandomized")
 
+import robustpl.descent
 from robustpl import (
     QoSSpec,
     ScenarioInstance,
@@ -29,6 +32,38 @@ def make_zf_setup(seed, gamma_db=5.0, epsilon=0.05, **kwargs):
     inst = make_instance(seed, **kwargs)
     return inst, build_zf(inst.est_channels), QoSSpec.from_db(
         gamma_db, epsilon, inst.n_users)
+
+
+@contextlib.contextmanager
+def strict_step_checks():
+    """Within the block, every coordinate step of the descent
+    (``robustpl.descent._bisect_user_power``) is followed by two asserted
+    invariants: every user's uncounted ``oracle.constraint`` is at least its
+    floor - 1e-9, and the total power p . ``oracle.norms2`` did not rise by
+    more than 1e-9 max(1, total).  Yields the list of checked steps, each
+    (powers array passed in, powers after the step)."""
+    search, checked = robustpl.descent._bisect_user_power, []
+
+    def checked_search(oracle, p, k, *args):
+        if checked and checked[-1][0] is p:
+            # the descent passes its own powers array to every step, so the
+            # checked powers are the ones it went on with
+            assert np.array_equal(p, checked[-1][1]), "powers changed between coordinate steps"
+        new_pk, prob_k, steps = search(oracle, p, k, *args)
+        after = p.copy()
+        after[k] = new_pk
+        probs = np.array([oracle.constraint(after, j) for j in range(after.size)])
+        assert np.all(probs >= oracle.floor - 1e-9), "feasibility lost during coordinate step"
+        total_before = float(np.dot(p, oracle.norms2))
+        total_now = float(np.dot(after, oracle.norms2))
+        assert total_now <= total_before + 1e-9 * max(1.0, total_before), \
+            "objective increased during coordinate step"
+        checked.append((p, after))
+        return new_pk, prob_k, steps
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(robustpl.descent, "_bisect_user_power", checked_search)
+        yield checked
 
 
 @pytest.fixture

@@ -14,7 +14,6 @@ import pytest
 from scipy.stats import ncx2
 
 from robustpl import (
-    DescentConfig,
     ExperimentConfig,
     PowerAllocation,
     QoSSpec,
@@ -37,7 +36,7 @@ from robustpl import (
 from robustpl.bench import export_records
 from robustpl.zf import ApproximationInapplicable
 
-from conftest import make_instance, make_zf_setup
+from conftest import make_instance, make_zf_setup, strict_step_checks
 from test_descent import minimal_feasible_power
 
 
@@ -141,8 +140,12 @@ def test_criterion_3_band_and_monotone_objective():
         qos = QoSSpec.from_db(gamma_db, 0.05, 3)
         bf = build_zf(inst.est_channels) if kind == "zf" else \
             build_rci(inst.est_channels, 3 * 0.01)
-        config = DescentConfig(strict_checks=(seed % 2 == 0))
-        rep = solve_general(inst, bf, qos, config)
+        if seed % 2 == 0:
+            with strict_step_checks() as steps:
+                rep = solve_general(inst, bf, qos)
+            assert len(steps) == 3 * rep.cycles  # every step was checked
+        else:
+            rep = solve_general(inst, bf, qos)
         if not rep.solved:
             continue
         assert np.all(rep.per_user_prob_exact >= 0.95)

@@ -45,13 +45,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             small_config(methods=("ZF-General", "Nonsense"))
 
-    @pytest.mark.parametrize("field, value", [("delta_min", 0), ("epsilon", 1.0),
-                                              ("i_max", -1),
-                                              ("mc_certify_samples", -5),
-                                              ("delta_min", [1e-3, 2e-3, 1e-3]),
-                                              ("training", {"L_ut": 1}),
-                                              ("training", {"L_ut": 0, "P_ut": 4.99}),
-                                              ("sigma_e2", [-0.01])])
+    @pytest.mark.parametrize("field, value", [
+        pytest.param("epsilon", 1.0, id="epsilon-1.0"),
+        pytest.param("mc_certify_samples", -5, id="mc_certify_samples--5"),
+        pytest.param("training", {"L_ut": 1}, id="training-value5"),
+        pytest.param("training", {"L_ut": 0, "P_ut": 4.99}, id="training-value6"),
+        pytest.param("sigma_e2", [-0.01], id="sigma_e2-value7")])
     def test_rejects_out_of_range_solver_settings(self, field, value):
         overrides = {field: value}
         if field == "sigma_e2":
@@ -268,7 +267,9 @@ class TestCli:
         for overrides in ({"delta_min": 0}, {"training": {"L_ut": 1}},
                           {"training": {"L_ut": 0, "P_ut": 4.99}},
                           {"training": None, "sigma_e2": [-0.01]},
-                          {"quad_tol": 0.3}):  # the tolerance is not a setting
+                          # fixed solver values are not settings
+                          {"quad_tol": 0.3}, {"delta_min": 1e-3}, {"i_max": 50},
+                          {"eta_multiple": -1.3}):
             cfg = self.write_config(tmp_path, **overrides)
             out = tmp_path / "records.csv"
             assert cli_main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1

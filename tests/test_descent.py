@@ -25,7 +25,7 @@ from robustpl import (
 from robustpl.descent import (MAX_BISECT_STEPS, MAX_CYCLES, MAX_DOUBLINGS, POWER_CAP,
                               _bisect_user_power, _find_feasible_start)
 
-from conftest import make_instance, make_zf_setup
+from conftest import make_instance, make_zf_setup, strict_step_checks
 
 
 def exact_prob(instance, beamformer, qos, powers, k):
@@ -72,6 +72,14 @@ def minimal_feasible_power(instance, beamformer, qos, powers, k, band=1e-6):
         else:
             lo = mid
     return hi
+
+
+class TestDescentConfig:
+    @pytest.mark.parametrize("delta_min", [pytest.param(0, id="zero"),
+                                           pytest.param([1e-3, 2e-3, 1e-3], id="vector")])
+    def test_rejects_a_band_that_is_not_a_positive_scalar(self, delta_min):
+        with pytest.raises(ValueError, match="delta_min"):
+            DescentConfig(delta_min=delta_min)
 
 
 class TestFeasibleStart:
@@ -226,9 +234,25 @@ class TestSolveGeneral:
 
     def test_strict_invariant_checks_pass(self):
         inst, b, qos = make_zf_setup(123)
-        config = DescentConfig(strict_checks=True)
-        report = solve_general(inst, b, qos, config)
+        with strict_step_checks() as steps:
+            report = solve_general(inst, b, qos)
         assert report.solved
+        assert len(steps) == qos.n_users * report.cycles > 0
+
+    def test_strict_checks_catch_a_step_that_loses_feasibility(self, monkeypatch):
+        import robustpl.descent
+
+        search = robustpl.descent._bisect_user_power
+
+        def overshooting(prob, p, k, *args):
+            new_pk, prob_k, steps = search(prob, p, k, *args)
+            return 0.5 * new_pk, prob_k, steps
+
+        monkeypatch.setattr(robustpl.descent, "_bisect_user_power", overshooting)
+        inst, b, qos = make_zf_setup(123)
+        with pytest.raises(AssertionError, match="feasibility lost"):
+            with strict_step_checks():
+                solve_general(inst, b, qos)
 
     def test_total_power_below_start(self):
         inst, b, qos = make_zf_setup(125)
@@ -455,8 +479,7 @@ def reference_case(name):
         "hopeless": lambda: make_zf_setup(105, sigma_e2=0.5, gamma_db=10.0),
         "stall": lambda: make_zf_setup(9),
     }.get(name, lambda: make_zf_setup(613))()
-    config = DescentConfig(strict_checks=name == "strict",
-                           delta_min=1e-17 if name == "stall" else 1e-3)
+    config = DescentConfig(delta_min=1e-17 if name == "stall" else 1e-3)
     solver = solve_zf_coord_descent if name == "surrogate" else solve_general
     return inst, b, qos, config, solver
 
@@ -474,7 +497,12 @@ class TestLazyEvaluation:
                   else OutageOracle(inst, b, qos))
         p_start = init_powers_pcsi(inst.est_channels, b, qos, inst.noise_var)[0]
         want = eager_descent(oracle, b, qos, config, p_start.powers)
-        report = solver(inst, b, qos, config)
+        if name == "strict":
+            with strict_step_checks() as steps:
+                report = solver(inst, b, qos, config)
+            assert len(steps) == qos.n_users * report.cycles > 0
+        else:
+            report = solver(inst, b, qos, config)
         assert report.status is want["status"]
         assert np.array_equal(report.powers.powers, want["powers"])
         for field in ("cycles", "bisection_steps", "doublings"):

@@ -407,9 +407,10 @@ class TestCoordUpdate:
         refined = solve_zf_coord_descent(inst, b, qos, p_start=first.powers)
         assert refined.total_power <= first.total_power + 1e-12
 
-    def test_cycle_limit_status(self):
+    def test_cycle_limit_status(self, monkeypatch):
+        monkeypatch.setattr(robustpl.zf, "MAX_CYCLES", 0)
         inst, b, qos = make_zf_setup(263)
-        report = solve_zf_coord_update(inst, b, qos, i_max=0)
+        report = solve_zf_coord_update(inst, b, qos)
         assert report.status is SolveStatus.CYCLE_LIMIT
 
     def test_growing_powers_end_diverged(self):
@@ -465,15 +466,15 @@ class TestCoordUpdate:
         assert rep.bisection_steps > 3 * rep.cycles
 
 
-def eager_coord_update(inst, b, qos, i_max=50, literal_gamma=False):
+def eager_coord_update(inst, b, qos, literal_gamma=False):
     """Reference: the CoordUpdate loop that evaluates every user for each
-    feasibility test and after every nudge."""
+    feasibility test and after every nudge, capped at ``zf.MAX_CYCLES``."""
     prob = SurrogateOracle(inst, b, qos)
     n, floor, slack = qos.n_users, 1.0 - qos.epsilon, robustpl.zf.FEASIBILITY_SLACK
     p = prob.start().powers
     probs = np.array([prob(p, k) for k in range(n)])
     cycles = steps = 0
-    while (not np.all(probs >= floor - slack) and cycles < i_max
+    while (not np.all(probs >= floor - slack) and cycles < robustpl.zf.MAX_CYCLES
            and np.dot(p, prob.norms2) <= POWER_CAP):
         cycles += 1
         p_prev, before = p.copy(), prob.evals
@@ -504,14 +505,18 @@ def eager_coord_update(inst, b, qos, i_max=50, literal_gamma=False):
 
 @pytest.mark.parametrize("seed, gamma_db, sigma_e2, kwargs", [
     *[(seed, g, 0.002, {}) for seed in (621, 622, 623) for g in (0.0, 5.0, 10.0)],
-    (624, 10.0, 0.002, {"i_max": 1}),
-    (625, 0.0, 0.002, {"i_max": 0}),
+    (624, 10.0, 0.002, {"max_cycles": 1}),
+    (625, 0.0, 0.002, {"max_cycles": 0}),
     (626, 10.0, 0.002, {"literal_gamma": True}),
     (627, 5.0, 1e-12, {}),
     (None, 5.0, 0.002, {}),
     (10, 10.0, 0.002, {}),
 ])
-def test_coord_update_matches_eager_reference(seed, gamma_db, sigma_e2, kwargs):
+def test_coord_update_matches_eager_reference(seed, gamma_db, sigma_e2, kwargs,
+                                              monkeypatch):
+    kwargs = dict(kwargs)
+    if "max_cycles" in kwargs:
+        monkeypatch.setattr(robustpl.zf, "MAX_CYCLES", kwargs.pop("max_cycles"))
     inst, b, qos = (identity_channel_setup() if seed is None
                     else make_zf_setup(seed, gamma_db=gamma_db, sigma_e2=sigma_e2))
     want = eager_coord_update(inst, b, qos, **kwargs)
