@@ -3,9 +3,10 @@ loading with fixed beamforming directions.
 
 Each coordinate step shrinks one user's power, by a bracketed secant search
 on the logit of its success probability, until that probability falls inside
-[1 - eps, 1 - eps + Delta]; lowering a power can only raise the other users'
-probabilities, so every iterate stays feasible and the total power never
-increases.
+[1 - eps, 1 - eps + Delta]; its first probe is one Newton step on the logit
+when it evaluates its own start with the exact oracle, which then also sums
+the slope.  Lowering a power can only raise the other users' probabilities,
+so every iterate stays feasible and the total power never increases.
 """
 
 from __future__ import annotations
@@ -149,6 +150,14 @@ class OutageOracle:
     def constraint(self, powers: np.ndarray, k: int) -> float:
         return self.exact(powers, k)
 
+    def sloped(self, powers: np.ndarray, k: int) -> tuple:
+        """A counted evaluation and its slope dP/dp_k (``outage_probability``)."""
+        self.evals += 1
+        g, gamma_k = self.g_mats[k][:, k], float(self.gamma[k])
+        est = outage_probability(self.form(powers, k), direction=(
+            g / np.sqrt(gamma_k), self.gains_minus_w[k, k] / gamma_k))
+        return est.value, est.slope
+
     def __call__(self, powers: np.ndarray, k: int) -> float:
         self.evals += 1
         return self.constraint(powers, k)
@@ -225,17 +234,22 @@ def _bisect_user_power(prob, p: np.ndarray, k: int, delta_k: float,
     Assumes prob(., k) is increasing in p[k] and that the current p[k] is
     feasible.  The bracket starts at [0, p[k]]; 0 is never feasible (zero
     signal power cannot meet a positive SINR target) and never evaluated.
-    Probes aim at 1-eps+delta/8: the first along the chord from (0, 0) to
-    (p[k], prob), later ones along the secant of logit(prob) through the last
-    two probes, or at the midpoint when the secant leaves the bracket, a
-    probability is exactly 0 or 1, or three secant probes in a row moved the
-    same end; every probe keeps 1e-3 of the bracket's width from both ends.
+    Probes aim at 1-eps+delta/8: the first by one Newton step on logit(prob)
+    when the search evaluates p[k] itself through an oracle with ``sloped``
+    (a counted evaluation with its slope dprob/dp_k, or None), else along
+    the chord from (0, 0) to (p[k], prob); later ones along the secant of
+    logit(prob) through the last two probes, or at the midpoint when the
+    secant leaves the bracket, a probability is exactly 0 or 1, or three
+    secant probes in a row moved the same end; every probe keeps 1e-3 of the
+    bracket's width from both ends.
     Returns (new_pk, probability, steps).
     """
     floor = 1.0 - epsilon_k
     hi = p[k]
     steps = int(prob_k_current is None)
-    prob_hi = prob(p, k) if steps else prob_k_current
+    sloped = getattr(prob, "sloped", None) if steps else None
+    prob_hi, slope = (sloped(p, k) if sloped
+                      else (prob(p, k) if steps else prob_k_current, None))
     if prob_hi <= floor + delta_k:
         return hi, prob_hi, steps
     lo, trial = 0.0, p.copy()
@@ -243,6 +257,8 @@ def _bisect_user_power(prob, p: np.ndarray, k: int, delta_k: float,
     # only raise this probability, so headroom saves whole extra cycles
     aim = floor + 0.125 * delta_k
     x, last, secant, streak = hi * aim / prob_hi, (hi, _logit(prob_hi)), False, 0
+    if (slope or 0.0) > 0.0 and last[1] is not None:  # d logit / dp = slope / (P (1 - P))
+        x = hi + (_logit(aim) - last[1]) * prob_hi * (1.0 - prob_hi) / slope
     while steps < MAX_BISECT_STEPS:
         x = min(max(x, lo + 1e-3 * (hi - lo)), hi - 1e-3 * (hi - lo))
         trial[k] = x

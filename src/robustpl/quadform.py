@@ -79,6 +79,7 @@ class ProbabilityEstimate:
     abs_error_bound: float
     method: EvalMethod
     raw_value: float = None
+    slope: float = None  # uncertified dP/dp_k (see outage_probability)
 
     def __post_init__(self):
         if self.raw_value is None:
@@ -93,12 +94,13 @@ def decompose(m, z) -> EigenSpectrum:
     scale = max(1.0, float(np.max(np.abs(m)))) if m.size else 1.0
     if np.max(np.abs(m - m.conj().T)) > 1e-12 * scale:
         raise ValueError("M must be Hermitian")
-    return _spectrum(m, z)
+    return _spectrum(m, z)[0]
 
 
-def _spectrum(m, z) -> EigenSpectrum:
+def _spectrum(m, z):  # (its EigenSpectrum, V^H)
     lam, vecs = np.linalg.eigh(m)
-    return EigenSpectrum(eigenvalues=lam[::-1], z_tilde=vecs[:, ::-1].conj().T @ z)
+    basis = vecs[:, ::-1].conj().T
+    return EigenSpectrum(eigenvalues=lam[::-1], z_tilde=basis @ z), basis
 
 
 # ---------------------------------------------------------------------------
@@ -235,20 +237,26 @@ _LOG_FACT = [math.lgamma(m + 1.0) for m in range(_MAX_ORDER + 1)]
 
 def _trapezoid_step(beta, cap, lam, zt2, tau, g0, target, log_lam):
     """Step h with discretization error ``target`` on the half line: f is
-    analytic for |Re s - beta| < a = min(beta, cap - beta)/2, so the rule errs
-    by at most 2 M / (e^{2 pi a/h} - 1) (Trefethen & Weideman, SIAM Rev.
-    56(3), 2014), M bounding int_0^inf |f| on the strip's lines; that is
-    convex across the strip (|f| is subharmonic), so the edges suffice.  On
-    the edge Re s = e, |f| peaks at omega = 0 and is at most |f(e)|
+    analytic on 0 < Re s < cap, so on a strip |Re s - beta| < a inside it the
+    rule errs by at most 2 M / (e^{2 pi a/h} - 1) (Trefethen & Weideman, SIAM
+    Rev. 56(3), 2014), M bounding int_0^inf |f| on the strip's lines; that
+    is convex across the strip (|f| is subharmonic), so the edges suffice.
+    On the edge Re s = e, |f| peaks at omega = 0 and is at most |f(e)|
     (W/omega)^(r+1) beyond, W^(r+1) = e prod(1 + e lam) / prod|lam|, so
-    M <= W |f(e)| (1 + 1/r); log_lam is sum log|lam|."""
-    a = 0.5 * min(beta, cap - beta)
-    r = len(lam)
-    log_m = math.log1p(1.0 / r) + max(
-        (math.log(e) + sum(math.log1p(e * l) for l in lam) - log_lam) / (r + 1)
-        + _log_mag(e, lam, zt2, tau) - g0 for e in (beta - a, beta + a))
-    x = LOG2 + log_m - math.log(target)
-    return 2.0 * math.pi * a / (max(x, 0.0) + math.log1p(math.exp(-abs(x))))
+    M <= W |f(e)| (1 + 1/r); log_lam is sum log|lam|.  Of the strips a =
+    {1/2, 9/10} min(beta, cap - beta), the one with the larger step wins."""
+    r, width, best = len(lam), min(beta, cap - beta), 0.0
+    for a in (0.5 * width, 0.9 * width):
+        log_m = -math.inf
+        for e in (beta - a, beta + a):
+            log_p, c = math.log(e), 0.0  # log(e prod(1 + e lam)), c(e)
+            for l, z in zip(lam, zt2):
+                log_p += math.log1p(e * l)
+                c += z * e * l / (1.0 + e * l)
+            log_m = max(log_m, (log_p - log_lam) / (r + 1) - log_p + tau * e - c - g0)
+        x = LOG2 + math.log1p(1.0 / r) + log_m - math.log(target)
+        best = max(best, 2.0 * math.pi * a / (max(x, 0.0) + math.log1p(math.exp(-abs(x)))))
+    return best
 
 
 def _vertical_cut(beta, lam, zt2, tau, g0, target, sigma, h, omega_max, log_lam):
@@ -347,15 +355,18 @@ def zero_mode_threshold(lam) -> float:
 
 
 def cdf_quadrature(spectrum: EigenSpectrum, tau: float, tol: float = QUAD_TOL,
-                   beta: float = None, strict: bool = True) -> ProbabilityEstimate:
+                   beta: float = None, strict: bool = True,
+                   slope_terms=None) -> ProbabilityEstimate:
     """The contour integral to absolute tolerance tol by the trapezoid rule
     (h/pi) (1/2 + sum_{n>=1} Re f(nh)), using conjugate symmetry.
 
     ``beta`` None places the offset at the magnitude minimizer.  The step
-    comes from the analytic strip (``_trapezoid_step``, error tol/2), the cut
+    comes from the wider certified strip (``_trapezoid_step``, tol/2), the cut
     from the tail bound (``_vertical_cut``, tol/10), and the bound adds a
     rounding floor of eps h sum |f| times f's relative rounding error in
     eps.  Chernoff bounds answer deep tails.
+    ``slope_terms`` (w (3, m), dtau) from ``outage_probability`` adds the
+    ``slope``: None for tail shortcuts, mirrored and zero-mode-filtered forms.
     With ``strict``, a bound above tol (as past the node cap MAX_NODES)
     raises ToleranceNotMet carrying the estimate."""
     tau = float(tau)
@@ -371,6 +382,7 @@ def cdf_quadrature(spectrum: EigenSpectrum, tau: float, tol: float = QUAD_TOL,
 
     if not kept:
         return _exact(1.0 if tau >= 0 else 0.0)
+    slope_terms = slope_terms if len(kept) == len(lam_all) else None
     lam_l, zt2_l = map(list, zip(*kept))
     if min(lam_l) >= 0 and tau <= 0:
         return _exact(0.0)
@@ -394,7 +406,7 @@ def cdf_quadrature(spectrum: EigenSpectrum, tau: float, tol: float = QUAD_TOL,
     # 1 - Pr(-Y <= -tau), whose strip has no pole to the right of beta
     mirror = beta is None and max(lam_l) < 0
     if mirror:
-        lam_l, tau, mu = [-l for l in lam_l], -tau, -mu
+        lam_l, tau, mu, slope_terms = [-l for l in lam_l], -tau, -mu, None
     cap = -1.0 / min(lam_l) if min(lam_l) < 0 else math.inf
     if beta is None:
         beta = _pick_beta(lam_l, zt2_l, tau, moments=(mu, s2))
@@ -420,11 +432,15 @@ def cdf_quadrature(spectrum: EigenSpectrum, tau: float, tol: float = QUAD_TOL,
     weight = 0.5 * (len(lam_l) + 9)
     err0 = 50.0 + weight * abs(g0)
     err1 = weight * (abs(tau) + sum(z * abs(l) / (1.0 + beta * l) for l, z in zip(lam_l, zt2_l)))
-    total, err_total = -0.5, 0.0  # f(beta) = 1, and its node has weight 1/2
+    total, err_total, slope = -0.5, 0.0, 0.0  # f(beta) = 1, its node weighs 1/2
     for start in range(0, n_nodes, CHUNK):
         s = beta + 1j * h * np.arange(start, min(start + CHUNK, n_nodes))
         vals = _integrand(s, lam, zt2, tau, g0)
         total += float(vals.real.sum())
+        if slope_terms is not None:
+            a, b, c = slope_terms[0] @ (1.0 / (1.0 + lam[:, None] * s))
+            terms = (vals * s * (slope_terms[1] + a * b + c)).real
+            slope += float(terms.sum()) - (0.5 * terms[0] if start == 0 else 0.0)
         abs_f = np.abs(vals)
         err_total += err0 * float(abs_f.sum()) + err1 * float(abs_f @ np.abs(s))
     if order:  # the boundary terms of the tail summed by parts
@@ -443,19 +459,30 @@ def cdf_quadrature(spectrum: EigenSpectrum, tau: float, tol: float = QUAD_TOL,
     if mirror:
         raw = 1.0 - raw
     bound = tol / 2.0 + scale * (tail + math.ulp(1.0) * h * err_total)
-    estimate = ProbabilityEstimate(value=raw, abs_error_bound=bound,
-                                   method=EvalMethod.QUADRATURE, raw_value=raw)
+    estimate = ProbabilityEstimate(
+        value=raw, abs_error_bound=bound, method=EvalMethod.QUADRATURE, raw_value=raw,
+        slope=None if slope_terms is None else scale * h * slope)
     if strict and not bound <= tol:
         raise ToleranceNotMet(
             f"quadrature certified only {bound:.3e} > tol {tol:.3e}", estimate)
     return estimate
 
 
-def outage_probability(form: QuadraticOutageForm, tol: float = QUAD_TOL) -> ProbabilityEstimate:
+def outage_probability(form: QuadraticOutageForm, tol: float = QUAD_TOL,
+                       direction=None) -> ProbabilityEstimate:
     """Probability that the SINR target is met, Pr(SINR_k >= gamma_k),
     evaluated as the CDF of the recentred quadratic form at tau (one
-    eigendecomposition of -Q)."""
-    return cdf_quadrature(_spectrum(-form.Q, form.a), form.tau, tol=tol)
+    eigendecomposition of -Q).  ``direction`` (u, dtau), the derivatives
+    dQ/dp = u u^H and dtau/dp along a power p (user k's own: u = G_k e_k /
+    sqrt(gamma_k)), adds the uncertified ``slope`` dP/dp = (h/pi) e^g0 sum'
+    Re[f s (dtau + A B + C)] on the value's nodes, A, B, C the sums over 1/(1
+    + s lam) weighted by conj(z~) u~, conj(u~) z~ and |u~|^2, u~ = V^H u;
+    the value is unchanged."""
+    spectrum, basis = _spectrum(-form.Q, form.a)
+    if direction is not None:
+        u_t, z_t = basis @ direction[0], spectrum.z_tilde
+        direction = np.array([z_t.conj() * u_t, u_t.conj() * z_t, abs(u_t) ** 2]), direction[1]
+    return cdf_quadrature(spectrum, form.tau, tol=tol, slope_terms=direction)
 
 
 def mc_probability(instance: ScenarioInstance, beamformer: BeamformerMatrix,

@@ -172,6 +172,8 @@ class SurrogateOracle(OutageOracle):
     the returned powers with ``exact_all``.
     """
 
+    sloped = None  # no slope: its searches place the first probe along the chord
+
     def __init__(self, instance: ScenarioInstance, beamformer: BeamformerMatrix,
                  qos: QoSSpec, eta_multiple: float = DEFAULT_ETA_MULTIPLE):
         super().__init__(instance, beamformer, qos)

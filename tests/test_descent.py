@@ -376,6 +376,44 @@ class TestOutageOracle:
         assert oracle.evals == 3
         assert values[:3] == values[3:]
 
+    @pytest.mark.parametrize("n", [3, 6])
+    def test_slope_matches_central_difference(self, n):
+        checked = 0
+        for seed in (801, 802, 803):
+            inst, b, qos = make_zf_setup(seed, n_tx=n, n_users=n)
+            oracle = OutageOracle(inst, b, qos)
+            p = solve_general(inst, b, qos).powers.powers
+            for k in range(n):
+                value, slope = oracle.sloped(p, k)
+                assert value == oracle.exact(p, k)
+                if slope is None:
+                    continue
+                step = 1e-4 * p[k]
+                up, down = p.copy(), p.copy()
+                up[k] += step
+                down[k] -= step
+                central = (oracle.exact(up, k) - oracle.exact(down, k)) / (2.0 * step)
+                assert slope == pytest.approx(central, rel=1e-3)
+                checked += 1
+        assert checked >= 2 * n
+
+    def test_surrogate_descent_passes_no_direction(self, monkeypatch):
+        import robustpl.descent
+
+        original = robustpl.descent.outage_probability
+        directions = {}
+
+        def recording(*args, **kwargs):
+            directions[kwargs.get("direction") is not None] = True
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(robustpl.descent, "outage_probability", recording)
+        inst, b, qos = make_zf_setup(9)
+        solve_zf_coord_descent(inst, b, qos)
+        assert directions == {False: True}
+        solve_general(inst, b, qos)
+        assert directions == {False: True, True: True}
+
     def test_solver_counts_match_oracle_calls(self, monkeypatch):
         import robustpl.descent
 

@@ -377,6 +377,76 @@ class TestCertificate:
         assert peak <= quadform.MAX_NODES * 16 / 4
 
 
+def half_strip_step(beta, cap, lam, zt2, tau, g0, target, log_lam):
+    """Reference: the step of the strip a = min(beta, cap - beta)/2 alone,
+    with the same edge bound M as ``_trapezoid_step``."""
+    a, r = 0.5 * min(beta, cap - beta), len(lam)
+    log_m = math.log1p(1.0 / r) + max(
+        (math.log(e) + sum(math.log1p(e * l) for l in lam) - log_lam) / (r + 1)
+        + _log_mag(e, lam, zt2, tau) - g0 for e in (beta - a, beta + a))
+    x = math.log(2.0) + log_m - math.log(target)
+    return 2.0 * math.pi * a / (max(x, 0.0) + math.log1p(math.exp(-abs(x))))
+
+
+def trapezoid_nodes(spectrum, tau, tol):
+    """(estimate, nodes): cdf_quadrature with the nodes of its trapezoid sum,
+    ceil(Omega / h) + 1 (the boundary terms of a tail summed by parts, at
+    most ``_MAX_ORDER``, left out)."""
+    nodes = []
+    original = quadform._vertical_cut
+
+    def counting(*args):
+        cut = original(*args)
+        nodes.append(math.ceil(cut[0] / args[7]) + 1)  # args[7] is h
+        return cut
+
+    with mock.patch.object(quadform, "_vertical_cut", counting):
+        est, _ = quadrature_or_unmet(spectrum, tau, tol)
+    return est, sum(nodes)
+
+
+class TestWiderStrip:
+    def test_node_cap_form_certifies(self):
+        # the half-width strip reached the node cap at a bound of 1.013e-8
+        spec = EigenSpectrum(eigenvalues=np.array([270.0, 1.0, 1.0, 5.5e-4, 5.5e-4]),
+                             z_tilde=np.zeros(5))
+        est = cdf_quadrature(spec, 631.0)
+        assert est.abs_error_bound <= 1e-8
+
+    def test_indefinite_pair_near_zero_certifies_at_1e_10(self):
+        # Y = E1 - E2 for unit exponentials: Pr(Y <= tau) = e^tau / 2 at tau < 0;
+        # the half-width strip certified only 8.4e-10
+        spec = EigenSpectrum(eigenvalues=np.array([1.0, -1.0]), z_tilde=np.zeros(2))
+        est = cdf_quadrature(spec, -1e-3, tol=1e-10)
+        assert abs(est.raw_value - 0.5 * math.exp(-1e-3)) <= est.abs_error_bound
+
+    @settings(max_examples=500, deadline=None)
+    @given(placement_cases())
+    def test_no_more_nodes_and_bound_covers_the_error(self, case):
+        lam, zt2, tau = case
+        spec = EigenSpectrum(eigenvalues=lam, z_tilde=np.sqrt(zt2))
+        steps = []
+        wider = quadform._trapezoid_step
+
+        def recording(beta, cap, *args):
+            steps.append((wider(beta, cap, *args), half_strip_step(beta, cap, *args)))
+            return steps[-1][0]
+
+        with mock.patch.object(quadform, "_trapezoid_step", recording):
+            est, nodes = trapezoid_nodes(spec, tau, 1e-8)
+        # up to rounding: the two compute the half strip's M in other orders
+        assert all(h >= h_half * (1.0 - 1e-12) for h, h_half in steps)
+        with mock.patch.object(quadform, "_trapezoid_step", half_strip_step):
+            _, nodes_half = trapezoid_nodes(spec, tau, 1e-8)
+        # at the node cap both sums stop at the cut omega_max (one node more
+        # where exp(log(omega_max)) rounds up)
+        assert nodes <= max(nodes_half, quadform.MAX_NODES - quadform._MAX_ORDER + 1)
+        ref, certified = quadrature_or_unmet(spec, tau, 1e-12)
+        if certified:
+            event("reference certified")
+            assert abs(est.raw_value - ref.raw_value) <= est.abs_error_bound + 1e-12
+
+
 class TestOutageProbability:
     def test_deterministic_when_no_uncertainty(self):
         inst = make_instance(5)
