@@ -20,8 +20,8 @@ seed, and written to
 printed, counted in the direction BENCHMARK.json gives it, with the two-sided
 sign-test p-value of the wins against the losses, whether this checkout's
 median is worse than the baseline's by more than the metric's ``bound`` (a
-share of the baseline median), and per workload whether every seed's digest
-matches.
+share of the baseline median), whether a gain may be claimed (``claimable``),
+and per workload whether every seed's digest matches.
 """
 
 from __future__ import annotations
@@ -121,12 +121,21 @@ def sign_test(wins: int, losses: int) -> float:
     return min(1.0, 2.0 * tail)
 
 
+def claimable(wins: int, pairs: int, gap: float, spread: float) -> bool:
+    """Whether a gain may be claimed: the change wins at least nine tenths of
+    all pairs run (ties count for neither side), and its median is better
+    than the baseline's by more than the baseline's quartile spread (``gap``
+    is the median difference, positive where the change is better)."""
+    return 10 * wins >= 9 * pairs and gap > spread
+
+
 def report_pairs(workload: str, runs: list, base_runs: list, better: dict,
                  bounds: dict):
     """Print, per metric, the pairs this checkout wins, loses and ties, the
-    sign-test p-value, the medians and whether this checkout's median is
-    worse than the baseline's by more than the metric's bound (a share of the
-    baseline median); then whether every seed's digest matches."""
+    sign-test p-value, the medians, whether this checkout's median is worse
+    than the baseline's by more than the metric's bound (a share of the
+    baseline median) and whether a gain is ``claimable``; then whether every
+    seed's digest matches."""
     for name in runs[0]["metrics"]:
         sign = 1.0 if better[name] == "higher" else -1.0
         new = [r["metrics"][name]["value"] for r in runs]
@@ -136,12 +145,14 @@ def report_pairs(workload: str, runs: list, base_runs: list, better: dict,
         q1, med_old, q3 = np.percentile(old, [25, 50, 75])
         med_new = np.median(new)
         worse = sign * (med_old - med_new) > bounds[name] * abs(med_old)
+        gain = claimable(wins, len(new), sign * (med_new - med_old), q3 - q1)
         print(f"{workload} {name}: wins {wins}/{len(new)}, losses {losses}, "
               f"ties {len(new) - wins - losses}, sign-test p "
               f"{sign_test(wins, losses):.3g}, median "
               f"{med_new:.6g} vs {med_old:.6g} (baseline quartile "
               f"spread {q3 - q1:.3g}), "
-              f"{'WORSE than' if worse else 'within'} bound {bounds[name]:g}",
+              f"{'WORSE than' if worse else 'within'} bound {bounds[name]:g}, "
+              f"gain {'claimable' if gain else 'not claimable'}",
               flush=True)
     differ = [r["seed"] for r, b in zip(runs, base_runs) if r["digest"] != b["digest"]]
     print(f"{workload} digests: " + (f"DIFFER at seeds {differ}" if differ

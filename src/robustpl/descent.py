@@ -3,10 +3,11 @@ loading with fixed beamforming directions.
 
 Each coordinate step shrinks one user's power, by a bracketed secant search
 on the logit of its success probability, until that probability falls inside
-[1 - eps, 1 - eps + Delta]; its first probe is one Newton step on the logit
-when it evaluates its own start with the exact oracle, which then also sums
-the slope.  Lowering a power can only raise the other users' probabilities,
-so every iterate stays feasible and the total power never increases.
+[1 - eps, 1 - eps + Delta], probing by Newton steps on the logit from exact
+slopes or a moment model.  Lowering a power can only raise the other users'
+probabilities (Yates, IEEE JSAC 13(7), 1995): every iterate stays feasible,
+the total power never rises, and a start whose last value is above the band
+need not be evaluated.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import enum
 import time
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
 
@@ -119,6 +121,10 @@ class OutageOracle:
         self.gains = np.abs(self.hb) ** 2
         a_g = np.einsum("ki,kij->kj", self.centres.conj(), self.g_mats)
         self.gains_minus_w = self.gains - np.abs(a_g) ** 2
+        # y = G_k^H (x - a_k): E|y_j|^2 = lin_j, Cov(|y_i|^2, |y_j|^2) = cov_sq_ij
+        r, b = np.einsum("kli,klj->kij", self.g_mats.conj(), self.g_mats), a_g.conj()
+        self.lin = np.einsum("kjj->kj", r).real + np.abs(b) ** 2
+        self.cov_sq = np.abs(r) ** 2 + 2.0 * np.real(b.conj()[:, :, None] * r * b[:, None, :])
         self.gamma = qos.gamma
         self.noise_var = instance.noise_var
         self.evals = 0
@@ -157,6 +163,22 @@ class OutageOracle:
         est = outage_probability(self.form(powers, k), direction=(
             g / np.sqrt(gamma_k), self.gains_minus_w[k, k] / gamma_k))
         return est.value, est.slope
+
+    def model_root(self, powers: np.ndarray, k: int, aim: float):
+        """The p_k (others fixed) where the normal model P = Phi((tau - mean) /
+        sd) of user k's form meets aim, or None: (n0 + n1 c_k)^2 = z^2 sd^2, as
+        tau - mean = c . (g_k - w_k + lin) - sigma_k^2 and sd^2 = c^T K c."""
+        c, cov = self.signed_powers(powers, k), self.cov_sq[k]
+        w, c[k], z = self.gains_minus_w[k] + self.lin[k], 0.0, NormalDist().inv_cdf(aim)
+        n0, n1 = float(c @ w) - float(self.noise_var[k]), float(w[k])
+        a, b = n1 * n1 - z * z * cov[k, k], n0 * n1 - z * z * float(cov[k] @ c)
+        q = n0 * n0 - z * z * float(c @ cov @ c)
+        if (disc := b * b - a * q) < 0.0:
+            return None
+        half = -(b + np.copysign(np.sqrt(disc), b))  # the roots are half/a and q/half
+        roots = [x for x in (half / (a or np.nan), q / (half or np.nan))
+                 if x > 0.0 and (n0 + n1 * x) * z >= 0.0]
+        return float(self.gamma[k]) * min(roots) if roots else None
 
     def __call__(self, powers: np.ndarray, k: int) -> float:
         self.evals += 1
@@ -227,43 +249,58 @@ def _logit(q: float):
     return float(np.log(q / (1.0 - q))) if 0.0 < q < 1.0 else None
 
 
+def _newton(x: float, q: float, slope, aim: float):
+    """A Newton step on logit(prob) from q at x toward aim (d logit / dp =
+    slope / (q (1 - q))), or None without a positive slope or at q = 0, 1."""
+    if (slope or 0.0) > 0.0 and 0.0 < q < 1.0:
+        return x + (_logit(aim) - _logit(q)) * q * (1.0 - q) / slope
+    return None
+
+
 def _bisect_user_power(prob, p: np.ndarray, k: int, delta_k: float,
-                       epsilon_k: float, prob_k_current: float = None):
+                       epsilon_k: float, prob_k_current: float = None,
+                       prob_k_bound: float = None):
     """Shrink p[k] into the probability band [1-eps, 1-eps+delta].
 
-    Assumes prob(., k) is increasing in p[k] and that the current p[k] is
-    feasible.  The bracket starts at [0, p[k]]; 0 is never feasible (zero
-    signal power cannot meet a positive SINR target) and never evaluated.
-    Probes aim at 1-eps+delta/8: the first by one Newton step on logit(prob)
-    when the search evaluates p[k] itself through an oracle with ``sloped``
-    (a counted evaluation with its slope dprob/dp_k, or None), else along
-    the chord from (0, 0) to (p[k], prob); later ones along the secant of
-    logit(prob) through the last two probes, or at the midpoint when the
-    secant leaves the bracket, a probability is exactly 0 or 1, or three
-    secant probes in a row moved the same end; every probe keeps 1e-3 of the
-    bracket's width from both ends.
-    Returns (new_pk, probability, steps).
+    Assumes prob(., k) is increasing in p[k] and the current p[k] feasible;
+    the bracket starts at [0, p[k]], and 0 (zero signal power cannot meet a
+    positive SINR target) is never evaluated.  The start's probability is
+    ``prob_k_current`` or evaluated, with its slope if prob has ``sloped``;
+    if prob has ``model_root`` and ``prob_k_bound``, a lower bound on it, is
+    above the band, p[k] is evaluated only when no probe below it is feasible.
+    Probes aim at 1-eps+delta/8: a Newton step on logit(prob) from a sloped
+    start or probe; else first ``model_root`` (a sloped probe), or the chord
+    from (0, 0) to the start's value or bound; else the secant of logit(prob)
+    through the last two probes, or the midpoint when the secant leaves the
+    bracket, a probability is exactly 0 or 1, or three secant probes in a row
+    moved the same end.  Every probe keeps 1e-3 of the bracket's width from
+    both ends.  Returns (new_pk, probability, steps).
     """
     floor = 1.0 - epsilon_k
-    hi = p[k]
-    steps = int(prob_k_current is None)
-    sloped = getattr(prob, "sloped", None) if steps else None
-    prob_hi, slope = (sloped(p, k) if sloped
-                      else (prob(p, k) if steps else prob_k_current, None))
-    if prob_hi <= floor + delta_k:
+    hi, lo, trial = p[k], 0.0, p.copy()
+    model, sloped = getattr(prob, "model_root", None), getattr(prob, "sloped", None)
+    skip = model and prob_k_bound is not None and prob_k_bound > floor + delta_k
+    prob_hi, slope, steps = (None if skip else prob_k_current), None, 0
+    if prob_hi is None and not skip:
+        (prob_hi, slope), steps = sloped(p, k) if sloped else (prob(p, k), None), 1
+    if prob_hi is not None and prob_hi <= floor + delta_k:
         return hi, prob_hi, steps
-    lo, trial = 0.0, p.copy()
     # aim at the lower quarter of the band: later coordinate reductions can
     # only raise this probability, so headroom saves whole extra cycles
     aim = floor + 0.125 * delta_k
-    x, last, secant, streak = hi * aim / prob_hi, (hi, _logit(prob_hi)), False, 0
-    if (slope or 0.0) > 0.0 and last[1] is not None:  # d logit / dp = slope / (P (1 - P))
-        x = hi + (_logit(aim) - last[1]) * prob_hi * (1.0 - prob_hi) / slope
-    while steps < MAX_BISECT_STEPS:
+    known = prob_k_bound if prob_hi is None else prob_hi
+    last, secant, streak = (hi, _logit(known)), False, 0
+    x, sloped_probe = _newton(hi, known, slope, aim), False
+    if x is None and model:
+        x = model(p, k, aim)
+        sloped_probe = x is not None
+    if x is None:
+        x = hi * aim / known
+    while steps < MAX_BISECT_STEPS - (prob_hi is None):
         x = min(max(x, lo + 1e-3 * (hi - lo)), hi - 1e-3 * (hi - lo))
         trial[k] = x
-        pm = prob(trial, k)
-        steps += 1
+        pm, slope = sloped(trial, k) if sloped_probe else (prob(trial, k), None)
+        steps, sloped_probe = steps + 1, False
         # secant probes in a row that moved the same end (+ hi, - lo)
         streak = (max(streak, 0) + 1 if pm >= floor else min(streak, 0) - 1) if secant else 0
         if pm >= floor:
@@ -277,10 +314,13 @@ def _bisect_user_power(prob, p: np.ndarray, k: int, delta_k: float,
             break
         (x0, l0), (x1, l1) = last, (x, _logit(pm))
         last, x, secant = (x1, l1), 0.5 * (lo + hi), False
-        if None not in (l0, l1) and l0 != l1 and abs(streak) < 3:
+        guess = _newton(x1, pm, slope, aim)
+        if guess is None and None not in (l0, l1) and l0 != l1 and abs(streak) < 3:
             guess = x1 + (_logit(aim) - l1) * (x1 - x0) / (l1 - l0)
-            if lo < guess < hi:
-                x, secant = guess, True
+        if guess is not None and lo < guess < hi:
+            x, secant = guess, True
+    if prob_hi is None:  # no probe below the unevaluated start was feasible
+        prob_hi, steps = prob(p, k), steps + 1
     return hi, prob_hi, steps
 
 
@@ -294,7 +334,8 @@ def _run_descent(oracle: OutageOracle, config: DescentConfig,
     the fresh values first, then evaluates stale users in index order until
     one leaves the band.  A cycle evaluates a stale user just before its
     search (uncounted in ``bisection_steps``) unless an earlier user of the
-    cycle moved, and every exit evaluates the users still stale.
+    cycle moved; then its last value, at the same own power, is a lower
+    bound.  Every exit evaluates the users still stale.
     """
     t0 = time.perf_counter()
     instance, beamformer, qos = oracle.instance, oracle.beamformer, oracle.qos
@@ -324,7 +365,7 @@ def _run_descent(oracle: OutageOracle, config: DescentConfig,
         for k in range(n_users):
             new_pk, prob_k, steps = _bisect_user_power(
                 oracle, p, k, delta_min, float(qos.epsilon[k]),
-                None if dirty else probs[k])
+                None if dirty else probs[k], probs.values[k] if dirty else None)
             bisect_steps += steps
             if new_pk != p[k]:
                 dirty = True

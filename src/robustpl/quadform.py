@@ -330,8 +330,9 @@ def _vertical_cut(beta, lam, zt2, tau, g0, target, sigma, h, omega_max, log_lam)
     return found or (math.exp(x), m, math.exp(log_b))
 
 
-def _integrand(s, lam, zt2, tau, g0):
-    """exp(tau s - c(s) - g0) / (s prod_m (1 + s lam_m)) at the nodes ``s``.
+def _integrand(s, lam, zt2, tau, g0, with_factors=False):
+    """exp(tau s - c(s) - g0) / (s prod_m (1 + s lam_m)) at the nodes ``s``,
+    and with ``with_factors`` also its (m, n) array of factors 1 + s lam.
 
     Eigenvalue-major (m, n) arrays make a product m - 1 vector operations;
     the exponent, which can cancel to many digits, keeps np.sum's row order.
@@ -344,9 +345,9 @@ def _integrand(s, lam, zt2, tau, g0):
     expo = tau * s - terms.sum(axis=1) - g0
     s_max = float(np.abs(s).max())
     log_bound = math.log(s_max) + sum(math.log1p(s_max * abs(l)) for l in lam.tolist())
-    if log_bound < 600.0:  # exp() and the product stay finite
-        return np.exp(expo) / (s * one_sl.prod(axis=0))
-    return np.exp(expo - np.log(one_sl).sum(axis=0) - np.log(s))
+    vals = (np.exp(expo) / (s * one_sl.prod(axis=0)) if log_bound < 600.0  # no overflow
+            else np.exp(expo - np.log(one_sl).sum(axis=0) - np.log(s)))
+    return (vals, one_sl) if with_factors else vals
 
 
 def zero_mode_threshold(lam) -> float:
@@ -421,8 +422,9 @@ def cdf_quadrature(spectrum: EigenSpectrum, tau: float, tol: float = QUAD_TOL,
 
     log_lam = sum(math.log(abs(l)) for l in lam_l)
     h = _trapezoid_step(beta, cap, lam_l, zt2_l, tau, g0, (tol / 2.0) / scale, log_lam)
+    # a cut half a step short of the last node keeps rounding from adding one
     omega, order, tail = _vertical_cut(beta, lam_l, zt2_l, tau, g0, (tol / 10.0) / scale,
-                                       sigma, h, (MAX_NODES - 1 - _MAX_ORDER) * h, log_lam)
+                                       sigma, h, (MAX_NODES - 1.5 - _MAX_ORDER) * h, log_lam)
     n_nodes = math.ceil(omega / h) + 1
     lam, zt2 = np.array(lam_l), np.array(zt2_l)
     # f's relative rounding error in eps is err0 + err1 |s|: 50 for the exp,
@@ -435,10 +437,10 @@ def cdf_quadrature(spectrum: EigenSpectrum, tau: float, tol: float = QUAD_TOL,
     total, err_total, slope = -0.5, 0.0, 0.0  # f(beta) = 1, its node weighs 1/2
     for start in range(0, n_nodes, CHUNK):
         s = beta + 1j * h * np.arange(start, min(start + CHUNK, n_nodes))
-        vals = _integrand(s, lam, zt2, tau, g0)
+        vals, one_sl = _integrand(s, lam, zt2, tau, g0, True)
         total += float(vals.real.sum())
         if slope_terms is not None:
-            a, b, c = slope_terms[0] @ (1.0 / (1.0 + lam[:, None] * s))
+            a, b, c = slope_terms[0] @ (1.0 / one_sl)
             terms = (vals * s * (slope_terms[1] + a * b + c)).real
             slope += float(terms.sum()) - (0.5 * terms[0] if start == 0 else 0.0)
         abs_f = np.abs(vals)

@@ -172,7 +172,7 @@ class SurrogateOracle(OutageOracle):
     the returned powers with ``exact_all``.
     """
 
-    sloped = None  # no slope: its searches place the first probe along the chord
+    sloped = model_root = None  # no slope and no model: first probes go along the chord
 
     def __init__(self, instance: ScenarioInstance, beamformer: BeamformerMatrix,
                  qos: QoSSpec, eta_multiple: float = DEFAULT_ETA_MULTIPLE):

@@ -24,6 +24,36 @@ def test_sign_test_known_counts(wins, losses, p):
     assert bench_record.sign_test(wins, losses) == pytest.approx(p, rel=1e-12)
 
 
+@pytest.mark.parametrize("wins, pairs, gap, spread, want", [
+    (10, 10, 2.0, 1.0, True),
+    (9, 10, 2.0, 1.0, True),     # one loss or one tie: still nine tenths
+    (8, 10, 2.0, 1.0, False),
+    (9, 11, 2.0, 1.0, False),    # nine tenths of all pairs run
+    (10, 10, 1.0, 1.0, False),   # the gap must exceed the spread
+    (10, 10, -2.0, 1.0, False),
+])
+def test_claimable(wins, pairs, gap, spread, want):
+    assert bench_record.claimable(wins, pairs, gap, spread) is want
+
+
+def test_report_pairs_prints_whether_a_gain_is_claimable(capsys):
+    def runs(values, digest="d"):
+        return [{"seed": i, "digest": digest,
+                 "metrics": {"solve_ms_p50": {"value": v}, "solves_per_s": {"value": v}}}
+                for i, v in enumerate(values)]
+
+    # lower is better for solve_ms_p50, higher for solves_per_s
+    old = runs([10.0, 10.5, 11.0, 10.2, 10.8, 10.1, 10.9, 10.4, 10.6, 10.3])
+    new = runs([8.0, 8.5, 9.0, 8.2, 8.8, 8.1, 8.9, 8.4, 8.6, 10.3])
+    bench_record.report_pairs("w", new, old, {"solve_ms_p50": "lower", "solves_per_s": "higher"},
+                              {"solve_ms_p50": 0.2, "solves_per_s": 0.1})
+    lines = capsys.readouterr().out.splitlines()
+    assert "wins 9/10, losses 0, ties 1" in lines[0] and "gain claimable" in lines[0]
+    assert "wins 0/10, losses 9" in lines[1] and "gain not claimable" in lines[1]
+    assert "WORSE than bound" in lines[1]
+    assert lines[2] == "w digests: all 10 match"
+
+
 def git(repo, *args):
     return subprocess.run(["git", "-C", str(repo), "-c", "user.name=t",
                            "-c", "user.email=t@example.org", *args],

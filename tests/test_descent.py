@@ -1,4 +1,5 @@
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -24,6 +25,8 @@ from robustpl import (
 )
 from robustpl.descent import (MAX_BISECT_STEPS, MAX_CYCLES, MAX_DOUBLINGS, POWER_CAP,
                               _bisect_user_power, _find_feasible_start)
+
+from robustpl.quadform import _moments, _spectrum
 
 from conftest import make_instance, make_zf_setup, strict_step_checks
 
@@ -141,6 +144,60 @@ class TestBisection:
         report = solve_general(inst, b, qos, config, p_start=start)
         # one cycle of 3 users, each within the 60-step guard
         assert report.bisection_steps <= report.cycles * 3 * 60
+
+
+class ModelStub:
+    """An oracle of one probability curve of p_k with a fixed model root and
+    the slope ``slope`` at every sloped evaluation; ``probes`` lists the
+    powers p_k it evaluated."""
+
+    def __init__(self, curve, root, slope=None):
+        self.curve, self.root, self.slope, self.probes = curve, root, slope, []
+
+    def __call__(self, powers, k):
+        self.probes.append(float(powers[k]))
+        return self.curve(float(powers[k]))
+
+    def sloped(self, powers, k):
+        return self(powers, k), self.slope
+
+    def model_root(self, powers, k, aim):
+        return self.root
+
+
+class TestStartAboveTheBand:
+    def test_start_is_not_evaluated(self):
+        # P = 0.9 + 0.05 p_k: from the model root the Newton step lands on the aim
+        stub = ModelStub(lambda x: 0.9 + 0.05 * x, root=1.01, slope=0.05)
+        p = np.array([1.5, 2.0])
+        new_pk, prob_k, steps = _bisect_user_power(stub, p, 0, 1e-3, 0.05, None, 0.97)
+        assert 1.5 not in stub.probes and stub.probes[0] == 1.01
+        assert steps == len(stub.probes) == 2
+        assert prob_k == stub.curve(new_pk) and 0.95 <= prob_k <= 0.95 + 0.25e-3
+
+    def test_returns_the_start_freshly_evaluated_when_no_probe_is_feasible(self):
+        stub = ModelStub(lambda x: 0.97 if x >= 1.5 else 0.3, root=1.0)
+        p = np.array([1.5, 2.0])
+        new_pk, prob_k, steps = _bisect_user_power(stub, p, 0, 1e-3, 0.05, None, 0.96)
+        assert (new_pk, prob_k) == (1.5, 0.97)
+        assert stub.probes.index(1.5) == len(stub.probes) - 1
+        assert steps == len(stub.probes) <= MAX_BISECT_STEPS
+
+    def test_in_band_bound_evaluates_the_start(self):
+        stub = ModelStub(lambda x: 0.9 + 0.05 * x, root=1.01)
+        _bisect_user_power(stub, np.array([1.5, 2.0]), 0, 1e-3, 0.05, None, 0.9505)
+        assert stub.probes[0] == 1.5
+
+    def test_surrogate_has_no_model_and_evaluates_its_start(self):
+        inst, b, qos = make_zf_setup(9)
+        runs = []
+        for bound in (None, 0.999):
+            oracle = SurrogateOracle(inst, b, qos)
+            assert oracle.model_root is None and oracle.sloped is None
+            p = 4.0 * oracle.start().powers
+            runs.append((_bisect_user_power(oracle, p, 0, 1e-3, 0.05, None, bound),
+                         oracle.evals))
+        assert runs[0] == runs[1] and runs[0][1] >= 2
 
 
 FLOOR, DELTA = 0.95, 1e-3
@@ -397,6 +454,45 @@ class TestOutageOracle:
                 checked += 1
         assert checked >= 2 * n
 
+    @staticmethod
+    def feasible_starts():
+        """(oracle, feasible start) on 3x3 and 6x6 setups, ZF and RCI."""
+        from robustpl import build_rci
+
+        for n in (3, 6):
+            for seed in (801, 802, 803):
+                inst, b, qos = make_zf_setup(seed, n_tx=n, n_users=n)
+                for directions in (b, build_rci(inst.est_channels, 0.01 * n)):
+                    oracle = OutageOracle(inst, directions, qos)
+                    p_init = init_powers_pcsi(inst.est_channels, directions, qos,
+                                              inst.noise_var)[0]
+                    yield oracle, _find_feasible_start(oracle, p_init.powers)[0]
+
+    def test_model_root_meets_the_aim(self):
+        aim = 0.95 + 0.125e-3
+        z = NormalDist().inv_cdf(aim)
+        no_root = 0
+        for oracle, p in self.feasible_starts():
+            for k in range(p.size):
+                at = p.copy()
+                at[k] = oracle.model_root(p, k, aim)
+                assert at[k] > 0
+                # the model's mean and variance are the moments of the form's spectrum
+                form = oracle.form(at, k)
+                spectrum = _spectrum(-form.Q, form.a)[0]
+                mu, s2 = _moments(spectrum.eigenvalues.tolist(),
+                                  (np.abs(spectrum.z_tilde) ** 2).tolist())
+                assert (form.tau - mu) / math.sqrt(s2) == pytest.approx(z, rel=1e-9)
+                assert abs(oracle.exact(at, k) - aim) <= 0.05
+                # the model's z-score rises towards n1 / sqrt(K_kk) as p_k grows,
+                # so an aim past that limit has no root
+                n1 = oracle.gains_minus_w[k, k] + oracle.lin[k, k]
+                limit = n1 / math.sqrt(oracle.cov_sq[k, k, k])
+                if limit < 7.0:
+                    assert oracle.model_root(p, k, NormalDist().cdf(1.001 * limit)) is None
+                    no_root += 1
+        assert no_root >= 3
+
     def test_surrogate_descent_passes_no_direction(self, monkeypatch):
         import robustpl.descent
 
@@ -462,7 +558,10 @@ class TestOutageOracle:
 
 def eager_descent(oracle, beamformer, qos, config, p_start):
     """Reference: the doubling start and the cycle loop that evaluate every
-    user in every doubling round and again after every cycle."""
+    user in every doubling round and again after every cycle.  A search
+    after an earlier user of its cycle moved gets, as a lower bound on its
+    probability, the user's value at its own current power: its feasible-start
+    value in the first cycle, later the value its last search returned."""
     norms2 = np.sum(np.abs(beamformer.columns) ** 2, axis=0)
     floor = 1.0 - qos.epsilon
     delta = float(config.delta_min)
@@ -475,6 +574,7 @@ def eager_descent(oracle, beamformer, qos, config, p_start):
         p = 2.0 * p
         doublings += 1
     steps = cycles = 0
+    own = probs.copy()  # each user's value at its current power, as last evaluated
     status = (SolveStatus.CYCLE_LIMIT if feasible
               else SolveStatus.INFEASIBLE_START_NOT_FOUND)
     while feasible:
@@ -487,10 +587,11 @@ def eager_descent(oracle, beamformer, qos, config, p_start):
         p_before, dirty = p.copy(), False
         for k in range(p.size):
             new_pk, prob_k, s = _bisect_user_power(
-                oracle, p, k, delta, float(qos.epsilon[k]), None if dirty else probs[k])
+                oracle, p, k, delta, float(qos.epsilon[k]), None if dirty else probs[k],
+                own[k] if dirty else None)
             steps += s
             dirty = dirty or new_pk != p[k]
-            p[k], probs[k] = new_pk, prob_k
+            p[k], probs[k], own[k] = new_pk, prob_k, prob_k
         probs = np.array([oracle(p, k) for k in range(p.size)])
         if np.max(np.abs(p - p_before)) <= 1e-12 * max(1.0, float(np.max(p))):
             in_band = np.all((probs >= floor) & (probs <= floor + delta))
@@ -529,12 +630,22 @@ REFERENCE_CASES = ([f"3x3-{seed}-{g}-{d}" for seed in (601, 602) for g in (0, 5,
 
 class TestLazyEvaluation:
     @pytest.mark.parametrize("name", REFERENCE_CASES)
-    def test_matches_eager_reference(self, name):
+    def test_matches_eager_reference(self, name, monkeypatch):
+        import robustpl.descent
+
         inst, b, qos, config, solver = reference_case(name)
         oracle = (SurrogateOracle(inst, b, qos) if solver is solve_zf_coord_descent
                   else OutageOracle(inst, b, qos))
         p_start = init_powers_pcsi(inst.est_channels, b, qos, inst.noise_var)[0]
         want = eager_descent(oracle, b, qos, config, p_start.powers)
+        # per search of the solver: was its lower bound above the band?
+        above, search = [], robustpl.descent._bisect_user_power
+
+        def recording(oracle, p, k, delta, eps, current=None, bound=None):
+            above.append(bound is not None and bound > 1.0 - eps + delta)
+            return search(oracle, p, k, delta, eps, current, bound)
+
+        monkeypatch.setattr(robustpl.descent, "_bisect_user_power", recording)
         if name == "strict":
             with strict_step_checks() as steps:
                 report = solver(inst, b, qos, config)
@@ -547,6 +658,10 @@ class TestLazyEvaluation:
             assert getattr(report, field) == want[field], field
         assert np.array_equal(report.per_user_prob, want["per_user_prob"])
         assert report.integral_evals <= want["evals"]
+        # later searches start from values in the band, so only the first
+        # cycle's bounds are above it, unless the band is narrower than the
+        # power resolution and searches end above it
+        assert not any(above[qos.n_users:]) or name == "stall"
 
     @pytest.mark.parametrize("name, status", [
         ("hopeless", SolveStatus.INFEASIBLE_START_NOT_FOUND),

@@ -438,9 +438,8 @@ class TestWiderStrip:
         assert all(h >= h_half * (1.0 - 1e-12) for h, h_half in steps)
         with mock.patch.object(quadform, "_trapezoid_step", half_strip_step):
             _, nodes_half = trapezoid_nodes(spec, tau, 1e-8)
-        # at the node cap both sums stop at the cut omega_max (one node more
-        # where exp(log(omega_max)) rounds up)
-        assert nodes <= max(nodes_half, quadform.MAX_NODES - quadform._MAX_ORDER + 1)
+        # at the node cap both sums stop at the cut omega_max
+        assert nodes <= max(nodes_half, quadform.MAX_NODES - quadform._MAX_ORDER)
         ref, certified = quadrature_or_unmet(spec, tau, 1e-12)
         if certified:
             event("reference certified")
