@@ -263,10 +263,7 @@ def aggregate(records: list, common_subset: bool = False) -> list:
     for key in sorted(groups, key=lambda k: (method_rank(k[0]),) + k[1:]):
         recs = groups[key]
         successes = [r for r in recs if r.success]
-        if common_subset:
-            pool = [r for r in recs if r.trial in common_trials]
-        else:
-            pool = successes
+        pool = [r for r in recs if r.trial in common_trials] if common_subset else successes
         avg_power = float(np.mean([r.total_power for r in pool])) if pool else float("nan")
         rows.append(SummaryRow(
             method=key[0], gamma_db=key[1], sigma_e2=key[2],

@@ -13,9 +13,9 @@ need not be evaluated.
 from __future__ import annotations
 
 import enum
+import math
 import time
 from dataclasses import dataclass
-from statistics import NormalDist
 
 import numpy as np
 
@@ -42,6 +42,7 @@ MAX_BISECT_STEPS = 60
 MAX_CYCLES = 50
 MAX_DOUBLINGS = 30
 POWER_CAP = 1e6  # on the total transmit power of a feasible start or an update
+START_AIM, START_ROUNDS, START_RTOL = 0.4, 15, 1e-4  # of _model_start
 
 
 class SolveStatus(enum.Enum):
@@ -121,10 +122,11 @@ class OutageOracle:
         self.gains = np.abs(self.hb) ** 2
         a_g = np.einsum("ki,kij->kj", self.centres.conj(), self.g_mats)
         self.gains_minus_w = self.gains - np.abs(a_g) ** 2
-        # y = G_k^H (x - a_k): E|y_j|^2 = lin_j, Cov(|y_i|^2, |y_j|^2) = cov_sq_ij
-        r, b = np.einsum("kli,klj->kij", self.g_mats.conj(), self.g_mats), a_g.conj()
-        self.lin = np.einsum("kjj->kj", r).real + np.abs(b) ** 2
-        self.cov_sq = np.abs(r) ** 2 + 2.0 * np.real(b.conj()[:, :, None] * r * b[:, None, :])
+        if self.model_root:
+            # y = G_k^H (x - a_k): E|y_j|^2 = lin_j, Cov(|y_i|^2, |y_j|^2) = cov_sq_ij
+            r, b = np.einsum("kli,klj->kij", self.g_mats.conj(), self.g_mats), a_g.conj()
+            self.lin = np.einsum("kjj->kj", r).real + np.abs(b) ** 2
+            self.cov_sq = np.abs(r) ** 2 + 2.0 * np.real(b.conj()[:, :, None] * r * b[:, None, :])
         self.gamma = qos.gamma
         self.noise_var = instance.noise_var
         self.evals = 0
@@ -164,12 +166,12 @@ class OutageOracle:
             g / np.sqrt(gamma_k), self.gains_minus_w[k, k] / gamma_k))
         return est.value, est.slope
 
-    def model_root(self, powers: np.ndarray, k: int, aim: float):
+    def model_root(self, powers: np.ndarray, k: int, z: float):
         """The p_k (others fixed) where the normal model P = Phi((tau - mean) /
-        sd) of user k's form meets aim, or None: (n0 + n1 c_k)^2 = z^2 sd^2, as
+        sd) of user k's form is Phi(z), or None: (n0 + n1 c_k)^2 = z^2 sd^2, as
         tau - mean = c . (g_k - w_k + lin) - sigma_k^2 and sd^2 = c^T K c."""
         c, cov = self.signed_powers(powers, k), self.cov_sq[k]
-        w, c[k], z = self.gains_minus_w[k] + self.lin[k], 0.0, NormalDist().inv_cdf(aim)
+        w, c[k] = self.gains_minus_w[k] + self.lin[k], 0.0
         n0, n1 = float(c @ w) - float(self.noise_var[k]), float(w[k])
         a, b = n1 * n1 - z * z * cov[k, k], n0 * n1 - z * z * float(cov[k] @ c)
         q = n0 * n0 - z * z * float(c @ cov @ c)
@@ -222,6 +224,35 @@ class _LazyProbs:
     def complete(self) -> np.ndarray:
         """Every user's probability at p."""
         return np.array([self[k] for k in range(self.p.size)])
+
+
+def _normal_quantile(q: float) -> float:
+    """Phi^{-1}(q) for 0 < q < 1: two Halley steps on math.erfc in the lower
+    tail from the Abramowitz-Stegun 26.2.23 estimate (error below 4.5e-4)."""
+    t = math.sqrt(-2.0 * math.log(s := min(q, 1.0 - q)))
+    x = (2.515517 + t * (0.802853 + t * 0.010328)) / (1.0 + t * (1.432788 + t * (0.189269 + t * 0.001308))) - t
+    for _ in range(2):
+        r = (0.5 * math.erfc(-x / math.sqrt(2.0)) - s) * math.sqrt(2.0 * math.pi) * math.exp(0.5 * x * x)
+        x -= r / (1.0 + 0.5 * x * r)
+    return x if q < 0.5 else -x
+
+
+def _model_start(oracle: OutageOracle):
+    """The moment model's fixed point, uncounted: Gauss-Seidel from p = 0 on
+    ``model_root`` at aims 1 - START_AIM eps_k, for START_ROUNDS rounds or until
+    no power moves by over START_RTOL relative; None once a root is missing or
+    the total power passes POWER_CAP."""
+    z = [_normal_quantile(1.0 - START_AIM * e) for e in oracle.qos.epsilon]
+    p = np.zeros(len(z))
+    for _ in range(START_ROUNDS):
+        before = p.copy()
+        for k in range(p.size):
+            p[k] = oracle.model_root(p, k, z[k]) or np.nan  # a root is positive
+            if not np.dot(p, oracle.norms2) <= POWER_CAP:
+                return None
+        if np.all(np.abs(p - before) <= START_RTOL * p):
+            break
+    return p
 
 
 def _find_feasible_start(oracle: OutageOracle, p_init: np.ndarray):
@@ -292,7 +323,7 @@ def _bisect_user_power(prob, p: np.ndarray, k: int, delta_k: float,
     last, secant, streak = (hi, _logit(known)), False, 0
     x, sloped_probe = _newton(hi, known, slope, aim), False
     if x is None and model:
-        x = model(p, k, aim)
+        x = model(p, k, _normal_quantile(aim))
         sloped_probe = x is not None
     if x is None:
         x = hi * aim / known
@@ -327,8 +358,10 @@ def _bisect_user_power(prob, p: np.ndarray, k: int, delta_k: float,
 def _run_descent(oracle: OutageOracle, config: DescentConfig,
                  p_start: PowerAllocation):
     """The shared engine on a fresh oracle (its ``evals`` are the report's):
-    start from p_start or from ``init_powers_pcsi``; double to a feasible
-    start; then search each user's power cyclically.
+    start from p_start, else ``_model_start``, else ``init_powers_pcsi``;
+    double to a feasible start; then search each user's power cyclically.
+    ``infeasible_start_not_found`` means the doubling from that one point met
+    ``POWER_CAP`` or ``MAX_DOUBLINGS`` first; no other start is tried.
 
     Only probabilities a decision reads are evaluated.  The band test reads
     the fresh values first, then evaluates stale users in index order until
@@ -338,20 +371,17 @@ def _run_descent(oracle: OutageOracle, config: DescentConfig,
     bound.  Every exit evaluates the users still stale.
     """
     t0 = time.perf_counter()
-    instance, beamformer, qos = oracle.instance, oracle.beamformer, oracle.qos
-    floor = oracle.floor
-    if p_start is None:
-        p_start = init_powers_pcsi(
-            instance.est_channels, beamformer, qos, instance.noise_var)[0]
-    n_users = qos.n_users
+    qos, floor, n_users = oracle.qos, oracle.floor, oracle.qos.n_users
+    p_init = p_start.powers if p_start is not None else oracle.model_root and _model_start(oracle)
+    if p_init is None:  # no model, or no model start: the PCSI ray
+        p_init = init_powers_pcsi(oracle.instance.est_channels, oracle.beamformer, qos,
+                                  oracle.instance.noise_var)[0].powers
 
-    p, start_probs, doublings, feasible = _find_feasible_start(oracle, p_start.powers)
+    p, start_probs, doublings, feasible = _find_feasible_start(oracle, p_init)
     probs = _LazyProbs(oracle, p, start_probs)
     bisect_steps = cycles = 0
-    delta_min = float(config.delta_min)
-    status = (SolveStatus.CYCLE_LIMIT if feasible
-              else SolveStatus.INFEASIBLE_START_NOT_FOUND)
-    stalled = False
+    delta_min, stalled = float(config.delta_min), False
+    status = SolveStatus.CYCLE_LIMIT if feasible else SolveStatus.INFEASIBLE_START_NOT_FOUND
     while feasible:
         if probs.first_failing(lambda k, q: floor[k] <= q <= floor[k] + delta_min,
                                range(n_users)) is None:
@@ -360,8 +390,7 @@ def _run_descent(oracle: OutageOracle, config: DescentConfig,
         if stalled or cycles >= MAX_CYCLES:
             break
         cycles += 1
-        p_before = p.copy()
-        dirty = False
+        p_before, dirty = p.copy(), False
         for k in range(n_users):
             new_pk, prob_k, steps = _bisect_user_power(
                 oracle, p, k, delta_min, float(qos.epsilon[k]),

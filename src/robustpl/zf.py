@@ -297,8 +297,7 @@ def solve_zf_coord_update(instance: ScenarioInstance,
     def meets(level) -> bool:  # evaluates users only up to the first below level
         return probs.first_failing(lambda k, q: q >= level[k], range(n)) is None
 
-    cycles = 0
-    bisect_steps = 0
+    cycles = bisect_steps = 0
     while (not meets(floor - FEASIBILITY_SLACK) and cycles < MAX_CYCLES
            and np.dot(p, prob.norms2) <= POWER_CAP):
         cycles += 1

@@ -24,7 +24,8 @@ from robustpl import (
     solve_zf_coord_update,
 )
 from robustpl.descent import (MAX_BISECT_STEPS, MAX_CYCLES, MAX_DOUBLINGS, POWER_CAP,
-                              _bisect_user_power, _find_feasible_start)
+                              START_AIM, START_RTOL, _bisect_user_power,
+                              _find_feasible_start, _model_start, _normal_quantile)
 
 from robustpl.quadform import _moments, _spectrum
 
@@ -119,6 +120,60 @@ class TestFeasibleStart:
             assert exact_prob(inst, b, qos, alloc.powers, k) >= 0.95
 
 
+class TestModelStart:
+    def test_normal_quantile_matches_statistics(self):
+        tail = np.logspace(-9, math.log10(0.5), 400)
+        for q in np.concatenate([tail, 1.0 - tail, np.linspace(1e-9, 1.0 - 1e-9, 401)]):
+            assert abs(_normal_quantile(float(q)) - NormalDist().inv_cdf(float(q))) <= 1e-12
+
+    def test_desk_point_the_pcsi_ray_gave_up_on(self):
+        # desk trial 2, ZF-General at 8 dB: doubling along the PCSI ray
+        # passes POWER_CAP (1.13e6), yet a certified point needs total power 11
+        from robustpl import ExperimentConfig
+        from robustpl.bench import run_trial
+
+        config = ExperimentConfig(
+            n_tx=3, n_users=3, n_trials=3, seed=20240817, methods=("ZF-General",),
+            training={"L_ut": 1, "P_ut": 4.99}, gamma_db=(8.0,), epsilon=0.05)
+        [record] = run_trial(config, 2)
+        assert record.status == "solved" and record.success
+        assert record.total_power == pytest.approx(11.0, rel=0.01)
+
+    @pytest.mark.parametrize("seed", [601, 602, 611])
+    def test_uncounted_fixed_point_of_the_model(self, seed):
+        inst, b, qos = make_zf_setup(seed, n_tx=6 if seed == 611 else 3,
+                                     n_users=6 if seed == 611 else 3)
+        oracle = OutageOracle(inst, b, qos)
+        p = _model_start(oracle)
+        assert oracle.evals == 0 and np.all(p > 0)
+        for k in range(p.size):
+            z = _normal_quantile(1.0 - START_AIM * float(qos.epsilon[k]))
+            assert oracle.model_root(p, k, z) == pytest.approx(p[k], rel=10 * START_RTOL)
+
+    def test_missing_root_falls_back_to_the_pcsi_ray(self, monkeypatch):
+        inst, b, qos = make_zf_setup(613)
+        monkeypatch.setattr(OutageOracle, "model_root", lambda self, p, k, z: None)
+        assert _model_start(OutageOracle(inst, b, qos)) is None
+        ray = init_powers_pcsi(inst.est_channels, b, qos, inst.noise_var)[0]
+        report, on_ray = solve_general(inst, b, qos), solve_general(inst, b, qos, p_start=ray)
+        assert np.array_equal(report.powers.powers, on_ray.powers.powers)
+        assert (report.integral_evals, report.doublings) == (on_ray.integral_evals,
+                                                            on_ray.doublings)
+
+    @pytest.mark.parametrize("epsilon", [0.01, 0.05, 0.2])
+    def test_aim_inside_the_band_of_feasible_probabilities(self, epsilon):
+        aim = 1.0 - START_AIM * epsilon
+        assert 1.0 - epsilon < aim < 1.0
+        inst = make_instance(615)
+        b, qos = build_zf(inst.est_channels), QoSSpec.from_db(5.0, epsilon, 3)
+        assert np.all(_model_start(OutageOracle(inst, b, qos)) > 0)
+
+    def test_surrogate_builds_no_moment_arrays(self):
+        inst, b, qos = make_zf_setup(9)
+        assert hasattr(OutageOracle(inst, b, qos), "cov_sq")
+        assert not hasattr(SurrogateOracle(inst, b, qos), "cov_sq")
+
+
 class TestBisection:
     def test_in_band_returns_unchanged(self):
         inst, b, qos = make_zf_setup(109)
@@ -161,7 +216,7 @@ class ModelStub:
     def sloped(self, powers, k):
         return self(powers, k), self.slope
 
-    def model_root(self, powers, k, aim):
+    def model_root(self, powers, k, z):
         return self.root
 
 
@@ -475,7 +530,7 @@ class TestOutageOracle:
         for oracle, p in self.feasible_starts():
             for k in range(p.size):
                 at = p.copy()
-                at[k] = oracle.model_root(p, k, aim)
+                at[k] = oracle.model_root(p, k, z)
                 assert at[k] > 0
                 # the model's mean and variance are the moments of the form's spectrum
                 form = oracle.form(at, k)
@@ -489,7 +544,7 @@ class TestOutageOracle:
                 n1 = oracle.gains_minus_w[k, k] + oracle.lin[k, k]
                 limit = n1 / math.sqrt(oracle.cov_sq[k, k, k])
                 if limit < 7.0:
-                    assert oracle.model_root(p, k, NormalDist().cdf(1.001 * limit)) is None
+                    assert oracle.model_root(p, k, 1.001 * limit) is None
                     no_root += 1
         assert no_root >= 3
 
@@ -636,8 +691,11 @@ class TestLazyEvaluation:
         inst, b, qos, config, solver = reference_case(name)
         oracle = (SurrogateOracle(inst, b, qos) if solver is solve_zf_coord_descent
                   else OutageOracle(inst, b, qos))
-        p_start = init_powers_pcsi(inst.est_channels, b, qos, inst.noise_var)[0]
-        want = eager_descent(oracle, b, qos, config, p_start.powers)
+        # the solver's own start: the model start, else the PCSI ray
+        p_start = _model_start(oracle) if oracle.model_root else None
+        if p_start is None:
+            p_start = init_powers_pcsi(inst.est_channels, b, qos, inst.noise_var)[0].powers
+        want = eager_descent(oracle, b, qos, config, p_start)
         # per search of the solver: was its lower bound above the band?
         above, search = [], robustpl.descent._bisect_user_power
 
