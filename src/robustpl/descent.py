@@ -149,8 +149,14 @@ class OutageOracle:
             v=float(c @ self.gains[k]) - noise, a=self.centres[k],
             tau=float(c @ self.gains_minus_w[k]) - noise)
 
+    def minus_form(self, powers: np.ndarray, k: int) -> tuple:
+        """(-Q, a, tau) of ``form``: all that ``outage_probability`` reads."""
+        c = self.signed_powers(powers, k)
+        return (self.q_matrix(-c, k), self.centres[k],
+                float(c @ self.gains_minus_w[k]) - float(self.noise_var[k]))
+
     def exact(self, powers: np.ndarray, k: int) -> float:
-        return outage_probability(self.form(powers, k)).value
+        return outage_probability(self.minus_form(powers, k)).value
 
     def exact_all(self, powers: np.ndarray) -> np.ndarray:
         return np.array([self.exact(powers, k) for k in range(self.gamma.size)])
@@ -162,7 +168,7 @@ class OutageOracle:
         """A counted evaluation and its slope dP/dp_k (``outage_probability``)."""
         self.evals += 1
         g, gamma_k = self.g_mats[k][:, k], float(self.gamma[k])
-        est = outage_probability(self.form(powers, k), direction=(
+        est = outage_probability(self.minus_form(powers, k), direction=(
             g / np.sqrt(gamma_k), self.gains_minus_w[k, k] / gamma_k))
         return est.value, est.slope
 

@@ -330,9 +330,10 @@ def _vertical_cut(beta, lam, zt2, tau, g0, target, sigma, h, omega_max, log_lam)
     return found or (math.exp(x), m, math.exp(log_b))
 
 
-def _integrand(s, lam, zt2, tau, g0, with_factors=False):
-    """exp(tau s - c(s) - g0) / (s prod_m (1 + s lam_m)) at the nodes ``s``,
-    and with ``with_factors`` also its (m, n) array of factors 1 + s lam.
+def _integrand(s, lam, zt2, tau, g0, with_factors=False, abs_s=None):
+    """exp(tau s - c(s) - g0) / (s prod_m (1 + s lam_m)) at the nodes ``s``
+    (of magnitudes ``abs_s``, if known), and with ``with_factors`` also its
+    (m, n) array of factors 1 + s lam.
 
     Eigenvalue-major (m, n) arrays make a product m - 1 vector operations;
     the exponent, which can cancel to many digits, keeps np.sum's row order.
@@ -343,7 +344,7 @@ def _integrand(s, lam, zt2, tau, g0, with_factors=False):
     one_sl = 1.0 + sl
     terms = (zt2[:, None] * (sl / one_sl)).T.copy()  # node-major rows
     expo = tau * s - terms.sum(axis=1) - g0
-    s_max = float(np.abs(s).max())
+    s_max = float((np.abs(s) if abs_s is None else abs_s).max())
     log_bound = math.log(s_max) + sum(math.log1p(s_max * abs(l)) for l in lam.tolist())
     vals = (np.exp(expo) / (s * one_sl.prod(axis=0)) if log_bound < 600.0  # no overflow
             else np.exp(expo - np.log(one_sl).sum(axis=0) - np.log(s)))
@@ -391,10 +392,12 @@ def cdf_quadrature(spectrum: EigenSpectrum, tau: float, tol: float = QUAD_TOL,
         return _exact(1.0)
 
     # Chernoff bounds certify deep tails, minimized only where the screen lets
-    # them reach floor; the right tail is the left one of (-lam, -tau)
+    # them reach floor: the tail on tau's side of the mean (the other screens
+    # to 0 > floor); the right tail is the left one of (-lam, -tau)
     mu, s2 = _moments(lam_l, zt2_l)
     floor = math.log(tol / 4.0)
-    for value, sign in ((0.0, 1.0), (1.0, -1.0)):
+    if sign := (tau < mu) - (tau > mu):
+        value = 0.0 if sign > 0 else 1.0
         lam_t, tau_t, mu_t = [sign * l for l in lam_l], sign * tau, sign * mu
         if _chernoff_screen(lam_t, zt2_l, tau_t, mu_t, s2) <= floor:
             b = _pick_beta(lam_t, zt2_l, tau_t, log_weight=0.0, moments=(mu_t, s2))
@@ -437,14 +440,15 @@ def cdf_quadrature(spectrum: EigenSpectrum, tau: float, tol: float = QUAD_TOL,
     total, err_total, slope = -0.5, 0.0, 0.0  # f(beta) = 1, its node weighs 1/2
     for start in range(0, n_nodes, CHUNK):
         s = beta + 1j * h * np.arange(start, min(start + CHUNK, n_nodes))
-        vals, one_sl = _integrand(s, lam, zt2, tau, g0, True)
+        abs_s = np.abs(s)
+        vals, one_sl = _integrand(s, lam, zt2, tau, g0, True, abs_s)
         total += float(vals.real.sum())
         if slope_terms is not None:
             a, b, c = slope_terms[0] @ (1.0 / one_sl)
             terms = (vals * s * (slope_terms[1] + a * b + c)).real
             slope += float(terms.sum()) - (0.5 * terms[0] if start == 0 else 0.0)
         abs_f = np.abs(vals)
-        err_total += err0 * float(abs_f.sum()) + err1 * float(abs_f @ np.abs(s))
+        err_total += err0 * float(abs_f.sum()) + err1 * float(abs_f @ abs_s)
     if order:  # the boundary terms of the tail summed by parts
         n = np.arange(n_nodes, n_nodes + order)
         s = beta + 1j * h * n
@@ -470,21 +474,23 @@ def cdf_quadrature(spectrum: EigenSpectrum, tau: float, tol: float = QUAD_TOL,
     return estimate
 
 
-def outage_probability(form: QuadraticOutageForm, tol: float = QUAD_TOL,
+def outage_probability(form: QuadraticOutageForm | tuple, tol: float = QUAD_TOL,
                        direction=None) -> ProbabilityEstimate:
     """Probability that the SINR target is met, Pr(SINR_k >= gamma_k),
     evaluated as the CDF of the recentred quadratic form at tau (one
-    eigendecomposition of -Q).  ``direction`` (u, dtau), the derivatives
+    eigendecomposition of -Q); ``form`` is a QuadraticOutageForm or its
+    tuple (-Q, a, tau).  ``direction`` (u, dtau), the derivatives
     dQ/dp = u u^H and dtau/dp along a power p (user k's own: u = G_k e_k /
     sqrt(gamma_k)), adds the uncertified ``slope`` dP/dp = (h/pi) e^g0 sum'
     Re[f s (dtau + A B + C)] on the value's nodes, A, B, C the sums over 1/(1
     + s lam) weighted by conj(z~) u~, conj(u~) z~ and |u~|^2, u~ = V^H u;
     the value is unchanged."""
-    spectrum, basis = _spectrum(-form.Q, form.a)
+    minus_q, a, tau = form if isinstance(form, tuple) else (-form.Q, form.a, form.tau)
+    spectrum, basis = _spectrum(minus_q, a)
     if direction is not None:
         u_t, z_t = basis @ direction[0], spectrum.z_tilde
         direction = np.array([z_t.conj() * u_t, u_t.conj() * z_t, abs(u_t) ** 2]), direction[1]
-    return cdf_quadrature(spectrum, form.tau, tol=tol, slope_terms=direction)
+    return cdf_quadrature(spectrum, tau, tol=tol, slope_terms=direction)
 
 
 def mc_probability(instance: ScenarioInstance, beamformer: BeamformerMatrix,
