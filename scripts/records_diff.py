@@ -6,8 +6,10 @@ Rows are paired by their (method, gamma_db, sigma_e2, trial) key.  For each
 method and each other column this prints how many rows moved (their text
 differs) and, for a numeric column, how many rose and fell and the largest
 relative move |new - old| / |old| (inf where old is 0); for any other
-column, one line per ``old -> new`` transition with its count.  Exits 1 when the
-headers differ or the two files do not hold the same keys, else 0.
+column, one line per ``old -> new`` transition with its count.  Then, per
+method, it prints the totals of the work columns (TOTALS) on both sides.
+Exits 1 when the headers differ or the two files do not hold the same keys,
+else 0.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import sys
 from collections import Counter
 
 KEY = ("method", "gamma_db", "sigma_e2", "trial")
+TOTALS = ("cycles", "bisection_steps", "integral_evals")
 
 
 def read(path) -> tuple:
@@ -88,13 +91,26 @@ def diff(old_path, new_path, out=sys.stdout) -> int:
     return 0
 
 
+def totals(old_path, new_path, out=sys.stdout) -> None:
+    """Print, per method, the sum of each TOTALS column as old -> new."""
+    sides = [read(old_path)[1], read(new_path)[1]]
+    for method in sorted({key[0] for key in sides[0]}):
+        sums = [[sum(int(row[name]) for key, row in rows.items() if key[0] == method)
+                 for rows in sides] for name in TOTALS]
+        print(f"{method} totals: " + ", ".join(
+            f"{name} {a} -> {b}" for name, (a, b) in zip(TOTALS, sums)), file=out)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("old")
     parser.add_argument("new")
     args = parser.parse_args(argv)
     try:
-        return diff(args.old, args.new)
+        status = diff(args.old, args.new, sys.stdout)
+        if status == 0:
+            totals(args.old, args.new, sys.stdout)
+        return status
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

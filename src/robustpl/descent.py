@@ -7,7 +7,9 @@ on the logit of its success probability, until that probability falls inside
 slopes or a moment model.  Lowering a power can only raise the other users'
 probabilities (Yates, IEEE JSAC 13(7), 1995): every iterate stays feasible,
 the total power never rises, and a start whose last value is above the band
-need not be evaluated.
+need not be evaluated.  Where the cycles' drops in total power shrink
+geometrically, the descent extrapolates them (Aitken-style) to a lower point,
+taken only where every user's evaluated probability meets its floor.
 """
 
 from __future__ import annotations
@@ -30,19 +32,14 @@ from .model import (
 )
 from .quadform import outage_probability
 
-__all__ = [
-    "DescentConfig",
-    "OutageOracle",
-    "SolveStatus",
-    "SolveReport",
-    "solve_general",
-]
+__all__ = ["DescentConfig", "OutageOracle", "SolveStatus", "SolveReport", "solve_general"]
 
 MAX_BISECT_STEPS = 60
 MAX_CYCLES = 50
 MAX_DOUBLINGS = 30
 POWER_CAP = 1e6  # on the total transmit power of a feasible start or an update
 START_AIM, START_ROUNDS, START_RTOL = 0.4, 15, 1e-4  # of _model_start
+JUMP_RATIO, JUMP_DAMPING = 0.5, 0.8  # of _try_jump
 
 
 class SolveStatus(enum.Enum):
@@ -74,7 +71,8 @@ class SolveReport:
     ``per_user_prob_exact`` always holds the quadrature-certified values (the
     two coincide for the exact solver).  ``integral_evals`` counts oracle
     evaluations: quadratures for the exact solver, residue evaluations for
-    the surrogate solvers.
+    the surrogate solvers.  ``jumps`` counts the accepted ``_try_jump``
+    points; like ``doublings`` it is not a records column.
     """
 
     status: SolveStatus
@@ -87,6 +85,7 @@ class SolveReport:
     integral_evals: int
     wall_time: float
     doublings: int = 0
+    jumps: int = 0
 
     @property
     def solved(self) -> bool:
@@ -141,19 +140,16 @@ class OutageOracle:
         """G_k diag(c) G_k^H: user k's Q at the signed powers c (-Q at -c)."""
         return (self.g_mats[k] * c) @ self.g_herms[k]
 
-    def form(self, powers: np.ndarray, k: int) -> QuadraticOutageForm:
-        c = self.signed_powers(powers, k)
-        noise = float(self.noise_var[k])
-        return QuadraticOutageForm(
-            Q=self.q_matrix(c, k), r=self.g_mats[k] @ (c * self.hb[k].conj()),
-            v=float(c @ self.gains[k]) - noise, a=self.centres[k],
-            tau=float(c @ self.gains_minus_w[k]) - noise)
-
     def minus_form(self, powers: np.ndarray, k: int) -> tuple:
         """(-Q, a, tau) of ``form``: all that ``outage_probability`` reads."""
         c = self.signed_powers(powers, k)
         return (self.q_matrix(-c, k), self.centres[k],
                 float(c @ self.gains_minus_w[k]) - float(self.noise_var[k]))
+
+    def form(self, powers: np.ndarray, k: int) -> QuadraticOutageForm:
+        c, (minus_q, a, tau) = self.signed_powers(powers, k), self.minus_form(powers, k)
+        return QuadraticOutageForm(Q=-minus_q, r=self.g_mats[k] @ (c * self.hb[k].conj()),
+                                   v=float(c @ self.gains[k]) - float(self.noise_var[k]), a=a, tau=tau)
 
     def exact(self, powers: np.ndarray, k: int) -> float:
         return outage_probability(self.minus_form(powers, k)).value
@@ -361,6 +357,27 @@ def _bisect_user_power(prob, p: np.ndarray, k: int, delta_k: float,
     return hi, prob_hi, steps
 
 
+def _try_jump(oracle: OutageOracle, probs: _LazyProbs, p_prev: np.ndarray,
+              totals: list):
+    """Extrapolate the last two cycles' drops d0, d1 of the total power
+    (``totals`` at the last three cycle starts) geometrically: if rho = d1 / d0
+    is in [JUMP_RATIO, 1), to q = p + omega (p - p_prev), omega = JUMP_DAMPING
+    rho / (1 - rho) (none if some q_k <= 0; after a failing user, once more at
+    half the step).  q <= p, as searches only lower powers; it is accepted when
+    every user, evaluated lazily from the lowest last value, meets its floor.
+    Returns q's _LazyProbs, or None and leaves p and probs unchanged."""
+    d0, d1 = totals[-3] - totals[-2], totals[-2] - totals[-1]
+    if not JUMP_RATIO <= (rho := d1 / d0 if d0 > 0.0 else 0.0) < 1.0:
+        return None
+    step = JUMP_DAMPING * rho / (1.0 - rho) * (probs.p - p_prev)
+    order = np.argsort(probs.values, kind="stable").tolist()
+    for scale in (1.0, 0.5) if np.all(probs.p + step > 0.0) else ():
+        jumped = _LazyProbs(oracle, probs.p + scale * step)
+        if jumped.first_failing(lambda k, q: q >= oracle.floor[k], order) is None:
+            return jumped
+    return None
+
+
 def _run_descent(oracle: OutageOracle, config: DescentConfig,
                  p_start: PowerAllocation):
     """The shared engine on a fresh oracle (its ``evals`` are the report's):
@@ -374,7 +391,9 @@ def _run_descent(oracle: OutageOracle, config: DescentConfig,
     one leaves the band.  A cycle evaluates a stale user just before its
     search (uncounted in ``bisection_steps``) unless an earlier user of the
     cycle moved; then its last value, at the same own power, is a lower
-    bound.  Every exit evaluates the users still stale.
+    bound.  Every exit evaluates the users still stale.  Two cycles after the
+    start or the last accepted jump, a failed band test tries ``_try_jump``
+    before the next cycle; an accepted jump goes back to the band test.
     """
     t0 = time.perf_counter()
     qos, floor, n_users = oracle.qos, oracle.floor, oracle.qos.n_users
@@ -385,8 +404,8 @@ def _run_descent(oracle: OutageOracle, config: DescentConfig,
 
     p, start_probs, doublings, feasible = _find_feasible_start(oracle, p_init)
     probs = _LazyProbs(oracle, p, start_probs)
-    bisect_steps = cycles = 0
-    delta_min, stalled = float(config.delta_min), False
+    bisect_steps = cycles = jumps = 0
+    delta_min, stalled, totals = float(config.delta_min), False, []
     status = SolveStatus.CYCLE_LIMIT if feasible else SolveStatus.INFEASIBLE_START_NOT_FOUND
     while feasible:
         if probs.first_failing(lambda k, q: floor[k] <= q <= floor[k] + delta_min,
@@ -395,6 +414,10 @@ def _run_descent(oracle: OutageOracle, config: DescentConfig,
             break
         if stalled or cycles >= MAX_CYCLES:
             break
+        totals.append(float(np.dot(p, oracle.norms2)))  # cycle starts since the start or a jump
+        if len(totals) >= 3 and (jumped := _try_jump(oracle, probs, p_before, totals)):
+            probs, p, jumps, totals = jumped, jumped.p, jumps + 1, []
+            continue  # to the band test
         cycles += 1
         p_before, dirty = p.copy(), False
         for k in range(n_users):
@@ -412,7 +435,7 @@ def _run_descent(oracle: OutageOracle, config: DescentConfig,
         stalled = np.max(np.abs(p - p_before)) <= 1e-12 * max(1.0, float(np.max(p)))
 
     return oracle.report(status, p, probs.complete(), t0, cycles=cycles,
-                         bisection_steps=bisect_steps, doublings=doublings)
+                         bisection_steps=bisect_steps, doublings=doublings, jumps=jumps)
 
 
 def solve_general(instance: ScenarioInstance, beamformer: BeamformerMatrix,

@@ -332,8 +332,7 @@ def _vertical_cut(beta, lam, zt2, tau, g0, target, sigma, h, omega_max, log_lam)
 
 def _integrand(s, lam, zt2, tau, g0, with_factors=False, abs_s=None):
     """exp(tau s - c(s) - g0) / (s prod_m (1 + s lam_m)) at the nodes ``s``
-    (of magnitudes ``abs_s``, if known), and with ``with_factors`` also its
-    (m, n) array of factors 1 + s lam.
+    (|s|: ``abs_s``), and with ``with_factors`` its (m, n) factors 1 + s lam.
 
     Eigenvalue-major (m, n) arrays make a product m - 1 vector operations;
     the exponent, which can cancel to many digits, keeps np.sum's row order.
@@ -397,8 +396,7 @@ def cdf_quadrature(spectrum: EigenSpectrum, tau: float, tol: float = QUAD_TOL,
     mu, s2 = _moments(lam_l, zt2_l)
     floor = math.log(tol / 4.0)
     if sign := (tau < mu) - (tau > mu):
-        value = 0.0 if sign > 0 else 1.0
-        lam_t, tau_t, mu_t = [sign * l for l in lam_l], sign * tau, sign * mu
+        lam_t, tau_t, mu_t, value = [sign * l for l in lam_l], sign * tau, sign * mu, float(sign < 0)
         if _chernoff_screen(lam_t, zt2_l, tau_t, mu_t, s2) <= floor:
             b = _pick_beta(lam_t, zt2_l, tau_t, log_weight=0.0, moments=(mu_t, s2))
             log_tail = _log_mag(b, lam_t, zt2_l, tau_t, log_weight=0.0)
@@ -440,8 +438,7 @@ def cdf_quadrature(spectrum: EigenSpectrum, tau: float, tol: float = QUAD_TOL,
     total, err_total, slope = -0.5, 0.0, 0.0  # f(beta) = 1, its node weighs 1/2
     for start in range(0, n_nodes, CHUNK):
         s = beta + 1j * h * np.arange(start, min(start + CHUNK, n_nodes))
-        abs_s = np.abs(s)
-        vals, one_sl = _integrand(s, lam, zt2, tau, g0, True, abs_s)
+        vals, one_sl = _integrand(s, lam, zt2, tau, g0, True, abs_s := np.abs(s))
         total += float(vals.real.sum())
         if slope_terms is not None:
             a, b, c = slope_terms[0] @ (1.0 / one_sl)

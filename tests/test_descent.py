@@ -23,9 +23,10 @@ from robustpl import (
     solve_zf_coord_descent,
     solve_zf_coord_update,
 )
-from robustpl.descent import (MAX_BISECT_STEPS, MAX_CYCLES, MAX_DOUBLINGS, POWER_CAP,
-                              START_AIM, START_RTOL, _bisect_user_power,
-                              _find_feasible_start, _model_start, _normal_quantile)
+from robustpl.descent import (JUMP_DAMPING, JUMP_RATIO, MAX_BISECT_STEPS, MAX_CYCLES,
+                              MAX_DOUBLINGS, POWER_CAP, START_AIM, START_RTOL,
+                              _LazyProbs, _bisect_user_power, _find_feasible_start,
+                              _model_start, _normal_quantile, _try_jump)
 
 from robustpl.quadform import _moments, _spectrum
 
@@ -253,6 +254,128 @@ class TestStartAboveTheBand:
             runs.append((_bisect_user_power(oracle, p, 0, 1e-3, 0.05, None, bound),
                          oracle.evals))
         assert runs[0] == runs[1] and runs[0][1] >= 2
+
+
+class JumpStub:
+    """An oracle of 3 users with floors 0.95 whose probability is 0.96
+    where ``ok(powers, k)`` and 0.9 elsewhere; ``calls`` lists (k, powers)."""
+
+    floor = np.full(3, 0.95)
+
+    def __init__(self, ok):
+        self.ok, self.calls = ok, []
+
+    def __call__(self, powers, k):
+        self.calls.append((k, powers.copy()))
+        return 0.96 if self.ok(powers, k) else 0.9
+
+
+class TestJump:
+    P, P_PREV, LAST = np.array([1.0, 2.0, 3.0]), np.array([1.1, 2.2, 3.1]), [0.97, 0.951, 0.96]
+
+    def attempt(self, ok, totals=(10.0, 8.0, 6.4)):
+        """(stub, probs at P, _try_jump's result) at rho = 0.8 by default."""
+        stub = JumpStub(ok)
+        probs = _LazyProbs(stub, self.P.copy(), np.array(self.LAST))
+        return stub, probs, _try_jump(stub, probs, self.P_PREV, list(totals))
+
+    def test_accepts_where_every_user_meets_its_floor(self):
+        stub, probs, jumped = self.attempt(lambda q, k: True)
+        omega = JUMP_DAMPING * 0.8 / 0.2
+        assert np.allclose(jumped.p, self.P + omega * (self.P - self.P_PREV), rtol=1e-12)
+        # lazily, lowest last value first, and every user once
+        assert [k for k, _ in stub.calls] == [1, 2, 0]
+        assert not jumped.stale.any() and np.all(jumped.values >= stub.floor)
+        assert np.array_equal(probs.p, self.P)
+
+    def test_rejects_when_one_user_misses_its_floor(self):
+        stub, probs, jumped = self.attempt(lambda q, k: k != 0 or q[0] >= 1.0)
+        assert jumped is None
+
+    def test_half_step_retry_after_the_first_failing_user(self):
+        # user 2 meets its floor only at half the step
+        stub, probs, jumped = self.attempt(lambda q, k: k != 2 or q[2] > 2.7)
+        full = self.P + JUMP_DAMPING * 0.8 / 0.2 * (self.P - self.P_PREV)
+        half = self.P + 0.5 * (full - self.P)
+        assert [k for k, _ in stub.calls] == [1, 2, 1, 2, 0]
+        assert np.allclose(stub.calls[1][1], full) and np.allclose(stub.calls[2][1], half)
+        assert np.allclose(jumped.p, half)
+
+    def test_one_retry_then_p_and_probs_unchanged(self):
+        stub, probs, jumped = self.attempt(lambda q, k: k != 1)
+        assert jumped is None
+        # the first failing user stops each of the two attempts
+        assert [k for k, _ in stub.calls] == [1, 1]
+        assert stub.calls[0][1][0] < stub.calls[1][1][0] < self.P[0]
+        assert np.array_equal(probs.p, self.P)
+        assert np.array_equal(probs.values, self.LAST) and not probs.stale.any()
+
+    @pytest.mark.parametrize("totals", [(10.0, 8.0, 7.02), (10.0, 8.0, 6.0), (10.0, 8.0, 8.0),
+                                        (10.0, 10.0, 9.0), (10.0, 10.0, 10.0)],
+                             ids=["rho-0.49", "rho-1", "rho-0", "no-first-drop", "stalled"])
+    def test_no_jump_with_rho_outside_the_range(self, totals):
+        stub, probs, jumped = self.attempt(lambda q, k: True, totals)
+        assert jumped is None and stub.calls == []
+
+    def test_rho_at_the_lower_end_jumps(self):
+        stub, _, jumped = self.attempt(lambda q, k: True, (10.0, 8.0, 7.0))
+        assert jumped is not None and len(stub.calls) == 3
+
+    def test_no_jump_to_a_nonpositive_power(self):
+        p_prev = np.array([1.1, 2.2, 4.0])  # the full step takes p_2 below 0
+        stub = JumpStub(lambda q, k: True)
+        probs = _LazyProbs(stub, self.P.copy(), np.array(self.LAST))
+        assert _try_jump(stub, probs, p_prev, [10.0, 8.0, 6.4]) is None
+        assert stub.calls == []
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.floats(0.01, 10.0), min_size=3, max_size=3),
+           st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3),
+           st.floats(JUMP_RATIO, 0.999))
+    def test_never_raises_a_power(self, p, shrink, rho):
+        p = np.array(p)
+        p_prev = p * (1.0 + np.array(shrink))  # searches only lower powers
+        stub = JumpStub(lambda q, k: True)
+        probs = _LazyProbs(stub, p.copy(), np.full(3, 0.96))
+        jumped = _try_jump(stub, probs, p_prev, [3.0, 2.0, 2.0 - rho])
+        if jumped is not None:
+            assert np.all(jumped.p <= p) and np.all(jumped.p > 0.0)
+
+    def test_solves_jump_only_after_two_cycles_to_certified_lower_points(self, monkeypatch):
+        import robustpl.descent
+
+        jump, tried, accepted = robustpl.descent._try_jump, [], []
+
+        def recording(oracle, probs, p_prev, totals):
+            tried.append(len(totals))
+            before = probs.p.copy()
+            jumped = jump(oracle, probs, p_prev, totals)
+            if jumped is not None:
+                accepted.append((oracle, before, jumped.p.copy()))
+            return jumped
+
+        monkeypatch.setattr(robustpl.descent, "_try_jump", recording)
+        reports = [reference_case(name)[4](*reference_case(name)[:4])
+                   for name in REFERENCE_CASES]
+        assert sum(r.jumps for r in reports) == len(accepted) > 0
+        assert min(tried) >= 3
+        for oracle, before, q in accepted:
+            assert np.all(q <= before)
+            assert np.all(oracle.exact_all(q) >= oracle.floor)
+        for r in reports:
+            assert r.jumps == 0 or r.cycles >= 3
+
+    def test_solve_within_two_cycles_tries_no_jump(self, monkeypatch):
+        import robustpl.descent
+
+        def failing(*args):
+            raise AssertionError("jump tried")
+
+        inst, b, qos, config, solver = reference_case("3x3-601-5-zf")
+        want = solver(inst, b, qos, config)
+        assert want.cycles <= 2
+        monkeypatch.setattr(robustpl.descent, "_try_jump", failing)
+        assert np.array_equal(solver(inst, b, qos, config).powers.powers, want.powers.powers)
 
 
 FLOOR, DELTA = 0.95, 1e-3
@@ -611,12 +734,30 @@ class TestOutageOracle:
             assert np.array_equal(report.per_user_prob, report.per_user_prob_exact)
 
 
+def eager_jump(oracle, p, p_prev, totals, floor):
+    """The descent's jump, evaluating every user at each point it tries:
+    (q, the probabilities at q), or None."""
+    d0, d1 = totals[-3] - totals[-2], totals[-2] - totals[-1]
+    rho = d1 / d0 if d0 > 0.0 else 0.0
+    if not JUMP_RATIO <= rho < 1.0:
+        return None
+    step = JUMP_DAMPING * rho / (1.0 - rho) * (p - p_prev)
+    for scale in (1.0, 0.5) if np.all(p + step > 0.0) else ():
+        q = p + scale * step
+        at_q = np.array([oracle(q, k) for k in range(p.size)])
+        if np.all(at_q >= floor):
+            return q, at_q
+    return None
+
+
 def eager_descent(oracle, beamformer, qos, config, p_start):
     """Reference: the doubling start and the cycle loop that evaluate every
     user in every doubling round and again after every cycle.  A search
     after an earlier user of its cycle moved gets, as a lower bound on its
     probability, the user's value at its own current power: its feasible-start
-    value in the first cycle, later the value its last search returned."""
+    value in the first cycle, later the value its last search returned.
+    Between cycles, two cycles after the start or the last accepted jump, it
+    tries the descent's jump, evaluating every user at each point tried."""
     norms2 = np.sum(np.abs(beamformer.columns) ** 2, axis=0)
     floor = 1.0 - qos.epsilon
     delta = float(config.delta_min)
@@ -628,8 +769,9 @@ def eager_descent(oracle, beamformer, qos, config, p_start):
             break
         p = 2.0 * p
         doublings += 1
-    steps = cycles = 0
+    steps = cycles = jumps = 0
     own = probs.copy()  # each user's value at its current power, as last evaluated
+    totals = [float(np.dot(p, norms2))]  # cycle ends since the start or a jump
     status = (SolveStatus.CYCLE_LIMIT if feasible
               else SolveStatus.INFEASIBLE_START_NOT_FOUND)
     while feasible:
@@ -638,6 +780,10 @@ def eager_descent(oracle, beamformer, qos, config, p_start):
             break
         if cycles >= MAX_CYCLES:
             break
+        if len(totals) >= 3 and (jumped := eager_jump(oracle, p, p_before, totals, floor)):
+            p, probs = jumped
+            own, jumps, totals = probs.copy(), jumps + 1, [float(np.dot(p, norms2))]
+            continue
         cycles += 1
         p_before, dirty = p.copy(), False
         for k in range(p.size):
@@ -648,12 +794,13 @@ def eager_descent(oracle, beamformer, qos, config, p_start):
             dirty = dirty or new_pk != p[k]
             p[k], probs[k], own[k] = new_pk, prob_k, prob_k
         probs = np.array([oracle(p, k) for k in range(p.size)])
+        totals.append(float(np.dot(p, norms2)))
         if np.max(np.abs(p - p_before)) <= 1e-12 * max(1.0, float(np.max(p))):
             in_band = np.all((probs >= floor) & (probs <= floor + delta))
             status = SolveStatus.SOLVED if in_band else SolveStatus.CYCLE_LIMIT
             break
     return dict(status=status, powers=p, cycles=cycles, bisection_steps=steps,
-                doublings=doublings, per_user_prob=probs, evals=oracle.evals)
+                doublings=doublings, jumps=jumps, per_user_prob=probs, evals=oracle.evals)
 
 
 def reference_case(name):
@@ -696,14 +843,21 @@ class TestLazyEvaluation:
         if p_start is None:
             p_start = init_powers_pcsi(inst.est_channels, b, qos, inst.noise_var)[0].powers
         want = eager_descent(oracle, b, qos, config, p_start)
-        # per search of the solver: was its lower bound above the band?
-        above, search = [], robustpl.descent._bisect_user_power
+        # per search of the solver: was its lower bound above the band?  A
+        # new run of searches starts at each accepted jump
+        runs, search, jump = [[]], robustpl.descent._bisect_user_power, robustpl.descent._try_jump
 
         def recording(oracle, p, k, delta, eps, current=None, bound=None):
-            above.append(bound is not None and bound > 1.0 - eps + delta)
+            runs[-1].append(bound is not None and bound > 1.0 - eps + delta)
             return search(oracle, p, k, delta, eps, current, bound)
 
+        def jumping(*args):
+            if (jumped := jump(*args)) is not None:
+                runs.append([])
+            return jumped
+
         monkeypatch.setattr(robustpl.descent, "_bisect_user_power", recording)
+        monkeypatch.setattr(robustpl.descent, "_try_jump", jumping)
         if name == "strict":
             with strict_step_checks() as steps:
                 report = solver(inst, b, qos, config)
@@ -712,14 +866,15 @@ class TestLazyEvaluation:
             report = solver(inst, b, qos, config)
         assert report.status is want["status"]
         assert np.array_equal(report.powers.powers, want["powers"])
-        for field in ("cycles", "bisection_steps", "doublings"):
+        for field in ("cycles", "bisection_steps", "doublings", "jumps"):
             assert getattr(report, field) == want[field], field
         assert np.array_equal(report.per_user_prob, want["per_user_prob"])
         assert report.integral_evals <= want["evals"]
         # later searches start from values in the band, so only the first
         # cycle's bounds are above it, unless the band is narrower than the
-        # power resolution and searches end above it
-        assert not any(above[qos.n_users:]) or name == "stall"
+        # power resolution and searches end above it; a jump's values are
+        # only known to meet the floor, so its first cycle is a first cycle
+        assert not any(a for run in runs for a in run[qos.n_users:]) or name == "stall"
 
     @pytest.mark.parametrize("name, status", [
         ("hopeless", SolveStatus.INFEASIBLE_START_NOT_FOUND),

@@ -110,3 +110,28 @@ def test_main_reports_a_repeated_key(tmp_path, capsys):
     new = write(tmp_path / "new.csv", OLD + OLD[:1])
     assert records_diff.main([str(old), str(new)]) == 1
     assert "repeated key" in capsys.readouterr().err
+
+
+def test_totals_per_method_on_both_sides(tmp_path, capsys):
+    new = list(OLD)
+    new[0] = "ZF-General,0,0.002,0,solved,1,0.02,2,40,50"
+    old = write(tmp_path / "old.csv", OLD)
+    write(tmp_path / "new.csv", new)
+    assert records_diff.main([str(old), str(tmp_path / "new.csv")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2:] == [
+        "ZF-CoordUpdate totals: cycles 3 -> 3, bisection_steps 0 -> 0, "
+        "integral_evals 12 -> 12",
+        "ZF-General totals: cycles 55 -> 54, bisection_steps 974 -> 970, "
+        "integral_evals 1099 -> 1090"]
+    # the moves come first, as from diff alone
+    out = io.StringIO()
+    records_diff.diff(old, tmp_path / "new.csv", out)
+    assert lines[:-2] == out.getvalue().splitlines()
+
+
+def test_no_totals_when_the_keys_differ(tmp_path, capsys):
+    old = write(tmp_path / "old.csv", OLD)
+    write(tmp_path / "new.csv", OLD[:-1])
+    assert records_diff.main([str(old), str(tmp_path / "new.csv")]) == 1
+    assert " totals: " not in capsys.readouterr().out
