@@ -64,8 +64,10 @@ def column_moves(pairs: list) -> dict:
                             for a, b in values if a != b), default=0.0)}
 
 
-def diff(old_path, new_path, out=sys.stdout) -> int:
-    """Print the per-method moves of new against old; the exit status."""
+def diff(old_path, new_path, out=None) -> int:
+    """Print the per-method moves of new against old to out (None: the
+    sys.stdout of the call); the exit status."""
+    out = out or sys.stdout
     old_header, old = read(old_path)
     new_header, new = read(new_path)
     if old_header != new_header:
@@ -91,8 +93,10 @@ def diff(old_path, new_path, out=sys.stdout) -> int:
     return 0
 
 
-def totals(old_path, new_path, out=sys.stdout) -> None:
-    """Print, per method, the sum of each TOTALS column as old -> new."""
+def totals(old_path, new_path, out=None) -> None:
+    """Print, per method, the sum of each TOTALS column as old -> new to out
+    (None: the sys.stdout of the call)."""
+    out = out or sys.stdout
     sides = [read(old_path)[1], read(new_path)[1]]
     for method in sorted({key[0] for key in sides[0]}):
         sums = [[sum(int(row[name]) for key, row in rows.items() if key[0] == method)
@@ -107,9 +111,9 @@ def main(argv=None) -> int:
     parser.add_argument("new")
     args = parser.parse_args(argv)
     try:
-        status = diff(args.old, args.new, sys.stdout)
+        status = diff(args.old, args.new)
         if status == 0:
-            totals(args.old, args.new, sys.stdout)
+            totals(args.old, args.new)
         return status
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

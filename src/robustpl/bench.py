@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields as dc_fields
 
 import numpy as np
@@ -223,6 +222,8 @@ def run_sweep(config: ExperimentConfig, n_threads: int = 1) -> list:
     if n_threads <= 1:
         per_trial = [run_trial(config, t) for t in range(config.n_trials)]
     else:
+        # imported here: the pool costs every single-process run about 2 MB
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=n_threads) as pool:
             per_trial = list(pool.map(run_trial, [config] * config.n_trials,
                                       range(config.n_trials), chunksize=1))

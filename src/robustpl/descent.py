@@ -155,7 +155,11 @@ class OutageOracle:
         return outage_probability(self.minus_form(powers, k)).value
 
     def exact_all(self, powers: np.ndarray) -> np.ndarray:
-        return np.array([self.exact(powers, k) for k in range(self.gamma.size)])
+        """Every user's ``exact`` value, the -Q decomposed by one stacked ``eigh``."""
+        forms = [self.minus_form(powers, k) for k in range(self.gamma.size)]
+        eigs = np.linalg.eigh(np.stack([form[0] for form in forms]))
+        return np.array([outage_probability(form, eig=eig).value
+                         for form, *eig in zip(forms, *eigs)])
 
     def constraint(self, powers: np.ndarray, k: int) -> float:
         return self.exact(powers, k)

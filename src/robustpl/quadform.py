@@ -97,8 +97,8 @@ def decompose(m, z) -> EigenSpectrum:
     return _spectrum(m, z)[0]
 
 
-def _spectrum(m, z):  # (its EigenSpectrum, V^H)
-    lam, vecs = np.linalg.eigh(m)
+def _spectrum(m, z, eig=None):  # (its EigenSpectrum, V^H); eig: m's eigh, if known
+    lam, vecs = np.linalg.eigh(m) if eig is None else eig
     basis = vecs[:, ::-1].conj().T
     return EigenSpectrum(eigenvalues=lam[::-1], z_tilde=basis @ z), basis
 
@@ -472,7 +472,7 @@ def cdf_quadrature(spectrum: EigenSpectrum, tau: float, tol: float = QUAD_TOL,
 
 
 def outage_probability(form: QuadraticOutageForm | tuple, tol: float = QUAD_TOL,
-                       direction=None) -> ProbabilityEstimate:
+                       direction=None, eig=None) -> ProbabilityEstimate:
     """Probability that the SINR target is met, Pr(SINR_k >= gamma_k),
     evaluated as the CDF of the recentred quadratic form at tau (one
     eigendecomposition of -Q); ``form`` is a QuadraticOutageForm or its
@@ -481,9 +481,11 @@ def outage_probability(form: QuadraticOutageForm | tuple, tol: float = QUAD_TOL,
     sqrt(gamma_k)), adds the uncertified ``slope`` dP/dp = (h/pi) e^g0 sum'
     Re[f s (dtau + A B + C)] on the value's nodes, A, B, C the sums over 1/(1
     + s lam) weighted by conj(z~) u~, conj(u~) z~ and |u~|^2, u~ = V^H u;
-    the value is unchanged."""
+    the value is unchanged.  ``eig``, the (eigenvalues, eigenvectors) of -Q
+    from ``np.linalg.eigh`` (a slice of a stacked call), skips the
+    decomposition."""
     minus_q, a, tau = form if isinstance(form, tuple) else (-form.Q, form.a, form.tau)
-    spectrum, basis = _spectrum(minus_q, a)
+    spectrum, basis = _spectrum(minus_q, a, eig)
     if direction is not None:
         u_t, z_t = basis @ direction[0], spectrum.z_tilde
         direction = np.array([z_t.conj() * u_t, u_t.conj() * z_t, abs(u_t) ** 2]), direction[1]

@@ -8,7 +8,9 @@ exactly by residues, which removes the numerical integration from the inner
 loop.  Two solvers build on it: a feasible coordinate descent identical in
 control flow to the general solver, and a cheaper cyclic coordinate update
 that freezes each user's spectrum once per cycle and moves toward the
-feasible set from a closed-form start.
+feasible set from a closed-form start.  Where every user is read at one
+power vector, their spectra come from one stacked eigendecomposition; a
+search probe, which reads one user, decomposes one matrix.
 """
 
 from __future__ import annotations
@@ -47,12 +49,17 @@ class DegenerateSpectrum(Exception):
     """Nonzero eigenvalues coincide; the simple-pole residue form is invalid."""
 
 
-def residue_spectrum(minus_q: np.ndarray) -> np.ndarray:
+def residue_spectrum(minus_q: np.ndarray):
     """The nonzero eigenvalues of -Q, descending: those above
-    ``zero_mode_threshold``, as in ``cdf_quadrature``."""
-    lam = np.linalg.eigvalsh(minus_q).tolist()[::-1]
-    thresh = zero_mode_threshold(lam)
-    return np.array([x for x in lam if abs(x) > thresh])
+    ``zero_mode_threshold``, as in ``cdf_quadrature``.  Of a (K, n, n)
+    stack, the list of the K matrices' spectra from one ``eigvalsh`` call
+    (LAPACK's per-matrix results are those of single calls)."""
+    lam = np.linalg.eigvalsh(minus_q)
+    spectra = []
+    for row in lam.reshape(-1, lam.shape[-1]).tolist():
+        thresh = zero_mode_threshold(row)
+        spectra.append(np.array([x for x in row[::-1] if abs(x) > thresh]))
+    return spectra if lam.ndim > 1 else spectra[0]
 
 
 def _check_separated(lam: list):
@@ -169,7 +176,9 @@ class SurrogateOracle(OutageOracle):
     on the spectrum of -Q = -G_k diag(c) G_k^H, or by quadrature on the same
     eigenvalues (the rotated centre is zero) when they collide or the
     residue sum's rounding bound exceeds ROUNDING_TOL; ``report`` certifies
-    the returned powers with ``exact_all``.
+    the returned powers with ``exact_all``.  ``spectra`` decomposes every
+    user at one power vector in one stacked call and keeps the result for
+    that vector (``last_read``), which ``spectrum`` reads at those powers.
     """
 
     sloped = model_root = None  # no slope and no model: first probes go along the chord
@@ -188,8 +197,22 @@ class SurrogateOracle(OutageOracle):
             raise ApproximationInapplicable(
                 f"1 + eta <= 0 for some user (min eta {self.eta.min():.4f})")
         self.gamma_prime = qos.gamma / (1.0 + self.eta)
+        self.last_read = (None, None)  # (powers.tobytes(), spectra) of ``spectra``
+
+    def spectra(self, powers: np.ndarray) -> list:
+        """Every user's ``spectrum`` at powers from one stacked
+        ``residue_spectrum`` call, kept for the last powers read so."""
+        if powers.tobytes() != self.last_read[0]:
+            stack = np.stack([self.q_matrix(-self.signed_powers(powers, k), k)
+                              for k in range(self.gamma.size)])
+            self.last_read = powers.tobytes(), residue_spectrum(stack)
+        return self.last_read[1]
 
     def spectrum(self, powers: np.ndarray, k: int) -> np.ndarray:
+        """User k's nonzero spectrum at powers: from the last ``spectra``
+        read at these powers, else one single-matrix call."""
+        if powers.tobytes() == self.last_read[0]:
+            return self.last_read[1][k]
         return residue_spectrum(self.q_matrix(-self.signed_powers(powers, k), k))
 
     def constraint(self, powers: np.ndarray, k: int) -> float:
@@ -208,8 +231,8 @@ class SurrogateOracle(OutageOracle):
         closed form has a nonpositive denominator or a degenerate spectrum."""
         n, sigma2, epsilon = self.gamma.size, self.noise_var, self.qos.epsilon
         p0 = self.gamma * sigma2  # the fallback
-        for k in range(n):
-            lam = self.spectrum(np.ones(n), k).tolist()
+        for k, lam_nz in enumerate(self.spectra(np.ones(n))):
+            lam = lam_nz.tolist()
             try:
                 _check_separated(lam)
                 w_1 = _certified_weight(lam, lam[0]) if lam and lam[0] > 0 else None
@@ -283,9 +306,10 @@ def solve_zf_coord_update(instance: ScenarioInstance,
     powers without bound).
 
     Iterates are not kept feasible; each cycle freezes every user's spectrum
-    at the previous cycle's powers, so a cycle costs one eigendecomposition
-    per user.  Exact probabilities of the final powers are certified by
-    quadrature and reported alongside the surrogate ones.
+    at the previous cycle's powers, so each power vector costs one stacked
+    eigendecomposition, read by the feasibility test at it and shared with
+    the next cycle's steps.  Exact probabilities of the final powers are
+    certified by quadrature and reported alongside the surrogate ones.
     """
     t0 = time.perf_counter()
     prob = SurrogateOracle(instance, beamformer, qos, eta_multiple)
@@ -295,6 +319,7 @@ def solve_zf_coord_update(instance: ScenarioInstance,
     probs = _LazyProbs(prob, p)
 
     def meets(level) -> bool:  # evaluates users only up to the first below level
+        prob.spectra(p)  # one stacked read, which the next cycle's steps share
         return probs.first_failing(lambda k, q: q >= level[k], range(n)) is None
 
     cycles = bisect_steps = 0

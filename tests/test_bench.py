@@ -1,5 +1,9 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -103,6 +107,15 @@ class TestSweep:
     def test_thread_pool_matches_sequential(self):
         cfg = small_config(methods=("ZF-CoordUpdate",), gamma_db=(3.0,))
         assert run_sweep(cfg, n_threads=1) == run_sweep(cfg, n_threads=2)
+
+    def test_import_leaves_the_process_pool_out(self):
+        # the pool's modules load only for a sweep on two or more workers
+        src = str(Path(robustpl.bench.__file__).resolve().parent.parent)
+        code = ("import sys, robustpl; "
+                "print('concurrent.futures.process' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout.strip() == "False"
 
     def test_mc_certification_keeps_true_successes(self):
         cfg = small_config(methods=("ZF-General",), gamma_db=(3.0,),

@@ -135,3 +135,13 @@ def test_no_totals_when_the_keys_differ(tmp_path, capsys):
     write(tmp_path / "new.csv", OLD[:-1])
     assert records_diff.main([str(old), str(tmp_path / "new.csv")]) == 1
     assert " totals: " not in capsys.readouterr().out
+
+
+def test_diff_without_out_prints_to_the_current_stdout(tmp_path, capsys):
+    old = write(tmp_path / "old.csv", OLD)
+    assert records_diff.diff(old, old) == 0
+    records_diff.totals(old, old)
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "4 rows, same keys"
+    assert "ZF-General totals: cycles 55 -> 55, bisection_steps 974 -> 974, " \
+           "integral_evals 1099 -> 1099" in lines

@@ -528,3 +528,49 @@ def test_coord_update_matches_eager_reference(seed, gamma_db, sigma_e2, kwargs,
     assert np.array_equal(report.per_user_prob, want["per_user_prob"])
     assert np.array_equal(report.per_user_prob_exact, want["per_user_prob_exact"])
     assert report.integral_evals <= want["evals"]
+
+
+class TestStackedReads:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10_000), st.sampled_from([3, 6]), st.data())
+    def test_stacked_reads_equal_single_ones_bitwise(self, seed, n, data):
+        inst, b, qos = make_zf_setup(seed, n_tx=n, n_users=n)
+        scale = st.one_of(st.just(0.0), st.floats(0.05, 20.0))
+        powers = np.array(data.draw(st.lists(scale, min_size=n, max_size=n))) * 0.01
+        oracle = SurrogateOracle(inst, b, qos)
+        stacked = oracle.spectra(powers)
+        for k in range(n):
+            single = residue_spectrum(oracle.q_matrix(-oracle.signed_powers(powers, k), k))
+            assert stacked[k].tobytes() == single.tobytes()
+        single = np.array([oracle.exact(powers, k) for k in range(n)])
+        assert oracle.exact_all(powers).tobytes() == single.tobytes()
+
+    @pytest.mark.parametrize("seed, gamma_db", [(631, 0.0), (632, 5.0), (633, 10.0)])
+    def test_coord_update_decomposes_each_power_vector_once(self, seed, gamma_db,
+                                                            monkeypatch):
+        inst, b, qos = make_zf_setup(seed, gamma_db)
+        dims, stacked_at, read_at = [], [], []
+        eigvalsh, spectra, spectrum = (np.linalg.eigvalsh, SurrogateOracle.spectra,
+                                       SurrogateOracle.spectrum)
+
+        def counting(a, *args, **kwargs):
+            dims.append(np.ndim(a))
+            return eigvalsh(a, *args, **kwargs)
+
+        def stacked_read(oracle, powers):
+            stacked_at.append(powers.tobytes())
+            return spectra(oracle, powers)
+
+        def read(oracle, powers, k):
+            read_at.append(powers.tobytes())
+            return spectrum(oracle, powers, k)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        monkeypatch.setattr(SurrogateOracle, "spectra", stacked_read)
+        monkeypatch.setattr(SurrogateOracle, "spectrum", read)
+        rep = solve_zf_coord_update(inst, b, qos)
+        assert rep.solved and rep.cycles >= 1
+        # every user read is at a vector read whole, and each such vector
+        # costs one stacked call: no single-matrix call, none repeated
+        assert set(read_at) <= set(stacked_at)
+        assert dims == [3] * len(set(stacked_at))
