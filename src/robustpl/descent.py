@@ -30,7 +30,7 @@ from .model import (
     build_outage_form,  # noqa: F401 (perfbench/tracing.py wraps this name)
     init_powers_pcsi,
 )
-from .quadform import outage_probability
+from .quadform import ToleranceNotMet, outage_probability
 
 __all__ = ["DescentConfig", "OutageOracle", "SolveStatus", "SolveReport", "solve_general"]
 
@@ -140,11 +140,11 @@ class OutageOracle:
         """G_k diag(c) G_k^H: user k's Q at the signed powers c (-Q at -c)."""
         return (self.g_mats[k] * c) @ self.g_herms[k]
 
-    def minus_form(self, powers: np.ndarray, k: int) -> tuple:
-        """(-Q, a, tau) of ``form``: all that ``outage_probability`` reads."""
-        c = self.signed_powers(powers, k)
+    def minus_form(self, powers: np.ndarray, k: int, sigma2: float = None) -> tuple:
+        """(-Q, a, tau) of ``form`` at noise sigma2 (None: sigma_k^2)."""
+        c, sigma2 = self.signed_powers(powers, k), self.noise_var[k] if sigma2 is None else sigma2
         return (self.q_matrix(-c, k), self.centres[k],
-                float(c @ self.gains_minus_w[k]) - float(self.noise_var[k]))
+                float(c @ self.gains_minus_w[k]) - float(sigma2))
 
     def form(self, powers: np.ndarray, k: int) -> QuadraticOutageForm:
         c, (minus_q, a, tau) = self.signed_powers(powers, k), self.minus_form(powers, k)
@@ -163,6 +163,21 @@ class OutageOracle:
 
     def constraint(self, powers: np.ndarray, k: int) -> float:
         return self.exact(powers, k)
+
+    def bounded(self, powers: np.ndarray, k: int, sigma2: float) -> tuple:
+        """(value, error bound) of user k's ``constraint`` at noise sigma2."""
+        est = outage_probability(self.minus_form(powers, k, sigma2))
+        return est.value, est.abs_error_bound
+
+    def ray_limit(self, powers: np.ndarray, k: int):
+        """A counted upper bound on user k's probability on the ray t * powers,
+        t > 0, or None if uncertified: the noise-free ``bounded`` sum, which
+        the probability rises to as the noise weighs 1/t (Yates, 1995)."""
+        self.evals += 1
+        try:
+            return sum(self.bounded(powers, k, 0.0))
+        except ToleranceNotMet:
+            return None
 
     def sloped(self, powers: np.ndarray, k: int) -> tuple:
         """A counted evaluation and its slope dP/dp_k (``outage_probability``)."""
@@ -266,13 +281,19 @@ def _find_feasible_start(oracle: OutageOracle, p_init: np.ndarray):
 
     A round stops at its first user below the floor, which the next round
     tests first, so only the passing round and the give-up exit evaluate
-    every user.  Returns (powers, probs, doublings, feasible); the power cap
-    counts against the total transmit power.
+    every user.  After a doubling, a user first found below its floor gets
+    one ``ray_limit``: one below the floor gives up at once.  Returns
+    (powers, probs, doublings, feasible); the power cap counts against the
+    total transmit power.
     """
     probs = _LazyProbs(oracle, p_init.copy())
-    order, doublings = list(range(p_init.size)), 0
+    order, doublings, checked = list(range(p_init.size)), 0, set()
     while (k := probs.first_failing(lambda k, q: q >= oracle.floor[k], order)) is not None:
-        if doublings >= MAX_DOUBLINGS or np.dot(probs.p, oracle.norms2) > POWER_CAP:
+        hopeless = doublings >= MAX_DOUBLINGS or np.dot(probs.p, oracle.norms2) > POWER_CAP
+        if not hopeless and doublings and k not in checked:
+            checked.add(k)
+            hopeless = (limit := oracle.ray_limit(probs.p, k)) is not None and limit < oracle.floor[k]
+        if hopeless:
             return probs.p, probs.complete(), doublings, False
         order = [k] + [j for j in order if j != k]
         probs.p *= 2.0
@@ -388,7 +409,8 @@ def _run_descent(oracle: OutageOracle, config: DescentConfig,
     start from p_start, else ``_model_start``, else ``init_powers_pcsi``;
     double to a feasible start; then search each user's power cyclically.
     ``infeasible_start_not_found`` means the doubling from that one point met
-    ``POWER_CAP`` or ``MAX_DOUBLINGS`` first; no other start is tried.
+    ``POWER_CAP`` or ``MAX_DOUBLINGS`` first, or a user's certified ray limit
+    is below its floor; no other start is tried.
 
     Only probabilities a decision reads are evaluated.  The band test reads
     the fresh values first, then evaluates stale users in index order until

@@ -481,9 +481,8 @@ def outage_probability(form: QuadraticOutageForm | tuple, tol: float = QUAD_TOL,
     sqrt(gamma_k)), adds the uncertified ``slope`` dP/dp = (h/pi) e^g0 sum'
     Re[f s (dtau + A B + C)] on the value's nodes, A, B, C the sums over 1/(1
     + s lam) weighted by conj(z~) u~, conj(u~) z~ and |u~|^2, u~ = V^H u;
-    the value is unchanged.  ``eig``, the (eigenvalues, eigenvectors) of -Q
-    from ``np.linalg.eigh`` (a slice of a stacked call), skips the
-    decomposition."""
+    the value is unchanged.  ``eig``, -Q's ``np.linalg.eigh`` if known (a
+    slice of a stacked call), skips the decomposition."""
     minus_q, a, tau = form if isinstance(form, tuple) else (-form.Q, form.a, form.tau)
     spectrum, basis = _spectrum(minus_q, a, eig)
     if direction is not None:

@@ -8,9 +8,8 @@ exactly by residues, which removes the numerical integration from the inner
 loop.  Two solvers build on it: a feasible coordinate descent identical in
 control flow to the general solver, and a cheaper cyclic coordinate update
 that freezes each user's spectrum once per cycle and moves toward the
-feasible set from a closed-form start.  Where every user is read at one
-power vector, their spectra come from one stacked eigendecomposition; a
-search probe, which reads one user, decomposes one matrix.
+feasible set from a closed-form start, each power vector's spectra from
+one stacked eigendecomposition.
 """
 
 from __future__ import annotations
@@ -55,10 +54,8 @@ def residue_spectrum(minus_q: np.ndarray):
     stack, the list of the K matrices' spectra from one ``eigvalsh`` call
     (LAPACK's per-matrix results are those of single calls)."""
     lam = np.linalg.eigvalsh(minus_q)
-    spectra = []
-    for row in lam.reshape(-1, lam.shape[-1]).tolist():
-        thresh = zero_mode_threshold(row)
-        spectra.append(np.array([x for x in row[::-1] if abs(x) > thresh]))
+    rows = [(row[::-1], zero_mode_threshold(row)) for row in np.atleast_2d(lam).tolist()]
+    spectra = [np.array([x for x in row if abs(x) > thresh]) for row, thresh in rows]
     return spectra if lam.ndim > 1 else spectra[0]
 
 
@@ -175,10 +172,11 @@ class SurrogateOracle(OutageOracle):
     1 + eta_k <= 0.  ``constraint`` is the surrogate probability by residues
     on the spectrum of -Q = -G_k diag(c) G_k^H, or by quadrature on the same
     eigenvalues (the rotated centre is zero) when they collide or the
-    residue sum's rounding bound exceeds ROUNDING_TOL; ``report`` certifies
+    residue sum's rounding bound exceeds ROUNDING_TOL (``bounded``'s bound
+    of a residue value); ``report`` certifies
     the returned powers with ``exact_all``.  ``spectra`` decomposes every
-    user at one power vector in one stacked call and keeps the result for
-    that vector (``last_read``), which ``spectrum`` reads at those powers.
+    user at one power vector in one stacked call, kept (``last_read``) for
+    ``spectrum`` at those powers; other reads decompose one matrix.
     """
 
     sloped = model_root = None  # no slope and no model: first probes go along the chord
@@ -200,8 +198,6 @@ class SurrogateOracle(OutageOracle):
         self.last_read = (None, None)  # (powers.tobytes(), spectra) of ``spectra``
 
     def spectra(self, powers: np.ndarray) -> list:
-        """Every user's ``spectrum`` at powers from one stacked
-        ``residue_spectrum`` call, kept for the last powers read so."""
         if powers.tobytes() != self.last_read[0]:
             stack = np.stack([self.q_matrix(-self.signed_powers(powers, k), k)
                               for k in range(self.gamma.size)])
@@ -209,21 +205,21 @@ class SurrogateOracle(OutageOracle):
         return self.last_read[1]
 
     def spectrum(self, powers: np.ndarray, k: int) -> np.ndarray:
-        """User k's nonzero spectrum at powers: from the last ``spectra``
-        read at these powers, else one single-matrix call."""
         if powers.tobytes() == self.last_read[0]:
             return self.last_read[1][k]
         return residue_spectrum(self.q_matrix(-self.signed_powers(powers, k), k))
 
-    def constraint(self, powers: np.ndarray, k: int) -> float:
-        lam_nz = self.spectrum(powers, k)
-        gamma_prime, sigma2 = float(self.gamma_prime[k]), float(self.noise_var[k])
+    def bounded(self, powers: np.ndarray, k: int, sigma2: float) -> tuple:
+        lam_nz, gamma_prime = self.spectrum(powers, k), float(self.gamma_prime[k])
         try:
-            return residue_probability(lam_nz, float(powers[k]), gamma_prime, sigma2)
+            return residue_probability(lam_nz, float(powers[k]), gamma_prime, sigma2), ROUNDING_TOL
         except DegenerateSpectrum:
             centred = EigenSpectrum(eigenvalues=lam_nz, z_tilde=np.zeros(lam_nz.size))
-            u = float(powers[k] / gamma_prime - sigma2)
-            return cdf_quadrature(centred, u).value
+            est = cdf_quadrature(centred, float(powers[k] / gamma_prime - sigma2))
+            return est.value, est.abs_error_bound
+
+    def constraint(self, powers: np.ndarray, k: int) -> float:
+        return self.bounded(powers, k, float(self.noise_var[k]))[0]
 
     def start(self) -> PowerAllocation:
         """Closed-form start: per user, the equal-power level meeting its

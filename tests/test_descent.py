@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import robustpl.bench
 from robustpl import (
     DescentConfig,
+    ExperimentConfig,
     OutageOracle,
     PowerAllocation,
     QoSSpec,
@@ -28,7 +30,7 @@ from robustpl.descent import (JUMP_DAMPING, JUMP_RATIO, MAX_BISECT_STEPS, MAX_CY
                               _LazyProbs, _bisect_user_power, _find_feasible_start,
                               _model_start, _normal_quantile, _try_jump)
 
-from robustpl.quadform import _moments, _spectrum
+from robustpl.quadform import ToleranceNotMet, _moments, _spectrum
 
 from conftest import make_instance, make_zf_setup, strict_step_checks
 
@@ -119,6 +121,97 @@ class TestFeasibleStart:
         assert feasible
         for k in range(3):
             assert exact_prob(inst, b, qos, alloc.powers, k) >= 0.95
+
+
+class RayStub:
+    """3 users with floors 0.95 whose probability 0.99 p_k / (p_k + 0.1)
+    rises along every ray to 0.99, and whose ``ray_limit`` is ``limit``;
+    ``checked`` lists the users it was asked for."""
+
+    floor, norms2 = np.full(3, 0.95), np.ones(3)
+
+    def __init__(self, limit):
+        self.limit, self.evals, self.checked = limit, 0, []
+
+    def __call__(self, powers, k):
+        self.evals += 1
+        return 0.99 * powers[k] / (powers[k] + 0.1)
+
+    def ray_limit(self, powers, k):
+        self.evals += 1
+        self.checked.append(k)
+        return self.limit
+
+
+class TestRayLimit:
+    @pytest.mark.parametrize("surrogate", [False, True])
+    @pytest.mark.parametrize("seed, gamma_db, sigma_e2", [
+        (111, 5.0, 0.002), (112, 10.0, 0.01), (113, 15.0, 0.05), (114, 10.0, 0.05)])
+    def test_bounds_the_probability_along_the_ray(self, surrogate, seed, gamma_db, sigma_e2):
+        inst, b, qos = make_zf_setup(seed, gamma_db, sigma_e2=sigma_e2)
+        oracle = (SurrogateOracle if surrogate else OutageOracle)(inst, b, qos)
+        p = init_powers_pcsi(inst.est_channels, b, qos, inst.noise_var)[0].powers
+        for k in range(3):
+            limit = oracle.ray_limit(p, k)
+            assert oracle.evals == k + 1  # one counted evaluation
+            for j in range(13):
+                assert limit >= oracle.constraint(2.0 ** j * p, k) - 1e-12
+
+    def test_uncertified_limit_is_none(self, monkeypatch):
+        import robustpl.descent
+        import robustpl.zf
+
+        def fails(*args, **kwargs):
+            raise ToleranceNotMet("uncertified", None)
+
+        def degenerate(*args):
+            raise robustpl.zf.DegenerateSpectrum("collide")
+
+        inst, b, qos = make_zf_setup(115)
+        p = np.ones(3)
+        monkeypatch.setattr(robustpl.descent, "outage_probability", fails)
+        monkeypatch.setattr(robustpl.zf, "residue_probability", degenerate)
+        monkeypatch.setattr(robustpl.zf, "cdf_quadrature", fails)
+        for oracle in (OutageOracle(inst, b, qos), SurrogateOracle(inst, b, qos)):
+            assert oracle.ray_limit(p, 0) is None and oracle.evals == 1
+
+    def test_interference_limited_desk_point_gives_up_after_one_doubling(self, monkeypatch):
+        # RCI-General at 10 dB, trial 7 of the desk sweep: the model start's
+        # ray saturates below user 0's floor at every scale
+        config = ExperimentConfig(n_tx=3, n_users=3, n_trials=8, seed=20240817,
+                                  methods=("RCI-General",), training={"L_ut": 1, "P_ut": 4.99},
+                                  gamma_db=(10.0,), epsilon=0.05)
+        reports = []
+
+        def solving(*args):
+            reports.append(solve_general(*args))
+            return reports[-1]
+
+        monkeypatch.setattr(robustpl.bench, "solve_general", solving)
+        (record,) = robustpl.bench.run_trial(config, 7)
+        # without a certificate the start doubles as it did before the limit
+        monkeypatch.setattr(OutageOracle, "ray_limit", lambda self, p, k: None)
+        (doubling,) = robustpl.bench.run_trial(config, 7)
+        assert record.status == doubling.status == "infeasible_start_not_found"
+        assert reports[0].doublings <= 1 < reports[1].doublings
+        assert record.integral_evals < doubling.integral_evals
+
+    @pytest.mark.parametrize("limit", [0.95, 0.99])
+    def test_limit_at_or_above_the_floor_doubles_as_before(self, limit):
+        p_init = np.array([0.05, 0.02, 0.01])  # users reach their floors in turn
+        before, stub = RayStub(None), RayStub(limit)
+        before.ray_limit = lambda powers, k: None  # no limit read at all
+        want, got = _find_feasible_start(before, p_init), _find_feasible_start(stub, p_init)
+        assert got[2] == want[2] >= 3 and got[3] and want[3]
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        assert stub.checked == [0, 1, 2]  # each user once, when first failing
+        assert stub.evals == before.evals + len(stub.checked)
+
+    def test_limit_below_the_floor_gives_up_at_once(self):
+        stub = RayStub(0.95 - 1e-9)
+        p, probs, doublings, feasible = _find_feasible_start(stub, np.array([0.01, 0.02, 0.05]))
+        assert not feasible and doublings == 1 and stub.checked == [0]
+        assert np.array_equal(p, [0.02, 0.04, 0.1]) and np.all(np.isfinite(probs))
 
 
 class TestModelStart:
@@ -761,7 +854,8 @@ def eager_jump(oracle, p, p_prev, totals, floor):
 
 def eager_descent(oracle, beamformer, qos, config, p_start):
     """Reference: the doubling start and the cycle loop that evaluate every
-    user in every doubling round and again after every cycle.  A search
+    user in every doubling round (and the ray limit the start reads) and
+    again after every cycle.  A search
     after an earlier user of its cycle moved gets, as a lower bound on its
     probability, the user's value at its own current power: its feasible-start
     value in the first cycle, later the value its last search returned.
@@ -770,12 +864,21 @@ def eager_descent(oracle, beamformer, qos, config, p_start):
     norms2 = np.sum(np.abs(beamformer.columns) ** 2, axis=0)
     floor = 1.0 - qos.epsilon
     delta = float(config.delta_min)
-    p, doublings = p_start.copy(), 0
+    p, doublings, order, checked = p_start.copy(), 0, list(range(p_start.size)), set()
     while True:
         probs = np.array([oracle(p, k) for k in range(p.size)])
         feasible = bool(np.all(probs >= floor))
-        if feasible or doublings >= MAX_DOUBLINGS or np.dot(p, norms2) > POWER_CAP:
+        hopeless = doublings >= MAX_DOUBLINGS or np.dot(p, norms2) > POWER_CAP
+        # the first user below its floor, in the order of the last round's
+        # failing user first, gets its ray limit once from the first doubling on
+        k = next((j for j in order if probs[j] < floor[j]), None)
+        if not feasible and not hopeless and doublings and k not in checked:
+            checked.add(k)
+            limit = oracle.ray_limit(p, k)
+            hopeless = limit is not None and limit < floor[k]
+        if feasible or hopeless:
             break
+        order = [k] + [j for j in order if j != k]
         p = 2.0 * p
         doublings += 1
     steps = cycles = jumps = 0
