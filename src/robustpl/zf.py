@@ -173,10 +173,10 @@ class SurrogateOracle(OutageOracle):
     on the spectrum of -Q = -G_k diag(c) G_k^H, or by quadrature on the same
     eigenvalues (the rotated centre is zero) when they collide or the
     residue sum's rounding bound exceeds ROUNDING_TOL (``bounded``'s bound
-    of a residue value); ``report`` certifies
-    the returned powers with ``exact_all``.  ``spectra`` decomposes every
-    user at one power vector in one stacked call, kept (``last_read``) for
-    ``spectrum`` at those powers; other reads decompose one matrix.
+    of a residue value); ``report`` certifies the returned powers with
+    ``exact_all``.  ``spectra`` decomposes every user at one power vector in
+    one stacked call, kept (``last_read``) for ``spectrum`` at those powers;
+    other reads decompose one matrix.
     """
 
     sloped = model_root = None  # no slope and no model: first probes go along the chord
