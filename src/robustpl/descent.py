@@ -115,7 +115,7 @@ class OutageOracle:
         self.floor = 1.0 - qos.epsilon
         sqrt_c, inv_sqrt_c = instance.cov_roots
         self.g_mats = sqrt_c @ beamformer.columns
-        self.g_herms = [g.conj().T for g in self.g_mats]
+        self.g_herms = self.g_mats.conj().transpose(0, 2, 1)  # G_k^H, views
         self.centres = -np.einsum("kij,kj->ki", inv_sqrt_c, instance.est_channels.conj())
         self.hb = instance.est_channels @ beamformer.columns
         self.gains = np.abs(self.hb) ** 2
@@ -282,9 +282,8 @@ def _find_feasible_start(oracle: OutageOracle, p_init: np.ndarray):
     A round stops at its first user below the floor, which the next round
     tests first, so only the passing round and the give-up exit evaluate
     every user.  After a doubling, a user first found below its floor gets
-    one ``ray_limit``: one below the floor gives up at once.  Returns
-    (powers, probs, doublings, feasible); the power cap counts against the
-    total transmit power.
+    one ``ray_limit``: one below the floor gives up at once.  Returns (powers,
+    probs, doublings, feasible); the power cap counts on the total power.
     """
     probs = _LazyProbs(oracle, p_init.copy())
     order, doublings, checked = list(range(p_init.size)), 0, set()

@@ -8,8 +8,7 @@ exactly by residues, which removes the numerical integration from the inner
 loop.  Two solvers build on it: a feasible coordinate descent identical in
 control flow to the general solver, and a cheaper cyclic coordinate update
 that freezes each user's spectrum once per cycle and moves toward the
-feasible set from a closed-form start, each power vector's spectra from
-one stacked eigendecomposition.
+feasible set from a closed-form start.
 """
 
 from __future__ import annotations
@@ -53,10 +52,13 @@ def residue_spectrum(minus_q: np.ndarray):
     ``zero_mode_threshold``, as in ``cdf_quadrature``.  Of a (K, n, n)
     stack, the list of the K matrices' spectra from one ``eigvalsh`` call
     (LAPACK's per-matrix results are those of single calls)."""
-    lam = np.linalg.eigvalsh(minus_q)
-    rows = [(row[::-1], zero_mode_threshold(row)) for row in np.atleast_2d(lam).tolist()]
-    spectra = [np.array([x for x in row if abs(x) > thresh]) for row, thresh in rows]
-    return spectra if lam.ndim > 1 else spectra[0]
+    lam = np.linalg.eigvalsh(minus_q).tolist()
+    return [_nonzero(row) for row in lam] if np.ndim(minus_q) > 2 else _nonzero(lam)
+
+
+def _nonzero(lam: list) -> np.ndarray:  # residue_spectrum's filter, on ascending lam
+    thresh = zero_mode_threshold(lam)
+    return np.array([x for x in lam[::-1] if abs(x) > thresh])
 
 
 def _check_separated(lam: list):
@@ -172,11 +174,10 @@ class SurrogateOracle(OutageOracle):
     1 + eta_k <= 0.  ``constraint`` is the surrogate probability by residues
     on the spectrum of -Q = -G_k diag(c) G_k^H, or by quadrature on the same
     eigenvalues (the rotated centre is zero) when they collide or the
-    residue sum's rounding bound exceeds ROUNDING_TOL (``bounded``'s bound
-    of a residue value); ``report`` certifies the returned powers with
-    ``exact_all``.  ``spectra`` decomposes every user at one power vector in
-    one stacked call, kept (``last_read``) for ``spectrum`` at those powers;
-    other reads decompose one matrix.
+    residue sum's rounding bound exceeds ROUNDING_TOL; ``report`` certifies
+    the returned powers with ``exact_all``.  ``spectra`` decomposes every
+    user at one power vector in one stacked call, kept (``last_read``) for
+    ``spectrum`` at those powers; other reads decompose one matrix.
     """
 
     sloped = model_root = None  # no slope and no model: first probes go along the chord
@@ -195,12 +196,12 @@ class SurrogateOracle(OutageOracle):
             raise ApproximationInapplicable(
                 f"1 + eta <= 0 for some user (min eta {self.eta.min():.4f})")
         self.gamma_prime = qos.gamma / (1.0 + self.eta)
-        self.last_read = (None, None)  # (powers.tobytes(), spectra) of ``spectra``
+        self.last_read = (None, None)  # (powers.tobytes(), their spectra)
 
     def spectra(self, powers: np.ndarray) -> list:
         if powers.tobytes() != self.last_read[0]:
-            stack = np.stack([self.q_matrix(-self.signed_powers(powers, k), k)
-                              for k in range(self.gamma.size)])
+            minus_c = np.where(np.eye(powers.size, dtype=bool), -(powers / self.gamma), powers)
+            stack = (self.g_mats * minus_c[:, None, :]) @ self.g_herms  # -Q of every user
             self.last_read = powers.tobytes(), residue_spectrum(stack)
         return self.last_read[1]
 
