@@ -7,8 +7,8 @@ quadratic form.  That CDF is a rational-integrand contour integral, evaluated
 exactly by residues, which removes the numerical integration from the inner
 loop.  Two solvers build on it: a feasible coordinate descent identical in
 control flow to the general solver, and a cheaper cyclic coordinate update
-that freezes each user's spectrum once per cycle and moves toward the
-feasible set from a closed-form start.
+that moves toward the feasible set from a closed-form start, freezing
+every user's spectrum once per cycle with one stacked eigendecomposition.
 """
 
 from __future__ import annotations
