@@ -10,8 +10,10 @@ use a fresh copy of the checkout's HEAD commit in a temporary directory, not
 the checkout itself, which ran about 2% slower than a fresh clone of the same
 commit; a checkout with modified tracked files is refused.  The file holds
 every run's end-to-end metrics and digest, the median and quartiles of each
-end-to-end metric over the seeds, the traced per-module metrics, and the
-Python and numpy versions, the core count and the git revision.
+end-to-end metric over the seeds, the traced per-module metrics, the
+Python and numpy versions, the core count, the git revision, and
+``src_lines``: the line count of each ``src/robustpl/*.py`` file of the
+measured copy and their total.
 
 With ``--baseline`` the same runs are made on a fresh copy of a second
 checkout's HEAD commit, alternating which of the two goes first from seed to
@@ -86,6 +88,14 @@ def git_revision(root: Path) -> dict:
     return {"revision": git("rev-parse", "--short", "HEAD") or "unknown",
             "modified_files": len(git("status", "--porcelain",
                                       "--untracked-files=no").splitlines())}
+
+
+def src_lines(root: Path) -> dict:
+    """The line count of each src/robustpl/*.py file under root, by file
+    name, and their ``total``."""
+    counts = {path.name: len(path.read_text().splitlines())
+              for path in sorted((root / "src" / "robustpl").glob("*.py"))}
+    return {**counts, "total": sum(counts.values())}
 
 
 def clone_head(root: Path, dest: Path) -> Path:
@@ -166,6 +176,7 @@ def record(args, benchmark: dict, roots: dict):
     better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
     bounds = {m["name"]: m["bound"] for m in benchmark["end_to_end"]}
     files = {name: {**git_revision(root),
+                    "src_lines": src_lines(root),
                     "python": platform.python_version(),
                     "numpy": np.__version__,
                     "cores": os.cpu_count(),

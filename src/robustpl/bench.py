@@ -22,7 +22,7 @@ from .model import (
     build_pcsi_directions,
     build_rci,
     build_zf,
-    complex_normal,
+    draw_estimate,
     generate_rayleigh_channels,
     uplink_error_variance,
 )
@@ -169,9 +169,7 @@ def run_trial(config: ExperimentConfig, trial: int) -> list:
     noise = np.full(k, config.sigma2)
     records = []
     for j, se2 in enumerate(config.error_variances()):
-        rng = np.random.default_rng([config.seed, 1, trial, j])
-        est = h + np.sqrt(se2) * complex_normal(rng, k, nt)
-        cov = np.broadcast_to(se2 * np.eye(nt), (k, nt, nt)).copy()
+        est, cov = draw_estimate(h, se2, np.random.default_rng([config.seed, 1, trial, j]))
         instance = ScenarioInstance(true_channels=h, est_channels=est,
                                     error_cov=cov, noise_var=noise)
         for m_idx, method in enumerate(config.methods):

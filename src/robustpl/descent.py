@@ -25,7 +25,6 @@ from .model import (
     BeamformerMatrix,
     PowerAllocation,
     QoSSpec,
-    QuadraticOutageForm,
     ScenarioInstance,
     build_outage_form,  # noqa: F401 (perfbench/tracing.py wraps this name)
     init_powers_pcsi,
@@ -49,18 +48,13 @@ class SolveStatus(enum.Enum):
     DIVERGED = "diverged"
 
 
-@dataclass(frozen=True)
 class DescentConfig:
-    """The coordinate descent's one setting: ``delta_min``, the width of
-    every user's probability band [1 - eps, 1 - eps + delta_min], into which
-    every cycle searches from the first.  The cycle cap is ``MAX_CYCLES``.
-    """
+    """The solver constant ``delta_min``: the width of every user's band
+    [1 - eps, 1 - eps + delta_min], into which every descent cycle and the ZF
+    degenerate-spectrum step search.  Not a setting; the cycle cap is
+    ``MAX_CYCLES``."""
 
-    delta_min: float = 1e-3
-
-    def __post_init__(self):
-        if np.ndim(self.delta_min) != 0 or not self.delta_min > 0:
-            raise ValueError("delta_min must be a positive scalar")
+    delta_min = 1e-3
 
 
 @dataclass
@@ -103,9 +97,9 @@ class OutageOracle:
     sigma_k^2 and tau = c . (g_k - w_k) - sigma_k^2, where g_k = |h_k^H B|^2
     and w_k = |a_k^H G_k|^2: the values ``build_outage_form`` computes from
     scratch.  Calls ``oracle(powers, k)`` are the solver's constraint
-    evaluations and are counted in ``evals``; ``constraint`` is the exact
-    probability here (subclasses substitute a surrogate), and ``exact`` and
-    ``exact_all`` evaluate it without counting.
+    evaluations, counted in ``evals``; ``constraint`` reads ``bounded`` at
+    sigma_k^2, which a surrogate subclass overrides alone, and ``exact`` and
+    ``exact_all`` evaluate the exact probability without counting.
     """
 
     def __init__(self, instance: ScenarioInstance, beamformer: BeamformerMatrix,
@@ -118,9 +112,8 @@ class OutageOracle:
         self.g_herms = self.g_mats.conj().transpose(0, 2, 1)  # G_k^H, views
         self.centres = -np.einsum("kij,kj->ki", inv_sqrt_c, instance.est_channels.conj())
         self.hb = instance.est_channels @ beamformer.columns
-        self.gains = np.abs(self.hb) ** 2
         a_g = np.einsum("ki,kij->kj", self.centres.conj(), self.g_mats)
-        self.gains_minus_w = self.gains - np.abs(a_g) ** 2
+        self.gains_minus_w = np.abs(self.hb) ** 2 - np.abs(a_g) ** 2
         if self.model_root:
             # y = G_k^H (x - a_k): E|y_j|^2 = lin_j, Cov(|y_i|^2, |y_j|^2) = cov_sq_ij
             r, b = np.einsum("kli,klj->kij", self.g_mats.conj(), self.g_mats), a_g.conj()
@@ -141,15 +134,10 @@ class OutageOracle:
         return (self.g_mats[k] * c) @ self.g_herms[k]
 
     def minus_form(self, powers: np.ndarray, k: int, sigma2: float = None) -> tuple:
-        """(-Q, a, tau) of ``form`` at noise sigma2 (None: sigma_k^2)."""
+        """(-Q, a, tau) of user k's form at noise sigma2 (None: sigma_k^2)."""
         c, sigma2 = self.signed_powers(powers, k), self.noise_var[k] if sigma2 is None else sigma2
         return (self.q_matrix(-c, k), self.centres[k],
                 float(c @ self.gains_minus_w[k]) - float(sigma2))
-
-    def form(self, powers: np.ndarray, k: int) -> QuadraticOutageForm:
-        c, (minus_q, a, tau) = self.signed_powers(powers, k), self.minus_form(powers, k)
-        return QuadraticOutageForm(Q=-minus_q, r=self.g_mats[k] @ (c * self.hb[k].conj()),
-                                   v=float(c @ self.gains[k]) - float(self.noise_var[k]), a=a, tau=tau)
 
     def exact(self, powers: np.ndarray, k: int) -> float:
         return outage_probability(self.minus_form(powers, k)).value
@@ -162,10 +150,10 @@ class OutageOracle:
                          for form, *eig in zip(forms, *eigs)])
 
     def constraint(self, powers: np.ndarray, k: int) -> float:
-        return self.exact(powers, k)
+        return self.bounded(powers, k, float(self.noise_var[k]))[0]
 
     def bounded(self, powers: np.ndarray, k: int, sigma2: float) -> tuple:
-        """(value, error bound) of user k's ``constraint`` at noise sigma2."""
+        """(value, error bound) of user k's probability at noise sigma2."""
         est = outage_probability(self.minus_form(powers, k, sigma2))
         return est.value, est.abs_error_bound
 
@@ -402,11 +390,11 @@ def _try_jump(oracle: OutageOracle, probs: _LazyProbs, p_prev: np.ndarray,
     return None
 
 
-def _run_descent(oracle: OutageOracle, config: DescentConfig,
-                 p_start: PowerAllocation):
+def _run_descent(oracle: OutageOracle, p_start: PowerAllocation):
     """The shared engine on a fresh oracle (its ``evals`` are the report's):
     start from p_start, else ``_model_start``, else ``init_powers_pcsi``;
-    double to a feasible start; then search each user's power cyclically.
+    double to a feasible start; then search each user's power cyclically
+    into the band of width ``DescentConfig.delta_min``.
     ``infeasible_start_not_found`` means the doubling from that one point met
     ``POWER_CAP`` or ``MAX_DOUBLINGS`` first, or a user's certified ray limit
     is below its floor; no other start is tried.
@@ -430,7 +418,7 @@ def _run_descent(oracle: OutageOracle, config: DescentConfig,
     p, start_probs, doublings, feasible = _find_feasible_start(oracle, p_init)
     probs = _LazyProbs(oracle, p, start_probs)
     bisect_steps = cycles = jumps = 0
-    delta_min, stalled, totals = float(config.delta_min), False, []
+    delta_min, stalled, totals = DescentConfig.delta_min, False, []
     status = SolveStatus.CYCLE_LIMIT if feasible else SolveStatus.INFEASIBLE_START_NOT_FOUND
     while feasible:
         if probs.first_failing(lambda k, q: floor[k] <= q <= floor[k] + delta_min,
@@ -464,9 +452,7 @@ def _run_descent(oracle: OutageOracle, config: DescentConfig,
 
 
 def solve_general(instance: ScenarioInstance, beamformer: BeamformerMatrix,
-                  qos: QoSSpec, config: DescentConfig = None,
-                  p_start: PowerAllocation = None) -> SolveReport:
+                  qos: QoSSpec, p_start: PowerAllocation = None) -> SolveReport:
     """Coordinate descent against the exact outage probabilities for any
     fixed directions."""
-    config = config or DescentConfig()
-    return _run_descent(OutageOracle(instance, beamformer, qos), config, p_start)
+    return _run_descent(OutageOracle(instance, beamformer, qos), p_start)

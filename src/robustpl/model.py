@@ -197,18 +197,19 @@ def uplink_error_variance(sigma2_bs: float, l_ut: int, p_ut: float) -> float:
 
 def simulate_uplink_estimate(true_channels: np.ndarray, sigma2_bs: float,
                              l_ut: int, p_ut: float, rng_seed):
-    """Additive Gaussian channel estimates from uplink training.
+    """Additive Gaussian channel estimates from uplink training: the
+    ``draw_estimate`` at sigma_e^2 = ``uplink_error_variance``."""
+    sigma_e2 = uplink_error_variance(sigma2_bs, l_ut, p_ut)
+    return draw_estimate(true_channels, sigma_e2, _as_rng(rng_seed))
 
-    Returns (est_channels, error_cov) with est = true + error, the error drawn
-    i.i.d. CN(0, sigma_e^2 I) per user, and error_cov[k] = sigma_e^2 I.
-    """
-    rng = _as_rng(rng_seed)
+
+def draw_estimate(true_channels: np.ndarray, sigma_e2: float, rng: np.random.Generator):
+    """(est_channels, error_cov) with est = true + error, the error drawn
+    i.i.d. CN(0, sigma_e^2 I) per user from rng, and error_cov[k] = sigma_e^2 I."""
     h = np.asarray(true_channels, dtype=complex)
     k, nt = h.shape
-    sigma_e2 = uplink_error_variance(sigma2_bs, l_ut, p_ut)
     est = h + np.sqrt(sigma_e2) * complex_normal(rng, k, nt)
-    cov = np.broadcast_to(sigma_e2 * np.eye(nt), (k, nt, nt)).copy()
-    return est, cov
+    return est, np.broadcast_to(sigma_e2 * np.eye(nt), (k, nt, nt)).copy()
 
 
 def build_zf(est_channels: np.ndarray) -> BeamformerMatrix:

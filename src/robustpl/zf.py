@@ -36,7 +36,6 @@ EPS = 2.0 ** -52
 # The coordinate-update fixed point meets the surrogate constraints with
 # equality; a hair of slack keeps float noise from costing whole cycles.
 FEASIBILITY_SLACK = 1e-6
-FALLBACK_DELTA = DescentConfig().delta_min  # band of the degenerate-spectrum step
 
 
 class ApproximationInapplicable(Exception):
@@ -171,13 +170,15 @@ class SurrogateOracle(OutageOracle):
     squared norm), the standard deviation of the margin's linear term, and
     ``gamma_prime`` = gamma / (1 + eta).  Raises ValueError for directions
     that are not ZF for the estimates, and ApproximationInapplicable when
-    1 + eta_k <= 0.  ``constraint`` is the surrogate probability by residues
-    on the spectrum of -Q = -G_k diag(c) G_k^H, or by quadrature on the same
-    eigenvalues (the rotated centre is zero) when they collide or the
-    residue sum's rounding bound exceeds ROUNDING_TOL; ``report`` certifies
-    the returned powers with ``exact_all``.  ``spectra`` decomposes every
-    user at one power vector in one stacked call, kept (``last_read``) for
-    ``spectrum`` at those powers; other reads decompose one matrix.
+    1 + eta_k <= 0.  It overrides only ``bounded``, which the inherited
+    ``constraint`` and ``ray_limit`` read: the surrogate probability by
+    residues on the spectrum of -Q = -G_k diag(c) G_k^H, or by quadrature on
+    the same eigenvalues (the rotated centre is zero) when they collide or
+    the residue sum's rounding bound exceeds ROUNDING_TOL; ``report``
+    certifies the returned powers with ``exact_all``.  ``spectra``
+    decomposes every user at one power vector in one stacked call, kept
+    (``last_read``) for ``spectrum`` at those powers; other reads decompose
+    one matrix.
     """
 
     sloped = model_root = None  # no slope and no model: first probes go along the chord
@@ -187,10 +188,8 @@ class SurrogateOracle(OutageOracle):
         super().__init__(instance, beamformer, qos)
         if np.max(np.abs(self.hb - np.eye(qos.n_users))) > ZF_TOL:
             raise ValueError("beamformer is not zero-forcing for the estimates")
-        self.r_norm2 = np.empty(qos.n_users)
-        for k in range(qos.n_users):
-            r_tilde = instance.cov_roots[0][k] @ beamformer.column(k)
-            self.r_norm2[k] = float(np.real(r_tilde.conj() @ r_tilde))
+        r_tilde = [g[:, k] for k, g in enumerate(self.g_mats)]  # C_k^{1/2} b_k
+        self.r_norm2 = np.array([float(np.real(r.conj() @ r)) for r in r_tilde])
         self.eta = eta_multiple * 2.0 * np.sqrt(self.r_norm2)
         if np.any(1.0 + self.eta <= 0):
             raise ApproximationInapplicable(
@@ -219,9 +218,6 @@ class SurrogateOracle(OutageOracle):
             est = cdf_quadrature(centred, float(powers[k] / gamma_prime - sigma2))
             return est.value, est.abs_error_bound
 
-    def constraint(self, powers: np.ndarray, k: int) -> float:
-        return self.bounded(powers, k, float(self.noise_var[k]))[0]
-
     def start(self) -> PowerAllocation:
         """Closed-form start: per user, the equal-power level meeting its
         surrogate constraint with equality, or gamma_k sigma_k^2 when the
@@ -248,8 +244,9 @@ class SurrogateOracle(OutageOracle):
         """User k's update with the spectrum frozen at p_frozen; on a
         degenerate spectrum, p[k] doubles from max(gamma_k sigma_k^2, p[k])
         until the counted constraint holds, then bisects into the band
-        [1 - eps_k, 1 - eps_k + FALLBACK_DELTA].  The doubling gives up once
-        the total power passes POWER_CAP and returns that p[k] unevaluated."""
+        [1 - eps_k, 1 - eps_k + DescentConfig.delta_min].  The doubling gives
+        up once the total power passes POWER_CAP and returns that p[k]
+        unevaluated."""
         lam_nz = self.spectrum(p_frozen, k)
         epsilon_k = float(self.qos.epsilon[k])
         try:
@@ -266,7 +263,7 @@ class SurrogateOracle(OutageOracle):
                 break
             prob = self(trial, k)
             if prob >= 1.0 - epsilon_k:
-                return _bisect_user_power(self, trial, k, FALLBACK_DELTA,
+                return _bisect_user_power(self, trial, k, DescentConfig.delta_min,
                                           epsilon_k, prob)[0]
             trial[k] *= 2.0
         return float(trial[k])
@@ -280,16 +277,13 @@ class SurrogateOracle(OutageOracle):
 
 def solve_zf_coord_descent(instance: ScenarioInstance,
                            beamformer: BeamformerMatrix, qos: QoSSpec,
-                           config: DescentConfig = None,
                            eta_multiple: float = DEFAULT_ETA_MULTIPLE,
                            p_start: PowerAllocation = None) -> SolveReport:
     """Coordinate descent with the residue surrogate in place of the exact
     integral; the exact probabilities of the returned powers are certified by
     quadrature and reported alongside the surrogate ones.
     """
-    config = config or DescentConfig()
-    oracle = SurrogateOracle(instance, beamformer, qos, eta_multiple)
-    return _run_descent(oracle, config, p_start)
+    return _run_descent(SurrogateOracle(instance, beamformer, qos, eta_multiple), p_start)
 
 
 def solve_zf_coord_update(instance: ScenarioInstance,

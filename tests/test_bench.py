@@ -104,6 +104,27 @@ class TestSweep:
                     assert exact.total_power <= approx.total_power \
                         + 1e-6 * approx.total_power
 
+    def test_trial_estimate_is_the_uplink_draw(self, monkeypatch):
+        # run_trial draws its estimate as simulate_uplink_estimate does,
+        # from the trial's channel and seed, bit for bit
+        from robustpl import generate_rayleigh_channels, simulate_uplink_estimate
+
+        seen = []
+
+        def recording(method, instance, est, qos, config):
+            seen.append(instance)
+            raise Diverged("recorded")
+
+        monkeypatch.setattr(robustpl.bench, "_run_method", recording)
+        cfg = small_config(methods=("ZF-General",), gamma_db=(3.0,), seed=11)
+        robustpl.bench.run_trial(cfg, 1)
+        h = generate_rayleigh_channels(3, 3, np.random.default_rng([11, 0, 1]))
+        est, cov = simulate_uplink_estimate(h, cfg.sigma2_bs, 1, 4.99, [11, 1, 1, 0])
+        (instance,) = seen
+        assert np.array_equal(instance.true_channels, h)
+        assert np.array_equal(instance.est_channels, est)
+        assert np.array_equal(instance.error_cov, cov)
+
     def test_thread_pool_matches_sequential(self):
         cfg = small_config(methods=("ZF-CoordUpdate",), gamma_db=(3.0,))
         assert run_sweep(cfg, n_threads=1) == run_sweep(cfg, n_threads=2)

@@ -1,6 +1,8 @@
-"""The pair statistics and the clone helper of scripts/bench_record.py."""
+"""The pair statistics, the clone helper and the line counts of
+scripts/bench_record.py."""
 
 import importlib.util
+import json
 import subprocess
 from pathlib import Path
 
@@ -92,3 +94,29 @@ def test_clone_head_refuses_modified_tracked_files(repo, tmp_path):
     with pytest.raises(ValueError, match="modified tracked files"):
         bench_record.clone_head(repo, tmp_path / "copy")
     assert not (tmp_path / "copy").exists()
+
+
+def test_src_lines_counts_each_module_and_the_total(tmp_path):
+    package = tmp_path / "src" / "robustpl"
+    package.mkdir(parents=True)
+    (package / "a.py").write_text("x = 1\n\ny = 2\n")
+    (package / "b.py").write_text("z = 3\n")
+    (package / "notes.txt").write_text("not counted\n")
+    assert bench_record.src_lines(tmp_path) == {"a.py": 3, "b.py": 1, "total": 4}
+
+
+def test_record_writes_the_src_lines_of_the_measured_copy(tmp_path, monkeypatch):
+    def fake_run(root, workload, seed, seconds, trace):
+        return {"seed": seed, "digest": "d",
+                "metrics": {"solves_per_s": {"value": 1.0, "unit": "1/s"}}}
+
+    monkeypatch.setattr(bench_record, "run_perfbench", fake_run)
+    measured = tmp_path / "copy"
+    (measured / "src" / "robustpl").mkdir(parents=True)
+    (measured / "src" / "robustpl" / "m.py").write_text("a = 1\nb = 2\n")
+    args = bench_record.parse_args(["--out", str(tmp_path / "out.json"), "--seeds", "1,2"])
+    benchmark = {"run_seconds": 1, "workloads": [{"name": "w"}],
+                 "end_to_end": [{"name": "solves_per_s", "better": "higher", "bound": 0.25}]}
+    bench_record.record(args, benchmark, {"change": measured})
+    written = json.loads((tmp_path / "out.json").read_text())
+    assert written["src_lines"] == {"m.py": 2, "total": 2}

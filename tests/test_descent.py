@@ -81,14 +81,6 @@ def minimal_feasible_power(instance, beamformer, qos, powers, k, band=1e-6):
     return hi
 
 
-class TestDescentConfig:
-    @pytest.mark.parametrize("delta_min", [pytest.param(0, id="zero"),
-                                           pytest.param([1e-3, 2e-3, 1e-3], id="vector")])
-    def test_rejects_a_band_that_is_not_a_positive_scalar(self, delta_min):
-        with pytest.raises(ValueError, match="delta_min"):
-            DescentConfig(delta_min=delta_min)
-
-
 class TestFeasibleStart:
     def test_near_perfect_csi_needs_at_most_two_doublings(self):
         inst, b, qos = make_zf_setup(101, sigma_e2=1e-12)
@@ -104,8 +96,7 @@ class TestFeasibleStart:
 
     def test_hopeless_instance_reports_infeasible(self):
         inst, b, qos = make_zf_setup(105, sigma_e2=0.5, gamma_db=10.0)
-        config = DescentConfig()
-        report = solve_general(inst, b, qos, config)
+        report = solve_general(inst, b, qos)
         assert report.status is SolveStatus.INFEASIBLE_START_NOT_FOUND
         # Monte Carlo confirms the outage constraint is still violated at the
         # power level where the search gave up
@@ -289,10 +280,18 @@ class TestBisection:
         inst, b, qos = make_zf_setup(113)
         start, feasible = feasible_start(inst, b, qos)
         assert feasible
-        config = DescentConfig()
-        report = solve_general(inst, b, qos, config, p_start=start)
+        report = solve_general(inst, b, qos, p_start=start)
         # one cycle of 3 users, each within the 60-step guard
         assert report.bisection_steps <= report.cycles * 3 * 60
+
+    def test_band_is_the_class_constant(self, monkeypatch):
+        # at the default 1e-3 this setup ends with user 0 about 5e-4 above
+        # its floor, outside the narrower band
+        inst, b, qos = make_zf_setup(113)
+        monkeypatch.setattr(DescentConfig, "delta_min", 2e-4)
+        report = solve_general(inst, b, qos)
+        assert report.solved
+        assert np.all((report.per_user_prob >= 0.95) & (report.per_user_prob <= 0.95 + 2e-4))
 
 
 class ModelStub:
@@ -457,8 +456,8 @@ class TestJump:
         monkeypatch.setattr(robustpl.descent, "_try_jump", recording)
         for name in REFERENCE_CASES:
             since[0] = 0
-            inst, b, qos, config, solver = reference_case(name)
-            reports.append(solver(inst, b, qos, config))
+            inst, b, qos, solver = reference_case(name, monkeypatch)
+            reports.append(solver(inst, b, qos))
         assert sum(r.jumps for r in reports) == len(accepted) > 0
         assert min(tried) >= 2
         for oracle, before, q in accepted:
@@ -473,11 +472,11 @@ class TestJump:
         def failing(*args):
             raise AssertionError("jump tried")
 
-        inst, b, qos, config, solver = reference_case("3x3-601-5-zf")
-        want = solver(inst, b, qos, config)
+        inst, b, qos, solver = reference_case("3x3-601-5-zf", monkeypatch)
+        want = solver(inst, b, qos)
         assert want.cycles <= 2
         monkeypatch.setattr(robustpl.descent, "_try_jump", failing)
-        assert np.array_equal(solver(inst, b, qos, config).powers.powers, want.powers.powers)
+        assert np.array_equal(solver(inst, b, qos).powers.powers, want.powers.powers)
 
 
 FLOOR, DELTA = 0.95, 1e-3
@@ -685,16 +684,16 @@ class TestOutageOracle:
                         want = residue_spectrum(-ref.Q)
                         got = surrogate.spectrum(p, k)
                         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-                    got = oracle.form(p, k)
-                    for name in ("Q", "r", "a"):
-                        want = getattr(ref, name)
-                        err = np.max(np.abs(getattr(got, name) - want))
-                        assert err <= 1e-13 * np.max(np.abs(want)), name
-                    # v = c . g_k - sigma_k^2 cancels against the noise
-                    noise = float(inst.noise_var[k])
-                    assert abs(got.v - ref.v) <= 1e-13 * (abs(ref.v) + noise)
+                    minus_q, a, tau = oracle.minus_form(p, k)
+                    for got, want in ((-minus_q, ref.Q), (a, ref.a)):
+                        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+                    # tau = v - a^H Q a, where v = c . g_k - sigma_k^2
                     quad = abs(float(np.real(ref.a.conj() @ ref.Q @ ref.a)))
-                    assert abs(got.tau - ref.tau) <= 1e-13 * (abs(ref.v) + quad)
+                    assert abs(tau - ref.tau) <= 1e-13 * (abs(ref.v) + quad)
+                    # the noise-free tau of the ray limit
+                    noise = float(inst.noise_var[k])
+                    tau_free = oracle.minus_form(p, k, 0.0)[2]
+                    assert abs(tau_free - (ref.tau + noise)) <= 1e-13 * (abs(ref.v) + quad + noise)
 
     def test_one_eigh_per_exact_evaluation(self, monkeypatch):
         inst, b, qos = make_zf_setup(409)
@@ -712,6 +711,20 @@ class TestOutageOracle:
         assert calls == [2, 2, 2, 3]  # exact_all: one stacked call
         assert oracle.evals == 3
         assert values[:3] == values[3:]
+
+    def test_constraint_is_bounded_at_the_noise(self):
+        # one counted read: the call is ``bounded``'s value at sigma_k^2 on
+        # both oracles, and the exact one's is ``exact``'s
+        inst, b, qos = make_zf_setup(409)
+        for oracle in (OutageOracle(inst, b, qos), SurrogateOracle(inst, b, qos)):
+            for scale in (0.5, 1.3, 4.0):
+                p = scale * 0.01 * qos.gamma
+                for k in range(3):
+                    value = oracle(p, k)
+                    assert value == oracle.bounded(p, k, float(inst.noise_var[k]))[0]
+                    if type(oracle) is OutageOracle:
+                        assert value == oracle.exact(p, k)
+            assert oracle.evals == 9
 
     @pytest.mark.parametrize("n", [3, 6])
     def test_slope_matches_central_difference(self, n):
@@ -758,11 +771,11 @@ class TestOutageOracle:
                 at[k] = oracle.model_root(p, k, z)
                 assert at[k] > 0
                 # the model's mean and variance are the moments of the form's spectrum
-                form = oracle.form(at, k)
-                spectrum = _spectrum(-form.Q, form.a)[0]
+                minus_q, a, tau = oracle.minus_form(at, k)
+                spectrum = _spectrum(minus_q, a)[0]
                 mu, s2 = _moments(spectrum.eigenvalues.tolist(),
                                   (np.abs(spectrum.z_tilde) ** 2).tolist())
-                assert (form.tau - mu) / math.sqrt(s2) == pytest.approx(z, rel=1e-9)
+                assert (tau - mu) / math.sqrt(s2) == pytest.approx(z, rel=1e-9)
                 assert abs(oracle.exact(at, k) - aim) <= 0.05
                 # the model's z-score rises towards n1 / sqrt(K_kk) as p_k grows,
                 # so an aim past that limit has no root
@@ -852,7 +865,7 @@ def eager_jump(oracle, p, p_prev, totals, floor):
     return None
 
 
-def eager_descent(oracle, beamformer, qos, config, p_start):
+def eager_descent(oracle, beamformer, qos, p_start):
     """Reference: the doubling start and the cycle loop that evaluate every
     user in every doubling round (and the ray limit the start reads) and
     again after every cycle.  A search
@@ -863,7 +876,7 @@ def eager_descent(oracle, beamformer, qos, config, p_start):
     tries the descent's jump, evaluating every user at each point tried."""
     norms2 = np.sum(np.abs(beamformer.columns) ** 2, axis=0)
     floor = 1.0 - qos.epsilon
-    delta = float(config.delta_min)
+    delta = DescentConfig.delta_min
     p, doublings, order, checked = p_start.copy(), 0, list(range(p_start.size)), set()
     while True:
         probs = np.array([oracle(p, k) for k in range(p.size)])
@@ -915,8 +928,9 @@ def eager_descent(oracle, beamformer, qos, config, p_start):
                 doublings=doublings, jumps=jumps, per_user_prob=probs, evals=oracle.evals)
 
 
-def reference_case(name):
-    """(instance, beamformer, qos, config, solver) of a named case."""
+def reference_case(name, monkeypatch):
+    """(instance, beamformer, qos, solver) of a named case; the "stall" case
+    narrows the band ``DescentConfig.delta_min`` through monkeypatch."""
     from robustpl import build_pcsi_directions, build_rci
 
     if name.startswith("3x3"):
@@ -926,15 +940,16 @@ def reference_case(name):
         b = {"zf": lambda: build_zf(inst.est_channels),
              "rci": lambda: build_rci(inst.est_channels, 0.03),
              "pcsi": lambda: build_pcsi_directions(inst.est_channels, qos)}[directions]()
-        return inst, b, qos, DescentConfig(), solve_general
+        return inst, b, qos, solve_general
     inst, b, qos = {
         "6x6": lambda: make_zf_setup(611, n_tx=6, n_users=6),
         "hopeless": lambda: make_zf_setup(105, sigma_e2=0.5, gamma_db=10.0),
         "stall": lambda: make_zf_setup(9),
     }.get(name, lambda: make_zf_setup(613))()
-    config = DescentConfig(delta_min=1e-17 if name == "stall" else 1e-3)
+    if name == "stall":
+        monkeypatch.setattr(DescentConfig, "delta_min", 1e-17)
     solver = solve_zf_coord_descent if name == "surrogate" else solve_general
-    return inst, b, qos, config, solver
+    return inst, b, qos, solver
 
 
 REFERENCE_CASES = ([f"3x3-{seed}-{g}-{d}" for seed in (601, 602) for g in (0, 5, 10)
@@ -947,14 +962,14 @@ class TestLazyEvaluation:
     def test_matches_eager_reference(self, name, monkeypatch):
         import robustpl.descent
 
-        inst, b, qos, config, solver = reference_case(name)
+        inst, b, qos, solver = reference_case(name, monkeypatch)
         oracle = (SurrogateOracle(inst, b, qos) if solver is solve_zf_coord_descent
                   else OutageOracle(inst, b, qos))
         # the solver's own start: the model start, else the PCSI ray
         p_start = _model_start(oracle) if oracle.model_root else None
         if p_start is None:
             p_start = init_powers_pcsi(inst.est_channels, b, qos, inst.noise_var)[0].powers
-        want = eager_descent(oracle, b, qos, config, p_start)
+        want = eager_descent(oracle, b, qos, p_start)
         # per search of the solver: was its lower bound above the band?  A
         # new run of searches starts at each accepted jump
         runs, search, jump = [[]], robustpl.descent._bisect_user_power, robustpl.descent._try_jump
@@ -972,10 +987,10 @@ class TestLazyEvaluation:
         monkeypatch.setattr(robustpl.descent, "_try_jump", jumping)
         if name == "strict":
             with strict_step_checks() as steps:
-                report = solver(inst, b, qos, config)
+                report = solver(inst, b, qos)
             assert len(steps) == qos.n_users * report.cycles > 0
         else:
-            report = solver(inst, b, qos, config)
+            report = solver(inst, b, qos)
         assert report.status is want["status"]
         assert np.array_equal(report.powers.powers, want["powers"])
         for field in ("cycles", "bisection_steps", "doublings", "jumps"):
@@ -995,10 +1010,10 @@ class TestLazyEvaluation:
     def test_every_exit_reports_fresh_probabilities(self, name, status, monkeypatch):
         import robustpl.descent
 
-        inst, b, qos, config, _ = reference_case(name)
+        inst, b, qos, _ = reference_case(name, monkeypatch)
         if name == "cycle-limit":
             monkeypatch.setattr(robustpl.descent, "MAX_CYCLES", 1)
-        report = solve_general(inst, b, qos, config)
+        report = solve_general(inst, b, qos)
         assert report.status is status
         if name == "cycle-limit":
             assert report.cycles == 1

@@ -432,20 +432,23 @@ class TestCoordUpdate:
         assert POWER_CAP < report.total_power
         assert report.integral_evals < 114
 
-    def test_fallback_step_lands_in_band(self):
+    def test_fallback_step_lands_in_band(self, monkeypatch):
         # identity channels give a doubly degenerate spectrum: the step
-        # doubles and bisects on the surrogate oracle
+        # doubles and bisects on the surrogate oracle into the band
+        # DescentConfig.delta_min (at 1e-3 it lands 5.4e-5 above the floor)
         inst, b, qos = identity_channel_setup()
         surrogate = SurrogateOracle(inst, b, qos)
         p_prev = PowerAllocation(powers=qos.gamma * 0.01)
         with pytest.raises(DegenerateSpectrum):
             residue_probability(surrogate.spectrum(p_prev.powers, 0),
                                 float(p_prev.powers[0]), float(surrogate.gamma_prime[0]), 0.01)
-        for k in range(3):
-            trial = p_prev.powers.copy()
-            trial[k] = surrogate.step(p_prev.powers, k, literal_gamma=False)
-            prob = surrogate.constraint(trial, k)
-            assert 0.95 <= prob <= 0.95 + 1e-3
+        for delta in (1e-3, 4e-5):
+            monkeypatch.setattr(DescentConfig, "delta_min", delta)
+            for k in range(3):
+                trial = p_prev.powers.copy()
+                trial[k] = surrogate.step(p_prev.powers, k, literal_gamma=False)
+                prob = surrogate.constraint(trial, k)
+                assert 0.95 <= prob <= 0.95 + delta
 
     def test_fallback_bisection_counts_every_oracle_call(self, monkeypatch):
         # identity channels give a doubly degenerate spectrum, so every
