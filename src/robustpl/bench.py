@@ -85,7 +85,7 @@ class ExperimentConfig:
             raise ValueError("counts must be positive")
         if not (0 < self.epsilon < 1):
             raise ValueError("epsilon must lie in (0, 1)")
-        self.error_variances()  # rejects a negative sigma_e2 or bad training
+        self.error_variances()  # rejects a nonpositive sigma_e2 or bad training
         if self.mc_certify_samples < 0:
             raise ValueError("mc_certify_samples must be nonnegative")
 
@@ -101,8 +101,8 @@ class ExperimentConfig:
 
     def error_variances(self) -> tuple:
         if self.sigma_e2 is not None:
-            if not all(s >= 0 for s in self.sigma_e2):
-                raise ValueError("sigma_e2 entries must be nonnegative")
+            if not all(s > 0 for s in self.sigma_e2):
+                raise ValueError("sigma_e2 entries must be positive")
             return self.sigma_e2
         return (uplink_error_variance(self.sigma2_bs,
                                       int(self.training["L_ut"]),

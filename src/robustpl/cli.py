@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 
 from .bench import (
@@ -27,8 +26,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--out", required=True, help="output records path")
     sweep.add_argument("--threads", type=int, default=1,
                        help="worker processes (default 1)")
-    sweep.add_argument("--mc-certify", type=int, default=None, metavar="S",
-                       help="re-verify successes with S Monte Carlo samples")
 
     agg = sub.add_parser("aggregate", help="summarize a records file")
     agg.add_argument("--in", dest="infile", required=True)
@@ -44,9 +41,6 @@ def main(argv=None) -> int:
     try:
         if args.command == "sweep":
             config = ExperimentConfig.from_json(args.config)
-            if args.mc_certify is not None:
-                config = dataclasses.replace(
-                    config, mc_certify_samples=args.mc_certify)
             records = run_sweep(config, n_threads=args.threads)
             export_records(records, args.out)
         else:

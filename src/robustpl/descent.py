@@ -93,9 +93,9 @@ class OutageOracle:
 
     With G_k = C_k^{1/2} B, a_k = -C_k^{-1/2} h_k and the signed powers c
     (p_k / gamma_k at k, -p_j elsewhere), user k's outage form at any powers
-    is Q = G_k diag(c) G_k^H, r = G_k (c * conj(h_k^H B)), v = c . g_k -
-    sigma_k^2 and tau = c . (g_k - w_k) - sigma_k^2, where g_k = |h_k^H B|^2
-    and w_k = |a_k^H G_k|^2: the values ``build_outage_form`` computes from
+    is Q = G_k diag(c) G_k^H, r = G_k (c * conj(h_k^H B)), v = c . |h_k^H
+    B|^2 - sigma_k^2 and tau = -sigma_k^2, as a_k^H G_k = -h_k^H B for the
+    positive definite C_k: the values ``build_outage_form`` computes from
     scratch.  Calls ``oracle(powers, k)`` are the solver's constraint
     evaluations, counted in ``evals``; ``constraint`` reads ``bounded`` at
     sigma_k^2, which a surrogate subclass overrides alone, and ``exact`` and
@@ -111,12 +111,10 @@ class OutageOracle:
         self.g_mats = sqrt_c @ beamformer.columns
         self.g_herms = self.g_mats.conj().transpose(0, 2, 1)  # G_k^H, views
         self.centres = -np.einsum("kij,kj->ki", inv_sqrt_c, instance.est_channels.conj())
-        self.hb = instance.est_channels @ beamformer.columns
-        a_g = np.einsum("ki,kij->kj", self.centres.conj(), self.g_mats)
-        self.gains_minus_w = np.abs(self.hb) ** 2 - np.abs(a_g) ** 2
         if self.model_root:
-            # y = G_k^H (x - a_k): E|y_j|^2 = lin_j, Cov(|y_i|^2, |y_j|^2) = cov_sq_ij
-            r, b = np.einsum("kli,klj->kij", self.g_mats.conj(), self.g_mats), a_g.conj()
+            # y = G_k^H (x - a_k), b = G_k^H a_k: E|y_j|^2 = lin_j, Cov(|y_i|^2, |y_j|^2) = cov_sq_ij
+            r = np.einsum("kli,klj->kij", self.g_mats.conj(), self.g_mats)
+            b = -(instance.est_channels @ beamformer.columns).conj()
             self.lin = np.einsum("kjj->kj", r).real + np.abs(b) ** 2
             self.cov_sq = np.abs(r) ** 2 + 2.0 * np.real(b.conj()[:, :, None] * r * b[:, None, :])
         self.gamma = qos.gamma
@@ -136,8 +134,7 @@ class OutageOracle:
     def minus_form(self, powers: np.ndarray, k: int, sigma2: float = None) -> tuple:
         """(-Q, a, tau) of user k's form at noise sigma2 (None: sigma_k^2)."""
         c, sigma2 = self.signed_powers(powers, k), self.noise_var[k] if sigma2 is None else sigma2
-        return (self.q_matrix(-c, k), self.centres[k],
-                float(c @ self.gains_minus_w[k]) - float(sigma2))
+        return self.q_matrix(-c, k), self.centres[k], -float(sigma2)
 
     def exact(self, powers: np.ndarray, k: int) -> float:
         return outage_probability(self.minus_form(powers, k)).value
@@ -170,18 +167,17 @@ class OutageOracle:
     def sloped(self, powers: np.ndarray, k: int) -> tuple:
         """A counted evaluation and its slope dP/dp_k (``outage_probability``)."""
         self.evals += 1
-        g, gamma_k = self.g_mats[k][:, k], float(self.gamma[k])
-        est = outage_probability(self.minus_form(powers, k), direction=(
-            g / np.sqrt(gamma_k), self.gains_minus_w[k, k] / gamma_k))
+        u = self.g_mats[k][:, k] / np.sqrt(float(self.gamma[k]))
+        est = outage_probability(self.minus_form(powers, k), direction=u)
         return est.value, est.slope
 
     def model_root(self, powers: np.ndarray, k: int, z: float):
         """The p_k (others fixed) where the normal model P = Phi((tau - mean) /
         sd) of user k's form is Phi(z), or None: (n0 + n1 c_k)^2 = z^2 sd^2, as
-        tau - mean = c . (g_k - w_k + lin) - sigma_k^2 and sd^2 = c^T K c."""
+        tau - mean = c . lin - sigma_k^2 and sd^2 = c^T K c."""
         c, cov = self.signed_powers(powers, k), self.cov_sq[k]
-        w, c[k] = self.gains_minus_w[k] + self.lin[k], 0.0
-        n0, n1 = float(c @ w) - float(self.noise_var[k]), float(w[k])
+        lin, c[k] = self.lin[k], 0.0
+        n0, n1 = float(c @ lin) - float(self.noise_var[k]), float(lin[k])
         a, b = n1 * n1 - z * z * cov[k, k], n0 * n1 - z * z * float(cov[k] @ c)
         q = n0 * n0 - z * z * float(c @ cov @ c)
         if (disc := b * b - a * q) < 0.0:

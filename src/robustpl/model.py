@@ -69,8 +69,9 @@ class ScenarioInstance:
     """One simulated draw: true channels, estimates, error covariances, noise.
 
     Row k of ``true_channels`` / ``est_channels`` is the conjugated channel
-    vector h_k^H / its estimate.  ``error_cov[k]`` is the Hermitian PSD
-    covariance of the estimation error for user k.
+    vector h_k^H / its estimate.  ``error_cov[k]`` is the Hermitian positive
+    definite covariance of the estimation error for user k: its smallest
+    eigenvalue must exceed 1e-12 times its largest.
     """
 
     true_channels: np.ndarray
@@ -100,8 +101,8 @@ class ScenarioInstance:
         for ck in cov:
             if np.max(np.abs(ck - ck.conj().T)) > HERMITIAN_TOL * scale:
                 raise ValueError("error covariance is not Hermitian")
-            if np.min(np.linalg.eigvalsh(ck)) < -1e-12 * scale:
-                raise ValueError("error covariance has a significantly negative eigenvalue")
+            if not (w := np.linalg.eigvalsh(ck))[0] > 1e-12 * w[-1]:
+                raise ValueError("error covariance is not positive definite")
 
     @property
     def n_users(self) -> int:
@@ -138,9 +139,6 @@ class BeamformerMatrix:
     @property
     def n_users(self) -> int:
         return self.columns.shape[1]
-
-    def column(self, k: int) -> np.ndarray:
-        return self.columns[:, k]
 
 
 @dataclass(frozen=True)
@@ -289,13 +287,10 @@ def psd_sqrt(c: np.ndarray) -> np.ndarray:
 
 
 def psd_inv_sqrt(c: np.ndarray) -> np.ndarray:
-    """Pseudo-inverse square root; eigenvalues below 1e-12 * lambda_max are
-    treated as zero."""
+    """Principal inverse square root C^{-1/2} of a Hermitian positive definite
+    C, as ``ScenarioInstance`` admits."""
     w, v = np.linalg.eigh(np.asarray(c, dtype=complex))
-    w = np.clip(w, 0.0, None)
-    cutoff = 1e-12 * max(float(w.max(initial=0.0)), 0.0)
-    inv = np.where(w > cutoff, 1.0 / np.sqrt(np.where(w > cutoff, w, 1.0)), 0.0)
-    return (v * inv) @ v.conj().T
+    return (v * (1.0 / np.sqrt(w))) @ v.conj().T
 
 
 def _signal_interference_matrix(beamformer: BeamformerMatrix,

@@ -366,7 +366,7 @@ def cdf_quadrature(spectrum: EigenSpectrum, tau: float, tol: float = QUAD_TOL,
     from the tail bound (``_vertical_cut``, tol/10), and the bound adds a
     rounding floor of eps h sum |f| times f's relative rounding error in
     eps.  Chernoff bounds answer deep tails.
-    ``slope_terms`` (w (3, m), dtau) from ``outage_probability`` adds the
+    ``slope_terms``, the (3, m) weights from ``outage_probability``, adds the
     ``slope``: None for tail shortcuts, mirrored and zero-mode-filtered forms.
     With ``strict``, a bound above tol (as past the node cap MAX_NODES)
     raises ToleranceNotMet carrying the estimate."""
@@ -441,8 +441,8 @@ def cdf_quadrature(spectrum: EigenSpectrum, tau: float, tol: float = QUAD_TOL,
         vals, one_sl = _integrand(s, lam, zt2, tau, g0, True, abs_s := np.abs(s))
         total += float(vals.real.sum())
         if slope_terms is not None:
-            a, b, c = slope_terms[0] @ (1.0 / one_sl)
-            terms = (vals * s * (slope_terms[1] + a * b + c)).real
+            a, b, c = slope_terms @ (1.0 / one_sl)
+            terms = (vals * s * (a * b + c)).real
             slope += float(terms.sum()) - (0.5 * terms[0] if start == 0 else 0.0)
         abs_f = np.abs(vals)
         err_total += err0 * float(abs_f.sum()) + err1 * float(abs_f @ abs_s)
@@ -476,18 +476,18 @@ def outage_probability(form: QuadraticOutageForm | tuple, tol: float = QUAD_TOL,
     """Probability that the SINR target is met, Pr(SINR_k >= gamma_k),
     evaluated as the CDF of the recentred quadratic form at tau (one
     eigendecomposition of -Q); ``form`` is a QuadraticOutageForm or its
-    tuple (-Q, a, tau).  ``direction`` (u, dtau), the derivatives
-    dQ/dp = u u^H and dtau/dp along a power p (user k's own: u = G_k e_k /
-    sqrt(gamma_k)), adds the uncertified ``slope`` dP/dp = (h/pi) e^g0 sum'
-    Re[f s (dtau + A B + C)] on the value's nodes, A, B, C the sums over 1/(1
-    + s lam) weighted by conj(z~) u~, conj(u~) z~ and |u~|^2, u~ = V^H u;
-    the value is unchanged.  ``eig``, -Q's ``np.linalg.eigh`` if known (a
-    slice of a stacked call), skips the decomposition."""
+    tuple (-Q, a, tau).  ``direction`` u, with dQ/dp = u u^H along a power p
+    (user k's own: u = G_k e_k / sqrt(gamma_k); tau = -sigma_k^2 does not
+    move), adds the uncertified ``slope`` dP/dp = (h/pi) e^g0 sum' Re[f s (A
+    B + C)] on the value's nodes, A, B, C the sums over 1/(1 + s lam)
+    weighted by conj(z~) u~, conj(u~) z~ and |u~|^2, u~ = V^H u; the value
+    is unchanged.  ``eig``, -Q's ``np.linalg.eigh`` if known (a slice of a
+    stacked call), skips the decomposition."""
     minus_q, a, tau = form if isinstance(form, tuple) else (-form.Q, form.a, form.tau)
     spectrum, basis = _spectrum(minus_q, a, eig)
     if direction is not None:
-        u_t, z_t = basis @ direction[0], spectrum.z_tilde
-        direction = np.array([z_t.conj() * u_t, u_t.conj() * z_t, abs(u_t) ** 2]), direction[1]
+        u_t, z_t = basis @ direction, spectrum.z_tilde
+        direction = np.array([z_t.conj() * u_t, u_t.conj() * z_t, abs(u_t) ** 2])
     return cdf_quadrature(spectrum, tau, tol=tol, slope_terms=direction)
 
 

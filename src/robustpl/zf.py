@@ -186,7 +186,7 @@ class SurrogateOracle(OutageOracle):
     def __init__(self, instance: ScenarioInstance, beamformer: BeamformerMatrix,
                  qos: QoSSpec, eta_multiple: float = DEFAULT_ETA_MULTIPLE):
         super().__init__(instance, beamformer, qos)
-        if np.max(np.abs(self.hb - np.eye(qos.n_users))) > ZF_TOL:
+        if np.max(np.abs(instance.est_channels @ beamformer.columns - np.eye(qos.n_users))) > ZF_TOL:
             raise ValueError("beamformer is not zero-forcing for the estimates")
         r_tilde = [g[:, k] for k, g in enumerate(self.g_mats)]  # C_k^{1/2} b_k
         self.r_norm2 = np.array([float(np.real(r.conj() @ r)) for r in r_tilde])

@@ -13,17 +13,16 @@ from robustpl import (
     QoSSpec,
     ScenarioInstance,
     build_zf,
-    complex_normal,
     generate_rayleigh_channels,
 )
+from robustpl.model import draw_estimate
 
 
 def make_instance(seed, n_tx=3, n_users=3, sigma_e2=0.002, sigma2=0.01):
     """Paired channel/estimate draw with isotropic estimation error."""
     rng = np.random.default_rng(seed)
     h = generate_rayleigh_channels(n_tx, n_users, rng)
-    est = h + np.sqrt(sigma_e2) * complex_normal(rng, n_users, n_tx)
-    cov = np.broadcast_to(sigma_e2 * np.eye(n_tx), (n_users, n_tx, n_tx)).copy()
+    est, cov = draw_estimate(h, sigma_e2, rng)
     return ScenarioInstance(true_channels=h, est_channels=est, error_cov=cov,
                             noise_var=np.full(n_users, sigma2))
 

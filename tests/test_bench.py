@@ -54,7 +54,8 @@ class TestConfig:
         pytest.param("mc_certify_samples", -5, id="mc_certify_samples--5"),
         pytest.param("training", {"L_ut": 1}, id="training-value5"),
         pytest.param("training", {"L_ut": 0, "P_ut": 4.99}, id="training-value6"),
-        pytest.param("sigma_e2", [-0.01], id="sigma_e2-value7")])
+        pytest.param("sigma_e2", [-0.01], id="sigma_e2-value7"),
+        pytest.param("sigma_e2", [0.0], id="sigma_e2-zero")])
     def test_rejects_out_of_range_solver_settings(self, field, value):
         overrides = {field: value}
         if field == "sigma_e2":
@@ -301,6 +302,7 @@ class TestCli:
         for overrides in ({"delta_min": 0}, {"training": {"L_ut": 1}},
                           {"training": {"L_ut": 0, "P_ut": 4.99}},
                           {"training": None, "sigma_e2": [-0.01]},
+                          {"training": None, "sigma_e2": [0.0]},
                           # fixed solver values are not settings
                           {"quad_tol": 0.3}, {"delta_min": 1e-3}, {"i_max": 50},
                           {"eta_multiple": -1.3}):
@@ -314,8 +316,9 @@ class TestCli:
                          "--out", str(tmp_path / "s.csv")]) == 1
 
     def test_mc_certify_flag(self, tmp_path):
-        cfg = self.write_config(tmp_path)
+        # Monte Carlo certification is a config key only: a records file
+        # depends on nothing but its config and seed
+        cfg = self.write_config(tmp_path, mc_certify_samples=5000)
         out = tmp_path / "records.csv"
-        assert cli_main(["sweep", "--config", str(cfg), "--out", str(out),
-                         "--mc-certify", "5000"]) == 0
+        assert cli_main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
         assert read_records(out)[0].success

@@ -695,6 +695,38 @@ class TestOutageOracle:
                     tau_free = oracle.minus_form(p, k, 0.0)[2]
                     assert abs(tau_free - (ref.tau + noise)) <= 1e-13 * (abs(ref.v) + quad + noise)
 
+    def test_tau_is_minus_the_noise(self):
+        # a_k^H G_k = -h_k^H B for a positive definite C_k, so the form's
+        # tau = c . (|h_k^H B|^2 - |a_k^H G_k|^2) - sigma_k^2 is -sigma_k^2
+        rng = np.random.default_rng(11)
+        for inst, b, qos in self.setups():
+            oracle = OutageOracle(inst, b, qos)
+            p = rng.uniform(0.2, 3.0, inst.n_users) * 0.01 * qos.gamma
+            for k in range(inst.n_users):
+                assert oracle.minus_form(p, k)[2] == -float(inst.noise_var[k])
+                assert oracle.minus_form(p, k, 0.0)[2] == 0.0
+
+    def test_model_mean_is_the_rotated_centre(self):
+        # the moment model's b = G_k^H a_k, taken as -conj(h_k^H B), and the
+        # moments lin and cov_sq built on it
+        from robustpl import build_rci
+        from test_model import correlated_instance
+
+        for seed in (403, 407, 409, 411):
+            inst = correlated_instance(seed)
+            qos = QoSSpec.from_db(5.0, 0.05, inst.n_users)
+            for b in (build_zf(inst.est_channels), build_rci(inst.est_channels, 0.03)):
+                oracle = OutageOracle(inst, b, qos)
+                want = np.einsum("ki,kij->kj", oracle.centres.conj(), oracle.g_mats).conj()
+                got = -(inst.est_channels @ b.columns).conj()
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+                r = np.einsum("kli,klj->kij", oracle.g_mats.conj(), oracle.g_mats)
+                lin = np.einsum("kjj->kj", r).real + np.abs(want) ** 2
+                cov_sq = np.abs(r) ** 2 + 2.0 * np.real(
+                    want.conj()[:, :, None] * r * want[:, None, :])
+                assert np.max(np.abs(oracle.lin - lin)) <= 1e-12 * np.max(lin)
+                assert np.max(np.abs(oracle.cov_sq - cov_sq)) <= 1e-12 * np.max(np.abs(cov_sq))
+
     def test_one_eigh_per_exact_evaluation(self, monkeypatch):
         inst, b, qos = make_zf_setup(409)
         oracle = OutageOracle(inst, b, qos)
@@ -779,7 +811,7 @@ class TestOutageOracle:
                 assert abs(oracle.exact(at, k) - aim) <= 0.05
                 # the model's z-score rises towards n1 / sqrt(K_kk) as p_k grows,
                 # so an aim past that limit has no root
-                n1 = oracle.gains_minus_w[k, k] + oracle.lin[k, k]
+                n1 = oracle.lin[k, k]
                 limit = n1 / math.sqrt(oracle.cov_sq[k, k, k])
                 if limit < 7.0:
                     assert oracle.model_root(p, k, 1.001 * limit) is None

@@ -55,13 +55,6 @@ def identity_channel_setup(sigma_e2=0.002, gamma_db=5.0):
 
 
 class TestZfParams:
-    def test_zero_uncertainty_keeps_targets(self):
-        inst = unitary_channel_instance(0.0)
-        qos = QoSSpec.from_db(5.0, 0.05, 3)
-        oracle = SurrogateOracle(inst, build_zf(inst.est_channels), qos)
-        np.testing.assert_allclose(oracle.eta, 0.0, atol=1e-12)
-        np.testing.assert_allclose(oracle.gamma_prime, qos.gamma, rtol=1e-12)
-
     def test_unit_norm_arithmetic(self):
         inst = unitary_channel_instance(0.002)
         qos = QoSSpec.from_db(5.0, 0.05, 3)
