@@ -17,13 +17,14 @@ measured copy and their total.
 
 With ``--baseline`` the same runs are made on a fresh copy of a second
 checkout's HEAD commit, alternating which of the two goes first from seed to
-seed, and written to
-``--baseline-out``; then each metric's pairwise wins, losses and ties are
-printed, counted in the direction BENCHMARK.json gives it, with the two-sided
-sign-test p-value of the wins against the losses, whether this checkout's
-median is worse than the baseline's by more than the metric's ``bound`` (a
-share of the baseline median), whether a gain may be claimed (``claimable``),
-and per workload whether every seed's digest matches.
+seed, and written to ``--baseline-out``.  The ``src_lines`` totals of both
+sides and their difference are printed first; then each metric's pairwise
+wins, losses and ties (a pair within a relative TIE_REL is a tie), counted
+in the direction BENCHMARK.json gives it, with the two-sided sign-test
+p-value of the wins against the losses, whether this checkout's median is
+worse than the baseline's by more than the metric's ``bound`` (a share of
+the baseline median), whether a gain may be claimed (``claimable``), and
+per workload whether every seed's digest matches.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACE_SEED = 31
+TIE_REL = 1e-12  # pairs this close, relatively, are rounding-level ties
 
 
 def seed_list(text: str) -> list:
@@ -141,17 +143,19 @@ def claimable(wins: int, pairs: int, gap: float, spread: float) -> bool:
 
 def report_pairs(workload: str, runs: list, base_runs: list, better: dict,
                  bounds: dict):
-    """Print, per metric, the pairs this checkout wins, loses and ties, the
-    sign-test p-value, the medians, whether this checkout's median is worse
-    than the baseline's by more than the metric's bound (a share of the
-    baseline median) and whether a gain is ``claimable``; then whether every
-    seed's digest matches."""
+    """Print, per metric, the pairs this checkout wins, loses and ties (within
+    a relative TIE_REL), the sign-test p-value, the medians, whether this
+    checkout's median is worse than the baseline's by more than the metric's
+    bound (a share of the baseline median) and whether a gain is
+    ``claimable``; then whether every seed's digest matches."""
     for name in runs[0]["metrics"]:
         sign = 1.0 if better[name] == "higher" else -1.0
         new = [r["metrics"][name]["value"] for r in runs]
         old = [r["metrics"][name]["value"] for r in base_runs]
-        wins = sum(sign * (a - b) > 0 for a, b in zip(new, old))
-        losses = sum(sign * (a - b) < 0 for a, b in zip(new, old))
+        moved = [sign * (a - b) for a, b in zip(new, old)
+                 if not math.isclose(a, b, rel_tol=TIE_REL)]
+        wins = sum(d > 0 for d in moved)
+        losses = sum(d < 0 for d in moved)
         q1, med_old, q3 = np.percentile(old, [25, 50, 75])
         med_new = np.median(new)
         worse = sign * (med_old - med_new) > bounds[name] * abs(med_old)
@@ -185,6 +189,10 @@ def record(args, benchmark: dict, roots: dict):
                     "seeds": args.seeds, "trace_seed": TRACE_SEED,
                     "workloads": {}}
              for name, root in roots.items()}
+    if args.baseline:
+        change, base = (files[name]["src_lines"]["total"] for name in ("change", "baseline"))
+        print(f"src_lines total: {change} vs {base} (baseline), difference "
+              f"{change - base:+d}", flush=True)
     for workload in (w["name"] for w in benchmark["workloads"]):
         runs = {name: [] for name in roots}
         for i, seed in enumerate(args.seeds):

@@ -23,7 +23,6 @@ from .model import (
 )
 from .quadform import (
     EigenSpectrum,
-    EvalMethod,
     ProbabilityEstimate,
     ToleranceNotMet,
     cdf_quadrature,

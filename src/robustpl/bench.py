@@ -82,7 +82,7 @@ class ExperimentConfig:
             raise ValueError("training needs exactly the keys L_ut and P_ut, "
                              f"not {sorted(self.training)}")
         if self.n_trials < 1 or self.n_tx < 1 or self.n_users < 1:
-            raise ValueError("counts must be positive")
+            raise ValueError("n_trials, n_tx and n_users must be positive")
         if not (0 < self.epsilon < 1):
             raise ValueError("epsilon must lie in (0, 1)")
         self.error_variances()  # rejects a nonpositive sigma_e2 or bad training

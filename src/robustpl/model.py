@@ -136,10 +136,6 @@ class BeamformerMatrix:
         if np.any(norms == 0):
             raise ValueError("beamformer columns must be nonzero")
 
-    @property
-    def n_users(self) -> int:
-        return self.columns.shape[1]
-
 
 @dataclass(frozen=True)
 class PowerAllocation:

@@ -19,7 +19,6 @@ their convex exponent rule out, unminimized, those that cannot reach tol/4.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -39,7 +38,6 @@ from .model import (
 __all__ = [
     "EigenSpectrum",
     "ProbabilityEstimate",
-    "EvalMethod",
     "ToleranceNotMet",
     "decompose",
     "cdf_quadrature",
@@ -60,11 +58,6 @@ class ToleranceNotMet(Exception):
         self.estimate = estimate
 
 
-class EvalMethod(enum.Enum):
-    QUADRATURE = "quadrature"
-    MONTE_CARLO = "monte_carlo"
-
-
 @dataclass(frozen=True)
 class EigenSpectrum:
     """Eigen-data of M: eigenvalues and the rotated centre."""
@@ -77,7 +70,6 @@ class EigenSpectrum:
 class ProbabilityEstimate:
     value: float
     abs_error_bound: float
-    method: EvalMethod
     raw_value: float = None
     slope: float = None  # uncertified dP/dp_k (see outage_probability)
 
@@ -356,8 +348,7 @@ def zero_mode_threshold(lam) -> float:
 
 
 def cdf_quadrature(spectrum: EigenSpectrum, tau: float, tol: float = QUAD_TOL,
-                   beta: float = None, strict: bool = True,
-                   slope_terms=None) -> ProbabilityEstimate:
+                   beta: float = None, slope_terms=None) -> ProbabilityEstimate:
     """The contour integral to absolute tolerance tol by the trapezoid rule
     (h/pi) (1/2 + sum_{n>=1} Re f(nh)), using conjugate symmetry.
 
@@ -368,8 +359,8 @@ def cdf_quadrature(spectrum: EigenSpectrum, tau: float, tol: float = QUAD_TOL,
     eps.  Chernoff bounds answer deep tails.
     ``slope_terms``, the (3, m) weights from ``outage_probability``, adds the
     ``slope``: None for tail shortcuts, mirrored and zero-mode-filtered forms.
-    With ``strict``, a bound above tol (as past the node cap MAX_NODES)
-    raises ToleranceNotMet carrying the estimate."""
+    A bound above tol (as past the node cap MAX_NODES) raises
+    ToleranceNotMet, whose ``estimate`` carries the value and that bound."""
     tau = float(tau)
     lam_all = np.asarray(spectrum.eigenvalues, dtype=float).tolist()
     zt2_all = (np.abs(np.asarray(spectrum.z_tilde)) ** 2).tolist()
@@ -378,8 +369,7 @@ def cdf_quadrature(spectrum: EigenSpectrum, tau: float, tol: float = QUAD_TOL,
             if abs(l) > thresh or z * abs(l) > thresh]
 
     def _exact(value):
-        return ProbabilityEstimate(value=value, abs_error_bound=0.0,
-                                   method=EvalMethod.QUADRATURE)
+        return ProbabilityEstimate(value=value, abs_error_bound=0.0)
 
     if not kept:
         return _exact(1.0 if tau >= 0 else 0.0)
@@ -401,8 +391,7 @@ def cdf_quadrature(spectrum: EigenSpectrum, tau: float, tol: float = QUAD_TOL,
             b = _pick_beta(lam_t, zt2_l, tau_t, log_weight=0.0, moments=(mu_t, s2))
             log_tail = _log_mag(b, lam_t, zt2_l, tau_t, log_weight=0.0)
             if log_tail <= floor:
-                return ProbabilityEstimate(value=value, abs_error_bound=math.exp(log_tail),
-                                           method=EvalMethod.QUADRATURE, raw_value=value)
+                return ProbabilityEstimate(value=value, abs_error_bound=math.exp(log_tail))
 
     # a negative definite form is integrated as its positive definite mirror,
     # 1 - Pr(-Y <= -tau), whose strip has no pole to the right of beta
@@ -463,9 +452,9 @@ def cdf_quadrature(spectrum: EigenSpectrum, tau: float, tol: float = QUAD_TOL,
         raw = 1.0 - raw
     bound = tol / 2.0 + scale * (tail + math.ulp(1.0) * h * err_total)
     estimate = ProbabilityEstimate(
-        value=raw, abs_error_bound=bound, method=EvalMethod.QUADRATURE, raw_value=raw,
+        value=raw, abs_error_bound=bound, raw_value=raw,
         slope=None if slope_terms is None else scale * h * slope)
-    if strict and not bound <= tol:
+    if not bound <= tol:
         raise ToleranceNotMet(
             f"quadrature certified only {bound:.3e} > tol {tol:.3e}", estimate)
     return estimate
@@ -497,7 +486,8 @@ def mc_probability(instance: ScenarioInstance, beamformer: BeamformerMatrix,
     """Monte Carlo estimate of Pr(SINR_k >= gamma_k) over the estimation
     error, with the true channel reconstructed as h_k^H = est_k^H - e_k^H.
 
-    Returns the hit frequency with its binomial standard error.
+    Returns the hit frequency; its ``abs_error_bound`` is the binomial
+    standard error, not a certified bound.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
@@ -524,5 +514,4 @@ def mc_probability(instance: ScenarioInstance, beamformer: BeamformerMatrix,
         remaining -= n
     freq = hits / n_samples
     se = float(np.sqrt(freq * (1.0 - freq) / n_samples))
-    return ProbabilityEstimate(value=freq, abs_error_bound=se,
-                               method=EvalMethod.MONTE_CARLO)
+    return ProbabilityEstimate(value=freq, abs_error_bound=se)

@@ -136,8 +136,8 @@ def _single_user_power(gamma_k, gamma_prime_k, sigma_k2, r_norm2, epsilon_k):
 
 
 def _step_from_spectrum(lam_nz: np.ndarray, gamma_k, gamma_prime_k, sigma_k2,
-                        epsilon_k, r_norm2, literal_gamma: bool):
-    """One frozen-spectrum coordinate update.
+                        epsilon_k, r_norm2):
+    """One frozen-spectrum coordinate update, at gamma' = gamma / (1 + eta).
 
     First tries the small-power branch (negative-eigenvalue tail equation);
     if that root is outside (0, gamma' s2), takes the conservative
@@ -156,9 +156,8 @@ def _step_from_spectrum(lam_nz: np.ndarray, gamma_k, gamma_prime_k, sigma_k2,
         p_tilde = gp_s2 - gamma_prime_k * lam_r * np.log((1.0 - epsilon_k) * w_r)
         if 0.0 < p_tilde < gp_s2:
             return float(p_tilde)
-    g = gamma_k if literal_gamma else gamma_prime_k
     w_1 = _certified_weight(lam, lam[0])
-    p_breve = g * sigma_k2 - g * lam[0] * np.log(epsilon_k * w_1)
+    p_breve = gp_s2 - gamma_prime_k * lam[0] * np.log(epsilon_k * w_1)
     return float(max(p_breve, gp_s2))
 
 
@@ -240,20 +239,19 @@ class SurrogateOracle(OutageOracle):
                 p0[k] = sigma2[k] / denom
         return PowerAllocation(powers=p0)
 
-    def step(self, p_frozen: np.ndarray, k: int, literal_gamma: bool) -> float:
-        """User k's update with the spectrum frozen at p_frozen; on a
-        degenerate spectrum, p[k] doubles from max(gamma_k sigma_k^2, p[k])
-        until the counted constraint holds, then bisects into the band
-        [1 - eps_k, 1 - eps_k + DescentConfig.delta_min].  The doubling gives
-        up once the total power passes POWER_CAP and returns that p[k]
-        unevaluated."""
+    def step(self, p_frozen: np.ndarray, k: int) -> float:
+        """User k's closed-form update at ``gamma_prime[k]`` with the spectrum
+        frozen at p_frozen; on a degenerate spectrum, p[k] doubles from
+        max(gamma_k sigma_k^2, p[k]) until the counted constraint holds, then
+        bisects into the band [1 - eps_k, 1 - eps_k + DescentConfig.delta_min].
+        The doubling gives up once the total power passes POWER_CAP and
+        returns that p[k] unevaluated."""
         lam_nz = self.spectrum(p_frozen, k)
         epsilon_k = float(self.qos.epsilon[k])
         try:
             return _step_from_spectrum(
                 lam_nz, float(self.gamma[k]), float(self.gamma_prime[k]),
-                float(self.noise_var[k]), epsilon_k, float(self.r_norm2[k]),
-                literal_gamma)
+                float(self.noise_var[k]), epsilon_k, float(self.r_norm2[k]))
         except DegenerateSpectrum:
             pass
         trial = p_frozen.copy()
@@ -288,9 +286,9 @@ def solve_zf_coord_descent(instance: ScenarioInstance,
 
 def solve_zf_coord_update(instance: ScenarioInstance,
                           beamformer: BeamformerMatrix, qos: QoSSpec,
-                          eta_multiple: float = DEFAULT_ETA_MULTIPLE,
-                          literal_gamma: bool = False) -> SolveReport:
-    """Cyclic coordinate updates from the closed-form start until the
+                          eta_multiple: float = DEFAULT_ETA_MULTIPLE) -> SolveReport:
+    """Cyclic coordinate updates (``SurrogateOracle.step``, each root at
+    gamma' = gamma / (1 + eta)) from the closed-form start until the
     surrogate constraints all hold, MAX_CYCLES cycles (the descent's cap)
     elapse, or the total power passes POWER_CAP; ending above the cap
     infeasible reports DIVERGED (an update with no fixed point drives the
@@ -320,7 +318,7 @@ def solve_zf_coord_update(instance: ScenarioInstance,
         p_prev = p.copy()
         before = prob.evals  # only degenerate-spectrum fallbacks evaluate
         for k in range(n):
-            p[k] = prob.step(p_prev, k, literal_gamma)
+            p[k] = prob.step(p_prev, k)
         bisect_steps += prob.evals - before
         probs.stale[:] = True
         if np.max(np.abs(p - p_prev)) <= 1e-12 * max(1.0, float(np.max(p))):

@@ -13,6 +13,7 @@ from robustpl import (
     Diverged,
     EmptyIntersection,
     ExperimentConfig,
+    ProbabilityEstimate,
     TrialRecord,
     aggregate,
     run_sweep,
@@ -55,7 +56,11 @@ class TestConfig:
         pytest.param("training", {"L_ut": 1}, id="training-value5"),
         pytest.param("training", {"L_ut": 0, "P_ut": 4.99}, id="training-value6"),
         pytest.param("sigma_e2", [-0.01], id="sigma_e2-value7"),
-        pytest.param("sigma_e2", [0.0], id="sigma_e2-zero")])
+        pytest.param("sigma_e2", [0.0], id="sigma_e2-zero"),
+        pytest.param("methods", (), id="methods-empty"),
+        pytest.param("n_trials", 0, id="n_trials-0"),
+        pytest.param("n_tx", -1, id="n_tx--1"),
+        pytest.param("n_users", 0, id="n_users-0")])
     def test_rejects_out_of_range_solver_settings(self, field, value):
         overrides = {field: value}
         if field == "sigma_e2":
@@ -178,6 +183,18 @@ class TestSweep:
         for g, f in zip(general, fallback):
             assert dataclasses.replace(g, method=f.method, status=f.status) == f
 
+    def test_mc_certification_rejects_a_point_it_cannot_reproduce(self, monkeypatch):
+        def low(*args):
+            return ProbabilityEstimate(value=0.5, abs_error_bound=0.001)
+        monkeypatch.setattr(robustpl.bench, "mc_probability", low)
+        cfg = small_config(methods=("ZF-General",), gamma_db=(3.0,))
+        plain = run_sweep(cfg)
+        recs = run_sweep(dataclasses.replace(cfg, mc_certify_samples=100))
+        assert any(r.success for r in plain)
+        assert not any(r.success for r in recs)
+        for a, b in zip(recs, plain):
+            assert dataclasses.replace(a, success=b.success) == b
+
     def test_failed_direction_solve_records_exception_name(self, monkeypatch):
         def diverge(*args, **kwargs):
             raise Diverged("injected")
@@ -229,6 +246,12 @@ class TestExport:
         assert path.read_text() == (
             "method,gamma_db,sigma_e2,trial,status,success,"
             "total_power,cycles,bisection_steps,integral_evals\n")
+
+    def test_read_rejects_a_wrong_header(self, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_text("method,gamma_db,trial\nZF-General,3.0,0\n")
+        with pytest.raises(ValueError, match="unexpected record header"):
+            read_records(path)
 
     def test_round_trip_is_stable(self, tmp_path):
         cfg = small_config(methods=("ZF-CoordUpdate",), gamma_db=(3.0,))

@@ -56,6 +56,24 @@ def test_report_pairs_prints_whether_a_gain_is_claimable(capsys):
     assert lines[2] == "w digests: all 10 match"
 
 
+@pytest.mark.parametrize("new, old, counts", [
+    # 3.5e-16 relative: avg_power between two revisions that differed only
+    # by rounding in the exact solves, once counted as ten losses
+    (1.448249772903564, 1.4482497729035635, "wins 0/10, losses 0, ties 10, sign-test p 1,"),
+    (1.0 + 2e-12, 1.0, "wins 10/10, losses 0, ties 0"),   # past the tie band
+    (1.0 + 5e-13, 1.0, "wins 0/10, losses 0, ties 10"),
+    (0.0, 0.0, "wins 0/10, losses 0, ties 10"),
+    (0.0, 1e-300, "wins 0/10, losses 10, ties 0"),         # relative to the larger
+])
+def test_report_pairs_counts_rounding_level_moves_as_ties(capsys, new, old, counts):
+    def runs(value):
+        return [{"seed": i, "digest": "d", "metrics": {"m": {"value": value}}}
+                for i in range(10)]
+
+    bench_record.report_pairs("w", runs(new), runs(old), {"m": "higher"}, {"m": 0.1})
+    assert counts in capsys.readouterr().out
+
+
 def git(repo, *args):
     return subprocess.run(["git", "-C", str(repo), "-c", "user.name=t",
                            "-c", "user.email=t@example.org", *args],
@@ -120,3 +138,27 @@ def test_record_writes_the_src_lines_of_the_measured_copy(tmp_path, monkeypatch)
     bench_record.record(args, benchmark, {"change": measured})
     written = json.loads((tmp_path / "out.json").read_text())
     assert written["src_lines"] == {"m.py": 2, "total": 2}
+
+
+def test_record_with_baseline_prints_both_src_lines_totals(tmp_path, monkeypatch, capsys):
+    def fake_run(root, workload, seed, seconds, trace):
+        return {"seed": seed, "digest": "d",
+                "metrics": {"solves_per_s": {"value": 1.0, "unit": "1/s"}}}
+
+    monkeypatch.setattr(bench_record, "run_perfbench", fake_run)
+    roots = {}
+    for name, text in (("change", "a = 1\n"), ("baseline", "a = 1\nb = 2\nc = 3\n")):
+        (tmp_path / name / "src" / "robustpl").mkdir(parents=True)
+        (tmp_path / name / "src" / "robustpl" / "m.py").write_text(text)
+        (tmp_path / name / "perfbench").mkdir()
+        (tmp_path / name / "perfbench" / "run.py").write_text("")
+        roots[name] = tmp_path / name
+    args = bench_record.parse_args(["--out", str(tmp_path / "out.json"), "--seeds", "1,2",
+                                    "--baseline", str(roots["baseline"]),
+                                    "--baseline-out", str(tmp_path / "base.json")])
+    benchmark = {"run_seconds": 1, "workloads": [{"name": "w"}],
+                 "end_to_end": [{"name": "solves_per_s", "better": "higher", "bound": 0.25}]}
+    bench_record.record(args, benchmark, roots)
+    lines = capsys.readouterr().out.splitlines()
+    assert "src_lines total: 1 vs 3 (baseline), difference -2" in lines
+    assert json.loads((tmp_path / "base.json").read_text())["src_lines"]["total"] == 3

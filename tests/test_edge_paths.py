@@ -13,8 +13,3 @@ class TestToleranceReporting:
         reference = cdf_quadrature(spec, 0.2, tol=1e-8)
         assert estimate.value == pytest.approx(reference.value, abs=1e-8)
         assert estimate.abs_error_bound > 1e-16
-
-    def test_non_strict_returns_best_effort(self):
-        spec = decompose(np.diag([0.7, -0.3]), np.array([0.5, 0.5]))
-        est = cdf_quadrature(spec, 0.2, tol=1e-16, strict=False)
-        assert 0.0 <= est.value <= 1.0

@@ -364,6 +364,16 @@ class TestInitPowers:
             assert sinr(est[k], b, alloc, 0.01, k) == pytest.approx(
                 float(qos.gamma[k]), abs=1e-8)
 
+    def test_fallback_on_ill_conditioned_balance(self):
+        # two users with the same channel on one shared direction at unit
+        # targets: the balance matrix [[1, -1], [-1, 1]] is singular
+        est = np.array([[1.0, 0.0], [1.0, 0.0]], dtype=complex)
+        b = BeamformerMatrix(columns=np.array([[1.0, 1.0], [0.0, 0.0]], dtype=complex))
+        qos = QoSSpec(gamma=np.ones(2), epsilon=np.full(2, 0.05))
+        alloc, fallback = init_powers_pcsi(est, b, qos, np.array([0.01, 0.02]))
+        assert fallback
+        np.testing.assert_array_equal(alloc.powers, [0.01, 0.02])
+
     def test_fallback_on_infeasible_balance(self):
         # two users sharing one direction: the balance system has no
         # positive solution for demanding targets
@@ -478,7 +488,7 @@ class TestCachedCovarianceRoots:
             p = PowerAllocation(powers=rng.uniform(0.02, 0.2, 3))
             for k in range(3):
                 build_outage_form(inst, b, p, qos, k)
-                robustpl.zf.SurrogateOracle(inst, b, qos).step(p.powers, k, False)
+                robustpl.zf.SurrogateOracle(inst, b, qos).step(p.powers, k)
                 robustpl.quadform.mc_probability(inst, b, p, qos, k, 10, 0)
         robustpl.zf.SurrogateOracle(inst, b, qos, eta_multiple=-0.1)
         assert calls == {"sqrt": 3, "inv_sqrt": 3}
@@ -507,16 +517,48 @@ class TestValidation:
             ScenarioInstance(true_channels=h, est_channels=h, error_cov=cov,
                              noise_var=np.ones(2))
 
+    @pytest.mark.parametrize("field, value, match", [
+        ("est_channels", np.ones((3, 2)), "share a shape"),
+        ("error_cov", np.broadcast_to(np.eye(3), (2, 3, 3)), "error_cov must have shape"),
+        ("noise_var", np.ones(3), "one entry per user"),
+        ("noise_var", np.array([0.01, 0.0]), "must be positive")])
+    def test_rejects_inconsistent_instance(self, field, value, match):
+        h = generate_rayleigh_channels(2, 2, 1)
+        fields = dict(true_channels=h, est_channels=h,
+                      error_cov=np.broadcast_to(np.eye(2), (2, 2, 2)), noise_var=np.ones(2))
+        with pytest.raises(ValueError, match=match):
+            ScenarioInstance(**{**fields, field: value})
+
     def test_rejects_bad_qos(self):
         with pytest.raises(ValueError):
             QoSSpec(gamma=np.array([-1.0]), epsilon=np.array([0.05]))
         with pytest.raises(ValueError):
             QoSSpec(gamma=np.array([1.0]), epsilon=np.array([1.5]))
+        with pytest.raises(ValueError, match="matching shapes"):
+            QoSSpec(gamma=np.ones(3), epsilon=np.full(2, 0.05))
 
     def test_rejects_zero_beamformer_column(self):
         with pytest.raises(ValueError):
             BeamformerMatrix(columns=np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex))
 
+    def test_rejects_a_beamformer_that_is_not_a_matrix(self):
+        with pytest.raises(ValueError, match="two-dimensional"):
+            BeamformerMatrix(columns=np.ones(3, dtype=complex))
+
     def test_rejects_negative_power(self):
         with pytest.raises(ValueError):
             PowerAllocation(powers=[-0.1])
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_rejects_non_finite_power(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            PowerAllocation(powers=[0.1, bad])
+
+    @pytest.mark.parametrize("n_tx, n_users", [(0, 2), (2, 0)])
+    def test_rejects_an_empty_channel_draw(self, n_tx, n_users):
+        with pytest.raises(ValueError, match="at least 1"):
+            generate_rayleigh_channels(n_tx, n_users, 1)
+
+    def test_rejects_negative_regularization(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            build_rci(generate_rayleigh_channels(2, 2, 1), -0.01)

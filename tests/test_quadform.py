@@ -11,7 +11,6 @@ import robustpl.quadform as quadform
 
 from robustpl import (
     EigenSpectrum,
-    EvalMethod,
     PowerAllocation,
     build_outage_form,
     cdf_quadrature,
@@ -58,7 +57,6 @@ class TestCdfQuadrature:
         spec = decompose(np.array([[1.0]]), np.array([0.0]))
         est = cdf_quadrature(spec, np.log(2.0))
         assert est.value == pytest.approx(0.5, abs=1e-8)
-        assert est.method is EvalMethod.QUADRATURE
 
     def test_zero_matrix_is_indicator(self):
         spec = decompose(np.zeros((3, 3)), np.ones(3))
@@ -312,7 +310,7 @@ class TestCertificate:
         spec = EigenSpectrum(eigenvalues=lam, z_tilde=np.sqrt(zt2))
         est, certified = quadrature_or_unmet(spec, tau, 1e-8)
         assert certified == (est.abs_error_bound <= 1e-8)
-        ref = cdf_quadrature(spec, tau, tol=1e-12, strict=False)
+        ref = quadrature_or_unmet(spec, tau, 1e-12)[0]
         gap = abs(est.raw_value - ref.raw_value)
         assert gap <= est.abs_error_bound + ref.abs_error_bound
 
@@ -488,7 +486,12 @@ class TestMonteCarlo:
         a = mc_probability(inst, b, p, qos, 0, 50_000, 321)
         c = mc_probability(inst, b, p, qos, 0, 50_000, 321)
         assert a.value == c.value
-        assert a.method is EvalMethod.MONTE_CARLO
+
+    def test_rejects_no_samples(self):
+        inst, b, qos = make_zf_setup(15)
+        p = PowerAllocation(powers=qos.gamma * 0.01)
+        with pytest.raises(ValueError, match="n_samples"):
+            mc_probability(inst, b, p, qos, 0, 0, 321)
 
     def test_zero_power_never_succeeds(self):
         inst, b, qos = make_zf_setup(19)

@@ -16,6 +16,7 @@ from robustpl import (
     ScenarioInstance,
     SolveStatus,
     SurrogateOracle,
+    ToleranceNotMet,
     build_outage_form,
     build_zf,
     cdf_quadrature,
@@ -114,12 +115,14 @@ class TestResidueProbability:
 
     @staticmethod
     def quadrature_reference(lam_nz, u):
-        # not strict: on some of these forms the quadrature's rounding floor
-        # keeps its certified bound above 1e-12, and the bound it returns
-        # is the one to compare within
-        return cdf_quadrature(EigenSpectrum(eigenvalues=lam_nz,
-                                            z_tilde=np.zeros(lam_nz.size)),
-                              u, tol=1e-12, strict=False)
+        # on some of these forms the quadrature's rounding floor keeps its
+        # certified bound above 1e-12; the estimate ToleranceNotMet carries,
+        # with the bound it reached, is the one to compare within
+        spectrum = EigenSpectrum(eigenvalues=lam_nz, z_tilde=np.zeros(lam_nz.size))
+        try:
+            return cdf_quadrature(spectrum, u, tol=1e-12)
+        except ToleranceNotMet as err:
+            return err.estimate
 
     @settings(max_examples=100, deadline=None)
     @given(st.floats(-1.0, 1.0),
@@ -308,8 +311,7 @@ class TestCoordUpdate:
         lam = np.array([0.1, -0.05])
         gamma_prime, sigma2, eps = 2.0, 0.01, 0.7
         p = _step_from_spectrum(lam, gamma_k=2.0, gamma_prime_k=gamma_prime,
-                                sigma_k2=sigma2, epsilon_k=eps, r_norm2=1.0,
-                                literal_gamma=False)
+                                sigma_k2=sigma2, epsilon_k=eps, r_norm2=1.0)
         assert 0.0 < p < gamma_prime * sigma2
         expected = gamma_prime * sigma2 - gamma_prime * (-0.05) * np.log(
             (1.0 - eps) * (1.0 - 0.1 / -0.05))
@@ -323,7 +325,7 @@ class TestCoordUpdate:
         oracle = SurrogateOracle(inst, b, qos)
         p_prev = PowerAllocation(powers=qos.gamma * 0.01)
         for k in range(3):
-            pk = oracle.step(p_prev.powers, k, literal_gamma=False)
+            pk = oracle.step(p_prev.powers, k)
             assert pk >= oracle.gamma_prime[k] * 0.01
             lam_nz = residue_spectrum(-build_outage_form(inst, b, p_prev, qos, k).Q)
             trial = p_prev.powers.copy()
@@ -339,7 +341,7 @@ class TestCoordUpdate:
         # whose weight w_1 = (1 - 1/(1 + g)) 1.5 errs relatively by up to
         # eps (m + kappa_1), kappa_1 ~ 1/g: 2.2e-8 at g = 1e-8
         lam = residue_spectrum(np.diag([(1.0 + g) * 1e-3, 1e-3, -0.5e-3]))
-        args = (lam, 2.0, 2.0, 0.01, 0.05, 1.0, False)
+        args = (lam, 2.0, 2.0, 0.01, 0.05, 1.0)
         if falls_back:
             with pytest.raises(DegenerateSpectrum, match="rounding"):
                 _step_from_spectrum(*args)
@@ -355,7 +357,7 @@ class TestCoordUpdate:
         # gamma' s2 - gamma' lam_1 ln(eps)
         lam = np.array([0.1, 1e-9, -1e-9])
         gamma_prime, sigma2, eps = 2.0, 0.01, 0.05
-        p = _step_from_spectrum(lam, 2.0, gamma_prime, sigma2, eps, 1.0, False)
+        p = _step_from_spectrum(lam, 2.0, gamma_prime, sigma2, eps, 1.0)
         expected = gamma_prime * sigma2 - gamma_prime * 0.1 * np.log(eps)
         assert p == pytest.approx(expected, rel=1e-6)
 
@@ -364,7 +366,7 @@ class TestCoordUpdate:
         # margin, solved exactly on the small-power branch
         lam = np.array([1e-12, -0.05])
         gamma_prime, sigma2, eps = 2.0, 0.01, 0.05
-        p = _step_from_spectrum(lam, 2.0, gamma_prime, sigma2, eps, 1.0, False)
+        p = _step_from_spectrum(lam, 2.0, gamma_prime, sigma2, eps, 1.0)
         expected = gamma_prime * sigma2 \
             - gamma_prime * (-0.05) * np.log(1.0 - eps)
         assert 0.0 < p < gamma_prime * sigma2
@@ -372,14 +374,6 @@ class TestCoordUpdate:
         val = residue_probability(residue_spectrum(np.diag(lam)), p,
                                   gamma_prime, sigma2)
         assert val == pytest.approx(1.0 - eps, abs=1e-9)
-
-    def test_literal_gamma_variant_differs(self):
-        inst, b, qos = make_zf_setup(255)
-        oracle = SurrogateOracle(inst, b, qos)
-        p_prev = PowerAllocation(powers=qos.gamma * 0.01)
-        a = oracle.step(p_prev.powers, 0, literal_gamma=False)
-        c = oracle.step(p_prev.powers, 0, literal_gamma=True)
-        assert a != c
 
     def test_solver_zero_uncertainty(self):
         inst, b, qos = make_zf_setup(257, sigma_e2=1e-12)
@@ -439,7 +433,7 @@ class TestCoordUpdate:
             monkeypatch.setattr(DescentConfig, "delta_min", delta)
             for k in range(3):
                 trial = p_prev.powers.copy()
-                trial[k] = surrogate.step(p_prev.powers, k, literal_gamma=False)
+                trial[k] = surrogate.step(p_prev.powers, k)
                 prob = surrogate.constraint(trial, k)
                 assert 0.95 <= prob <= 0.95 + delta
 
@@ -462,7 +456,7 @@ class TestCoordUpdate:
         assert rep.bisection_steps > 3 * rep.cycles
 
 
-def eager_coord_update(inst, b, qos, literal_gamma=False):
+def eager_coord_update(inst, b, qos):
     """Reference: the CoordUpdate loop that evaluates every user for each
     feasibility test and after every nudge, capped at ``zf.MAX_CYCLES``."""
     prob = SurrogateOracle(inst, b, qos)
@@ -475,7 +469,7 @@ def eager_coord_update(inst, b, qos, literal_gamma=False):
         cycles += 1
         p_prev, before = p.copy(), prob.evals
         for k in range(n):
-            p[k] = prob.step(p_prev, k, literal_gamma)
+            p[k] = prob.step(p_prev, k)
         steps += prob.evals - before
         probs = np.array([prob(p, k) for k in range(n)])
         if np.max(np.abs(p - p_prev)) <= 1e-12 * max(1.0, float(np.max(p))):
@@ -503,20 +497,19 @@ def eager_coord_update(inst, b, qos, literal_gamma=False):
     *[(seed, g, 0.002, {}) for seed in (621, 622, 623) for g in (0.0, 5.0, 10.0)],
     (624, 10.0, 0.002, {"max_cycles": 1}),
     (625, 0.0, 0.002, {"max_cycles": 0}),
-    (626, 10.0, 0.002, {"literal_gamma": True}),
+    (626, 10.0, 0.002, {}),
     (627, 5.0, 1e-12, {}),
     (None, 5.0, 0.002, {}),
     (10, 10.0, 0.002, {}),
 ])
 def test_coord_update_matches_eager_reference(seed, gamma_db, sigma_e2, kwargs,
                                               monkeypatch):
-    kwargs = dict(kwargs)
     if "max_cycles" in kwargs:
-        monkeypatch.setattr(robustpl.zf, "MAX_CYCLES", kwargs.pop("max_cycles"))
+        monkeypatch.setattr(robustpl.zf, "MAX_CYCLES", kwargs["max_cycles"])
     inst, b, qos = (identity_channel_setup() if seed is None
                     else make_zf_setup(seed, gamma_db=gamma_db, sigma_e2=sigma_e2))
-    want = eager_coord_update(inst, b, qos, **kwargs)
-    report = solve_zf_coord_update(inst, b, qos, **kwargs)
+    want = eager_coord_update(inst, b, qos)
+    report = solve_zf_coord_update(inst, b, qos)
     assert report.status is want["status"]
     assert np.array_equal(report.powers.powers, want["powers"])
     assert report.cycles == want["cycles"]
