@@ -24,7 +24,11 @@ in the direction BENCHMARK.json gives it, with the two-sided sign-test
 p-value of the wins against the losses, whether this checkout's median is
 worse than the baseline's by more than the metric's ``bound`` (a share of
 the baseline median), whether a gain may be claimed (``claimable``), and
-per workload whether every seed's digest matches.
+per workload whether every seed's digest matches and whether every traced
+per-layer count (a metric of unit ``count`` in the ``--trace 1`` runs at
+TRACE_SEED) equals the baseline's, naming those that differ.  Traced
+per-layer times come from that one seed and are too noisy to compare, so
+they are left out of that check.
 """
 
 from __future__ import annotations
@@ -173,6 +177,23 @@ def report_pairs(workload: str, runs: list, base_runs: list, better: dict,
                                      else f"all {len(runs)} match"), flush=True)
 
 
+def report_counts(workload: str, trace: dict, base_trace: dict):
+    """Print whether every traced metric of unit ``count`` (of either side)
+    has the same value in trace as in base_trace, listing each that
+    differs with both values (None where a side lacks it)."""
+    names = dict.fromkeys(name for run in (trace, base_trace)
+                          for name, entry in run["metrics"].items() if entry["unit"] == "count")
+
+    def value(run, name):
+        return run["metrics"].get(name, {}).get("value")
+
+    differ = [f"{name} {value(trace, name)} vs {value(base_trace, name)}"
+              for name in names if value(trace, name) != value(base_trace, name)]
+    print(f"{workload} traced counts at seed {TRACE_SEED}: "
+          + (f"DIFFER: {'; '.join(differ)} (baseline second)" if differ
+             else f"all {len(names)} match"), flush=True)
+
+
 def record(args, benchmark: dict, roots: dict):
     """The paired runs on the clones roots ({"change": ..., "baseline":
     ...}), written to --out and --baseline-out."""
@@ -210,6 +231,8 @@ def record(args, benchmark: dict, roots: dict):
                 "trace": trace}
         if args.baseline:
             report_pairs(workload, runs["change"], runs["baseline"], better, bounds)
+            report_counts(workload, *(files[name]["workloads"][workload]["trace"]
+                                      for name in ("change", "baseline")))
     args.out.write_text(json.dumps(files["change"], indent=1) + "\n")
     if args.baseline:
         args.baseline_out.write_text(json.dumps(files["baseline"], indent=1) + "\n")

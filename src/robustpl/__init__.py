@@ -6,7 +6,6 @@ from .model import (
     Diverged,
     PowerAllocation,
     QoSSpec,
-    QuadraticOutageForm,
     ScenarioInstance,
     SingularChannel,
     build_outage_form,

@@ -93,13 +93,13 @@ class OutageOracle:
 
     With G_k = C_k^{1/2} B, a_k = -C_k^{-1/2} h_k and the signed powers c
     (p_k / gamma_k at k, -p_j elsewhere), user k's outage form at any powers
-    is Q = G_k diag(c) G_k^H, r = G_k (c * conj(h_k^H B)), v = c . |h_k^H
-    B|^2 - sigma_k^2 and tau = -sigma_k^2, as a_k^H G_k = -h_k^H B for the
-    positive definite C_k: the values ``build_outage_form`` computes from
-    scratch.  Calls ``oracle(powers, k)`` are the solver's constraint
-    evaluations, counted in ``evals``; ``constraint`` reads ``bounded`` at
-    sigma_k^2, which a surrogate subclass overrides alone, and ``exact`` and
-    ``exact_all`` evaluate the exact probability without counting.
+    is Q = G_k diag(c) G_k^H and tau = -sigma_k^2, as a_k^H G_k = -h_k^H B
+    for the positive definite C_k: ``minus_form`` gives the (-Q, a_k, tau)
+    that ``build_outage_form`` computes from scratch.  Calls ``oracle(powers,
+    k)`` are the solver's constraint evaluations, counted in ``evals``;
+    ``constraint`` reads ``bounded`` at sigma_k^2, which a surrogate subclass
+    overrides alone, and ``exact`` and ``exact_all`` evaluate the exact
+    probability without counting.
     """
 
     def __init__(self, instance: ScenarioInstance, beamformer: BeamformerMatrix,
@@ -266,8 +266,9 @@ def _find_feasible_start(oracle: OutageOracle, p_init: np.ndarray):
     A round stops at its first user below the floor, which the next round
     tests first, so only the passing round and the give-up exit evaluate
     every user.  After a doubling, a user first found below its floor gets
-    one ``ray_limit``: one below the floor gives up at once.  Returns (powers,
-    probs, doublings, feasible); the power cap counts on the total power.
+    one ``ray_limit``: one below the floor gives up at once.  Returns the
+    ``_LazyProbs`` at the last powers, doublings and feasible.  The power cap
+    counts on the total power.
     """
     probs = _LazyProbs(oracle, p_init.copy())
     order, doublings, checked = list(range(p_init.size)), 0, set()
@@ -277,12 +278,12 @@ def _find_feasible_start(oracle: OutageOracle, p_init: np.ndarray):
             checked.add(k)
             hopeless = (limit := oracle.ray_limit(probs.p, k)) is not None and limit < oracle.floor[k]
         if hopeless:
-            return probs.p, probs.complete(), doublings, False
+            return probs, doublings, False
         order = [k] + [j for j in order if j != k]
         probs.p *= 2.0
         probs.stale[:] = True
         doublings += 1
-    return probs.p, probs.complete(), doublings, True
+    return probs, doublings, True
 
 
 def _logit(q: float):
@@ -386,9 +387,9 @@ def _try_jump(oracle: OutageOracle, probs: _LazyProbs, p_prev: np.ndarray,
     return None
 
 
-def _run_descent(oracle: OutageOracle, p_start: PowerAllocation):
+def _run_descent(oracle: OutageOracle, start: PowerAllocation = None):
     """The shared engine on a fresh oracle (its ``evals`` are the report's):
-    start from p_start, else ``_model_start``, else ``init_powers_pcsi``;
+    start from ``start``, else ``_model_start``, else ``init_powers_pcsi``;
     double to a feasible start; then search each user's power cyclically
     into the band of width ``DescentConfig.delta_min``.
     ``infeasible_start_not_found`` means the doubling from that one point met
@@ -406,13 +407,13 @@ def _run_descent(oracle: OutageOracle, p_start: PowerAllocation):
     """
     t0 = time.perf_counter()
     qos, floor, n_users = oracle.qos, oracle.floor, oracle.qos.n_users
-    p_init = p_start.powers if p_start is not None else oracle.model_root and _model_start(oracle)
+    p_init = start.powers if start is not None else oracle.model_root and _model_start(oracle)
     if p_init is None:  # no model, or no model start: the PCSI ray
         p_init = init_powers_pcsi(oracle.instance.est_channels, oracle.beamformer, qos,
-                                  oracle.instance.noise_var)[0].powers
+                                  oracle.instance.noise_var).powers
 
-    p, start_probs, doublings, feasible = _find_feasible_start(oracle, p_init)
-    probs = _LazyProbs(oracle, p, start_probs)
+    probs, doublings, feasible = _find_feasible_start(oracle, p_init)
+    p = probs.p
     bisect_steps = cycles = jumps = 0
     delta_min, stalled, totals = DescentConfig.delta_min, False, []
     status = SolveStatus.CYCLE_LIMIT if feasible else SolveStatus.INFEASIBLE_START_NOT_FOUND
@@ -448,7 +449,7 @@ def _run_descent(oracle: OutageOracle, p_start: PowerAllocation):
 
 
 def solve_general(instance: ScenarioInstance, beamformer: BeamformerMatrix,
-                  qos: QoSSpec, p_start: PowerAllocation = None) -> SolveReport:
+                  qos: QoSSpec) -> SolveReport:
     """Coordinate descent against the exact outage probabilities for any
     fixed directions."""
-    return _run_descent(OutageOracle(instance, beamformer, qos), p_start)
+    return _run_descent(OutageOracle(instance, beamformer, qos))

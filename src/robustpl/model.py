@@ -95,6 +95,9 @@ class ScenarioInstance:
             raise ValueError(f"error_cov must have shape ({k}, {nt}, {nt})")
         if nv.shape != (k,):
             raise ValueError("noise_var must have one entry per user")
+        for name, x in (("true_channels", h), ("est_channels", hh), ("error_cov", cov), ("noise_var", nv)):
+            if not np.all(np.isfinite(x)):
+                raise ValueError(f"{name} must be finite")
         if not np.all(nv > 0):
             raise ValueError("noise variances must be positive")
         scale = max(1.0, float(np.max(np.abs(cov)))) if cov.size else 1.0
@@ -150,28 +153,6 @@ class PowerAllocation:
             raise ValueError("powers must be nonnegative")
         if not np.all(np.isfinite(p)):
             raise ValueError("powers must be finite")
-
-    def total_power(self, beamformer: BeamformerMatrix) -> float:
-        norms2 = np.sum(np.abs(beamformer.columns) ** 2, axis=0)
-        return float(np.dot(self.powers, norms2))
-
-
-@dataclass(frozen=True)
-class QuadraticOutageForm:
-    """Per-user outage constraint expressed through a Hermitian quadratic form
-    of a standard complex Gaussian vector.
-
-    The SINR margin for user k, as a function of the normalized estimation
-    error delta ~ CN(0, I), is  delta^H Q delta + 2 Re(delta^H r) + v;  the
-    outage probability is the chance this margin is negative.  ``a`` and
-    ``tau`` recentre the margin so that it reads  ||delta - a||^2_{(-Q)} <= tau.
-    """
-
-    Q: np.ndarray
-    r: np.ndarray
-    v: float
-    a: np.ndarray
-    tau: float
 
 
 def generate_rayleigh_channels(n_tx: int, n_users: int, rng_seed) -> np.ndarray:
@@ -304,32 +285,35 @@ def _signal_interference_matrix(beamformer: BeamformerMatrix,
 
 
 def build_outage_form(instance: ScenarioInstance, beamformer: BeamformerMatrix,
-                      allocation: PowerAllocation, qos: QoSSpec,
-                      k: int) -> QuadraticOutageForm:
-    """Quadratic-form data for user k's outage constraint at the given powers."""
+                      allocation: PowerAllocation, qos: QoSSpec, k: int) -> tuple:
+    """User k's outage form (-Q, a, tau) at the given powers, built from
+    scratch (``OutageOracle.minus_form`` reads the same tuple from its cache).
+    With A = ``_signal_interference_matrix`` and the normalized error delta ~
+    CN(0, I), the SINR margin is delta^H Q delta + 2 Re(delta^H r) + v, Q =
+    C_k^{1/2} A C_k^{1/2}, r = C_k^{1/2} A h_k = -Q a, v = h_k^H A h_k -
+    sigma_k^2, a = -C_k^{-1/2} h_k: it is tau - (delta - a)^H (-Q) (delta - a)
+    with tau = v - a^H Q a."""
     sqrt_c, inv_sqrt_c = instance.cov_roots
     chalf, cinvhalf = sqrt_c[k], inv_sqrt_c[k]
     hk = instance.est_channels[k].conj()
     a_mat = _signal_interference_matrix(beamformer, allocation, qos.gamma[k], k)
     q = chalf @ a_mat @ chalf
     q = 0.5 * (q + q.conj().T)
-    r = chalf @ (a_mat @ hk)
     v = float(np.real(hk.conj() @ a_mat @ hk)) - float(instance.noise_var[k])
     a = -cinvhalf @ hk
-    tau = v - float(np.real(a.conj() @ q @ a))
-    return QuadraticOutageForm(Q=q, r=r, v=v, a=a, tau=tau)
+    return -q, a, v - float(np.real(a.conj() @ q @ a))
 
 
 def init_powers_pcsi(est_channels: np.ndarray, beamformer: BeamformerMatrix,
-                     qos: QoSSpec, noise_var):
+                     qos: QoSSpec, noise_var) -> PowerAllocation:
     """Powers that meet the SINR targets exactly if the estimates were the
     truth.
 
     Solves the K x K balance system with diagonal |h_k^H b_k|^2 / gamma_k and
-    off-diagonal -|h_k^H b_i|^2 against the noise vector.  Falls back to the
-    decoupled values gamma_k sigma_k^2 when the system is ill conditioned
-    (condition number above 1e12), the solve fails or it yields a
-    nonpositive power.  Returns (allocation, used_fallback).
+    off-diagonal -|h_k^H b_i|^2 against the noise vector.  Returns the
+    decoupled values gamma_k sigma_k^2 instead when the system is ill
+    conditioned (condition number above 1e12), the solve fails or it yields
+    a nonpositive or non-finite power.
     """
     hh = np.asarray(est_channels, dtype=complex)
     k = hh.shape[0]
@@ -337,13 +321,10 @@ def init_powers_pcsi(est_channels: np.ndarray, beamformer: BeamformerMatrix,
     g2 = np.abs(hh @ beamformer.columns) ** 2
     mat = -g2.copy()
     np.fill_diagonal(mat, g2.diagonal() / qos.gamma)
-    fallback = qos.gamma * nv
     try:
-        if np.linalg.cond(mat) > 1e12:
-            return PowerAllocation(powers=fallback), True
-        p = np.linalg.solve(mat, nv)
+        p = None if np.linalg.cond(mat) > 1e12 else np.linalg.solve(mat, nv)
     except np.linalg.LinAlgError:
-        return PowerAllocation(powers=fallback), True
-    if np.any(p <= 0) or not np.all(np.isfinite(p)):
-        return PowerAllocation(powers=fallback), True
-    return PowerAllocation(powers=p), False
+        p = None
+    if p is None or np.any(p <= 0) or not np.all(np.isfinite(p)):
+        p = qos.gamma * nv
+    return PowerAllocation(powers=p)

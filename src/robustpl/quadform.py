@@ -28,7 +28,6 @@ from .model import (
     BeamformerMatrix,
     PowerAllocation,
     QoSSpec,
-    QuadraticOutageForm,
     ScenarioInstance,
     _as_rng,
     complex_normal,
@@ -406,7 +405,7 @@ def cdf_quadrature(spectrum: EigenSpectrum, tau: float, tol: float = QUAD_TOL,
     g0 = _log_mag(beta, lam_l, zt2_l, tau)
     curv = _log_mag_parts(beta, lam_l, zt2_l, tau, 1.0)[4]  # beta^2 g0''
     if g0 > 700.0:
-        raise ValueError("contour offset too close to the pole: e^g0 overflows")
+        raise ValueError("e^g0 overflows at this contour offset")
     scale = math.exp(g0) / math.pi
     sigma = beta / math.sqrt(curv)
 
@@ -460,19 +459,20 @@ def cdf_quadrature(spectrum: EigenSpectrum, tau: float, tol: float = QUAD_TOL,
     return estimate
 
 
-def outage_probability(form: QuadraticOutageForm | tuple, tol: float = QUAD_TOL,
-                       direction=None, eig=None) -> ProbabilityEstimate:
+def outage_probability(form: tuple, tol: float = QUAD_TOL, direction=None,
+                       eig=None) -> ProbabilityEstimate:
     """Probability that the SINR target is met, Pr(SINR_k >= gamma_k),
     evaluated as the CDF of the recentred quadratic form at tau (one
-    eigendecomposition of -Q); ``form`` is a QuadraticOutageForm or its
-    tuple (-Q, a, tau).  ``direction`` u, with dQ/dp = u u^H along a power p
-    (user k's own: u = G_k e_k / sqrt(gamma_k); tau = -sigma_k^2 does not
-    move), adds the uncertified ``slope`` dP/dp = (h/pi) e^g0 sum' Re[f s (A
-    B + C)] on the value's nodes, A, B, C the sums over 1/(1 + s lam)
-    weighted by conj(z~) u~, conj(u~) z~ and |u~|^2, u~ = V^H u; the value
-    is unchanged.  ``eig``, -Q's ``np.linalg.eigh`` if known (a slice of a
-    stacked call), skips the decomposition."""
-    minus_q, a, tau = form if isinstance(form, tuple) else (-form.Q, form.a, form.tau)
+    eigendecomposition of -Q); ``form`` is the tuple (-Q, a, tau) of
+    ``OutageOracle.minus_form`` or ``model.build_outage_form``.  ``direction``
+    u, with dQ/dp = u u^H along a power p (user k's own: u = G_k e_k /
+    sqrt(gamma_k); tau = -sigma_k^2 does not move), adds the uncertified
+    ``slope`` dP/dp = (h/pi) e^g0 sum' Re[f s (A B + C)] on the value's
+    nodes, A, B, C the sums over 1/(1 + s lam) weighted by conj(z~) u~,
+    conj(u~) z~ and |u~|^2, u~ = V^H u; the value is unchanged.  ``eig``,
+    -Q's ``np.linalg.eigh`` if known (a slice of a stacked call), skips the
+    decomposition."""
+    minus_q, a, tau = form
     spectrum, basis = _spectrum(minus_q, a, eig)
     if direction is not None:
         u_t, z_t = basis @ direction, spectrum.z_tilde

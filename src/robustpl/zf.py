@@ -275,13 +275,12 @@ class SurrogateOracle(OutageOracle):
 
 def solve_zf_coord_descent(instance: ScenarioInstance,
                            beamformer: BeamformerMatrix, qos: QoSSpec,
-                           eta_multiple: float = DEFAULT_ETA_MULTIPLE,
-                           p_start: PowerAllocation = None) -> SolveReport:
+                           eta_multiple: float = DEFAULT_ETA_MULTIPLE) -> SolveReport:
     """Coordinate descent with the residue surrogate in place of the exact
     integral; the exact probabilities of the returned powers are certified by
     quadrature and reported alongside the surrogate ones.
     """
-    return _run_descent(SurrogateOracle(instance, beamformer, qos, eta_multiple), p_start)
+    return _run_descent(SurrogateOracle(instance, beamformer, qos, eta_multiple))
 
 
 def solve_zf_coord_update(instance: ScenarioInstance,

@@ -80,7 +80,7 @@ def test_criterion_1_residue_quadrature_equivalence():
         inst, b, qos = make_zf_setup(5000 + seed)
         p = rng.uniform(0.2, 4.0, 3) * qos.gamma * 0.01
         k = int(rng.integers(0, 3))
-        mq = -build_outage_form(inst, b, PowerAllocation(powers=p), qos, k).Q
+        mq = build_outage_form(inst, b, PowerAllocation(powers=p), qos, k)[0]
         try:
             oracle = SurrogateOracle(inst, b, qos)
             val = residue_probability(residue_spectrum(mq), float(p[k]),

@@ -162,3 +162,46 @@ def test_record_with_baseline_prints_both_src_lines_totals(tmp_path, monkeypatch
     lines = capsys.readouterr().out.splitlines()
     assert "src_lines total: 1 vs 3 (baseline), difference -2" in lines
     assert json.loads((tmp_path / "base.json").read_text())["src_lines"]["total"] == 3
+
+
+def traced(**values):
+    """A traced run whose metrics are values, in ms where the name ends in
+    _ms and as counts otherwise."""
+    return {"metrics": {name: {"value": v, "unit": "ms" if name.endswith("_ms") else "count"}
+                        for name, v in values.items()}}
+
+
+def test_report_counts_lists_the_traced_counts_that_differ(capsys):
+    # times are left out however far they move; a count on one side only differs
+    bench_record.report_counts("w", traced(calls=3668, evals=5, p50_ms=0.19),
+                               traced(calls=3668, evals=6, p50_ms=0.15, extra=1))
+    line = capsys.readouterr().out.strip()
+    assert line == ("w traced counts at seed 31: DIFFER: evals 5 vs 6; extra None vs 1"
+                    " (baseline second)")
+    bench_record.report_counts("w", traced(calls=3668, p50_ms=0.19), traced(calls=3668, p50_ms=0.15))
+    assert capsys.readouterr().out.strip() == "w traced counts at seed 31: all 1 match"
+
+
+def test_record_with_baseline_compares_the_traced_counts(tmp_path, monkeypatch, capsys):
+    def fake_run(root, workload, seed, seconds, trace):
+        calls = 7 if trace and root.name == "baseline" else 6
+        return {"seed": seed, "digest": "d",
+                "metrics": {"solves_per_s": {"value": 1.0, "unit": "1/s"},
+                            "calls": {"value": calls, "unit": "count"}}}
+
+    monkeypatch.setattr(bench_record, "run_perfbench", fake_run)
+    roots = {}
+    for name in ("change", "baseline"):
+        (tmp_path / name / "src" / "robustpl").mkdir(parents=True)
+        (tmp_path / name / "perfbench").mkdir()
+        (tmp_path / name / "perfbench" / "run.py").write_text("")
+        roots[name] = tmp_path / name
+    args = bench_record.parse_args(["--out", str(tmp_path / "out.json"), "--seeds", "1,2",
+                                    "--baseline", str(roots["baseline"]),
+                                    "--baseline-out", str(tmp_path / "base.json")])
+    benchmark = {"run_seconds": 1, "workloads": [{"name": "w"}],
+                 "end_to_end": [{"name": "solves_per_s", "better": "higher", "bound": 0.25},
+                                {"name": "calls", "better": "lower", "bound": 0.05}]}
+    bench_record.record(args, benchmark, roots)
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "w traced counts at seed 31: DIFFER: calls 6 vs 7 (baseline second)"

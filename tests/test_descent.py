@@ -28,7 +28,7 @@ from robustpl import (
 from robustpl.descent import (JUMP_DAMPING, JUMP_RATIO, MAX_BISECT_STEPS, MAX_CYCLES,
                               MAX_DOUBLINGS, POWER_CAP, START_AIM, START_RTOL,
                               _LazyProbs, _bisect_user_power, _find_feasible_start,
-                              _model_start, _normal_quantile, _try_jump)
+                              _model_start, _normal_quantile, _run_descent, _try_jump)
 
 from robustpl.quadform import ToleranceNotMet, _moments, _spectrum
 
@@ -44,10 +44,10 @@ def exact_prob(instance, beamformer, qos, powers, k):
 def feasible_start(instance, beamformer, qos):
     """Doubling from the nominal powers: (allocation, feasible)."""
     oracle = OutageOracle(instance, beamformer, qos)
-    p_init, _ = init_powers_pcsi(instance.est_channels, beamformer, qos,
-                                 instance.noise_var)
-    p, _, _, feasible = _find_feasible_start(oracle, p_init.powers)
-    return PowerAllocation(powers=p), feasible
+    p_init = init_powers_pcsi(instance.est_channels, beamformer, qos,
+                              instance.noise_var)
+    probs, _, feasible = _find_feasible_start(oracle, p_init.powers)
+    return PowerAllocation(powers=probs.p), feasible
 
 
 def bisect_power(instance, beamformer, qos, alloc, k, delta_k):
@@ -91,7 +91,7 @@ class TestFeasibleStart:
     def test_already_feasible_start_skips_doubling(self):
         inst, b, qos = make_zf_setup(103)
         first = solve_general(inst, b, qos)
-        again = solve_general(inst, b, qos, p_start=first.powers)
+        again = _run_descent(OutageOracle(inst, b, qos), first.powers)
         assert again.doublings == 0
 
     def test_hopeless_instance_reports_infeasible(self):
@@ -141,7 +141,7 @@ class TestRayLimit:
     def test_bounds_the_probability_along_the_ray(self, surrogate, seed, gamma_db, sigma_e2):
         inst, b, qos = make_zf_setup(seed, gamma_db, sigma_e2=sigma_e2)
         oracle = (SurrogateOracle if surrogate else OutageOracle)(inst, b, qos)
-        p = init_powers_pcsi(inst.est_channels, b, qos, inst.noise_var)[0].powers
+        p = init_powers_pcsi(inst.est_channels, b, qos, inst.noise_var).powers
         for k in range(3):
             limit = oracle.ray_limit(p, k)
             assert oracle.evals == k + 1  # one counted evaluation
@@ -193,16 +193,17 @@ class TestRayLimit:
         before, stub = RayStub(None), RayStub(limit)
         before.ray_limit = lambda powers, k: None  # no limit read at all
         want, got = _find_feasible_start(before, p_init), _find_feasible_start(stub, p_init)
-        assert got[2] == want[2] >= 3 and got[3] and want[3]
-        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        assert got[1] == want[1] >= 3 and got[2] and want[2]
+        assert np.array_equal(got[0].p, want[0].p) and np.array_equal(got[0].values, want[0].values)
+        assert not got[0].stale.any()  # every value is fresh on the feasible exit
         assert stub.checked == [0, 1, 2]  # each user once, when first failing
         assert stub.evals == before.evals + len(stub.checked)
 
     def test_limit_below_the_floor_gives_up_at_once(self):
         stub = RayStub(0.95 - 1e-9)
-        p, probs, doublings, feasible = _find_feasible_start(stub, np.array([0.01, 0.02, 0.05]))
+        probs, doublings, feasible = _find_feasible_start(stub, np.array([0.01, 0.02, 0.05]))
         assert not feasible and doublings == 1 and stub.checked == [0]
-        assert np.array_equal(p, [0.02, 0.04, 0.1]) and np.all(np.isfinite(probs))
+        assert np.array_equal(probs.p, [0.02, 0.04, 0.1]) and np.all(np.isfinite(probs.complete()))
 
 
 class TestModelStart:
@@ -239,8 +240,8 @@ class TestModelStart:
         inst, b, qos = make_zf_setup(613)
         monkeypatch.setattr(OutageOracle, "model_root", lambda self, p, k, z: None)
         assert _model_start(OutageOracle(inst, b, qos)) is None
-        ray = init_powers_pcsi(inst.est_channels, b, qos, inst.noise_var)[0]
-        report, on_ray = solve_general(inst, b, qos), solve_general(inst, b, qos, p_start=ray)
+        ray = init_powers_pcsi(inst.est_channels, b, qos, inst.noise_var)
+        report, on_ray = solve_general(inst, b, qos), _run_descent(OutageOracle(inst, b, qos), ray)
         assert np.array_equal(report.powers.powers, on_ray.powers.powers)
         assert (report.integral_evals, report.doublings) == (on_ray.integral_evals,
                                                             on_ray.doublings)
@@ -280,7 +281,7 @@ class TestBisection:
         inst, b, qos = make_zf_setup(113)
         start, feasible = feasible_start(inst, b, qos)
         assert feasible
-        report = solve_general(inst, b, qos, p_start=start)
+        report = _run_descent(OutageOracle(inst, b, qos), start)
         # one cycle of 3 users, each within the 60-step guard
         assert report.bisection_steps <= report.cycles * 3 * 60
 
@@ -594,8 +595,9 @@ class TestSolveGeneral:
         inst, b, qos = make_zf_setup(125)
         start, feasible = feasible_start(inst, b, qos)
         assert feasible
-        report = solve_general(inst, b, qos, p_start=start)
-        assert report.total_power <= start.total_power(b) + 1e-12
+        report = _run_descent(OutageOracle(inst, b, qos), start)
+        start_total = float(np.dot(start.powers, np.sum(np.abs(b.columns) ** 2, axis=0)))
+        assert report.total_power <= start_total + 1e-12
 
     def test_deterministic(self):
         inst, b, qos = make_zf_setup(129)
@@ -678,22 +680,25 @@ class TestOutageOracle:
             for _ in range(4):
                 p = rng.uniform(0.2, 3.0, inst.n_users) * 0.01 * qos.gamma
                 for k in range(inst.n_users):
-                    ref = build_outage_form(inst, b, PowerAllocation(powers=p), qos, k)
+                    ref_minus_q, ref_a, ref_tau = build_outage_form(
+                        inst, b, PowerAllocation(powers=p), qos, k)
                     if zf:
                         # the residue surrogate's spectrum of -Q
-                        want = residue_spectrum(-ref.Q)
+                        want = residue_spectrum(ref_minus_q)
                         got = surrogate.spectrum(p, k)
                         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
                     minus_q, a, tau = oracle.minus_form(p, k)
-                    for got, want in ((-minus_q, ref.Q), (a, ref.a)):
+                    for got, want in ((minus_q, ref_minus_q), (a, ref_a)):
                         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
                     # tau = v - a^H Q a, where v = c . g_k - sigma_k^2
-                    quad = abs(float(np.real(ref.a.conj() @ ref.Q @ ref.a)))
-                    assert abs(tau - ref.tau) <= 1e-13 * (abs(ref.v) + quad)
-                    # the noise-free tau of the ray limit
                     noise = float(inst.noise_var[k])
+                    g_k = np.abs(inst.est_channels[k] @ b.columns) ** 2
+                    v = float(oracle.signed_powers(p, k) @ g_k) - noise
+                    quad = abs(float(np.real(ref_a.conj() @ ref_minus_q @ ref_a)))
+                    assert abs(tau - ref_tau) <= 1e-13 * (abs(v) + quad)
+                    # the noise-free tau of the ray limit
                     tau_free = oracle.minus_form(p, k, 0.0)[2]
-                    assert abs(tau_free - (ref.tau + noise)) <= 1e-13 * (abs(ref.v) + quad + noise)
+                    assert abs(tau_free - (ref_tau + noise)) <= 1e-13 * (abs(v) + quad + noise)
 
     def test_tau_is_minus_the_noise(self):
         # a_k^H G_k = -h_k^H B for a positive definite C_k, so the form's
@@ -790,8 +795,8 @@ class TestOutageOracle:
                 for directions in (b, build_rci(inst.est_channels, 0.01 * n)):
                     oracle = OutageOracle(inst, directions, qos)
                     p_init = init_powers_pcsi(inst.est_channels, directions, qos,
-                                              inst.noise_var)[0]
-                    yield oracle, _find_feasible_start(oracle, p_init.powers)[0]
+                                              inst.noise_var)
+                    yield oracle, _find_feasible_start(oracle, p_init.powers)[0].p
 
     def test_model_root_meets_the_aim(self):
         aim = 0.95 + 0.125e-3
@@ -1000,7 +1005,7 @@ class TestLazyEvaluation:
         # the solver's own start: the model start, else the PCSI ray
         p_start = _model_start(oracle) if oracle.model_root else None
         if p_start is None:
-            p_start = init_powers_pcsi(inst.est_channels, b, qos, inst.noise_var)[0].powers
+            p_start = init_powers_pcsi(inst.est_channels, b, qos, inst.noise_var).powers
         want = eager_descent(oracle, b, qos, p_start)
         # per search of the solver: was its lower bound above the band?  A
         # new run of searches starts at each accepted jump

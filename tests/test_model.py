@@ -136,8 +136,7 @@ class TestPcsiDirections:
         est = generate_rayleigh_channels(3, 3, 23)
         qos = QoSSpec(gamma=np.full(3, 2.0), epsilon=np.full(3, 0.05))
         b = build_pcsi_directions(est, qos)
-        alloc, fallback = init_powers_pcsi(est, b, qos, 0.01)
-        assert not fallback
+        alloc = init_powers_pcsi(est, b, qos, 0.01)
         for k in range(3):
             val = sinr(est[k], b, alloc, 0.01, k)
             assert val == pytest.approx(2.0, abs=1e-6)
@@ -197,8 +196,7 @@ class TestPcsiNewton:
         n_tx, n_users = dims
         est, qos, noise = uplink_draw(data, n_tx, n_users, 1.0, 40.0)
         b = build_pcsi_directions(est, qos)
-        alloc, fallback = init_powers_pcsi(est, b, qos, noise)
-        assert not fallback
+        alloc = init_powers_pcsi(est, b, qos, noise)
         for k in range(n_users):
             val = sinr(est[k], b, alloc, noise[k], k)
             assert val == pytest.approx(qos.gamma[k], rel=1e-9)
@@ -231,7 +229,8 @@ class TestPcsiNewton:
         # so they load with no more downlink power than directions from the
         # per-user R_i = sigma_i^2 I + sum_j q_j h_j h_j^H
         per_user = BeamformerMatrix(columns=fixed_point_directions(est, qos, noise))
-        power = [init_powers_pcsi(est, d, qos, noise)[0].total_power(d)
+        power = [np.dot(init_powers_pcsi(est, d, qos, noise).powers,
+                        np.sum(np.abs(d.columns) ** 2, axis=0))
                  for d in (b, per_user)]
         assert power[0] <= power[1] * (1.0 + 1e-9)
 
@@ -282,13 +281,15 @@ class TestOutageForm:
         qos = QoSSpec.from_db(4.0, 0.05, 3)
         p = PowerAllocation(powers=np.array([0.05, 0.07, 0.06]))
         for k in range(3):
-            form = build_outage_form(inst, b, p, qos, k)
+            minus_q, a, tau = build_outage_form(inst, b, p, qos, k)
+            # the margin's linear term r = -Q a and constant v = tau + a^H Q a
+            r, v = minus_q @ a, tau - np.real(a.conj() @ minus_q @ a)
             chalf = psd_sqrt(inst.error_cov[k])
             r_expected = (p.powers[k] / qos.gamma[k]) * (chalf @ b.columns[:, k])
-            np.testing.assert_allclose(form.r, r_expected, atol=1e-9)
-            assert form.v == pytest.approx(
+            np.testing.assert_allclose(r, r_expected, atol=1e-9)
+            assert v == pytest.approx(
                 p.powers[k] / qos.gamma[k] - 0.01, abs=1e-9)
-            assert form.tau == pytest.approx(-0.01, abs=1e-9)
+            assert tau == pytest.approx(-0.01, abs=1e-9)
 
     def test_margin_matches_direct_substitution(self, rng):
         inst = make_instance(43)
@@ -296,12 +297,11 @@ class TestOutageForm:
         qos = QoSSpec.from_db(6.0, 0.05, 3)
         p = PowerAllocation(powers=rng.uniform(0.02, 0.3, 3))
         for k in range(3):
-            form = build_outage_form(inst, b, p, qos, k)
+            minus_q, a, tau = build_outage_form(inst, b, p, qos, k)
             chalf = psd_sqrt(inst.error_cov[k])
             for _ in range(10):
                 delta = complex_normal(rng, 3)
-                margin = (delta.conj() @ form.Q @ delta).real \
-                    + 2 * np.real(delta.conj() @ form.r) + form.v
+                margin = tau - ((delta - a).conj() @ minus_q @ (delta - a)).real
                 h_row = inst.est_channels[k] + (chalf @ delta).conj()
                 g = h_row @ b.columns
                 direct = (p.powers[k] / qos.gamma[k]) * abs(g[k]) ** 2 \
@@ -314,10 +314,15 @@ class TestOutageForm:
         b = build_zf(inst.est_channels)
         qos = QoSSpec.from_db(5.0, 0.05, 3)
         p = PowerAllocation(powers=np.array([0.1, 0.2, 0.15]))
-        form = build_outage_form(inst, b, p, qos, 1)
-        tau_re = form.v - np.real(form.a.conj() @ form.Q @ form.a)
-        assert form.tau == pytest.approx(tau_re, abs=1e-10)
-        assert np.max(np.abs(form.Q - form.Q.conj().T)) < 1e-12
+        minus_q, a, tau = build_outage_form(inst, b, p, qos, 1)
+        # v = h_1^H A h_1 - sigma_1^2 from its definition,
+        # A = (p_1 / gamma_1) b_1 b_1^H - sum_{j != 1} p_j b_j b_j^H
+        g = inst.est_channels[1] @ b.columns
+        v = p.powers[1] / qos.gamma[1] * abs(g[1]) ** 2 \
+            - np.dot(np.abs(np.delete(g, 1)) ** 2, np.delete(p.powers, 1)) - 0.01
+        tau_re = v + np.real(a.conj() @ minus_q @ a)
+        assert tau == pytest.approx(tau_re, abs=1e-10)
+        assert np.max(np.abs(minus_q - minus_q.conj().T)) < 1e-12
 
     def test_joint_scaling_homogeneity(self):
         inst = make_instance(53)
@@ -330,11 +335,14 @@ class TestOutageForm:
                                   error_cov=inst.error_cov,
                                   noise_var=inst.noise_var * c)
         for k in range(3):
-            f1 = build_outage_form(inst, b, PowerAllocation(powers=p), qos, k)
-            f2 = build_outage_form(scaled, b, PowerAllocation(powers=c * p), qos, k)
-            np.testing.assert_allclose(f2.Q, c * f1.Q, atol=1e-12)
-            np.testing.assert_allclose(f2.r, c * f1.r, atol=1e-12)
-            assert f2.v == pytest.approx(c * f1.v, rel=1e-10)
+            (q1, a1, tau1), (q2, a2, tau2) = (
+                build_outage_form(inst, b, PowerAllocation(powers=p), qos, k),
+                build_outage_form(scaled, b, PowerAllocation(powers=c * p), qos, k))
+            r1, r2 = q1 @ a1, q2 @ a2  # r = -Q a
+            v1, v2 = (t - np.real(a.conj() @ q @ a) for q, a, t in ((q1, a1, tau1), (q2, a2, tau2)))
+            np.testing.assert_allclose(q2, c * q1, atol=1e-12)
+            np.testing.assert_allclose(r2, c * r1, atol=1e-12)
+            assert v2 == pytest.approx(c * v1, rel=1e-10)
 
 
 class TestInitPowers:
@@ -342,24 +350,24 @@ class TestInitPowers:
         est = np.array([[2.0 + 0j]])
         b = build_zf(est)
         qos = QoSSpec(gamma=np.array([2.0]), epsilon=np.array([0.05]))
-        alloc, fallback = init_powers_pcsi(est, b, qos, 0.01)
-        assert not fallback
+        alloc = init_powers_pcsi(est, b, qos, 0.01)
+        assert sinr(est[0], b, alloc, 0.01, 0) == pytest.approx(2.0, abs=1e-12)
         assert alloc.powers[0] == pytest.approx(0.02, abs=1e-12)
 
     def test_zf_directions_decouple(self):
         est = generate_rayleigh_channels(3, 3, 59)
         b = build_zf(est)
         qos = QoSSpec(gamma=np.array([1.0, 2.0, 4.0]), epsilon=np.full(3, 0.05))
-        alloc, fallback = init_powers_pcsi(est, b, qos, 0.01)
-        assert not fallback
+        alloc = init_powers_pcsi(est, b, qos, 0.01)
+        for k in range(3):
+            assert sinr(est[k], b, alloc, 0.01, k) == pytest.approx(qos.gamma[k], rel=1e-9)
         np.testing.assert_allclose(alloc.powers, qos.gamma * 0.01, rtol=1e-9)
 
     def test_rci_powers_hit_targets_on_estimates(self):
         est = generate_rayleigh_channels(3, 3, 61)
         b = build_rci(est, 0.03)
         qos = QoSSpec.from_db(5.0, 0.05, 3)
-        alloc, fallback = init_powers_pcsi(est, b, qos, 0.01)
-        assert not fallback
+        alloc = init_powers_pcsi(est, b, qos, 0.01)
         for k in range(3):
             assert sinr(est[k], b, alloc, 0.01, k) == pytest.approx(
                 float(qos.gamma[k]), abs=1e-8)
@@ -370,9 +378,8 @@ class TestInitPowers:
         est = np.array([[1.0, 0.0], [1.0, 0.0]], dtype=complex)
         b = BeamformerMatrix(columns=np.array([[1.0, 1.0], [0.0, 0.0]], dtype=complex))
         qos = QoSSpec(gamma=np.ones(2), epsilon=np.full(2, 0.05))
-        alloc, fallback = init_powers_pcsi(est, b, qos, np.array([0.01, 0.02]))
-        assert fallback
-        np.testing.assert_array_equal(alloc.powers, [0.01, 0.02])
+        alloc = init_powers_pcsi(est, b, qos, np.array([0.01, 0.02]))
+        np.testing.assert_array_equal(alloc.powers, qos.gamma * np.array([0.01, 0.02]))
 
     def test_fallback_on_infeasible_balance(self):
         # two users sharing one direction: the balance system has no
@@ -381,9 +388,8 @@ class TestInitPowers:
         cols = np.array([[1.0, 1.0], [0.0, 1e-6]], dtype=complex)
         b = BeamformerMatrix(columns=cols)
         qos = QoSSpec(gamma=np.array([5.0, 5.0]), epsilon=np.full(2, 0.05))
-        alloc, fallback = init_powers_pcsi(est, b, qos, 0.01)
-        assert fallback
-        np.testing.assert_allclose(alloc.powers, qos.gamma * 0.01)
+        alloc = init_powers_pcsi(est, b, qos, 0.01)
+        np.testing.assert_array_equal(alloc.powers, qos.gamma * 0.01)
 
 
 class TestPsdRoots:
@@ -452,7 +458,7 @@ class TestCachedCovarianceRoots:
         qos = QoSSpec.from_db(5.0, 0.05, 3)
         p = PowerAllocation(powers=np.array([0.05, 0.12, 0.08]))
         for k in range(3):
-            form = build_outage_form(inst, b, p, qos, k)
+            minus_q, form_a, tau = build_outage_form(inst, b, p, qos, k)
             chalf = psd_sqrt(inst.error_cov[k])
             cinvhalf = psd_inv_sqrt(inst.error_cov[k])
             hk = inst.est_channels[k].conj()
@@ -461,11 +467,9 @@ class TestCachedCovarianceRoots:
             q = 0.5 * (q + q.conj().T)
             v = float(np.real(hk.conj() @ a_mat @ hk)) - float(inst.noise_var[k])
             a = -cinvhalf @ hk
-            np.testing.assert_array_equal(form.Q, q)
-            np.testing.assert_array_equal(form.r, chalf @ (a_mat @ hk))
-            np.testing.assert_array_equal(form.a, a)
-            assert form.v == v
-            assert form.tau == v - float(np.real(a.conj() @ q @ a))
+            np.testing.assert_array_equal(minus_q, -q)
+            np.testing.assert_array_equal(form_a, a)
+            assert tau == v - float(np.real(a.conj() @ q @ a))
 
     def test_roots_computed_once_per_user(self, monkeypatch):
         calls = {"sqrt": 0, "inv_sqrt": 0}
@@ -508,6 +512,13 @@ class TestCachedCovarianceRoots:
             np.testing.assert_array_equal(mine, theirs)
 
 
+def with_first_entry(array, value):
+    """A complex copy of array whose first entry is value."""
+    out = np.array(array, dtype=complex)
+    out.flat[0] = value
+    return out
+
+
 class TestValidation:
     def test_rejects_non_hermitian_cov(self):
         h = generate_rayleigh_channels(2, 2, 1)
@@ -521,7 +532,16 @@ class TestValidation:
         ("est_channels", np.ones((3, 2)), "share a shape"),
         ("error_cov", np.broadcast_to(np.eye(3), (2, 3, 3)), "error_cov must have shape"),
         ("noise_var", np.ones(3), "one entry per user"),
-        ("noise_var", np.array([0.01, 0.0]), "must be positive")])
+        ("noise_var", np.array([0.01, 0.0]), "must be positive"),
+        # non-finite entries once reached the solvers as a "math domain
+        # error", or a NaN covariance as "not positive definite"
+        ("true_channels", with_first_entry(np.ones((2, 2)), np.nan), "true_channels must be finite"),
+        ("est_channels", with_first_entry(np.ones((2, 2)), np.nan), "est_channels must be finite"),
+        ("est_channels", with_first_entry(np.ones((2, 2)), np.inf), "est_channels must be finite"),
+        ("error_cov", with_first_entry(np.broadcast_to(np.eye(2), (2, 2, 2)), np.nan),
+         "error_cov must be finite"),
+        ("noise_var", np.array([0.01, np.inf]), "noise_var must be finite"),
+        ("noise_var", np.array([np.nan, 0.01]), "noise_var must be finite")])
     def test_rejects_inconsistent_instance(self, field, value, match):
         h = generate_rayleigh_channels(2, 2, 1)
         fields = dict(true_channels=h, est_channels=h,

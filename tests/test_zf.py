@@ -28,7 +28,7 @@ from robustpl import (
     solve_zf_coord_descent,
     solve_zf_coord_update,
 )
-from robustpl.descent import POWER_CAP
+from robustpl.descent import POWER_CAP, _run_descent
 from robustpl.zf import ROUNDING_TOL, _step_from_spectrum
 
 from conftest import make_instance, make_zf_setup
@@ -220,7 +220,7 @@ class TestResidueProbability:
             p = rng.uniform(0.5, 2.5, 3) * qos.gamma * 0.01
             for k in range(3):
                 lam_nz = residue_spectrum(
-                    -build_outage_form(inst, b, PowerAllocation(powers=p), qos, k).Q)
+                    build_outage_form(inst, b, PowerAllocation(powers=p), qos, k)[0])
                 pos = lam_nz[lam_nz > 0]
                 u = float(rng.uniform(0.0, 1e-3))
                 mags = []
@@ -236,7 +236,7 @@ class TestResidueProbability:
             p = rng.uniform(0.2, 3.0, 3) * qos.gamma * 0.01
             for k in range(3):
                 lam_nz = residue_spectrum(
-                    -build_outage_form(inst, b, PowerAllocation(powers=p), qos, k).Q)
+                    build_outage_form(inst, b, PowerAllocation(powers=p), qos, k)[0])
                 assert np.sum(lam_nz < 0) == 1
                 assert np.sum(lam_nz > 0) <= 2
 
@@ -300,7 +300,7 @@ class TestCoordUpdate:
         qos = QoSSpec.from_db(5.0, 0.05, 1)
         oracle = SurrogateOracle(inst, b, qos)
         p0 = oracle.start()
-        spec = residue_spectrum(-build_outage_form(inst, b, p0, qos, 0).Q)
+        spec = residue_spectrum(build_outage_form(inst, b, p0, qos, 0)[0])
         val = residue_probability(spec, float(p0.powers[0]),
                                   float(oracle.gamma_prime[0]), 0.01)
         assert val == pytest.approx(0.95, abs=1e-9)
@@ -327,7 +327,7 @@ class TestCoordUpdate:
         for k in range(3):
             pk = oracle.step(p_prev.powers, k)
             assert pk >= oracle.gamma_prime[k] * 0.01
-            lam_nz = residue_spectrum(-build_outage_form(inst, b, p_prev, qos, k).Q)
+            lam_nz = residue_spectrum(build_outage_form(inst, b, p_prev, qos, k)[0])
             trial = p_prev.powers.copy()
             trial[k] = pk
             # certified on the frozen spectrum: dropping the alternating tail
@@ -391,7 +391,7 @@ class TestCoordUpdate:
     def test_chained_refinement_never_raises_power(self):
         inst, b, qos = make_zf_setup(261)
         first = solve_zf_coord_update(inst, b, qos)
-        refined = solve_zf_coord_descent(inst, b, qos, p_start=first.powers)
+        refined = _run_descent(SurrogateOracle(inst, b, qos), first.powers)
         assert refined.total_power <= first.total_power + 1e-12
 
     def test_cycle_limit_status(self, monkeypatch):
