@@ -339,7 +339,8 @@ class TestOutageForm:
                 build_outage_form(inst, b, PowerAllocation(powers=p), qos, k),
                 build_outage_form(scaled, b, PowerAllocation(powers=c * p), qos, k))
             r1, r2 = q1 @ a1, q2 @ a2  # r = -Q a
-            v1, v2 = (t - np.real(a.conj() @ q @ a) for q, a, t in ((q1, a1, tau1), (q2, a2, tau2)))
+            v1 = tau1 - np.real(a1.conj() @ q1 @ a1)  # v = tau + a^H Q a
+            v2 = tau2 - np.real(a2.conj() @ q2 @ a2)
             np.testing.assert_allclose(q2, c * q1, atol=1e-12)
             np.testing.assert_allclose(r2, c * r1, atol=1e-12)
             assert v2 == pytest.approx(c * v1, rel=1e-10)
