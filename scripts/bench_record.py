@@ -17,18 +17,19 @@ measured copy and their total.
 
 With ``--baseline`` the same runs are made on a fresh copy of a second
 checkout's HEAD commit, alternating which of the two goes first from seed to
-seed, and written to ``--baseline-out``.  The ``src_lines`` totals of both
-sides and their difference are printed first; then each metric's pairwise
-wins, losses and ties (a pair within a relative TIE_REL is a tie), counted
-in the direction BENCHMARK.json gives it, with the two-sided sign-test
-p-value of the wins against the losses, whether this checkout's median is
-worse than the baseline's by more than the metric's ``bound`` (a share of
-the baseline median), whether a gain may be claimed (``claimable``), and
-per workload whether every seed's digest matches and whether every traced
-per-layer count (a metric of unit ``count`` in the ``--trace 1`` runs at
-TRACE_SEED) equals the baseline's, naming those that differ.  Traced
-per-layer times come from that one seed and are too noisy to compare, so
-they are left out of that check.
+seed and, for the traced runs, from workload to workload, and written to
+``--baseline-out``.  The ``src_lines`` totals of both sides and their
+difference are printed first; then each metric's pairwise wins, losses and
+ties (a pair within a relative TIE_REL is a tie), counted in the direction
+BENCHMARK.json gives it, with the two-sided sign-test p-value of the wins
+against the losses, whether this checkout's median is worse than the
+baseline's by more than the metric's ``bound`` (a share of the baseline
+median), whether a gain may be claimed (``claimable``), and per workload
+whether every seed's digest matches and whether every traced per-layer
+count (a metric of unit ``count`` in the ``--trace 1`` runs at TRACE_SEED)
+equals the baseline's, naming those that differ.  Traced per-layer times
+come from that one seed and are too noisy to compare, so they are left out
+of that check.
 """
 
 from __future__ import annotations
@@ -200,6 +201,10 @@ def record(args, benchmark: dict, roots: dict):
     seconds = benchmark["run_seconds"]
     better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
     bounds = {m["name"]: m["bound"] for m in benchmark["end_to_end"]}
+
+    def order(i):  # the side that goes first alternates
+        return list(roots) if i % 2 else list(roots)[::-1]
+
     files = {name: {**git_revision(root),
                     "src_lines": src_lines(root),
                     "python": platform.python_version(),
@@ -214,18 +219,17 @@ def record(args, benchmark: dict, roots: dict):
         change, base = (files[name]["src_lines"]["total"] for name in ("change", "baseline"))
         print(f"src_lines total: {change} vs {base} (baseline), difference "
               f"{change - base:+d}", flush=True)
-    for workload in (w["name"] for w in benchmark["workloads"]):
+    for w, workload in enumerate(w["name"] for w in benchmark["workloads"]):
         runs = {name: [] for name in roots}
         for i, seed in enumerate(args.seeds):
-            order = list(roots) if i % 2 else list(roots)[::-1]
-            for name in order:
+            for name in order(i):
                 runs[name].append(run_perfbench(roots[name], workload, seed,
                                                 seconds, trace=False))
                 print(f"{name} {workload} seed {seed}: "
                       f"{runs[name][-1]['metrics']['solves_per_s']['value']:.3f} "
                       "solves/s", flush=True)
-        for name, root in roots.items():
-            trace = run_perfbench(root, workload, TRACE_SEED, seconds, trace=True)
+        for name in order(w):
+            trace = run_perfbench(roots[name], workload, TRACE_SEED, seconds, trace=True)
             files[name]["workloads"][workload] = {
                 "metrics": summarize(runs[name]), "runs": runs[name],
                 "trace": trace}

@@ -16,17 +16,16 @@ from .model import (
     db_to_linear,
     generate_rayleigh_channels,
     init_powers_pcsi,
+    mc_probability,
     simulate_uplink_estimate,
     sinr,
     uplink_error_variance,
 )
 from .quadform import (
-    EigenSpectrum,
     ProbabilityEstimate,
     ToleranceNotMet,
     cdf_quadrature,
     decompose,
-    mc_probability,
     outage_probability,
 )
 from .descent import (

@@ -24,9 +24,9 @@ from .model import (
     build_zf,
     draw_estimate,
     generate_rayleigh_channels,
+    mc_probability,
     uplink_error_variance,
 )
-from .quadform import mc_probability
 
 __all__ = [
     "METHODS",
@@ -198,11 +198,11 @@ def run_trial(config: ExperimentConfig, trial: int) -> list:
                     and np.all(report.per_user_prob_exact >= 1.0 - qos.epsilon))
                 if success and config.mc_certify_samples > 0:
                     for u in range(k):
-                        mc = mc_probability(
+                        freq, se = mc_probability(
                             instance, bf, report.powers, qos, u,
                             config.mc_certify_samples,
                             [config.seed, 2, trial, j, m_idx, g_idx, u])
-                        if 1.0 - mc.value > config.epsilon + 4.0 * mc.abs_error_bound:
+                        if 1.0 - freq > config.epsilon + 4.0 * se:
                             success = False
                             break
                 records.append(TrialRecord(

@@ -256,6 +256,42 @@ def sinr(channel_row: np.ndarray, beamformer: BeamformerMatrix,
     return float(signal / (interference + sigma_k2))
 
 
+def mc_probability(instance: ScenarioInstance, beamformer: BeamformerMatrix,
+                   allocation: PowerAllocation, qos: QoSSpec, k: int,
+                   n_samples: int, rng_seed) -> tuple:
+    """Monte Carlo estimate of Pr(SINR_k >= gamma_k) over the estimation
+    error, with the true channel reconstructed as h_k^H = est_k^H - e_k^H.
+
+    Returns (hit frequency, its binomial standard error); the standard error
+    is not a certified bound.
+    """
+    if n_samples < 1:
+        raise ValueError("n_samples must be at least 1")
+    rng = _as_rng(rng_seed)
+    chalf = instance.cov_roots[0][k]
+    est_row = instance.est_channels[k]
+    b = beamformer.columns
+    p = allocation.powers
+    gamma_k = float(qos.gamma[k])
+    sigma_k2 = float(instance.noise_var[k])
+
+    hits = 0
+    remaining = int(n_samples)
+    chunk = 262_144
+    while remaining > 0:
+        n = min(chunk, remaining)
+        delta = complex_normal(rng, n, instance.n_tx)
+        err_rows_h = (delta @ chalf.T).conj()  # rows e_k^H
+        rows = est_row[None, :] - err_rows_h
+        g2 = np.abs(rows @ b) ** 2
+        signal = g2[:, k] * p[k]
+        interference = g2 @ p - signal
+        hits += int(np.count_nonzero(signal >= gamma_k * (interference + sigma_k2)))
+        remaining -= n
+    freq = hits / n_samples
+    return freq, float(np.sqrt(freq * (1.0 - freq) / n_samples))
+
+
 def psd_sqrt(c: np.ndarray) -> np.ndarray:
     """Principal Hermitian PSD square root, negative eigenvalues clamped to 0."""
     w, v = np.linalg.eigh(np.asarray(c, dtype=complex))

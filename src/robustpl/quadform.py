@@ -24,24 +24,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (
-    BeamformerMatrix,
-    PowerAllocation,
-    QoSSpec,
-    ScenarioInstance,
-    _as_rng,
-    complex_normal,
-    psd_sqrt,  # noqa: F401 (perfbench/tracing.py wraps this name)
-)
+from .model import HERMITIAN_TOL
+from .model import psd_sqrt  # noqa: F401 (perfbench/tracing.py wraps this name)
 
 __all__ = [
-    "EigenSpectrum",
     "ProbabilityEstimate",
     "ToleranceNotMet",
     "decompose",
     "cdf_quadrature",
     "outage_probability",
-    "mc_probability",
 ]
 
 
@@ -58,14 +49,6 @@ class ToleranceNotMet(Exception):
 
 
 @dataclass(frozen=True)
-class EigenSpectrum:
-    """Eigen-data of M: eigenvalues and the rotated centre."""
-
-    eigenvalues: np.ndarray
-    z_tilde: np.ndarray
-
-
-@dataclass(frozen=True)
 class ProbabilityEstimate:
     value: float
     abs_error_bound: float
@@ -78,20 +61,21 @@ class ProbabilityEstimate:
         object.__setattr__(self, "value", float(min(1.0, max(0.0, self.value))))
 
 
-def decompose(m, z) -> EigenSpectrum:
-    """Eigen-data of the Hermitian M and centre z of Pr(||x - z||^2_M <= tau),
-    eigenvalues sorted descending."""
+def decompose(m, z) -> tuple:
+    """The spectrum (eigenvalues sorted descending, |z~|^2) of the Hermitian M
+    and centre z of Pr(||x - z||^2_M <= tau), z~ = V^H z."""
     m, z = np.asarray(m, dtype=complex), np.asarray(z, dtype=complex)
     scale = max(1.0, float(np.max(np.abs(m)))) if m.size else 1.0
-    if np.max(np.abs(m - m.conj().T)) > 1e-12 * scale:
+    if np.max(np.abs(m - m.conj().T)) > HERMITIAN_TOL * scale:
         raise ValueError("M must be Hermitian")
-    return _spectrum(m, z)[0]
+    lam, z_t, _ = _spectrum(m, z)
+    return lam, np.abs(z_t) ** 2
 
 
-def _spectrum(m, z, eig=None):  # (its EigenSpectrum, V^H); eig: m's eigh, if known
+def _spectrum(m, z, eig=None):  # (lam descending, V^H z, V^H); eig: m's eigh, if known
     lam, vecs = np.linalg.eigh(m) if eig is None else eig
     basis = vecs[:, ::-1].conj().T
-    return EigenSpectrum(eigenvalues=lam[::-1], z_tilde=basis @ z), basis
+    return lam[::-1], basis @ z, basis
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +302,7 @@ def _vertical_cut(beta, lam, zt2, tau, g0, target, sigma, h, omega_max, log_lam)
             x = min(x + step, x_max)
         else:
             x = x + step if lo < x + step < hi else 0.5 * (lo + hi)
-    return found or (math.exp(x), m, math.exp(log_b))
+    return found or (math.exp(x), m, math.exp(log_b) if log_b < 709.0 else math.inf)
 
 
 def _integrand(s, lam, zt2, tau, g0, with_factors=False, abs_s=None):
@@ -346,23 +330,24 @@ def zero_mode_threshold(lam) -> float:
     return 1e-12 * max(1.0, max(map(abs, lam), default=0.0))
 
 
-def cdf_quadrature(spectrum: EigenSpectrum, tau: float, tol: float = QUAD_TOL,
-                   beta: float = None, slope_terms=None) -> ProbabilityEstimate:
+def cdf_quadrature(spectrum: tuple, tau: float, tol: float = QUAD_TOL,
+                   slope_terms=None) -> ProbabilityEstimate:
     """The contour integral to absolute tolerance tol by the trapezoid rule
     (h/pi) (1/2 + sum_{n>=1} Re f(nh)), using conjugate symmetry.
 
-    ``beta`` None places the offset at the magnitude minimizer.  The step
-    comes from the wider certified strip (``_trapezoid_step``, tol/2), the cut
-    from the tail bound (``_vertical_cut``, tol/10), and the bound adds a
-    rounding floor of eps h sum |f| times f's relative rounding error in
-    eps.  Chernoff bounds answer deep tails.
+    ``spectrum`` is the pair (eigenvalues, |z~|^2) that ``decompose``
+    returns.  The offset sits at the magnitude minimizer, the step comes from
+    the wider certified strip (``_trapezoid_step``, tol/2), the cut from the
+    tail bound (``_vertical_cut``, tol/10), and the bound adds a rounding
+    floor of eps h sum |f| times f's relative rounding error in eps.
+    Chernoff bounds answer deep tails; a form whose mean or variance is not
+    finite raises ValueError.
     ``slope_terms``, the (3, m) weights from ``outage_probability``, adds the
     ``slope``: None for tail shortcuts, mirrored and zero-mode-filtered forms.
     A bound above tol (as past the node cap MAX_NODES) raises
     ToleranceNotMet, whose ``estimate`` carries the value and that bound."""
     tau = float(tau)
-    lam_all = np.asarray(spectrum.eigenvalues, dtype=float).tolist()
-    zt2_all = (np.abs(np.asarray(spectrum.z_tilde)) ** 2).tolist()
+    lam_all, zt2_all = (np.asarray(x, dtype=float).tolist() for x in spectrum)
     thresh = zero_mode_threshold(lam_all)
     kept = [(l, z) for l, z in zip(lam_all, zt2_all)
             if abs(l) > thresh or z * abs(l) > thresh]
@@ -383,6 +368,8 @@ def cdf_quadrature(spectrum: EigenSpectrum, tau: float, tol: float = QUAD_TOL,
     # them reach floor: the tail on tau's side of the mean (the other screens
     # to 0 > floor); the right tail is the left one of (-lam, -tau)
     mu, s2 = _moments(lam_l, zt2_l)
+    if not (math.isfinite(mu) and math.isfinite(s2)):
+        raise ValueError("the form's mean or variance is not finite")
     floor = math.log(tol / 4.0)
     if sign := (tau < mu) - (tau > mu):
         lam_t, tau_t, mu_t, value = [sign * l for l in lam_l], sign * tau, sign * mu, float(sign < 0)
@@ -394,14 +381,11 @@ def cdf_quadrature(spectrum: EigenSpectrum, tau: float, tol: float = QUAD_TOL,
 
     # a negative definite form is integrated as its positive definite mirror,
     # 1 - Pr(-Y <= -tau), whose strip has no pole to the right of beta
-    mirror = beta is None and max(lam_l) < 0
+    mirror = max(lam_l) < 0
     if mirror:
         lam_l, tau, mu, slope_terms = [-l for l in lam_l], -tau, -mu, None
     cap = -1.0 / min(lam_l) if min(lam_l) < 0 else math.inf
-    if beta is None:
-        beta = _pick_beta(lam_l, zt2_l, tau, moments=(mu, s2))
-    elif not 0 < beta < cap:
-        raise ValueError("contour offset must keep I + beta*M positive definite")
+    beta = _pick_beta(lam_l, zt2_l, tau, moments=(mu, s2))
     g0 = _log_mag(beta, lam_l, zt2_l, tau)
     curv = _log_mag_parts(beta, lam_l, zt2_l, tau, 1.0)[4]  # beta^2 g0''
     if g0 > 700.0:
@@ -473,45 +457,9 @@ def outage_probability(form: tuple, tol: float = QUAD_TOL, direction=None,
     -Q's ``np.linalg.eigh`` if known (a slice of a stacked call), skips the
     decomposition."""
     minus_q, a, tau = form
-    spectrum, basis = _spectrum(minus_q, a, eig)
+    lam, z_t, basis = _spectrum(minus_q, a, eig)
     if direction is not None:
-        u_t, z_t = basis @ direction, spectrum.z_tilde
+        u_t = basis @ direction
         direction = np.array([z_t.conj() * u_t, u_t.conj() * z_t, abs(u_t) ** 2])
-    return cdf_quadrature(spectrum, tau, tol=tol, slope_terms=direction)
+    return cdf_quadrature((lam, np.abs(z_t) ** 2), tau, tol=tol, slope_terms=direction)
 
-
-def mc_probability(instance: ScenarioInstance, beamformer: BeamformerMatrix,
-                   allocation: PowerAllocation, qos: QoSSpec, k: int,
-                   n_samples: int, rng_seed) -> ProbabilityEstimate:
-    """Monte Carlo estimate of Pr(SINR_k >= gamma_k) over the estimation
-    error, with the true channel reconstructed as h_k^H = est_k^H - e_k^H.
-
-    Returns the hit frequency; its ``abs_error_bound`` is the binomial
-    standard error, not a certified bound.
-    """
-    if n_samples < 1:
-        raise ValueError("n_samples must be at least 1")
-    rng = _as_rng(rng_seed)
-    chalf = instance.cov_roots[0][k]
-    est_row = instance.est_channels[k]
-    b = beamformer.columns
-    p = allocation.powers
-    gamma_k = float(qos.gamma[k])
-    sigma_k2 = float(instance.noise_var[k])
-
-    hits = 0
-    remaining = int(n_samples)
-    chunk = 262_144
-    while remaining > 0:
-        n = min(chunk, remaining)
-        delta = complex_normal(rng, n, instance.n_tx)
-        err_rows_h = (delta @ chalf.T).conj()  # rows e_k^H
-        rows = est_row[None, :] - err_rows_h
-        g2 = np.abs(rows @ b) ** 2
-        signal = g2[:, k] * p[k]
-        interference = g2 @ p - signal
-        hits += int(np.count_nonzero(signal >= gamma_k * (interference + sigma_k2)))
-        remaining -= n
-    freq = hits / n_samples
-    se = float(np.sqrt(freq * (1.0 - freq) / n_samples))
-    return ProbabilityEstimate(value=freq, abs_error_bound=se)

@@ -22,7 +22,7 @@ from .descent import (MAX_CYCLES, POWER_CAP, DescentConfig, OutageOracle, SolveR
 from .model import (BeamformerMatrix, PowerAllocation, QoSSpec, ScenarioInstance,
                     ZF_TOL)
 from .model import build_outage_form, psd_sqrt  # noqa: F401 (perfbench/tracing.py wraps them)
-from .quadform import QUAD_TOL, EigenSpectrum, cdf_quadrature, zero_mode_threshold
+from .quadform import QUAD_TOL, cdf_quadrature, zero_mode_threshold
 from .quadform import outage_probability  # noqa: F401 (perfbench/tracing.py wraps it)
 
 __all__ = ["ApproximationInapplicable", "DegenerateSpectrum", "residue_spectrum",
@@ -213,8 +213,8 @@ class SurrogateOracle(OutageOracle):
         try:
             return residue_probability(lam_nz, float(powers[k]), gamma_prime, sigma2), ROUNDING_TOL
         except DegenerateSpectrum:
-            centred = EigenSpectrum(eigenvalues=lam_nz, z_tilde=np.zeros(lam_nz.size))
-            est = cdf_quadrature(centred, float(powers[k] / gamma_prime - sigma2))
+            est = cdf_quadrature((lam_nz, np.zeros(lam_nz.size)),
+                                 float(powers[k] / gamma_prime - sigma2))
             return est.value, est.abs_error_bound
 
     def start(self) -> PowerAllocation:

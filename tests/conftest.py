@@ -1,4 +1,5 @@
 import contextlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ settings.register_profile("derandomized", derandomize=True)
 settings.load_profile("derandomized")
 
 import robustpl.descent
+import robustpl.quadform
 from robustpl import (
     QoSSpec,
     ScenarioInstance,
@@ -31,6 +33,21 @@ def make_zf_setup(seed, gamma_db=5.0, epsilon=0.05, **kwargs):
     inst = make_instance(seed, **kwargs)
     return inst, build_zf(inst.est_channels), QoSSpec.from_db(
         gamma_db, epsilon, inst.n_users)
+
+
+@contextlib.contextmanager
+def fixed_contour_offset(beta):
+    """Within the block, ``cdf_quadrature`` integrates on the line Re s =
+    ``beta``: the contour call of ``robustpl.quadform._pick_beta`` (log
+    weight 1) returns beta, and its Chernoff call (log weight 0) still
+    minimizes."""
+    pick = robustpl.quadform._pick_beta
+
+    def fixed(lam, zt2, tau, log_weight=1.0, moments=None):
+        return beta if log_weight == 1.0 else pick(lam, zt2, tau, log_weight, moments)
+
+    with mock.patch.object(robustpl.quadform, "_pick_beta", fixed):
+        yield
 
 
 @contextlib.contextmanager

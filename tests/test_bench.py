@@ -13,7 +13,6 @@ from robustpl import (
     Diverged,
     EmptyIntersection,
     ExperimentConfig,
-    ProbabilityEstimate,
     TrialRecord,
     aggregate,
     run_sweep,
@@ -185,7 +184,7 @@ class TestSweep:
 
     def test_mc_certification_rejects_a_point_it_cannot_reproduce(self, monkeypatch):
         def low(*args):
-            return ProbabilityEstimate(value=0.5, abs_error_bound=0.001)
+            return 0.5, 0.001
         monkeypatch.setattr(robustpl.bench, "mc_probability", low)
         cfg = small_config(methods=("ZF-General",), gamma_db=(3.0,))
         plain = run_sweep(cfg)

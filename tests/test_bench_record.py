@@ -205,3 +205,29 @@ def test_record_with_baseline_compares_the_traced_counts(tmp_path, monkeypatch, 
     bench_record.record(args, benchmark, roots)
     lines = capsys.readouterr().out.splitlines()
     assert lines[-1] == "w traced counts at seed 31: DIFFER: calls 6 vs 7 (baseline second)"
+
+
+def test_record_with_baseline_alternates_the_first_traced_side(tmp_path, monkeypatch):
+    traced_sides = []
+
+    def fake_run(root, workload, seed, seconds, trace):
+        if trace:
+            traced_sides.append((workload, root.name))
+        return {"seed": seed, "digest": "d",
+                "metrics": {"solves_per_s": {"value": 1.0, "unit": "1/s"}}}
+
+    monkeypatch.setattr(bench_record, "run_perfbench", fake_run)
+    roots = {}
+    for name in ("change", "baseline"):
+        (tmp_path / name / "src" / "robustpl").mkdir(parents=True)
+        (tmp_path / name / "perfbench").mkdir()
+        (tmp_path / name / "perfbench" / "run.py").write_text("")
+        roots[name] = tmp_path / name
+    args = bench_record.parse_args(["--out", str(tmp_path / "out.json"), "--seeds", "1,2",
+                                    "--baseline", str(roots["baseline"]),
+                                    "--baseline-out", str(tmp_path / "base.json")])
+    benchmark = {"run_seconds": 1, "workloads": [{"name": w} for w in ("a", "b", "c")],
+                 "end_to_end": [{"name": "solves_per_s", "better": "higher", "bound": 0.25}]}
+    bench_record.record(args, benchmark, roots)
+    assert traced_sides == [("a", "baseline"), ("a", "change"), ("b", "change"),
+                            ("b", "baseline"), ("c", "baseline"), ("c", "change")]

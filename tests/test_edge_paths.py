@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 import robustpl.zf
-from robustpl import (BeamformerMatrix, DegenerateSpectrum, Diverged, EigenSpectrum, QoSSpec,
+from robustpl import (BeamformerMatrix, DegenerateSpectrum, Diverged, QoSSpec,
                       ToleranceNotMet, build_pcsi_directions, cdf_quadrature, decompose,
                       generate_rayleigh_channels, init_powers_pcsi, residue_probability)
 from robustpl.quadform import _log_mag, _moments, _pick_beta
+
+from conftest import fixed_contour_offset
 
 
 class TestToleranceReporting:
@@ -69,9 +71,24 @@ class TestGuards:
 
     def test_overflowing_contour_magnitude_raises(self):
         # Pr(E <= 1), E ~ Exp(1), on the line Re s = 1000: e^g0 ~ e^986
-        spec = EigenSpectrum(eigenvalues=np.array([1.0]), z_tilde=np.array([0.0]))
-        with pytest.raises(ValueError, match="e\\^g0 overflows"):
-            cdf_quadrature(spec, 1.0, beta=1000.0)
+        spec = (np.array([1.0]), np.array([0.0]))
+        with fixed_contour_offset(1000.0), pytest.raises(ValueError, match="e\\^g0 overflows"):
+            cdf_quadrature(spec, 1.0)
+
+    def test_form_of_overflowing_variance_raises(self):
+        # one eigenvalue 1e200: the variance overflows to inf, so no offset
+        # or step can be placed
+        with pytest.raises(ValueError, match="mean or variance is not finite"):
+            cdf_quadrature((np.array([1e200]), np.array([0.0])), 1e200)
+
+    def test_overflowing_tail_bound_reports_an_unmet_tolerance(self):
+        # |z~|^2 ~ 3e38 at tau = mean: at the node cap the tail bound
+        # exceeds the largest float, and reads inf
+        lam, zt2 = [3734484.768568679], [2.8426926032839188e38]
+        with pytest.raises(ToleranceNotMet) as err:
+            cdf_quadrature((np.array(lam), np.array(zt2)), _moments(lam, zt2)[0])
+        assert err.value.estimate.abs_error_bound == math.inf
+        assert 0.0 <= err.value.estimate.value <= 1.0
 
     def test_residue_sum_out_of_range_raises(self, monkeypatch):
         # the residue sum of separated eigenvalues is a CDF, and the rounding

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import robustpl.model
-import robustpl.quadform
 import robustpl.zf
 
 from robustpl import (
@@ -494,7 +493,7 @@ class TestCachedCovarianceRoots:
             for k in range(3):
                 build_outage_form(inst, b, p, qos, k)
                 robustpl.zf.SurrogateOracle(inst, b, qos).step(p.powers, k)
-                robustpl.quadform.mc_probability(inst, b, p, qos, k, 10, 0)
+                robustpl.model.mc_probability(inst, b, p, qos, k, 10, 0)
         robustpl.zf.SurrogateOracle(inst, b, qos, eta_multiple=-0.1)
         assert calls == {"sqrt": 3, "inv_sqrt": 3}
 

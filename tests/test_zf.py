@@ -10,7 +10,6 @@ from robustpl import (
     ApproximationInapplicable,
     DegenerateSpectrum,
     DescentConfig,
-    EigenSpectrum,
     PowerAllocation,
     QoSSpec,
     ScenarioInstance,
@@ -118,9 +117,8 @@ class TestResidueProbability:
         # on some of these forms the quadrature's rounding floor keeps its
         # certified bound above 1e-12; the estimate ToleranceNotMet carries,
         # with the bound it reached, is the one to compare within
-        spectrum = EigenSpectrum(eigenvalues=lam_nz, z_tilde=np.zeros(lam_nz.size))
         try:
-            return cdf_quadrature(spectrum, u, tol=1e-12)
+            return cdf_quadrature((lam_nz, np.zeros(lam_nz.size)), u, tol=1e-12)
         except ToleranceNotMet as err:
             return err.estimate
 
