@@ -14,10 +14,10 @@ from .model import (
     build_zf,
     complex_normal,
     db_to_linear,
+    draw_estimate,
     generate_rayleigh_channels,
     init_powers_pcsi,
     mc_probability,
-    simulate_uplink_estimate,
     sinr,
     uplink_error_variance,
 )
@@ -25,7 +25,6 @@ from .quadform import (
     ProbabilityEstimate,
     ToleranceNotMet,
     cdf_quadrature,
-    decompose,
     outage_probability,
 )
 from .descent import (

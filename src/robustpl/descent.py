@@ -95,11 +95,11 @@ class OutageOracle:
     (p_k / gamma_k at k, -p_j elsewhere), user k's outage form at any powers
     is Q = G_k diag(c) G_k^H and tau = -sigma_k^2, as a_k^H G_k = -h_k^H B
     for the positive definite C_k: ``minus_form`` gives the (-Q, a_k, tau)
-    that ``build_outage_form`` computes from scratch.  Calls ``oracle(powers,
-    k)`` are the solver's constraint evaluations, counted in ``evals``;
-    ``constraint`` reads ``bounded`` at sigma_k^2, which a surrogate subclass
-    overrides alone, and ``exact`` and ``exact_all`` evaluate the exact
-    probability without counting.
+    that ``build_outage_form`` computes from scratch, and ``minus_qs`` every
+    user's -Q in one stack.  Calls ``oracle(powers, k)`` are the solver's
+    constraint evaluations, counted in ``evals``; ``constraint`` reads
+    ``bounded`` at sigma_k^2, which a surrogate subclass overrides alone, and
+    ``exact`` and ``exact_all`` evaluate the exact probability uncounted.
     """
 
     def __init__(self, instance: ScenarioInstance, beamformer: BeamformerMatrix,
@@ -127,24 +127,26 @@ class OutageOracle:
         c[k] = -c[k] / self.gamma[k]
         return c
 
-    def q_matrix(self, c: np.ndarray, k: int) -> np.ndarray:
-        """G_k diag(c) G_k^H: user k's Q at the signed powers c (-Q at -c)."""
-        return (self.g_mats[k] * c) @ self.g_herms[k]
-
     def minus_form(self, powers: np.ndarray, k: int, sigma2: float = None) -> tuple:
         """(-Q, a, tau) of user k's form at noise sigma2 (None: sigma_k^2)."""
         c, sigma2 = self.signed_powers(powers, k), self.noise_var[k] if sigma2 is None else sigma2
-        return self.q_matrix(-c, k), self.centres[k], -float(sigma2)
+        return (self.g_mats[k] * -c) @ self.g_herms[k], self.centres[k], -float(sigma2)
+
+    def minus_qs(self, powers: np.ndarray) -> np.ndarray:
+        """The (K, n, n) stack of every user's -Q, ``minus_form``'s first entry."""
+        powers = np.asarray(powers, dtype=float)
+        minus_c = np.where(np.eye(powers.size, dtype=bool), -(powers / self.gamma), powers)
+        return (self.g_mats * minus_c[:, None, :]) @ self.g_herms
 
     def exact(self, powers: np.ndarray, k: int) -> float:
         return outage_probability(self.minus_form(powers, k)).value
 
     def exact_all(self, powers: np.ndarray) -> np.ndarray:
         """Every user's ``exact`` value, the -Q decomposed by one stacked ``eigh``."""
-        forms = [self.minus_form(powers, k) for k in range(self.gamma.size)]
-        eigs = np.linalg.eigh(np.stack([form[0] for form in forms]))
-        return np.array([outage_probability(form, eig=eig).value
-                         for form, *eig in zip(forms, *eigs)])
+        minus_qs = self.minus_qs(powers)
+        eigs = zip(*np.linalg.eigh(minus_qs))
+        return np.array([outage_probability((minus_q, a, -float(s2)), eig=eig).value
+                         for minus_q, a, s2, eig in zip(minus_qs, self.centres, self.noise_var, eigs)])
 
     def constraint(self, powers: np.ndarray, k: int) -> float:
         return self.bounded(powers, k, float(self.noise_var[k]))[0]

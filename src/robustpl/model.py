@@ -170,14 +170,6 @@ def uplink_error_variance(sigma2_bs: float, l_ut: int, p_ut: float) -> float:
     return sigma2_bs / (sigma2_bs + l_ut * p_ut)
 
 
-def simulate_uplink_estimate(true_channels: np.ndarray, sigma2_bs: float,
-                             l_ut: int, p_ut: float, rng_seed):
-    """Additive Gaussian channel estimates from uplink training: the
-    ``draw_estimate`` at sigma_e^2 = ``uplink_error_variance``."""
-    sigma_e2 = uplink_error_variance(sigma2_bs, l_ut, p_ut)
-    return draw_estimate(true_channels, sigma_e2, _as_rng(rng_seed))
-
-
 def draw_estimate(true_channels: np.ndarray, sigma_e2: float, rng: np.random.Generator):
     """(est_channels, error_cov) with est = true + error, the error drawn
     i.i.d. CN(0, sigma_e^2 I) per user from rng, and error_cov[k] = sigma_e^2 I."""

@@ -24,13 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import HERMITIAN_TOL
 from .model import psd_sqrt  # noqa: F401 (perfbench/tracing.py wraps this name)
 
 __all__ = [
     "ProbabilityEstimate",
     "ToleranceNotMet",
-    "decompose",
     "cdf_quadrature",
     "outage_probability",
 ]
@@ -59,23 +57,6 @@ class ProbabilityEstimate:
         if self.raw_value is None:
             object.__setattr__(self, "raw_value", self.value)
         object.__setattr__(self, "value", float(min(1.0, max(0.0, self.value))))
-
-
-def decompose(m, z) -> tuple:
-    """The spectrum (eigenvalues sorted descending, |z~|^2) of the Hermitian M
-    and centre z of Pr(||x - z||^2_M <= tau), z~ = V^H z."""
-    m, z = np.asarray(m, dtype=complex), np.asarray(z, dtype=complex)
-    scale = max(1.0, float(np.max(np.abs(m)))) if m.size else 1.0
-    if np.max(np.abs(m - m.conj().T)) > HERMITIAN_TOL * scale:
-        raise ValueError("M must be Hermitian")
-    lam, z_t, _ = _spectrum(m, z)
-    return lam, np.abs(z_t) ** 2
-
-
-def _spectrum(m, z, eig=None):  # (lam descending, V^H z, V^H); eig: m's eigh, if known
-    lam, vecs = np.linalg.eigh(m) if eig is None else eig
-    basis = vecs[:, ::-1].conj().T
-    return lam[::-1], basis @ z, basis
 
 
 # ---------------------------------------------------------------------------
@@ -335,11 +316,12 @@ def cdf_quadrature(spectrum: tuple, tau: float, tol: float = QUAD_TOL,
     """The contour integral to absolute tolerance tol by the trapezoid rule
     (h/pi) (1/2 + sum_{n>=1} Re f(nh)), using conjugate symmetry.
 
-    ``spectrum`` is the pair (eigenvalues, |z~|^2) that ``decompose``
-    returns.  The offset sits at the magnitude minimizer, the step comes from
-    the wider certified strip (``_trapezoid_step``, tol/2), the cut from the
-    tail bound (``_vertical_cut``, tol/10), and the bound adds a rounding
-    floor of eps h sum |f| times f's relative rounding error in eps.
+    ``spectrum`` is the pair (eigenvalues, |z~|^2) of M and z, z~ = V^H z for
+    M's eigenvectors V (``outage_probability`` takes M and z themselves).
+    The offset sits at the magnitude minimizer, the step comes from the wider
+    certified strip (``_trapezoid_step``, tol/2), the cut from the tail bound
+    (``_vertical_cut``, tol/10), and the bound adds a rounding floor of eps h
+    sum |f| times f's relative rounding error in eps.
     Chernoff bounds answer deep tails; a form whose mean or variance is not
     finite raises ValueError.
     ``slope_terms``, the (3, m) weights from ``outage_probability``, adds the
@@ -435,7 +417,7 @@ def cdf_quadrature(spectrum: tuple, tau: float, tol: float = QUAD_TOL,
         raw = 1.0 - raw
     bound = tol / 2.0 + scale * (tail + math.ulp(1.0) * h * err_total)
     estimate = ProbabilityEstimate(
-        value=raw, abs_error_bound=bound, raw_value=raw,
+        value=raw, abs_error_bound=bound,
         slope=None if slope_terms is None else scale * h * slope)
     if not bound <= tol:
         raise ToleranceNotMet(
@@ -457,7 +439,9 @@ def outage_probability(form: tuple, tol: float = QUAD_TOL, direction=None,
     -Q's ``np.linalg.eigh`` if known (a slice of a stacked call), skips the
     decomposition."""
     minus_q, a, tau = form
-    lam, z_t, basis = _spectrum(minus_q, a, eig)
+    lam, vecs = np.linalg.eigh(minus_q) if eig is None else eig
+    basis = vecs[:, ::-1].conj().T  # V^H, eigenvalues descending
+    lam, z_t = lam[::-1], basis @ a
     if direction is not None:
         u_t = basis @ direction
         direction = np.array([z_t.conj() * u_t, u_t.conj() * z_t, abs(u_t) ** 2])

@@ -198,15 +198,13 @@ class SurrogateOracle(OutageOracle):
 
     def spectra(self, powers: np.ndarray) -> list:
         if powers.tobytes() != self.last_read[0]:
-            minus_c = np.where(np.eye(powers.size, dtype=bool), -(powers / self.gamma), powers)
-            stack = (self.g_mats * minus_c[:, None, :]) @ self.g_herms  # -Q of every user
-            self.last_read = powers.tobytes(), residue_spectrum(stack)
+            self.last_read = powers.tobytes(), residue_spectrum(self.minus_qs(powers))
         return self.last_read[1]
 
     def spectrum(self, powers: np.ndarray, k: int) -> np.ndarray:
         if powers.tobytes() == self.last_read[0]:
             return self.last_read[1][k]
-        return residue_spectrum(self.q_matrix(-self.signed_powers(powers, k), k))
+        return residue_spectrum(self.minus_form(powers, k)[0])
 
     def bounded(self, powers: np.ndarray, k: int, sigma2: float) -> tuple:
         lam_nz, gamma_prime = self.spectrum(powers, k), float(self.gamma_prime[k])

@@ -7,10 +7,14 @@ processes (about two minutes on two cores); run with
 complete.
 """
 
+import hashlib
 import os
+import platform
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 from scipy.stats import ncx2
 
 from robustpl import (
@@ -18,12 +22,13 @@ from robustpl import (
     PowerAllocation,
     QoSSpec,
     SurrogateOracle,
+    aggregate,
     build_outage_form,
     build_rci,
     build_zf,
     cdf_quadrature,
     complex_normal,
-    decompose,
+    export_summary,
     mc_probability,
     outage_probability,
     residue_probability,
@@ -70,6 +75,32 @@ def workload_records():
     return config, run_sweep(config, n_threads=SWEEP_WORKERS)
 
 
+GOLDEN = Path(__file__).parent / "data"
+
+
+def test_records_match_the_golden_files(desk_scale_records, workload_records, tmp_path):
+    """Both sweeps' records hash to the digests of data/records.sha256, and
+    the desk sweep's common-subset summary is data/desk_summary.csv.  A change
+    that moves records on purpose updates both files."""
+    header, *lines = (GOLDEN / "records.sha256").read_text().splitlines()
+    digests = dict(line.split()[::-1] for line in lines)
+    moved = []
+    for name, (_, records) in (("desk", desk_scale_records), ("workload", workload_records)):
+        path = tmp_path / f"{name}.csv"
+        export_records(records, path)
+        if hashlib.sha256(path.read_bytes()).hexdigest() != digests[name]:
+            moved.append(f"{name} records, written to {path}")
+    summary = tmp_path / "desk_summary.csv"
+    export_summary(aggregate(desk_scale_records[1], common_subset=True), summary)
+    if summary.read_bytes() != (GOLDEN / "desk_summary.csv").read_bytes():
+        moved.append(f"desk summary, written to {summary}")
+    assert not moved, (
+        f"moved: {'; '.join(moved)}.  List the moved rows against the parent "
+        f"commit's records with `python3 scripts/records_diff.py OLD.csv NEW.csv`.  "
+        f"Golden files taken with {header.lstrip('# ')}; this run has Python "
+        f"{platform.python_version()}, numpy {np.__version__}, scipy {scipy.__version__}")
+
+
 def test_criterion_1_residue_quadrature_equivalence():
     import time
 
@@ -88,7 +119,7 @@ def test_criterion_1_residue_quadrature_equivalence():
         except ApproximationInapplicable:
             continue
         u = p[k] / oracle.gamma_prime[k] - 0.01
-        quad = cdf_quadrature(decompose(mq, np.zeros(3)), float(u)).value
+        quad = outage_probability((mq, np.zeros(3), float(u))).value
         worst = max(worst, abs(val - quad))
     elapsed = time.perf_counter() - t0
     assert worst <= 1e-6
@@ -98,10 +129,10 @@ def test_criterion_1_residue_quadrature_equivalence():
 
 def test_criterion_2_lemma_oracle_agreement():
     # analytic anchors
-    spec = decompose(np.array([[1.0]]), np.array([0.0]))
+    spec = (np.array([1.0]), np.array([0.0]))
     exp_err = abs(cdf_quadrature(spec, np.log(2.0)).value - 0.5)
     assert exp_err <= 1e-7
-    spec = decompose(np.array([[1.0]]), np.array([1.0]))
+    spec = (np.array([1.0]), np.array([1.0]))
     marcum_err = abs(cdf_quadrature(spec, 2.0).value
                      - ncx2.cdf(4.0, 2, 2.0))
     assert marcum_err <= 1e-7
@@ -120,7 +151,7 @@ def test_criterion_2_lemma_oracle_agreement():
         vals = np.einsum("ij,jk,ik->i", (samples - z).conj(), m,
                          samples - z).real
         tau = float(np.quantile(vals, rng.uniform(0.02, 0.98)))
-        est = cdf_quadrature(decompose(m, z), tau)
+        est = outage_probability((m, z, tau))
         freq = float(np.mean(vals <= tau))
         se = np.sqrt(freq * (1.0 - freq) / 100_000)
         if abs(est.value - freq) <= 4.0 * se:

@@ -110,9 +110,9 @@ class TestSweep:
                         + 1e-6 * approx.total_power
 
     def test_trial_estimate_is_the_uplink_draw(self, monkeypatch):
-        # run_trial draws its estimate as simulate_uplink_estimate does,
-        # from the trial's channel and seed, bit for bit
-        from robustpl import generate_rayleigh_channels, simulate_uplink_estimate
+        # run_trial draws its estimate by draw_estimate at the uplink error
+        # variance, from the trial's channel and seed, bit for bit
+        from robustpl import draw_estimate, generate_rayleigh_channels, uplink_error_variance
 
         seen = []
 
@@ -124,7 +124,8 @@ class TestSweep:
         cfg = small_config(methods=("ZF-General",), gamma_db=(3.0,), seed=11)
         robustpl.bench.run_trial(cfg, 1)
         h = generate_rayleigh_channels(3, 3, np.random.default_rng([11, 0, 1]))
-        est, cov = simulate_uplink_estimate(h, cfg.sigma2_bs, 1, 4.99, [11, 1, 1, 0])
+        est, cov = draw_estimate(h, uplink_error_variance(cfg.sigma2_bs, 1, 4.99),
+                                 np.random.default_rng([11, 1, 1, 0]))
         (instance,) = seen
         assert np.array_equal(instance.true_channels, h)
         assert np.array_equal(instance.est_channels, est)

@@ -30,7 +30,7 @@ from robustpl.descent import (JUMP_DAMPING, JUMP_RATIO, MAX_BISECT_STEPS, MAX_CY
                               _LazyProbs, _bisect_user_power, _find_feasible_start,
                               _model_start, _normal_quantile, _run_descent, _try_jump)
 
-from robustpl.quadform import ToleranceNotMet, _moments, _spectrum
+from robustpl.quadform import ToleranceNotMet, _moments
 
 from conftest import make_instance, make_zf_setup, strict_step_checks
 
@@ -100,7 +100,6 @@ class TestFeasibleStart:
         assert report.status is SolveStatus.INFEASIBLE_START_NOT_FOUND
         # Monte Carlo confirms the outage constraint is still violated at the
         # power level where the search gave up
-        mc = mc_probability(inst, b, report.powers, qos, 0, 100_000, 7)
         worst = min(mc_probability(inst, b, report.powers, qos, k, 100_000,
                                    [7, k])[0] for k in range(3))
         assert worst < 1.0 - float(qos.epsilon[0])
@@ -809,8 +808,8 @@ class TestOutageOracle:
                 assert at[k] > 0
                 # the model's mean and variance are the moments of the form's spectrum
                 minus_q, a, tau = oracle.minus_form(at, k)
-                lam, z_t, _ = _spectrum(minus_q, a)
-                mu, s2 = _moments(lam.tolist(), (np.abs(z_t) ** 2).tolist())
+                lam, vecs = np.linalg.eigh(minus_q)
+                mu, s2 = _moments(lam.tolist(), (np.abs(vecs.conj().T @ a) ** 2).tolist())
                 assert (tau - mu) / math.sqrt(s2) == pytest.approx(z, rel=1e-9)
                 assert abs(oracle.exact(at, k) - aim) <= 0.05
                 # the model's z-score rises towards n1 / sqrt(K_kk) as p_k grows,

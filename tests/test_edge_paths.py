@@ -5,7 +5,7 @@ import pytest
 
 import robustpl.zf
 from robustpl import (BeamformerMatrix, DegenerateSpectrum, Diverged, QoSSpec,
-                      ToleranceNotMet, build_pcsi_directions, cdf_quadrature, decompose,
+                      ToleranceNotMet, build_pcsi_directions, cdf_quadrature,
                       generate_rayleigh_channels, init_powers_pcsi, residue_probability)
 from robustpl.quadform import _log_mag, _moments, _pick_beta
 
@@ -14,7 +14,7 @@ from conftest import fixed_contour_offset
 
 class TestToleranceReporting:
     def test_unreachable_tolerance_raises_with_estimate(self):
-        spec = decompose(np.diag([0.7, -0.3]), np.array([0.5, 0.5]))
+        spec = (np.array([0.7, -0.3]), np.array([0.25, 0.25]))
         with pytest.raises(ToleranceNotMet) as err:
             cdf_quadrature(spec, 0.2, tol=1e-16)
         estimate = err.value.estimate

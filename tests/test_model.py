@@ -21,9 +21,9 @@ from robustpl import (
     build_zf,
     complex_normal,
     db_to_linear,
+    draw_estimate,
     generate_rayleigh_channels,
     init_powers_pcsi,
-    simulate_uplink_estimate,
     sinr,
     uplink_error_variance,
 )
@@ -61,7 +61,8 @@ class TestUplinkEstimate:
 
     def test_vanishing_error_at_high_power(self):
         h = generate_rayleigh_channels(2, 2, 1)
-        est, cov = simulate_uplink_estimate(h, 0.01, 1, 1e9, 5)
+        est, cov = draw_estimate(h, uplink_error_variance(0.01, 1, 1e9),
+                                 np.random.default_rng(5))
         assert uplink_error_variance(0.01, 1, 1e9) < 1e-10
         assert np.max(np.abs(est - h)) < 1e-3
         assert np.allclose(cov[0], uplink_error_variance(0.01, 1, 1e9) * np.eye(2))
@@ -71,7 +72,7 @@ class TestUplinkEstimate:
         rng = np.random.default_rng(9)
         errs = []
         for _ in range(4000):
-            est, _ = simulate_uplink_estimate(h, 0.01, 1, 4.99, rng)
+            est, _ = draw_estimate(h, uplink_error_variance(0.01, 1, 4.99), rng)
             errs.append(est)
         emp = np.mean(np.abs(np.array(errs)) ** 2)
         assert emp == pytest.approx(0.002, rel=0.1)

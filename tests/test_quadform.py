@@ -14,7 +14,6 @@ from robustpl import (
     build_outage_form,
     cdf_quadrature,
     complex_normal,
-    decompose,
     mc_probability,
     outage_probability,
     ToleranceNotMet,
@@ -29,41 +28,21 @@ def random_hermitian(rng, n, scale=1.0):
     return 0.5 * (x + x.conj().T)
 
 
-class TestDecompose:
-    def test_identity_zero_center(self):
-        lam, zt2 = decompose(np.eye(2, dtype=complex), np.zeros(2))
-        np.testing.assert_allclose(lam, [1.0, 1.0])
-        np.testing.assert_allclose(zt2, 0.0)
-
-    def test_reconstruction_and_norms(self, rng):
-        m = random_hermitian(rng, 3)
-        z = complex_normal(rng, 3)
-        lam, zt2 = decompose(m, z)
-        assert np.all(np.diff(lam) <= 1e-12)
-        assert math.sqrt(zt2.sum()) == pytest.approx(np.linalg.norm(z), abs=1e-10)
-        w = np.linalg.eigvalsh(m)
-        np.testing.assert_allclose(np.sort(lam), w, atol=1e-10)
-
-    def test_rejects_non_hermitian_matrix(self):
-        with pytest.raises(ValueError, match="Hermitian"):
-            decompose(np.array([[1.0, 0.5], [0.0, 1.0]]), np.zeros(2))
-
-
 class TestCdfQuadrature:
     def test_exponential_case(self):
         # |x|^2 for scalar CN(0,1) is Exp(1)
-        spec = decompose(np.array([[1.0]]), np.array([0.0]))
+        spec = (np.array([1.0]), np.array([0.0]))
         est = cdf_quadrature(spec, np.log(2.0))
         assert est.value == pytest.approx(0.5, abs=1e-8)
 
     def test_zero_matrix_is_indicator(self):
-        spec = decompose(np.zeros((3, 3)), np.ones(3))
+        spec = (np.zeros(3), np.ones(3))
         assert cdf_quadrature(spec, 1.0).value == 1.0
         assert cdf_quadrature(spec, -1.0).value == 0.0
 
     def test_noncentral_chi_square_oracle(self):
         # 2|x - z|^2 ~ noncentral chi-square, 2 dof, noncentrality 2|z|^2
-        spec = decompose(np.array([[1.0]]), np.array([1.0]))
+        spec = (np.array([1.0]), np.array([1.0]))
         est = cdf_quadrature(spec, 2.0)
         assert est.value == pytest.approx(ncx2.cdf(4.0, 2, 2.0), abs=1e-7)
 
@@ -72,7 +51,7 @@ class TestCdfQuadrature:
             lam = float(rng.uniform(0.1, 3.0))
             z = complex_normal(rng, 1)
             tau = float(rng.uniform(0.0, 4.0))
-            spec = decompose(np.array([[lam]]), z)
+            spec = (np.array([lam]), np.abs(z) ** 2)
             est = cdf_quadrature(spec, tau)
             oracle = ncx2.cdf(2.0 * tau / lam, 2, 2.0 * abs(z[0]) ** 2)
             assert est.value == pytest.approx(oracle, abs=1e-7)
@@ -82,7 +61,7 @@ class TestCdfQuadrature:
             lam = -float(rng.uniform(0.1, 2.0))
             z = complex_normal(rng, 1)
             tau = -float(rng.uniform(0.1, 3.0))
-            spec = decompose(np.array([[lam]]), z)
+            spec = (np.array([lam]), np.abs(z) ** 2)
             est = cdf_quadrature(spec, tau)
             oracle = ncx2.sf(2.0 * tau / lam, 2, 2.0 * abs(z[0]) ** 2)
             assert est.value == pytest.approx(oracle, abs=1e-7)
@@ -96,7 +75,7 @@ class TestCdfQuadrature:
             vals = np.einsum("ij,jk,ik->i", (x - z).conj(), m, x - z).real
             # mid-range quantile keeps the binomial comparison informative
             tau = float(np.quantile(vals, rng.uniform(0.1, 0.9)))
-            est = cdf_quadrature(decompose(m, z), tau)
+            est = outage_probability((m, z, tau))
             freq = float(np.mean(vals <= tau))
             se = np.sqrt(freq * (1 - freq) / 400_000)
             assert abs(est.value - freq) <= 4 * se
@@ -107,8 +86,8 @@ class TestCdfQuadrature:
             m = random_hermitian(rng, 3, scale=0.5)
             z = complex_normal(rng, 3)
             tau = float(rng.normal())
-            spec = decompose(m, z)
-            lam, zt2 = spec
+            lam, vecs = np.linalg.eigh(m)
+            spec = lam, zt2 = lam, np.abs(vecs.conj().T @ z) ** 2
             bstar = _pick_beta(lam, zt2, tau)
             cap = 1.0 / abs(lam.min()) if lam.min() < 0 else np.inf
             b1 = 0.5 * bstar
@@ -125,7 +104,7 @@ class TestCdfQuadrature:
             m = random_hermitian(rng, 3, scale=0.3)
             z = complex_normal(rng, 3)
             tau = float(rng.normal())
-            est = cdf_quadrature(decompose(m, z), tau)
+            est = outage_probability((m, z, tau))
             assert -10 * tol <= est.raw_value <= 1.0 + 10 * tol
 
 
@@ -336,7 +315,7 @@ class TestCertificate:
     def test_contour_next_to_the_pole(self, monkeypatch):
         # beta within 1e-6 (relative) of the pole at 1/|lam_min|: the strip
         # is so thin that the node cap stops the rule short of tol
-        spec = decompose(np.diag([0.7, -0.3]).astype(complex), np.zeros(2))
+        spec = (np.array([0.7, -0.3]), np.zeros(2))
         ref = cdf_quadrature(spec, 0.2)
         nodes = []
         original = quadform._integrand
@@ -432,14 +411,6 @@ class TestWiderStrip:
 
 
 class TestOutageProbability:
-    def test_agrees_bitwise_with_the_quadrature_of_decompose(self, rng):
-        # both entry points hand cdf_quadrature one spectrum format
-        for _ in range(10):
-            n = int(rng.integers(1, 6))
-            m, z = random_hermitian(rng, n), complex_normal(rng, n)
-            tau = float(rng.normal())
-            assert outage_probability((m, z, tau)) == cdf_quadrature(decompose(m, z), tau)
-
     def test_saturates_at_large_power(self):
         inst, b, qos = make_zf_setup(7)
         p = qos.gamma * 0.01
