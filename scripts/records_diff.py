@@ -7,7 +7,9 @@ method and each other column this prints how many rows moved (their text
 differs) and, for a numeric column, how many rose and fell and the largest
 relative move |new - old| / |old| (inf where old is 0); for any other
 column, one line per ``old -> new`` transition with its count.  Then, per
-method, it prints the totals of the work columns (TOTALS) on both sides.
+method, it prints the totals of the work columns (TOTALS) on both sides, and
+the p1, p50, p99 and max of the ratio new/old of ``total_power`` over the
+rows with success 1 on both sides.
 Exits 1 when the headers differ or the two files do not hold the same keys,
 else 0.
 """
@@ -105,6 +107,31 @@ def totals(old_path, new_path, out=None) -> None:
             f"{name} {a} -> {b}" for name, (a, b) in zip(TOTALS, sums)), file=out)
 
 
+def percentile(values: list, q: float) -> float:
+    """The q-th percentile (0 <= q <= 100) of the sorted values, interpolated
+    linearly between ranks as numpy.percentile does by default."""
+    pos = (len(values) - 1) * q / 100.0
+    i = int(pos)
+    return values[i] + (values[min(i + 1, len(values) - 1)] - values[i]) * (pos - i)
+
+
+def power_ratios(old_path, new_path, out=None) -> None:
+    """Print, per method, the p1/p50/p99/max of new/old ``total_power`` over
+    the rows successful on both sides to out (None: the sys.stdout of the
+    call)."""
+    out = out or sys.stdout
+    old, new = read(old_path)[1], read(new_path)[1]
+    for method in sorted({key[0] for key in old}):
+        ratios = sorted(float(new[key]["total_power"]) / float(row["total_power"])
+                        for key, row in old.items() if key[0] == method
+                        and row["success"] == new[key]["success"] == "1")
+        line = f"{method} total_power new/old over {len(ratios)} rows successful on both sides"
+        if ratios:
+            line += ": " + ", ".join(f"p{q} {percentile(ratios, q):.6g}" for q in (1, 50, 99))
+            line += f", max {ratios[-1]:.6g}"
+        print(line, file=out)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("old")
@@ -114,6 +141,7 @@ def main(argv=None) -> int:
         status = diff(args.old, args.new)
         if status == 0:
             totals(args.old, args.new)
+            power_ratios(args.old, args.new)
         return status
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -29,9 +29,9 @@ from .model import (
     build_outage_form,  # noqa: F401 (perfbench/tracing.py wraps this name)
     init_powers_pcsi,
 )
-from .quadform import ToleranceNotMet, outage_probability
+from .quadform import ToleranceNotMet, outage_probability, rotate, saddlepoint_cdf
 
-__all__ = ["DescentConfig", "OutageOracle", "SolveStatus", "SolveReport", "solve_general"]
+__all__ = ["DescentConfig", "OutageOracle", "SaddlepointOracle", "SolveStatus", "SolveReport", "solve_general"]
 
 MAX_BISECT_STEPS = 60
 MAX_CYCLES = 50
@@ -151,9 +151,13 @@ class OutageOracle:
     def constraint(self, powers: np.ndarray, k: int) -> float:
         return self.bounded(powers, k, float(self.noise_var[k]))[0]
 
+    def estimate(self, form: tuple, direction=None):
+        """The ProbabilityEstimate of a form (``outage_probability``), uncounted."""
+        return outage_probability(form, direction=direction)
+
     def bounded(self, powers: np.ndarray, k: int, sigma2: float) -> tuple:
         """(value, error bound) of user k's probability at noise sigma2."""
-        est = outage_probability(self.minus_form(powers, k, sigma2))
+        est = self.estimate(self.minus_form(powers, k, sigma2))
         return est.value, est.abs_error_bound
 
     def ray_limit(self, powers: np.ndarray, k: int):
@@ -166,11 +170,14 @@ class OutageOracle:
         except ToleranceNotMet:
             return None
 
+    def direction(self, k: int) -> np.ndarray:
+        """u = G_k e_k / sqrt(gamma_k): dQ/dp_k = u u^H in user k's form."""
+        return self.g_mats[k][:, k] / np.sqrt(float(self.gamma[k]))
+
     def sloped(self, powers: np.ndarray, k: int) -> tuple:
         """A counted evaluation and its slope dP/dp_k (``outage_probability``)."""
         self.evals += 1
-        u = self.g_mats[k][:, k] / np.sqrt(float(self.gamma[k]))
-        est = outage_probability(self.minus_form(powers, k), direction=u)
+        est = self.estimate(self.minus_form(powers, k), direction=self.direction(k))
         return est.value, est.slope
 
     def model_root(self, powers: np.ndarray, k: int, z: float):
@@ -202,6 +209,28 @@ class OutageOracle:
             per_user_prob_exact=probs.copy(),
             total_power=float(np.dot(p, self.norms2)), integral_evals=self.evals,
             wall_time=time.perf_counter() - t0, **counts)
+
+
+class SaddlepointOracle(OutageOracle):
+    """An ``OutageOracle`` whose ``estimate`` is ``saddlepoint_cdf``, uncounted and uncertified
+    (where it is None, a counted quadrature), with floors delta/4 above the true ones, so
+    its band is [floor + delta/4, floor + 5 delta/4], delta = ``DescentConfig.delta_min``."""
+
+    def __init__(self, *problem):
+        super().__init__(*problem)
+        self.floor = self.floor + DescentConfig.delta_min / 4
+
+    def estimate(self, form: tuple, direction=None):
+        est = saddlepoint_cdf(*rotate(form, direction))
+        self.evals += est is None  # a counted quadrature answers
+        return est or outage_probability(form, direction=direction)
+
+    def sloped(self, powers: np.ndarray, k: int) -> tuple:
+        est = self.estimate(self.minus_form(powers, k), direction=self.direction(k))
+        return est.value, est.slope
+
+    ray_limit = staticmethod(lambda powers, k: None)
+    __call__ = OutageOracle.constraint  # uncounted, as sloped: only quadratures count
 
 
 class _LazyProbs:
@@ -434,7 +463,7 @@ def _run_descent(oracle: OutageOracle, start: PowerAllocation = None):
         p_before, dirty = p.copy(), False
         for k in range(n_users):
             new_pk, prob_k, steps = _bisect_user_power(
-                oracle, p, k, delta_min, float(qos.epsilon[k]),
+                oracle, p, k, delta_min, float(1.0 - floor[k]),
                 None if dirty else probs[k], probs.values[k] if dirty else None)
             bisect_steps += steps
             if new_pk != p[k]:
@@ -452,6 +481,15 @@ def _run_descent(oracle: OutageOracle, start: PowerAllocation = None):
 
 def solve_general(instance: ScenarioInstance, beamformer: BeamformerMatrix,
                   qos: QoSSpec) -> SolveReport:
-    """Coordinate descent against the exact outage probabilities for any
-    fixed directions."""
-    return _run_descent(OutageOracle(instance, beamformer, qos))
+    """Coordinate descent against the exact outage probabilities for any fixed
+    directions from the solution of a descent on ``SaddlepointOracle``, else (none,
+    or no feasible start from it) from its own start; counts and times sum all descents."""
+    runs = [_run_descent(SaddlepointOracle(instance, beamformer, qos))]
+    if runs[0].solved:
+        runs.append(_run_descent(OutageOracle(instance, beamformer, qos), runs[0].powers))
+    if not runs[0].solved or runs[-1].status is SolveStatus.INFEASIBLE_START_NOT_FOUND:
+        runs.append(_run_descent(OutageOracle(instance, beamformer, qos)))
+    report = runs[-1]
+    for name in ("cycles", "bisection_steps", "doublings", "jumps", "integral_evals", "wall_time"):
+        setattr(report, name, sum(getattr(r, name) for r in runs))
+    return report

@@ -31,6 +31,7 @@ __all__ = [
     "ToleranceNotMet",
     "cdf_quadrature",
     "outage_probability",
+    "saddlepoint_cdf",
 ]
 
 
@@ -188,6 +189,7 @@ LOG2 = math.log(2.0)
 CHUNK = 2048            # nodes per vectorized integrand call
 MAX_NODES = 1 << 18     # node cap: past it the tolerance is reported as unmet
 _MAX_ORDER = 8          # highest order of summation by parts on the tail
+NEAR_MEAN = 0.1         # saddlepoint_cdf is None where |w| or |u| is below this
 _LOG_FACT = [math.lgamma(m + 1.0) for m in range(_MAX_ORDER + 1)]
 
 
@@ -425,19 +427,9 @@ def cdf_quadrature(spectrum: tuple, tau: float, tol: float = QUAD_TOL,
     return estimate
 
 
-def outage_probability(form: tuple, tol: float = QUAD_TOL, direction=None,
-                       eig=None) -> ProbabilityEstimate:
-    """Probability that the SINR target is met, Pr(SINR_k >= gamma_k),
-    evaluated as the CDF of the recentred quadratic form at tau (one
-    eigendecomposition of -Q); ``form`` is the tuple (-Q, a, tau) of
-    ``OutageOracle.minus_form`` or ``model.build_outage_form``.  ``direction``
-    u, with dQ/dp = u u^H along a power p (user k's own: u = G_k e_k /
-    sqrt(gamma_k); tau = -sigma_k^2 does not move), adds the uncertified
-    ``slope`` dP/dp = (h/pi) e^g0 sum' Re[f s (A B + C)] on the value's
-    nodes, A, B, C the sums over 1/(1 + s lam) weighted by conj(z~) u~,
-    conj(u~) z~ and |u~|^2, u~ = V^H u; the value is unchanged.  ``eig``,
-    -Q's ``np.linalg.eigh`` if known (a slice of a stacked call), skips the
-    decomposition."""
+def rotate(form: tuple, direction=None, eig=None) -> tuple:
+    """(spectrum, tau, slope_terms) of the form (-Q, a, tau) by -Q's ``eigh`` (``eig`` if known):
+    ((lam descending, |z~|^2), tau, rows conj(z~) u~, conj(u~) z~, |u~|^2 or None), x~ = V^H x."""
     minus_q, a, tau = form
     lam, vecs = np.linalg.eigh(minus_q) if eig is None else eig
     basis = vecs[:, ::-1].conj().T  # V^H, eigenvalues descending
@@ -445,5 +437,64 @@ def outage_probability(form: tuple, tol: float = QUAD_TOL, direction=None,
     if direction is not None:
         u_t = basis @ direction
         direction = np.array([z_t.conj() * u_t, u_t.conj() * z_t, abs(u_t) ** 2])
-    return cdf_quadrature((lam, np.abs(z_t) ** 2), tau, tol=tol, slope_terms=direction)
+    return (lam, np.abs(z_t) ** 2), tau, direction
 
+
+def outage_probability(form: tuple, tol: float = QUAD_TOL, direction=None,
+                       eig=None) -> ProbabilityEstimate:
+    """Pr(SINR_k >= gamma_k): the CDF at tau of the recentred quadratic form
+    (-Q, a, tau) of ``OutageOracle.minus_form`` or ``model.build_outage_form``,
+    by ``rotate`` and ``cdf_quadrature``.  ``direction`` u, with dQ/dp = u u^H
+    along a power p (user k's own: u = G_k e_k / sqrt(gamma_k)), adds the
+    uncertified ``slope`` dP/dp = (h/pi) e^g0 sum' Re[f s (A B + C)] on the
+    value's nodes, A, B, C the sums over 1/(1 + s lam) of rotate's rows."""
+    spectrum, tau, slope_terms = rotate(form, direction, eig)
+    return cdf_quadrature(spectrum, tau, tol=tol, slope_terms=slope_terms)
+
+
+def saddlepoint_cdf(spectrum: tuple, tau: float, slope_terms=None):
+    """Pr(Y <= tau) for ``cdf_quadrature``'s spectrum by the second-order Lugannani-Rice
+    formula (Lugannani & Rice, Adv. Appl. Probab. 12(2), 1980; Daniels, Int. Stat. Rev.
+    55(1), 1987), uncertified (an infinite bound); None near the mean, where its terms
+    cancel, or without a saddle point t.  With v_j = 1/(1 - t lam_j), K(t) = sum_j
+    |z~_j|^2 (v_j - 1) + log v_j, K_n = sum_j (lam_j v_j)^n (n-1)! (1 + n |z~_j|^2 v_j),
+    and Newton steps from 0 inside v_j > 0 solve K_1(t) = tau.  The ``slope``, from
+    ``rotate``'s rows ``slope_terms``, is the density e^(K - t tau)/sqrt(2 pi K_2) (A B + C)."""
+    lam, zt2 = (np.asarray(x, dtype=float).tolist() for x in spectrum)
+    tau, (mu, k2) = float(tau), _moments(lam, zt2)
+    lo = max((1.0 / l for l in lam if l < 0.0), default=-math.inf)
+    hi = min((1.0 / l for l in lam if l > 0.0), default=math.inf)
+    t, k1 = 0.0, mu
+    for _ in range(60):
+        step = (tau - k1) / k2 if k2 > 0.0 else math.nan  # no spread, or t ran off
+        if not abs(step) * math.sqrt(k2) > 1e-9:  # converged, or nan
+            break
+        lo, hi = (t, hi) if step > 0.0 else (lo, t)
+        t = t + step if lo < t + step < hi else 0.5 * (lo + hi)
+        k1 = k2 = 0.0
+        for l, z in zip(lam, zt2):
+            v = 1.0 / (1.0 - t * l)
+            k1 += l * v * (1.0 + z * v)
+            k2 += (l * v) ** 2 * (1.0 + 2.0 * z * v)
+    if not abs(step) * math.sqrt(k2) <= 1e-9:  # no saddle point
+        return None
+    t += step  # the last, converged step: far smaller than the distance to a pole
+    excess = k3 = k4 = 0.0  # excess: K(t) - t mu
+    for l, z in zip(lam, zt2):
+        v = 1.0 / (1.0 - t * l)
+        excess += z * (t * l) ** 2 * v - math.log1p(-t * l) - t * l
+        k3 += 2.0 * (l * v) ** 3 * (1.0 + 3.0 * z * v)
+        k4 += 6.0 * (l * v) ** 4 * (1.0 + 4.0 * z * v)
+    w = math.copysign(math.sqrt(2.0 * max(0.0, t * (tau - mu) - excess)), t)
+    u = t * math.sqrt(k2)
+    if min(abs(w), abs(u)) < NEAR_MEAN:
+        return None
+    k3, k4 = k3 / k2 ** 1.5, k4 / k2 ** 2
+    phi = math.exp(-0.5 * w * w) / math.sqrt(2.0 * math.pi)
+    value = 0.5 * math.erfc(-w / math.sqrt(2.0)) + phi * (1.0 / w - 1.0 / u - 1.0 / w ** 3 + 1.0 / u ** 3
+                                                          + k3 / (2.0 * u * u) - (k4 / 8.0 - 5.0 * k3 * k3 / 24.0) / u)
+    slope = None
+    if slope_terms is not None:
+        a, b, c = slope_terms @ (1.0 / (1.0 - t * np.array(lam)))
+        slope = phi / math.sqrt(k2) * float((a * b + c).real)
+    return ProbabilityEstimate(value=value, abs_error_bound=math.inf, slope=slope)

@@ -1,3 +1,4 @@
+import copy
 import math
 from statistics import NormalDist
 
@@ -11,6 +12,7 @@ from robustpl import (
     ExperimentConfig,
     OutageOracle,
     PowerAllocation,
+    ProbabilityEstimate,
     QoSSpec,
     ScenarioInstance,
     SolveStatus,
@@ -27,10 +29,10 @@ from robustpl import (
 )
 from robustpl.descent import (JUMP_DAMPING, JUMP_RATIO, MAX_BISECT_STEPS, MAX_CYCLES,
                               MAX_DOUBLINGS, POWER_CAP, START_AIM, START_RTOL,
-                              _LazyProbs, _bisect_user_power, _find_feasible_start,
+                              SaddlepointOracle, _LazyProbs, _bisect_user_power, _find_feasible_start,
                               _model_start, _normal_quantile, _run_descent, _try_jump)
 
-from robustpl.quadform import ToleranceNotMet, _moments
+from robustpl.quadform import ToleranceNotMet, _moments, rotate, saddlepoint_cdf
 
 from conftest import make_instance, make_zf_setup, strict_step_checks
 
@@ -39,6 +41,12 @@ def exact_prob(instance, beamformer, qos, powers, k):
     form = build_outage_form(instance, beamformer,
                              PowerAllocation(powers=powers), qos, k)
     return outage_probability(form).value
+
+
+def exact_descent(instance, beamformer, qos):
+    """The exact engine alone: ``solve_general`` without its saddlepoint
+    warm start."""
+    return _run_descent(OutageOracle(instance, beamformer, qos))
 
 
 def feasible_start(instance, beamformer, qos):
@@ -174,7 +182,7 @@ class TestRayLimit:
         reports = []
 
         def solving(*args):
-            reports.append(solve_general(*args))
+            reports.append(exact_descent(*args))
             return reports[-1]
 
         monkeypatch.setattr(robustpl.bench, "solve_general", solving)
@@ -240,7 +248,7 @@ class TestModelStart:
         monkeypatch.setattr(OutageOracle, "model_root", lambda self, p, k, z: None)
         assert _model_start(OutageOracle(inst, b, qos)) is None
         ray = init_powers_pcsi(inst.est_channels, b, qos, inst.noise_var)
-        report, on_ray = solve_general(inst, b, qos), _run_descent(OutageOracle(inst, b, qos), ray)
+        report, on_ray = exact_descent(inst, b, qos), _run_descent(OutageOracle(inst, b, qos), ray)
         assert np.array_equal(report.powers.powers, on_ray.powers.powers)
         assert (report.integral_evals, report.doublings) == (on_ray.integral_evals,
                                                             on_ray.doublings)
@@ -616,6 +624,131 @@ class TestSolveGeneral:
         assert np.all(report.per_user_prob >= 0.95)
 
 
+COUNTS = ("cycles", "bisection_steps", "doublings", "jumps", "integral_evals")
+
+
+def engine_runs(monkeypatch):
+    """Within the test, every ``_run_descent`` call appends (oracle type,
+    start, a copy of its report) to the returned list."""
+    import robustpl.descent
+
+    engine, runs = robustpl.descent._run_descent, []
+
+    def recording(oracle, start=None):
+        report = engine(oracle, start)
+        runs.append((type(oracle), start, copy.copy(report)))
+        return report
+
+    monkeypatch.setattr(robustpl.descent, "_run_descent", recording)
+    return runs
+
+
+def same_point(report, want):
+    """report and want (another solve's report) agree in all but counts
+    and time."""
+    assert report.status is want.status
+    assert np.array_equal(report.powers.powers, want.powers.powers)
+    assert np.array_equal(report.per_user_prob, want.per_user_prob)
+    assert np.array_equal(report.per_user_prob_exact, want.per_user_prob_exact)
+    assert report.total_power == want.total_power
+
+
+class TestWarmStart:
+    @pytest.mark.parametrize("seed, n", [(123, 3), (611, 6)])
+    def test_exact_descent_certifies_the_saddlepoint_solution(self, seed, n, monkeypatch):
+        inst, b, qos = make_zf_setup(seed, n_tx=n, n_users=n)
+        runs = engine_runs(monkeypatch)
+        report = solve_general(inst, b, qos)
+        assert [(kind, start is None) for kind, start, _ in runs] == [
+            (SaddlepointOracle, True), (OutageOracle, False)]
+        saddle, exact = runs[0][2], runs[1][2]
+        assert saddle.solved and np.array_equal(runs[1][1].powers, saddle.powers.powers)
+        # the saddlepoint band sits delta/4 above the true one
+        floor, delta = 1.0 - qos.epsilon, DescentConfig.delta_min
+        assert np.all(saddle.per_user_prob >= floor + delta / 4)
+        assert np.all(saddle.per_user_prob <= floor + 5 * delta / 4)
+        same_point(report, exact)
+        assert report.solved
+        assert np.array_equal(report.per_user_prob_exact,
+                              OutageOracle(inst, b, qos).exact_all(report.powers.powers))
+        for name in COUNTS:
+            assert getattr(report, name) == getattr(saddle, name) + getattr(exact, name), name
+
+    @pytest.mark.parametrize("case", ["no-estimate-feasible", "hopeless"])
+    def test_failed_saddlepoint_descent_falls_back_to_the_engine(self, case, monkeypatch):
+        import robustpl.descent
+
+        if case == "hopeless":
+            inst, b, qos = make_zf_setup(105, sigma_e2=0.5, gamma_db=10.0)
+        else:
+            inst, b, qos = make_zf_setup(123)
+            monkeypatch.setattr(robustpl.descent, "saddlepoint_cdf",
+                                lambda *args: ProbabilityEstimate(0.0, math.inf))
+        want = exact_descent(inst, b, qos)
+        runs = engine_runs(monkeypatch)
+        report = solve_general(inst, b, qos)
+        assert [(kind, start is None) for kind, start, _ in runs] == [
+            (SaddlepointOracle, True), (OutageOracle, True)]
+        assert not runs[0][2].solved
+        same_point(report, want)
+        for name in COUNTS:
+            assert getattr(report, name) == sum(getattr(r, name) for _, _, r in runs), name
+            assert getattr(report, name) >= getattr(want, name), name
+
+    def test_exact_descent_without_a_start_falls_back_to_the_engine(self, monkeypatch):
+        import robustpl.descent
+
+        def overestimating(*args):  # saddlepoint solutions then miss the floor
+            est = saddlepoint_cdf(*args)
+            return est and ProbabilityEstimate(est.raw_value + 0.01, est.abs_error_bound,
+                                               slope=est.slope)
+
+        # no doubling: a start below a floor gives up at once
+        monkeypatch.setattr(robustpl.descent, "MAX_DOUBLINGS", 0)
+        monkeypatch.setattr(robustpl.descent, "saddlepoint_cdf", overestimating)
+        inst, b, qos = make_zf_setup(123)
+        want = exact_descent(inst, b, qos)
+        assert want.solved
+        runs = engine_runs(monkeypatch)
+        report = solve_general(inst, b, qos)
+        assert [(kind, start is None, r.status) for kind, start, r in runs] == [
+            (SaddlepointOracle, True, SolveStatus.SOLVED),
+            (OutageOracle, False, SolveStatus.INFEASIBLE_START_NOT_FOUND),
+            (OutageOracle, True, SolveStatus.SOLVED)]
+        same_point(report, want)
+        for name in COUNTS:
+            assert getattr(report, name) == sum(getattr(r, name) for _, _, r in runs), name
+
+    def test_saddlepoint_oracle_certifies_no_ray_limit(self):
+        # the exact ray limits of this hopeless point are certified
+        inst, b, qos = make_zf_setup(105, sigma_e2=0.5, gamma_db=10.0)
+        exact, saddle = OutageOracle(inst, b, qos), SaddlepointOracle(inst, b, qos)
+        assert np.array_equal(saddle.floor, exact.floor + DescentConfig.delta_min / 4)
+        for p in (np.ones(3), qos.gamma * 0.01, np.array([1e3, 1.0, 1e-3])):
+            for k in range(3):
+                assert exact.ray_limit(p, k) is not None
+                assert saddle.ray_limit(p, k) is None
+        assert saddle.evals == 0
+
+    def test_reads_the_estimate_uncounted_and_quadratures_counted(self, monkeypatch):
+        import robustpl.descent
+
+        inst, b, qos = make_zf_setup(9)
+        exact, saddle = OutageOracle(inst, b, qos), SaddlepointOracle(inst, b, qos)
+        p = qos.gamma * 0.014
+        for k in range(3):
+            form = saddle.minus_form(p, k)
+            assert saddle(p, k) == saddlepoint_cdf(*rotate(form)[:2]).value
+            assert saddle.sloped(p, k)[1] > 0.0
+        assert saddle.evals == 0
+        # where the estimate is None (near the mean), the quadrature answers
+        monkeypatch.setattr(robustpl.descent, "saddlepoint_cdf", lambda *args: None)
+        for k in range(3):
+            assert saddle(p, k) == exact.constraint(p, k)
+            assert saddle.sloped(p, k) == exact.sloped(p, k)
+        assert saddle.evals == 6
+
+
 class TestGlobalOptimality:
     def test_solution_agrees_with_independent_fixed_point(self):
         # iterating the implicit minimal-feasible-power map from the solver's
@@ -835,7 +968,7 @@ class TestOutageOracle:
         inst, b, qos = make_zf_setup(9)
         solve_zf_coord_descent(inst, b, qos)
         assert with_direction == {False}
-        solve_general(inst, b, qos)
+        exact_descent(inst, b, qos)
         assert with_direction == {False, True}
 
     def test_solver_counts_match_oracle_calls(self, monkeypatch):
@@ -854,7 +987,7 @@ class TestOutageOracle:
         assert report.solved
         assert report.integral_evals == len(calls)
 
-    @pytest.mark.parametrize("solver", [solve_general, solve_zf_coord_descent,
+    @pytest.mark.parametrize("solver", [exact_descent, solve_zf_coord_descent,
                                         solve_zf_coord_update])
     def test_one_oracle_per_solve(self, solver, monkeypatch):
         inst, b, qos = make_zf_setup(9)
@@ -964,8 +1097,9 @@ def eager_descent(oracle, beamformer, qos, p_start):
 
 
 def reference_case(name, monkeypatch):
-    """(instance, beamformer, qos, solver) of a named case; the "stall" case
-    narrows the band ``DescentConfig.delta_min`` through monkeypatch."""
+    """(instance, beamformer, qos, solver) of a named case, the solver the
+    exact engine (``exact_descent``) or the surrogate descent; the "stall"
+    case narrows the band ``DescentConfig.delta_min`` through monkeypatch."""
     from robustpl import build_pcsi_directions, build_rci
 
     if name.startswith("3x3"):
@@ -975,7 +1109,7 @@ def reference_case(name, monkeypatch):
         b = {"zf": lambda: build_zf(inst.est_channels),
              "rci": lambda: build_rci(inst.est_channels, 0.03),
              "pcsi": lambda: build_pcsi_directions(inst.est_channels, qos)}[directions]()
-        return inst, b, qos, solve_general
+        return inst, b, qos, exact_descent
     inst, b, qos = {
         "6x6": lambda: make_zf_setup(611, n_tx=6, n_users=6),
         "hopeless": lambda: make_zf_setup(105, sigma_e2=0.5, gamma_db=10.0),
@@ -983,7 +1117,7 @@ def reference_case(name, monkeypatch):
     }.get(name, lambda: make_zf_setup(613))()
     if name == "stall":
         monkeypatch.setattr(DescentConfig, "delta_min", 1e-17)
-    solver = solve_zf_coord_descent if name == "surrogate" else solve_general
+    solver = solve_zf_coord_descent if name == "surrogate" else exact_descent
     return inst, b, qos, solver
 
 
@@ -1048,7 +1182,7 @@ class TestLazyEvaluation:
         inst, b, qos, _ = reference_case(name, monkeypatch)
         if name == "cycle-limit":
             monkeypatch.setattr(robustpl.descent, "MAX_CYCLES", 1)
-        report = solve_general(inst, b, qos)
+        report = exact_descent(inst, b, qos)
         assert report.status is status
         if name == "cycle-limit":
             assert report.cycles == 1

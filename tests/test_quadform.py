@@ -18,7 +18,8 @@ from robustpl import (
     outage_probability,
     ToleranceNotMet,
 )
-from robustpl.quadform import _integrand, _log_mag, _log_mag_parts, _pick_beta
+from robustpl.quadform import (NEAR_MEAN, _integrand, _log_mag, _log_mag_parts, _moments,
+                                _pick_beta, rotate, saddlepoint_cdf)
 
 from conftest import fixed_contour_offset, make_zf_setup
 
@@ -446,6 +447,110 @@ class TestOutageProbability:
             lo = outage_probability(build_outage_form(
                 inst, b, PowerAllocation(powers=up), qos, k)).value
             assert lo <= base + 1e-8
+
+
+def saddlepoint_quantile(spectrum, q):
+    """A tau with saddlepoint_cdf(spectrum, tau) close to q in (0.5, 1), by
+    bisection between the mean (where the estimate is None) and 10 standard
+    deviations above it, or the end 0 of a negative definite form's support."""
+    lam, zt2 = spectrum
+    mu, s2 = _moments(lam.tolist(), zt2.tolist())
+    lo, hi = mu, mu + 10.0 * math.sqrt(s2)
+    if lam.max() < 0:
+        hi = min(hi, 0.0)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        est = saddlepoint_cdf(spectrum, mid)
+        lo, hi = (lo, mid) if est is not None and est.raw_value >= q else (mid, hi)
+    return hi
+
+
+class TestSaddlepoint:
+    # One eigenvalue is the formula's worst case: its error falls as the
+    # form gets more terms or more noncentrality.
+
+    @pytest.mark.parametrize("q", [0.1, 0.3, 0.7, 0.9, 0.95, 0.99])
+    def test_exponential(self, q):
+        # |x|^2 ~ Exp(1); measured errors 6.3e-4, 1.6e-3, 1.4e-3, 6.0e-4,
+        # 3.2e-4 and 6.9e-5 at these q
+        est = saddlepoint_cdf((np.array([1.0]), np.array([0.0])), -math.log1p(-q))
+        assert abs(est.raw_value - q) <= (1e-3 if q >= 0.9 else 2e-3)
+        assert est.abs_error_bound == math.inf and est.slope is None
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.floats(-3.0, 3.0), st.sampled_from([-1.0, 1.0]),
+           st.one_of(st.just(0.0), st.floats(-3.0, 2.0)), st.floats(0.9, 0.99))
+    def test_single_eigenvalue_against_ncx2(self, log_mag, sign, log_z, q):
+        # lam |x - z|^2 is lam/2 times a noncentral chi-square, 2 dof, as in
+        # acceptance criterion 2; over a grid of these draws the largest
+        # error was 1.2e-3
+        lam = sign * 10.0 ** log_mag
+        zt2 = 0.0 if log_z == 0.0 else 10.0 ** log_z
+        x = ncx2.ppf(q if lam > 0 else 1.0 - q, 2, 2.0 * zt2)
+        ref = ncx2.cdf(x, 2, 2.0 * zt2) if lam > 0 else ncx2.sf(x, 2, 2.0 * zt2)
+        est = saddlepoint_cdf((np.array([lam]), np.array([zt2])), 0.5 * lam * x)
+        assert abs(est.raw_value - ref) <= 2e-3
+
+    @settings(max_examples=150, deadline=None)
+    @given(spectra(), st.floats(0.9, 0.99))
+    def test_agrees_with_the_quadrature(self, spectrum, q):
+        # measured on 300 draws: |error| p50 6.8e-5, p90 6.0e-4, p99 1.4e-3,
+        # max 1.5e-3; the worst are central forms of one or two dominant
+        # eigenvalues, and a scan of the central pairs (a, -1) over a in
+        # [1e-3, 1e3] and q found at most 2.4e-3 (a = 0.63, q = 0.9)
+        tau = saddlepoint_quantile(spectrum, q)
+        est, _ = quadrature_or_unmet(spectrum, tau, 1e-8)
+        assert 0.89 <= est.raw_value <= 0.995
+        sp = saddlepoint_cdf(spectrum, tau)
+        assert abs(sp.raw_value - est.raw_value) <= 3e-3 + est.abs_error_bound
+
+    def test_slope_on_solver_forms(self):
+        # user k's form at its solved power and above it, P in [0.9, 0.99]:
+        # on 1,528 such forms (seeds 700-729) the slope ratio was within
+        # [0.916, 1.172] and the value error at most 1.2e-3
+        from robustpl import OutageOracle, build_rci
+        from robustpl.descent import _run_descent
+
+        checked = 0
+        for seed, n in ((700, 3), (701, 3), (700, 6)):
+            inst, b, qos = make_zf_setup(seed, n_tx=n, n_users=n)
+            for beamformer in (b, build_rci(inst.est_channels, n * 0.01)):
+                oracle = OutageOracle(inst, beamformer, qos)
+                p = _run_descent(oracle).powers.powers
+                for k in range(n):
+                    for scale in (1.0, 1.05, 1.2, 1.5):
+                        form = oracle.minus_form(p * np.where(np.arange(n) == k, scale, 1.0), k)
+                        u = oracle.direction(k)
+                        exact = outage_probability(form, direction=u)
+                        if not 0.9 <= exact.value <= 0.99:
+                            continue
+                        est = saddlepoint_cdf(*rotate(form, u))
+                        assert abs(est.raw_value - exact.raw_value) <= 2e-3
+                        assert est.slope > 0.0
+                        assert abs(est.slope / exact.slope - 1.0) <= 0.3
+                        checked += 1
+        assert checked >= 40
+
+    def test_none_near_the_mean(self, rng):
+        for r in (1, 3, 6):
+            lam, zt2 = rng.normal(size=r), rng.uniform(0.0, 2.0, r)
+            mu, s2 = _moments(lam.tolist(), zt2.tolist())
+            assert saddlepoint_cdf((lam, zt2), mu) is None
+            for side in (-1.0, 1.0):  # |w| and |u| grow about as |tau - mu| / sd
+                near = mu + side * 0.5 * NEAR_MEAN * math.sqrt(s2)
+                assert saddlepoint_cdf((lam, zt2), near) is None
+        # no spread at all: a zero form
+        assert saddlepoint_cdf((np.zeros(2), np.ones(2)), 0.5) is None
+
+    @pytest.mark.parametrize("lam, tau", [(1.0, -0.5), (1.0, 0.0), (-1.0, 0.5)])
+    def test_none_outside_the_support(self, lam, tau):
+        assert saddlepoint_cdf((np.array([lam, 0.5 * lam]), np.zeros(2)), tau) is None
+
+    def test_rotate_is_the_quadrature_input(self):
+        inst, b, qos = make_zf_setup(9)
+        form = build_outage_form(inst, b, PowerAllocation(powers=qos.gamma * 0.014), qos, 0)
+        spectrum, tau, _ = rotate(form)
+        assert outage_probability(form) == cdf_quadrature(spectrum, tau)
 
 
 class TestMonteCarlo:

@@ -119,7 +119,8 @@ def test_totals_per_method_on_both_sides(tmp_path, capsys):
     write(tmp_path / "new.csv", new)
     assert records_diff.main([str(old), str(tmp_path / "new.csv")]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[-2:] == [
+    # the totals come before the two power-ratio lines
+    assert lines[-4:-2] == [
         "ZF-CoordUpdate totals: cycles 3 -> 3, bisection_steps 0 -> 0, "
         "integral_evals 12 -> 12",
         "ZF-General totals: cycles 55 -> 54, bisection_steps 974 -> 970, "
@@ -127,7 +128,7 @@ def test_totals_per_method_on_both_sides(tmp_path, capsys):
     # the moves come first, as from diff alone
     out = io.StringIO()
     records_diff.diff(old, tmp_path / "new.csv", out)
-    assert lines[:-2] == out.getvalue().splitlines()
+    assert lines[:-4] == out.getvalue().splitlines()
 
 
 def test_no_totals_when_the_keys_differ(tmp_path, capsys):
@@ -145,3 +146,20 @@ def test_diff_without_out_prints_to_the_current_stdout(tmp_path, capsys):
     assert lines[0] == "4 rows, same keys"
     assert "ZF-General totals: cycles 55 -> 55, bisection_steps 974 -> 974, " \
            "integral_evals 1099 -> 1099" in lines
+
+
+def test_power_ratios_over_rows_successful_on_both_sides(tmp_path, capsys):
+    new = list(OLD)
+    new[0] = "ZF-General,0,0.002,0,solved,1,0.021,3,44,59"          # ratio 1.05
+    new[2] = "ZF-General,5,0.002,0,solved,1,0.5,9,90,100"            # success only new
+    new[3] = "ZF-CoordUpdate,0,0.002,0,cycle_limit,0,0.06,50,0,53"  # success only old
+    old = write(tmp_path / "old.csv", OLD)
+    write(tmp_path / "new.csv", new)
+    assert records_diff.main([str(old), str(tmp_path / "new.csv")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    # ratios 1 and 1.05, interpolated between ranks as numpy.percentile
+    assert lines[-2:] == [
+        "ZF-CoordUpdate total_power new/old over 0 rows successful on both sides",
+        "ZF-General total_power new/old over 2 rows successful on both sides: "
+        "p1 1.0005, p50 1.025, p99 1.0495, max 1.05"]
+    assert records_diff.percentile([1.0, 2.0, 4.0], 75) == 3.0
