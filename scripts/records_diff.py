@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import statistics
 import sys
 from collections import Counter
 
@@ -107,14 +108,6 @@ def totals(old_path, new_path, out=None) -> None:
             f"{name} {a} -> {b}" for name, (a, b) in zip(TOTALS, sums)), file=out)
 
 
-def percentile(values: list, q: float) -> float:
-    """The q-th percentile (0 <= q <= 100) of the sorted values, interpolated
-    linearly between ranks as numpy.percentile does by default."""
-    pos = (len(values) - 1) * q / 100.0
-    i = int(pos)
-    return values[i] + (values[min(i + 1, len(values) - 1)] - values[i]) * (pos - i)
-
-
 def power_ratios(old_path, new_path, out=None) -> None:
     """Print, per method, the p1/p50/p99/max of new/old ``total_power`` over
     the rows successful on both sides to out (None: the sys.stdout of the
@@ -126,8 +119,9 @@ def power_ratios(old_path, new_path, out=None) -> None:
                         for key, row in old.items() if key[0] == method
                         and row["success"] == new[key]["success"] == "1")
         line = f"{method} total_power new/old over {len(ratios)} rows successful on both sides"
-        if ratios:
-            line += ": " + ", ".join(f"p{q} {percentile(ratios, q):.6g}" for q in (1, 50, 99))
+        if ratios:  # percentiles interpolated between ranks, as numpy.percentile's default
+            cuts = statistics.quantiles(ratios, n=100, method="inclusive") if len(ratios) > 1 else ratios * 99
+            line += ": " + ", ".join(f"p{q} {cuts[q - 1]:.6g}" for q in (1, 50, 99))
             line += f", max {ratios[-1]:.6g}"
         print(line, file=out)
 

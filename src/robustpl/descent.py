@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -101,12 +101,13 @@ class OutageOracle:
     ``bounded`` at sigma_k^2, which a surrogate subclass overrides alone, and
     ``exact`` and ``exact_all`` evaluate the exact probability uncounted.
     """
+    margin = 0.0  # of the floors above 1 - eps (``SaddlepointOracle``'s is delta/4)
 
     def __init__(self, instance: ScenarioInstance, beamformer: BeamformerMatrix,
                  qos: QoSSpec):
         self.instance, self.beamformer, self.qos = instance, beamformer, qos
         self.norms2 = np.sum(np.abs(beamformer.columns) ** 2, axis=0)
-        self.floor = 1.0 - qos.epsilon
+        self.floor = 1.0 - qos.epsilon + self.margin
         sqrt_c, inv_sqrt_c = instance.cov_roots
         self.g_mats = sqrt_c @ beamformer.columns
         self.g_herms = self.g_mats.conj().transpose(0, 2, 1)  # G_k^H, views
@@ -151,13 +152,9 @@ class OutageOracle:
     def constraint(self, powers: np.ndarray, k: int) -> float:
         return self.bounded(powers, k, float(self.noise_var[k]))[0]
 
-    def estimate(self, form: tuple, direction=None):
-        """The ProbabilityEstimate of a form (``outage_probability``), uncounted."""
-        return outage_probability(form, direction=direction)
-
     def bounded(self, powers: np.ndarray, k: int, sigma2: float) -> tuple:
         """(value, error bound) of user k's probability at noise sigma2."""
-        est = self.estimate(self.minus_form(powers, k, sigma2))
+        est = outage_probability(self.minus_form(powers, k, sigma2))
         return est.value, est.abs_error_bound
 
     def ray_limit(self, powers: np.ndarray, k: int):
@@ -177,7 +174,7 @@ class OutageOracle:
     def sloped(self, powers: np.ndarray, k: int) -> tuple:
         """A counted evaluation and its slope dP/dp_k (``outage_probability``)."""
         self.evals += 1
-        est = self.estimate(self.minus_form(powers, k), direction=self.direction(k))
+        est = outage_probability(self.minus_form(powers, k), direction=self.direction(k))
         return est.value, est.slope
 
     def model_root(self, powers: np.ndarray, k: int, z: float):
@@ -212,25 +209,32 @@ class OutageOracle:
 
 
 class SaddlepointOracle(OutageOracle):
-    """An ``OutageOracle`` whose ``estimate`` is ``saddlepoint_cdf``, uncounted and uncertified
-    (where it is None, a counted quadrature), with floors delta/4 above the true ones, so
-    its band is [floor + delta/4, floor + 5 delta/4], delta = ``DescentConfig.delta_min``."""
+    """An ``OutageOracle`` whose calls and slopes read ``saddlepoint_cdf``, uncounted and uncertified
+    (where it is None, a counted quadrature), its floors ``margin`` = delta/4 up: its band is [floor +
+    delta/4, floor + 5 delta/4], delta = ``DescentConfig.delta_min``.  ``ray_limit`` is certified, and
+    ``hopeless`` records a give-up on it, after which an exact descent from the same start gives up."""
 
-    def __init__(self, *problem):
-        super().__init__(*problem)
-        self.floor = self.floor + DescentConfig.delta_min / 4
+    margin, hopeless = DescentConfig.delta_min / 4, False
 
-    def estimate(self, form: tuple, direction=None):
-        est = saddlepoint_cdf(*rotate(form, direction))
+    def estimate(self, powers: np.ndarray, k: int, direction=None):
+        est = saddlepoint_cdf(*rotate(form := self.minus_form(powers, k), direction))
         self.evals += est is None  # a counted quadrature answers
         return est or outage_probability(form, direction=direction)
 
+    def constraint(self, powers: np.ndarray, k: int) -> float:
+        return self.estimate(powers, k).value
+
     def sloped(self, powers: np.ndarray, k: int) -> tuple:
-        est = self.estimate(self.minus_form(powers, k), direction=self.direction(k))
+        est = self.estimate(powers, k, self.direction(k))
         return est.value, est.slope
 
-    ray_limit = staticmethod(lambda powers, k: None)
-    __call__ = OutageOracle.constraint  # uncounted, as sloped: only quadratures count
+    def ray_limit(self, powers: np.ndarray, k: int):
+        """The counted, certified ``OutageOracle.ray_limit`` plus the margin, against these floors."""
+        if (limit := super().ray_limit(powers, k)) is not None:
+            self.hopeless = (limit := limit + self.margin) < self.floor[k]
+        return limit
+
+    __call__ = constraint  # uncounted, as sloped: only quadratures count
 
 
 class _LazyProbs:
@@ -481,15 +485,15 @@ def _run_descent(oracle: OutageOracle, start: PowerAllocation = None):
 
 def solve_general(instance: ScenarioInstance, beamformer: BeamformerMatrix,
                   qos: QoSSpec) -> SolveReport:
-    """Coordinate descent against the exact outage probabilities for any fixed
-    directions from the solution of a descent on ``SaddlepointOracle``, else (none,
-    or no feasible start from it) from its own start; counts and times sum all descents."""
-    runs = [_run_descent(SaddlepointOracle(instance, beamformer, qos))]
+    """Coordinate descent against the exact outage probabilities for any fixed directions from
+    the solution of a descent on ``SaddlepointOracle``, else (none, or none from it) from its own
+    start, counts and times summed; or that descent's certified give-up, with exact probabilities."""
+    runs = [_run_descent(saddle := SaddlepointOracle(instance, beamformer, qos))]
+    if saddle.hopeless:  # then the exact descent gives up from the same start
+        return replace(runs[0], per_user_prob_exact=saddle.exact_all(runs[0].powers.powers))
     if runs[0].solved:
         runs.append(_run_descent(OutageOracle(instance, beamformer, qos), runs[0].powers))
-    if not runs[0].solved or runs[-1].status is SolveStatus.INFEASIBLE_START_NOT_FOUND:
+    if not runs[-1].solved:
         runs.append(_run_descent(OutageOracle(instance, beamformer, qos)))
-    report = runs[-1]
-    for name in ("cycles", "bisection_steps", "doublings", "jumps", "integral_evals", "wall_time"):
-        setattr(report, name, sum(getattr(r, name) for r in runs))
-    return report
+    return replace(runs[-1], **{name: sum(getattr(r, name) for r in runs) for name in (
+        "cycles", "bisection_steps", "doublings", "jumps", "integral_evals", "wall_time")})

@@ -453,13 +453,11 @@ def outage_probability(form: tuple, tol: float = QUAD_TOL, direction=None,
 
 
 def saddlepoint_cdf(spectrum: tuple, tau: float, slope_terms=None):
-    """Pr(Y <= tau) for ``cdf_quadrature``'s spectrum by the second-order Lugannani-Rice
-    formula (Lugannani & Rice, Adv. Appl. Probab. 12(2), 1980; Daniels, Int. Stat. Rev.
-    55(1), 1987), uncertified (an infinite bound); None near the mean, where its terms
-    cancel, or without a saddle point t.  With v_j = 1/(1 - t lam_j), K(t) = sum_j
-    |z~_j|^2 (v_j - 1) + log v_j, K_n = sum_j (lam_j v_j)^n (n-1)! (1 + n |z~_j|^2 v_j),
-    and Newton steps from 0 inside v_j > 0 solve K_1(t) = tau.  The ``slope``, from
-    ``rotate``'s rows ``slope_terms``, is the density e^(K - t tau)/sqrt(2 pi K_2) (A B + C)."""
+    """Pr(Y <= tau) for ``cdf_quadrature``'s spectrum by the second-order Lugannani-Rice formula
+    (Lugannani & Rice, Adv. Appl. Probab. 12(2), 1980; Daniels, Int. Stat. Rev. 55(1), 1987) at the
+    saddle point t, K_1(t) = tau, from Newton steps inside v_j = 1/(1 - t lam_j) > 0, K_n = sum_j
+    (lam_j v_j)^n (n-1)! (1 + n |z~_j|^2 v_j); uncertified (an infinite bound), None near the mean or
+    without t.  The ``slope`` is e^(K - t tau)/sqrt(2 pi K_2) (A B + C) by ``rotate``'s rows."""
     lam, zt2 = (np.asarray(x, dtype=float).tolist() for x in spectrum)
     tau, (mu, k2) = float(tau), _moments(lam, zt2)
     lo = max((1.0 / l for l in lam if l < 0.0), default=-math.inf)
@@ -485,8 +483,7 @@ def saddlepoint_cdf(spectrum: tuple, tau: float, slope_terms=None):
         excess += z * (t * l) ** 2 * v - math.log1p(-t * l) - t * l
         k3 += 2.0 * (l * v) ** 3 * (1.0 + 3.0 * z * v)
         k4 += 6.0 * (l * v) ** 4 * (1.0 + 4.0 * z * v)
-    w = math.copysign(math.sqrt(2.0 * max(0.0, t * (tau - mu) - excess)), t)
-    u = t * math.sqrt(k2)
+    w, u = math.copysign(math.sqrt(2.0 * max(0.0, t * (tau - mu) - excess)), t), t * math.sqrt(k2)
     if min(abs(w), abs(u)) < NEAR_MEAN:
         return None
     k3, k4 = k3 / k2 ** 1.5, k4 / k2 ** 2

@@ -170,7 +170,8 @@ class TestRayLimit:
         monkeypatch.setattr(robustpl.descent, "outage_probability", fails)
         monkeypatch.setattr(robustpl.zf, "residue_probability", degenerate)
         monkeypatch.setattr(robustpl.zf, "cdf_quadrature", fails)
-        for oracle in (OutageOracle(inst, b, qos), SurrogateOracle(inst, b, qos)):
+        for oracle in (OutageOracle(inst, b, qos), SurrogateOracle(inst, b, qos),
+                       SaddlepointOracle(inst, b, qos)):
             assert oracle.ray_limit(p, 0) is None and oracle.evals == 1
 
     def test_interference_limited_desk_point_gives_up_after_one_doubling(self, monkeypatch):
@@ -182,13 +183,14 @@ class TestRayLimit:
         reports = []
 
         def solving(*args):
-            reports.append(exact_descent(*args))
+            reports.append(solve_general(*args))
             return reports[-1]
 
         monkeypatch.setattr(robustpl.bench, "solve_general", solving)
         (record,) = robustpl.bench.run_trial(config, 7)
         # without a certificate the start doubles as it did before the limit
-        monkeypatch.setattr(OutageOracle, "ray_limit", lambda self, p, k: None)
+        for oracle in (OutageOracle, SaddlepointOracle):
+            monkeypatch.setattr(oracle, "ray_limit", lambda self, p, k: None)
         (doubling,) = robustpl.bench.run_trial(config, 7)
         assert record.status == doubling.status == "infeasible_start_not_found"
         assert reports[0].doublings <= 1 < reports[1].doublings
@@ -674,12 +676,13 @@ class TestWarmStart:
         for name in COUNTS:
             assert getattr(report, name) == getattr(saddle, name) + getattr(exact, name), name
 
-    @pytest.mark.parametrize("case", ["no-estimate-feasible", "hopeless"])
+    @pytest.mark.parametrize("case", ["no-estimate-feasible", "hopeless-uncertified"])
     def test_failed_saddlepoint_descent_falls_back_to_the_engine(self, case, monkeypatch):
         import robustpl.descent
 
-        if case == "hopeless":
+        if case == "hopeless-uncertified":  # the saddlepoint descent doubles to the cap
             inst, b, qos = make_zf_setup(105, sigma_e2=0.5, gamma_db=10.0)
+            monkeypatch.setattr(SaddlepointOracle, "ray_limit", lambda self, p, k: None)
         else:
             inst, b, qos = make_zf_setup(123)
             monkeypatch.setattr(robustpl.descent, "saddlepoint_cdf",
@@ -719,16 +722,58 @@ class TestWarmStart:
         for name in COUNTS:
             assert getattr(report, name) == sum(getattr(r, name) for _, _, r in runs), name
 
-    def test_saddlepoint_oracle_certifies_no_ray_limit(self):
+    @pytest.mark.parametrize("warm_status", [SolveStatus.CYCLE_LIMIT, SolveStatus.INFEASIBLE_START_NOT_FOUND])
+    def test_unsolved_exact_descent_from_the_solution_falls_back_to_the_engine(
+            self, warm_status, monkeypatch):
+        import robustpl.descent
+
+        inst, b, qos = make_zf_setup(123)
+        want = exact_descent(inst, b, qos)
+        engine = robustpl.descent._run_descent
+
+        def unsolved_when_warm(oracle, start=None):
+            report = engine(oracle, start)
+            if start is not None:
+                report.status = warm_status
+            return report
+
+        monkeypatch.setattr(robustpl.descent, "_run_descent", unsolved_when_warm)
+        runs = engine_runs(monkeypatch)
+        report = solve_general(inst, b, qos)
+        assert [(kind, start is None, r.status) for kind, start, r in runs] == [
+            (SaddlepointOracle, True, SolveStatus.SOLVED),
+            (OutageOracle, False, warm_status),
+            (OutageOracle, True, SolveStatus.SOLVED)]
+        same_point(report, want)
+        for name in COUNTS:
+            assert getattr(report, name) == sum(getattr(r, name) for _, _, r in runs), name
+
+    def test_certified_give_up_returns_the_saddlepoint_descent(self, monkeypatch):
+        inst, b, qos = make_zf_setup(105, sigma_e2=0.5, gamma_db=10.0)
+        want = exact_descent(inst, b, qos)
+        runs = engine_runs(monkeypatch)
+        report = solve_general(inst, b, qos)
+        assert [kind for kind, _, _ in runs] == [SaddlepointOracle]
+        assert report.status is want.status is SolveStatus.INFEASIBLE_START_NOT_FOUND
+        assert report.doublings == want.doublings == 1
+        assert np.array_equal(report.per_user_prob_exact,
+                              OutageOracle(inst, b, qos).exact_all(report.powers.powers))
+        for name in COUNTS:
+            assert getattr(report, name) == getattr(runs[0][2], name), name
+
+    def test_saddlepoint_ray_limit_is_the_exact_one_against_its_floors(self):
         # the exact ray limits of this hopeless point are certified
         inst, b, qos = make_zf_setup(105, sigma_e2=0.5, gamma_db=10.0)
         exact, saddle = OutageOracle(inst, b, qos), SaddlepointOracle(inst, b, qos)
-        assert np.array_equal(saddle.floor, exact.floor + DescentConfig.delta_min / 4)
+        margin = DescentConfig.delta_min / 4
+        assert np.array_equal(saddle.floor, exact.floor + margin)
+        assert not saddle.hopeless
         for p in (np.ones(3), qos.gamma * 0.01, np.array([1e3, 1.0, 1e-3])):
             for k in range(3):
-                assert exact.ray_limit(p, k) is not None
-                assert saddle.ray_limit(p, k) is None
-        assert saddle.evals == 0
+                limit = exact.ray_limit(p, k)
+                assert saddle.ray_limit(p, k) == limit + margin
+                assert saddle.hopeless == (limit < exact.floor[k])
+        assert saddle.evals == exact.evals == 9  # one counted quadrature each
 
     def test_reads_the_estimate_uncounted_and_quadratures_counted(self, monkeypatch):
         import robustpl.descent

@@ -162,4 +162,14 @@ def test_power_ratios_over_rows_successful_on_both_sides(tmp_path, capsys):
         "ZF-CoordUpdate total_power new/old over 0 rows successful on both sides",
         "ZF-General total_power new/old over 2 rows successful on both sides: "
         "p1 1.0005, p50 1.025, p99 1.0495, max 1.05"]
-    assert records_diff.percentile([1.0, 2.0, 4.0], 75) == 3.0
+
+
+def test_power_ratio_of_a_single_row(tmp_path, capsys):
+    new = list(OLD)
+    new[3] = "ZF-CoordUpdate,0,0.002,0,solved,1,0.06,3,0,12"  # ratio 1.2
+    old = write(tmp_path / "old.csv", OLD)
+    write(tmp_path / "new.csv", new)
+    assert records_diff.main([str(old), str(tmp_path / "new.csv")]) == 0
+    assert capsys.readouterr().out.splitlines()[-2] == (
+        "ZF-CoordUpdate total_power new/old over 1 rows successful on both sides: "
+        "p1 1.2, p50 1.2, p99 1.2, max 1.2")
