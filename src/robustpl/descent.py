@@ -66,7 +66,8 @@ class SolveReport:
     two coincide for the exact solver).  ``integral_evals`` counts oracle
     evaluations: quadratures for the exact solver, residue evaluations for
     the surrogate solvers.  ``jumps`` counts the accepted ``_try_jump``
-    points; like ``doublings`` it is not a records column.
+    points and ``raises`` the single-user raises of a warm start; like
+    ``doublings`` neither is a records column.
     """
 
     status: SolveStatus
@@ -80,6 +81,7 @@ class SolveReport:
     wall_time: float
     doublings: int = 0
     jumps: int = 0
+    raises: int = 0
 
     @property
     def solved(self) -> bool:
@@ -102,6 +104,8 @@ class OutageOracle:
     ``exact`` and ``exact_all`` evaluate the exact probability uncounted.
     """
     margin = 0.0  # of the floors above 1 - eps (``SaddlepointOracle``'s is delta/4)
+    width = property(lambda self: DescentConfig.delta_min)  # of the band, read at each call
+    raise_budget = 0  # of a start's single-user raises, counted in ``raises`` (warm starts: 2K)
 
     def __init__(self, instance: ScenarioInstance, beamformer: BeamformerMatrix,
                  qos: QoSSpec):
@@ -120,7 +124,7 @@ class OutageOracle:
             self.cov_sq = np.abs(r) ** 2 + 2.0 * np.real(b.conj()[:, :, None] * r * b[:, None, :])
         self.gamma = qos.gamma
         self.noise_var = instance.noise_var
-        self.evals = 0
+        self.evals = self.raises = 0
 
     def signed_powers(self, powers: np.ndarray, k: int) -> np.ndarray:
         """c: p_k / gamma_k at k and -p_j elsewhere."""
@@ -205,16 +209,17 @@ class OutageOracle:
             status=status, powers=PowerAllocation(powers=p), per_user_prob=probs,
             per_user_prob_exact=probs.copy(),
             total_power=float(np.dot(p, self.norms2)), integral_evals=self.evals,
-            wall_time=time.perf_counter() - t0, **counts)
+            raises=self.raises, wall_time=time.perf_counter() - t0, **counts)
 
 
 class SaddlepointOracle(OutageOracle):
     """An ``OutageOracle`` whose calls and slopes read ``saddlepoint_cdf``, uncounted and uncertified
-    (where it is None, a counted quadrature), its floors ``margin`` = delta/4 up: its band is [floor +
-    delta/4, floor + 5 delta/4], delta = ``DescentConfig.delta_min``.  ``ray_limit`` is certified, and
-    ``hopeless`` records a give-up on it, after which an exact descent from the same start gives up."""
+    (where it is None, a counted quadrature), its floors ``margin`` = delta/4 up and its ``width``
+    delta/2: its band [floor + delta/4, floor + 3 delta/4], delta = ``DescentConfig.delta_min``, is
+    centred in the exact band.  ``ray_limit`` is certified, and ``hopeless`` records a give-up on
+    it, after which an exact descent from the same start gives up."""
 
-    margin, hopeless = DescentConfig.delta_min / 4, False
+    margin, width, hopeless = DescentConfig.delta_min / 4, DescentConfig.delta_min / 2, False
 
     def estimate(self, powers: np.ndarray, k: int, direction=None):
         est = saddlepoint_cdf(*rotate(form := self.minus_form(powers, k), direction))
@@ -296,14 +301,17 @@ def _model_start(oracle: OutageOracle):
 
 
 def _find_feasible_start(oracle: OutageOracle, p_init: np.ndarray):
-    """Double all powers until every user meets its probability floor.
+    """Raise powers until every user meets its probability floor.
 
     A round stops at its first user below the floor, which the next round
     tests first, so only the passing round and the give-up exit evaluate
-    every user.  After a doubling, a user first found below its floor gets
-    one ``ray_limit``: one below the floor gives up at once.  Returns the
-    ``_LazyProbs`` at the last powers, doublings and feasible.  The power cap
-    counts on the total power.
+    every user.  Within the oracle's ``raise_budget`` that user's power alone
+    rises (only lowering the others' probabilities) by a Newton step on its
+    logit from one counted ``sloped`` read toward floor + width/8, to at
+    most 2 p_k; past it all powers double.  After a doubling, a user first
+    found below its floor gets one ``ray_limit``: one below the floor gives
+    up at once.  Returns the ``_LazyProbs`` at the last powers, doublings
+    and feasible.  The power cap counts on the total power.
     """
     probs = _LazyProbs(oracle, p_init.copy())
     order, doublings, checked = list(range(p_init.size)), 0, set()
@@ -315,9 +323,14 @@ def _find_feasible_start(oracle: OutageOracle, p_init: np.ndarray):
         if hopeless:
             return probs, doublings, False
         order = [k] + [j for j in order if j != k]
-        probs.p *= 2.0
+        if oracle.raises < oracle.raise_budget:
+            (q, slope), pk = oracle.sloped(probs.p, k), probs.p[k]
+            x = _newton(pk, q, slope, oracle.floor[k] + oracle.width / 8) or math.inf
+            probs.p[k], oracle.raises = min(x, 2.0 * pk), oracle.raises + 1
+        else:
+            probs.p *= 2.0
+            doublings += 1
         probs.stale[:] = True
-        doublings += 1
     return probs, doublings, True
 
 
@@ -425,8 +438,8 @@ def _try_jump(oracle: OutageOracle, probs: _LazyProbs, p_prev: np.ndarray,
 def _run_descent(oracle: OutageOracle, start: PowerAllocation = None):
     """The shared engine on a fresh oracle (its ``evals`` are the report's):
     start from ``start``, else ``_model_start``, else ``init_powers_pcsi``;
-    double to a feasible start; then search each user's power cyclically
-    into the band of width ``DescentConfig.delta_min``.
+    raise to a feasible start (``_find_feasible_start``); then search each
+    user's power cyclically into the band of the oracle's ``width``.
     ``infeasible_start_not_found`` means the doubling from that one point met
     ``POWER_CAP`` or ``MAX_DOUBLINGS`` first, or a user's certified ray limit
     is below its floor; no other start is tried.
@@ -450,10 +463,10 @@ def _run_descent(oracle: OutageOracle, start: PowerAllocation = None):
     probs, doublings, feasible = _find_feasible_start(oracle, p_init)
     p = probs.p
     bisect_steps = cycles = jumps = 0
-    delta_min, stalled, totals = DescentConfig.delta_min, False, []
+    width, stalled, totals = oracle.width, False, []
     status = SolveStatus.CYCLE_LIMIT if feasible else SolveStatus.INFEASIBLE_START_NOT_FOUND
     while feasible:
-        if probs.first_failing(lambda k, q: floor[k] <= q <= floor[k] + delta_min,
+        if probs.first_failing(lambda k, q: floor[k] <= q <= floor[k] + width,
                                range(n_users)) is None:
             status = SolveStatus.SOLVED
             break
@@ -467,7 +480,7 @@ def _run_descent(oracle: OutageOracle, start: PowerAllocation = None):
         p_before, dirty = p.copy(), False
         for k in range(n_users):
             new_pk, prob_k, steps = _bisect_user_power(
-                oracle, p, k, delta_min, float(1.0 - floor[k]),
+                oracle, p, k, width, float(1.0 - floor[k]),
                 None if dirty else probs[k], probs.values[k] if dirty else None)
             bisect_steps += steps
             if new_pk != p[k]:
@@ -492,8 +505,9 @@ def solve_general(instance: ScenarioInstance, beamformer: BeamformerMatrix,
     if saddle.hopeless:  # then the exact descent gives up from the same start
         return replace(runs[0], per_user_prob_exact=saddle.exact_all(runs[0].powers.powers))
     if runs[0].solved:
-        runs.append(_run_descent(OutageOracle(instance, beamformer, qos), runs[0].powers))
+        (warm := OutageOracle(instance, beamformer, qos)).raise_budget = 2 * qos.n_users
+        runs.append(_run_descent(warm, runs[0].powers))
     if not runs[-1].solved:
         runs.append(_run_descent(OutageOracle(instance, beamformer, qos)))
     return replace(runs[-1], **{name: sum(getattr(r, name) for r in runs) for name in (
-        "cycles", "bisection_steps", "doublings", "jumps", "integral_evals", "wall_time")})
+        "cycles", "bisection_steps", "doublings", "jumps", "raises", "integral_evals", "wall_time")})

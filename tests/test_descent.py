@@ -124,9 +124,9 @@ class TestFeasibleStart:
 class RayStub:
     """3 users with floors 0.95 whose probability 0.99 p_k / (p_k + 0.1)
     rises along every ray to 0.99, and whose ``ray_limit`` is ``limit``;
-    ``checked`` lists the users it was asked for."""
+    ``checked`` lists the users it was asked for.  It raises no user alone."""
 
-    floor, norms2 = np.full(3, 0.95), np.ones(3)
+    floor, norms2, raises, raise_budget = np.full(3, 0.95), np.ones(3), 0, 0
 
     def __init__(self, limit):
         self.limit, self.evals, self.checked = limit, 0, []
@@ -207,6 +207,16 @@ class TestRayLimit:
         assert not got[0].stale.any()  # every value is fresh on the feasible exit
         assert stub.checked == [0, 1, 2]  # each user once, when first failing
         assert stub.evals == before.evals + len(stub.checked)
+
+    def test_raises_alone_until_the_budget_is_spent_then_doubles(self):
+        stub = RayStub(0.99)
+        stub.raise_budget, stub.width = 2, 1e-3
+        stub.sloped = lambda powers, k: (stub(powers, k), 0.099 / (powers[k] + 0.1) ** 2)
+        probs, doublings, feasible = _find_feasible_start(stub, np.array([0.05, 0.02, 0.01]))
+        # both raises hit user 0, each clamped to twice its power; user 2
+        # then needs 8 doublings to reach 0.95 at p = 2.375
+        assert feasible and stub.raises == 2 and doublings == 8
+        assert np.array_equal(probs.p, np.array([0.2, 0.02, 0.01]) * 2.0 ** 8)
 
     def test_limit_below_the_floor_gives_up_at_once(self):
         stub = RayStub(0.95 - 1e-9)
@@ -626,7 +636,7 @@ class TestSolveGeneral:
         assert np.all(report.per_user_prob >= 0.95)
 
 
-COUNTS = ("cycles", "bisection_steps", "doublings", "jumps", "integral_evals")
+COUNTS = ("cycles", "bisection_steps", "doublings", "jumps", "raises", "integral_evals")
 
 
 def engine_runs(monkeypatch):
@@ -665,16 +675,32 @@ class TestWarmStart:
             (SaddlepointOracle, True), (OutageOracle, False)]
         saddle, exact = runs[0][2], runs[1][2]
         assert saddle.solved and np.array_equal(runs[1][1].powers, saddle.powers.powers)
-        # the saddlepoint band sits delta/4 above the true one
+        # the saddlepoint band is centred in the true one
         floor, delta = 1.0 - qos.epsilon, DescentConfig.delta_min
         assert np.all(saddle.per_user_prob >= floor + delta / 4)
-        assert np.all(saddle.per_user_prob <= floor + 5 * delta / 4)
+        assert np.all(saddle.per_user_prob <= floor + 3 * delta / 4)
         same_point(report, exact)
         assert report.solved
         assert np.array_equal(report.per_user_prob_exact,
                               OutageOracle(inst, b, qos).exact_all(report.powers.powers))
         for name in COUNTS:
             assert getattr(report, name) == getattr(saddle, name) + getattr(exact, name), name
+
+    @pytest.mark.parametrize("seed, gamma_db", [(110, 10.0), (119, 5.0)])
+    def test_user_below_its_floor_is_raised_alone(self, seed, gamma_db, monkeypatch):
+        # the saddlepoint solution leaves a user below its exact floor, and
+        # raising that user alone certifies the band without a cycle
+        inst, b, qos = make_zf_setup(seed, gamma_db)
+        runs = engine_runs(monkeypatch)
+        report = solve_general(inst, b, qos)
+        (_, _, saddle), (kind, start, warm) = runs
+        assert kind is OutageOracle and warm.solved and warm.cycles == 0
+        p0, p = start.powers, warm.powers.powers
+        failing = OutageOracle(inst, b, qos).exact_all(p0) < 1.0 - qos.epsilon
+        assert failing.any() and warm.raises >= failing.sum() and warm.doublings == 0
+        assert np.array_equal(p > p0, failing) and np.array_equal(p[~failing], p0[~failing])
+        assert warm.integral_evals <= 3 * qos.n_users
+        assert (report.raises, report.doublings) == (warm.raises, saddle.doublings)
 
     @pytest.mark.parametrize("case", ["no-estimate-feasible", "hopeless-uncertified"])
     def test_failed_saddlepoint_descent_falls_back_to_the_engine(self, case, monkeypatch):
