@@ -5,31 +5,34 @@
 
 For each workload of BENCHMARK.json this runs ``perfbench/run.py`` of the
 checkout holding this script once per seed, one process at a time, for the
-benchmark's ``run_seconds``, plus one ``--trace 1`` run at seed 31.  The runs
-use a fresh copy of the checkout's HEAD commit in a temporary directory, not
-the checkout itself, which ran about 2% slower than a fresh clone of the same
-commit; a checkout with modified tracked files is refused.  The file holds
-every run's end-to-end metrics and digest, the median and quartiles of each
-end-to-end metric over the seeds, the traced per-module metrics, the
-Python and numpy versions, the core count, the git revision, and
-``src_lines``: the line count of each ``src/robustpl/*.py`` file of the
-measured copy and their total.
+benchmark's ``run_seconds``, plus one ``--trace 1`` run at each of the
+TRACE_SEEDS (31, 32, 33).  The runs use a fresh copy of the checkout's HEAD
+commit in a temporary directory, not the checkout itself, which ran about 2%
+slower than a fresh clone of the same commit; a checkout with modified
+tracked files is refused.  The file holds every run's end-to-end metrics and
+digest, the median and quartiles of each end-to-end metric over the seeds,
+the traced per-module metrics at TRACE_SEED (31, ``trace``), the median of
+each traced time (a metric of unit ``ms`` or ``s``) over the TRACE_SEEDS
+(``trace_medians``), the Python and numpy versions, the core count, the git
+revision, and ``src_lines``: the line count of each ``src/robustpl/*.py``
+file of the measured copy and their total.
 
 With ``--baseline`` the same runs are made on a fresh copy of a second
 checkout's HEAD commit, alternating which of the two goes first from seed to
-seed and, for the traced runs, from workload to workload, and written to
-``--baseline-out``.  The ``src_lines`` totals of both sides and their
-difference are printed first; then each metric's pairwise wins, losses and
-ties (a pair within a relative TIE_REL is a tie), counted in the direction
-BENCHMARK.json gives it, with the two-sided sign-test p-value of the wins
-against the losses, whether this checkout's median is worse than the
-baseline's by more than the metric's ``bound`` (a share of the baseline
+seed (for the traced runs, from seed to seed and workload to workload), and
+written to ``--baseline-out``.  The ``src_lines`` totals of both sides and
+their difference are printed first; then each metric's pairwise wins, losses
+and ties (a pair within a relative TIE_REL is a tie), counted in the
+direction BENCHMARK.json gives it, with the two-sided sign-test p-value of
+the wins against the losses, whether this checkout's median is worse than
+the baseline's by more than the metric's ``bound`` (a share of the baseline
 median), whether a gain may be claimed (``claimable``), and per workload
 whether every seed's digest matches and whether every traced per-layer
-count (a metric of unit ``count`` in the ``--trace 1`` runs at TRACE_SEED)
-equals the baseline's, naming those that differ.  Traced per-layer times
-come from that one seed and are too noisy to compare, so they are left out
-of that check.
+count (a metric of unit ``count`` in the ``--trace 1`` run at TRACE_SEED)
+equals the baseline's, naming those that differ.  Last, per workload, each
+traced time's median over the TRACE_SEEDS on both sides, with the seeds at
+which this checkout's time is lower (wins) or higher (losses): a time of
+one traced seed alone moved by 15-27% across a pair of the same oracle code.
 """
 
 from __future__ import annotations
@@ -47,7 +50,9 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
-TRACE_SEED = 31
+TRACE_SEEDS = (31, 32, 33)
+TRACE_SEED = TRACE_SEEDS[0]  # the seed whose traced counts are compared
+TIMES = ("ms", "s")  # the units of the traced times, lower being better
 TIE_REL = 1e-12  # pairs this close, relatively, are rounding-level ties
 
 
@@ -195,6 +200,28 @@ def report_counts(workload: str, trace: dict, base_trace: dict):
              else f"all {len(names)} match"), flush=True)
 
 
+def trace_medians(traces: list) -> dict:
+    """The median over the traced runs of each metric of a unit in TIMES."""
+    return {name: float(np.median([run["metrics"][name]["value"] for run in traces]))
+            for name, entry in traces[0]["metrics"].items() if entry["unit"] in TIMES}
+
+
+def report_times(workload: str, traces: list, base_traces: list):
+    """Print, per traced time, its median over the TRACE_SEEDS on both sides
+    and the seeds at which this checkout's time is lower (wins) and higher
+    (losses)."""
+    medians, base_medians = trace_medians(traces), trace_medians(base_traces)
+    for name, median in medians.items():
+        pairs = [(run["metrics"][name]["value"], base["metrics"][name]["value"])
+                 for run, base in zip(traces, base_traces)]
+        wins = sum(new < old for new, old in pairs)
+        losses = sum(new > old for new, old in pairs)
+        print(f"{workload} traced {name}: median {median:.6g} vs "
+              f"{base_medians[name]:.6g} (baseline) over seeds "
+              f"{', '.join(map(str, TRACE_SEEDS))}, wins {wins}/{len(pairs)}, "
+              f"losses {losses}", flush=True)
+
+
 def record(args, benchmark: dict, roots: dict):
     """The paired runs on the clones roots ({"change": ..., "baseline":
     ...}), written to --out and --baseline-out."""
@@ -213,6 +240,7 @@ def record(args, benchmark: dict, roots: dict):
                     "command": "python3 perfbench/run.py --workload W --seed N "
                                f"--seconds {seconds:g}",
                     "seeds": args.seeds, "trace_seed": TRACE_SEED,
+                    "trace_seeds": list(TRACE_SEEDS),
                     "workloads": {}}
              for name, root in roots.items()}
     if args.baseline:
@@ -228,15 +256,19 @@ def record(args, benchmark: dict, roots: dict):
                 print(f"{name} {workload} seed {seed}: "
                       f"{runs[name][-1]['metrics']['solves_per_s']['value']:.3f} "
                       "solves/s", flush=True)
-        for name in order(w):
-            trace = run_perfbench(roots[name], workload, TRACE_SEED, seconds, trace=True)
+        traces = {name: [] for name in roots}
+        for j, seed in enumerate(TRACE_SEEDS):
+            for name in order(w + j):
+                traces[name].append(run_perfbench(roots[name], workload, seed,
+                                                  seconds, trace=True))
+        for name in roots:
             files[name]["workloads"][workload] = {
                 "metrics": summarize(runs[name]), "runs": runs[name],
-                "trace": trace}
+                "trace": traces[name][0], "trace_medians": trace_medians(traces[name])}
         if args.baseline:
             report_pairs(workload, runs["change"], runs["baseline"], better, bounds)
-            report_counts(workload, *(files[name]["workloads"][workload]["trace"]
-                                      for name in ("change", "baseline")))
+            report_counts(workload, traces["change"][0], traces["baseline"][0])
+            report_times(workload, traces["change"], traces["baseline"])
     args.out.write_text(json.dumps(files["change"], indent=1) + "\n")
     if args.baseline:
         args.baseline_out.write_text(json.dumps(files["baseline"], indent=1) + "\n")

@@ -27,6 +27,7 @@ from .model import (
     QoSSpec,
     ScenarioInstance,
     build_outage_form,  # noqa: F401 (perfbench/tracing.py wraps this name)
+    eigh,
     init_powers_pcsi,
 )
 from .quadform import ToleranceNotMet, outage_probability, rotate, saddlepoint_cdf
@@ -149,7 +150,7 @@ class OutageOracle:
     def exact_all(self, powers: np.ndarray) -> np.ndarray:
         """Every user's ``exact`` value, the -Q decomposed by one stacked ``eigh``."""
         minus_qs = self.minus_qs(powers)
-        eigs = zip(*np.linalg.eigh(minus_qs))
+        eigs = zip(*eigh(minus_qs))
         return np.array([outage_probability((minus_q, a, -float(s2)), eig=eig).value
                          for minus_q, a, s2, eig in zip(minus_qs, self.centres, self.noise_var, eigs)])
 

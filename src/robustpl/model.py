@@ -7,6 +7,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 HERMITIAN_TOL = 1e-12
 ZF_TOL = 1e-9
@@ -104,7 +105,7 @@ class ScenarioInstance:
         for ck in cov:
             if np.max(np.abs(ck - ck.conj().T)) > HERMITIAN_TOL * scale:
                 raise ValueError("error covariance is not Hermitian")
-            if not (w := np.linalg.eigvalsh(ck))[0] > 1e-12 * w[-1]:
+            if not (w := eigvalsh(ck))[0] > 1e-12 * w[-1]:
                 raise ValueError("error covariance is not positive definite")
 
     @property
@@ -135,8 +136,7 @@ class BeamformerMatrix:
         object.__setattr__(self, "columns", b)
         if b.ndim != 2:
             raise ValueError("beamformer matrix must be two-dimensional")
-        norms = np.linalg.norm(b, axis=0)
-        if np.any(norms == 0):
+        if np.any(np.linalg.norm(b, axis=0) == 0):
             raise ValueError("beamformer columns must be nonzero")
 
 
@@ -262,14 +262,10 @@ def mc_probability(instance: ScenarioInstance, beamformer: BeamformerMatrix,
     rng = _as_rng(rng_seed)
     chalf = instance.cov_roots[0][k]
     est_row = instance.est_channels[k]
-    b = beamformer.columns
-    p = allocation.powers
-    gamma_k = float(qos.gamma[k])
-    sigma_k2 = float(instance.noise_var[k])
+    b, p = beamformer.columns, allocation.powers
+    gamma_k, sigma_k2 = float(qos.gamma[k]), float(instance.noise_var[k])
 
-    hits = 0
-    remaining = int(n_samples)
-    chunk = 262_144
+    hits, remaining, chunk = 0, int(n_samples), 262_144
     while remaining > 0:
         n = min(chunk, remaining)
         delta = complex_normal(rng, n, instance.n_tx)
@@ -284,17 +280,34 @@ def mc_probability(instance: ScenarioInstance, beamformer: BeamformerMatrix,
     return freq, float(np.sqrt(freq * (1.0 - freq) / n_samples))
 
 
+def eigh(a: np.ndarray) -> tuple:
+    """``np.linalg.eigh(a)`` bit for bit, by numpy's private ``numpy.linalg._umath_linalg`` gufunc
+    without its wrapper; raises LinAlgError on any NaN eigenvalue (no convergence, non-finite a)."""
+    w, v = _umath_linalg.eigh_lo(a, signature="D->dD" if a.dtype.kind == "c" else "d->dd")
+    return _no_nan(w), v
+
+
+def eigvalsh(a: np.ndarray) -> np.ndarray:
+    """``np.linalg.eigvalsh(a)`` bit for bit, as ``eigh`` is ``np.linalg.eigh``."""
+    return _no_nan(_umath_linalg.eigvalsh_lo(a, signature="D->d" if a.dtype.kind == "c" else "d->d"))
+
+
+def _no_nan(w: np.ndarray) -> np.ndarray:  # vdot(w, w) >= 0 fails only on a NaN in w
+    if not np.vdot(w, w) >= 0:
+        raise LinAlgError("Eigenvalues did not converge")
+    return w
+
+
 def psd_sqrt(c: np.ndarray) -> np.ndarray:
     """Principal Hermitian PSD square root, negative eigenvalues clamped to 0."""
-    w, v = np.linalg.eigh(np.asarray(c, dtype=complex))
-    w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)) @ v.conj().T
+    w, v = eigh(np.asarray(c, dtype=complex))
+    return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
 
 
 def psd_inv_sqrt(c: np.ndarray) -> np.ndarray:
     """Principal inverse square root C^{-1/2} of a Hermitian positive definite
     C, as ``ScenarioInstance`` admits."""
-    w, v = np.linalg.eigh(np.asarray(c, dtype=complex))
+    w, v = eigh(np.asarray(c, dtype=complex))
     return (v * (1.0 / np.sqrt(w))) @ v.conj().T
 
 

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .model import eigh
 from .model import psd_sqrt  # noqa: F401 (perfbench/tracing.py wraps this name)
 
 __all__ = [
@@ -431,7 +432,7 @@ def rotate(form: tuple, direction=None, eig=None) -> tuple:
     """(spectrum, tau, slope_terms) of the form (-Q, a, tau) by -Q's ``eigh`` (``eig`` if known):
     ((lam descending, |z~|^2), tau, rows conj(z~) u~, conj(u~) z~, |u~|^2 or None), x~ = V^H x."""
     minus_q, a, tau = form
-    lam, vecs = np.linalg.eigh(minus_q) if eig is None else eig
+    lam, vecs = eigh(minus_q) if eig is None else eig
     basis = vecs[:, ::-1].conj().T  # V^H, eigenvalues descending
     lam, z_t = lam[::-1], basis @ a
     if direction is not None:

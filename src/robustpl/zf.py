@@ -20,7 +20,7 @@ import numpy as np
 from .descent import (MAX_CYCLES, POWER_CAP, DescentConfig, OutageOracle, SolveReport,
                       SolveStatus, _LazyProbs, _bisect_user_power, _run_descent)
 from .model import (BeamformerMatrix, PowerAllocation, QoSSpec, ScenarioInstance,
-                    ZF_TOL)
+                    ZF_TOL, eigvalsh)
 from .model import build_outage_form, psd_sqrt  # noqa: F401 (perfbench/tracing.py wraps them)
 from .quadform import QUAD_TOL, cdf_quadrature, zero_mode_threshold
 from .quadform import outage_probability  # noqa: F401 (perfbench/tracing.py wraps it)
@@ -51,7 +51,7 @@ def residue_spectrum(minus_q: np.ndarray):
     ``zero_mode_threshold``, as in ``cdf_quadrature``.  Of a (K, n, n)
     stack, the list of the K matrices' spectra from one ``eigvalsh`` call
     (LAPACK's per-matrix results are those of single calls)."""
-    lam = np.linalg.eigvalsh(minus_q).tolist()
+    lam = eigvalsh(minus_q).tolist()
     return [_nonzero(row) for row in lam] if np.ndim(minus_q) > 2 else _nonzero(lam)
 
 

@@ -6,6 +6,7 @@ import json
 import subprocess
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_record.py"
@@ -190,12 +191,7 @@ def test_record_with_baseline_compares_the_traced_counts(tmp_path, monkeypatch, 
                             "calls": {"value": calls, "unit": "count"}}}
 
     monkeypatch.setattr(bench_record, "run_perfbench", fake_run)
-    roots = {}
-    for name in ("change", "baseline"):
-        (tmp_path / name / "src" / "robustpl").mkdir(parents=True)
-        (tmp_path / name / "perfbench").mkdir()
-        (tmp_path / name / "perfbench" / "run.py").write_text("")
-        roots[name] = tmp_path / name
+    roots = baseline_roots(tmp_path)
     args = bench_record.parse_args(["--out", str(tmp_path / "out.json"), "--seeds", "1,2",
                                     "--baseline", str(roots["baseline"]),
                                     "--baseline-out", str(tmp_path / "base.json")])
@@ -207,27 +203,70 @@ def test_record_with_baseline_compares_the_traced_counts(tmp_path, monkeypatch, 
     assert lines[-1] == "w traced counts at seed 31: DIFFER: calls 6 vs 7 (baseline second)"
 
 
-def test_record_with_baseline_alternates_the_first_traced_side(tmp_path, monkeypatch):
-    traced_sides = []
-
-    def fake_run(root, workload, seed, seconds, trace):
-        if trace:
-            traced_sides.append((workload, root.name))
-        return {"seed": seed, "digest": "d",
-                "metrics": {"solves_per_s": {"value": 1.0, "unit": "1/s"}}}
-
-    monkeypatch.setattr(bench_record, "run_perfbench", fake_run)
+def baseline_roots(tmp_path):
+    """Two measured copies, "change" and "baseline", each with a perfbench/run.py."""
     roots = {}
     for name in ("change", "baseline"):
         (tmp_path / name / "src" / "robustpl").mkdir(parents=True)
         (tmp_path / name / "perfbench").mkdir()
         (tmp_path / name / "perfbench" / "run.py").write_text("")
         roots[name] = tmp_path / name
+    return roots
+
+
+def test_record_with_baseline_alternates_the_first_traced_side(tmp_path, monkeypatch):
+    traced_sides = []
+
+    def fake_run(root, workload, seed, seconds, trace):
+        if trace:
+            traced_sides.append((workload, seed, root.name))
+        return {"seed": seed, "digest": "d",
+                "metrics": {"solves_per_s": {"value": 1.0, "unit": "1/s"}}}
+
+    monkeypatch.setattr(bench_record, "run_perfbench", fake_run)
+    roots = baseline_roots(tmp_path)
     args = bench_record.parse_args(["--out", str(tmp_path / "out.json"), "--seeds", "1,2",
                                     "--baseline", str(roots["baseline"]),
                                     "--baseline-out", str(tmp_path / "base.json")])
     benchmark = {"run_seconds": 1, "workloads": [{"name": w} for w in ("a", "b", "c")],
                  "end_to_end": [{"name": "solves_per_s", "better": "higher", "bound": 0.25}]}
     bench_record.record(args, benchmark, roots)
-    assert traced_sides == [("a", "baseline"), ("a", "change"), ("b", "change"),
-                            ("b", "baseline"), ("c", "baseline"), ("c", "change")]
+    # the first side alternates from seed to seed and from workload to workload
+    firsts = {"a": ("baseline", "change", "baseline"), "b": ("change", "baseline", "change"),
+              "c": ("baseline", "change", "baseline")}
+    want = [(w, seed, side) for w, sides in firsts.items()
+            for seed, first in zip(bench_record.TRACE_SEEDS, sides)
+            for side in (first, "baseline" if first == "change" else "change")]
+    assert traced_sides == want
+
+
+def test_record_with_baseline_stores_and_prints_the_traced_time_medians(
+        tmp_path, monkeypatch, capsys):
+    times = {"change": {31: 1.0, 32: 5.0, 33: 2.0}, "baseline": {31: 1.5, 32: 4.0, 33: 3.0}}
+
+    def fake_run(root, workload, seed, seconds, trace):
+        metrics = {"solves_per_s": {"value": 1.0, "unit": "1/s"}}
+        if trace:
+            metrics.update({"layer.ms_p50": {"value": times[root.name][seed], "unit": "ms"},
+                            "layer.calls": {"value": 9, "unit": "count"}})
+        return {"seed": seed, "digest": "d", "metrics": metrics}
+
+    monkeypatch.setattr(bench_record, "run_perfbench", fake_run)
+    roots = baseline_roots(tmp_path)
+    args = bench_record.parse_args(["--out", str(tmp_path / "out.json"), "--seeds", "1,2",
+                                    "--baseline", str(roots["baseline"]),
+                                    "--baseline-out", str(tmp_path / "base.json")])
+    benchmark = {"run_seconds": 1, "workloads": [{"name": "w"}],
+                 "end_to_end": [{"name": "solves_per_s", "better": "higher", "bound": 0.25}]}
+    bench_record.record(args, benchmark, roots)
+    for name, file in (("change", "out.json"), ("baseline", "base.json")):
+        written = json.loads((tmp_path / file).read_text())["workloads"]["w"]
+        # counts and rates have no median; the trace kept is seed 31's
+        assert written["trace_medians"] == {"layer.ms_p50": float(np.median(
+            list(times[name].values())))}
+        assert written["trace"]["seed"] == 31
+        assert written["trace"]["metrics"]["layer.ms_p50"]["value"] == times[name][31]
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2] == "w traced counts at seed 31: all 1 match"
+    assert lines[-1] == ("w traced layer.ms_p50: median 2 vs 3 (baseline) over seeds "
+                         "31, 32, 33, wins 2/3, losses 1")

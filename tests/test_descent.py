@@ -7,6 +7,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import robustpl.bench
+import robustpl.descent
+import robustpl.model
+import robustpl.quadform
 from robustpl import (
     DescentConfig,
     ExperimentConfig,
@@ -937,13 +940,15 @@ class TestOutageOracle:
         inst, b, qos = make_zf_setup(409)
         oracle = OutageOracle(inst, b, qos)
         calls = []
-        original = np.linalg.eigh
+        original = robustpl.model.eigh
 
-        def counting(a, *args, **kwargs):
+        def counting(a):
             calls.append(np.ndim(a))
-            return original(a, *args, **kwargs)
+            return original(a)
 
-        monkeypatch.setattr(np.linalg, "eigh", counting)
+        # rotate decomposes the single forms, exact_all the stack
+        monkeypatch.setattr(robustpl.quadform, "eigh", counting)
+        monkeypatch.setattr(robustpl.descent, "eigh", counting)
         p = 1.3 * 0.01 * qos.gamma
         values = [oracle(p, k) for k in range(3)] + list(oracle.exact_all(p))
         assert calls == [2, 2, 2, 3]  # exact_all: one stacked call

@@ -1,5 +1,7 @@
+import ast
 import pickle
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -409,6 +411,59 @@ class TestPsdRoots:
             inv_root = psd_inv_sqrt(c)
             np.testing.assert_allclose(inv_root @ c @ inv_root, np.eye(n), atol=1e-10)
 
+
+
+class TestEigh:
+    """``model.eigh``/``eigvalsh`` call numpy's LAPACK gufuncs without the
+    ``np.linalg`` wrapper, and must return its bits."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 6),
+           stack=st.sampled_from([(), (1,), (4,)]), complex_=st.booleans(),
+           scale=st.sampled_from([1e-8, 1.0, 1e6]))
+    def test_bitwise_equal_to_numpy(self, seed, n, stack, complex_, scale):
+        rng = np.random.default_rng(seed)
+        x = complex_normal(rng, *stack, n, n) if complex_ else rng.standard_normal((*stack, n, n))
+        a = scale * (x + np.swapaxes(x, -1, -2).conj())
+        w, v = robustpl.model.eigh(a)
+        want_w, want_v = np.linalg.eigh(a)
+        assert w.dtype == want_w.dtype and v.dtype == want_v.dtype
+        assert np.array_equal(w, want_w) and np.array_equal(v, want_v)
+        assert np.array_equal(robustpl.model.eigvalsh(a), np.linalg.eigvalsh(a))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # LAPACK's floating-point flags
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_lower_triangle_raises(self, dtype, bad):
+        # numpy raises on the NaN but returns NaN eigenvalues for the inf
+        a = np.tile(np.eye(3, dtype=dtype), (2, 1, 1))
+        a[1, 2, 0] = bad
+        for helper in (robustpl.model.eigh, robustpl.model.eigvalsh):
+            with pytest.raises(np.linalg.LinAlgError):
+                helper(a)
+            with pytest.raises(np.linalg.LinAlgError):
+                helper(a[1])
+
+    def test_no_numpy_wrapper_call_in_the_package(self):
+        # the wrapper costs ~3 us a call: every decomposition goes through
+        # the model helpers, which alone touch the private gufunc module
+        package = Path(robustpl.model.__file__).parent
+        found = []
+        for path in sorted(package.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                name = (node.attr if isinstance(node, ast.Attribute)
+                        else node.id if isinstance(node, ast.Name) else None)
+                if isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg":
+                    names = {alias.name for alias in node.names}
+                    if names & {"eigh", "eigvalsh"} or (path.name != "model.py"
+                                                        and "_umath_linalg" in names):
+                        found.append(f"{path.name}:{node.lineno}")
+                elif (name in ("eigh", "eigvalsh") and isinstance(node, ast.Attribute)
+                      and isinstance(node.value, ast.Attribute) and node.value.attr == "linalg"):
+                    found.append(f"{path.name}:{node.lineno}")
+                elif name == "_umath_linalg" and path.name != "model.py":
+                    found.append(f"{path.name}:{node.lineno}")
+        assert found == []
 
 def correlated_instance(seed, n=3):
     """Instance with a different, non-isotropic error covariance per user."""

@@ -539,12 +539,12 @@ class TestStackedReads:
                                                             monkeypatch):
         inst, b, qos = make_zf_setup(seed, gamma_db)
         dims, stacked_at, read_at = [], [], []
-        eigvalsh, spectra, spectrum = (np.linalg.eigvalsh, SurrogateOracle.spectra,
+        eigvalsh, spectra, spectrum = (robustpl.zf.eigvalsh, SurrogateOracle.spectra,
                                        SurrogateOracle.spectrum)
 
-        def counting(a, *args, **kwargs):
+        def counting(a):
             dims.append(np.ndim(a))
-            return eigvalsh(a, *args, **kwargs)
+            return eigvalsh(a)
 
         def stacked_read(oracle, powers):
             stacked_at.append(powers.tobytes())
@@ -554,7 +554,7 @@ class TestStackedReads:
             read_at.append(powers.tobytes())
             return spectrum(oracle, powers, k)
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        monkeypatch.setattr(robustpl.zf, "eigvalsh", counting)
         monkeypatch.setattr(SurrogateOracle, "spectra", stacked_read)
         monkeypatch.setattr(SurrogateOracle, "spectrum", read)
         rep = solve_zf_coord_update(inst, b, qos)
