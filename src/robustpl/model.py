@@ -282,13 +282,13 @@ def mc_probability(instance: ScenarioInstance, beamformer: BeamformerMatrix,
 
 def eigh(a: np.ndarray) -> tuple:
     """``np.linalg.eigh(a)`` bit for bit, by numpy's private ``numpy.linalg._umath_linalg`` gufunc
-    without its wrapper; raises LinAlgError on any NaN eigenvalue (no convergence, non-finite a)."""
+    without its wrapper; raises LinAlgError on any NaN eigenvalue (no convergence, or an inf in a)."""
     w, v = _umath_linalg.eigh_lo(a, signature="D->dD" if a.dtype.kind == "c" else "d->dd")
     return _no_nan(w), v
 
 
 def eigvalsh(a: np.ndarray) -> np.ndarray:
-    """``np.linalg.eigvalsh(a)`` bit for bit, as ``eigh`` is ``np.linalg.eigh``."""
+    """``np.linalg.eigvalsh(a)`` bit for bit, by ``numpy.linalg._umath_linalg`` as ``eigh`` is."""
     return _no_nan(_umath_linalg.eigvalsh_lo(a, signature="D->d" if a.dtype.kind == "c" else "d->d"))
 
 
