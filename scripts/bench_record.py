@@ -21,7 +21,8 @@ With ``--baseline`` the same runs are made on a fresh copy of a second
 checkout's HEAD commit, alternating which of the two goes first from seed to
 seed (for the traced runs, from seed to seed and workload to workload), and
 written to ``--baseline-out``.  The ``src_lines`` totals of both sides and
-their difference are printed first; then each metric's pairwise wins, losses
+their difference are printed first, with each changed module's difference
+on the line after them; then each metric's pairwise wins, losses
 and ties (a pair within a relative TIE_REL is a tie), counted in the
 direction BENCHMARK.json gives it, with the two-sided sign-test p-value of
 the wins against the losses, whether this checkout's median is worse than
@@ -108,6 +109,16 @@ def src_lines(root: Path) -> dict:
     counts = {path.name: len(path.read_text().splitlines())
               for path in sorted((root / "src" / "robustpl").glob("*.py"))}
     return {**counts, "total": sum(counts.values())}
+
+
+def src_lines_moved(change: dict, base: dict) -> str:
+    """Each module whose ``src_lines`` count differs between change and
+    base (a missing module counts 0 lines) with its signed difference, or
+    "no module changed"."""
+    moved = [f"{name} {change.get(name, 0) - base.get(name, 0):+d}"
+             for name in sorted((set(change) | set(base)) - {"total"})
+             if change.get(name, 0) != base.get(name, 0)]
+    return ", ".join(moved) or "no module changed"
 
 
 def clone_head(root: Path, dest: Path) -> Path:
@@ -244,9 +255,10 @@ def record(args, benchmark: dict, roots: dict):
                     "workloads": {}}
              for name, root in roots.items()}
     if args.baseline:
-        change, base = (files[name]["src_lines"]["total"] for name in ("change", "baseline"))
-        print(f"src_lines total: {change} vs {base} (baseline), difference "
-              f"{change - base:+d}", flush=True)
+        change, base = (files[name]["src_lines"] for name in ("change", "baseline"))
+        print(f"src_lines total: {change['total']} vs {base['total']} (baseline), difference "
+              f"{change['total'] - base['total']:+d}", flush=True)
+        print(f"src_lines by module: {src_lines_moved(change, base)}", flush=True)
     for w, workload in enumerate(w["name"] for w in benchmark["workloads"]):
         runs = {name: [] for name in roots}
         for i, seed in enumerate(args.seeds):

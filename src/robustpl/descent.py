@@ -99,12 +99,13 @@ class OutageOracle:
     is Q = G_k diag(c) G_k^H and tau = -sigma_k^2, as a_k^H G_k = -h_k^H B
     for the positive definite C_k: ``minus_form`` gives the (-Q, a_k, tau)
     that ``build_outage_form`` computes from scratch, and ``minus_qs`` every
-    user's -Q in one stack.  Calls ``oracle(powers, k)`` are the solver's
-    constraint evaluations, counted in ``evals``; ``constraint`` reads
-    ``bounded`` at sigma_k^2, which a surrogate subclass overrides alone, and
+    user's -Q in one stack.  ``read`` is the one counted evaluation, the only
+    place ``evals`` rises; calls ``oracle(powers, k)``, ``sloped`` and
+    ``ray_limit`` go through it, so a subclass overrides ``read`` alone.
     ``exact`` and ``exact_all`` evaluate the exact probability uncounted.
     """
     margin = 0.0  # of the floors above 1 - eps (``SaddlepointOracle``'s is delta/4)
+    hopeless = False  # whether the last certified ``ray_limit`` was below its floor
     width = property(lambda self: DescentConfig.delta_min)  # of the band, read at each call
     raise_budget = 0  # of a start's single-user raises, counted in ``raises`` (warm starts: 2K)
 
@@ -154,33 +155,36 @@ class OutageOracle:
         return np.array([outage_probability((minus_q, a, -float(s2)), eig=eig).value
                          for minus_q, a, s2, eig in zip(minus_qs, self.centres, self.noise_var, eigs)])
 
-    def constraint(self, powers: np.ndarray, k: int) -> float:
-        return self.bounded(powers, k, float(self.noise_var[k]))[0]
+    def read(self, powers: np.ndarray, k: int, sigma2: float = None, direction=None) -> tuple:
+        """The counted (value, error bound, slope dP/dp along direction or
+        None) of user k's probability at noise sigma2 (None: sigma_k^2)."""
+        self.evals += 1
+        est = outage_probability(self.minus_form(powers, k, sigma2), direction=direction)
+        return est.value, est.abs_error_bound, est.slope
 
-    def bounded(self, powers: np.ndarray, k: int, sigma2: float) -> tuple:
-        """(value, error bound) of user k's probability at noise sigma2."""
-        est = outage_probability(self.minus_form(powers, k, sigma2))
-        return est.value, est.abs_error_bound
+    def __call__(self, powers: np.ndarray, k: int) -> float:
+        return self.read(powers, k)[0]
 
     def ray_limit(self, powers: np.ndarray, k: int):
         """A counted upper bound on user k's probability on the ray t * powers,
-        t > 0, or None if uncertified: the noise-free ``bounded`` sum, which
-        the probability rises to as the noise weighs 1/t (Yates, 1995)."""
-        self.evals += 1
+        t > 0, or None if uncertified: the noise-free ``read``'s value plus
+        its bound, which the probability rises to as the noise weighs 1/t
+        (Yates, 1995), plus ``margin``; it sets ``hopeless``."""
         try:
-            return sum(self.bounded(powers, k, 0.0))
+            value, bound, _ = self.read(powers, k, 0.0)
         except ToleranceNotMet:
             return None
+        self.hopeless = (limit := value + bound + self.margin) < self.floor[k]
+        return limit
 
     def direction(self, k: int) -> np.ndarray:
         """u = G_k e_k / sqrt(gamma_k): dQ/dp_k = u u^H in user k's form."""
         return self.g_mats[k][:, k] / np.sqrt(float(self.gamma[k]))
 
     def sloped(self, powers: np.ndarray, k: int) -> tuple:
-        """A counted evaluation and its slope dP/dp_k (``outage_probability``)."""
-        self.evals += 1
-        est = outage_probability(self.minus_form(powers, k), direction=self.direction(k))
-        return est.value, est.slope
+        """A counted value and its slope dP/dp_k: ``read`` along ``direction(k)``."""
+        value, _, slope = self.read(powers, k, direction=self.direction(k))
+        return value, slope
 
     def model_root(self, powers: np.ndarray, k: int, z: float):
         """The p_k (others fixed) where the normal model P = Phi((tau - mean) /
@@ -198,10 +202,6 @@ class OutageOracle:
                  if x > 0.0 and (n0 + n1 * x) * z >= 0.0]
         return float(self.gamma[k]) * min(roots) if roots else None
 
-    def __call__(self, powers: np.ndarray, k: int) -> float:
-        self.evals += 1
-        return self.constraint(powers, k)
-
     def report(self, status: SolveStatus, p: np.ndarray, probs: np.ndarray,
                t0: float, **counts) -> SolveReport:
         """The solve report at powers p with constraint probabilities probs,
@@ -214,33 +214,18 @@ class OutageOracle:
 
 
 class SaddlepointOracle(OutageOracle):
-    """An ``OutageOracle`` whose calls and slopes read ``saddlepoint_cdf``, uncounted and uncertified
-    (where it is None, a counted quadrature), its floors ``margin`` = delta/4 up and its ``width``
-    delta/2: its band [floor + delta/4, floor + 3 delta/4], delta = ``DescentConfig.delta_min``, is
-    centred in the exact band.  ``ray_limit`` is certified, and ``hopeless`` records a give-up on
-    it, after which an exact descent from the same start gives up."""
+    """An ``OutageOracle`` whose reads at sigma_k^2 are ``saddlepoint_cdf``'s, uncounted and uncertified
+    (where it is None, and at other noise, a counted quadrature), its floors ``margin`` = delta/4 up and
+    its ``width`` delta/2: its band [floor + delta/4, floor + 3 delta/4], delta = ``DescentConfig.delta_min``,
+    is centred in the exact band.  So ``ray_limit`` is the exact one, certified, plus the margin, and a
+    ``hopeless`` give-up on it means that an exact descent from the same start gives up."""
 
-    margin, width, hopeless = DescentConfig.delta_min / 4, DescentConfig.delta_min / 2, False
+    margin, width = DescentConfig.delta_min / 4, DescentConfig.delta_min / 2
 
-    def estimate(self, powers: np.ndarray, k: int, direction=None):
-        est = saddlepoint_cdf(*rotate(form := self.minus_form(powers, k), direction))
-        self.evals += est is None  # a counted quadrature answers
-        return est or outage_probability(form, direction=direction)
-
-    def constraint(self, powers: np.ndarray, k: int) -> float:
-        return self.estimate(powers, k).value
-
-    def sloped(self, powers: np.ndarray, k: int) -> tuple:
-        est = self.estimate(powers, k, self.direction(k))
-        return est.value, est.slope
-
-    def ray_limit(self, powers: np.ndarray, k: int):
-        """The counted, certified ``OutageOracle.ray_limit`` plus the margin, against these floors."""
-        if (limit := super().ray_limit(powers, k)) is not None:
-            self.hopeless = (limit := limit + self.margin) < self.floor[k]
-        return limit
-
-    __call__ = constraint  # uncounted, as sloped: only quadratures count
+    def read(self, powers: np.ndarray, k: int, sigma2: float = None, direction=None) -> tuple:
+        if sigma2 is None and (est := saddlepoint_cdf(*rotate(self.minus_form(powers, k), direction))):
+            return est.value, est.abs_error_bound, est.slope
+        return super().read(powers, k, sigma2, direction)
 
 
 class _LazyProbs:
@@ -248,10 +233,9 @@ class _LazyProbs:
     another user's power changed after its evaluation, and reading a stale
     value evaluates (and counts) it at p."""
 
-    def __init__(self, oracle, p: np.ndarray, values: np.ndarray = None):
+    def __init__(self, oracle, p: np.ndarray):
         self.oracle, self.p = oracle, p
-        self.stale = np.full(p.size, values is None)
-        self.values = np.full(p.size, np.nan) if values is None else values
+        self.stale, self.values = np.full(p.size, True), np.full(p.size, np.nan)
 
     def __getitem__(self, k: int) -> float:
         if self.stale[k]:

@@ -288,7 +288,8 @@ def eigh(a: np.ndarray) -> tuple:
 
 
 def eigvalsh(a: np.ndarray) -> np.ndarray:
-    """``np.linalg.eigvalsh(a)`` bit for bit, by ``numpy.linalg._umath_linalg`` as ``eigh`` is."""
+    """``np.linalg.eigvalsh(a)`` bit for bit, by ``numpy.linalg._umath_linalg`` as ``eigh`` is; like
+    numpy's, it can return finite eigenvalues for a NaN on a's diagonal, so check a first."""
     return _no_nan(_umath_linalg.eigvalsh_lo(a, signature="D->d" if a.dtype.kind == "c" else "d->d"))
 
 

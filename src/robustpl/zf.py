@@ -169,8 +169,8 @@ class SurrogateOracle(OutageOracle):
     squared norm), the standard deviation of the margin's linear term, and
     ``gamma_prime`` = gamma / (1 + eta).  Raises ValueError for directions
     that are not ZF for the estimates, and ApproximationInapplicable when
-    1 + eta_k <= 0.  It overrides only ``bounded``, which the inherited
-    ``constraint`` and ``ray_limit`` read: the surrogate probability by
+    1 + eta_k <= 0.  It overrides only ``read``, which calls and the
+    inherited ``ray_limit`` go through: the counted surrogate probability by
     residues on the spectrum of -Q = -G_k diag(c) G_k^H, or by quadrature on
     the same eigenvalues (the rotated centre is zero) when they collide or
     the residue sum's rounding bound exceeds ROUNDING_TOL; ``report``
@@ -206,14 +206,16 @@ class SurrogateOracle(OutageOracle):
             return self.last_read[1][k]
         return residue_spectrum(self.minus_form(powers, k)[0])
 
-    def bounded(self, powers: np.ndarray, k: int, sigma2: float) -> tuple:
+    def read(self, powers: np.ndarray, k: int, sigma2: float = None, direction=None) -> tuple:
+        self.evals += 1
+        sigma2 = float(self.noise_var[k]) if sigma2 is None else sigma2
         lam_nz, gamma_prime = self.spectrum(powers, k), float(self.gamma_prime[k])
         try:
-            return residue_probability(lam_nz, float(powers[k]), gamma_prime, sigma2), ROUNDING_TOL
+            return residue_probability(lam_nz, float(powers[k]), gamma_prime, sigma2), ROUNDING_TOL, None
         except DegenerateSpectrum:
             est = cdf_quadrature((lam_nz, np.zeros(lam_nz.size)),
                                  float(powers[k] / gamma_prime - sigma2))
-            return est.value, est.abs_error_bound
+            return est.value, est.abs_error_bound, None
 
     def start(self) -> PowerAllocation:
         """Closed-form start: per user, the equal-power level meeting its

@@ -165,6 +165,40 @@ def test_record_with_baseline_prints_both_src_lines_totals(tmp_path, monkeypatch
     assert json.loads((tmp_path / "base.json").read_text())["src_lines"]["total"] == 3
 
 
+def test_src_lines_moved_names_each_changed_module_with_its_difference():
+    change = {"a.py": 10, "b.py": 7, "new.py": 4, "total": 21}
+    base = {"a.py": 12, "b.py": 7, "gone.py": 3, "total": 22}
+    assert bench_record.src_lines_moved(change, base) == "a.py -2, gone.py -3, new.py +4"
+    assert bench_record.src_lines_moved(base, base) == "no module changed"
+
+
+def test_record_with_baseline_prints_the_changed_modules_beside_the_total(
+        tmp_path, monkeypatch, capsys):
+    def fake_run(root, workload, seed, seconds, trace):
+        return {"seed": seed, "digest": "d",
+                "metrics": {"solves_per_s": {"value": 1.0, "unit": "1/s"}}}
+
+    monkeypatch.setattr(bench_record, "run_perfbench", fake_run)
+    roots = {}
+    for name, modules in (("change", {"m.py": "a = 1\n", "n.py": "b = 2\n"}),
+                          ("baseline", {"m.py": "a = 1\nb = 2\nc = 3\n", "n.py": "b = 2\n"})):
+        for module, text in modules.items():
+            (tmp_path / name / "src" / "robustpl").mkdir(parents=True, exist_ok=True)
+            (tmp_path / name / "src" / "robustpl" / module).write_text(text)
+        (tmp_path / name / "perfbench").mkdir()
+        (tmp_path / name / "perfbench" / "run.py").write_text("")
+        roots[name] = tmp_path / name
+    args = bench_record.parse_args(["--out", str(tmp_path / "out.json"), "--seeds", "1",
+                                    "--baseline", str(roots["baseline"]),
+                                    "--baseline-out", str(tmp_path / "base.json")])
+    benchmark = {"run_seconds": 1, "workloads": [{"name": "w"}],
+                 "end_to_end": [{"name": "solves_per_s", "better": "higher", "bound": 0.25}]}
+    bench_record.record(args, benchmark, roots)
+    lines = capsys.readouterr().out.splitlines()
+    total = lines.index("src_lines total: 2 vs 4 (baseline), difference -2")
+    assert lines[total + 1] == "src_lines by module: m.py -2"
+
+
 def traced(**values):
     """A traced run whose metrics are values, in ms where the name ends in
     _ms and as counts otherwise."""

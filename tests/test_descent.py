@@ -37,7 +37,7 @@ from robustpl.descent import (JUMP_DAMPING, JUMP_RATIO, MAX_BISECT_STEPS, MAX_CY
 
 from robustpl.quadform import ToleranceNotMet, _moments, rotate, saddlepoint_cdf
 
-from conftest import make_instance, make_zf_setup, strict_step_checks
+from conftest import make_instance, make_zf_setup, strict_step_checks, uncounted_read
 
 
 def exact_prob(instance, beamformer, qos, powers, k):
@@ -156,7 +156,7 @@ class TestRayLimit:
             limit = oracle.ray_limit(p, k)
             assert oracle.evals == k + 1  # one counted evaluation
             for j in range(13):
-                assert limit >= oracle.constraint(2.0 ** j * p, k) - 1e-12
+                assert limit >= uncounted_read(oracle, 2.0 ** j * p, k)[0] - 1e-12
 
     def test_uncertified_limit_is_none(self, monkeypatch):
         import robustpl.descent
@@ -385,13 +385,20 @@ class JumpStub:
         return 0.96 if self.ok(powers, k) else 0.9
 
 
+def fresh_probs(oracle, p, values):
+    """``_LazyProbs`` at p holding values, every one fresh."""
+    probs = _LazyProbs(oracle, p)
+    probs.values[:], probs.stale[:] = values, False
+    return probs
+
+
 class TestJump:
     P, P_PREV, LAST = np.array([1.0, 2.0, 3.0]), np.array([1.1, 2.2, 3.1]), [0.97, 0.951, 0.96]
 
     def attempt(self, ok, totals=(10.0, 8.0, 6.4)):
         """(stub, probs at P, _try_jump's result) at rho = 0.8 by default."""
         stub = JumpStub(ok)
-        probs = _LazyProbs(stub, self.P.copy(), np.array(self.LAST))
+        probs = fresh_probs(stub, self.P.copy(), self.LAST)
         return stub, probs, _try_jump(stub, probs, self.P_PREV, list(totals))
 
     def test_accepts_where_every_user_meets_its_floor(self):
@@ -439,7 +446,7 @@ class TestJump:
     def test_no_jump_to_a_nonpositive_power(self):
         p_prev = np.array([1.1, 2.2, 4.0])  # the full step takes p_2 below 0
         stub = JumpStub(lambda q, k: True)
-        probs = _LazyProbs(stub, self.P.copy(), np.array(self.LAST))
+        probs = fresh_probs(stub, self.P.copy(), self.LAST)
         assert _try_jump(stub, probs, p_prev, [10.0, 8.0, 6.4]) is None
         assert stub.calls == []
 
@@ -451,7 +458,7 @@ class TestJump:
         p = np.array(p)
         p_prev = p * (1.0 + np.array(shrink))  # searches only lower powers
         stub = JumpStub(lambda q, k: True)
-        probs = _LazyProbs(stub, p.copy(), np.full(3, 0.96))
+        probs = fresh_probs(stub, p.copy(), 0.96)
         jumped = _try_jump(stub, probs, p_prev, [3.0, 2.0, 2.0 - rho])
         if jumped is not None:
             assert np.all(jumped.p <= p) and np.all(jumped.p > 0.0)
@@ -816,7 +823,7 @@ class TestWarmStart:
         # where the estimate is None (near the mean), the quadrature answers
         monkeypatch.setattr(robustpl.descent, "saddlepoint_cdf", lambda *args: None)
         for k in range(3):
-            assert saddle(p, k) == exact.constraint(p, k)
+            assert saddle(p, k) == uncounted_read(exact, p, k)[0]
             assert saddle.sloped(p, k) == exact.sloped(p, k)
         assert saddle.evals == 6
 
@@ -956,7 +963,7 @@ class TestOutageOracle:
         assert values[:3] == values[3:]
 
     def test_constraint_is_bounded_at_the_noise(self):
-        # one counted read: the call is ``bounded``'s value at sigma_k^2 on
+        # one counted read: the call is ``read``'s value at sigma_k^2 on
         # both oracles, and the exact one's is ``exact``'s
         inst, b, qos = make_zf_setup(409)
         for oracle in (OutageOracle(inst, b, qos), SurrogateOracle(inst, b, qos)):
@@ -964,7 +971,7 @@ class TestOutageOracle:
                 p = scale * 0.01 * qos.gamma
                 for k in range(3):
                     value = oracle(p, k)
-                    assert value == oracle.bounded(p, k, float(inst.noise_var[k]))[0]
+                    assert value == uncounted_read(oracle, p, k, float(inst.noise_var[k]))[0]
                     if type(oracle) is OutageOracle:
                         assert value == oracle.exact(p, k)
             assert oracle.evals == 9
@@ -1045,21 +1052,44 @@ class TestOutageOracle:
         exact_descent(inst, b, qos)
         assert with_direction == {False, True}
 
-    def test_solver_counts_match_oracle_calls(self, monkeypatch):
+    @pytest.mark.parametrize("method", robustpl.bench.METHODS)
+    def test_solver_counts_match_oracle_calls(self, method, monkeypatch):
+        # integral_evals is the evaluator calls made through ``read``: every
+        # quadrature but ``exact_all``'s certifications, every residue sum
+        # that answered and every quadrature that answered in its place; on
+        # a solved point and on one every method gives up on (the exact
+        # give-up after a counted ray limit, certified by ``exact_all``)
         import robustpl.descent
+        import robustpl.zf
 
-        inst, b, qos = make_zf_setup(9)
         calls = []
-        original = robustpl.descent.outage_probability
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
+        def counting(module, name, unanswered=()):
+            original = getattr(module, name)
 
-        monkeypatch.setattr(robustpl.descent, "outage_probability", counting)
-        report = solve_general(inst, b, qos)
-        assert report.solved
-        assert report.integral_evals == len(calls)
+            def wrapper(*args, **kwargs):
+                calls.append(1)
+                try:
+                    return original(*args, **kwargs)
+                except unanswered:
+                    calls.pop()
+                    raise
+            monkeypatch.setattr(module, name, wrapper)
+
+        counting(robustpl.descent, "outage_probability")
+        counting(robustpl.zf, "residue_probability", robustpl.zf.DegenerateSpectrum)
+        counting(robustpl.zf, "cdf_quadrature")
+        exact_all = OutageOracle.exact_all
+        monkeypatch.setattr(OutageOracle, "exact_all",
+                            lambda self, powers: calls.append(-len(powers)) or exact_all(self, powers))
+        config = ExperimentConfig(n_tx=3, n_users=3, n_trials=1, seed=0, methods=(method,),
+                                  sigma_e2=(0.002,))
+        for (inst, b, qos), solved in ((make_zf_setup(9), True),
+                                       (make_zf_setup(9, 10.0, sigma_e2=0.05), False)):
+            calls.clear()
+            _, report = robustpl.bench._run_method(method, inst, inst.est_channels, qos, config)
+            assert report.solved is solved
+            assert report.integral_evals == sum(calls) > 0
 
     @pytest.mark.parametrize("solver", [exact_descent, solve_zf_coord_descent,
                                         solve_zf_coord_update])

@@ -445,6 +445,18 @@ class TestEigh:
             with pytest.raises(np.linalg.LinAlgError):
                 helper(a[1])
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # LAPACK's floating-point flags
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_nan_on_the_diagonal_can_give_finite_eigenvalues(self, dtype):
+        # the helpers reject NaN eigenvalues, not NaN input: eigvalsh, like
+        # numpy's, returns finite values here, while eigh returns a NaN
+        a = np.eye(3, dtype=dtype)
+        a[0, 0] = np.nan
+        w = robustpl.model.eigvalsh(a)
+        assert np.all(np.isfinite(w)) and np.array_equal(w, np.linalg.eigvalsh(a))
+        with pytest.raises(np.linalg.LinAlgError):
+            robustpl.model.eigh(a)
+
     def test_no_numpy_wrapper_call_in_the_package(self):
         # the wrapper costs ~3 us a call: every decomposition goes through
         # the model helpers, which alone touch the private gufunc module

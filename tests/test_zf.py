@@ -29,7 +29,7 @@ from robustpl import (
 from robustpl.descent import POWER_CAP, _run_descent
 from robustpl.zf import ROUNDING_TOL, _step_from_spectrum
 
-from conftest import make_instance, make_zf_setup
+from conftest import make_instance, make_zf_setup, uncounted_read
 
 
 def unitary_channel_instance(sigma_e2, n=3, sigma2=0.01):
@@ -159,21 +159,21 @@ class TestResidueProbability:
 
     def test_every_constraint_goes_through_residue_probability(self, monkeypatch):
         # perfbench/tracing.py counts surrogate evaluations by wrapping the
-        # module-level name; a constraint that bypassed it would go uncounted
+        # module-level name; a read that bypassed it would go uncounted
         residue_calls, constraint_calls = [], []
         original = robustpl.zf.residue_probability
-        constraint = SurrogateOracle.constraint
+        read = SurrogateOracle.read
 
         def counting_residue(*args):
             residue_calls.append(args)
             return original(*args)
 
-        def counting_constraint(self, powers, k):
+        def counting_read(self, powers, k, *args):
             constraint_calls.append(k)
-            return constraint(self, powers, k)
+            return read(self, powers, k, *args)
 
         monkeypatch.setattr(robustpl.zf, "residue_probability", counting_residue)
-        monkeypatch.setattr(SurrogateOracle, "constraint", counting_constraint)
+        monkeypatch.setattr(SurrogateOracle, "read", counting_read)
         for seed in (301, 302):
             inst, b, qos = make_zf_setup(seed)
             solve_zf_coord_descent(inst, b, qos)
@@ -431,7 +431,7 @@ class TestCoordUpdate:
             for k in range(3):
                 trial = p_prev.powers.copy()
                 trial[k] = surrogate.step(p_prev.powers, k)
-                prob = surrogate.constraint(trial, k)
+                prob = uncounted_read(surrogate, trial, k)[0]
                 assert 0.95 <= prob <= 0.95 + delta
 
     def test_fallback_bisection_counts_every_oracle_call(self, monkeypatch):
