@@ -3,7 +3,7 @@ loading with fixed beamforming directions.
 
 Each coordinate step shrinks one user's power, by a bracketed secant search
 on the logit of its success probability, until that probability falls inside
-[1 - eps, 1 - eps + Delta], probing by Newton steps on the logit from exact
+[1 - eps, 1 - eps + Delta], probing by Newton steps on the logit from saddlepoint
 slopes or a moment model.  Lowering a power can only raise the other users'
 probabilities (Yates, IEEE JSAC 13(7), 1995): every iterate stays feasible,
 the total power never rises, and a start whose last value is above the band
@@ -102,7 +102,8 @@ class OutageOracle:
     user's -Q in one stack.  ``read`` is the one counted evaluation, the only
     place ``evals`` rises; calls ``oracle(powers, k)``, ``sloped`` and
     ``ray_limit`` go through it, so a subclass overrides ``read`` alone.
-    ``exact`` and ``exact_all`` evaluate the exact probability uncounted.
+    ``exact`` and ``exact_all`` evaluate the exact probability uncounted, and
+    ``slope`` the saddlepoint slope a warm raise steps with.
     """
     margin = 0.0  # of the floors above 1 - eps (``SaddlepointOracle``'s is delta/4)
     hopeless = False  # whether the last certified ``ray_limit`` was below its floor
@@ -186,6 +187,11 @@ class OutageOracle:
         value, _, slope = self.read(powers, k, direction=self.direction(k))
         return value, slope
 
+    def slope(self, powers: np.ndarray, k: int):
+        """``saddlepoint_cdf``'s slope dP/dp_k along ``direction(k)``, uncounted, or None."""
+        est = saddlepoint_cdf(*rotate(self.minus_form(powers, k), self.direction(k)))
+        return est and est.slope
+
     def model_root(self, powers: np.ndarray, k: int, z: float):
         """The p_k (others fixed) where the normal model P = Phi((tau - mean) /
         sd) of user k's form is Phi(z), or None: (n0 + n1 c_k)^2 = z^2 sd^2, as
@@ -218,7 +224,8 @@ class SaddlepointOracle(OutageOracle):
     (where it is None, and at other noise, a counted quadrature), its floors ``margin`` = delta/4 up and
     its ``width`` delta/2: its band [floor + delta/4, floor + 3 delta/4], delta = ``DescentConfig.delta_min``,
     is centred in the exact band.  So ``ray_limit`` is the exact one, certified, plus the margin, and a
-    ``hopeless`` give-up on it means that an exact descent from the same start gives up."""
+    ``hopeless`` give-up on it means that an exact descent from the same start gives up.  Its slopes
+    are the exact oracle's, as every slope is the saddlepoint's."""
 
     margin, width = DescentConfig.delta_min / 4, DescentConfig.delta_min / 2
 
@@ -292,11 +299,11 @@ def _find_feasible_start(oracle: OutageOracle, p_init: np.ndarray):
     tests first, so only the passing round and the give-up exit evaluate
     every user.  Within the oracle's ``raise_budget`` that user's power alone
     rises (only lowering the others' probabilities) by a Newton step on its
-    logit from one counted ``sloped`` read toward floor + width/8, to at
-    most 2 p_k; past it all powers double.  After a doubling, a user first
-    found below its floor gets one ``ray_limit``: one below the floor gives
-    up at once.  Returns the ``_LazyProbs`` at the last powers, doublings
-    and feasible.  The power cap counts on the total power.
+    logit from the value just read, with the uncounted ``slope``, toward
+    floor + width/8, to at most 2 p_k; past it all powers double.  After a
+    doubling, a user first found below its floor gets one ``ray_limit``: one
+    below the floor gives up at once.  Returns the ``_LazyProbs`` at the last
+    powers, doublings and feasible.  The power cap counts on the total power.
     """
     probs = _LazyProbs(oracle, p_init.copy())
     order, doublings, checked = list(range(p_init.size)), 0, set()
@@ -309,8 +316,8 @@ def _find_feasible_start(oracle: OutageOracle, p_init: np.ndarray):
             return probs, doublings, False
         order = [k] + [j for j in order if j != k]
         if oracle.raises < oracle.raise_budget:
-            (q, slope), pk = oracle.sloped(probs.p, k), probs.p[k]
-            x = _newton(pk, q, slope, oracle.floor[k] + oracle.width / 8) or math.inf
+            pk, slope = probs.p[k], oracle.slope(probs.p, k)
+            x = _newton(pk, probs.values[k], slope, oracle.floor[k] + oracle.width / 8) or math.inf
             probs.p[k], oracle.raises = min(x, 2.0 * pk), oracle.raises + 1
         else:
             probs.p *= 2.0

@@ -20,7 +20,7 @@ their convex exponent rule out, unminimized, those that cannot reach tol/4.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -53,7 +53,7 @@ class ProbabilityEstimate:
     value: float
     abs_error_bound: float
     raw_value: float = None
-    slope: float = None  # uncertified dP/dp_k (see outage_probability)
+    slope: float = None  # saddlepoint_cdf's uncertified dP/dp along a direction
 
     def __post_init__(self):
         if self.raw_value is None:
@@ -289,9 +289,8 @@ def _vertical_cut(beta, lam, zt2, tau, g0, target, sigma, h, omega_max, log_lam)
     return found or (math.exp(x), m, math.exp(log_b) if log_b < 709.0 else math.inf)
 
 
-def _integrand(s, lam, zt2, tau, g0, with_factors=False, abs_s=None):
-    """exp(tau s - c(s) - g0) / (s prod_m (1 + s lam_m)) at the nodes ``s``
-    (|s|: ``abs_s``), and with ``with_factors`` its (m, n) factors 1 + s lam.
+def _integrand(s, lam, zt2, tau, g0, abs_s=None):
+    """exp(tau s - c(s) - g0) / (s prod_m (1 + s lam_m)) at the nodes ``s`` (|s|: ``abs_s``).
 
     Eigenvalue-major (m, n) arrays make a product m - 1 vector operations;
     the exponent, which can cancel to many digits, keeps np.sum's row order.
@@ -304,9 +303,8 @@ def _integrand(s, lam, zt2, tau, g0, with_factors=False, abs_s=None):
     expo = tau * s - terms.sum(axis=1) - g0
     s_max = float((np.abs(s) if abs_s is None else abs_s).max())
     log_bound = math.log(s_max) + sum(math.log1p(s_max * abs(l)) for l in lam.tolist())
-    vals = (np.exp(expo) / (s * one_sl.prod(axis=0)) if log_bound < 600.0  # no overflow
+    return (np.exp(expo) / (s * one_sl.prod(axis=0)) if log_bound < 600.0  # no overflow
             else np.exp(expo - np.log(one_sl).sum(axis=0) - np.log(s)))
-    return (vals, one_sl) if with_factors else vals
 
 
 def zero_mode_threshold(lam) -> float:
@@ -314,8 +312,7 @@ def zero_mode_threshold(lam) -> float:
     return 1e-12 * max(1.0, max(map(abs, lam), default=0.0))
 
 
-def cdf_quadrature(spectrum: tuple, tau: float, tol: float = QUAD_TOL,
-                   slope_terms=None) -> ProbabilityEstimate:
+def cdf_quadrature(spectrum: tuple, tau: float, tol: float = QUAD_TOL) -> ProbabilityEstimate:
     """The contour integral to absolute tolerance tol by the trapezoid rule
     (h/pi) (1/2 + sum_{n>=1} Re f(nh)), using conjugate symmetry.
 
@@ -327,8 +324,6 @@ def cdf_quadrature(spectrum: tuple, tau: float, tol: float = QUAD_TOL,
     sum |f| times f's relative rounding error in eps.
     Chernoff bounds answer deep tails; a form whose mean or variance is not
     finite raises ValueError.
-    ``slope_terms``, the (3, m) weights from ``outage_probability``, adds the
-    ``slope``: None for tail shortcuts, mirrored and zero-mode-filtered forms.
     A bound above tol (as past the node cap MAX_NODES) raises
     ToleranceNotMet, whose ``estimate`` carries the value and that bound."""
     tau = float(tau)
@@ -342,7 +337,6 @@ def cdf_quadrature(spectrum: tuple, tau: float, tol: float = QUAD_TOL,
 
     if not kept:
         return _exact(1.0 if tau >= 0 else 0.0)
-    slope_terms = slope_terms if len(kept) == len(lam_all) else None
     lam_l, zt2_l = map(list, zip(*kept))
     if min(lam_l) >= 0 and tau <= 0:
         return _exact(0.0)
@@ -368,7 +362,7 @@ def cdf_quadrature(spectrum: tuple, tau: float, tol: float = QUAD_TOL,
     # 1 - Pr(-Y <= -tau), whose strip has no pole to the right of beta
     mirror = max(lam_l) < 0
     if mirror:
-        lam_l, tau, mu, slope_terms = [-l for l in lam_l], -tau, -mu, None
+        lam_l, tau, mu = [-l for l in lam_l], -tau, -mu
     cap = -1.0 / min(lam_l) if min(lam_l) < 0 else math.inf
     beta = _pick_beta(lam_l, zt2_l, tau, moments=(mu, s2))
     g0 = _log_mag(beta, lam_l, zt2_l, tau)
@@ -392,15 +386,11 @@ def cdf_quadrature(spectrum: tuple, tau: float, tol: float = QUAD_TOL,
     weight = 0.5 * (len(lam_l) + 9)
     err0 = 50.0 + weight * abs(g0)
     err1 = weight * (abs(tau) + sum(z * abs(l) / (1.0 + beta * l) for l, z in zip(lam_l, zt2_l)))
-    total, err_total, slope = -0.5, 0.0, 0.0  # f(beta) = 1, its node weighs 1/2
+    total, err_total = -0.5, 0.0  # f(beta) = 1, its node weighs 1/2
     for start in range(0, n_nodes, CHUNK):
         s = beta + 1j * h * np.arange(start, min(start + CHUNK, n_nodes))
-        vals, one_sl = _integrand(s, lam, zt2, tau, g0, True, abs_s := np.abs(s))
+        vals = _integrand(s, lam, zt2, tau, g0, abs_s := np.abs(s))
         total += float(vals.real.sum())
-        if slope_terms is not None:
-            a, b, c = slope_terms @ (1.0 / one_sl)
-            terms = (vals * s * (a * b + c)).real
-            slope += float(terms.sum()) - (0.5 * terms[0] if start == 0 else 0.0)
         abs_f = np.abs(vals)
         err_total += err0 * float(abs_f.sum()) + err1 * float(abs_f @ abs_s)
     if order:  # the boundary terms of the tail summed by parts
@@ -419,9 +409,7 @@ def cdf_quadrature(spectrum: tuple, tau: float, tol: float = QUAD_TOL,
     if mirror:
         raw = 1.0 - raw
     bound = tol / 2.0 + scale * (tail + math.ulp(1.0) * h * err_total)
-    estimate = ProbabilityEstimate(
-        value=raw, abs_error_bound=bound,
-        slope=None if slope_terms is None else scale * h * slope)
+    estimate = ProbabilityEstimate(value=raw, abs_error_bound=bound)
     if not bound <= tol:
         raise ToleranceNotMet(
             f"quadrature certified only {bound:.3e} > tol {tol:.3e}", estimate)
@@ -447,10 +435,12 @@ def outage_probability(form: tuple, tol: float = QUAD_TOL, direction=None,
     (-Q, a, tau) of ``OutageOracle.minus_form`` or ``model.build_outage_form``,
     by ``rotate`` and ``cdf_quadrature``.  ``direction`` u, with dQ/dp = u u^H
     along a power p (user k's own: u = G_k e_k / sqrt(gamma_k)), adds the
-    uncertified ``slope`` dP/dp = (h/pi) e^g0 sum' Re[f s (A B + C)] on the
-    value's nodes, A, B, C the sums over 1/(1 + s lam) of rotate's rows."""
+    uncertified ``slope`` dP/dp of ``saddlepoint_cdf`` on the same rotated
+    spectrum (None where that is None); the value and bound stay the quadrature's."""
     spectrum, tau, slope_terms = rotate(form, direction, eig)
-    return cdf_quadrature(spectrum, tau, tol=tol, slope_terms=slope_terms)
+    estimate = cdf_quadrature(spectrum, tau, tol=tol)
+    saddle = slope_terms is not None and saddlepoint_cdf(spectrum, tau, slope_terms)
+    return replace(estimate, slope=saddle.slope) if saddle else estimate
 
 
 def saddlepoint_cdf(spectrum: tuple, tau: float, slope_terms=None):

@@ -35,6 +35,22 @@ def make_zf_setup(seed, gamma_db=5.0, epsilon=0.05, **kwargs):
         gamma_db, epsilon, inst.n_users)
 
 
+def solver_forms():
+    """(oracle, powers, k): user k's form at an exact descent's solved powers
+    and with p_k scaled up by 5%, 20% and 50%, for ZF and RCI directions on
+    3x3 (seeds 700, 701) and 6x6 (seed 700) instances."""
+    from robustpl import OutageOracle, build_rci
+
+    for seed, n in ((700, 3), (701, 3), (700, 6)):
+        inst, b, qos = make_zf_setup(seed, n_tx=n, n_users=n)
+        for beamformer in (b, build_rci(inst.est_channels, n * 0.01)):
+            oracle = OutageOracle(inst, beamformer, qos)
+            p = robustpl.descent._run_descent(oracle).powers.powers
+            for k in range(n):
+                for scale in (1.0, 1.05, 1.2, 1.5):
+                    yield oracle, p * np.where(np.arange(n) == k, scale, 1.0), k
+
+
 @contextlib.contextmanager
 def fixed_contour_offset(beta):
     """Within the block, ``cdf_quadrature`` integrates on the line Re s =

@@ -37,7 +37,7 @@ from robustpl.descent import (JUMP_DAMPING, JUMP_RATIO, MAX_BISECT_STEPS, MAX_CY
 
 from robustpl.quadform import ToleranceNotMet, _moments, rotate, saddlepoint_cdf
 
-from conftest import make_instance, make_zf_setup, strict_step_checks, uncounted_read
+from conftest import make_instance, make_zf_setup, solver_forms, strict_step_checks, uncounted_read
 
 
 def exact_prob(instance, beamformer, qos, powers, k):
@@ -214,7 +214,7 @@ class TestRayLimit:
     def test_raises_alone_until_the_budget_is_spent_then_doubles(self):
         stub = RayStub(0.99)
         stub.raise_budget, stub.width = 2, 1e-3
-        stub.sloped = lambda powers, k: (stub(powers, k), 0.099 / (powers[k] + 0.1) ** 2)
+        stub.slope = lambda powers, k: 0.099 / (powers[k] + 0.1) ** 2
         probs, doublings, feasible = _find_feasible_start(stub, np.array([0.05, 0.02, 0.01]))
         # both raises hit user 0, each clamped to twice its power; user 2
         # then needs 8 doublings to reach 0.95 at p = 2.375
@@ -712,6 +712,26 @@ class TestWarmStart:
         assert warm.integral_evals <= 3 * qos.n_users
         assert (report.raises, report.doublings) == (warm.raises, saddle.doublings)
 
+    @pytest.mark.parametrize("seed, gamma_db", [(110, 10.0), (119, 5.0)])
+    def test_a_raise_reads_its_user_once(self, seed, gamma_db, monkeypatch):
+        # the raise steps from the value first_failing just read, with an
+        # uncounted slope: every counted read is one of first_failing's
+        class Reads(OutageOracle):
+            reads = 0
+
+            def __call__(self, powers, k):
+                self.reads += 1
+                return super().__call__(powers, k)
+
+        inst, b, qos = make_zf_setup(seed, gamma_db)
+        runs = engine_runs(monkeypatch)
+        solve_general(inst, b, qos)
+        warm = Reads(inst, b, qos)
+        warm.raise_budget = 2 * qos.n_users
+        _, doublings, feasible = _find_feasible_start(warm, runs[1][1].powers)
+        assert feasible and doublings == 0 and warm.raises >= 1
+        assert warm.evals == warm.reads
+
     @pytest.mark.parametrize("case", ["no-estimate-feasible", "hopeless-uncertified"])
     def test_failed_saddlepoint_descent_falls_back_to_the_engine(self, case, monkeypatch):
         import robustpl.descent
@@ -976,26 +996,26 @@ class TestOutageOracle:
                         assert value == oracle.exact(p, k)
             assert oracle.evals == 9
 
-    @pytest.mark.parametrize("n", [3, 6])
-    def test_slope_matches_central_difference(self, n):
+    def test_slope_matches_central_difference(self):
+        # the saddlepoint slope against a central difference of certified
+        # values, on the 46 of these forms with P in [0.9, 0.99]: the ratio
+        # was within [0.959, 1.066] (on 1,528 forms of seeds 700-729, within
+        # [0.916, 1.172])
         checked = 0
-        for seed in (801, 802, 803):
-            inst, b, qos = make_zf_setup(seed, n_tx=n, n_users=n)
-            oracle = OutageOracle(inst, b, qos)
-            p = solve_general(inst, b, qos).powers.powers
-            for k in range(n):
-                value, slope = oracle.sloped(p, k)
-                assert value == oracle.exact(p, k)
-                if slope is None:
-                    continue
-                step = 1e-4 * p[k]
-                up, down = p.copy(), p.copy()
-                up[k] += step
-                down[k] -= step
-                central = (oracle.exact(up, k) - oracle.exact(down, k)) / (2.0 * step)
-                assert slope == pytest.approx(central, rel=1e-3)
-                checked += 1
-        assert checked >= 2 * n
+        for oracle, p, k in solver_forms():
+            value, slope = oracle.sloped(p, k)
+            assert value == oracle.exact(p, k)
+            if not 0.9 <= value <= 0.99:
+                continue
+            step = 1e-3 * p[k]
+            up, down = p.copy(), p.copy()
+            up[k] += step
+            down[k] -= step
+            central = (oracle.exact(up, k) - oracle.exact(down, k)) / (2.0 * step)
+            assert slope == oracle.slope(p, k)
+            assert abs(slope / central - 1.0) <= 0.3
+            checked += 1
+        assert checked >= 40
 
     @staticmethod
     def feasible_starts():
