@@ -996,13 +996,16 @@ class TestOutageOracle:
                         assert value == oracle.exact(p, k)
             assert oracle.evals == 9
 
-    def test_slope_matches_central_difference(self):
+    @pytest.mark.parametrize("n", [3, 6])
+    def test_slope_matches_central_difference(self, n):
         # the saddlepoint slope against a central difference of certified
-        # values, on the 46 of these forms with P in [0.9, 0.99]: the ratio
-        # was within [0.959, 1.066] (on 1,528 forms of seeds 700-729, within
-        # [0.916, 1.172])
+        # values, on the forms of n users with P in [0.9, 0.99] (22 of 3x3,
+        # 24 of 6x6): the ratio was within [0.959, 1.066] (on 1,528 forms of
+        # seeds 700-729, within [0.916, 1.172])
         checked = 0
         for oracle, p, k in solver_forms():
+            if len(p) != n:
+                continue
             value, slope = oracle.sloped(p, k)
             assert value == oracle.exact(p, k)
             if not 0.9 <= value <= 0.99:
@@ -1015,7 +1018,7 @@ class TestOutageOracle:
             assert slope == oracle.slope(p, k)
             assert abs(slope / central - 1.0) <= 0.3
             checked += 1
-        assert checked >= 40
+        assert checked >= 20
 
     @staticmethod
     def feasible_starts():
