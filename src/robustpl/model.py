@@ -101,11 +101,11 @@ class ScenarioInstance:
                 raise ValueError(f"{name} must be finite")
         if not np.all(nv > 0):
             raise ValueError("noise variances must be positive")
-        scale = max(1.0, float(np.max(np.abs(cov)))) if cov.size else 1.0
-        for ck in cov:
-            if np.max(np.abs(ck - ck.conj().T)) > HERMITIAN_TOL * scale:
+        if cov.size:  # one Hermitian check and one stacked eigvalsh over the users
+            scale = max(1.0, float(np.max(np.abs(cov))))
+            if np.max(np.abs(cov - cov.conj().swapaxes(-1, -2))) > HERMITIAN_TOL * scale:
                 raise ValueError("error covariance is not Hermitian")
-            if not (w := eigvalsh(ck))[0] > 1e-12 * w[-1]:
+            if not np.all((w := eigvalsh(cov))[:, 0] > 1e-12 * w[:, -1]):
                 raise ValueError("error covariance is not positive definite")
 
     @property
@@ -120,9 +120,9 @@ class ScenarioInstance:
     def cov_roots(self) -> tuple:
         """Read-only stacks (C_k^{1/2}, C_k^{-1/2}) over the users, computed
         once per instance: ``error_cov`` must not change in place after."""
-        roots = np.array([(psd_sqrt(c), psd_inv_sqrt(c)) for c in self.error_cov])
-        roots.flags.writeable = False
-        return roots[:, 0], roots[:, 1]
+        roots = psd_sqrt(self.error_cov), psd_inv_sqrt(self.error_cov)
+        roots[0].flags.writeable = roots[1].flags.writeable = False
+        return roots
 
 
 @dataclass(frozen=True)
@@ -300,16 +300,17 @@ def _no_nan(w: np.ndarray) -> np.ndarray:  # vdot(w, w) >= 0 fails only on a NaN
 
 
 def psd_sqrt(c: np.ndarray) -> np.ndarray:
-    """Principal Hermitian PSD square root, negative eigenvalues clamped to 0."""
+    """Principal Hermitian PSD square root, negative eigenvalues clamped to 0;
+    of a (K, n, n) stack, each matrix's from one ``eigh`` call."""
     w, v = eigh(np.asarray(c, dtype=complex))
-    return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+    return (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def psd_inv_sqrt(c: np.ndarray) -> np.ndarray:
     """Principal inverse square root C^{-1/2} of a Hermitian positive definite
-    C, as ``ScenarioInstance`` admits."""
+    C, as ``ScenarioInstance`` admits; of a (K, n, n) stack, each matrix's."""
     w, v = eigh(np.asarray(c, dtype=complex))
-    return (v * (1.0 / np.sqrt(w))) @ v.conj().T
+    return (v * (1.0 / np.sqrt(w))[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def _signal_interference_matrix(beamformer: BeamformerMatrix,
