@@ -33,9 +33,10 @@ DEFAULT_ETA_MULTIPLE = -1.3
 RELATIVE_GAP_TOL = 1e-9
 ROUNDING_TOL = QUAD_TOL / 10  # residue rounding allowance: see residue_probability
 EPS = 2.0 ** -52
-# The coordinate-update fixed point meets the surrogate constraints with
-# equality; a hair of slack keeps float noise from costing whole cycles.
-FEASIBILITY_SLACK = 1e-6
+# Each closed-form step aims at outage eps_k (1 - FEASIBILITY_SLACK), a hair above
+# the floor (1e-6 at eps_k = 0.05), so that the coordinate-update fixed point meets
+# the floor itself; relative, the aim stays positive for every eps_k in (0, 1).
+FEASIBILITY_SLACK = 2e-5
 
 
 class ApproximationInapplicable(Exception):
@@ -241,17 +242,18 @@ class SurrogateOracle(OutageOracle):
 
     def step(self, p_frozen: np.ndarray, k: int) -> float:
         """User k's closed-form update at ``gamma_prime[k]`` with the spectrum
-        frozen at p_frozen; on a degenerate spectrum, p[k] doubles from
-        max(gamma_k sigma_k^2, p[k]) until the counted constraint holds, then
-        bisects into the band [1 - eps_k, 1 - eps_k + DescentConfig.delta_min].
-        The doubling gives up once the total power passes POWER_CAP and
-        returns that p[k] unevaluated."""
+        frozen at p_frozen, its root aimed at outage eps_k (1 -
+        FEASIBILITY_SLACK), a hair above the floor.  On a degenerate spectrum,
+        p[k] doubles from max(gamma_k sigma_k^2, p[k]) until the counted
+        constraint holds, then bisects into the band [1 - eps_k, 1 - eps_k +
+        DescentConfig.delta_min], or gives up once the total power passes
+        POWER_CAP and returns that p[k] unevaluated."""
         lam_nz = self.spectrum(p_frozen, k)
         epsilon_k = float(self.qos.epsilon[k])
         try:
             return _step_from_spectrum(
-                lam_nz, float(self.gamma[k]), float(self.gamma_prime[k]),
-                float(self.noise_var[k]), epsilon_k, float(self.r_norm2[k]))
+                lam_nz, float(self.gamma[k]), float(self.gamma_prime[k]), float(self.noise_var[k]),
+                epsilon_k * (1.0 - FEASIBILITY_SLACK), float(self.r_norm2[k]))
         except DegenerateSpectrum:
             pass
         trial = p_frozen.copy()
@@ -287,11 +289,12 @@ def solve_zf_coord_update(instance: ScenarioInstance,
                           beamformer: BeamformerMatrix, qos: QoSSpec,
                           eta_multiple: float = DEFAULT_ETA_MULTIPLE) -> SolveReport:
     """Cyclic coordinate updates (``SurrogateOracle.step``, each root at
-    gamma' = gamma / (1 + eta)) from the closed-form start until the
-    surrogate constraints all hold, MAX_CYCLES cycles (the descent's cap)
-    elapse, or the total power passes POWER_CAP; ending above the cap
-    infeasible reports DIVERGED (an update with no fixed point drives the
-    powers without bound).
+    gamma' = gamma / (1 + eta), aimed a hair above the floor) from the
+    closed-form start until every surrogate probability meets its floor
+    1 - eps_k, MAX_CYCLES cycles (the descent's cap) elapse, or the total
+    power passes POWER_CAP; no scaling follows the loop.  Ending above the
+    cap infeasible reports DIVERGED (an update with no fixed point drives
+    the powers without bound).
 
     Iterates are not kept feasible; each cycle freezes every user's spectrum
     at the previous cycle's powers, so each power vector costs one stacked
@@ -306,13 +309,12 @@ def solve_zf_coord_update(instance: ScenarioInstance,
     p = prob.start().powers
     probs = _LazyProbs(prob, p)
 
-    def meets(level) -> bool:  # evaluates users only up to the first below level
+    def meets() -> bool:  # evaluates users only up to the first below its floor
         prob.spectra(p)  # one stacked read, which the next cycle's steps share
-        return probs.first_failing(lambda k, q: q >= level[k], range(n)) is None
+        return probs.first_failing(lambda k, q: q >= floor[k], range(n)) is None
 
     cycles = bisect_steps = 0
-    while (not meets(floor - FEASIBILITY_SLACK) and cycles < MAX_CYCLES
-           and np.dot(p, prob.norms2) <= POWER_CAP):
+    while not meets() and cycles < MAX_CYCLES and np.dot(p, prob.norms2) <= POWER_CAP:
         cycles += 1
         p_prev = p.copy()
         before = prob.evals  # only degenerate-spectrum fallbacks evaluate
@@ -323,18 +325,7 @@ def solve_zf_coord_update(instance: ScenarioInstance,
         if np.max(np.abs(p - p_prev)) <= 1e-12 * max(1.0, float(np.max(p))):
             break  # fixed point reached at float resolution
 
-    feasible = meets(floor - FEASIBILITY_SLACK)
-    if feasible:
-        # the fixed point meets the constraints with equality; scaling all
-        # powers up strictly raises every probability (relatively less
-        # noise), so a few tiny nudges make feasibility strict
-        for _ in range(50):
-            if meets(floor):
-                break
-            p *= 1.0 + 4e-6
-            probs.stale[:] = True
-        feasible = meets(floor)
-    status = (SolveStatus.SOLVED if feasible
+    status = (SolveStatus.SOLVED if meets()
               else SolveStatus.DIVERGED if np.dot(p, prob.norms2) > POWER_CAP
               else SolveStatus.CYCLE_LIMIT)
     return prob.report(status, p, probs.complete(), t0, cycles=cycles,

@@ -383,7 +383,37 @@ class TestCoordUpdate:
         inst, b, qos = make_zf_setup(259)
         report = solve_zf_coord_update(inst, b, qos)
         assert report.status is SolveStatus.SOLVED
-        assert np.all(report.per_user_prob >= 0.95 - 1e-6)
+        assert np.all(report.per_user_prob >= 0.95)
+
+    @pytest.mark.parametrize("seed, gamma_db", [(600, 0.0), (602, 5.0), (606, 5.0)])
+    def test_solved_powers_are_the_last_steps(self, seed, gamma_db, monkeypatch):
+        # the steps aim a hair above the floor, so these fixed points meet it
+        # as the last cycle's steps leave them: no power is scaled after the loop
+        inst, b, qos = make_zf_setup(seed, gamma_db=gamma_db)
+        outputs, step = [], SurrogateOracle.step
+
+        def recording(oracle, p_frozen, k):
+            outputs.append(step(oracle, p_frozen, k))
+            return outputs[-1]
+
+        monkeypatch.setattr(SurrogateOracle, "step", recording)
+        report = solve_zf_coord_update(inst, b, qos)
+        assert report.status is SolveStatus.SOLVED
+        assert 0 < report.cycles and len(outputs) == 3 * report.cycles
+        assert np.array_equal(report.powers.powers, outputs[-3:])
+        assert np.all(report.per_user_prob >= 1.0 - qos.epsilon)
+
+    def test_tiny_outage_tolerance_keeps_a_positive_aim(self):
+        # at eps = 1e-7 an aim of eps - 1e-6 would be negative and every
+        # dominant-eigenvalue root NaN; the relative aim eps (1 - slack) is not
+        inst, b, qos = make_zf_setup(600, gamma_db=0.0, epsilon=1e-7)
+        oracle = SurrogateOracle(inst, b, qos)
+        p = oracle.start().powers
+        for k in range(3):
+            assert 0.0 < oracle.step(p, k) < np.inf
+        report = solve_zf_coord_update(inst, b, qos)
+        assert report.status is SolveStatus.SOLVED
+        assert np.all(report.per_user_prob >= 1.0 - 1e-7)
 
     def test_chained_refinement_never_raises_power(self):
         inst, b, qos = make_zf_setup(261)
@@ -455,13 +485,13 @@ class TestCoordUpdate:
 
 def eager_coord_update(inst, b, qos):
     """Reference: the CoordUpdate loop that evaluates every user for each
-    feasibility test and after every nudge, capped at ``zf.MAX_CYCLES``."""
+    feasibility test against the floor, capped at ``zf.MAX_CYCLES``."""
     prob = SurrogateOracle(inst, b, qos)
-    n, floor, slack = qos.n_users, 1.0 - qos.epsilon, robustpl.zf.FEASIBILITY_SLACK
+    n, floor = qos.n_users, 1.0 - qos.epsilon
     p = prob.start().powers
     probs = np.array([prob(p, k) for k in range(n)])
     cycles = steps = 0
-    while (not np.all(probs >= floor - slack) and cycles < robustpl.zf.MAX_CYCLES
+    while (not np.all(probs >= floor) and cycles < robustpl.zf.MAX_CYCLES
            and np.dot(p, prob.norms2) <= POWER_CAP):
         cycles += 1
         p_prev, before = p.copy(), prob.evals
@@ -471,15 +501,7 @@ def eager_coord_update(inst, b, qos):
         probs = np.array([prob(p, k) for k in range(n)])
         if np.max(np.abs(p - p_prev)) <= 1e-12 * max(1.0, float(np.max(p))):
             break
-    feasible = bool(np.all(probs >= floor - slack))
-    if feasible:
-        for _ in range(50):
-            if np.all(probs >= floor):
-                break
-            p *= 1.0 + 4e-6
-            probs = np.array([prob(p, k) for k in range(n)])
-        feasible = bool(np.all(probs >= floor))
-    if feasible:
+    if np.all(probs >= floor):
         status = SolveStatus.SOLVED
     elif np.dot(p, prob.norms2) > POWER_CAP:
         status = SolveStatus.DIVERGED
