@@ -100,10 +100,12 @@ class OutageOracle:
     for the positive definite C_k: ``minus_form`` gives the (-Q, a_k, tau)
     that ``build_outage_form`` computes from scratch, and ``minus_qs`` every
     user's -Q in one stack.  ``read`` is the one counted evaluation, the only
-    place ``evals`` rises; calls ``oracle(powers, k)``, ``sloped`` and
-    ``ray_limit`` go through it, so a subclass overrides ``read`` alone.
-    ``exact`` and ``exact_all`` evaluate the exact probability uncounted, and
-    ``slope`` the saddlepoint slope a warm raise steps with.
+    place ``evals`` rises, and returns certified numbers only; calls
+    ``oracle(powers, k)``, ``sloped`` and ``ray_limit`` go through it.
+    ``exact`` and ``exact_all`` evaluate the exact probability uncounted.
+    ``slope``, the one source of slopes, is ``saddlepoint_cdf``'s uncounted
+    dP/dp_k: ``sloped`` pairs it with a counted value, and a warm raise
+    steps with it alone.
     """
     margin = 0.0  # of the floors above 1 - eps (``SaddlepointOracle``'s is delta/4)
     hopeless = False  # whether the last certified ``ray_limit`` was below its floor
@@ -156,12 +158,12 @@ class OutageOracle:
         return np.array([outage_probability((minus_q, a, -float(s2)), eig=eig).value
                          for minus_q, a, s2, eig in zip(minus_qs, self.centres, self.noise_var, eigs)])
 
-    def read(self, powers: np.ndarray, k: int, sigma2: float = None, direction=None) -> tuple:
-        """The counted (value, error bound, slope dP/dp along direction or
-        None) of user k's probability at noise sigma2 (None: sigma_k^2)."""
+    def read(self, powers: np.ndarray, k: int, sigma2: float = None) -> tuple:
+        """The counted (value, error bound) of user k's probability at noise
+        sigma2 (None: sigma_k^2)."""
         self.evals += 1
-        est = outage_probability(self.minus_form(powers, k, sigma2), direction=direction)
-        return est.value, est.abs_error_bound, est.slope
+        est = outage_probability(self.minus_form(powers, k, sigma2))
+        return est.value, est.abs_error_bound
 
     def __call__(self, powers: np.ndarray, k: int) -> float:
         return self.read(powers, k)[0]
@@ -172,7 +174,7 @@ class OutageOracle:
         its bound, which the probability rises to as the noise weighs 1/t
         (Yates, 1995), plus ``margin``; it sets ``hopeless``."""
         try:
-            value, bound, _ = self.read(powers, k, 0.0)
+            value, bound = self.read(powers, k, 0.0)
         except ToleranceNotMet:
             return None
         self.hopeless = (limit := value + bound + self.margin) < self.floor[k]
@@ -183,9 +185,8 @@ class OutageOracle:
         return self.g_mats[k][:, k] / np.sqrt(float(self.gamma[k]))
 
     def sloped(self, powers: np.ndarray, k: int) -> tuple:
-        """A counted value and its slope dP/dp_k: ``read`` along ``direction(k)``."""
-        value, _, slope = self.read(powers, k, direction=self.direction(k))
-        return value, slope
+        """A counted value and the uncounted ``slope`` dP/dp_k at the same powers."""
+        return self(powers, k), self.slope(powers, k)
 
     def slope(self, powers: np.ndarray, k: int):
         """``saddlepoint_cdf``'s slope dP/dp_k along ``direction(k)``, uncounted, or None."""
@@ -225,14 +226,20 @@ class SaddlepointOracle(OutageOracle):
     its ``width`` delta/2: its band [floor + delta/4, floor + 3 delta/4], delta = ``DescentConfig.delta_min``,
     is centred in the exact band.  So ``ray_limit`` is the exact one, certified, plus the margin, and a
     ``hopeless`` give-up on it means that an exact descent from the same start gives up.  Its slopes
-    are the exact oracle's, as every slope is the saddlepoint's."""
+    are the exact oracle's, as every slope is the saddlepoint's; ``sloped`` reads the value and the
+    slope from one rotation (where the estimate is None: a counted quadrature and no slope)."""
 
     margin, width = DescentConfig.delta_min / 4, DescentConfig.delta_min / 2
 
-    def read(self, powers: np.ndarray, k: int, sigma2: float = None, direction=None) -> tuple:
-        if sigma2 is None and (est := saddlepoint_cdf(*rotate(self.minus_form(powers, k), direction))):
-            return est.value, est.abs_error_bound, est.slope
-        return super().read(powers, k, sigma2, direction)
+    def read(self, powers: np.ndarray, k: int, sigma2: float = None) -> tuple:
+        if sigma2 is None and (est := saddlepoint_cdf(*rotate(self.minus_form(powers, k)))):
+            return est.value, est.abs_error_bound
+        return super().read(powers, k, sigma2)
+
+    def sloped(self, powers: np.ndarray, k: int) -> tuple:
+        if est := saddlepoint_cdf(*rotate(self.minus_form(powers, k), self.direction(k))):
+            return est.value, est.slope
+        return super().read(powers, k)[0], None
 
 
 class _LazyProbs:

@@ -20,7 +20,7 @@ their convex exponent rule out, unminimized, those that cannot reach tol/4.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,7 +53,7 @@ class ProbabilityEstimate:
     value: float
     abs_error_bound: float
     raw_value: float = None
-    slope: float = None  # saddlepoint_cdf's uncertified dP/dp along a direction
+    slope: float = None  # set by saddlepoint_cdf alone: its uncertified dP/dp along a direction
 
     def __post_init__(self):
         if self.raw_value is None:
@@ -429,18 +429,12 @@ def rotate(form: tuple, direction=None, eig=None) -> tuple:
     return (lam, np.abs(z_t) ** 2), tau, direction
 
 
-def outage_probability(form: tuple, tol: float = QUAD_TOL, direction=None,
-                       eig=None) -> ProbabilityEstimate:
-    """Pr(SINR_k >= gamma_k): the CDF at tau of the recentred quadratic form
-    (-Q, a, tau) of ``OutageOracle.minus_form`` or ``model.build_outage_form``,
-    by ``rotate`` and ``cdf_quadrature``.  ``direction`` u, with dQ/dp = u u^H
-    along a power p (user k's own: u = G_k e_k / sqrt(gamma_k)), adds the
-    uncertified ``slope`` dP/dp of ``saddlepoint_cdf`` on the same rotated
-    spectrum (None where that is None); the value and bound stay the quadrature's."""
-    spectrum, tau, slope_terms = rotate(form, direction, eig)
-    estimate = cdf_quadrature(spectrum, tau, tol=tol)
-    saddle = slope_terms is not None and saddlepoint_cdf(spectrum, tau, slope_terms)
-    return replace(estimate, slope=saddle.slope) if saddle else estimate
+def outage_probability(form: tuple, tol: float = QUAD_TOL, eig=None) -> ProbabilityEstimate:
+    """Pr(SINR_k >= gamma_k), certified: the CDF at tau of the recentred quadratic
+    form (-Q, a, tau) of ``OutageOracle.minus_form`` or ``model.build_outage_form``,
+    by ``rotate`` (``eig``: -Q's ``eigh``, if known) and ``cdf_quadrature``."""
+    spectrum, tau, _ = rotate(form, eig=eig)
+    return cdf_quadrature(spectrum, tau, tol=tol)
 
 
 def saddlepoint_cdf(spectrum: tuple, tau: float, slope_terms=None):

@@ -207,16 +207,16 @@ class SurrogateOracle(OutageOracle):
             return self.last_read[1][k]
         return residue_spectrum(self.minus_form(powers, k)[0])
 
-    def read(self, powers: np.ndarray, k: int, sigma2: float = None, direction=None) -> tuple:
+    def read(self, powers: np.ndarray, k: int, sigma2: float = None) -> tuple:
         self.evals += 1
         sigma2 = float(self.noise_var[k]) if sigma2 is None else sigma2
         lam_nz, gamma_prime = self.spectrum(powers, k), float(self.gamma_prime[k])
         try:
-            return residue_probability(lam_nz, float(powers[k]), gamma_prime, sigma2), ROUNDING_TOL, None
+            return residue_probability(lam_nz, float(powers[k]), gamma_prime, sigma2), ROUNDING_TOL
         except DegenerateSpectrum:
             est = cdf_quadrature((lam_nz, np.zeros(lam_nz.size)),
                                  float(powers[k] / gamma_prime - sigma2))
-            return est.value, est.abs_error_bound, None
+            return est.value, est.abs_error_bound
 
     def start(self) -> PowerAllocation:
         """Closed-form start: per user, the equal-power level meeting its

@@ -1058,22 +1058,50 @@ class TestOutageOracle:
                     no_root += 1
         assert no_root >= 3
 
-    def test_surrogate_descent_passes_no_direction(self, monkeypatch):
-        import robustpl.descent
-
-        original = robustpl.descent.outage_probability
-        with_direction = set()
-
-        def recording(*args, **kwargs):
-            with_direction.add(kwargs.get("direction") is not None)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(robustpl.descent, "outage_probability", recording)
+    def test_surrogate_never_reads_a_slope(self, monkeypatch):
+        # the surrogate has no slope: neither ZF solver calls ``slope`` or
+        # ``sloped``, which the exact descent calls
+        calls = []
+        for name in ("slope", "sloped"):
+            original = getattr(OutageOracle, name)
+            monkeypatch.setattr(OutageOracle, name, lambda self, *args, _name=name, _f=original: (
+                calls.append((type(self), _name)), _f(self, *args))[1])
         inst, b, qos = make_zf_setup(9)
         solve_zf_coord_descent(inst, b, qos)
-        assert with_direction == {False}
+        solve_zf_coord_update(inst, b, qos)
+        assert calls == []
         exact_descent(inst, b, qos)
-        assert with_direction == {False, True}
+        assert {name for _, name in calls} == {"slope", "sloped"}
+        assert {kind for kind, _ in calls} == {OutageOracle}
+
+    def test_exact_sloped_is_one_counted_quadrature_and_the_slope(self):
+        inst, b, qos = make_zf_setup(9)
+        oracle = OutageOracle(inst, b, qos)
+        for scale in (1.0, 1.4, 3.0):
+            p = scale * 0.014 * qos.gamma
+            for k in range(3):
+                before = oracle.evals
+                assert oracle.sloped(p, k) == (oracle.exact(p, k), oracle.slope(p, k))
+                assert oracle.evals == before + 1
+
+    def test_saddlepoint_sloped_read_decomposes_once(self, monkeypatch):
+        inst, b, qos = make_zf_setup(9)
+        saddle = SaddlepointOracle(inst, b, qos)
+        p = qos.gamma * 0.014
+        calls = []
+        original = robustpl.quadform.eigh
+
+        def counting(a):
+            calls.append(np.ndim(a))
+            return original(a)
+
+        monkeypatch.setattr(robustpl.quadform, "eigh", counting)
+        for k in range(3):
+            value, slope = saddle.sloped(p, k)
+            assert calls == [2]  # value and slope from one rotation
+            assert value == saddle(p, k) and slope == saddle.slope(p, k) > 0.0
+            calls.clear()
+        assert saddle.evals == 0
 
     @pytest.mark.parametrize("method", robustpl.bench.METHODS)
     def test_solver_counts_match_oracle_calls(self, method, monkeypatch):
