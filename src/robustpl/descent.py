@@ -398,7 +398,7 @@ def _bisect_user_power(prob, p: np.ndarray, k: int, delta_k: float,
                 break
         else:
             lo = x
-        if hi - lo <= 1e-15 * max(1.0, hi):
+        if hi - lo <= 1e-15 * hi:
             # probability jumps across the band; keep the feasible endpoint
             break
         (x0, l0), (x1, l1) = last, (x, _logit(pm))
@@ -489,7 +489,7 @@ def _run_descent(oracle: OutageOracle, start: PowerAllocation = None):
             probs.values[k], probs.stale[k] = prob_k, False
         # a stall: the band is narrower than the achievable power
         # resolution (near-deterministic constraints)
-        stalled = np.max(np.abs(p - p_before)) <= 1e-12 * max(1.0, float(np.max(p)))
+        stalled = np.max(np.abs(p - p_before)) <= 1e-12 * float(np.max(p))
 
     return oracle.report(status, p, probs.complete(), t0, cycles=cycles,
                          bisection_steps=bisect_steps, doublings=doublings, jumps=jumps)

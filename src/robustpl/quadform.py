@@ -309,7 +309,7 @@ def _integrand(s, lam, zt2, tau, g0, abs_s=None):
 
 def zero_mode_threshold(lam) -> float:
     """Eigenvalues of magnitude at most this are the form's zero modes."""
-    return 1e-12 * max(1.0, max(map(abs, lam), default=0.0))
+    return 1e-12 * max(map(abs, lam), default=0.0)
 
 
 def cdf_quadrature(spectrum: tuple, tau: float, tol: float = QUAD_TOL) -> ProbabilityEstimate:

@@ -257,7 +257,7 @@ class SurrogateOracle(OutageOracle):
         except DegenerateSpectrum:
             pass
         trial = p_frozen.copy()
-        trial[k] = max(float(self.gamma[k] * self.noise_var[k]), trial[k], 1e-12)
+        trial[k] = max(float(self.gamma[k] * self.noise_var[k]), trial[k])
         for _ in range(80):
             if np.dot(trial, self.norms2) > POWER_CAP:
                 break
@@ -322,7 +322,7 @@ def solve_zf_coord_update(instance: ScenarioInstance,
             p[k] = prob.step(p_prev, k)
         bisect_steps += prob.evals - before
         probs.stale[:] = True
-        if np.max(np.abs(p - p_prev)) <= 1e-12 * max(1.0, float(np.max(p))):
+        if np.max(np.abs(p - p_prev)) <= 1e-12 * float(np.max(p)):
             break  # fixed point reached at float resolution
 
     status = (SolveStatus.SOLVED if meets()

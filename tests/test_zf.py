@@ -499,7 +499,7 @@ def eager_coord_update(inst, b, qos):
             p[k] = prob.step(p_prev, k)
         steps += prob.evals - before
         probs = np.array([prob(p, k) for k in range(n)])
-        if np.max(np.abs(p - p_prev)) <= 1e-12 * max(1.0, float(np.max(p))):
+        if np.max(np.abs(p - p_prev)) <= 1e-12 * float(np.max(p)):
             break
     if np.all(probs >= floor):
         status = SolveStatus.SOLVED
