@@ -102,7 +102,7 @@ class ScenarioInstance:
         if not np.all(nv > 0):
             raise ValueError("noise variances must be positive")
         if cov.size:  # one Hermitian check and one stacked eigvalsh over the users
-            scale = max(1.0, float(np.max(np.abs(cov))))
+            scale = float(np.max(np.abs(cov)))
             if np.max(np.abs(cov - cov.conj().swapaxes(-1, -2))) > HERMITIAN_TOL * scale:
                 raise ValueError("error covariance is not Hermitian")
             if not np.all((w := eigvalsh(cov))[:, 0] > 1e-12 * w[:, -1]):

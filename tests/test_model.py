@@ -605,6 +605,14 @@ class TestValidation:
             ScenarioInstance(true_channels=h, est_channels=h, error_cov=cov,
                              noise_var=np.ones(2))
 
+    def test_rejects_small_non_hermitian_cov(self):
+        # the check is relative to the covariance's own scale
+        h = generate_rayleigh_channels(2, 2, 1)
+        cov = 1e-14 * np.array([[[1.0, 0.5], [0.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]]], dtype=complex)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            ScenarioInstance(true_channels=h, est_channels=h, error_cov=cov,
+                             noise_var=np.ones(2))
+
     @pytest.mark.parametrize("field, value, match", [
         ("est_channels", np.ones((3, 2)), "share a shape"),
         ("error_cov", np.broadcast_to(np.eye(3), (2, 3, 3)), "error_cov must have shape"),
