@@ -85,6 +85,8 @@ class ExperimentConfig:
             raise ValueError("n_trials, n_tx and n_users must be positive")
         if not (0 < self.epsilon < 1):
             raise ValueError("epsilon must lie in (0, 1)")
+        if not np.all(np.isfinite(self.gamma_db)):
+            raise ValueError("gamma_db entries must be finite")
         self.error_variances()  # rejects a nonpositive sigma_e2 or bad training
         if self.mc_certify_samples < 0:
             raise ValueError("mc_certify_samples must be nonnegative")

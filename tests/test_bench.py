@@ -56,6 +56,8 @@ class TestConfig:
         pytest.param("training", {"L_ut": 0, "P_ut": 4.99}, id="training-value6"),
         pytest.param("sigma_e2", [-0.01], id="sigma_e2-value7"),
         pytest.param("sigma_e2", [0.0], id="sigma_e2-zero"),
+        pytest.param("gamma_db", [5.0, float("inf")], id="gamma_db-inf"),
+        pytest.param("gamma_db", [float("nan")], id="gamma_db-nan"),
         pytest.param("methods", (), id="methods-empty"),
         pytest.param("n_trials", 0, id="n_trials-0"),
         pytest.param("n_tx", -1, id="n_tx--1"),
@@ -326,6 +328,7 @@ class TestCli:
                           {"training": {"L_ut": 0, "P_ut": 4.99}},
                           {"training": None, "sigma_e2": [-0.01]},
                           {"training": None, "sigma_e2": [0.0]},
+                          {"gamma_db": [float("inf")]},  # Infinity in the JSON
                           # fixed solver values are not settings
                           {"quad_tol": 0.3}, {"delta_min": 1e-3}, {"i_max": 50},
                           {"eta_multiple": -1.3}):
