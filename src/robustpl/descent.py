@@ -99,13 +99,11 @@ class OutageOracle:
     is Q = G_k diag(c) G_k^H and tau = -sigma_k^2, as a_k^H G_k = -h_k^H B
     for the positive definite C_k: ``minus_form`` gives the (-Q, a_k, tau)
     that ``build_outage_form`` computes from scratch, and ``minus_qs`` every
-    user's -Q in one stack.  ``read`` is the one counted evaluation, the only
-    place ``evals`` rises, and returns certified numbers only; calls
-    ``oracle(powers, k)``, ``sloped`` and ``ray_limit`` go through it.
-    ``exact`` and ``exact_all`` evaluate the exact probability uncounted.
-    ``slope``, the one source of slopes, is ``saddlepoint_cdf``'s uncounted
-    dP/dp_k: ``sloped`` pairs it with a counted value, and a warm raise
-    steps with it alone.
+    user's -Q in one stack.  ``read``, the one counted evaluation and the
+    only place ``evals`` rises, returns (value, bound); calls, ``sloped`` and
+    ``ray_limit`` go through it.  ``exact`` and ``exact_all`` evaluate the
+    exact probability uncounted, and ``slope``, the one slope source, is
+    ``saddlepoint_cdf``'s dP/dp_k, uncounted, which ``sloped`` adds.
     """
     margin = 0.0  # of the floors above 1 - eps (``SaddlepointOracle``'s is delta/4)
     hopeless = False  # whether the last certified ``ray_limit`` was below its floor
@@ -226,8 +224,7 @@ class SaddlepointOracle(OutageOracle):
     its ``width`` delta/2: its band [floor + delta/4, floor + 3 delta/4], delta = ``DescentConfig.delta_min``,
     is centred in the exact band.  So ``ray_limit`` is the exact one, certified, plus the margin, and a
     ``hopeless`` give-up on it means that an exact descent from the same start gives up.  Its slopes
-    are the exact oracle's, as every slope is the saddlepoint's; ``sloped`` reads the value and the
-    slope from one rotation (where the estimate is None: a counted quadrature and no slope)."""
+    are the exact oracle's; ``sloped`` reads value and slope from one rotation (or a counted quadrature)."""
 
     margin, width = DescentConfig.delta_min / 4, DescentConfig.delta_min / 2
 
@@ -237,9 +234,8 @@ class SaddlepointOracle(OutageOracle):
         return super().read(powers, k, sigma2)
 
     def sloped(self, powers: np.ndarray, k: int) -> tuple:
-        if est := saddlepoint_cdf(*rotate(self.minus_form(powers, k), self.direction(k))):
-            return est.value, est.slope
-        return super().read(powers, k)[0], None
+        est = saddlepoint_cdf(*rotate(self.minus_form(powers, k), self.direction(k)))
+        return (est.value, est.slope) if est else (super().read(powers, k)[0], None)
 
 
 class _LazyProbs:
