@@ -18,6 +18,7 @@ import enum
 import math
 import time
 from dataclasses import dataclass, replace
+from statistics import NormalDist
 
 import numpy as np
 
@@ -266,23 +267,12 @@ class _LazyProbs:
         return np.array([self[k] for k in range(self.p.size)])
 
 
-def _normal_quantile(q: float) -> float:
-    """Phi^{-1}(q) for 0 < q < 1: two Halley steps on math.erfc in the lower
-    tail from the Abramowitz-Stegun 26.2.23 estimate (error below 4.5e-4)."""
-    t = math.sqrt(-2.0 * math.log(s := min(q, 1.0 - q)))
-    x = (2.515517 + t * (0.802853 + t * 0.010328)) / (1.0 + t * (1.432788 + t * (0.189269 + t * 0.001308))) - t
-    for _ in range(2):
-        r = (0.5 * math.erfc(-x / math.sqrt(2.0)) - s) * math.sqrt(2.0 * math.pi) * math.exp(0.5 * x * x)
-        x -= r / (1.0 + 0.5 * x * r)
-    return x if q < 0.5 else -x
-
-
 def _model_start(oracle: OutageOracle):
     """The moment model's fixed point, uncounted: Gauss-Seidel from p = 0 on
     ``model_root`` at aims 1 - START_AIM eps_k, for START_ROUNDS rounds or until
     no power moves by over START_RTOL relative; None once a root is missing or
     the total power passes POWER_CAP."""
-    z = [_normal_quantile(1.0 - START_AIM * e) for e in oracle.qos.epsilon]
+    z = [NormalDist().inv_cdf(1.0 - START_AIM * e) for e in oracle.qos.epsilon]
     p = np.zeros(len(z))
     for _ in range(START_ROUNDS):
         before = p.copy()
@@ -377,7 +367,7 @@ def _bisect_user_power(prob, p: np.ndarray, k: int, delta_k: float,
     last, secant, streak = (hi, _logit(known)), False, 0
     x, sloped_probe = _newton(hi, known, slope, aim), False
     if x is None and model:
-        x = model(p, k, _normal_quantile(aim))
+        x = model(p, k, NormalDist().inv_cdf(aim))
         sloped_probe = x is not None
     if x is None:
         x = hi * aim / known

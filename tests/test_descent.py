@@ -33,7 +33,7 @@ from robustpl import (
 from robustpl.descent import (JUMP_DAMPING, JUMP_RATIO, MAX_BISECT_STEPS, MAX_CYCLES,
                               MAX_DOUBLINGS, POWER_CAP, START_AIM, START_RTOL,
                               SaddlepointOracle, _LazyProbs, _bisect_user_power, _find_feasible_start,
-                              _model_start, _normal_quantile, _run_descent, _try_jump)
+                              _model_start, _run_descent, _try_jump)
 
 from robustpl.quadform import ToleranceNotMet, _moments, rotate, saddlepoint_cdf
 
@@ -229,11 +229,6 @@ class TestRayLimit:
 
 
 class TestModelStart:
-    def test_normal_quantile_matches_statistics(self):
-        tail = np.logspace(-9, math.log10(0.5), 400)
-        for q in np.concatenate([tail, 1.0 - tail, np.linspace(1e-9, 1.0 - 1e-9, 401)]):
-            assert abs(_normal_quantile(float(q)) - NormalDist().inv_cdf(float(q))) <= 1e-12
-
     def test_desk_point_the_pcsi_ray_gave_up_on(self):
         # desk trial 2, ZF-General at 8 dB: doubling along the PCSI ray
         # passes POWER_CAP (1.13e6), yet a certified point needs total power 11
@@ -255,7 +250,7 @@ class TestModelStart:
         p = _model_start(oracle)
         assert oracle.evals == 0 and np.all(p > 0)
         for k in range(p.size):
-            z = _normal_quantile(1.0 - START_AIM * float(qos.epsilon[k]))
+            z = NormalDist().inv_cdf(1.0 - START_AIM * float(qos.epsilon[k]))
             assert oracle.model_root(p, k, z) == pytest.approx(p[k], rel=10 * START_RTOL)
 
     def test_missing_root_falls_back_to_the_pcsi_ray(self, monkeypatch):
