@@ -101,10 +101,10 @@ class OutageOracle:
     for the positive definite C_k: ``minus_form`` gives the (-Q, a_k, tau)
     that ``build_outage_form`` computes from scratch, and ``minus_qs`` every
     user's -Q in one stack.  ``read``, the one counted evaluation and the
-    only place ``evals`` rises, returns (value, bound); calls, ``sloped`` and
-    ``ray_limit`` go through it.  ``exact`` and ``exact_all`` evaluate the
-    exact probability uncounted, and ``slope``, the one slope source, is
-    ``saddlepoint_cdf``'s dP/dp_k, uncounted, which ``sloped`` adds.
+    only place ``evals`` rises, returns (value, bound); ``oracle(powers, k)``,
+    ``sloped`` and ``ray_limit`` go through it.  ``exact`` and ``exact_all``
+    evaluate the exact probability uncounted, and ``slope``, the one slope
+    source, is ``saddlepoint_cdf``'s dP/dp_k, uncounted, which ``sloped`` adds.
     """
     margin = 0.0  # of the floors above 1 - eps (``SaddlepointOracle``'s is delta/4)
     hopeless = False  # whether the last certified ``ray_limit`` was below its floor

@@ -1057,10 +1057,17 @@ class TestOutageOracle:
         # the surrogate has no slope: neither ZF solver calls ``slope`` or
         # ``sloped``, which the exact descent calls
         calls = []
-        for name in ("slope", "sloped"):
+
+        def recording(name):
             original = getattr(OutageOracle, name)
-            monkeypatch.setattr(OutageOracle, name, lambda self, *args, _name=name, _f=original: (
-                calls.append((type(self), _name)), _f(self, *args))[1])
+
+            def wrapper(self, *args):
+                calls.append((type(self), name))
+                return original(self, *args)
+            return wrapper
+
+        for name in ("slope", "sloped"):
+            monkeypatch.setattr(OutageOracle, name, recording(name))
         inst, b, qos = make_zf_setup(9)
         solve_zf_coord_descent(inst, b, qos)
         solve_zf_coord_update(inst, b, qos)
