@@ -3,13 +3,13 @@ loading with fixed beamforming directions.
 
 Each coordinate step shrinks one user's power, by a bracketed secant search
 on the logit of its success probability, until that probability falls inside
-[1 - eps, 1 - eps + Delta], probing by Newton steps on the logit from saddlepoint
-slopes or a moment model.  Lowering a power can only raise the other users'
-probabilities (Yates, IEEE JSAC 13(7), 1995): every iterate stays feasible,
-the total power never rises, and a start whose last value is above the band
-need not be evaluated.  Where the cycles' drops in total power shrink
-geometrically, the descent extrapolates them (Aitken-style) to a lower point,
-taken only where every user's evaluated probability meets its floor.
+[1 - eps, 1 - eps + Delta], its first probe a Newton step on the logit from a
+saddlepoint slope where there is one.  Lowering a power can only raise the
+other users' probabilities (Yates, IEEE JSAC 13(7), 1995): every iterate
+stays feasible and the total power never rises.  Where the cycles' drops in
+total power shrink geometrically, the descent extrapolates them (Aitken-style)
+to a lower point, taken only where every user's evaluated probability meets
+its floor.  A moment model of the outage forms places the start.
 """
 
 from __future__ import annotations
@@ -333,49 +333,38 @@ def _newton(x: float, q: float, slope, aim: float):
 
 
 def _bisect_user_power(prob, p: np.ndarray, k: int, delta_k: float,
-                       epsilon_k: float, prob_k_current: float = None,
-                       prob_k_bound: float = None):
+                       epsilon_k: float, prob_k_current: float = None):
     """Shrink p[k] into the probability band [1-eps, 1-eps+delta].
 
     Assumes prob(., k) is increasing in p[k] and the current p[k] feasible;
     the bracket starts at [0, p[k]], and 0 (zero signal power cannot meet a
     positive SINR target) is never evaluated.  The start's probability is
-    ``prob_k_current`` or evaluated, with its slope if prob has ``sloped``;
-    if prob has ``model_root`` and ``prob_k_bound``, a lower bound on it, is
-    above the band, p[k] is evaluated only when no probe below it is feasible.
-    Probes aim at 1-eps+delta/8: a Newton step on logit(prob) from a sloped
-    start or probe; else first ``model_root`` (a sloped probe), or the chord
-    from (0, 0) to the start's value or bound; else the secant of logit(prob)
-    through the last two probes, or the midpoint when the secant leaves the
-    bracket, a probability is exactly 0 or 1, or three secant probes in a row
-    moved the same end.  Every probe keeps 1e-3 of the bracket's width from
-    both ends.  Returns (new_pk, probability, steps).
+    ``prob_k_current`` or evaluated, with its slope if prob has ``sloped``.
+    Probes aim at 1-eps+delta/8: first a Newton step on logit(prob) from a
+    sloped start, else the chord from (0, 0) to the start's value; then the
+    secant of logit(prob) through the last two probes, or the midpoint when
+    the secant leaves the bracket, a probability is exactly 0 or 1, or three
+    secant probes in a row moved the same end.  Every probe keeps 1e-3 of the
+    bracket's width from both ends.  Returns (new_pk, probability, steps).
     """
     floor = 1.0 - epsilon_k
     hi, lo, trial = p[k], 0.0, p.copy()
-    model, sloped = getattr(prob, "model_root", None), getattr(prob, "sloped", None)
-    skip = model and prob_k_bound is not None and prob_k_bound > floor + delta_k
-    prob_hi, slope, steps = (None if skip else prob_k_current), None, 0
-    if prob_hi is None and not skip:
+    prob_hi, slope, steps = prob_k_current, None, 0
+    if prob_hi is None:
+        sloped = getattr(prob, "sloped", None)
         (prob_hi, slope), steps = sloped(p, k) if sloped else (prob(p, k), None), 1
-    if prob_hi is not None and prob_hi <= floor + delta_k:
+    if prob_hi <= floor + delta_k:
         return hi, prob_hi, steps
     # aim at the lower quarter of the band: later coordinate reductions can
     # only raise this probability, so headroom saves whole extra cycles
     aim = floor + 0.125 * delta_k
-    known = prob_k_bound if prob_hi is None else prob_hi
-    last, secant, streak = (hi, _logit(known)), False, 0
-    x, sloped_probe = _newton(hi, known, slope, aim), False
-    if x is None and model:
-        x = model(p, k, NormalDist().inv_cdf(aim))
-        sloped_probe = x is not None
-    if x is None:
-        x = hi * aim / known
-    while steps < MAX_BISECT_STEPS - (prob_hi is None):
+    last, secant, streak = (hi, _logit(prob_hi)), False, 0
+    if (x := _newton(hi, prob_hi, slope, aim)) is None:
+        x = hi * aim / prob_hi
+    while steps < MAX_BISECT_STEPS:
         x = min(max(x, lo + 1e-3 * (hi - lo)), hi - 1e-3 * (hi - lo))
         trial[k] = x
-        pm, slope = sloped(trial, k) if sloped_probe else (prob(trial, k), None)
-        steps, sloped_probe = steps + 1, False
+        pm, steps = prob(trial, k), steps + 1
         # secant probes in a row that moved the same end (+ hi, - lo)
         streak = (max(streak, 0) + 1 if pm >= floor else min(streak, 0) - 1) if secant else 0
         if pm >= floor:
@@ -389,13 +378,10 @@ def _bisect_user_power(prob, p: np.ndarray, k: int, delta_k: float,
             break
         (x0, l0), (x1, l1) = last, (x, _logit(pm))
         last, x, secant = (x1, l1), 0.5 * (lo + hi), False
-        guess = _newton(x1, pm, slope, aim)
-        if guess is None and None not in (l0, l1) and l0 != l1 and abs(streak) < 3:
+        if None not in (l0, l1) and l0 != l1 and abs(streak) < 3:
             guess = x1 + (_logit(aim) - l1) * (x1 - x0) / (l1 - l0)
-        if guess is not None and lo < guess < hi:
-            x, secant = guess, True
-    if prob_hi is None:  # no probe below the unevaluated start was feasible
-        prob_hi, steps = prob(p, k), steps + 1
+            if lo < guess < hi:
+                x, secant = guess, True
     return hi, prob_hi, steps
 
 
@@ -433,10 +419,11 @@ def _run_descent(oracle: OutageOracle, start: PowerAllocation = None):
     the fresh values first, then evaluates stale users in index order until
     one leaves the band.  A cycle evaluates a stale user just before its
     search (uncounted in ``bisection_steps``) unless an earlier user of the
-    cycle moved; then its last value, at the same own power, is a lower
-    bound.  Every exit evaluates the users still stale.  Two cycles after the
-    start or the last accepted jump, a failed band test tries ``_try_jump``
-    before the next cycle; an accepted jump goes back to the band test.
+    cycle moved; then the search reads it, with its slope where the oracle
+    has one, as its first step.  Every exit evaluates the users still stale.
+    Two cycles after the start or the last accepted jump, a failed band test
+    tries ``_try_jump`` before the next cycle; an accepted jump goes back to
+    the band test.
     """
     t0 = time.perf_counter()
     qos, floor, n_users = oracle.qos, oracle.floor, oracle.qos.n_users
@@ -465,8 +452,7 @@ def _run_descent(oracle: OutageOracle, start: PowerAllocation = None):
         p_before, dirty = p.copy(), False
         for k in range(n_users):
             new_pk, prob_k, steps = _bisect_user_power(
-                oracle, p, k, width, float(1.0 - floor[k]),
-                None if dirty else probs[k], probs.values[k] if dirty else None)
+                oracle, p, k, width, float(1.0 - floor[k]), None if dirty else probs[k])
             bisect_steps += steps
             if new_pk != p[k]:
                 dirty = True

@@ -181,7 +181,7 @@ class SurrogateOracle(OutageOracle):
     one matrix.
     """
 
-    sloped = model_root = None  # no slope and no model: first probes go along the chord
+    sloped = model_root = None  # searches start along the chord, the descent on the PCSI ray
 
     def __init__(self, instance: ScenarioInstance, beamformer: BeamformerMatrix,
                  qos: QoSSpec, eta_multiple: float = DEFAULT_ETA_MULTIPLE):

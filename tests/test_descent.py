@@ -271,6 +271,31 @@ class TestModelStart:
         b, qos = build_zf(inst.est_channels), QoSSpec.from_db(5.0, epsilon, 3)
         assert np.all(_model_start(OutageOracle(inst, b, qos)) > 0)
 
+    @pytest.mark.parametrize("seed", [700, 701])
+    def test_the_model_only_places_the_start(self, seed, monkeypatch):
+        # searches probe along slopes and chords, never at a model root
+        from robustpl import build_rci
+
+        start, root, calls = robustpl.descent._model_start, OutageOracle.model_root, []
+
+        def starting(oracle):
+            calls.append("start")
+            try:
+                return start(oracle)
+            finally:
+                calls.append("end")
+
+        def rooting(self, p, k, z):
+            calls.append("root" if calls and calls[-1] in ("start", "root") else "outside")
+            return root(self, p, k, z)
+
+        monkeypatch.setattr(robustpl.descent, "_model_start", starting)
+        monkeypatch.setattr(OutageOracle, "model_root", rooting)
+        inst, b, qos = make_zf_setup(seed)
+        for beamformer in (b, build_rci(inst.est_channels, 0.03)):
+            solve_general(inst, beamformer, qos)
+        assert "root" in calls and "outside" not in calls
+
     def test_surrogate_builds_no_moment_arrays(self):
         inst, b, qos = make_zf_setup(9)
         assert hasattr(OutageOracle(inst, b, qos), "cov_sq")
@@ -310,60 +335,6 @@ class TestBisection:
         report = solve_general(inst, b, qos)
         assert report.solved
         assert np.all((report.per_user_prob >= 0.95) & (report.per_user_prob <= 0.95 + 2e-4))
-
-
-class ModelStub:
-    """An oracle of one probability curve of p_k with a fixed model root and
-    the slope ``slope`` at every sloped evaluation; ``probes`` lists the
-    powers p_k it evaluated."""
-
-    def __init__(self, curve, root, slope=None):
-        self.curve, self.root, self.slope, self.probes = curve, root, slope, []
-
-    def __call__(self, powers, k):
-        self.probes.append(float(powers[k]))
-        return self.curve(float(powers[k]))
-
-    def sloped(self, powers, k):
-        return self(powers, k), self.slope
-
-    def model_root(self, powers, k, z):
-        return self.root
-
-
-class TestStartAboveTheBand:
-    def test_start_is_not_evaluated(self):
-        # P = 0.9 + 0.05 p_k: from the model root the Newton step lands on the aim
-        stub = ModelStub(lambda x: 0.9 + 0.05 * x, root=1.01, slope=0.05)
-        p = np.array([1.5, 2.0])
-        new_pk, prob_k, steps = _bisect_user_power(stub, p, 0, 1e-3, 0.05, None, 0.97)
-        assert 1.5 not in stub.probes and stub.probes[0] == 1.01
-        assert steps == len(stub.probes) == 2
-        assert prob_k == stub.curve(new_pk) and 0.95 <= prob_k <= 0.95 + 0.25e-3
-
-    def test_returns_the_start_freshly_evaluated_when_no_probe_is_feasible(self):
-        stub = ModelStub(lambda x: 0.97 if x >= 1.5 else 0.3, root=1.0)
-        p = np.array([1.5, 2.0])
-        new_pk, prob_k, steps = _bisect_user_power(stub, p, 0, 1e-3, 0.05, None, 0.96)
-        assert (new_pk, prob_k) == (1.5, 0.97)
-        assert stub.probes.index(1.5) == len(stub.probes) - 1
-        assert steps == len(stub.probes) <= MAX_BISECT_STEPS
-
-    def test_in_band_bound_evaluates_the_start(self):
-        stub = ModelStub(lambda x: 0.9 + 0.05 * x, root=1.01)
-        _bisect_user_power(stub, np.array([1.5, 2.0]), 0, 1e-3, 0.05, None, 0.9505)
-        assert stub.probes[0] == 1.5
-
-    def test_surrogate_has_no_model_and_evaluates_its_start(self):
-        inst, b, qos = make_zf_setup(9)
-        runs = []
-        for bound in (None, 0.999):
-            oracle = SurrogateOracle(inst, b, qos)
-            assert oracle.model_root is None and oracle.sloped is None
-            p = 4.0 * oracle.start().powers
-            runs.append((_bisect_user_power(oracle, p, 0, 1e-3, 0.05, None, bound),
-                         oracle.evals))
-        assert runs[0] == runs[1] and runs[0][1] >= 2
 
 
 class JumpStub:
@@ -691,7 +662,7 @@ class TestWarmStart:
         for name in COUNTS:
             assert getattr(report, name) == getattr(saddle, name) + getattr(exact, name), name
 
-    @pytest.mark.parametrize("seed, gamma_db", [(110, 10.0), (119, 5.0)])
+    @pytest.mark.parametrize("seed, gamma_db", [(110, 10.0), (109, 5.0)])
     def test_user_below_its_floor_is_raised_alone(self, seed, gamma_db, monkeypatch):
         # the saddlepoint solution leaves a user below its exact floor, and
         # raising that user alone certifies the band without a cycle
@@ -707,7 +678,7 @@ class TestWarmStart:
         assert warm.integral_evals <= 3 * qos.n_users
         assert (report.raises, report.doublings) == (warm.raises, saddle.doublings)
 
-    @pytest.mark.parametrize("seed, gamma_db", [(110, 10.0), (119, 5.0)])
+    @pytest.mark.parametrize("seed, gamma_db", [(110, 10.0), (109, 5.0)])
     def test_a_raise_reads_its_user_once(self, seed, gamma_db, monkeypatch):
         # the raise steps from the value first_failing just read, with an
         # uncounted slope: every counted read is one of first_failing's
@@ -1193,12 +1164,10 @@ def eager_jump(oracle, p, p_prev, totals, floor):
 def eager_descent(oracle, beamformer, qos, p_start):
     """Reference: the doubling start and the cycle loop that evaluate every
     user in every doubling round (and the ray limit the start reads) and
-    again after every cycle.  A search
-    after an earlier user of its cycle moved gets, as a lower bound on its
-    probability, the user's value at its own current power: its feasible-start
-    value in the first cycle, later the value its last search returned.
-    Between cycles, two cycles after the start or the last accepted jump, it
-    tries the descent's jump, evaluating every user at each point tried."""
+    again after every cycle.  A search after an earlier user of its cycle
+    moved reads its own start.  Between cycles, two cycles after the start or
+    the last accepted jump, it tries the descent's jump, evaluating every
+    user at each point tried."""
     norms2 = np.sum(np.abs(beamformer.columns) ** 2, axis=0)
     floor = 1.0 - qos.epsilon
     delta = DescentConfig.delta_min
@@ -1220,7 +1189,6 @@ def eager_descent(oracle, beamformer, qos, p_start):
         p = 2.0 * p
         doublings += 1
     steps = cycles = jumps = 0
-    own = probs.copy()  # each user's value at its current power, as last evaluated
     totals = [float(np.dot(p, norms2))]  # cycle ends since the start or a jump
     status = (SolveStatus.CYCLE_LIMIT if feasible
               else SolveStatus.INFEASIBLE_START_NOT_FOUND)
@@ -1232,17 +1200,16 @@ def eager_descent(oracle, beamformer, qos, p_start):
             break
         if len(totals) >= 3 and (jumped := eager_jump(oracle, p, p_before, totals, floor)):
             p, probs = jumped
-            own, jumps, totals = probs.copy(), jumps + 1, [float(np.dot(p, norms2))]
+            jumps, totals = jumps + 1, [float(np.dot(p, norms2))]
             continue
         cycles += 1
         p_before, dirty = p.copy(), False
         for k in range(p.size):
             new_pk, prob_k, s = _bisect_user_power(
-                oracle, p, k, delta, float(qos.epsilon[k]), None if dirty else probs[k],
-                own[k] if dirty else None)
+                oracle, p, k, delta, float(qos.epsilon[k]), None if dirty else probs[k])
             steps += s
             dirty = dirty or new_pk != p[k]
-            p[k], probs[k], own[k] = new_pk, prob_k, prob_k
+            p[k], probs[k] = new_pk, prob_k
         probs = np.array([oracle(p, k) for k in range(p.size)])
         totals.append(float(np.dot(p, norms2)))
         if np.max(np.abs(p - p_before)) <= 1e-12 * float(np.max(p)):
@@ -1286,8 +1253,6 @@ REFERENCE_CASES = ([f"3x3-{seed}-{g}-{d}" for seed in (601, 602) for g in (0, 5,
 class TestLazyEvaluation:
     @pytest.mark.parametrize("name", REFERENCE_CASES)
     def test_matches_eager_reference(self, name, monkeypatch):
-        import robustpl.descent
-
         inst, b, qos, solver = reference_case(name, monkeypatch)
         oracle = (SurrogateOracle(inst, b, qos) if solver is solve_zf_coord_descent
                   else OutageOracle(inst, b, qos))
@@ -1296,21 +1261,6 @@ class TestLazyEvaluation:
         if p_start is None:
             p_start = init_powers_pcsi(inst.est_channels, b, qos, inst.noise_var).powers
         want = eager_descent(oracle, b, qos, p_start)
-        # per search of the solver: was its lower bound above the band?  A
-        # new run of searches starts at each accepted jump
-        runs, search, jump = [[]], robustpl.descent._bisect_user_power, robustpl.descent._try_jump
-
-        def recording(oracle, p, k, delta, eps, current=None, bound=None):
-            runs[-1].append(bound is not None and bound > 1.0 - eps + delta)
-            return search(oracle, p, k, delta, eps, current, bound)
-
-        def jumping(*args):
-            if (jumped := jump(*args)) is not None:
-                runs.append([])
-            return jumped
-
-        monkeypatch.setattr(robustpl.descent, "_bisect_user_power", recording)
-        monkeypatch.setattr(robustpl.descent, "_try_jump", jumping)
         if name == "strict":
             with strict_step_checks() as steps:
                 report = solver(inst, b, qos)
@@ -1323,11 +1273,6 @@ class TestLazyEvaluation:
             assert getattr(report, field) == want[field], field
         assert np.array_equal(report.per_user_prob, want["per_user_prob"])
         assert report.integral_evals <= want["evals"]
-        # later searches start from values in the band, so only the first
-        # cycle's bounds are above it, unless the band is narrower than the
-        # power resolution and searches end above it; a jump's values are
-        # only known to meet the floor, so its first cycle is a first cycle
-        assert not any(a for run in runs for a in run[qos.n_users:]) or name == "stall"
 
     @pytest.mark.parametrize("name, status", [
         ("hopeless", SolveStatus.INFEASIBLE_START_NOT_FOUND),
