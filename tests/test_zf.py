@@ -27,7 +27,7 @@ from robustpl import (
     solve_zf_coord_update,
 )
 from robustpl.descent import POWER_CAP, _run_descent
-from robustpl.zf import ROUNDING_TOL, _step_from_spectrum
+from robustpl.zf import FEASIBILITY_SLACK, ROUNDING_TOL, _step_from_spectrum
 
 from conftest import make_instance, make_zf_setup, uncounted_read
 
@@ -301,6 +301,21 @@ class TestCoordUpdate:
         val = residue_probability(spec, float(p0.powers[0]),
                                   float(oracle.gamma_prime[0]), 0.01)
         assert val == pytest.approx(0.95, abs=1e-9)
+
+    @pytest.mark.parametrize("n_tx", [1, 3])
+    def test_single_user_step_takes_the_closed_form(self, n_tx, monkeypatch):
+        # one user's -Q has no positive eigenvalue: the step is the
+        # interference-free closed form, aimed a hair above the floor
+        inst, b, qos = make_zf_setup(251, n_tx=n_tx, n_users=1)
+        oracle, single, calls = SurrogateOracle(inst, b, qos), robustpl.zf._single_user_power, []
+        monkeypatch.setattr(robustpl.zf, "_single_user_power",
+                            lambda *args: calls.append(args) or single(*args))
+        p = np.array([1.0])
+        p[0] = oracle.step(p, 0)
+        assert len(calls) == 1
+        aim = 1.0 - float(qos.epsilon[0]) * (1.0 - FEASIBILITY_SLACK)
+        assert uncounted_read(oracle, p, 0)[0] == pytest.approx(aim, abs=1e-12)
+        assert solve_zf_coord_update(inst, b, qos).solved
 
     def test_small_power_branch_hits_floor_exactly(self):
         # admissible small-power root: for eigenvalues (0.1, -0.05) and
