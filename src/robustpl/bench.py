@@ -298,17 +298,25 @@ def export_records(records: list, path) -> None:
 
 
 # column parsers by field type; the annotations are strings in this module
-_PARSE = {"str": str, "int": int, "float": float, "bool": lambda s: s == "1"}
+_PARSE = {"str": str, "int": int, "float": float, "bool": lambda s: bool(("0", "1").index(s))}
+
+
+def _parse(path, row: dict, field):
+    try:
+        return _PARSE[field.type](row[field.name])
+    except ValueError:
+        raise ValueError(f"{path}: column {field.name} cannot hold {row[field.name]!r}") from None
 
 
 def read_records(path) -> list:
+    """The records of a file ``export_records`` wrote; ValueError on another
+    header or on a value its column cannot hold (a bool is 0 or 1)."""
     columns = dc_fields(TrialRecord)
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames != [f.name for f in columns]:
             raise ValueError(f"unexpected record header in {path}")
-        return [TrialRecord(**{f.name: _PARSE[f.type](row[f.name])
-                               for f in columns})
+        return [TrialRecord(**{f.name: _parse(path, row, f) for f in columns})
                 for row in reader]
 
 

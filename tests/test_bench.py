@@ -255,6 +255,18 @@ class TestExport:
         with pytest.raises(ValueError, match="unexpected record header"):
             read_records(path)
 
+    @pytest.mark.parametrize("success", ["true", "yes", "", "2"])
+    def test_read_rejects_a_success_other_than_0_or_1(self, success, tmp_path, capsys):
+        path = tmp_path / "r.csv"
+        export_records([TrialRecord("ZF-General", 3.0, 0.002, 0, "solved", True,
+                                    1.5, 2, 10, 12)], path)
+        header, row = path.read_text().splitlines()
+        path.write_text(f"{header}\n{row.replace(',1,1.5,', f',{success},1.5,')}\n")
+        with pytest.raises(ValueError, match="column success"):
+            read_records(path)
+        assert cli_main(["aggregate", "--in", str(path), "--out", str(tmp_path / "s.csv")]) == 1
+        assert "column success" in capsys.readouterr().err
+
     def test_round_trip_is_stable(self, tmp_path):
         cfg = small_config(methods=("ZF-CoordUpdate",), gamma_db=(3.0,))
         recs = run_sweep(cfg)
