@@ -2,14 +2,14 @@
 loading with fixed beamforming directions.
 
 Each coordinate step shrinks one user's power, by a bracketed secant search
-on the logit of its success probability, until that probability falls inside
-[1 - eps, 1 - eps + Delta], its first probe a Newton step on the logit from a
-saddlepoint slope where there is one.  Lowering a power can only raise the
-other users' probabilities (Yates, IEEE JSAC 13(7), 1995): every iterate
-stays feasible and the total power never rises.  Where the cycles' drops in
-total power shrink geometrically, the descent extrapolates them (Aitken-style)
-to a lower point, taken only where every user's evaluated probability meets
-its floor.  A moment model of the outage forms places the start.
+on the logit of its success probability started along the chord, until that
+probability falls inside [1 - eps, 1 - eps + Delta].  Lowering a power can
+only raise the other users' probabilities (Yates, IEEE JSAC 13(7), 1995):
+every iterate stays feasible and the total power never rises.  Where the
+cycles' drops in total power shrink geometrically, the descent extrapolates
+them (Aitken-style) to a lower point, taken only where every user's evaluated
+probability meets its floor.  A moment model of the outage forms places the
+start.
 """
 
 from __future__ import annotations
@@ -101,10 +101,11 @@ class OutageOracle:
     for the positive definite C_k: ``minus_form`` gives the (-Q, a_k, tau)
     that ``build_outage_form`` computes from scratch, and ``minus_qs`` every
     user's -Q in one stack.  ``read``, the one counted evaluation and the
-    only place ``evals`` rises, returns (value, bound); ``oracle(powers, k)``,
-    ``sloped`` and ``ray_limit`` go through it.  ``exact`` and ``exact_all``
-    evaluate the exact probability uncounted, and ``slope``, the one slope
-    source, is ``saddlepoint_cdf``'s dP/dp_k, uncounted, which ``sloped`` adds.
+    only place ``evals`` rises, returns (value, bound); ``oracle(powers, k)``
+    and ``ray_limit`` go through it.  ``exact`` and ``exact_all`` evaluate the
+    exact probability uncounted, and ``slope``, the one slope source, is
+    ``saddlepoint_cdf``'s dP/dp_k, uncounted, which only a warm start's
+    single-user raise reads.
     """
     margin = 0.0  # of the floors above 1 - eps (``SaddlepointOracle``'s is delta/4)
     hopeless = False  # whether the last certified ``ray_limit`` was below its floor
@@ -183,10 +184,6 @@ class OutageOracle:
         """u = G_k e_k / sqrt(gamma_k): dQ/dp_k = u u^H in user k's form."""
         return self.g_mats[k][:, k] / np.sqrt(float(self.gamma[k]))
 
-    def sloped(self, powers: np.ndarray, k: int) -> tuple:
-        """A counted value and the uncounted ``slope`` dP/dp_k at the same powers."""
-        return self(powers, k), self.slope(powers, k)
-
     def slope(self, powers: np.ndarray, k: int):
         """``saddlepoint_cdf``'s slope dP/dp_k along ``direction(k)``, uncounted, or None."""
         est = saddlepoint_cdf(*rotate(self.minus_form(powers, k), self.direction(k)))
@@ -222,21 +219,18 @@ class OutageOracle:
 class SaddlepointOracle(OutageOracle):
     """An ``OutageOracle`` whose reads at sigma_k^2 are ``saddlepoint_cdf``'s, uncounted and uncertified
     (where it is None, and at other noise, a counted quadrature), its floors ``margin`` = delta/4 up and
-    its ``width`` delta/2: its band [floor + delta/4, floor + 3 delta/4], delta = ``DescentConfig.delta_min``,
-    is centred in the exact band.  So ``ray_limit`` is the exact one, certified, plus the margin, and a
-    ``hopeless`` give-up on it means that an exact descent from the same start gives up.  Its slopes
-    are the exact oracle's; ``sloped`` reads value and slope from one rotation (or a counted quadrature)."""
+    its ``width`` delta/2, both read at each call: its band [floor + delta/4, floor + 3 delta/4], delta =
+    ``DescentConfig.delta_min``, is centred in the exact band.  So ``ray_limit`` is the exact one,
+    certified, plus the margin, and a ``hopeless`` give-up on it means that an exact descent from the
+    same start gives up."""
 
-    margin, width = DescentConfig.delta_min / 4, DescentConfig.delta_min / 2
+    margin = property(lambda self: DescentConfig.delta_min / 4)
+    width = property(lambda self: DescentConfig.delta_min / 2)
 
     def read(self, powers: np.ndarray, k: int, sigma2: float = None) -> tuple:
         if sigma2 is None and (est := saddlepoint_cdf(*rotate(self.minus_form(powers, k)))):
             return est.value, est.abs_error_bound
         return super().read(powers, k, sigma2)
-
-    def sloped(self, powers: np.ndarray, k: int) -> tuple:
-        est = saddlepoint_cdf(*rotate(self.minus_form(powers, k), self.direction(k)))
-        return (est.value, est.slope) if est else (super().read(powers, k)[0], None)
 
 
 class _LazyProbs:
@@ -332,44 +326,40 @@ def _newton(x: float, q: float, slope, aim: float):
     return None
 
 
-def _bisect_user_power(prob, p: np.ndarray, k: int, delta_k: float,
-                       epsilon_k: float, prob_k_current: float = None):
-    """Shrink p[k] into the probability band [1-eps, 1-eps+delta].
+def _bisect_user_power(oracle: OutageOracle, p: np.ndarray, k: int,
+                       prob_k_current: float = None):
+    """Shrink p[k] into the oracle's band [floor_k, floor_k + width].
 
-    Assumes prob(., k) is increasing in p[k] and the current p[k] feasible;
+    Assumes oracle(., k) is increasing in p[k] and the current p[k] feasible;
     the bracket starts at [0, p[k]], and 0 (zero signal power cannot meet a
     positive SINR target) is never evaluated.  The start's probability is
-    ``prob_k_current`` or evaluated, with its slope if prob has ``sloped``.
-    Probes aim at 1-eps+delta/8: first a Newton step on logit(prob) from a
-    sloped start, else the chord from (0, 0) to the start's value; then the
+    ``prob_k_current`` or read as the first step.  Probes aim at floor_k +
+    width/8: first the chord from (0, 0) to the start's value; then the
     secant of logit(prob) through the last two probes, or the midpoint when
     the secant leaves the bracket, a probability is exactly 0 or 1, or three
     secant probes in a row moved the same end.  Every probe keeps 1e-3 of the
     bracket's width from both ends.  Returns (new_pk, probability, steps).
     """
-    floor = 1.0 - epsilon_k
+    floor, width = oracle.floor[k], oracle.width
     hi, lo, trial = p[k], 0.0, p.copy()
-    prob_hi, slope, steps = prob_k_current, None, 0
+    prob_hi, steps = prob_k_current, 0
     if prob_hi is None:
-        sloped = getattr(prob, "sloped", None)
-        (prob_hi, slope), steps = sloped(p, k) if sloped else (prob(p, k), None), 1
-    if prob_hi <= floor + delta_k:
+        prob_hi, steps = oracle(p, k), 1
+    if prob_hi <= floor + width:
         return hi, prob_hi, steps
     # aim at the lower quarter of the band: later coordinate reductions can
     # only raise this probability, so headroom saves whole extra cycles
-    aim = floor + 0.125 * delta_k
-    last, secant, streak = (hi, _logit(prob_hi)), False, 0
-    if (x := _newton(hi, prob_hi, slope, aim)) is None:
-        x = hi * aim / prob_hi
+    aim = floor + 0.125 * width
+    last, secant, streak, x = (hi, _logit(prob_hi)), False, 0, hi * aim / prob_hi
     while steps < MAX_BISECT_STEPS:
         x = min(max(x, lo + 1e-3 * (hi - lo)), hi - 1e-3 * (hi - lo))
         trial[k] = x
-        pm, steps = prob(trial, k), steps + 1
+        pm, steps = oracle(trial, k), steps + 1
         # secant probes in a row that moved the same end (+ hi, - lo)
         streak = (max(streak, 0) + 1 if pm >= floor else min(streak, 0) - 1) if secant else 0
         if pm >= floor:
             hi, prob_hi = x, pm
-            if pm <= floor + 0.25 * delta_k:
+            if pm <= floor + 0.25 * width:
                 break
         else:
             lo = x
@@ -390,20 +380,18 @@ def _try_jump(oracle: OutageOracle, probs: _LazyProbs, p_prev: np.ndarray,
     """Extrapolate the last two cycles' drops d0, d1 of the total power
     (``totals`` at the last three cycle starts) geometrically: if rho = d1 / d0
     is in [JUMP_RATIO, 1), to q = p + omega (p - p_prev), omega = JUMP_DAMPING
-    rho / (1 - rho) (none if some q_k <= 0; after a failing user, once more at
-    half the step).  q <= p, as searches only lower powers; it is accepted when
-    every user, evaluated lazily from the lowest last value, meets its floor.
-    Returns q's _LazyProbs, or None and leaves p and probs unchanged."""
+    rho / (1 - rho) (none if some q_k <= 0), tried once.  q <= p, as searches
+    only lower powers; it is accepted when every user, evaluated lazily from
+    the lowest last value, meets its floor.  Returns q's _LazyProbs, or None
+    and leaves p and probs unchanged."""
     d0, d1 = totals[-3] - totals[-2], totals[-2] - totals[-1]
     if not JUMP_RATIO <= (rho := d1 / d0 if d0 > 0.0 else 0.0) < 1.0:
         return None
-    step = JUMP_DAMPING * rho / (1.0 - rho) * (probs.p - p_prev)
-    order = np.argsort(probs.values, kind="stable").tolist()
-    for scale in (1.0, 0.5) if np.all(probs.p + step > 0.0) else ():
-        jumped = _LazyProbs(oracle, probs.p + scale * step)
-        if jumped.first_failing(lambda k, q: q >= oracle.floor[k], order) is None:
-            return jumped
-    return None
+    q = probs.p + JUMP_DAMPING * rho / (1.0 - rho) * (probs.p - p_prev)
+    if not np.all(q > 0.0):
+        return None
+    jumped, order = _LazyProbs(oracle, q), np.argsort(probs.values, kind="stable").tolist()
+    return jumped if jumped.first_failing(lambda k, v: v >= oracle.floor[k], order) is None else None
 
 
 def _run_descent(oracle: OutageOracle, start: PowerAllocation = None):
@@ -419,8 +407,7 @@ def _run_descent(oracle: OutageOracle, start: PowerAllocation = None):
     the fresh values first, then evaluates stale users in index order until
     one leaves the band.  A cycle evaluates a stale user just before its
     search (uncounted in ``bisection_steps``) unless an earlier user of the
-    cycle moved; then the search reads it, with its slope where the oracle
-    has one, as its first step.  Every exit evaluates the users still stale.
+    cycle moved; then the search reads it as its first step.  Every exit evaluates the users still stale.
     Two cycles after the start or the last accepted jump, a failed band test
     tries ``_try_jump`` before the next cycle; an accepted jump goes back to
     the band test.
@@ -451,8 +438,7 @@ def _run_descent(oracle: OutageOracle, start: PowerAllocation = None):
         cycles += 1
         p_before, dirty = p.copy(), False
         for k in range(n_users):
-            new_pk, prob_k, steps = _bisect_user_power(
-                oracle, p, k, width, float(1.0 - floor[k]), None if dirty else probs[k])
+            new_pk, prob_k, steps = _bisect_user_power(oracle, p, k, None if dirty else probs[k])
             bisect_steps += steps
             if new_pk != p[k]:
                 dirty = True

@@ -17,8 +17,8 @@ import time
 
 import numpy as np
 
-from .descent import (MAX_CYCLES, POWER_CAP, DescentConfig, OutageOracle, SolveReport,
-                      SolveStatus, _LazyProbs, _bisect_user_power, _run_descent)
+from .descent import (MAX_CYCLES, POWER_CAP, OutageOracle, SolveReport, SolveStatus,
+                      _LazyProbs, _bisect_user_power, _run_descent)
 from .model import (BeamformerMatrix, PowerAllocation, QoSSpec, ScenarioInstance,
                     ZF_TOL, eigvalsh)
 from .model import build_outage_form, psd_sqrt  # noqa: F401 (perfbench/tracing.py wraps them)
@@ -181,7 +181,7 @@ class SurrogateOracle(OutageOracle):
     one matrix.
     """
 
-    sloped = model_root = None  # searches start along the chord, the descent on the PCSI ray
+    model_root = None  # the descent starts on the PCSI ray
 
     def __init__(self, instance: ScenarioInstance, beamformer: BeamformerMatrix,
                  qos: QoSSpec, eta_multiple: float = DEFAULT_ETA_MULTIPLE):
@@ -245,8 +245,8 @@ class SurrogateOracle(OutageOracle):
         frozen at p_frozen, its root aimed at outage eps_k (1 -
         FEASIBILITY_SLACK), a hair above the floor.  On a degenerate spectrum,
         p[k] doubles from max(gamma_k sigma_k^2, p[k]) until the counted
-        constraint holds, then bisects into the band [1 - eps_k, 1 - eps_k +
-        DescentConfig.delta_min], or gives up once the total power passes
+        constraint holds, then bisects into the oracle's band [1 - eps_k,
+        1 - eps_k + width], or gives up once the total power passes
         POWER_CAP and returns that p[k] unevaluated."""
         lam_nz = self.spectrum(p_frozen, k)
         epsilon_k = float(self.qos.epsilon[k])
@@ -263,8 +263,7 @@ class SurrogateOracle(OutageOracle):
                 break
             prob = self(trial, k)
             if prob >= 1.0 - epsilon_k:
-                return _bisect_user_power(self, trial, k, DescentConfig.delta_min,
-                                          epsilon_k, prob)[0]
+                return _bisect_user_power(self, trial, k, prob)[0]
             trial[k] *= 2.0
         return float(trial[k])
 

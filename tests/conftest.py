@@ -86,12 +86,12 @@ def strict_step_checks():
     (powers array passed in, powers after the step)."""
     search, checked = robustpl.descent._bisect_user_power, []
 
-    def checked_search(oracle, p, k, *args):
+    def checked_search(oracle, p, k, prob_k_current=None):
         if checked and checked[-1][0] is p:
             # the descent passes its own powers array to every step, so the
             # checked powers are the ones it went on with
             assert np.array_equal(p, checked[-1][1]), "powers changed between coordinate steps"
-        new_pk, prob_k, steps = search(oracle, p, k, *args)
+        new_pk, prob_k, steps = search(oracle, p, k, prob_k_current)
         after = p.copy()
         after[k] = new_pk
         probs = np.array([uncounted_read(oracle, after, j)[0] for j in range(after.size)])

@@ -61,11 +61,10 @@ def feasible_start(instance, beamformer, qos):
     return PowerAllocation(powers=probs.p), feasible
 
 
-def bisect_power(instance, beamformer, qos, alloc, k, delta_k):
-    """User k's power after one bisection into the band."""
+def bisect_power(instance, beamformer, qos, alloc, k):
+    """User k's power after one search into the exact oracle's band."""
     oracle = OutageOracle(instance, beamformer, qos)
-    return _bisect_user_power(oracle, alloc.powers.copy(), k, delta_k,
-                              float(qos.epsilon[k]))[0]
+    return _bisect_user_power(oracle, alloc.powers.copy(), k)[0]
 
 
 def minimal_feasible_power(instance, beamformer, qos, powers, k, band=1e-6):
@@ -307,7 +306,7 @@ class TestBisection:
     def test_in_band_returns_unchanged(self):
         inst, b, qos = make_zf_setup(109)
         report = solve_general(inst, b, qos)
-        pk = bisect_power(inst, b, qos, report.powers, 0, 1e-3)
+        pk = bisect_power(inst, b, qos, report.powers, 0)
         assert pk == report.powers.powers[0]
 
     def test_single_user_band(self):
@@ -316,7 +315,7 @@ class TestBisection:
         qos = QoSSpec.from_db(5.0, 0.05, 1)
         start, feasible = feasible_start(inst, b, qos)
         assert feasible
-        pk = bisect_power(inst, b, qos, start, 0, 1e-3)
+        pk = bisect_power(inst, b, qos, start, 0)
         prob = exact_prob(inst, b, qos, np.array([pk]), 0)
         assert 0.95 <= prob <= 0.951
 
@@ -381,21 +380,14 @@ class TestJump:
         stub, probs, jumped = self.attempt(lambda q, k: k != 0 or q[0] >= 1.0)
         assert jumped is None
 
-    def test_half_step_retry_after_the_first_failing_user(self):
-        # user 2 meets its floor only at half the step
+    def test_one_attempt_then_p_and_probs_unchanged(self):
+        # user 2 would meet its floor at half the step, which is not tried
         stub, probs, jumped = self.attempt(lambda q, k: k != 2 or q[2] > 2.7)
-        full = self.P + JUMP_DAMPING * 0.8 / 0.2 * (self.P - self.P_PREV)
-        half = self.P + 0.5 * (full - self.P)
-        assert [k for k, _ in stub.calls] == [1, 2, 1, 2, 0]
-        assert np.allclose(stub.calls[1][1], full) and np.allclose(stub.calls[2][1], half)
-        assert np.allclose(jumped.p, half)
-
-    def test_one_retry_then_p_and_probs_unchanged(self):
-        stub, probs, jumped = self.attempt(lambda q, k: k != 1)
         assert jumped is None
-        # the first failing user stops each of the two attempts
-        assert [k for k, _ in stub.calls] == [1, 1]
-        assert stub.calls[0][1][0] < stub.calls[1][1][0] < self.P[0]
+        # the first failing user stops the one attempt, at the full step
+        full = self.P + JUMP_DAMPING * 0.8 / 0.2 * (self.P - self.P_PREV)
+        assert [k for k, _ in stub.calls] == [1, 2]
+        assert all(np.allclose(q, full, rtol=1e-12) for _, q in stub.calls)
         assert np.array_equal(probs.p, self.P)
         assert np.array_equal(probs.values, self.LAST) and not probs.stale.any()
 
@@ -516,7 +508,35 @@ def increasing_curves(draw):
     return curve, root * 10.0 ** draw(st.floats(0.0, 4.0))
 
 
+class CurveOracle:
+    """An oracle whose user k has probability ``curve(p_k)`` against the
+    floor ``floor`` and the band ``width``; ``probes`` lists the p_k read,
+    and every read asserts that the other users' powers are ``p``'s."""
+
+    def __init__(self, curve, p, k, floor=FLOOR, width=DELTA):
+        self.curve, self.p, self.k, self.probes = curve, p.copy(), k, []
+        self.floor, self.width = np.full(p.size, floor), width
+
+    def __call__(self, powers, j):
+        assert j == self.k
+        np.testing.assert_array_equal(np.delete(powers, j), np.delete(self.p, j))
+        self.probes.append(float(powers[j]))
+        return self.curve(powers[j])
+
+
 class TestSearchProperties:
+    def test_first_probe_is_the_chord_point(self):
+        # P = 1 - exp(-p) from p_k = 4: the chord from (0, 0) to (4, P(4))
+        # crosses floor + width/8 at the first probe, and the search lands in
+        # the lower quarter of the band [0.9, 0.91]
+        p, floor, width = np.array([1.0, 4.0, 2.0]), 0.9, 0.01
+        oracle = CurveOracle(lambda x: 1.0 - math.exp(-x), p, 1, floor, width)
+        new_pk, prob_k, steps = _bisect_user_power(oracle, p.copy(), 1)
+        start = 1.0 - math.exp(-4.0)
+        assert oracle.probes[:2] == [4.0, 4.0 * (floor + width / 8) / start]
+        assert steps == len(oracle.probes) and new_pk == oracle.probes[-1]
+        assert floor <= prob_k == oracle.curve(new_pk) <= floor + width / 4
+
     @settings(max_examples=300, deadline=None)
     @given(increasing_curves(), st.integers(0, 2), st.booleans())
     def test_lands_feasible_and_in_band(self, drawn, k, cached):
@@ -524,16 +544,10 @@ class TestSearchProperties:
         assume(curve(p_k) >= FLOOR)
         p = np.array([0.3, 2.0, 5.0])
         p[k] = p_k
-        probes = []
-
-        def prob(powers, j):
-            assert j == k
-            np.testing.assert_array_equal(np.delete(powers, k), np.delete(p, k))
-            probes.append(float(powers[k]))
-            return curve(powers[k])
-
+        oracle = CurveOracle(curve, p, k)
+        probes = oracle.probes
         new_pk, prob_k, steps = _bisect_user_power(
-            prob, p.copy(), k, DELTA, 1.0 - FLOOR, curve(p_k) if cached else None)
+            oracle, p.copy(), k, curve(p_k) if cached else None)
         assert steps == len(probes) <= MAX_BISECT_STEPS
         assert all(0.0 < x <= p_k for x in probes)
         lo, hi = 0.0, p_k
@@ -577,8 +591,8 @@ class TestSolveGeneral:
 
         search = robustpl.descent._bisect_user_power
 
-        def overshooting(prob, p, k, *args):
-            new_pk, prob_k, steps = search(prob, p, k, *args)
+        def overshooting(oracle, p, k, prob_k_current=None):
+            new_pk, prob_k, steps = search(oracle, p, k, prob_k_current)
             return 0.5 * new_pk, prob_k, steps
 
         monkeypatch.setattr(robustpl.descent, "_bisect_user_power", overshooting)
@@ -782,6 +796,13 @@ class TestWarmStart:
         for name in COUNTS:
             assert getattr(report, name) == getattr(runs[0][2], name), name
 
+    def test_saddlepoint_band_follows_the_class_constant(self, monkeypatch):
+        monkeypatch.setattr(DescentConfig, "delta_min", 2e-4)
+        inst, b, qos = make_zf_setup(9)
+        saddle = SaddlepointOracle(inst, b, qos)
+        assert (saddle.width, saddle.margin) == (1e-4, 5e-5)
+        assert np.array_equal(saddle.floor, 1.0 - qos.epsilon + 5e-5)
+
     def test_saddlepoint_ray_limit_is_the_exact_one_against_its_floors(self):
         # the exact ray limits of this hopeless point are certified
         inst, b, qos = make_zf_setup(105, sigma_e2=0.5, gamma_db=10.0)
@@ -805,14 +826,13 @@ class TestWarmStart:
         for k in range(3):
             form = saddle.minus_form(p, k)
             assert saddle(p, k) == saddlepoint_cdf(*rotate(form)[:2]).value
-            assert saddle.sloped(p, k)[1] > 0.0
+            assert saddle.slope(p, k) == exact.slope(p, k) > 0.0
         assert saddle.evals == 0
         # where the estimate is None (near the mean), the quadrature answers
         monkeypatch.setattr(robustpl.descent, "saddlepoint_cdf", lambda *args: None)
         for k in range(3):
             assert saddle(p, k) == uncounted_read(exact, p, k)[0]
-            assert saddle.sloped(p, k) == exact.sloped(p, k)
-        assert saddle.evals == 6
+        assert saddle.evals == 3
 
 
 class TestGlobalOptimality:
@@ -973,8 +993,7 @@ class TestOutageOracle:
         for oracle, p, k in solver_forms():
             if len(p) != n:
                 continue
-            value, slope = oracle.sloped(p, k)
-            assert value == oracle.exact(p, k)
+            value, slope = oracle.exact(p, k), oracle.slope(p, k)
             if not 0.9 <= value <= 0.99:
                 continue
             step = 1e-3 * p[k]
@@ -982,7 +1001,6 @@ class TestOutageOracle:
             up[k] += step
             down[k] -= step
             central = (oracle.exact(up, k) - oracle.exact(down, k)) / (2.0 * step)
-            assert slope == oracle.slope(p, k)
             assert abs(slope / central - 1.0) <= 0.3
             checked += 1
         assert checked >= 20
@@ -1026,56 +1044,22 @@ class TestOutageOracle:
         assert no_root >= 3
 
     def test_surrogate_never_reads_a_slope(self, monkeypatch):
-        # the surrogate has no slope: neither ZF solver calls ``slope`` or
-        # ``sloped``, which the exact descent calls
-        calls = []
+        # the surrogate has no slope: neither ZF solver calls ``slope``,
+        # which only the warm exact descent's single-user raises read
+        calls, original = [], OutageOracle.slope
 
-        def recording(name):
-            original = getattr(OutageOracle, name)
+        def recording(self, *args):
+            calls.append(type(self))
+            return original(self, *args)
 
-            def wrapper(self, *args):
-                calls.append((type(self), name))
-                return original(self, *args)
-            return wrapper
-
-        for name in ("slope", "sloped"):
-            monkeypatch.setattr(OutageOracle, name, recording(name))
+        monkeypatch.setattr(OutageOracle, "slope", recording)
         inst, b, qos = make_zf_setup(9)
         solve_zf_coord_descent(inst, b, qos)
         solve_zf_coord_update(inst, b, qos)
         assert calls == []
-        exact_descent(inst, b, qos)
-        assert {name for _, name in calls} == {"slope", "sloped"}
-        assert {kind for kind, _ in calls} == {OutageOracle}
-
-    def test_exact_sloped_is_one_counted_quadrature_and_the_slope(self):
-        inst, b, qos = make_zf_setup(9)
-        oracle = OutageOracle(inst, b, qos)
-        for scale in (1.0, 1.4, 3.0):
-            p = scale * 0.014 * qos.gamma
-            for k in range(3):
-                before = oracle.evals
-                assert oracle.sloped(p, k) == (oracle.exact(p, k), oracle.slope(p, k))
-                assert oracle.evals == before + 1
-
-    def test_saddlepoint_sloped_read_decomposes_once(self, monkeypatch):
-        inst, b, qos = make_zf_setup(9)
-        saddle = SaddlepointOracle(inst, b, qos)
-        p = qos.gamma * 0.014
-        calls = []
-        original = robustpl.quadform.eigh
-
-        def counting(a):
-            calls.append(np.ndim(a))
-            return original(a)
-
-        monkeypatch.setattr(robustpl.quadform, "eigh", counting)
-        for k in range(3):
-            value, slope = saddle.sloped(p, k)
-            assert calls == [2]  # value and slope from one rotation
-            assert value == saddle(p, k) and slope == saddle.slope(p, k) > 0.0
-            calls.clear()
-        assert saddle.evals == 0
+        inst, b, qos = make_zf_setup(110, 10.0)  # a warm start raises a user
+        assert solve_general(inst, b, qos).raises == len(calls) > 0
+        assert set(calls) == {OutageOracle}
 
     @pytest.mark.parametrize("method", robustpl.bench.METHODS)
     def test_solver_counts_match_oracle_calls(self, method, monkeypatch):
@@ -1147,19 +1131,17 @@ class TestOutageOracle:
 
 
 def eager_jump(oracle, p, p_prev, totals, floor):
-    """The descent's jump, evaluating every user at each point it tries:
+    """The descent's jump, evaluating every user at the point it tries:
     (q, the probabilities at q), or None."""
     d0, d1 = totals[-3] - totals[-2], totals[-2] - totals[-1]
     rho = d1 / d0 if d0 > 0.0 else 0.0
     if not JUMP_RATIO <= rho < 1.0:
         return None
-    step = JUMP_DAMPING * rho / (1.0 - rho) * (p - p_prev)
-    for scale in (1.0, 0.5) if np.all(p + step > 0.0) else ():
-        q = p + scale * step
-        at_q = np.array([oracle(q, k) for k in range(p.size)])
-        if np.all(at_q >= floor):
-            return q, at_q
-    return None
+    q = p + JUMP_DAMPING * rho / (1.0 - rho) * (p - p_prev)
+    if not np.all(q > 0.0):
+        return None
+    at_q = np.array([oracle(q, k) for k in range(p.size)])
+    return (q, at_q) if np.all(at_q >= floor) else None
 
 
 def eager_descent(oracle, beamformer, qos, p_start):
@@ -1168,7 +1150,7 @@ def eager_descent(oracle, beamformer, qos, p_start):
     again after every cycle.  A search after an earlier user of its cycle
     moved reads its own start.  Between cycles, two cycles after the start or
     the last accepted jump, it tries the descent's jump, evaluating every
-    user at each point tried."""
+    user at the point tried."""
     norms2 = np.sum(np.abs(beamformer.columns) ** 2, axis=0)
     floor = 1.0 - qos.epsilon
     delta = DescentConfig.delta_min
@@ -1206,8 +1188,7 @@ def eager_descent(oracle, beamformer, qos, p_start):
         cycles += 1
         p_before, dirty = p.copy(), False
         for k in range(p.size):
-            new_pk, prob_k, s = _bisect_user_power(
-                oracle, p, k, delta, float(qos.epsilon[k]), None if dirty else probs[k])
+            new_pk, prob_k, s = _bisect_user_power(oracle, p, k, None if dirty else probs[k])
             steps += s
             dirty = dirty or new_pk != p[k]
             p[k], probs[k] = new_pk, prob_k
