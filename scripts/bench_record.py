@@ -31,9 +31,10 @@ median), whether a gain may be claimed (``claimable``), and per workload
 whether every seed's digest matches and whether every traced per-layer
 count (a metric of unit ``count`` in the ``--trace 1`` run at TRACE_SEED)
 equals the baseline's, naming those that differ.  Last, per workload, each
-traced time's median over the TRACE_SEEDS on both sides, with the seeds at
-which this checkout's time is lower (wins) or higher (losses): a time of
-one traced seed alone moved by 15-27% across a pair of the same oracle code.
+traced time's median and its [min, max] over the TRACE_SEEDS on both sides,
+with the seeds at which this checkout's time is lower (wins) or higher
+(losses): a time of one traced seed alone moved by 15-27% across a pair of
+the same oracle code, so a median means little without its spread.
 """
 
 from __future__ import annotations
@@ -218,17 +219,19 @@ def trace_medians(traces: list) -> dict:
 
 
 def report_times(workload: str, traces: list, base_traces: list):
-    """Print, per traced time, its median over the TRACE_SEEDS on both sides
-    and the seeds at which this checkout's time is lower (wins) and higher
-    (losses)."""
+    """Print, per traced time, its median and [min, max] over the TRACE_SEEDS
+    on both sides and the seeds at which this checkout's time is lower (wins)
+    and higher (losses)."""
     medians, base_medians = trace_medians(traces), trace_medians(base_traces)
     for name, median in medians.items():
         pairs = [(run["metrics"][name]["value"], base["metrics"][name]["value"])
                  for run, base in zip(traces, base_traces)]
         wins = sum(new < old for new, old in pairs)
         losses = sum(new > old for new, old in pairs)
-        print(f"{workload} traced {name}: median {median:.6g} vs "
-              f"{base_medians[name]:.6g} (baseline) over seeds "
+        new, old = zip(*pairs)
+        print(f"{workload} traced {name}: median {median:.6g} [{min(new):.6g}, "
+              f"{max(new):.6g}] vs {base_medians[name]:.6g} [{min(old):.6g}, "
+              f"{max(old):.6g}] (baseline), [min, max] over seeds "
               f"{', '.join(map(str, TRACE_SEEDS))}, wins {wins}/{len(pairs)}, "
               f"losses {losses}", flush=True)
 

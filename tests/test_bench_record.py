@@ -302,5 +302,5 @@ def test_record_with_baseline_stores_and_prints_the_traced_time_medians(
         assert written["trace"]["metrics"]["layer.ms_p50"]["value"] == times[name][31]
     lines = capsys.readouterr().out.splitlines()
     assert lines[-2] == "w traced counts at seed 31: all 1 match"
-    assert lines[-1] == ("w traced layer.ms_p50: median 2 vs 3 (baseline) over seeds "
-                         "31, 32, 33, wins 2/3, losses 1")
+    assert lines[-1] == ("w traced layer.ms_p50: median 2 [1, 5] vs 3 [1.5, 4] (baseline), "
+                         "[min, max] over seeds 31, 32, 33, wins 2/3, losses 1")
