@@ -116,8 +116,8 @@ class TrialRecord:
     """One row of the records file.
 
     ``status`` is the solver's ``SolveStatus`` value (``diverged`` only from
-    ZF-CoordUpdate, whose powers passed ``POWER_CAP`` before its surrogate
-    constraints held; ``success`` is still the exact certification);
+    ZF-CoordUpdate, whose total power passed 1e8 max_k sigma_k^2 before its
+    surrogate constraints held; ``success`` is still the exact certification);
     ``fallback_`` and the ``SolveStatus`` value of ``solve_general`` when a ZF
     surrogate method's target was undefined and ``solve_general`` solved the
     point instead; or the exception's class name when the solve raised
@@ -217,14 +217,14 @@ def run_trial(config: ExperimentConfig, trial: int) -> list:
 
 
 def run_sweep(config: ExperimentConfig, n_threads: int = 1) -> list:
-    """Run every trial; records come back in (trial, uncertainty, method,
-    gamma) order regardless of worker scheduling."""
-    if n_threads <= 1:
+    """Run every trial in min(n_threads, n_trials) processes (n_threads >= 1);
+    records come back in (trial, uncertainty, method, gamma) order."""
+    if (workers := min(n_threads, config.n_trials)) == 1:
         per_trial = [run_trial(config, t) for t in range(config.n_trials)]
     else:
         # imported here: the pool costs every single-process run about 2 MB
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=n_threads) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             per_trial = list(pool.map(run_trial, [config] * config.n_trials,
                                       range(config.n_trials), chunksize=1))
     return [rec for trial_recs in per_trial for rec in trial_recs]

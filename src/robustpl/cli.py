@@ -25,7 +25,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--config", required=True, help="JSON experiment config")
     sweep.add_argument("--out", required=True, help="output records path")
     sweep.add_argument("--threads", type=int, default=1,
-                       help="worker processes (default 1)")
+                       help="worker processes, at most one per trial (default 1)")
 
     agg = sub.add_parser("aggregate", help="summarize a records file")
     agg.add_argument("--in", dest="infile", required=True)
@@ -37,7 +37,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = (parser := build_parser()).parse_args(argv)
+    if args.command == "sweep" and args.threads < 1:
+        parser.error(f"argument --threads: must be at least 1, not {args.threads}")
     try:
         if args.command == "sweep":
             config = ExperimentConfig.from_json(args.config)

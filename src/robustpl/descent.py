@@ -3,7 +3,7 @@ loading with fixed beamforming directions.
 
 Each coordinate step shrinks one user's power, by a bracketed secant search
 on the logit of its success probability started along the chord, until that
-probability falls inside [1 - eps, 1 - eps + Delta].  Lowering a power can
+probability falls inside [1 - eps, 1 - eps + eps/50].  Lowering a power can
 only raise the other users' probabilities (Yates, IEEE JSAC 13(7), 1995):
 every iterate stays feasible and the total power never rises.  Where the
 cycles' drops in total power shrink geometrically, the descent extrapolates
@@ -31,14 +31,13 @@ from .model import (
     eigh,
     init_powers_pcsi,
 )
-from .quadform import ToleranceNotMet, outage_probability, rotate, saddlepoint_cdf
+from .quadform import QUAD_TOL, ToleranceNotMet, outage_probability, rotate, saddlepoint_cdf
 
 __all__ = ["DescentConfig", "OutageOracle", "SaddlepointOracle", "SolveStatus", "SolveReport", "solve_general"]
 
 MAX_BISECT_STEPS = 60
 MAX_CYCLES = 50
 MAX_DOUBLINGS = 30
-POWER_CAP = 1e6  # on the total transmit power of a feasible start or an update
 START_AIM, START_ROUNDS, START_RTOL = 0.4, 15, 1e-4  # of _model_start
 JUMP_RATIO, JUMP_DAMPING = 0.5, 0.8  # of _try_jump
 
@@ -51,10 +50,8 @@ class SolveStatus(enum.Enum):
 
 
 class DescentConfig:
-    """The solver constant ``delta_min``: the width of every user's band
-    [1 - eps, 1 - eps + delta_min], into which every descent cycle and the ZF
-    degenerate-spectrum step search.  Not a setting; the cycle cap is
-    ``MAX_CYCLES``."""
+    """``delta_min``, the band width ``OutageOracle.width`` takes at eps =
+    0.05; no solver reads it (each oracle derives its bands from eps)."""
 
     delta_min = 1e-3
 
@@ -93,7 +90,10 @@ class SolveReport:
 class OutageOracle:
     """Outage probabilities Pr(SINR_k >= gamma_k) for one (instance,
     beamformer, qos), with the per-user setup done once; it keeps that
-    problem, the squared column norms ``norms2`` and the floors ``floor``.
+    problem, the squared column norms ``norms2``, and per user the floors
+    ``floor`` = 1 - eps_k + ``margin``, band widths ``width`` = eps_k/50 and
+    quadrature tolerances ``tol`` = min(QUAD_TOL, eps_k/5000), with ``cap`` =
+    1e8 max_k sigma_k^2 on the total power of a start or an update.
 
     With G_k = C_k^{1/2} B, a_k = -C_k^{-1/2} h_k and the signed powers c
     (p_k / gamma_k at k, -p_j elsewhere), user k's outage form at any powers
@@ -107,16 +107,17 @@ class OutageOracle:
     ``saddlepoint_cdf``'s dP/dp_k, uncounted, which only a warm start's
     single-user raise reads.
     """
-    margin = 0.0  # of the floors above 1 - eps (``SaddlepointOracle``'s is delta/4)
+    bands = (math.inf, 50)  # eps_k over these: each floor's margin above 1 - eps_k, the band's width
     hopeless = False  # whether the last certified ``ray_limit`` was below its floor
-    width = property(lambda self: DescentConfig.delta_min)  # of the band, read at each call
     raise_budget = 0  # of a start's single-user raises, counted in ``raises`` (warm starts: 2K)
 
     def __init__(self, instance: ScenarioInstance, beamformer: BeamformerMatrix,
                  qos: QoSSpec):
         self.instance, self.beamformer, self.qos = instance, beamformer, qos
         self.norms2 = np.sum(np.abs(beamformer.columns) ** 2, axis=0)
-        self.floor = 1.0 - qos.epsilon + self.margin
+        eps, self.cap = qos.epsilon, 1e8 * float(np.max(instance.noise_var))
+        self.margin, self.width = eps / self.bands[0], eps / self.bands[1]
+        self.floor, self.tol = 1.0 - eps + self.margin, np.minimum(QUAD_TOL, eps / 5000)
         sqrt_c, inv_sqrt_c = instance.cov_roots
         self.g_mats = sqrt_c @ beamformer.columns
         self.g_herms = self.g_mats.conj().transpose(0, 2, 1)  # G_k^H, views
@@ -149,20 +150,21 @@ class OutageOracle:
         return (self.g_mats * minus_c[:, None, :]) @ self.g_herms
 
     def exact(self, powers: np.ndarray, k: int) -> float:
-        return outage_probability(self.minus_form(powers, k)).value
+        return outage_probability(self.minus_form(powers, k), self.tol[k]).value
 
     def exact_all(self, powers: np.ndarray) -> np.ndarray:
         """Every user's ``exact`` value, the -Q decomposed by one stacked ``eigh``."""
         minus_qs = self.minus_qs(powers)
         eigs = zip(*eigh(minus_qs))
-        return np.array([outage_probability((minus_q, a, -float(s2)), eig=eig).value
-                         for minus_q, a, s2, eig in zip(minus_qs, self.centres, self.noise_var, eigs)])
+        return np.array([outage_probability((minus_q, a, -float(s2)), tol, eig).value
+                         for minus_q, a, s2, tol, eig in zip(minus_qs, self.centres, self.noise_var,
+                                                             self.tol, eigs)])
 
     def read(self, powers: np.ndarray, k: int, sigma2: float = None) -> tuple:
         """The counted (value, error bound) of user k's probability at noise
         sigma2 (None: sigma_k^2)."""
         self.evals += 1
-        est = outage_probability(self.minus_form(powers, k, sigma2))
+        est = outage_probability(self.minus_form(powers, k, sigma2), self.tol[k])
         return est.value, est.abs_error_bound
 
     def __call__(self, powers: np.ndarray, k: int) -> float:
@@ -177,7 +179,7 @@ class OutageOracle:
             value, bound = self.read(powers, k, 0.0)
         except ToleranceNotMet:
             return None
-        self.hopeless = (limit := value + bound + self.margin) < self.floor[k]
+        self.hopeless = (limit := value + bound + self.margin[k]) < self.floor[k]
         return limit
 
     def direction(self, k: int) -> np.ndarray:
@@ -218,14 +220,12 @@ class OutageOracle:
 
 class SaddlepointOracle(OutageOracle):
     """An ``OutageOracle`` whose reads at sigma_k^2 are ``saddlepoint_cdf``'s, uncounted and uncertified
-    (where it is None, and at other noise, a counted quadrature), its floors ``margin`` = delta/4 up and
-    its ``width`` delta/2, both read at each call: its band [floor + delta/4, floor + 3 delta/4], delta =
-    ``DescentConfig.delta_min``, is centred in the exact band.  So ``ray_limit`` is the exact one,
-    certified, plus the margin, and a ``hopeless`` give-up on it means that an exact descent from the
-    same start gives up."""
+    (where it is None, and at other noise, a counted quadrature), its floors ``margin`` = eps_k/200 up and
+    its ``width`` eps_k/100: its band [1 - eps_k + eps_k/200, 1 - eps_k + 3 eps_k/200] is centred in the
+    exact band of width eps_k/50.  So ``ray_limit`` is the exact one, certified, plus the margin, and a
+    ``hopeless`` give-up on it means that an exact descent from the same start gives up."""
 
-    margin = property(lambda self: DescentConfig.delta_min / 4)
-    width = property(lambda self: DescentConfig.delta_min / 2)
+    bands = (200, 100)
 
     def read(self, powers: np.ndarray, k: int, sigma2: float = None) -> tuple:
         if sigma2 is None and (est := saddlepoint_cdf(*rotate(self.minus_form(powers, k)))):
@@ -265,14 +265,14 @@ def _model_start(oracle: OutageOracle):
     """The moment model's fixed point, uncounted: Gauss-Seidel from p = 0 on
     ``model_root`` at aims 1 - START_AIM eps_k, for START_ROUNDS rounds or until
     no power moves by over START_RTOL relative; None once a root is missing or
-    the total power passes POWER_CAP."""
+    the total power passes the oracle's ``cap``."""
     z = [NormalDist().inv_cdf(1.0 - START_AIM * e) for e in oracle.qos.epsilon]
     p = np.zeros(len(z))
     for _ in range(START_ROUNDS):
         before = p.copy()
         for k in range(p.size):
             p[k] = oracle.model_root(p, k, z[k]) or np.nan  # a root is positive
-            if not np.dot(p, oracle.norms2) <= POWER_CAP:
+            if not np.dot(p, oracle.norms2) <= oracle.cap:
                 return None
         if np.all(np.abs(p - before) <= START_RTOL * p):
             break
@@ -290,12 +290,12 @@ def _find_feasible_start(oracle: OutageOracle, p_init: np.ndarray):
     floor + width/8, to at most 2 p_k; past it all powers double.  After a
     doubling, a user first found below its floor gets one ``ray_limit``: one
     below the floor gives up at once.  Returns the ``_LazyProbs`` at the last
-    powers, doublings and feasible.  The power cap counts on the total power.
+    powers, doublings and feasible.  The ``cap`` counts on the total power.
     """
     probs = _LazyProbs(oracle, p_init.copy())
     order, doublings, checked = list(range(p_init.size)), 0, set()
     while (k := probs.first_failing(lambda k, q: q >= oracle.floor[k], order)) is not None:
-        hopeless = doublings >= MAX_DOUBLINGS or np.dot(probs.p, oracle.norms2) > POWER_CAP
+        hopeless = doublings >= MAX_DOUBLINGS or np.dot(probs.p, oracle.norms2) > oracle.cap
         if not hopeless and doublings and k not in checked:
             checked.add(k)
             hopeless = (limit := oracle.ray_limit(probs.p, k)) is not None and limit < oracle.floor[k]
@@ -304,7 +304,7 @@ def _find_feasible_start(oracle: OutageOracle, p_init: np.ndarray):
         order = [k] + [j for j in order if j != k]
         if oracle.raises < oracle.raise_budget:
             pk, slope = probs.p[k], oracle.slope(probs.p, k)
-            x = _newton(pk, probs.values[k], slope, oracle.floor[k] + oracle.width / 8) or math.inf
+            x = _newton(pk, probs.values[k], slope, oracle.floor[k] + oracle.width[k] / 8) or math.inf
             probs.p[k], oracle.raises = min(x, 2.0 * pk), oracle.raises + 1
         else:
             probs.p *= 2.0
@@ -328,7 +328,7 @@ def _newton(x: float, q: float, slope, aim: float):
 
 def _bisect_user_power(oracle: OutageOracle, p: np.ndarray, k: int,
                        prob_k_current: float = None):
-    """Shrink p[k] into the oracle's band [floor_k, floor_k + width].
+    """Shrink p[k] into the oracle's band [floor_k, floor_k + width_k].
 
     Assumes oracle(., k) is increasing in p[k] and the current p[k] feasible;
     the bracket starts at [0, p[k]], and 0 (zero signal power cannot meet a
@@ -340,7 +340,7 @@ def _bisect_user_power(oracle: OutageOracle, p: np.ndarray, k: int,
     secant probes in a row moved the same end.  Every probe keeps 1e-3 of the
     bracket's width from both ends.  Returns (new_pk, probability, steps).
     """
-    floor, width = oracle.floor[k], oracle.width
+    floor, width = oracle.floor[k], oracle.width[k]
     hi, lo, trial = p[k], 0.0, p.copy()
     prob_hi, steps = prob_k_current, 0
     if prob_hi is None:
@@ -400,8 +400,8 @@ def _run_descent(oracle: OutageOracle, start: PowerAllocation = None):
     raise to a feasible start (``_find_feasible_start``); then search each
     user's power cyclically into the band of the oracle's ``width``.
     ``infeasible_start_not_found`` means the doubling from that one point met
-    ``POWER_CAP`` or ``MAX_DOUBLINGS`` first, or a user's certified ray limit
-    is below its floor; no other start is tried.
+    the oracle's ``cap`` or ``MAX_DOUBLINGS`` first, or a user's certified
+    ray limit is below its floor; no other start is tried.
 
     Only probabilities a decision reads are evaluated.  The band test reads
     the fresh values first, then evaluates stale users in index order until
@@ -413,7 +413,7 @@ def _run_descent(oracle: OutageOracle, start: PowerAllocation = None):
     the band test.
     """
     t0 = time.perf_counter()
-    qos, floor, n_users = oracle.qos, oracle.floor, oracle.qos.n_users
+    qos, floor, width, n_users = oracle.qos, oracle.floor, oracle.width, oracle.qos.n_users
     p_init = start.powers if start is not None else oracle.model_root and _model_start(oracle)
     if p_init is None:  # no model, or no model start: the PCSI ray
         p_init = init_powers_pcsi(oracle.instance.est_channels, oracle.beamformer, qos,
@@ -422,10 +422,10 @@ def _run_descent(oracle: OutageOracle, start: PowerAllocation = None):
     probs, doublings, feasible = _find_feasible_start(oracle, p_init)
     p = probs.p
     bisect_steps = cycles = jumps = 0
-    width, stalled, totals = oracle.width, False, []
+    stalled, totals = False, []
     status = SolveStatus.CYCLE_LIMIT if feasible else SolveStatus.INFEASIBLE_START_NOT_FOUND
     while feasible:
-        if probs.first_failing(lambda k, q: floor[k] <= q <= floor[k] + width,
+        if probs.first_failing(lambda k, q: floor[k] <= q <= floor[k] + width[k],
                                range(n_users)) is None:
             status = SolveStatus.SOLVED
             break

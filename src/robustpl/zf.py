@@ -17,8 +17,8 @@ import time
 
 import numpy as np
 
-from .descent import (MAX_CYCLES, POWER_CAP, OutageOracle, SolveReport, SolveStatus,
-                      _LazyProbs, _bisect_user_power, _run_descent)
+from .descent import (MAX_CYCLES, OutageOracle, SolveReport, SolveStatus, _LazyProbs,
+                      _bisect_user_power, _run_descent)
 from .model import (BeamformerMatrix, PowerAllocation, QoSSpec, ScenarioInstance,
                     ZF_TOL, eigvalsh)
 from .model import build_outage_form, psd_sqrt  # noqa: F401 (perfbench/tracing.py wraps them)
@@ -215,7 +215,7 @@ class SurrogateOracle(OutageOracle):
             return residue_probability(lam_nz, float(powers[k]), gamma_prime, sigma2), ROUNDING_TOL
         except DegenerateSpectrum:
             est = cdf_quadrature((lam_nz, np.zeros(lam_nz.size)),
-                                 float(powers[k] / gamma_prime - sigma2))
+                                 float(powers[k] / gamma_prime - sigma2), self.tol[k])
             return est.value, est.abs_error_bound
 
     def start(self) -> PowerAllocation:
@@ -246,8 +246,8 @@ class SurrogateOracle(OutageOracle):
         FEASIBILITY_SLACK), a hair above the floor.  On a degenerate spectrum,
         p[k] doubles from max(gamma_k sigma_k^2, p[k]) until the counted
         constraint holds, then bisects into the oracle's band [1 - eps_k,
-        1 - eps_k + width], or gives up once the total power passes
-        POWER_CAP and returns that p[k] unevaluated."""
+        1 - eps_k + width_k], or gives up once the total power passes
+        ``cap`` and returns that p[k] unevaluated."""
         lam_nz = self.spectrum(p_frozen, k)
         epsilon_k = float(self.qos.epsilon[k])
         try:
@@ -259,7 +259,7 @@ class SurrogateOracle(OutageOracle):
         trial = p_frozen.copy()
         trial[k] = max(float(self.gamma[k] * self.noise_var[k]), trial[k])
         for _ in range(80):
-            if np.dot(trial, self.norms2) > POWER_CAP:
+            if np.dot(trial, self.norms2) > self.cap:
                 break
             prob = self(trial, k)
             if prob >= 1.0 - epsilon_k:
@@ -291,9 +291,9 @@ def solve_zf_coord_update(instance: ScenarioInstance,
     gamma' = gamma / (1 + eta), aimed a hair above the floor) from the
     closed-form start until every surrogate probability meets its floor
     1 - eps_k, MAX_CYCLES cycles (the descent's cap) elapse, or the total
-    power passes POWER_CAP; no scaling follows the loop.  Ending above the
-    cap infeasible reports DIVERGED (an update with no fixed point drives
-    the powers without bound).
+    power passes the oracle's ``cap``; no scaling follows the loop.  Ending
+    above the cap infeasible reports DIVERGED (an update with no fixed point
+    drives the powers without bound).
 
     Iterates are not kept feasible; each cycle freezes every user's spectrum
     at the previous cycle's powers, so each power vector costs one stacked
@@ -313,7 +313,7 @@ def solve_zf_coord_update(instance: ScenarioInstance,
         return probs.first_failing(lambda k, q: q >= floor[k], range(n)) is None
 
     cycles = bisect_steps = 0
-    while not meets() and cycles < MAX_CYCLES and np.dot(p, prob.norms2) <= POWER_CAP:
+    while not meets() and cycles < MAX_CYCLES and np.dot(p, prob.norms2) <= prob.cap:
         cycles += 1
         p_prev = p.copy()
         before = prob.evals  # only degenerate-spectrum fallbacks evaluate
@@ -325,7 +325,7 @@ def solve_zf_coord_update(instance: ScenarioInstance,
             break  # fixed point reached at float resolution
 
     status = (SolveStatus.SOLVED if meets()
-              else SolveStatus.DIVERGED if np.dot(p, prob.norms2) > POWER_CAP
+              else SolveStatus.DIVERGED if np.dot(p, prob.norms2) > prob.cap
               else SolveStatus.CYCLE_LIMIT)
     return prob.report(status, p, probs.complete(), t0, cycles=cycles,
                        bisection_steps=bisect_steps)

@@ -349,6 +349,45 @@ class TestCli:
             assert cli_main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
             assert not out.exists()
 
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_is_a_usage_error(self, tmp_path, threads, capsys):
+        cfg, out = self.write_config(tmp_path), tmp_path / "records.csv"
+        with pytest.raises(SystemExit) as exited:
+            cli_main(["sweep", "--config", str(cfg), "--out", str(out), "--threads", threads])
+        assert exited.value.code == 2 and not out.exists()
+        assert f"--threads: must be at least 1, not {threads}" in capsys.readouterr().err
+        with pytest.raises(ValueError, match="max_workers"):  # the pool's own check
+            run_sweep(small_config(), n_threads=int(threads))
+
+    def test_sweep_starts_at_most_one_worker_per_trial(self, tmp_path, monkeypatch):
+        import concurrent.futures
+
+        class SerialPool:
+            """A pool that records ``max_workers`` and maps in this process."""
+            started = []
+
+            def __init__(self, max_workers):
+                self.started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        cfg = self.write_config(tmp_path, n_trials=2)
+        pooled, serial = tmp_path / "pooled.csv", tmp_path / "serial.csv"
+        assert cli_main(["sweep", "--config", str(cfg), "--out", str(pooled), "--threads", "64"]) == 0
+        assert SerialPool.started == [2]
+        assert cli_main(["sweep", "--config", str(cfg), "--out", str(serial)]) == 0
+        assert SerialPool.started == [2] and pooled.read_bytes() == serial.read_bytes()
+        run_sweep(small_config(n_trials=1), n_threads=2)  # one trial: no pool
+        assert SerialPool.started == [2]
+
     def test_missing_input_fails(self, tmp_path):
         assert cli_main(["aggregate", "--in", str(tmp_path / "nope.csv"),
                          "--out", str(tmp_path / "s.csv")]) == 1

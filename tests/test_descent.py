@@ -11,7 +11,6 @@ import robustpl.descent
 import robustpl.model
 import robustpl.quadform
 from robustpl import (
-    DescentConfig,
     ExperimentConfig,
     OutageOracle,
     PowerAllocation,
@@ -31,7 +30,7 @@ from robustpl import (
     solve_zf_coord_update,
 )
 from robustpl.descent import (JUMP_DAMPING, JUMP_RATIO, MAX_BISECT_STEPS, MAX_CYCLES,
-                              MAX_DOUBLINGS, POWER_CAP, START_AIM, START_RTOL,
+                              MAX_DOUBLINGS, START_AIM, START_RTOL,
                               SaddlepointOracle, _LazyProbs, _bisect_user_power, _find_feasible_start,
                               _model_start, _run_descent, _try_jump)
 
@@ -128,7 +127,7 @@ class RayStub:
     rises along every ray to 0.99, and whose ``ray_limit`` is ``limit``;
     ``checked`` lists the users it was asked for.  It raises no user alone."""
 
-    floor, norms2, raises, raise_budget = np.full(3, 0.95), np.ones(3), 0, 0
+    floor, norms2, raises, raise_budget, cap = np.full(3, 0.95), np.ones(3), 0, 0, 1e6
 
     def __init__(self, limit):
         self.limit, self.evals, self.checked = limit, 0, []
@@ -212,7 +211,7 @@ class TestRayLimit:
 
     def test_raises_alone_until_the_budget_is_spent_then_doubles(self):
         stub = RayStub(0.99)
-        stub.raise_budget, stub.width = 2, 1e-3
+        stub.raise_budget, stub.width = 2, np.full(3, 1e-3)
         stub.slope = lambda powers, k: 0.099 / (powers[k] + 0.1) ** 2
         probs, doublings, feasible = _find_feasible_start(stub, np.array([0.05, 0.02, 0.01]))
         # both raises hit user 0, each clamped to twice its power; user 2
@@ -230,7 +229,7 @@ class TestRayLimit:
 class TestModelStart:
     def test_desk_point_the_pcsi_ray_gave_up_on(self):
         # desk trial 2, ZF-General at 8 dB: doubling along the PCSI ray
-        # passes POWER_CAP (1.13e6), yet a certified point needs total power 11
+        # passes the cap 1e6 (1.13e6), yet a certified point needs total power 11
         from robustpl import ExperimentConfig
         from robustpl.bench import run_trial
 
@@ -327,14 +326,14 @@ class TestBisection:
         # one cycle of 3 users, each within the 60-step guard
         assert report.bisection_steps <= report.cycles * 3 * 60
 
-    def test_band_is_the_class_constant(self, monkeypatch):
-        # at the default 1e-3 this setup ends with user 0 about 5e-4 above
-        # its floor, outside the narrower band
-        inst, b, qos = make_zf_setup(113)
-        monkeypatch.setattr(DescentConfig, "delta_min", 2e-4)
+    def test_band_is_a_fiftieth_of_epsilon(self):
+        # at eps = 0.05 (band 1e-3) this setup ends with user 0 about 5e-4
+        # above its floor; at eps = 0.01 the band is 2e-4
+        inst, b, qos = make_zf_setup(113, epsilon=0.01)
+        assert np.array_equal(OutageOracle(inst, b, qos).width, np.full(3, 2e-4))
         report = solve_general(inst, b, qos)
         assert report.solved
-        assert np.all((report.per_user_prob >= 0.95) & (report.per_user_prob <= 0.95 + 2e-4))
+        assert np.all((report.per_user_prob >= 0.99) & (report.per_user_prob <= 0.99 + 2e-4))
 
 
 class JumpStub:
@@ -445,7 +444,7 @@ class TestJump:
         monkeypatch.setattr(robustpl.descent, "_try_jump", recording)
         for name in REFERENCE_CASES:
             since[0] = 0
-            inst, b, qos, solver = reference_case(name, monkeypatch)
+            inst, b, qos, solver = reference_case(name)
             reports.append(solver(inst, b, qos))
         assert sum(r.jumps for r in reports) == len(accepted) > 0
         assert min(tried) >= 2
@@ -461,7 +460,7 @@ class TestJump:
         def failing(*args):
             raise AssertionError("jump tried")
 
-        inst, b, qos, solver = reference_case("3x3-601-5-zf", monkeypatch)
+        inst, b, qos, solver = reference_case("3x3-601-5-zf")
         want = solver(inst, b, qos)
         assert want.cycles <= 2
         monkeypatch.setattr(robustpl.descent, "_try_jump", failing)
@@ -515,7 +514,7 @@ class CurveOracle:
 
     def __init__(self, curve, p, k, floor=FLOOR, width=DELTA):
         self.curve, self.p, self.k, self.probes = curve, p.copy(), k, []
-        self.floor, self.width = np.full(p.size, floor), width
+        self.floor, self.width = np.full(p.size, floor), np.full(p.size, width)
 
     def __call__(self, powers, j):
         assert j == self.k
@@ -626,6 +625,28 @@ class TestSolveGeneral:
         assert report.solved
         assert np.all(report.per_user_prob >= 0.95)
 
+    @pytest.mark.parametrize("epsilon", [1e-3, 1e-4, 1e-6])
+    @pytest.mark.parametrize("gamma_db", [0.0, 5.0])
+    def test_small_epsilon_lands_in_its_own_band(self, gamma_db, epsilon):
+        # the README quickstart's channels: each user's certified value
+        # +- its bound lies in [1 - eps, 1 - eps + eps/50], and the bound
+        # resolves the band (an absolute band 1e-3 or tolerance 1e-8 does not)
+        from robustpl import draw_estimate, generate_rayleigh_channels, uplink_error_variance
+
+        h = generate_rayleigh_channels(n_tx=3, n_users=3, rng_seed=7)
+        est, cov = draw_estimate(h, uplink_error_variance(0.01, 1, 4.99), np.random.default_rng(8))
+        inst = ScenarioInstance(true_channels=h, est_channels=est, error_cov=cov,
+                                noise_var=np.full(3, 0.01))
+        b, qos = build_zf(est), QoSSpec.from_db(gamma_db, epsilon, 3)
+        report = solve_general(inst, b, qos)
+        assert report.status is SolveStatus.SOLVED
+        oracle, width = OutageOracle(inst, b, qos), epsilon / 50
+        for k in range(3):
+            value, bound = oracle.read(report.powers.powers, k)
+            assert value == report.per_user_prob_exact[k]
+            assert 1.0 - epsilon <= value - bound <= value + bound <= 1.0 - epsilon + width
+            assert bound < width / 8
+
 
 COUNTS = ("cycles", "bisection_steps", "doublings", "jumps", "raises", "integral_evals")
 
@@ -667,7 +688,7 @@ class TestWarmStart:
         saddle, exact = runs[0][2], runs[1][2]
         assert saddle.solved and np.array_equal(runs[1][1].powers, saddle.powers.powers)
         # the saddlepoint band is centred in the true one
-        floor, delta = 1.0 - qos.epsilon, DescentConfig.delta_min
+        floor, delta = 1.0 - qos.epsilon, qos.epsilon / 50
         assert np.all(saddle.per_user_prob >= floor + delta / 4)
         assert np.all(saddle.per_user_prob <= floor + 3 * delta / 4)
         same_point(report, exact)
@@ -796,24 +817,25 @@ class TestWarmStart:
         for name in COUNTS:
             assert getattr(report, name) == getattr(runs[0][2], name), name
 
-    def test_saddlepoint_band_follows_the_class_constant(self, monkeypatch):
-        monkeypatch.setattr(DescentConfig, "delta_min", 2e-4)
-        inst, b, qos = make_zf_setup(9)
+    def test_saddlepoint_band_follows_epsilon(self):
+        # eps = 0.01: the exact band is [0.99, 0.9902], the saddlepoint's its middle half
+        inst, b, qos = make_zf_setup(9, epsilon=0.01)
         saddle = SaddlepointOracle(inst, b, qos)
-        assert (saddle.width, saddle.margin) == (1e-4, 5e-5)
+        assert np.array_equal(saddle.width, np.full(3, 1e-4))
+        assert np.array_equal(saddle.margin, np.full(3, 5e-5))
         assert np.array_equal(saddle.floor, 1.0 - qos.epsilon + 5e-5)
 
     def test_saddlepoint_ray_limit_is_the_exact_one_against_its_floors(self):
         # the exact ray limits of this hopeless point are certified
         inst, b, qos = make_zf_setup(105, sigma_e2=0.5, gamma_db=10.0)
         exact, saddle = OutageOracle(inst, b, qos), SaddlepointOracle(inst, b, qos)
-        margin = DescentConfig.delta_min / 4
+        margin = qos.epsilon / 200
         assert np.array_equal(saddle.floor, exact.floor + margin)
         assert not saddle.hopeless
         for p in (np.ones(3), qos.gamma * 0.01, np.array([1e3, 1.0, 1e-3])):
             for k in range(3):
                 limit = exact.ray_limit(p, k)
-                assert saddle.ray_limit(p, k) == limit + margin
+                assert saddle.ray_limit(p, k) == limit + margin[k]
                 assert saddle.hopeless == (limit < exact.floor[k])
         assert saddle.evals == exact.evals == 9  # one counted quadrature each
 
@@ -1153,12 +1175,12 @@ def eager_descent(oracle, beamformer, qos, p_start):
     user at the point tried."""
     norms2 = np.sum(np.abs(beamformer.columns) ** 2, axis=0)
     floor = 1.0 - qos.epsilon
-    delta = DescentConfig.delta_min
+    delta = oracle.width
     p, doublings, order, checked = p_start.copy(), 0, list(range(p_start.size)), set()
     while True:
         probs = np.array([oracle(p, k) for k in range(p.size)])
         feasible = bool(np.all(probs >= floor))
-        hopeless = doublings >= MAX_DOUBLINGS or np.dot(p, norms2) > POWER_CAP
+        hopeless = doublings >= MAX_DOUBLINGS or np.dot(p, norms2) > oracle.cap
         # the first user below its floor, in the order of the last round's
         # failing user first, gets its ray limit once from the first doubling on
         k = next((j for j in order if probs[j] < floor[j]), None)
@@ -1202,10 +1224,17 @@ def eager_descent(oracle, beamformer, qos, p_start):
                 doublings=doublings, jumps=jumps, per_user_prob=probs, evals=oracle.evals)
 
 
-def reference_case(name, monkeypatch):
+def narrowed(oracle):
+    """The oracle with every user's band narrowed to 1e-17, below the
+    achievable power resolution, so that its descent stalls."""
+    oracle.width = np.full(oracle.floor.size, 1e-17)
+    return oracle
+
+
+def reference_case(name):
     """(instance, beamformer, qos, solver) of a named case, the solver the
     exact engine (``exact_descent``) or the surrogate descent; the "stall"
-    case narrows the band ``DescentConfig.delta_min`` through monkeypatch."""
+    case's engine runs on a ``narrowed`` oracle."""
     from robustpl import build_pcsi_directions, build_rci
 
     if name.startswith("3x3"):
@@ -1222,7 +1251,7 @@ def reference_case(name, monkeypatch):
         "stall": lambda: make_zf_setup(9),
     }.get(name, lambda: make_zf_setup(613))()
     if name == "stall":
-        monkeypatch.setattr(DescentConfig, "delta_min", 1e-17)
+        return inst, b, qos, lambda *problem: _run_descent(narrowed(OutageOracle(*problem)))
     solver = solve_zf_coord_descent if name == "surrogate" else exact_descent
     return inst, b, qos, solver
 
@@ -1234,10 +1263,12 @@ REFERENCE_CASES = ([f"3x3-{seed}-{g}-{d}" for seed in (601, 602) for g in (0, 5,
 
 class TestLazyEvaluation:
     @pytest.mark.parametrize("name", REFERENCE_CASES)
-    def test_matches_eager_reference(self, name, monkeypatch):
-        inst, b, qos, solver = reference_case(name, monkeypatch)
+    def test_matches_eager_reference(self, name):
+        inst, b, qos, solver = reference_case(name)
         oracle = (SurrogateOracle(inst, b, qos) if solver is solve_zf_coord_descent
                   else OutageOracle(inst, b, qos))
+        if name == "stall":
+            narrowed(oracle)
         # the solver's own start: the model start, else the PCSI ray
         p_start = _model_start(oracle) if oracle.model_root else None
         if p_start is None:
@@ -1263,10 +1294,10 @@ class TestLazyEvaluation:
     def test_every_exit_reports_fresh_probabilities(self, name, status, monkeypatch):
         import robustpl.descent
 
-        inst, b, qos, _ = reference_case(name, monkeypatch)
+        inst, b, qos, solver = reference_case(name)
         if name == "cycle-limit":
             monkeypatch.setattr(robustpl.descent, "MAX_CYCLES", 1)
-        report = exact_descent(inst, b, qos)
+        report = solver(inst, b, qos)
         assert report.status is status
         if name == "cycle-limit":
             assert report.cycles == 1
@@ -1300,3 +1331,25 @@ class TestUnitOfPower:
                     assert scaled.status is plain.status is SolveStatus.SOLVED
                     assert np.allclose(scaled.powers.powers / c, plain.powers.powers,
                                        rtol=1e-12, atol=0.0)
+
+    def test_scaling_the_noise_moves_no_trial_record(self):
+        # run_trial on six desk-style trials at noise 0.01 and 0.01 * 2^-40:
+        # the cap 1e8 max sigma^2 scales with the noise, so rows that end at
+        # the cap (ZF-CoordUpdate's diverged ones, a model start past it) end
+        # alike, and only the powers scale
+        from robustpl.bench import run_trial
+
+        c = 2.0 ** -40
+        rows = []
+        for sigma2 in (0.01, 0.01 * c):
+            config = ExperimentConfig(
+                n_tx=3, n_users=3, n_trials=6, seed=20240817, sigma2=sigma2, sigma_e2=(0.002,),
+                methods=("PCSI-General", "ZF-General", "ZF-CoordDescent", "ZF-CoordUpdate"),
+                gamma_db=(0.0, 5.0, 10.0))
+            rows.append([rec for trial in range(6) for rec in run_trial(config, trial)])
+        assert len(rows[0]) == len(rows[1]) == 72
+        for plain, scaled in zip(*rows):
+            for name in ("method", "gamma_db", "trial", "status", "success", "cycles",
+                         "bisection_steps", "integral_evals"):
+                assert getattr(scaled, name) == getattr(plain, name), (plain, name)
+            assert scaled.total_power / c == pytest.approx(plain.total_power, rel=1e-12, abs=0.0)

@@ -46,3 +46,24 @@ def test_every_tracer_only_import_is_traced():
     marked = tracer_only_imports()
     assert len(marked) >= 1
     assert [pair for pair in marked if pair not in traced] == []
+
+
+def workload_epsilon() -> float:
+    """``EPSILON`` of perfbench/workloads.py, read without importing it."""
+    tree = ast.parse((ROOT / "perfbench" / "workloads.py").read_text())
+    (value,) = [node.value for node in tree.body if isinstance(node, ast.Assign)
+                and [getattr(t, "id", None) for t in node.targets] == ["EPSILON"]]
+    return ast.literal_eval(value)
+
+
+def test_benchmark_band_check_is_the_solvers_band():
+    # perfbench's exact-library check reads DescentConfig.delta_min as the band
+    # width, while every solver derives its band from eps: at the workloads'
+    # eps the two must agree
+    from robustpl import DescentConfig, OutageOracle
+
+    from conftest import make_zf_setup
+
+    epsilon = workload_epsilon()
+    oracle = OutageOracle(*make_zf_setup(9, epsilon=epsilon))
+    assert [float(w) for w in oracle.width] == [DescentConfig.delta_min] * 3

@@ -9,7 +9,6 @@ import robustpl.zf
 from robustpl import (
     ApproximationInapplicable,
     DegenerateSpectrum,
-    DescentConfig,
     PowerAllocation,
     QoSSpec,
     ScenarioInstance,
@@ -26,7 +25,7 @@ from robustpl import (
     solve_zf_coord_descent,
     solve_zf_coord_update,
 )
-from robustpl.descent import POWER_CAP, _run_descent
+from robustpl.descent import _run_descent
 from robustpl.zf import FEASIBILITY_SLACK, ROUNDING_TOL, _step_from_spectrum
 
 from conftest import make_instance, make_zf_setup, uncounted_read
@@ -444,11 +443,11 @@ class TestCoordUpdate:
 
     def test_growing_powers_end_diverged(self):
         # no fixed point at 10 dB: the powers grow geometrically (to 1.2e31
-        # over 50 cycles without the cap), so the loop stops past POWER_CAP
+        # over 50 cycles without the cap), so the loop stops past the cap 1e6
         inst, b, qos = make_zf_setup(10, gamma_db=10.0)
         report = solve_zf_coord_update(inst, b, qos)
         assert report.status is SolveStatus.DIVERGED
-        assert POWER_CAP < report.total_power
+        assert SurrogateOracle(inst, b, qos).cap == 1e6 < report.total_power
         assert report.cycles < 50
         assert not np.all(report.per_user_prob >= 0.95 - 1e-6)
 
@@ -458,21 +457,22 @@ class TestCoordUpdate:
         inst, b, qos = identity_channel_setup(sigma_e2=0.05, gamma_db=25.0)
         report = solve_zf_coord_update(inst, b, qos)
         assert report.status is SolveStatus.DIVERGED
-        assert POWER_CAP < report.total_power
+        assert SurrogateOracle(inst, b, qos).cap < report.total_power
         assert report.integral_evals < 114
 
-    def test_fallback_step_lands_in_band(self, monkeypatch):
+    def test_fallback_step_lands_in_band(self):
         # identity channels give a doubly degenerate spectrum: the step
-        # doubles and bisects on the surrogate oracle into the band
-        # DescentConfig.delta_min (at 1e-3 it lands 5.4e-5 above the floor)
+        # doubles and bisects on the surrogate oracle into its band, eps/50
+        # (at 1e-3 it lands 5.4e-5 above the floor) or one set narrower
         inst, b, qos = identity_channel_setup()
         surrogate = SurrogateOracle(inst, b, qos)
         p_prev = PowerAllocation(powers=qos.gamma * 0.01)
         with pytest.raises(DegenerateSpectrum):
             residue_probability(surrogate.spectrum(p_prev.powers, 0),
                                 float(p_prev.powers[0]), float(surrogate.gamma_prime[0]), 0.01)
+        assert np.array_equal(surrogate.width, np.full(3, 1e-3))
         for delta in (1e-3, 4e-5):
-            monkeypatch.setattr(DescentConfig, "delta_min", delta)
+            surrogate.width = np.full(3, delta)
             for k in range(3):
                 trial = p_prev.powers.copy()
                 trial[k] = surrogate.step(p_prev.powers, k)
@@ -507,7 +507,7 @@ def eager_coord_update(inst, b, qos):
     probs = np.array([prob(p, k) for k in range(n)])
     cycles = steps = 0
     while (not np.all(probs >= floor) and cycles < robustpl.zf.MAX_CYCLES
-           and np.dot(p, prob.norms2) <= POWER_CAP):
+           and np.dot(p, prob.norms2) <= prob.cap):
         cycles += 1
         p_prev, before = p.copy(), prob.evals
         for k in range(n):
@@ -518,7 +518,7 @@ def eager_coord_update(inst, b, qos):
             break
     if np.all(probs >= floor):
         status = SolveStatus.SOLVED
-    elif np.dot(p, prob.norms2) > POWER_CAP:
+    elif np.dot(p, prob.norms2) > prob.cap:
         status = SolveStatus.DIVERGED
     else:
         status = SolveStatus.CYCLE_LIMIT
