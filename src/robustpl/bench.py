@@ -71,8 +71,9 @@ class ExperimentConfig:
         if self.sigma_e2 is not None:
             object.__setattr__(self, "sigma_e2",
                                tuple(float(s) for s in self.sigma_e2))
-        if not self.methods:
-            raise ValueError("methods must be non-empty")
+        for field in ("methods", "gamma_db", "sigma_e2"):
+            if getattr(self, field) == ():
+                raise ValueError(f"{field} must be non-empty")
         for name in self.methods:
             if name not in METHODS:
                 raise ValueError(f"unknown method {name!r}")

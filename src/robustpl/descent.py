@@ -65,7 +65,7 @@ class SolveReport:
     two coincide for the exact solver).  ``integral_evals`` counts oracle
     evaluations: quadratures for the exact solver, residue evaluations for
     the surrogate solvers.  ``jumps`` counts the accepted ``_try_jump``
-    points and ``raises`` the single-user raises of a warm start; like
+    points and ``raises`` the single-user raises of an exact stage; like
     ``doublings`` neither is a records column.
     """
 
@@ -102,14 +102,14 @@ class OutageOracle:
     that ``build_outage_form`` computes from scratch, and ``minus_qs`` every
     user's -Q in one stack.  ``read``, the one counted evaluation and the
     only place ``evals`` rises, returns (value, bound); ``oracle(powers, k)``
-    and ``ray_limit`` go through it.  ``exact`` and ``exact_all`` evaluate the
+    and ``ray_limit`` go through it.  ``exact_all`` evaluates every user's
     exact probability uncounted, and ``slope``, the one slope source, is
-    ``saddlepoint_cdf``'s dP/dp_k, uncounted, which only a warm start's
+    ``saddlepoint_cdf``'s dP/dp_k, uncounted, which only the exact stage's
     single-user raise reads.
     """
     bands = (math.inf, 50)  # eps_k over these: each floor's margin above 1 - eps_k, the band's width
     hopeless = False  # whether the last certified ``ray_limit`` was below its floor
-    raise_budget = 0  # of a start's single-user raises, counted in ``raises`` (warm starts: 2K)
+    raise_budget = 0  # of a start's single-user raises, counted in ``raises`` (exact stages: 2K)
 
     def __init__(self, instance: ScenarioInstance, beamformer: BeamformerMatrix,
                  qos: QoSSpec):
@@ -149,11 +149,8 @@ class OutageOracle:
         minus_c = np.where(np.eye(powers.size, dtype=bool), -(powers / self.gamma), powers)
         return (self.g_mats * minus_c[:, None, :]) @ self.g_herms
 
-    def exact(self, powers: np.ndarray, k: int) -> float:
-        return outage_probability(self.minus_form(powers, k), self.tol[k]).value
-
     def exact_all(self, powers: np.ndarray) -> np.ndarray:
-        """Every user's ``exact`` value, the -Q decomposed by one stacked ``eigh``."""
+        """Every user's exact value, uncounted, the -Q decomposed by one stacked ``eigh``."""
         minus_qs = self.minus_qs(powers)
         eigs = zip(*eigh(minus_qs))
         return np.array([outage_probability((minus_q, a, -float(s2)), tol, eig).value
@@ -223,7 +220,8 @@ class SaddlepointOracle(OutageOracle):
     (where it is None, and at other noise, a counted quadrature), its floors ``margin`` = eps_k/200 up and
     its ``width`` eps_k/100: its band [1 - eps_k + eps_k/200, 1 - eps_k + 3 eps_k/200] is centred in the
     exact band of width eps_k/50.  So ``ray_limit`` is the exact one, certified, plus the margin, and a
-    ``hopeless`` give-up on it means that an exact descent from the same start gives up."""
+    ``hopeless`` give-up on it, which ends ``solve_general`` at its first stage, means that an exact
+    descent from the same start gives up; otherwise the exact stage goes on from its last powers."""
 
     bands = (200, 100)
 
@@ -455,16 +453,15 @@ def _run_descent(oracle: OutageOracle, start: PowerAllocation = None):
 
 def solve_general(instance: ScenarioInstance, beamformer: BeamformerMatrix,
                   qos: QoSSpec) -> SolveReport:
-    """Coordinate descent against the exact outage probabilities for any fixed directions from
-    the solution of a descent on ``SaddlepointOracle``, else (none, or none from it) from its own
-    start, counts and times summed; or that descent's certified give-up, with exact probabilities."""
-    runs = [_run_descent(saddle := SaddlepointOracle(instance, beamformer, qos))]
+    """Coordinate descent against the exact outage probabilities for any fixed directions, in two
+    stages, counts and times summed: a descent on ``SaddlepointOracle``, then one exact descent
+    (2K single-user raises) from its last powers, whatever its status; or the first stage's
+    certified give-up, with exact probabilities.  Until it is feasible the first stage only doubles
+    along its start's ray, on which every probability rises (Yates, 1995)."""
+    first = _run_descent(saddle := SaddlepointOracle(instance, beamformer, qos))
     if saddle.hopeless:  # then the exact descent gives up from the same start
-        return replace(runs[0], per_user_prob_exact=saddle.exact_all(runs[0].powers.powers))
-    if runs[0].solved:
-        (warm := OutageOracle(instance, beamformer, qos)).raise_budget = 2 * qos.n_users
-        runs.append(_run_descent(warm, runs[0].powers))
-    if not runs[-1].solved:
-        runs.append(_run_descent(OutageOracle(instance, beamformer, qos)))
-    return replace(runs[-1], **{name: sum(getattr(r, name) for r in runs) for name in (
+        return replace(first, per_user_prob_exact=saddle.exact_all(first.powers.powers))
+    (exact := OutageOracle(instance, beamformer, qos)).raise_budget = 2 * qos.n_users
+    last = _run_descent(exact, first.powers)
+    return replace(last, **{name: getattr(first, name) + getattr(last, name) for name in (
         "cycles", "bisection_steps", "doublings", "jumps", "raises", "integral_evals", "wall_time")})

@@ -81,14 +81,17 @@ GOLDEN = Path(__file__).parent / "data"
 def test_records_match_the_golden_files(desk_scale_records, workload_records, tmp_path):
     """Both sweeps' records hash to the digests of data/records.sha256, and
     the desk sweep's common-subset summary is data/desk_summary.csv.  A change
-    that moves records on purpose updates both files."""
+    that moves records on purpose updates both files; a failure prints the
+    records.sha256 this run would write."""
     header, *lines = (GOLDEN / "records.sha256").read_text().splitlines()
     digests = dict(line.split()[::-1] for line in lines)
-    moved = []
+    moved, written = [], [f"# Python {platform.python_version()}, numpy {np.__version__}, "
+                          f"scipy {scipy.__version__}"]
     for name, (_, records) in (("desk", desk_scale_records), ("workload", workload_records)):
         path = tmp_path / f"{name}.csv"
         export_records(records, path)
-        if hashlib.sha256(path.read_bytes()).hexdigest() != digests[name]:
+        written.append(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {name}")
+        if written[-1].split()[0] != digests[name]:
             moved.append(f"{name} records, written to {path}")
     summary = tmp_path / "desk_summary.csv"
     export_summary(aggregate(desk_scale_records[1], common_subset=True), summary)
@@ -97,8 +100,8 @@ def test_records_match_the_golden_files(desk_scale_records, workload_records, tm
     assert not moved, (
         f"moved: {'; '.join(moved)}.  List the moved rows against the parent "
         f"commit's records with `python3 scripts/records_diff.py OLD.csv NEW.csv`.  "
-        f"Golden files taken with {header.lstrip('# ')}; this run has Python "
-        f"{platform.python_version()}, numpy {np.__version__}, scipy {scipy.__version__}")
+        f"Golden files taken with {header.lstrip('# ')}; this run's records.sha256:\n"
+        + "\n".join(written))
 
 
 def test_criterion_1_residue_quadrature_equivalence():

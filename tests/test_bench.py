@@ -56,8 +56,10 @@ class TestConfig:
         pytest.param("training", {"L_ut": 0, "P_ut": 4.99}, id="training-value6"),
         pytest.param("sigma_e2", [-0.01], id="sigma_e2-value7"),
         pytest.param("sigma_e2", [0.0], id="sigma_e2-zero"),
+        pytest.param("sigma_e2", [], id="sigma_e2-empty"),
         pytest.param("gamma_db", [5.0, float("inf")], id="gamma_db-inf"),
         pytest.param("gamma_db", [float("nan")], id="gamma_db-nan"),
+        pytest.param("gamma_db", [], id="gamma_db-empty"),
         pytest.param("methods", (), id="methods-empty"),
         pytest.param("n_trials", 0, id="n_trials-0"),
         pytest.param("n_tx", -1, id="n_tx--1"),

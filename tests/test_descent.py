@@ -736,72 +736,63 @@ class TestWarmStart:
 
     @pytest.mark.parametrize("case", ["no-estimate-feasible", "hopeless-uncertified"])
     def test_failed_saddlepoint_descent_falls_back_to_the_engine(self, case, monkeypatch):
+        # the saddlepoint descent never gets feasible and doubles to the cap;
+        # the exact stage starts from its last powers
         import robustpl.descent
 
-        if case == "hopeless-uncertified":  # the saddlepoint descent doubles to the cap
+        if case == "hopeless-uncertified":  # the exact descent gives up there too
             inst, b, qos = make_zf_setup(105, sigma_e2=0.5, gamma_db=10.0)
             monkeypatch.setattr(SaddlepointOracle, "ray_limit", lambda self, p, k: None)
-        else:
+        else:  # the saddlepoint reads 0 everywhere, the exact descent solves
             inst, b, qos = make_zf_setup(123)
             monkeypatch.setattr(robustpl.descent, "saddlepoint_cdf",
                                 lambda *args: ProbabilityEstimate(0.0, math.inf))
-        want = exact_descent(inst, b, qos)
         runs = engine_runs(monkeypatch)
         report = solve_general(inst, b, qos)
         assert [(kind, start is None) for kind, start, _ in runs] == [
-            (SaddlepointOracle, True), (OutageOracle, True)]
-        assert not runs[0][2].solved
-        same_point(report, want)
+            (SaddlepointOracle, True), (OutageOracle, False)]
+        (_, _, saddle), (_, start, exact) = runs
+        assert saddle.status is SolveStatus.INFEASIBLE_START_NOT_FOUND
+        assert saddle.total_power > OutageOracle(inst, b, qos).cap
+        assert np.array_equal(start.powers, saddle.powers.powers)
+        same_point(report, exact)
+        if case == "hopeless-uncertified":
+            assert report.status is SolveStatus.INFEASIBLE_START_NOT_FOUND
+            assert np.array_equal(report.powers.powers, saddle.powers.powers)
+            assert exact.doublings == exact.raises == 0
+        else:
+            assert report.solved
+            floor = 1.0 - qos.epsilon
+            assert np.all((floor <= report.per_user_prob_exact)
+                          & (report.per_user_prob_exact <= floor + qos.epsilon / 50))
         for name in COUNTS:
-            assert getattr(report, name) == sum(getattr(r, name) for _, _, r in runs), name
-            assert getattr(report, name) >= getattr(want, name), name
+            assert getattr(report, name) == getattr(saddle, name) + getattr(exact, name), name
 
-    def test_exact_descent_without_a_start_falls_back_to_the_engine(self, monkeypatch):
-        import robustpl.descent
-
-        def overestimating(*args):  # saddlepoint solutions then miss the floor
-            est = saddlepoint_cdf(*args)
-            return est and ProbabilityEstimate(est.raw_value + 0.01, est.abs_error_bound,
-                                               slope=est.slope)
-
-        # no doubling: a start below a floor gives up at once
-        monkeypatch.setattr(robustpl.descent, "MAX_DOUBLINGS", 0)
-        monkeypatch.setattr(robustpl.descent, "saddlepoint_cdf", overestimating)
-        inst, b, qos = make_zf_setup(123)
-        want = exact_descent(inst, b, qos)
-        assert want.solved
-        runs = engine_runs(monkeypatch)
-        report = solve_general(inst, b, qos)
-        assert [(kind, start is None, r.status) for kind, start, r in runs] == [
-            (SaddlepointOracle, True, SolveStatus.SOLVED),
-            (OutageOracle, False, SolveStatus.INFEASIBLE_START_NOT_FOUND),
-            (OutageOracle, True, SolveStatus.SOLVED)]
-        same_point(report, want)
-        for name in COUNTS:
-            assert getattr(report, name) == sum(getattr(r, name) for _, _, r in runs), name
-
-    def test_exact_descent_ending_at_the_cycle_limit_falls_back_to_the_engine(self, monkeypatch):
+    def test_cycle_limited_saddlepoint_descent_continues_exactly(self, monkeypatch):
+        # the exact stage starts from the saddlepoint descent's last powers
+        # whatever its status, so an unsolved end changes nothing
         import robustpl.descent
 
         inst, b, qos = make_zf_setup(123)
-        want = exact_descent(inst, b, qos)
+        want = solve_general(inst, b, qos)
         engine = robustpl.descent._run_descent
 
-        def unsolved_when_warm(oracle, start=None):
+        def cycle_limited(oracle, start=None):
             report = engine(oracle, start)
-            if start is not None:
+            if type(oracle) is SaddlepointOracle:
                 report.status = SolveStatus.CYCLE_LIMIT
             return report
 
-        monkeypatch.setattr(robustpl.descent, "_run_descent", unsolved_when_warm)
+        monkeypatch.setattr(robustpl.descent, "_run_descent", cycle_limited)
         runs = engine_runs(monkeypatch)
         report = solve_general(inst, b, qos)
         assert [(kind, start is None, r.status) for kind, start, r in runs] == [
-            (SaddlepointOracle, True, SolveStatus.SOLVED),
-            (OutageOracle, False, SolveStatus.CYCLE_LIMIT),
-            (OutageOracle, True, SolveStatus.SOLVED)]
+            (SaddlepointOracle, True, SolveStatus.CYCLE_LIMIT),
+            (OutageOracle, False, SolveStatus.SOLVED)]
+        assert np.array_equal(runs[1][1].powers, runs[0][2].powers.powers)
         same_point(report, want)
         for name in COUNTS:
+            assert getattr(report, name) == getattr(want, name), name
             assert getattr(report, name) == sum(getattr(r, name) for _, _, r in runs), name
 
     def test_certified_give_up_returns_the_saddlepoint_descent(self, monkeypatch):
@@ -993,7 +984,7 @@ class TestOutageOracle:
 
     def test_constraint_is_bounded_at_the_noise(self):
         # one counted read: the call is ``read``'s value at sigma_k^2 on
-        # both oracles, and the exact one's is ``exact``'s
+        # both oracles
         inst, b, qos = make_zf_setup(409)
         for oracle in (OutageOracle(inst, b, qos), SurrogateOracle(inst, b, qos)):
             for scale in (0.5, 1.3, 4.0):
@@ -1001,8 +992,6 @@ class TestOutageOracle:
                 for k in range(3):
                     value = oracle(p, k)
                     assert value == uncounted_read(oracle, p, k, float(inst.noise_var[k]))[0]
-                    if type(oracle) is OutageOracle:
-                        assert value == oracle.exact(p, k)
             assert oracle.evals == 9
 
     @pytest.mark.parametrize("n", [3, 6])
@@ -1015,14 +1004,14 @@ class TestOutageOracle:
         for oracle, p, k in solver_forms():
             if len(p) != n:
                 continue
-            value, slope = oracle.exact(p, k), oracle.slope(p, k)
+            value, slope = uncounted_read(oracle, p, k)[0], oracle.slope(p, k)
             if not 0.9 <= value <= 0.99:
                 continue
             step = 1e-3 * p[k]
             up, down = p.copy(), p.copy()
             up[k] += step
             down[k] -= step
-            central = (oracle.exact(up, k) - oracle.exact(down, k)) / (2.0 * step)
+            central = (uncounted_read(oracle, up, k)[0] - uncounted_read(oracle, down, k)[0]) / (2.0 * step)
             assert abs(slope / central - 1.0) <= 0.3
             checked += 1
         assert checked >= 20
@@ -1055,7 +1044,7 @@ class TestOutageOracle:
                 lam, vecs = np.linalg.eigh(minus_q)
                 mu, s2 = _moments(lam.tolist(), (np.abs(vecs.conj().T @ a) ** 2).tolist())
                 assert (tau - mu) / math.sqrt(s2) == pytest.approx(z, rel=1e-9)
-                assert abs(oracle.exact(at, k) - aim) <= 0.05
+                assert abs(uncounted_read(oracle, at, k)[0] - aim) <= 0.05
                 # the model's z-score rises towards n1 / sqrt(K_kk) as p_k grows,
                 # so an aim past that limit has no root
                 n1 = oracle.lin[k, k]

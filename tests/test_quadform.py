@@ -371,6 +371,49 @@ def trapezoid_nodes(spectrum, tau, tol):
     return est, sum(nodes)
 
 
+def gil_pelaez(spectrum, tau):
+    """(F(tau), its error estimate) by the Gil-Pelaez inversion on the real line,
+    F(tau) = 1/2 - (1/pi) int_0^inf Im[e^{-i t tau} phi(t)] / t dt, with phi(t) =
+    prod_j exp(i t lam_j |z~_j|^2 / (1 - i t lam_j)) / (1 - i t lam_j), integrated
+    by ``scipy.integrate.quad``: no contour, step, cut or rounding model of
+    ``cdf_quadrature`` enters it."""
+    from scipy.integrate import quad
+
+    lam, zt2 = (np.asarray(x, dtype=float) for x in spectrum)
+
+    def integrand(t):
+        d = 1.0 - 1j * t * lam
+        return (np.exp(np.sum(1j * t * lam * zt2 / d) - 1j * t * tau) / np.prod(d)).imag / t
+
+    value, error = quad(integrand, 0.0, np.inf, limit=500, epsabs=1e-12, epsrel=1e-12)
+    return 0.5 - value / math.pi, error / math.pi
+
+
+class TestGilPelaezReference:
+    def test_solver_forms_within_their_bounds(self):
+        # the 96 forms of solver_forms(); the worst |value - ref| / (bound +
+        # estimate) was 0.026
+        checked = 0
+        for oracle, p, k in solver_forms():
+            spectrum, tau, _ = rotate(oracle.minus_form(p, k))
+            est = cdf_quadrature(spectrum, tau, tol=oracle.tol[k])
+            ref, error = gil_pelaez(spectrum, tau)
+            assert error <= 1e-10
+            assert abs(est.value - ref) <= est.abs_error_bound + error
+            checked += 1
+        assert checked == 96
+
+    def test_indefinite_pair_near_zero(self):
+        # eigenvalues (1, -1), z = 0: the difference of two Exp(1) variables,
+        # F(-1e-3) = e^{-0.001} / 2
+        spectrum = (np.array([1.0, -1.0]), np.zeros(2))
+        est = cdf_quadrature(spectrum, -1e-3, tol=1e-10)
+        ref, error = gil_pelaez(spectrum, -1e-3)
+        assert error <= 1e-10
+        assert abs(est.value - ref) <= est.abs_error_bound + error
+        assert abs(ref - 0.5 * math.exp(-1e-3)) <= error + 1e-15
+
+
 class TestWiderStrip:
     def test_node_cap_form_certifies(self):
         # the half-width strip reached the node cap at a bound of 1.013e-8
