@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import numbers
 from dataclasses import dataclass, fields as dc_fields
 
 import numpy as np
@@ -82,15 +83,18 @@ class ExperimentConfig:
         if self.training is not None and set(self.training) != {"L_ut", "P_ut"}:
             raise ValueError("training needs exactly the keys L_ut and P_ut, "
                              f"not {sorted(self.training)}")
-        if self.n_trials < 1 or self.n_tx < 1 or self.n_users < 1:
-            raise ValueError("n_trials, n_tx and n_users must be positive")
+        for field, least in (("n_tx", 1), ("n_users", 1), ("n_trials", 1), ("seed", 0),
+                             ("mc_certify_samples", 0)):
+            value = getattr(self, field)  # a Python or numpy integer, not a bool
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+                raise ValueError(f"{field} must be an integer of at least {least}, not {value!r}")
+        if not self.sigma2 > 0:
+            raise ValueError(f"sigma2 must be positive, not {self.sigma2!r}")
         if not (0 < self.epsilon < 1):
             raise ValueError("epsilon must lie in (0, 1)")
         if not np.all(np.isfinite(self.gamma_db)):
             raise ValueError("gamma_db entries must be finite")
         self.error_variances()  # rejects a nonpositive sigma_e2 or bad training
-        if self.mc_certify_samples < 0:
-            raise ValueError("mc_certify_samples must be nonnegative")
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":

@@ -105,11 +105,10 @@ class OutageOracle:
     and ``ray_limit`` go through it.  ``exact_all`` evaluates every user's
     exact probability uncounted, and ``slope``, the one slope source, is
     ``saddlepoint_cdf``'s dP/dp_k, uncounted, which only the exact stage's
-    single-user raise reads.
+    single-user raise reads.  A start and a raise budget are the caller's.
     """
     bands = (math.inf, 50)  # eps_k over these: each floor's margin above 1 - eps_k, the band's width
     hopeless = False  # whether the last certified ``ray_limit`` was below its floor
-    raise_budget = 0  # of a start's single-user raises, counted in ``raises`` (exact stages: 2K)
 
     def __init__(self, instance: ScenarioInstance, beamformer: BeamformerMatrix,
                  qos: QoSSpec):
@@ -122,26 +121,13 @@ class OutageOracle:
         self.g_mats = sqrt_c @ beamformer.columns
         self.g_herms = self.g_mats.conj().transpose(0, 2, 1)  # G_k^H, views
         self.centres = -np.einsum("kij,kj->ki", inv_sqrt_c, instance.est_channels.conj())
-        if self.model_root:
-            # y = G_k^H (x - a_k), b = G_k^H a_k: E|y_j|^2 = lin_j, Cov(|y_i|^2, |y_j|^2) = cov_sq_ij
-            r = np.einsum("kli,klj->kij", self.g_mats.conj(), self.g_mats)
-            b = -(instance.est_channels @ beamformer.columns).conj()
-            self.lin = np.einsum("kjj->kj", r).real + np.abs(b) ** 2
-            self.cov_sq = np.abs(r) ** 2 + 2.0 * np.real(b.conj()[:, :, None] * r * b[:, None, :])
-        self.gamma = qos.gamma
-        self.noise_var = instance.noise_var
-        self.evals = self.raises = 0
-
-    def signed_powers(self, powers: np.ndarray, k: int) -> np.ndarray:
-        """c: p_k / gamma_k at k and -p_j elsewhere."""
-        c = -np.asarray(powers, dtype=float)
-        c[k] = -c[k] / self.gamma[k]
-        return c
+        self.gamma, self.noise_var, self.evals = qos.gamma, instance.noise_var, 0
 
     def minus_form(self, powers: np.ndarray, k: int, sigma2: float = None) -> tuple:
         """(-Q, a, tau) of user k's form at noise sigma2 (None: sigma_k^2)."""
-        c, sigma2 = self.signed_powers(powers, k), self.noise_var[k] if sigma2 is None else sigma2
-        return (self.g_mats[k] * -c) @ self.g_herms[k], self.centres[k], -float(sigma2)
+        minus_c, sigma2 = np.array(powers, dtype=float), self.noise_var[k] if sigma2 is None else sigma2
+        minus_c[k] = -minus_c[k] / self.gamma[k]
+        return (self.g_mats[k] * minus_c) @ self.g_herms[k], self.centres[k], -float(sigma2)
 
     def minus_qs(self, powers: np.ndarray) -> np.ndarray:
         """The (K, n, n) stack of every user's -Q, ``minus_form``'s first entry."""
@@ -188,22 +174,6 @@ class OutageOracle:
         est = saddlepoint_cdf(*rotate(self.minus_form(powers, k), self.direction(k)))
         return est and est.slope
 
-    def model_root(self, powers: np.ndarray, k: int, z: float):
-        """The p_k (others fixed) where the normal model P = Phi((tau - mean) /
-        sd) of user k's form is Phi(z), or None: (n0 + n1 c_k)^2 = z^2 sd^2, as
-        tau - mean = c . lin - sigma_k^2 and sd^2 = c^T K c."""
-        c, cov = self.signed_powers(powers, k), self.cov_sq[k]
-        lin, c[k] = self.lin[k], 0.0
-        n0, n1 = float(c @ lin) - float(self.noise_var[k]), float(lin[k])
-        a, b = n1 * n1 - z * z * cov[k, k], n0 * n1 - z * z * float(cov[k] @ c)
-        q = n0 * n0 - z * z * float(c @ cov @ c)
-        if (disc := b * b - a * q) < 0.0:
-            return None
-        half = -(b + np.copysign(np.sqrt(disc), b))  # the roots are half/a and q/half
-        roots = [x for x in (half / (a or np.nan), q / (half or np.nan))
-                 if x > 0.0 and (n0 + n1 * x) * z >= 0.0]
-        return float(self.gamma[k]) * min(roots) if roots else None
-
     def report(self, status: SolveStatus, p: np.ndarray, probs: np.ndarray,
                t0: float, **counts) -> SolveReport:
         """The solve report at powers p with constraint probabilities probs,
@@ -212,7 +182,7 @@ class OutageOracle:
             status=status, powers=PowerAllocation(powers=p), per_user_prob=probs,
             per_user_prob_exact=probs.copy(),
             total_power=float(np.dot(p, self.norms2)), integral_evals=self.evals,
-            raises=self.raises, wall_time=time.perf_counter() - t0, **counts)
+            wall_time=time.perf_counter() - t0, **counts)
 
 
 class SaddlepointOracle(OutageOracle):
@@ -259,17 +229,42 @@ class _LazyProbs:
         return np.array([self[k] for k in range(self.p.size)])
 
 
+def _model_root(powers: np.ndarray, k: int, z: float, lin: np.ndarray, cov: np.ndarray,
+                sigma2: float, gamma: float):
+    """The p_k (others fixed) where the normal model P = Phi((tau - mean) /
+    sd) of user k's form is Phi(z), or None: (n0 + n1 c_k)^2 = z^2 sd^2, as
+    tau - mean = c . lin - sigma2 and sd^2 = c^T K c (K = cov), c the signed powers."""
+    c = -np.asarray(powers, dtype=float)
+    c[k] = 0.0
+    n0, n1 = float(c @ lin) - sigma2, float(lin[k])
+    a, b = n1 * n1 - z * z * cov[k, k], n0 * n1 - z * z * float(cov[k] @ c)
+    q = n0 * n0 - z * z * float(c @ cov @ c)
+    if (disc := b * b - a * q) < 0.0:
+        return None
+    half = -(b + np.copysign(np.sqrt(disc), b))  # the roots are half/a and q/half
+    roots = [x for x in (half / (a or np.nan), q / (half or np.nan))
+             if x > 0.0 and (n0 + n1 * x) * z >= 0.0]
+    return gamma * min(roots) if roots else None
+
+
 def _model_start(oracle: OutageOracle):
-    """The moment model's fixed point, uncounted: Gauss-Seidel from p = 0 on
-    ``model_root`` at aims 1 - START_AIM eps_k, for START_ROUNDS rounds or until
-    no power moves by over START_RTOL relative; None once a root is missing or
-    the total power passes the oracle's ``cap``."""
+    """The moment model's fixed point, uncounted, on moments built here and
+    kept nowhere: Gauss-Seidel from p = 0 on ``_model_root`` at aims 1 -
+    START_AIM eps_k, for START_ROUNDS rounds or until no power moves by over
+    START_RTOL relative; None once a root is missing or the total power
+    passes the oracle's ``cap``."""
+    # y = G_k^H (x - a_k), b = G_k^H a_k: E|y_j|^2 = lin_j, Cov(|y_i|^2, |y_j|^2) = cov_sq_ij
+    r = np.einsum("kli,klj->kij", oracle.g_mats.conj(), oracle.g_mats)
+    b = -(oracle.instance.est_channels @ oracle.beamformer.columns).conj()
+    lin = np.einsum("kjj->kj", r).real + np.abs(b) ** 2
+    cov_sq = np.abs(r) ** 2 + 2.0 * np.real(b.conj()[:, :, None] * r * b[:, None, :])
     z = [NormalDist().inv_cdf(1.0 - START_AIM * e) for e in oracle.qos.epsilon]
     p = np.zeros(len(z))
     for _ in range(START_ROUNDS):
         before = p.copy()
         for k in range(p.size):
-            p[k] = oracle.model_root(p, k, z[k]) or np.nan  # a root is positive
+            p[k] = _model_root(p, k, z[k], lin[k], cov_sq[k], float(oracle.noise_var[k]),
+                               float(oracle.gamma[k])) or np.nan  # a root is positive
             if not np.dot(p, oracle.norms2) <= oracle.cap:
                 return None
         if np.all(np.abs(p - before) <= START_RTOL * p):
@@ -277,38 +272,39 @@ def _model_start(oracle: OutageOracle):
     return p
 
 
-def _find_feasible_start(oracle: OutageOracle, p_init: np.ndarray):
+def _find_feasible_start(oracle: OutageOracle, p_init: np.ndarray, raise_budget: int = 0):
     """Raise powers until every user meets its probability floor.
 
     A round stops at its first user below the floor, which the next round
     tests first, so only the passing round and the give-up exit evaluate
-    every user.  Within the oracle's ``raise_budget`` that user's power alone
-    rises (only lowering the others' probabilities) by a Newton step on its
-    logit from the value just read, with the uncounted ``slope``, toward
-    floor + width/8, to at most 2 p_k; past it all powers double.  After a
-    doubling, a user first found below its floor gets one ``ray_limit``: one
-    below the floor gives up at once.  Returns the ``_LazyProbs`` at the last
-    powers, doublings and feasible.  The ``cap`` counts on the total power.
+    every user.  For the first ``raise_budget`` rounds that user's power
+    alone rises (only lowering the others' probabilities) by a Newton step
+    on its logit from the value just read, with the uncounted ``slope``,
+    toward floor + width/8, to at most 2 p_k; after them all powers double.
+    After a doubling, a user first found below its floor gets one
+    ``ray_limit``: one below the floor gives up at once.  Returns the
+    ``_LazyProbs`` at the last powers, doublings, raises and feasible.  The
+    ``cap`` counts on the total power.
     """
     probs = _LazyProbs(oracle, p_init.copy())
-    order, doublings, checked = list(range(p_init.size)), 0, set()
+    order, doublings, raises, checked = list(range(p_init.size)), 0, 0, set()
     while (k := probs.first_failing(lambda k, q: q >= oracle.floor[k], order)) is not None:
         hopeless = doublings >= MAX_DOUBLINGS or np.dot(probs.p, oracle.norms2) > oracle.cap
         if not hopeless and doublings and k not in checked:
             checked.add(k)
             hopeless = (limit := oracle.ray_limit(probs.p, k)) is not None and limit < oracle.floor[k]
         if hopeless:
-            return probs, doublings, False
+            return probs, doublings, raises, False
         order = [k] + [j for j in order if j != k]
-        if oracle.raises < oracle.raise_budget:
+        if raises < raise_budget:
             pk, slope = probs.p[k], oracle.slope(probs.p, k)
             x = _newton(pk, probs.values[k], slope, oracle.floor[k] + oracle.width[k] / 8) or math.inf
-            probs.p[k], oracle.raises = min(x, 2.0 * pk), oracle.raises + 1
+            probs.p[k], raises = min(x, 2.0 * pk), raises + 1
         else:
             probs.p *= 2.0
             doublings += 1
         probs.stale[:] = True
-    return probs, doublings, True
+    return probs, doublings, raises, True
 
 
 def _logit(q: float):
@@ -392,11 +388,12 @@ def _try_jump(oracle: OutageOracle, probs: _LazyProbs, p_prev: np.ndarray,
     return jumped if jumped.first_failing(lambda k, v: v >= oracle.floor[k], order) is None else None
 
 
-def _run_descent(oracle: OutageOracle, start: PowerAllocation = None):
+def _run_descent(oracle: OutageOracle, start: np.ndarray, raise_budget: int = 0):
     """The shared engine on a fresh oracle (its ``evals`` are the report's):
-    start from ``start``, else ``_model_start``, else ``init_powers_pcsi``;
-    raise to a feasible start (``_find_feasible_start``); then search each
-    user's power cyclically into the band of the oracle's ``width``.
+    start from the caller's powers ``start``, or on the ``init_powers_pcsi``
+    ray where it is None; raise to a feasible start (``_find_feasible_start``,
+    with ``raise_budget`` single-user raises); then search each user's power
+    cyclically into the band of the oracle's ``width``.
     ``infeasible_start_not_found`` means the doubling from that one point met
     the oracle's ``cap`` or ``MAX_DOUBLINGS`` first, or a user's certified
     ray limit is below its floor; no other start is tried.
@@ -412,12 +409,11 @@ def _run_descent(oracle: OutageOracle, start: PowerAllocation = None):
     """
     t0 = time.perf_counter()
     qos, floor, width, n_users = oracle.qos, oracle.floor, oracle.width, oracle.qos.n_users
-    p_init = start.powers if start is not None else oracle.model_root and _model_start(oracle)
-    if p_init is None:  # no model, or no model start: the PCSI ray
-        p_init = init_powers_pcsi(oracle.instance.est_channels, oracle.beamformer, qos,
-                                  oracle.instance.noise_var).powers
+    if start is None:
+        start = init_powers_pcsi(oracle.instance.est_channels, oracle.beamformer, qos,
+                                 oracle.instance.noise_var).powers
 
-    probs, doublings, feasible = _find_feasible_start(oracle, p_init)
+    probs, doublings, raises, feasible = _find_feasible_start(oracle, start, raise_budget)
     p = probs.p
     bisect_steps = cycles = jumps = 0
     stalled, totals = False, []
@@ -447,21 +443,21 @@ def _run_descent(oracle: OutageOracle, start: PowerAllocation = None):
         # resolution (near-deterministic constraints)
         stalled = np.max(np.abs(p - p_before)) <= 1e-12 * float(np.max(p))
 
-    return oracle.report(status, p, probs.complete(), t0, cycles=cycles,
-                         bisection_steps=bisect_steps, doublings=doublings, jumps=jumps)
+    return oracle.report(status, p, probs.complete(), t0, cycles=cycles, bisection_steps=bisect_steps,
+                         doublings=doublings, jumps=jumps, raises=raises)
 
 
 def solve_general(instance: ScenarioInstance, beamformer: BeamformerMatrix,
                   qos: QoSSpec) -> SolveReport:
     """Coordinate descent against the exact outage probabilities for any fixed directions, in two
-    stages, counts and times summed: a descent on ``SaddlepointOracle``, then one exact descent
-    (2K single-user raises) from its last powers, whatever its status; or the first stage's
-    certified give-up, with exact probabilities.  Until it is feasible the first stage only doubles
-    along its start's ray, on which every probability rises (Yates, 1995)."""
-    first = _run_descent(saddle := SaddlepointOracle(instance, beamformer, qos))
+    stages, counts and times summed: a descent on ``SaddlepointOracle`` from ``_model_start`` (the
+    PCSI ray where the model has no start), then one exact descent with 2K single-user raises from
+    its last powers, whatever its status; or the first stage's certified give-up, with exact
+    probabilities.  Until it is feasible the first stage only doubles along its start's ray, on
+    which every probability rises (Yates, 1995).  ``wall_time`` leaves out the model start."""
+    first = _run_descent(saddle := SaddlepointOracle(instance, beamformer, qos), _model_start(saddle))
     if saddle.hopeless:  # then the exact descent gives up from the same start
         return replace(first, per_user_prob_exact=saddle.exact_all(first.powers.powers))
-    (exact := OutageOracle(instance, beamformer, qos)).raise_budget = 2 * qos.n_users
-    last = _run_descent(exact, first.powers)
+    last = _run_descent(OutageOracle(instance, beamformer, qos), first.powers.powers, 2 * qos.n_users)
     return replace(last, **{name: getattr(first, name) + getattr(last, name) for name in (
         "cycles", "bisection_steps", "doublings", "jumps", "raises", "integral_evals", "wall_time")})

@@ -170,12 +170,11 @@ def _moments(lam, zt2):
 def _chernoff_screen(lam, zt2, tau, mu, s2):
     """A lower bound, less a rounding margin, on min h (-inf: none), h =
     _log_mag with log_weight 0: min e^h over admissible beta > 0 is the
-    Chernoff bound on Pr(Y <= tau), Y with mean mu and variance s2.  h is
-    convex, h(0) = 0 and h'(0) = tau - mu, so h lies above its tangents at 0
-    and at b1 = min((mu - tau)/s2, cap/2) (or any b1 in (0, cap)), and the
-    sign of b1 h'(b1) = u - v puts the minimizer between b1 and 0 or cap."""
-    if tau >= mu:
-        return 0.0  # the minimum is h(0)
+    Chernoff bound on Pr(Y <= tau), Y with mean mu > tau (the caller's side
+    of the mean) and variance s2.  h is convex, h(0) = 0 and h'(0) = tau -
+    mu, so h lies above its tangents at 0 and at b1 = min((mu - tau)/s2,
+    cap/2) (or any b1 in (0, cap)), and the sign of b1 h'(b1) = u - v puts
+    the minimizer between b1 and 0 or cap."""
     cap = -1.0 / min(lam) if min(lam) < 0 else math.inf
     b1 = max(min((mu - tau) / s2, 0.5 * cap), math.ulp(0.0))
     u, _, v, _, _ = _log_mag_parts(b1, lam, zt2, tau, 0.0)
@@ -344,8 +343,8 @@ def cdf_quadrature(spectrum: tuple, tau: float, tol: float = QUAD_TOL) -> Probab
         return _exact(1.0)
 
     # Chernoff bounds certify deep tails, minimized only where the screen lets
-    # them reach floor: the tail on tau's side of the mean (the other screens
-    # to 0 > floor); the right tail is the left one of (-lam, -tau)
+    # them reach floor: the tail on tau's side of the mean (the other's minimum
+    # is h(0) = 0 > floor); the right tail is the left one of (-lam, -tau)
     mu, s2 = _moments(lam_l, zt2_l)
     if not (math.isfinite(mu) and math.isfinite(s2)):
         raise ValueError("the form's mean or variance is not finite")

@@ -178,10 +178,9 @@ class SurrogateOracle(OutageOracle):
     certifies the returned powers with ``exact_all``.  ``spectra``
     decomposes every user at one power vector in one stacked call, kept
     (``last_read``) for ``spectrum`` at those powers; other reads decompose
-    one matrix.
+    one matrix.  Its solvers choose its start: ``solve_zf_coord_descent``
+    the PCSI ray, ``solve_zf_coord_update`` the closed-form ``start``.
     """
-
-    model_root = None  # the descent starts on the PCSI ray
 
     def __init__(self, instance: ScenarioInstance, beamformer: BeamformerMatrix,
                  qos: QoSSpec, eta_multiple: float = DEFAULT_ETA_MULTIPLE):
@@ -279,9 +278,10 @@ def solve_zf_coord_descent(instance: ScenarioInstance,
                            eta_multiple: float = DEFAULT_ETA_MULTIPLE) -> SolveReport:
     """Coordinate descent with the residue surrogate in place of the exact
     integral; the exact probabilities of the returned powers are certified by
-    quadrature and reported alongside the surrogate ones.
+    quadrature and reported alongside the surrogate ones.  The descent starts
+    on the perfect-CSI ray (``init_powers_pcsi``), without single-user raises.
     """
-    return _run_descent(SurrogateOracle(instance, beamformer, qos, eta_multiple))
+    return _run_descent(SurrogateOracle(instance, beamformer, qos, eta_multiple), None)
 
 
 def solve_zf_coord_update(instance: ScenarioInstance,

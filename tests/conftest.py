@@ -1,4 +1,5 @@
 import contextlib
+import math
 from unittest import mock
 
 import numpy as np
@@ -45,10 +46,28 @@ def solver_forms():
         inst, b, qos = make_zf_setup(seed, n_tx=n, n_users=n)
         for beamformer in (b, build_rci(inst.est_channels, n * 0.01)):
             oracle = OutageOracle(inst, beamformer, qos)
-            p = robustpl.descent._run_descent(oracle).powers.powers
+            p = robustpl.descent._run_descent(oracle, robustpl.descent._model_start(oracle)).powers.powers
             for k in range(n):
                 for scale in (1.0, 1.05, 1.2, 1.5):
                     yield oracle, p * np.where(np.arange(n) == k, scale, 1.0), k
+
+
+def gil_pelaez(spectrum, tau):
+    """(F(tau), its error estimate) by the Gil-Pelaez inversion on the real line,
+    F(tau) = 1/2 - (1/pi) int_0^inf Im[e^{-i t tau} phi(t)] / t dt, with phi(t) =
+    prod_j exp(i t lam_j |z~_j|^2 / (1 - i t lam_j)) / (1 - i t lam_j), integrated
+    by ``scipy.integrate.quad``: no contour, step, cut or rounding model of
+    ``cdf_quadrature`` enters it."""
+    from scipy.integrate import quad
+
+    lam, zt2 = (np.asarray(x, dtype=float) for x in spectrum)
+
+    def integrand(t):
+        d = 1.0 - 1j * t * lam
+        return (np.exp(np.sum(1j * t * lam * zt2 / d) - 1j * t * tau) / np.prod(d)).imag / t
+
+    value, error = quad(integrand, 0.0, np.inf, limit=500, epsabs=1e-12, epsrel=1e-12)
+    return 0.5 - value / math.pi, error / math.pi
 
 
 @contextlib.contextmanager

@@ -63,13 +63,28 @@ class TestConfig:
         pytest.param("methods", (), id="methods-empty"),
         pytest.param("n_trials", 0, id="n_trials-0"),
         pytest.param("n_tx", -1, id="n_tx--1"),
-        pytest.param("n_users", 0, id="n_users-0")])
+        pytest.param("n_users", 0, id="n_users-0"),
+        pytest.param("mc_certify_samples", 1.5, id="mc_certify_samples-1.5"),
+        pytest.param("mc_certify_samples", True, id="mc_certify_samples-True"),
+        pytest.param("n_trials", 2.5, id="n_trials-2.5"),
+        pytest.param("n_trials", 2.0, id="n_trials-2.0"),
+        pytest.param("n_tx", "3", id="n_tx-str"),
+        pytest.param("n_users", 3.0, id="n_users-3.0"),
+        pytest.param("seed", -1, id="seed--1"),
+        pytest.param("seed", 4.2, id="seed-4.2"),
+        pytest.param("sigma2", 0.0, id="sigma2-0"),
+        pytest.param("sigma2", -0.01, id="sigma2-negative"),
+        pytest.param("sigma2", float("nan"), id="sigma2-nan")])
     def test_rejects_out_of_range_solver_settings(self, field, value):
         overrides = {field: value}
         if field == "sigma_e2":
             overrides["training"] = None  # the two specs are exclusive
         with pytest.raises(ValueError, match=field):
             small_config(**overrides)
+
+    def test_numpy_integers_are_integers(self):
+        cfg = small_config(n_trials=np.int64(2), seed=np.uint32(42), mc_certify_samples=np.int32(0))
+        assert cfg.n_trials == 2 and cfg.seed == 42
 
     def test_json_round_trip_rejects_unknown_keys(self, tmp_path):
         path = tmp_path / "cfg.json"

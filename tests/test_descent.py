@@ -36,7 +36,8 @@ from robustpl.descent import (JUMP_DAMPING, JUMP_RATIO, MAX_BISECT_STEPS, MAX_CY
 
 from robustpl.quadform import ToleranceNotMet, _moments, rotate, saddlepoint_cdf
 
-from conftest import make_instance, make_zf_setup, solver_forms, strict_step_checks, uncounted_read
+from conftest import (gil_pelaez, make_instance, make_zf_setup, solver_forms, strict_step_checks,
+                      uncounted_read)
 
 
 def exact_prob(instance, beamformer, qos, powers, k):
@@ -46,9 +47,27 @@ def exact_prob(instance, beamformer, qos, powers, k):
 
 
 def exact_descent(instance, beamformer, qos):
-    """The exact engine alone: ``solve_general`` without its saddlepoint
-    warm start."""
-    return _run_descent(OutageOracle(instance, beamformer, qos))
+    """The exact engine alone from the model start: ``solve_general``
+    without its saddlepoint warm start."""
+    oracle = OutageOracle(instance, beamformer, qos)
+    return _run_descent(oracle, _model_start(oracle))
+
+
+def model_moments(oracle):
+    """(lin, cov_sq): every user's moments of the normal model, E|y_j|^2 and
+    Cov(|y_i|^2, |y_j|^2) of y = G_k^H (x - a_k), built on the rotated
+    centre b = G_k^H a_k."""
+    b = np.einsum("ki,kij->kj", oracle.centres.conj(), oracle.g_mats).conj()
+    r = np.einsum("kli,klj->kij", oracle.g_mats.conj(), oracle.g_mats)
+    lin = np.einsum("kjj->kj", r).real + np.abs(b) ** 2
+    return lin, np.abs(r) ** 2 + 2.0 * np.real(b.conj()[:, :, None] * r * b[:, None, :])
+
+
+def model_root(oracle, p, k, z):
+    """``_model_root`` of user k at p on ``model_moments``."""
+    lin, cov_sq = model_moments(oracle)
+    return robustpl.descent._model_root(p, k, z, lin[k], cov_sq[k], float(oracle.noise_var[k]),
+                                        float(oracle.gamma[k]))
 
 
 def feasible_start(instance, beamformer, qos):
@@ -56,7 +75,7 @@ def feasible_start(instance, beamformer, qos):
     oracle = OutageOracle(instance, beamformer, qos)
     p_init = init_powers_pcsi(instance.est_channels, beamformer, qos,
                               instance.noise_var)
-    probs, _, feasible = _find_feasible_start(oracle, p_init.powers)
+    probs, _, _, feasible = _find_feasible_start(oracle, p_init.powers)
     return PowerAllocation(powers=probs.p), feasible
 
 
@@ -100,7 +119,7 @@ class TestFeasibleStart:
     def test_already_feasible_start_skips_doubling(self):
         inst, b, qos = make_zf_setup(103)
         first = solve_general(inst, b, qos)
-        again = _run_descent(OutageOracle(inst, b, qos), first.powers)
+        again = _run_descent(OutageOracle(inst, b, qos), first.powers.powers)
         assert again.doublings == 0
 
     def test_hopeless_instance_reports_infeasible(self):
@@ -127,7 +146,7 @@ class RayStub:
     rises along every ray to 0.99, and whose ``ray_limit`` is ``limit``;
     ``checked`` lists the users it was asked for.  It raises no user alone."""
 
-    floor, norms2, raises, raise_budget, cap = np.full(3, 0.95), np.ones(3), 0, 0, 1e6
+    floor, norms2, cap = np.full(3, 0.95), np.ones(3), 1e6
 
     def __init__(self, limit):
         self.limit, self.evals, self.checked = limit, 0, []
@@ -203,7 +222,7 @@ class TestRayLimit:
         before, stub = RayStub(None), RayStub(limit)
         before.ray_limit = lambda powers, k: None  # no limit read at all
         want, got = _find_feasible_start(before, p_init), _find_feasible_start(stub, p_init)
-        assert got[1] == want[1] >= 3 and got[2] and want[2]
+        assert got[1] == want[1] >= 3 and got[2] == want[2] == 0 and got[3] and want[3]
         assert np.array_equal(got[0].p, want[0].p) and np.array_equal(got[0].values, want[0].values)
         assert not got[0].stale.any()  # every value is fresh on the feasible exit
         assert stub.checked == [0, 1, 2]  # each user once, when first failing
@@ -211,18 +230,19 @@ class TestRayLimit:
 
     def test_raises_alone_until_the_budget_is_spent_then_doubles(self):
         stub = RayStub(0.99)
-        stub.raise_budget, stub.width = 2, np.full(3, 1e-3)
+        stub.width = np.full(3, 1e-3)
         stub.slope = lambda powers, k: 0.099 / (powers[k] + 0.1) ** 2
-        probs, doublings, feasible = _find_feasible_start(stub, np.array([0.05, 0.02, 0.01]))
+        probs, doublings, raises, feasible = _find_feasible_start(
+            stub, np.array([0.05, 0.02, 0.01]), raise_budget=2)
         # both raises hit user 0, each clamped to twice its power; user 2
         # then needs 8 doublings to reach 0.95 at p = 2.375
-        assert feasible and stub.raises == 2 and doublings == 8
+        assert feasible and raises == 2 and doublings == 8
         assert np.array_equal(probs.p, np.array([0.2, 0.02, 0.01]) * 2.0 ** 8)
 
     def test_limit_below_the_floor_gives_up_at_once(self):
         stub = RayStub(0.95 - 1e-9)
-        probs, doublings, feasible = _find_feasible_start(stub, np.array([0.01, 0.02, 0.05]))
-        assert not feasible and doublings == 1 and stub.checked == [0]
+        probs, doublings, raises, feasible = _find_feasible_start(stub, np.array([0.01, 0.02, 0.05]))
+        assert not feasible and doublings == 1 and raises == 0 and stub.checked == [0]
         assert np.array_equal(probs.p, [0.02, 0.04, 0.1]) and np.all(np.isfinite(probs.complete()))
 
 
@@ -249,13 +269,13 @@ class TestModelStart:
         assert oracle.evals == 0 and np.all(p > 0)
         for k in range(p.size):
             z = NormalDist().inv_cdf(1.0 - START_AIM * float(qos.epsilon[k]))
-            assert oracle.model_root(p, k, z) == pytest.approx(p[k], rel=10 * START_RTOL)
+            assert model_root(oracle, p, k, z) == pytest.approx(p[k], rel=10 * START_RTOL)
 
     def test_missing_root_falls_back_to_the_pcsi_ray(self, monkeypatch):
         inst, b, qos = make_zf_setup(613)
-        monkeypatch.setattr(OutageOracle, "model_root", lambda self, p, k, z: None)
+        monkeypatch.setattr(robustpl.descent, "_model_root", lambda *args: None)
         assert _model_start(OutageOracle(inst, b, qos)) is None
-        ray = init_powers_pcsi(inst.est_channels, b, qos, inst.noise_var)
+        ray = init_powers_pcsi(inst.est_channels, b, qos, inst.noise_var).powers
         report, on_ray = exact_descent(inst, b, qos), _run_descent(OutageOracle(inst, b, qos), ray)
         assert np.array_equal(report.powers.powers, on_ray.powers.powers)
         assert (report.integral_evals, report.doublings) == (on_ray.integral_evals,
@@ -274,8 +294,8 @@ class TestModelStart:
         # searches probe along slopes and chords, never at a model root
         from robustpl import build_rci
 
-        start, root = robustpl.descent._model_start, OutageOracle.model_root
-        inside, calls = [False], []  # per model_root call: inside _model_start?
+        start, root = robustpl.descent._model_start, robustpl.descent._model_root
+        inside, calls = [False], []  # per _model_root call: inside _model_start?
 
         def starting(oracle):
             inside[0] = True
@@ -284,21 +304,25 @@ class TestModelStart:
             finally:
                 inside[0] = False
 
-        def rooting(self, p, k, z):
+        def rooting(*args):
             calls.append(inside[0])
-            return root(self, p, k, z)
+            return root(*args)
 
         monkeypatch.setattr(robustpl.descent, "_model_start", starting)
-        monkeypatch.setattr(OutageOracle, "model_root", rooting)
+        monkeypatch.setattr(robustpl.descent, "_model_root", rooting)
         inst, b, qos = make_zf_setup(seed)
         for beamformer in (b, build_rci(inst.est_channels, 0.03)):
             solve_general(inst, beamformer, qos)
         assert calls and all(calls)
 
-    def test_surrogate_builds_no_moment_arrays(self):
+    def test_no_oracle_builds_moment_arrays(self):
+        # the moment model lives in _model_start alone, and the start and the
+        # raise budget are the caller's: no oracle keeps either
         inst, b, qos = make_zf_setup(9)
-        assert hasattr(OutageOracle(inst, b, qos), "cov_sq")
-        assert not hasattr(SurrogateOracle(inst, b, qos), "cov_sq")
+        for oracle in (OutageOracle(inst, b, qos), SaddlepointOracle(inst, b, qos),
+                       SurrogateOracle(inst, b, qos)):
+            for name in ("lin", "cov_sq", "model_root", "raise_budget", "raises"):
+                assert not hasattr(oracle, name), (type(oracle).__name__, name)
 
 
 class TestBisection:
@@ -322,7 +346,7 @@ class TestBisection:
         inst, b, qos = make_zf_setup(113)
         start, feasible = feasible_start(inst, b, qos)
         assert feasible
-        report = _run_descent(OutageOracle(inst, b, qos), start)
+        report = _run_descent(OutageOracle(inst, b, qos), start.powers)
         # one cycle of 3 users, each within the 60-step guard
         assert report.bisection_steps <= report.cycles * 3 * 60
 
@@ -604,7 +628,7 @@ class TestSolveGeneral:
         inst, b, qos = make_zf_setup(125)
         start, feasible = feasible_start(inst, b, qos)
         assert feasible
-        report = _run_descent(OutageOracle(inst, b, qos), start)
+        report = _run_descent(OutageOracle(inst, b, qos), start.powers)
         start_total = float(np.dot(start.powers, np.sum(np.abs(b.columns) ** 2, axis=0)))
         assert report.total_power <= start_total + 1e-12
 
@@ -646,6 +670,11 @@ class TestSolveGeneral:
             assert value == report.per_user_prob_exact[k]
             assert 1.0 - epsilon <= value - bound <= value + bound <= 1.0 - epsilon + width
             assert bound < width / 8
+            # an independent reference: the Gil-Pelaez integral on the real line
+            spectrum, tau, _ = rotate(oracle.minus_form(report.powers.powers, k))
+            ref, error = gil_pelaez(spectrum, tau)
+            assert error <= 1e-10
+            assert abs(value - ref) <= bound + error
 
 
 COUNTS = ("cycles", "bisection_steps", "doublings", "jumps", "raises", "integral_evals")
@@ -653,14 +682,14 @@ COUNTS = ("cycles", "bisection_steps", "doublings", "jumps", "raises", "integral
 
 def engine_runs(monkeypatch):
     """Within the test, every ``_run_descent`` call appends (oracle type,
-    start, a copy of its report) to the returned list."""
+    start, raise budget, a copy of its report) to the returned list."""
     import robustpl.descent
 
     engine, runs = robustpl.descent._run_descent, []
 
-    def recording(oracle, start=None):
-        report = engine(oracle, start)
-        runs.append((type(oracle), start, copy.copy(report)))
+    def recording(oracle, start, raise_budget=0):
+        report = engine(oracle, start, raise_budget)
+        runs.append((type(oracle), start, raise_budget, copy.copy(report)))
         return report
 
     monkeypatch.setattr(robustpl.descent, "_run_descent", recording)
@@ -683,10 +712,10 @@ class TestWarmStart:
         inst, b, qos = make_zf_setup(seed, n_tx=n, n_users=n)
         runs = engine_runs(monkeypatch)
         report = solve_general(inst, b, qos)
-        assert [(kind, start is None) for kind, start, _ in runs] == [
-            (SaddlepointOracle, True), (OutageOracle, False)]
-        saddle, exact = runs[0][2], runs[1][2]
-        assert saddle.solved and np.array_equal(runs[1][1].powers, saddle.powers.powers)
+        assert [(kind, start is None) for kind, start, _, _ in runs] == [
+            (SaddlepointOracle, False), (OutageOracle, False)]
+        saddle, exact = runs[0][3], runs[1][3]
+        assert saddle.solved and np.array_equal(runs[1][1], saddle.powers.powers)
         # the saddlepoint band is centred in the true one
         floor, delta = 1.0 - qos.epsilon, qos.epsilon / 50
         assert np.all(saddle.per_user_prob >= floor + delta / 4)
@@ -698,6 +727,18 @@ class TestWarmStart:
         for name in COUNTS:
             assert getattr(report, name) == getattr(saddle, name) + getattr(exact, name), name
 
+    @pytest.mark.parametrize("seed, n", [(123, 3), (611, 6), (613, 3)])
+    def test_solve_general_chooses_each_stage_start_and_raise_budget(self, seed, n, monkeypatch):
+        # the saddlepoint stage starts from _model_start's powers without
+        # raises, the exact stage from the first stage's powers with 2K
+        inst, b, qos = make_zf_setup(seed, n_tx=n, n_users=n)
+        runs = engine_runs(monkeypatch)
+        solve_general(inst, b, qos)
+        (kind0, start0, budget0, saddle), (kind1, start1, budget1, _) = runs
+        assert (kind0, budget0, kind1, budget1) == (SaddlepointOracle, 0, OutageOracle, 2 * n)
+        assert np.array_equal(start0, _model_start(SaddlepointOracle(inst, b, qos)))
+        assert np.array_equal(start1, saddle.powers.powers)
+
     @pytest.mark.parametrize("seed, gamma_db", [(110, 10.0), (109, 5.0)])
     def test_user_below_its_floor_is_raised_alone(self, seed, gamma_db, monkeypatch):
         # the saddlepoint solution leaves a user below its exact floor, and
@@ -705,9 +746,9 @@ class TestWarmStart:
         inst, b, qos = make_zf_setup(seed, gamma_db)
         runs = engine_runs(monkeypatch)
         report = solve_general(inst, b, qos)
-        (_, _, saddle), (kind, start, warm) = runs
+        (_, _, _, saddle), (kind, p0, _, warm) = runs
         assert kind is OutageOracle and warm.solved and warm.cycles == 0
-        p0, p = start.powers, warm.powers.powers
+        p = warm.powers.powers
         failing = OutageOracle(inst, b, qos).exact_all(p0) < 1.0 - qos.epsilon
         assert failing.any() and warm.raises >= failing.sum() and warm.doublings == 0
         assert np.array_equal(p > p0, failing) and np.array_equal(p[~failing], p0[~failing])
@@ -729,9 +770,8 @@ class TestWarmStart:
         runs = engine_runs(monkeypatch)
         solve_general(inst, b, qos)
         warm = Reads(inst, b, qos)
-        warm.raise_budget = 2 * qos.n_users
-        _, doublings, feasible = _find_feasible_start(warm, runs[1][1].powers)
-        assert feasible and doublings == 0 and warm.raises >= 1
+        _, doublings, raises, feasible = _find_feasible_start(warm, runs[1][1], 2 * qos.n_users)
+        assert feasible and doublings == 0 and raises >= 1
         assert warm.evals == warm.reads
 
     @pytest.mark.parametrize("case", ["no-estimate-feasible", "hopeless-uncertified"])
@@ -749,12 +789,11 @@ class TestWarmStart:
                                 lambda *args: ProbabilityEstimate(0.0, math.inf))
         runs = engine_runs(monkeypatch)
         report = solve_general(inst, b, qos)
-        assert [(kind, start is None) for kind, start, _ in runs] == [
-            (SaddlepointOracle, True), (OutageOracle, False)]
-        (_, _, saddle), (_, start, exact) = runs
+        assert [kind for kind, _, _, _ in runs] == [SaddlepointOracle, OutageOracle]
+        (_, _, _, saddle), (_, start, _, exact) = runs
         assert saddle.status is SolveStatus.INFEASIBLE_START_NOT_FOUND
         assert saddle.total_power > OutageOracle(inst, b, qos).cap
-        assert np.array_equal(start.powers, saddle.powers.powers)
+        assert np.array_equal(start, saddle.powers.powers)
         same_point(report, exact)
         if case == "hopeless-uncertified":
             assert report.status is SolveStatus.INFEASIBLE_START_NOT_FOUND
@@ -777,8 +816,8 @@ class TestWarmStart:
         want = solve_general(inst, b, qos)
         engine = robustpl.descent._run_descent
 
-        def cycle_limited(oracle, start=None):
-            report = engine(oracle, start)
+        def cycle_limited(oracle, start, raise_budget=0):
+            report = engine(oracle, start, raise_budget)
             if type(oracle) is SaddlepointOracle:
                 report.status = SolveStatus.CYCLE_LIMIT
             return report
@@ -786,27 +825,27 @@ class TestWarmStart:
         monkeypatch.setattr(robustpl.descent, "_run_descent", cycle_limited)
         runs = engine_runs(monkeypatch)
         report = solve_general(inst, b, qos)
-        assert [(kind, start is None, r.status) for kind, start, r in runs] == [
-            (SaddlepointOracle, True, SolveStatus.CYCLE_LIMIT),
+        assert [(kind, start is None, r.status) for kind, start, _, r in runs] == [
+            (SaddlepointOracle, False, SolveStatus.CYCLE_LIMIT),
             (OutageOracle, False, SolveStatus.SOLVED)]
-        assert np.array_equal(runs[1][1].powers, runs[0][2].powers.powers)
+        assert np.array_equal(runs[1][1], runs[0][3].powers.powers)
         same_point(report, want)
         for name in COUNTS:
             assert getattr(report, name) == getattr(want, name), name
-            assert getattr(report, name) == sum(getattr(r, name) for _, _, r in runs), name
+            assert getattr(report, name) == sum(getattr(r, name) for _, _, _, r in runs), name
 
     def test_certified_give_up_returns_the_saddlepoint_descent(self, monkeypatch):
         inst, b, qos = make_zf_setup(105, sigma_e2=0.5, gamma_db=10.0)
         want = exact_descent(inst, b, qos)
         runs = engine_runs(monkeypatch)
         report = solve_general(inst, b, qos)
-        assert [kind for kind, _, _ in runs] == [SaddlepointOracle]
+        assert [kind for kind, _, _, _ in runs] == [SaddlepointOracle]
         assert report.status is want.status is SolveStatus.INFEASIBLE_START_NOT_FOUND
         assert report.doublings == want.doublings == 1
         assert np.array_equal(report.per_user_prob_exact,
                               OutageOracle(inst, b, qos).exact_all(report.powers.powers))
         for name in COUNTS:
-            assert getattr(report, name) == getattr(runs[0][2], name), name
+            assert getattr(report, name) == getattr(runs[0][3], name), name
 
     def test_saddlepoint_band_follows_epsilon(self):
         # eps = 0.01: the exact band is [0.99, 0.9902], the saddlepoint's its middle half
@@ -924,7 +963,8 @@ class TestOutageOracle:
                     # tau = v - a^H Q a, where v = c . g_k - sigma_k^2
                     noise = float(inst.noise_var[k])
                     g_k = np.abs(inst.est_channels[k] @ b.columns) ** 2
-                    v = float(oracle.signed_powers(p, k) @ g_k) - noise
+                    c = np.where(np.arange(p.size) == k, p / qos.gamma, -p)  # the signed powers
+                    v = float(c @ g_k) - noise
                     quad = abs(float(np.real(ref_a.conj() @ ref_minus_q @ ref_a)))
                     assert abs(tau - ref_tau) <= 1e-13 * (abs(v) + quad)
                     # the noise-free tau of the ray limit
@@ -942,12 +982,20 @@ class TestOutageOracle:
                 assert oracle.minus_form(p, k)[2] == -float(inst.noise_var[k])
                 assert oracle.minus_form(p, k, 0.0)[2] == 0.0
 
-    def test_model_mean_is_the_rotated_centre(self):
+    def test_model_mean_is_the_rotated_centre(self, monkeypatch):
         # the moment model's b = G_k^H a_k, taken as -conj(h_k^H B), and the
-        # moments lin and cov_sq built on it
+        # moments lin and cov_sq built on it, as _model_start hands them to
+        # _model_root
         from robustpl import build_rci
         from test_model import correlated_instance
 
+        root, seen = robustpl.descent._model_root, []
+
+        def rooting(p, k, z, lin, cov, *rest):
+            seen.append((k, lin, cov))
+            return root(p, k, z, lin, cov, *rest)
+
+        monkeypatch.setattr(robustpl.descent, "_model_root", rooting)
         for seed in (403, 407, 409, 411):
             inst = correlated_instance(seed)
             qos = QoSSpec.from_db(5.0, 0.05, inst.n_users)
@@ -956,12 +1004,13 @@ class TestOutageOracle:
                 want = np.einsum("ki,kij->kj", oracle.centres.conj(), oracle.g_mats).conj()
                 got = -(inst.est_channels @ b.columns).conj()
                 assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-                r = np.einsum("kli,klj->kij", oracle.g_mats.conj(), oracle.g_mats)
-                lin = np.einsum("kjj->kj", r).real + np.abs(want) ** 2
-                cov_sq = np.abs(r) ** 2 + 2.0 * np.real(
-                    want.conj()[:, :, None] * r * want[:, None, :])
-                assert np.max(np.abs(oracle.lin - lin)) <= 1e-12 * np.max(lin)
-                assert np.max(np.abs(oracle.cov_sq - cov_sq)) <= 1e-12 * np.max(np.abs(cov_sq))
+                lin, cov_sq = model_moments(oracle)
+                seen.clear()
+                _model_start(oracle)
+                assert seen
+                for k, got_lin, got_cov in seen:
+                    assert np.max(np.abs(got_lin - lin[k])) <= 1e-12 * np.max(lin)
+                    assert np.max(np.abs(got_cov - cov_sq[k])) <= 1e-12 * np.max(np.abs(cov_sq))
 
     def test_one_eigh_per_exact_evaluation(self, monkeypatch):
         inst, b, qos = make_zf_setup(409)
@@ -1037,7 +1086,7 @@ class TestOutageOracle:
         for oracle, p in self.feasible_starts():
             for k in range(p.size):
                 at = p.copy()
-                at[k] = oracle.model_root(p, k, z)
+                at[k] = model_root(oracle, p, k, z)
                 assert at[k] > 0
                 # the model's mean and variance are the moments of the form's spectrum
                 minus_q, a, tau = oracle.minus_form(at, k)
@@ -1047,10 +1096,10 @@ class TestOutageOracle:
                 assert abs(uncounted_read(oracle, at, k)[0] - aim) <= 0.05
                 # the model's z-score rises towards n1 / sqrt(K_kk) as p_k grows,
                 # so an aim past that limit has no root
-                n1 = oracle.lin[k, k]
-                limit = n1 / math.sqrt(oracle.cov_sq[k, k, k])
+                lin, cov_sq = model_moments(oracle)
+                limit = lin[k, k] / math.sqrt(cov_sq[k, k, k])
                 if limit < 7.0:
-                    assert oracle.model_root(p, k, 1.001 * limit) is None
+                    assert model_root(oracle, p, k, 1.001 * limit) is None
                     no_root += 1
         assert no_root >= 3
 
@@ -1240,7 +1289,8 @@ def reference_case(name):
         "stall": lambda: make_zf_setup(9),
     }.get(name, lambda: make_zf_setup(613))()
     if name == "stall":
-        return inst, b, qos, lambda *problem: _run_descent(narrowed(OutageOracle(*problem)))
+        return inst, b, qos, lambda *problem: _run_descent(
+            (oracle := narrowed(OutageOracle(*problem))), _model_start(oracle))
     solver = solve_zf_coord_descent if name == "surrogate" else exact_descent
     return inst, b, qos, solver
 
@@ -1258,8 +1308,8 @@ class TestLazyEvaluation:
                   else OutageOracle(inst, b, qos))
         if name == "stall":
             narrowed(oracle)
-        # the solver's own start: the model start, else the PCSI ray
-        p_start = _model_start(oracle) if oracle.model_root else None
+        # the solver's own start: the exact engine's model start, else the PCSI ray
+        p_start = None if solver is solve_zf_coord_descent else _model_start(oracle)
         if p_start is None:
             p_start = init_powers_pcsi(inst.est_channels, b, qos, inst.noise_var).powers
         want = eager_descent(oracle, b, qos, p_start)

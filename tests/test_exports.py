@@ -1,5 +1,5 @@
-"""Every name a robustpl module exports in ``__all__`` exists, and every
-name a module imports is used."""
+"""Every name a robustpl module exports in ``__all__`` exists, every name a
+module imports is used, and every private helper is read somewhere."""
 
 import ast
 import importlib
@@ -34,3 +34,42 @@ def test_every_import_is_used(path):
               if (alias.asname or alias.name.split(".")[0]) not in used
               and "# noqa: F401" not in lines[alias.lineno - 1]]
     assert not unused, f"{path.name} imports {unused} and does not use them"
+
+
+def _private_definitions(tree):
+    """(name, line) of every private (``_``-prefixed, not dunder) module-level
+    function, class or constant, and every private method, of a module."""
+    def private(name):
+        return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and private(node.name):
+            yield node.name, node.lineno
+        targets = node.targets if isinstance(node, ast.Assign) else (
+            [node.target] if isinstance(node, ast.AnnAssign) else [])
+        for target in targets:
+            for name in ast.walk(target):
+                if isinstance(name, ast.Name) and private(name.id):
+                    yield name.id, node.lineno
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and private(item.name):
+                    yield f"{node.name}.{item.name}", item.lineno
+
+
+def test_no_private_helper_is_orphaned():
+    # a private helper that no code in src/robustpl reads (a name, an
+    # attribute or an import, its own definition aside) is dead code
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    orphans = [f"{module}:{line} {name}" for module, tree in trees.items()
+               for name, line in _private_definitions(tree) if name.split(".")[-1] not in read]
+    assert not orphans, f"private helpers nothing in src/robustpl reads: {orphans}"

@@ -432,7 +432,7 @@ class TestCoordUpdate:
     def test_chained_refinement_never_raises_power(self):
         inst, b, qos = make_zf_setup(261)
         first = solve_zf_coord_update(inst, b, qos)
-        refined = _run_descent(SurrogateOracle(inst, b, qos), first.powers)
+        refined = _run_descent(SurrogateOracle(inst, b, qos), first.powers.powers)
         assert refined.total_power <= first.total_power + 1e-12
 
     def test_cycle_limit_status(self, monkeypatch):
