@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import numbers
 from dataclasses import dataclass, fields as dc_fields
 
@@ -83,18 +84,23 @@ class ExperimentConfig:
         if self.training is not None and set(self.training) != {"L_ut", "P_ut"}:
             raise ValueError("training needs exactly the keys L_ut and P_ut, "
                              f"not {sorted(self.training)}")
-        for field, least in (("n_tx", 1), ("n_users", 1), ("n_trials", 1), ("seed", 0),
-                             ("mc_certify_samples", 0)):
-            value = getattr(self, field)  # a Python or numpy integer, not a bool
+        counts = [(field, getattr(self, field), least) for field, least in (
+            ("n_tx", 1), ("n_users", 1), ("n_trials", 1), ("seed", 0), ("mc_certify_samples", 0))]
+        reals = [("sigma2", self.sigma2), ("sigma2_bs", self.sigma2_bs)]
+        reals += [("sigma_e2 entries", s) for s in self.sigma_e2 or ()]
+        if self.training is not None:
+            counts.append(("training.L_ut", self.training["L_ut"], 1))
+            reals.append(("training.P_ut", self.training["P_ut"]))
+        for name, value, least in counts:  # a Python or numpy integer, not a bool
             if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-                raise ValueError(f"{field} must be an integer of at least {least}, not {value!r}")
-        if not self.sigma2 > 0:
-            raise ValueError(f"sigma2 must be positive, not {self.sigma2!r}")
+                raise ValueError(f"{name} must be an integer of at least {least}, not {value!r}")
+        for name, value in reals:  # a Python or numpy real, not a bool
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and positive, not {value!r}")
         if not (0 < self.epsilon < 1):
             raise ValueError("epsilon must lie in (0, 1)")
         if not np.all(np.isfinite(self.gamma_db)):
             raise ValueError("gamma_db entries must be finite")
-        self.error_variances()  # rejects a nonpositive sigma_e2 or bad training
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
@@ -108,12 +114,8 @@ class ExperimentConfig:
 
     def error_variances(self) -> tuple:
         if self.sigma_e2 is not None:
-            if not all(s > 0 for s in self.sigma_e2):
-                raise ValueError("sigma_e2 entries must be positive")
             return self.sigma_e2
-        return (uplink_error_variance(self.sigma2_bs,
-                                      int(self.training["L_ut"]),
-                                      float(self.training["P_ut"])),)
+        return (uplink_error_variance(self.sigma2_bs, self.training["L_ut"], float(self.training["P_ut"])),)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import enum
 import math
-import time
 from dataclasses import dataclass, replace
 from statistics import NormalDist
 
@@ -66,7 +65,8 @@ class SolveReport:
     evaluations: quadratures for the exact solver, residue evaluations for
     the surrogate solvers.  ``jumps`` counts the accepted ``_try_jump``
     points and ``raises`` the single-user raises of an exact stage; like
-    ``doublings`` neither is a records column.
+    ``doublings`` neither is a records column.  No solve reads a clock: a
+    caller times one with its own.
     """
 
     status: SolveStatus
@@ -77,7 +77,6 @@ class SolveReport:
     cycles: int
     bisection_steps: int
     integral_evals: int
-    wall_time: float
     doublings: int = 0
     jumps: int = 0
     raises: int = 0
@@ -174,15 +173,12 @@ class OutageOracle:
         est = saddlepoint_cdf(*rotate(self.minus_form(powers, k), self.direction(k)))
         return est and est.slope
 
-    def report(self, status: SolveStatus, p: np.ndarray, probs: np.ndarray,
-               t0: float, **counts) -> SolveReport:
-        """The solve report at powers p with constraint probabilities probs,
-        the oracle's ``evals`` and the time since t0 (``perf_counter``)."""
+    def report(self, status: SolveStatus, p: np.ndarray, probs: np.ndarray, **counts) -> SolveReport:
+        """The solve report at powers p with constraint probabilities probs and the oracle's ``evals``."""
         return SolveReport(
             status=status, powers=PowerAllocation(powers=p), per_user_prob=probs,
             per_user_prob_exact=probs.copy(),
-            total_power=float(np.dot(p, self.norms2)), integral_evals=self.evals,
-            wall_time=time.perf_counter() - t0, **counts)
+            total_power=float(np.dot(p, self.norms2)), integral_evals=self.evals, **counts)
 
 
 class SaddlepointOracle(OutageOracle):
@@ -407,7 +403,6 @@ def _run_descent(oracle: OutageOracle, start: np.ndarray, raise_budget: int = 0)
     tries ``_try_jump`` before the next cycle; an accepted jump goes back to
     the band test.
     """
-    t0 = time.perf_counter()
     qos, floor, width, n_users = oracle.qos, oracle.floor, oracle.width, oracle.qos.n_users
     if start is None:
         start = init_powers_pcsi(oracle.instance.est_channels, oracle.beamformer, qos,
@@ -443,21 +438,21 @@ def _run_descent(oracle: OutageOracle, start: np.ndarray, raise_budget: int = 0)
         # resolution (near-deterministic constraints)
         stalled = np.max(np.abs(p - p_before)) <= 1e-12 * float(np.max(p))
 
-    return oracle.report(status, p, probs.complete(), t0, cycles=cycles, bisection_steps=bisect_steps,
+    return oracle.report(status, p, probs.complete(), cycles=cycles, bisection_steps=bisect_steps,
                          doublings=doublings, jumps=jumps, raises=raises)
 
 
 def solve_general(instance: ScenarioInstance, beamformer: BeamformerMatrix,
                   qos: QoSSpec) -> SolveReport:
     """Coordinate descent against the exact outage probabilities for any fixed directions, in two
-    stages, counts and times summed: a descent on ``SaddlepointOracle`` from ``_model_start`` (the
+    stages, counts summed: a descent on ``SaddlepointOracle`` from ``_model_start`` (the
     PCSI ray where the model has no start), then one exact descent with 2K single-user raises from
     its last powers, whatever its status; or the first stage's certified give-up, with exact
     probabilities.  Until it is feasible the first stage only doubles along its start's ray, on
-    which every probability rises (Yates, 1995).  ``wall_time`` leaves out the model start."""
+    which every probability rises (Yates, 1995)."""
     first = _run_descent(saddle := SaddlepointOracle(instance, beamformer, qos), _model_start(saddle))
     if saddle.hopeless:  # then the exact descent gives up from the same start
         return replace(first, per_user_prob_exact=saddle.exact_all(first.powers.powers))
     last = _run_descent(OutageOracle(instance, beamformer, qos), first.powers.powers, 2 * qos.n_users)
     return replace(last, **{name: getattr(first, name) + getattr(last, name) for name in (
-        "cycles", "bisection_steps", "doublings", "jumps", "raises", "integral_evals", "wall_time")})
+        "cycles", "bisection_steps", "doublings", "jumps", "raises", "integral_evals")})

@@ -13,7 +13,7 @@ every user's spectrum once per cycle with one stacked eigendecomposition.
 
 from __future__ import annotations
 
-import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -266,11 +266,9 @@ class SurrogateOracle(OutageOracle):
             trial[k] *= 2.0
         return float(trial[k])
 
-    def report(self, status, p, probs, t0, **counts) -> SolveReport:
-        exact = self.exact_all(p)  # before the base report reads the clock
-        result = super().report(status, p, probs, t0, **counts)
-        result.per_user_prob_exact = exact
-        return result
+    def report(self, status, p, probs, **counts) -> SolveReport:
+        """The base report, with the returned powers certified by ``exact_all``."""
+        return replace(super().report(status, p, probs, **counts), per_user_prob_exact=self.exact_all(p))
 
 
 def solve_zf_coord_descent(instance: ScenarioInstance,
@@ -301,7 +299,6 @@ def solve_zf_coord_update(instance: ScenarioInstance,
     the next cycle's steps.  Exact probabilities of the final powers are
     certified by quadrature and reported alongside the surrogate ones.
     """
-    t0 = time.perf_counter()
     prob = SurrogateOracle(instance, beamformer, qos, eta_multiple)
     n, floor = qos.n_users, prob.floor
 
@@ -327,5 +324,4 @@ def solve_zf_coord_update(instance: ScenarioInstance,
     status = (SolveStatus.SOLVED if meets()
               else SolveStatus.DIVERGED if np.dot(p, prob.norms2) > prob.cap
               else SolveStatus.CYCLE_LIMIT)
-    return prob.report(status, p, probs.complete(), t0, cycles=cycles,
-                       bisection_steps=bisect_steps)
+    return prob.report(status, p, probs.complete(), cycles=cycles, bisection_steps=bisect_steps)

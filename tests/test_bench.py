@@ -74,7 +74,17 @@ class TestConfig:
         pytest.param("seed", 4.2, id="seed-4.2"),
         pytest.param("sigma2", 0.0, id="sigma2-0"),
         pytest.param("sigma2", -0.01, id="sigma2-negative"),
-        pytest.param("sigma2", float("nan"), id="sigma2-nan")])
+        pytest.param("sigma2", float("nan"), id="sigma2-nan"),
+        pytest.param("sigma2", float("inf"), id="sigma2-inf"),
+        pytest.param("sigma2_bs", float("nan"), id="sigma2_bs-nan"),
+        pytest.param("sigma2_bs", float("inf"), id="sigma2_bs-inf"),
+        pytest.param("sigma_e2", [0.001, float("inf")], id="sigma_e2-inf"),
+        pytest.param("training", {"L_ut": 1.5, "P_ut": 4.99}, id="training-L_ut-1.5"),
+        pytest.param("training", {"L_ut": True, "P_ut": 4.99}, id="training-L_ut-True"),
+        pytest.param("training", {"L_ut": "1", "P_ut": 4.99}, id="training-L_ut-str"),
+        pytest.param("training", {"L_ut": float("inf"), "P_ut": 4.99}, id="training-L_ut-inf"),
+        pytest.param("training", {"L_ut": 1, "P_ut": float("nan")}, id="training-P_ut-nan"),
+        pytest.param("training", {"L_ut": 1, "P_ut": float("inf")}, id="training-P_ut-inf")])
     def test_rejects_out_of_range_solver_settings(self, field, value):
         overrides = {field: value}
         if field == "sigma_e2":
@@ -83,8 +93,10 @@ class TestConfig:
             small_config(**overrides)
 
     def test_numpy_integers_are_integers(self):
-        cfg = small_config(n_trials=np.int64(2), seed=np.uint32(42), mc_certify_samples=np.int32(0))
+        cfg = small_config(n_trials=np.int64(2), seed=np.uint32(42), mc_certify_samples=np.int32(0),
+                           training={"L_ut": np.int64(1), "P_ut": np.float32(4.99)}, sigma2_bs=np.float64(0.01))
         assert cfg.n_trials == 2 and cfg.seed == 42
+        assert cfg.error_variances() == pytest.approx((0.002,), rel=1e-6)
 
     def test_json_round_trip_rejects_unknown_keys(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -365,6 +377,14 @@ class TestCli:
             out = tmp_path / "records.csv"
             assert cli_main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
             assert not out.exists()
+
+    def test_infinite_training_length_is_a_one_line_error(self, tmp_path, capsys):
+        path, out = tmp_path / "cfg.json", tmp_path / "records.csv"
+        # Python's json reads and writes the non-standard literal Infinity
+        path.write_text(self.write_config(tmp_path).read_text().replace('"L_ut": 1', '"L_ut": Infinity'))
+        assert cli_main(["sweep", "--config", str(path), "--out", str(out)]) == 1
+        assert not out.exists()
+        assert capsys.readouterr().err == "error: training.L_ut must be an integer of at least 1, not inf\n"
 
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_threads_below_one_is_a_usage_error(self, tmp_path, threads, capsys):

@@ -32,7 +32,7 @@ from robustpl import (
 from robustpl.descent import (JUMP_DAMPING, JUMP_RATIO, MAX_BISECT_STEPS, MAX_CYCLES,
                               MAX_DOUBLINGS, START_AIM, START_RTOL,
                               SaddlepointOracle, _LazyProbs, _bisect_user_power, _find_feasible_start,
-                              _model_start, _run_descent, _try_jump)
+                              _model_start, _newton, _run_descent, _try_jump)
 
 from robustpl.quadform import ToleranceNotMet, _moments, rotate, saddlepoint_cdf
 
@@ -238,6 +238,19 @@ class TestRayLimit:
         # then needs 8 doublings to reach 0.95 at p = 2.375
         assert feasible and raises == 2 and doublings == 8
         assert np.array_equal(probs.p, np.array([0.2, 0.02, 0.01]) * 2.0 ** 8)
+
+    def test_a_raise_without_a_newton_step_doubles_the_user_alone(self):
+        # no step without a positive slope or at a read of exactly 0 or 1
+        assert all(_newton(1.0, q, slope, 0.95) is None
+                   for q, slope in ((0.5, None), (0.5, 0.0), (0.5, -1.0), (0.0, 1.0), (1.0, 1.0)))
+        stub = RayStub(0.99)
+        stub.width = np.full(3, 1e-3)
+        stub.slope = lambda powers, k: None
+        probs, doublings, raises, feasible = _find_feasible_start(
+            stub, np.array([1.0, 4.0, 4.0]), raise_budget=2)
+        # each raise takes min(inf, 2 p_k): user 0 goes 1 -> 2 -> 4, where 0.99 * 4 / 4.1 >= 0.95
+        assert feasible and raises == 2 and doublings == 0
+        assert np.array_equal(probs.p, [4.0, 4.0, 4.0])
 
     def test_limit_below_the_floor_gives_up_at_once(self):
         stub = RayStub(0.95 - 1e-9)

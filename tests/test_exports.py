@@ -1,5 +1,6 @@
 """Every name a robustpl module exports in ``__all__`` exists, every name a
-module imports is used, and every private helper is read somewhere."""
+module imports is used, every private helper is read somewhere, and no
+module reads a clock."""
 
 import ast
 import importlib
@@ -73,3 +74,13 @@ def test_no_private_helper_is_orphaned():
     orphans = [f"{module}:{line} {name}" for module, tree in trees.items()
                for name, line in _private_definitions(tree) if name.split(".")[-1] not in read]
     assert not orphans, f"private helpers nothing in src/robustpl reads: {orphans}"
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.stem)
+def test_no_module_reads_a_clock(path):
+    # a solve's outputs are deterministic; a caller times a call with its own clock
+    nodes = list(ast.walk(ast.parse(path.read_text())))
+    modules = [alias.name for node in nodes if isinstance(node, ast.Import) for alias in node.names]
+    modules += [node.module or "" for node in nodes if isinstance(node, ast.ImportFrom)]
+    clocks = sorted({module.split(".")[0] for module in modules} & {"time", "datetime"})
+    assert not clocks, f"{path.name} imports {clocks}"

@@ -61,6 +61,12 @@ class TestUplinkEstimate:
         assert uplink_error_variance(0.01, 4, 4.99) == pytest.approx(
             0.01 / (0.01 + 19.96), rel=1e-12)
 
+    @pytest.mark.parametrize("sigma2_bs, l_ut, p_ut", [(0.0, 1, 4.99), (0.01, 0, 4.99), (0.01, 1, -1.0)])
+    def test_rejects_nonpositive_training(self, sigma2_bs, l_ut, p_ut):
+        # a sweep config rejects these first, naming the key
+        with pytest.raises(ValueError, match="uplink training needs"):
+            uplink_error_variance(sigma2_bs, l_ut, p_ut)
+
     def test_vanishing_error_at_high_power(self):
         h = generate_rayleigh_channels(2, 2, 1)
         est, cov = draw_estimate(h, uplink_error_variance(0.01, 1, 1e9),

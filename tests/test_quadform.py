@@ -275,6 +275,12 @@ class TestChernoffScreen:
         beta = _pick_beta(lam, zt2, tau, log_weight=0.0)
         assert math.isfinite(_log_mag(beta, lam, zt2, tau, log_weight=0.0))
 
+    def test_flat_exponent_takes_the_smallest_offset(self):
+        # log weight 0 with (mu - tau) / s2 = 1e-314 / 2e10 underflowing: the
+        # two-moment start is 0, and no Newton step is taken from it
+        with mock.patch.object(quadform, "_log_mag_parts", side_effect=AssertionError):
+            assert _pick_beta([1e5, -1e5], [0.0, 0.0], -1e-314, log_weight=0.0) == math.ulp(0.0)
+
 
 class TestCertificate:
     @settings(max_examples=150, deadline=None)
