@@ -124,7 +124,6 @@ def main(argv=None) -> int:
         print(f"{path.name}: {len(missed)} of {total} function-body statements never ran")
         for line, function, text in missed:
             print(f"  {path.name}:{line} {function}: {text}")
-    sys.stdout.flush()
     return code
 
 
