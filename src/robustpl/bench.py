@@ -97,6 +97,11 @@ class ExperimentConfig:
         for name, value in reals:  # a Python or numpy real, not a bool
             if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 < value < math.inf:
                 raise ValueError(f"{name} must be finite and positive, not {value!r}")
+        try:  # a training must leave sigma2_bs / (sigma2_bs + L_ut * P_ut) positive
+            if self.training is not None and not self.error_variances()[0] > 0.0:
+                raise ValueError("training.L_ut * training.P_ut is too large: the error variance is 0")
+        except OverflowError:
+            raise ValueError("training.L_ut must convert to a finite float") from None
         if not (0 < self.epsilon < 1):
             raise ValueError("epsilon must lie in (0, 1)")
         if not np.all(np.isfinite(self.gamma_db)):

@@ -233,12 +233,12 @@ def _model_root(powers: np.ndarray, k: int, z: float, lin: np.ndarray, cov: np.n
     c = -np.asarray(powers, dtype=float)
     c[k] = 0.0
     n0, n1 = float(c @ lin) - sigma2, float(lin[k])
-    a, b = n1 * n1 - z * z * cov[k, k], n0 * n1 - z * z * float(cov[k] @ c)
+    a, b = n1 * n1 - z * z * float(cov[k, k]), n0 * n1 - z * z * float(cov[k] @ c)
     q = n0 * n0 - z * z * float(c @ cov @ c)
     if (disc := b * b - a * q) < 0.0:
         return None
-    half = -(b + np.copysign(np.sqrt(disc), b))  # the roots are half/a and q/half
-    roots = [x for x in (half / (a or np.nan), q / (half or np.nan))
+    half = -(b + math.copysign(math.sqrt(disc), b))  # the roots are half/a and q/half
+    roots = [x for x in (half / (a or math.nan), q / (half or math.nan))
              if x > 0.0 and (n0 + n1 * x) * z >= 0.0]
     return gamma * min(roots) if roots else None
 
@@ -330,7 +330,7 @@ def _bisect_user_power(oracle: OutageOracle, p: np.ndarray, k: int,
     secant probes in a row moved the same end.  Every probe keeps 1e-3 of the
     bracket's width from both ends.  Returns (new_pk, probability, steps).
     """
-    floor, width = oracle.floor[k], oracle.width[k]
+    floor, width = float(oracle.floor[k]), float(oracle.width[k])
     hi, lo, trial = p[k], 0.0, p.copy()
     prob_hi, steps = prob_k_current, 0
     if prob_hi is None:

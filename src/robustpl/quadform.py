@@ -58,7 +58,7 @@ class ProbabilityEstimate:
     def __post_init__(self):
         if self.raw_value is None:
             object.__setattr__(self, "raw_value", self.value)
-        object.__setattr__(self, "value", float(min(1.0, max(0.0, self.value))))
+        object.__setattr__(self, "value", float(v if 0.0 < (v := self.value) < 1.0 else 1.0 if v >= 1.0 else 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -203,17 +203,19 @@ def _trapezoid_step(beta, cap, lam, zt2, tau, g0, target, log_lam):
     (W/omega)^(r+1) beyond, W^(r+1) = e prod(1 + e lam) / prod|lam|, so
     M <= W |f(e)| (1 + 1/r); log_lam is sum log|lam|.  Of the strips a =
     {1/2, 9/10} min(beta, cap - beta), the one with the larger step wins."""
-    r, width, best = len(lam), min(beta, cap - beta), 0.0
+    r, width, best = len(lam), cap - beta if cap - beta < beta else beta, 0.0
     for a in (0.5 * width, 0.9 * width):
         log_m = -math.inf
         for e in (beta - a, beta + a):
             log_p, c = math.log(e), 0.0  # log(e prod(1 + e lam)), c(e)
             for l, z in zip(lam, zt2):
-                log_p += math.log1p(e * l)
-                c += z * e * l / (1.0 + e * l)
-            log_m = max(log_m, (log_p - log_lam) / (r + 1) - log_p + tau * e - c - g0)
+                log_p += math.log1p(el := e * l)
+                c += z * e * l / (1.0 + el)
+            if (edge := (log_p - log_lam) / (r + 1) - log_p + tau * e - c - g0) > log_m:
+                log_m = edge
         x = LOG2 + math.log1p(1.0 / r) + log_m - math.log(target)
-        best = max(best, 2.0 * math.pi * a / (max(x, 0.0) + math.log1p(math.exp(-abs(x)))))
+        if (step := 2.0 * math.pi * a / ((0.0 if x < 0.0 else x) + math.log1p(math.exp(-abs(x))))) > best:
+            best = step
     return best
 
 
@@ -228,12 +230,13 @@ def _vertical_cut(beta, lam, zt2, tau, g0, target, sigma, h, omega_max, log_lam)
     remainder below |D|^m sum |Delta^m g|, bounded by Cauchy's estimate on
     discs of radius omega/2 (there |s|, |1 + s lam|/|lam| >= omega/2 and
     Re c >= sum z (1 - 2/(|lam| omega))); rounding, ~(2|D|)^m, limits m."""
-    terms = [(l, z, 1.0 + beta * l) for l, z in zip(lam, zt2)]
+    terms = [(l, z, (b := 1.0 + beta * l), b * b, 2.0 * z * b, 0.5 * math.log(b * b)) for l, z in zip(lam, zt2)]
     r = len(terms)
     sin_half = abs(math.sin(0.5 * tau * h))
     log_dh = math.log(0.5 * h / sin_half) if sin_half > 0.0 else math.inf  # |Dh|
-    log_2d = max(0.0, LOG2 + log_dh - math.log(h))  # log max(1, 2|D|)
-    base = tau * beta - g0 - sum(zt2) + (r + 1) * LOG2 - log_lam
+    log_2dh, inv_dh, tb_g = LOG2 + log_dh, math.exp(-log_dh), tau * beta - g0  # log 2|Dh|, 1/|Dh|
+    log_2d = max(0.0, log_2dh - math.log(h))  # log max(1, 2|D|)
+    base = tb_g - sum(zt2) + (r + 1) * LOG2 - log_lam
     z_over = 2.0 * sum(z / abs(l) for l, z in zip(lam, zt2))
     log_eps_h = math.log(50.0 * math.ulp(1.0) * h)
 
@@ -242,27 +245,28 @@ def _vertical_cut(beta, lam, zt2, tau, g0, target, sigma, h, omega_max, log_lam)
         log omega."""
         re_c = log_den = rate = 0.0
         d = 0  # factors bounded by |lam| omega
-        for l, z, bl1 in terms:
-            ol2 = (omega * l) ** 2
-            den = bl1 * bl1 + ol2
+        for l, z, bl1, bl1_sq, zb2, half_log in terms:
+            ol2 = math.pow(omega * l, 2.0)
+            den = bl1_sq + ol2
             re_c += z * (1.0 - bl1 / den)
-            rate += 2.0 * z * bl1 * ol2 / (den * den)
-            d += ol2 >= bl1 * bl1
-            log_den += 0.5 * math.log(max(ol2, bl1 * bl1))
+            rate += zb2 * ol2 / (den * den)
+            d += (big := ol2 >= bl1_sq)
+            log_den += 0.5 * math.log(ol2) if big else half_log
         if d == 0:  # 1/omega alone does not integrate: let one factor decay
             d = 1
-            log_den += max(math.log(abs(omega * l) / bl1) for l, _, bl1 in terms)
+            log_den += max(math.log(abs(omega * l) / bl1) for l, _, bl1, *_ in terms)
         log_om = math.log(omega)
-        log_f = tau * beta - g0 - re_c - log_om - log_den  # bounds log|f(omega)|
-        best = (log_f + log_om - math.log(d), 0, rate + d)
-        for m in range(1, min(_MAX_ORDER, int(0.5 * omega * math.exp(-log_dh))) + 1):
-            rem = (base + z_over / omega - (m + r) * log_om + m * (LOG2 + log_dh)
-                   + _LOG_FACT[m] + math.log(1.0 / (m + r) + h / omega))
-            total = LOG2 + max(rem, log_eps_h + log_f + math.log(m) + m * log_2d)
-            if total >= best[0]:
+        log_f = tb_g - re_c - log_om - log_den  # bounds log|f(omega)|
+        best, best_m, best_rate = log_f + log_om - math.log(d), 0, rate + d
+        head, h_om, log_eps_f = base + z_over / omega, h / omega, log_eps_h + log_f
+        for m in range(1, min(_MAX_ORDER, int(0.5 * omega * inv_dh)) + 1):
+            rem = (head - (m + r) * log_om + m * log_2dh
+                   + _LOG_FACT[m] + math.log(1.0 / (m + r) + h_om))
+            total = LOG2 + (rnd if (rnd := log_eps_f + math.log(m) + m * log_2d) > rem else rem)
+            if total >= best:
                 break
-            best = (total, m, d)
-        return best
+            best, best_m, best_rate = total, m, d
+        return best, best_m, best_rate
 
     # Newton on log omega from 16 sigma (about half the usual cut), aimed
     # 0.05 past the target, steps at most 1, bisecting the bracket of tested
@@ -326,7 +330,7 @@ def cdf_quadrature(spectrum: tuple, tau: float, tol: float = QUAD_TOL) -> Probab
     A bound above tol (as past the node cap MAX_NODES) raises
     ToleranceNotMet, whose ``estimate`` carries the value and that bound."""
     tau = float(tau)
-    lam_all, zt2_all = (np.asarray(x, dtype=float).tolist() for x in spectrum)
+    lam_all, zt2_all = np.asarray(spectrum[0], dtype=float).tolist(), np.asarray(spectrum[1], dtype=float).tolist()
     thresh = zero_mode_threshold(lam_all)
     kept = [(l, z) for l, z in zip(lam_all, zt2_all)
             if abs(l) > thresh or z * abs(l) > thresh]
@@ -442,31 +446,36 @@ def saddlepoint_cdf(spectrum: tuple, tau: float, slope_terms=None):
     saddle point t, K_1(t) = tau, from Newton steps inside v_j = 1/(1 - t lam_j) > 0, K_n = sum_j
     (lam_j v_j)^n (n-1)! (1 + n |z~_j|^2 v_j); uncertified (an infinite bound), None near the mean or
     without t.  The ``slope`` is e^(K - t tau)/sqrt(2 pi K_2) (A B + C) by ``rotate``'s rows."""
-    lam, zt2 = (np.asarray(x, dtype=float).tolist() for x in spectrum)
-    tau, (mu, k2) = float(tau), _moments(lam, zt2)
-    lo = max((1.0 / l for l in lam if l < 0.0), default=-math.inf)
-    hi = min((1.0 / l for l in lam if l > 0.0), default=math.inf)
+    lam, zt2 = np.asarray(spectrum[0], dtype=float).tolist(), np.asarray(spectrum[1], dtype=float).tolist()
+    tau, mu, k2, terms = float(tau), 0.0, 0.0, []
+    for l, z in zip(lam, zt2):  # _moments' sums and the loop's terms in one pass
+        mu += (1.0 + z) * l
+        k2 += (1.0 + 2.0 * z) * l * l
+        terms.append((l, z, 2.0 * z))
+    lo = 1.0 / l if (l := min(lam, default=0.0)) < 0.0 else -math.inf  # the poles nearest 0, as 1/l
+    hi = 1.0 / l if (l := max(lam, default=0.0)) > 0.0 else math.inf   # is monotone on each side
     t, k1 = 0.0, mu
     for _ in range(60):
         step = (tau - k1) / k2 if k2 > 0.0 else math.nan  # no spread, or t ran off
         if not abs(step) * math.sqrt(k2) > 1e-9:  # converged, or nan
             break
-        lo, hi = (t, hi) if step > 0.0 else (lo, t)
-        t = t + step if lo < t + step < hi else 0.5 * (lo + hi)
+        lo = t if step > 0.0 else lo
+        hi = hi if step > 0.0 else t
+        t = new if lo < (new := t + step) < hi else 0.5 * (lo + hi)
         k1 = k2 = 0.0
-        for l, z in zip(lam, zt2):
+        for l, z, z2 in terms:
             v = 1.0 / (1.0 - t * l)
-            k1 += l * v * (1.0 + z * v)
-            k2 += (l * v) ** 2 * (1.0 + 2.0 * z * v)
+            k1 += (lv := l * v) * (1.0 + z * v)
+            k2 += math.pow(lv, 2.0) * (1.0 + z2 * v)  # libm's pow, as lv ** 2 is (not lv * lv)
     if not abs(step) * math.sqrt(k2) <= 1e-9:  # no saddle point
         return None
     t += step  # the last, converged step: far smaller than the distance to a pole
     excess = k3 = k4 = 0.0  # excess: K(t) - t mu
-    for l, z in zip(lam, zt2):
-        v = 1.0 / (1.0 - t * l)
-        excess += z * (t * l) ** 2 * v - math.log1p(-t * l) - t * l
-        k3 += 2.0 * (l * v) ** 3 * (1.0 + 3.0 * z * v)
-        k4 += 6.0 * (l * v) ** 4 * (1.0 + 4.0 * z * v)
+    for l, z, _ in terms:
+        v = 1.0 / (1.0 - (tl := t * l))
+        excess += z * math.pow(tl, 2.0) * v - math.log1p(-tl) - tl
+        k3 += 2.0 * math.pow(l * v, 3.0) * (1.0 + 3.0 * z * v)
+        k4 += 6.0 * math.pow(l * v, 4.0) * (1.0 + 4.0 * z * v)
     w, u = math.copysign(math.sqrt(2.0 * max(0.0, t * (tau - mu) - excess)), t), t * math.sqrt(k2)
     if min(abs(w), abs(u)) < NEAR_MEAN:
         return None

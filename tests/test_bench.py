@@ -386,6 +386,17 @@ class TestCli:
         assert not out.exists()
         assert capsys.readouterr().err == "error: training.L_ut must be an integer of at least 1, not inf\n"
 
+    @pytest.mark.parametrize("l_ut, message", [
+        ("1" + "0" * 400, "training.L_ut must convert to a finite float"),  # OverflowError before
+        ("1" + "0" * 308, "training.L_ut * training.P_ut is too large: the error variance is 0"),
+    ], ids=["1e400", "1e308"])
+    def test_oversized_training_length_is_a_one_line_error(self, tmp_path, capsys, l_ut, message):
+        path, out = tmp_path / "cfg.json", tmp_path / "records.csv"
+        path.write_text(self.write_config(tmp_path).read_text().replace('"L_ut": 1', f'"L_ut": {l_ut}'))
+        assert cli_main(["sweep", "--config", str(path), "--out", str(out)]) == 1
+        assert not out.exists()
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_threads_below_one_is_a_usage_error(self, tmp_path, threads, capsys):
         cfg, out = self.write_config(tmp_path), tmp_path / "records.csv"
